@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import networkx as nx
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,44 @@ class BroadcastTree:
         return graph
 
 
+def _binomial_parents(local: np.ndarray) -> np.ndarray:
+    # Participant p joins in the round of its highest set bit, from p minus
+    # that bit (frexp's exponent is exact for indices below 2**53).
+    _, exponent = np.frexp(local)
+    return local - np.left_shift(np.int64(1), exponent - 1)
+
+
+#: Vectorised parent functions, one per named shape: each maps an int64
+#: array of participant indices (all >= 1) to their parents' indices.  A
+#: parent never depends on the tree size, and every shape sends to its
+#: children in ascending index order, so the (parent, child) edges listed
+#: in child order and stable-sorted by parent are the tree's send order.
+_PARENT_RULES = {
+    "binomial": _binomial_parents,
+    "flat": np.zeros_like,
+    "chain": lambda local: local - 1,
+    "binary": lambda local: (local - 1) // 2,
+}
+
+
+def tree_parents(name: str, local: np.ndarray) -> np.ndarray:
+    """Parent indices of the participants ``local`` (all >= 1) in tree ``name``."""
+    try:
+        parents = _PARENT_RULES[name]
+    except KeyError as exc:
+        known = ", ".join(sorted(_PARENT_RULES))
+        raise ValueError(f"unknown tree {name!r}; known: {known}") from exc
+    return parents(np.asarray(local, dtype=np.int64))
+
+
+def _tree(name: str, size: int) -> BroadcastTree:
+    _check_size(size)
+    children: list[list[int]] = [[] for _ in range(size)]
+    for child, parent in enumerate(tree_parents(name, np.arange(1, size)).tolist(), 1):
+        children[parent].append(child)
+    return BroadcastTree(size=size, children=tuple(tuple(c) for c in children), name=name)
+
+
 def binomial_tree(size: int) -> BroadcastTree:
     """The binomial broadcast tree used by MagPIe and the paper.
 
@@ -115,43 +154,22 @@ def binomial_tree(size: int) -> BroadcastTree:
     therefore performs ``ceil(log2(size))`` sends, and the tree completes in
     that many rounds on a fully-connected homogeneous network.
     """
-    _check_size(size)
-    children: list[list[int]] = [[] for _ in range(size)]
-    distance = 1
-    while distance < size:
-        for informed in range(distance):
-            target = informed + distance
-            if target < size:
-                children[informed].append(target)
-        distance *= 2
-    return BroadcastTree(size=size, children=tuple(tuple(c) for c in children), name="binomial")
+    return _tree("binomial", size)
 
 
 def flat_tree(size: int) -> BroadcastTree:
     """The root sends to every other participant, in index order."""
-    _check_size(size)
-    children: list[tuple[int, ...]] = [tuple(range(1, size))]
-    children.extend(() for _ in range(size - 1))
-    return BroadcastTree(size=size, children=tuple(children), name="flat")
+    return _tree("flat", size)
 
 
 def chain_tree(size: int) -> BroadcastTree:
     """Each participant forwards the message to the next one."""
-    _check_size(size)
-    children = tuple(
-        (index + 1,) if index + 1 < size else () for index in range(size)
-    )
-    return BroadcastTree(size=size, children=children, name="chain")
+    return _tree("chain", size)
 
 
 def binary_tree(size: int) -> BroadcastTree:
     """A complete binary tree: participant ``p`` sends to ``2p+1`` and ``2p+2``."""
-    _check_size(size)
-    children = tuple(
-        tuple(child for child in (2 * index + 1, 2 * index + 2) if child < size)
-        for index in range(size)
-    )
-    return BroadcastTree(size=size, children=children, name="binary")
+    return _tree("binary", size)
 
 
 #: Named tree constructors.

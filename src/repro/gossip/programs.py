@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.gossip.engine import GossipRunResult, _round_targets, run_gossip
 from repro.gossip.spec import GossipSpec
-from repro.simulator.program import CommunicationProgram, SendInstruction
+from repro.simulator.program import CommunicationProgram
 from repro.utils.validation import check_non_negative
 
 
@@ -73,48 +73,63 @@ def gossip_program(
     protocol = spec.protocol
     informed_round = result.informed_round
     ttl = spec.effective_ttl if protocol == "epto" else 0
-    sends: dict[int, list[SendInstruction]] = {}
+    # Per-message arrays in emission (round-major) order, one part per
+    # round and kind; from_arrays stable-sorts them into per-rank lists.
+    none = np.empty(0, dtype=np.int64)
+    senders, dests, codes = [none], [none], [none]
+    tags: list[str] = []
 
-    def emit(sender: int, destination: int, tag: str) -> None:
-        sends.setdefault(sender, []).append(
-            SendInstruction(destination=destination, message_size=message_size, tag=tag)
-        )
+    def emit(sources: np.ndarray, destinations: np.ndarray, tag: str) -> None:
+        senders.append(sources)
+        dests.append(destinations)
+        codes.append(np.full(sources.size, len(tags), dtype=np.int64))
+        tags.append(tag)
 
     for round_index in range(result.rounds_executed):
         informed = (informed_round >= 0) & (informed_round <= round_index)
         tag = f"round-{round_index}"
         if protocol == "flood":
-            for sender in np.flatnonzero(informed_round == round_index):
-                for destination in range(n):
-                    if destination != sender:
-                        emit(int(sender), destination, tag)
+            # Each sender floods every other rank, in ascending rank order.
+            flooders = np.flatnonzero(informed_round == round_index)
+            slot = np.arange(n - 1)
+            emit(
+                np.repeat(flooders, n - 1),
+                (slot + (slot >= flooders[:, None])).ravel(),
+                tag,
+            )
             continue
         if protocol == "tree":
             pow2 = 1 << min(round_index, 62)
             offsets = (np.arange(n) - spec.root) % n
-            mask = informed & (offsets < pow2) & (offsets + pow2 < n)
-            for sender in np.flatnonzero(mask):
-                destination = int((offsets[sender] + pow2 + spec.root) % n)
-                emit(int(sender), destination, tag)
+            parents = np.flatnonzero(informed & (offsets < pow2) & (offsets + pow2 < n))
+            emit(parents, (offsets[parents] + pow2 + spec.root) % n, tag)
             continue
         targets = _round_targets(spec, round_index)
         if protocol == "epto":
-            senders = informed & (informed_round + ttl > round_index)
+            senders_mask = informed & (informed_round + ttl > round_index)
         else:
-            senders = informed
-        for sender in np.flatnonzero(senders):
-            for slot in range(spec.fanout):
-                emit(int(sender), int(targets[sender, slot]), tag)
+            senders_mask = informed
+        pushers = np.flatnonzero(senders_mask)
+        emit(np.repeat(pushers, spec.fanout), targets[pushers].ravel(), tag)
         if protocol == "pushpull":
-            for puller in np.flatnonzero(~informed):
-                for slot in range(spec.fanout):
-                    target = int(targets[puller, slot])
-                    if informed[target]:
-                        emit(target, int(puller), f"{tag}/pull")
+            # Each uninformed puller asks its targets in slot order; the
+            # informed ones reply with the payload.
+            pullers = np.flatnonzero(~informed)
+            asked = targets[pullers].ravel()
+            replies = informed[asked]
+            emit(
+                asked[replies],
+                np.repeat(pullers, spec.fanout)[replies],
+                f"{tag}/pull",
+            )
 
-    return CommunicationProgram(
-        num_ranks=n,
-        root=spec.root,
-        sends=sends,
+    return CommunicationProgram.from_arrays(
+        n,
+        spec.root,
+        np.concatenate(senders),
+        np.concatenate(dests),
+        message_size,
+        np.concatenate(codes),
+        tags,
         name=f"gossip-{protocol}[n={n},fanout={spec.fanout},seed={spec.seed}]",
     )

@@ -19,26 +19,44 @@ any executor — scalar or batched — picks it up without out-of-band knowledge
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.mpi.bcast import rank_layout
 from repro.simulator.program import CommunicationProgram
 from repro.topology.grid import Grid
 from repro.utils.validation import check_non_negative
 
 
+def _exchange_pairs(group_of: np.ndarray, local_index: np.ndarray):
+    """Every ordered pair of distinct ranks sharing a group, source-major.
+
+    Groups are contiguous rank ranges (``local_index`` is a rank's offset in
+    its group); each source lists its group's other ranks in ascending order.
+    """
+    group_size = np.bincount(group_of)[group_of]
+    fanout = group_size - 1
+    sources = np.repeat(np.arange(group_of.size), fanout)
+    slot = np.arange(sources.size) - np.repeat(np.cumsum(fanout) - fanout, fanout)
+    offset = slot + (slot >= local_index[sources])
+    return sources, sources - local_index[sources] + offset
+
+
 def direct_alltoall_program(grid: Grid, chunk_size: float) -> CommunicationProgram:
     """Every rank sends its private block to every other rank directly."""
     check_non_negative(chunk_size, "chunk_size")
-    program = CommunicationProgram(
-        num_ranks=grid.num_nodes,
-        root=0,
+    ranks = np.arange(grid.num_nodes)
+    sources, destinations = _exchange_pairs(np.zeros_like(ranks), ranks)
+    return CommunicationProgram.from_arrays(
+        grid.num_nodes,
+        0,
+        sources,
+        destinations,
+        chunk_size,
+        0,
+        ("a2a-direct",),
         name="direct-alltoall",
         initially_active=tuple(range(grid.num_nodes)),
     )
-    for source in range(grid.num_nodes):
-        for destination in range(grid.num_nodes):
-            if source == destination:
-                continue
-            program.add_send(source, destination, chunk_size, tag="a2a-direct")
-    return program
 
 
 def grid_aware_alltoall_program(grid: Grid, chunk_size: float) -> CommunicationProgram:
@@ -66,57 +84,37 @@ def grid_aware_alltoall_program(grid: Grid, chunk_size: float) -> CommunicationP
     on their own NIC.
     """
     check_non_negative(chunk_size, "chunk_size")
-    program = CommunicationProgram(
-        num_ranks=grid.num_nodes,
-        root=0,
-        name="grid-aware-alltoall",
-        initially_active=tuple(range(grid.num_nodes)),
-    )
-    num_clusters = grid.num_clusters
     total_ranks = grid.num_nodes
-
-    # Phase 1: local gather towards coordinators.
-    for cluster in grid.clusters:
-        coordinator = grid.coordinator_rank(cluster.cluster_id)
-        remote_total = total_ranks - cluster.size
-        if remote_total <= 0:
-            continue
-        for node in cluster.nodes:
-            if node.rank == coordinator:
-                continue
-            program.add_send(
-                node.rank, coordinator, remote_total * chunk_size, tag="a2a-gather"
-            )
-
-    # Phase 2: coordinator-to-coordinator aggregated exchange.
-    for source_cluster in range(num_clusters):
-        source_size = grid.cluster(source_cluster).size
-        source_coord = grid.coordinator_rank(source_cluster)
-        for target_cluster in range(num_clusters):
-            if source_cluster == target_cluster:
-                continue
-            target_size = grid.cluster(target_cluster).size
-            program.add_send(
-                source_coord,
-                grid.coordinator_rank(target_cluster),
-                source_size * target_size * chunk_size,
-                tag="a2a-exchange",
-            )
-
-    # Phase 3: local redistribution + purely local exchanges.
-    for cluster in grid.clusters:
-        coordinator = grid.coordinator_rank(cluster.cluster_id)
-        remote_total = total_ranks - cluster.size
-        for node in cluster.nodes:
-            if node.rank != coordinator and remote_total > 0:
-                program.add_send(
-                    coordinator, node.rank, remote_total * chunk_size, tag="a2a-scatter"
-                )
-        for source in cluster.nodes:
-            for destination in cluster.nodes:
-                if source.rank == destination.rank:
-                    continue
-                program.add_send(
-                    source.rank, destination.rank, chunk_size, tag="a2a-local"
-                )
-    return program
+    coordinators, cluster_of, local_index = rank_layout(grid)
+    cluster_sizes = np.bincount(cluster_of, minlength=grid.num_clusters)
+    members = np.flatnonzero(local_index > 0)
+    # A single-cluster grid has nothing to gather or redistribute.
+    members = members[total_ranks - cluster_sizes[cluster_of[members]] > 0]
+    member_coordinators = coordinators[cluster_of[members]]
+    remote_bytes = (total_ranks - cluster_sizes[cluster_of[members]]) * chunk_size
+    source_cluster, target_cluster = _exchange_pairs(
+        np.zeros(grid.num_clusters, dtype=np.int64), np.arange(grid.num_clusters)
+    )
+    local_sources, local_destinations = _exchange_pairs(cluster_of, local_index)
+    # Phases in emission order: gather, exchange, redistribute, local pairs.
+    phases = (
+        (members, member_coordinators, remote_bytes),
+        (
+            coordinators[source_cluster],
+            coordinators[target_cluster],
+            cluster_sizes[source_cluster] * cluster_sizes[target_cluster] * chunk_size,
+        ),
+        (member_coordinators, members, remote_bytes),
+        (local_sources, local_destinations, np.full(local_sources.size, chunk_size)),
+    )
+    return CommunicationProgram.from_arrays(
+        total_ranks,
+        0,
+        np.concatenate([phase[0] for phase in phases]),
+        np.concatenate([phase[1] for phase in phases]),
+        np.concatenate([phase[2] for phase in phases]),
+        np.repeat(np.arange(len(phases)), [phase[0].size for phase in phases]),
+        ("a2a-gather", "a2a-exchange", "a2a-scatter", "a2a-local"),
+        name="grid-aware-alltoall",
+        initially_active=tuple(range(total_ranks)),
+    )

@@ -15,11 +15,28 @@ Two program builders live here:
 
 from __future__ import annotations
 
-from repro.collectives.trees import make_tree
+import numpy as np
+
+from repro.collectives.trees import tree_parents
 from repro.core.schedule import BroadcastSchedule
 from repro.simulator.program import CommunicationProgram
 from repro.topology.grid import Grid
 from repro.utils.validation import check_non_negative
+
+
+def rank_layout(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cluster coordinator ranks plus each rank's cluster and local index.
+
+    A grid numbers each cluster's ranks contiguously from its coordinator,
+    so a rank's local index is its offset from that coordinator.
+    """
+    clusters = grid.clusters
+    sizes = np.array([cluster.size for cluster in clusters], dtype=np.int64)
+    coordinators = np.array(
+        [cluster.coordinator.rank for cluster in clusters], dtype=np.int64
+    )
+    cluster_of = np.repeat(np.arange(len(clusters)), sizes)
+    return coordinators, cluster_of, np.arange(grid.num_nodes) - coordinators[cluster_of]
 
 
 def grid_aware_bcast_program(
@@ -60,50 +77,43 @@ def grid_aware_bcast_program(
             f"schedule covers {schedule.num_clusters} clusters but the grid has "
             f"{grid.num_clusters}"
         )
-    root_rank = grid.coordinator_rank(schedule.root)
-    program = CommunicationProgram(
-        num_ranks=grid.num_nodes,
-        root=root_rank,
-        name=f"grid-aware-bcast[{schedule.heuristic_name or 'schedule'}]",
-    )
+    coordinators, cluster_of, local_index = rank_layout(grid)
 
     # Inter-cluster phase: coordinators follow the schedule order.
-    inter_sends: dict[int, list[int]] = {}
-    for transfer in schedule.transfers:
-        sender_rank = grid.coordinator_rank(transfer.sender)
-        receiver_rank = grid.coordinator_rank(transfer.receiver)
-        inter_sends.setdefault(sender_rank, []).append(receiver_rank)
+    pairs = np.array(
+        [(transfer.sender, transfer.receiver) for transfer in schedule.transfers],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    inter = (
+        coordinators[pairs[:, 0]],
+        coordinators[pairs[:, 1]],
+        np.zeros(len(pairs), dtype=np.int64),
+    )
 
-    # Local phase: each cluster broadcasts along its own tree, coordinator first.
-    local_sends: dict[int, list[tuple[int, int]]] = {}
-    for cluster in grid.clusters:
-        if cluster.size <= 1:
-            continue
-        tree = make_tree(local_tree, cluster.size)
-        base_rank = cluster.coordinator.rank
-        for local_parent, kids in enumerate(tree.children):
-            parent_rank = base_rank + local_parent
-            for local_child in kids:
-                local_sends.setdefault(parent_rank, []).append(
-                    (base_rank + local_child, cluster.cluster_id)
-                )
+    # Local phase: each cluster broadcasts along its own tree, coordinator
+    # first.
+    children = np.flatnonzero(local_index > 0)
+    offsets = local_index[children]
+    local = (
+        children + tree_parents(local_tree, offsets) - offsets,
+        children,
+        1 + cluster_of[children],
+    )
 
-    for rank in range(grid.num_nodes):
-        phases = (
-            (("local", local_sends.get(rank, [])), ("inter", inter_sends.get(rank, [])))
-            if local_first
-            else (("inter", inter_sends.get(rank, [])), ("local", local_sends.get(rank, [])))
-        )
-        for phase_name, sends in phases:
-            if phase_name == "inter":
-                for destination in sends:
-                    program.add_send(rank, destination, message_size, tag="inter-cluster")
-            else:
-                for destination, cluster_id in sends:
-                    program.add_send(
-                        rank, destination, message_size, tag=f"local-c{cluster_id}"
-                    )
-
+    # Each rank performs its first phase's messages, then its second's;
+    # from_arrays keeps that emission order per sender.
+    phases = (local, inter) if local_first else (inter, local)
+    senders, dest, tag_code = (np.concatenate(parts) for parts in zip(*phases))
+    program = CommunicationProgram.from_arrays(
+        grid.num_nodes,
+        int(coordinators[schedule.root]),
+        senders,
+        dest,
+        message_size,
+        tag_code,
+        ("inter-cluster", *(f"local-c{c}" for c in range(grid.num_clusters))),
+        name=f"grid-aware-bcast[{schedule.heuristic_name or 'schedule'}]",
+    )
     program.validate_broadcast()
     return program
 
@@ -127,15 +137,17 @@ def binomial_bcast_program(
     num_ranks = grid.num_nodes
     if not 0 <= root_rank < num_ranks:
         raise ValueError(f"root_rank must be a valid rank, got {root_rank}")
-    tree = make_tree("binomial", num_ranks)
-    program = CommunicationProgram(
-        num_ranks=num_ranks, root=root_rank, name="binomial-bcast"
+    virtual = np.arange(1, num_ranks)
+    program = CommunicationProgram.from_arrays(
+        num_ranks,
+        root_rank,
+        (tree_parents("binomial", virtual) + root_rank) % num_ranks,
+        (virtual + root_rank) % num_ranks,
+        message_size,
+        0,
+        ("binomial",),
+        name="binomial-bcast",
     )
-    for virtual_parent, kids in enumerate(tree.children):
-        parent_rank = (virtual_parent + root_rank) % num_ranks
-        for virtual_child in kids:
-            child_rank = (virtual_child + root_rank) % num_ranks
-            program.add_send(parent_rank, child_rank, message_size, tag="binomial")
     program.validate_broadcast()
     return program
 

@@ -18,8 +18,11 @@ crossed once per *cluster* instead of once per *rank*.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.base import SchedulingHeuristic
 from repro.core.schedule import BroadcastSchedule, evaluate_order
+from repro.mpi.bcast import rank_layout
 from repro.simulator.program import CommunicationProgram
 from repro.topology.grid import Grid
 from repro.utils.validation import check_non_negative
@@ -33,17 +36,18 @@ def flat_scatter_program(
 ) -> CommunicationProgram:
     """The root sends each rank its private block directly."""
     check_non_negative(chunk_size, "chunk_size")
-    program = CommunicationProgram(
-        num_ranks=grid.num_nodes,
-        root=root_rank,
+    others = np.flatnonzero(np.arange(grid.num_nodes) != root_rank)
+    return CommunicationProgram.from_arrays(
+        grid.num_nodes,
+        root_rank,
+        np.full(others.size, root_rank),
+        others,
+        chunk_size,
+        0,
+        ("scatter-direct",),
         name="flat-scatter",
         initially_active=(root_rank,),
     )
-    for rank in range(grid.num_nodes):
-        if rank == root_rank:
-            continue
-        program.add_send(root_rank, rank, chunk_size, tag="scatter-direct")
-    return program
 
 
 def grid_aware_scatter_program(
@@ -87,7 +91,6 @@ def grid_aware_scatter_program(
         key=lambda c: schedule.arrival_times[c],
     )
     order = [(root_cluster, cluster) for cluster in remote_clusters]
-    aggregated_sizes = [grid.cluster(c).size * chunk_size for c in range(grid.num_clusters)]
     cluster_schedule = evaluate_order(
         grid,
         chunk_size,
@@ -97,27 +100,25 @@ def grid_aware_scatter_program(
         broadcast_times=[0.0] * grid.num_clusters,
     )
 
-    root_rank = grid.coordinator_rank(root_cluster)
-    program = CommunicationProgram(
-        num_ranks=grid.num_nodes,
-        root=root_rank,
+    coordinators, cluster_of, local_index = rank_layout(grid)
+    remote = np.array([cluster for _, cluster in order], dtype=np.int64)
+    cluster_sizes = np.bincount(cluster_of, minlength=grid.num_clusters)
+    root_rank = int(coordinators[root_cluster])
+    # Inter-cluster phase: one aggregated block per remote cluster.  Local
+    # phase: every coordinator (including the root's own cluster) hands each
+    # local rank its private block.
+    members = np.flatnonzero(local_index > 0)
+    program = CommunicationProgram.from_arrays(
+        grid.num_nodes,
+        root_rank,
+        np.concatenate([np.full(remote.size, root_rank), coordinators[cluster_of[members]]]),
+        np.concatenate([coordinators[remote], members]),
+        np.concatenate(
+            [cluster_sizes[remote] * chunk_size, np.full(members.size, chunk_size)]
+        ),
+        np.repeat([0, 1], [remote.size, members.size]),
+        ("scatter-aggregate", "scatter-local"),
         name=f"grid-aware-scatter[{heuristic.name}]",
         initially_active=(root_rank,),
     )
-    # Inter-cluster phase: aggregated block per remote cluster.
-    for _, cluster in order:
-        program.add_send(
-            root_rank,
-            grid.coordinator_rank(cluster),
-            aggregated_sizes[cluster],
-            tag="scatter-aggregate",
-        )
-    # Local phase: every coordinator (including the root's own cluster) hands
-    # each local rank its private block.
-    for cluster in grid.clusters:
-        coordinator = grid.coordinator_rank(cluster.cluster_id)
-        for node in cluster.nodes:
-            if node.rank == coordinator:
-                continue
-            program.add_send(coordinator, node.rank, chunk_size, tag="scatter-local")
     return program, cluster_schedule

@@ -156,7 +156,7 @@ def program_cost(program: Any) -> int:
     task on the Table 3 grid).  The ``+ 1`` keeps empty programs from
     costing nothing.
     """
-    return 1 + sum(len(sends) for sends in program.sends.values())
+    return 1 + program.total_messages()
 
 
 def gossip_cost(num_nodes: int, rounds: int) -> float:

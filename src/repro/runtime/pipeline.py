@@ -184,7 +184,7 @@ class PipelinedExecutor:
         _batch._validate_tasks(normalized)
         if not normalized:
             return
-        compiled = [self._compiler.compile(task) for task in normalized]
+        compiled = self._compiler.compile(normalized)
         seeds = _batch._task_seeds(normalized, self._config)
         resets = [task.reset_network for task in normalized]
         if self._pool is None:

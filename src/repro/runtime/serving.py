@@ -292,6 +292,12 @@ class FrameServer:
         """Stop accepting, drop connections, run subclass teardown (idempotent)."""
         self._stopped.set()
         if self._listener is not None:
+            # Closing alone does not wake a thread blocked in accept() on
+            # Linux; shutting the listener down first does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -9,10 +9,11 @@ evaluation, a callback closure and a trace dataclass; the per-message Python
 overhead dwarfs the arithmetic.  This module executes a whole batch of
 programs in one pass instead:
 
-* every program is **compiled** once — per-message gap/latency evaluated
-  through a memo keyed by (cluster pair, size) shared across the batch,
-  flattened into per-rank message arrays — so the hot loop touches only plain
-  numbers;
+* every program is **compiled** once — its flat per-rank message arrays
+  (:class:`~repro.simulator.program.CommunicationProgram`'s own CSR form)
+  plus per-message gap/latency, gathered for the whole batch at once from
+  per-size (cluster x cluster) tables that evaluate each pair present once —
+  so the hot loop touches only plain numbers;
 * NIC occupancy, activation and completion state live in flat per-rank state
   rows keyed per program, advanced by a per-program delivery-event heap
   (programs are independent, so running them back to back is observationally
@@ -122,11 +123,13 @@ class ExecutionTask:
 
 
 class _CompiledProgram:
-    """One program flattened into per-rank message arrays.
+    """One program's message arrays plus their noise-free pLogP values.
 
     Messages are stored rank-major (``indptr[rank] : indptr[rank + 1]``), in
-    program send order.  ``gap``/``latency`` hold the noise-free pLogP values
-    evaluated once at compile time — bitwise the same numbers
+    program send order — the program's own CSR form, as plain lists for the
+    hot loop (plus ``size``/``tag`` when traces are collected).
+    ``gap``/``latency`` hold the noise-free pLogP values gathered from the
+    batch's cluster-pair tables — bitwise the same numbers
     :meth:`~repro.simulator.network.SimulatedNetwork.transmit` would compute
     per message — both as NumPy arrays (vector path) and plain lists (scalar
     path).  A compiled program is read-only during execution, so one compile
@@ -151,18 +154,12 @@ class _CompiledProgram:
 
     def __init__(
         self,
-        grid: Grid,
         task: ExecutionTask,
-        params_memo: "_ParamsMemo",
-        cluster_of: list[int],
+        gap: np.ndarray,
+        latency: np.ndarray,
         lean: bool = False,
     ) -> None:
         program = task.program
-        if program.num_ranks > grid.num_nodes:
-            raise ValueError(
-                f"program spans {program.num_ranks} ranks but the network only has "
-                f"{grid.num_nodes}"
-            )
         self.program = program
         self.name = program.name
         self.num_ranks = program.num_ranks
@@ -170,125 +167,129 @@ class _CompiledProgram:
         for rank in self.roots:
             if not 0 <= rank < program.num_ranks:
                 raise ValueError(f"initially active rank {rank} out of range")
-
-        dest: list[int] = []
-        size: list[float] | None = None if lean else []
-        tag: list[str] | None = None if lean else []
-        gap: list[float] = []
-        latency: list[float] = []
-        indptr = [0]
-        dest_append = dest.append
-        gap_append = gap.append
-        latency_append = latency.append
-        sends_get = program.sends.get
-        tables = params_memo.tables
-        for rank in range(program.num_ranks):
-            instructions = sends_get(rank)
-            if instructions:
-                source_cluster = cluster_of[rank]
-                for instruction in instructions:
-                    destination = instruction.destination
-                    message_size = instruction.message_size
-                    # Per-size (cluster, cluster) lookup tables: a plain 2-D
-                    # list index per message instead of a tuple-keyed dict.
-                    table = tables.get(message_size)
-                    if table is None:
-                        table = params_memo.add_size(message_size)
-                    pair = table[source_cluster][cluster_of[destination]]
-                    if pair is None:
-                        pair = params_memo.resolve(
-                            grid, rank, destination, message_size, cluster_of
-                        )
-                    dest_append(destination)
-                    gap_append(pair[0])
-                    latency_append(pair[1])
-                    if not lean:
-                        size.append(message_size)
-                        tag.append(instruction.tag)
-            indptr.append(len(dest))
-        self.indptr = indptr
-        self.dest = dest
-        self.size = size
-        self.tag = tag
-        self.gap = np.asarray(gap, dtype=float)
-        self.latency = np.asarray(latency, dtype=float)
-        self.gap_list = gap
-        self.latency_list = latency
+        self.indptr = program.indptr.tolist()
+        self.dest = program.dest.tolist()
+        if lean:
+            self.size = self.tag = None
+        else:
+            tags = program.tags
+            self.size = program.size.tolist()
+            self.tag = [tags[code] for code in program.tag_code.tolist()]
+        self.gap = gap
+        self.latency = latency
+        self.gap_list = gap.tolist()
+        self.latency_list = latency.tolist()
         # Upper bound on noise draws: one per nonzero gap/latency value.  The
         # bound is only unreached when some sender never activates (its sends
         # never execute); pre-drawing extra values is harmless because every
         # executed message consumes the same stream positions either way.
-        self.max_draws = int(
-            np.count_nonzero(self.gap) + np.count_nonzero(self.latency)
-        )
+        self.max_draws = int(np.count_nonzero(gap) + np.count_nonzero(latency))
 
 
-class _ParamsMemo:
-    """Per-size ``(cluster, cluster)`` tables of evaluated pLogP pairs.
+class _PairTables:
+    """Per-size ``(cluster, cluster)`` tables of evaluated pLogP values.
 
-    ``tables[size][ci][cj]`` holds ``(gap(size), latency)`` for a message of
-    ``size`` bytes between any node of cluster ``ci`` and any node of cluster
-    ``cj`` (``None`` until first use) — the values
-    :meth:`~repro.topology.grid.Grid.node_link_parameters` would produce,
-    evaluated once and shared by every program of the batch.
+    ``gaps[size]`` holds ``gap(size)`` and ``latency`` the (size-free)
+    latency for a message between any node of cluster ``ci`` and any node of
+    cluster ``cj`` at flat index ``ci * num_clusters + cj`` (NaN until first
+    use) — the values :meth:`~repro.topology.grid.Grid.node_link_parameters`
+    would produce, evaluated once per pair present and shared by every
+    program of the batch.
     """
 
-    __slots__ = ("num_clusters", "tables")
+    __slots__ = ("grid", "num_clusters", "cluster_of", "gaps", "latency")
 
-    def __init__(self, num_clusters: int) -> None:
-        self.num_clusters = num_clusters
-        self.tables: dict[float, list[list[tuple[float, float] | None]]] = {}
+    def __init__(self, grid: Grid) -> None:
+        self.grid = grid
+        self.num_clusters = grid.num_clusters
+        self.cluster_of = np.array(
+            [grid.cluster_of_rank(rank) for rank in range(grid.num_nodes)],
+            dtype=np.int64,
+        )
+        self.gaps: dict[float, np.ndarray] = {}
+        self.latency = np.full(self.num_clusters**2, np.nan)
 
-    def add_size(self, message_size: float) -> list:
-        table = [[None] * self.num_clusters for _ in range(self.num_clusters)]
-        self.tables[message_size] = table
-        return table
+    def gather(
+        self, programs: Sequence[CommunicationProgram]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-message ``(gap, latency)`` of ``programs``, concatenated."""
+        dest = np.concatenate([program.dest for program in programs])
+        if not dest.size:
+            return np.empty(0), np.empty(0)
+        senders = np.concatenate([program.senders() for program in programs])
+        cells = self.num_clusters**2
+        pair = self.cluster_of[senders] * self.num_clusters + self.cluster_of[dest]
+        unique, inverse = np.unique(
+            np.concatenate([program.size for program in programs]),
+            return_inverse=True,
+        )
+        sizes = unique.tolist()
+        for size in sizes:
+            if size not in self.gaps:
+                self.gaps[size] = np.full(cells, np.nan)
+        flat = inverse * cells + pair
 
-    def resolve(
-        self,
-        grid: Grid,
-        rank: int,
-        destination: int,
-        message_size: float,
-        cluster_of: list[int],
-    ) -> tuple[float, float]:
-        params = grid.node_link_parameters(rank, destination)
-        pair = (params.gap(message_size), params.latency)
-        table = self.tables[message_size]
-        table[cluster_of[rank]][cluster_of[destination]] = pair
-        return pair
+        def gather_gaps() -> np.ndarray:
+            return np.stack([self.gaps[size] for size in sizes]).ravel()[flat]
+
+        gap = gather_gaps()
+        missing = np.flatnonzero(np.isnan(gap))
+        if missing.size:
+            # Evaluate each (size, pair) not seen before through its first
+            # message, then gather again.
+            _, first = np.unique(flat[missing], return_index=True)
+            for index in missing[first].tolist():
+                params = self.grid.node_link_parameters(
+                    int(senders[index]), int(dest[index])
+                )
+                size = sizes[inverse[index]]
+                self.gaps[size][pair[index]] = params.gap(size)
+                self.latency[pair[index]] = params.latency
+            gap = gather_gaps()
+        return gap, self.latency[pair]
 
 
 class _BatchCompiler:
     """Parent-side compile state reused across batches on one grid.
 
-    Holds the pLogP parameter memo, the rank→cluster map and the compiled
-    cache (a program appearing in several tasks — noise replicas, chained
-    stages — compiles once; the compiled form is read-only during execution).
-    The pipelined driver keeps one compiler alive across submissions, so
-    later batches reuse every parameter evaluated by earlier ones.
+    Holds the cluster-pair tables and the compiled cache (a program
+    appearing in several tasks — noise replicas, chained stages — compiles
+    once; the compiled form is read-only during execution).  The pipelined
+    driver keeps one compiler alive across submissions, so later batches
+    reuse every parameter evaluated by earlier ones.
     """
 
-    __slots__ = ("grid", "lean", "params_memo", "cluster_of", "cache")
+    __slots__ = ("grid", "lean", "tables", "cache")
 
     def __init__(self, grid: Grid, collect_traces: bool) -> None:
         self.grid = grid
         self.lean = not collect_traces
-        self.params_memo = _ParamsMemo(grid.num_clusters)
-        self.cluster_of = [
-            grid.cluster_of_rank(rank) for rank in range(grid.num_nodes)
-        ]
+        self.tables = _PairTables(grid)
         self.cache: dict[tuple[int, tuple[int, ...]], _CompiledProgram] = {}
 
-    def compile(self, task: ExecutionTask) -> _CompiledProgram:
-        key = (id(task.program), tuple(task.initially_active))
-        prog = self.cache.get(key)
-        if prog is None:
-            prog = _CompiledProgram(
-                self.grid, task, self.params_memo, self.cluster_of, lean=self.lean
-            )
-            self.cache[key] = prog
-        return prog
+    def compile(self, tasks: Sequence[ExecutionTask]) -> list[_CompiledProgram]:
+        """The compiled form of every task, gathering new programs in one pass."""
+        keys = [(id(task.program), tuple(task.initially_active)) for task in tasks]
+        fresh: dict[tuple[int, tuple[int, ...]], ExecutionTask] = {}
+        for key, task in zip(keys, tasks):
+            if key in self.cache or key in fresh:
+                continue
+            if task.program.num_ranks > self.grid.num_nodes:
+                raise ValueError(
+                    f"program spans {task.program.num_ranks} ranks but the network "
+                    f"only has {self.grid.num_nodes}"
+                )
+            fresh[key] = task
+        if fresh:
+            gap, latency = self.tables.gather([task.program for task in fresh.values()])
+            start = 0
+            for key, task in fresh.items():
+                end = start + task.program.total_messages()
+                self.cache[key] = _CompiledProgram(
+                    task, gap[start:end], latency[start:end], lean=self.lean
+                )
+                start = end
+        return [self.cache[key] for key in keys]
 
 
 def _run_compiled(
@@ -604,7 +605,7 @@ def _execute_batch(
 ) -> list[ExecutionResult]:
     """Run every task in one pass; the batched engine proper."""
     compiler = _BatchCompiler(grid, collect_traces)
-    compiled = [compiler.compile(task) for task in tasks]
+    compiled = compiler.compile(tasks)
     return _run_task_sequence(
         compiled,
         _task_seeds(tasks, config),
@@ -1001,7 +1002,7 @@ def _execute_with_runtime_pool(
     from repro.runtime.chunking import compiled_cost
 
     compiler = _BatchCompiler(grid, collect_traces)
-    compiled = [compiler.compile(task) for task in tasks]
+    compiled = compiler.compile(tasks)
     seeds = _task_seeds(tasks, config)
     resets = [task.reset_network for task in tasks]
     costs = [compiled_cost(prog) for prog in compiled]
@@ -1110,7 +1111,7 @@ def _execute_with_thread_pool(
     study_pool = pool if pool is not None else get_pool(worker_count, kind="thread")
     results: list[ExecutionResult | None] = [None] * len(tasks)
     compiler = _BatchCompiler(grid, collect_traces)
-    compiled = [compiler.compile(task) for task in tasks]
+    compiled = compiler.compile(tasks)
     costs = [compiled_cost(prog) for prog in compiled]
     bounds = _chunk_bounds(tasks, costs, worker_count, chunking)
     seeds = _task_seeds(tasks, config)
@@ -1274,8 +1275,7 @@ def execute_programs(
         else:
             lane = resolve_executor(executor)
             if lane == "auto":
-                # Only an auto decision needs the batch priced; explicit
-                # lanes skip the walk over every program's sends.
+                # Only an auto decision needs the batch priced.
                 lane = choose_executor(
                     "auto",
                     sum(program_cost(task.program) for task in normalized),

@@ -5,11 +5,23 @@ scatter, all-to-all) reduce to the same execution pattern: *once a machine
 holds the payload it needs, it sends messages to a fixed list of destinations,
 in a fixed order*.  A :class:`CommunicationProgram` captures exactly that —
 the "what", leaving the "when" to the executor and the network model.
+
+A program stores its messages in one flat CSR form: ``indptr`` over ranks
+plus per-message ``dest``, ``size`` and ``tag_code`` arrays, with the tag
+strings held once in a small ``tags`` table.  Builders emit that form
+directly through :meth:`CommunicationProgram.from_arrays`; the batched
+executor compiles it with array gathers.  Per-message
+:class:`SendInstruction` objects exist only as the lazily derived
+:attr:`~CommunicationProgram.sends` / :meth:`~CommunicationProgram.sends_of`
+view that the scalar reference engine and debugging read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.utils.validation import check_non_negative
 
@@ -41,7 +53,21 @@ class SendInstruction:
         check_non_negative(self.message_size, "message_size")
 
 
-@dataclass
+def _index_array(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D int64 array, rejecting non-integer input."""
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if array.size and array.dtype.kind not in "iu":
+        raise TypeError(f"{name} must hold integers")
+    return array.astype(np.int64, copy=False)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class CommunicationProgram:
     """A dissemination program over ``num_ranks`` machines.
 
@@ -51,68 +77,197 @@ class CommunicationProgram:
         Total number of machines.
     root:
         Rank that is active from time zero (it initially holds the payload).
-    sends:
-        ``sends[rank]`` is the ordered list of :class:`SendInstruction` the
-        rank performs once activated.  Ranks that never receive anything and
-        are not the root simply stay idle.
     name:
         Label of the collective that produced the program.
     initially_active:
         Extra ranks (besides the root) that hold their payload from time zero
         — scatter/all-to-all style programs declare their senders here so
         executors need no out-of-band knowledge of the pattern.
+    indptr, dest, size, tag_code, tags:
+        The messages in CSR form (read-only arrays): rank ``r`` performs
+        messages ``indptr[r]:indptr[r + 1]`` in that order, message ``i``
+        carries ``size[i]`` bytes to ``dest[i]`` and is labelled
+        ``tags[tag_code[i]]``.  Ranks that never receive anything and are
+        not active from the start simply stay idle.
+
+    ``sends`` (a constructor argument and a derived view) maps each sending
+    rank to its ordered :class:`SendInstruction` list; :meth:`add_send`
+    appends one message.  Both serve hand-written programs and tests; the
+    builders in :mod:`repro.mpi` and :mod:`repro.gossip` use
+    :meth:`from_arrays`.
     """
 
-    num_ranks: int
-    root: int
-    sends: dict[int, list[SendInstruction]] = field(default_factory=dict)
-    name: str = "program"
-    initially_active: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if isinstance(self.num_ranks, bool) or not isinstance(self.num_ranks, int):
-            raise TypeError("num_ranks must be an int")
-        if self.num_ranks < 1:
-            raise ValueError(f"num_ranks must be >= 1, got {self.num_ranks}")
-        if not 0 <= self.root < self.num_ranks:
-            raise ValueError(f"root must be a valid rank, got {self.root}")
-        self.initially_active = tuple(self.initially_active)
-        for rank in self.initially_active:
-            if isinstance(rank, bool) or not isinstance(rank, int):
-                raise TypeError("initially_active ranks must be ints")
-            if not 0 <= rank < self.num_ranks:
-                raise ValueError(f"initially active rank {rank} out of range")
-        for rank, instructions in self.sends.items():
-            if not 0 <= rank < self.num_ranks:
-                raise ValueError(f"sender rank {rank} out of range")
+    def __init__(
+        self,
+        num_ranks: int,
+        root: int,
+        sends: Mapping[int, Iterable[SendInstruction]] | None = None,
+        name: str = "program",
+        initially_active: Iterable[int] = (),
+    ) -> None:
+        self._set_header(num_ranks, root, name, initially_active)
+        rows = []
+        for rank, instructions in (sends or {}).items():
             for instruction in instructions:
                 if not isinstance(instruction, SendInstruction):
                     raise TypeError("sends must contain SendInstruction values")
-                if instruction.destination >= self.num_ranks:
-                    raise ValueError(
-                        f"destination {instruction.destination} out of range"
-                    )
-                if instruction.destination == rank:
-                    raise ValueError(f"rank {rank} sends to itself")
+                rows.append(
+                    (rank, instruction.destination, instruction.message_size,
+                     instruction.tag)
+                )
+        tags = tuple(dict.fromkeys(row[3] for row in rows))
+        self._set_messages(
+            [row[0] for row in rows],
+            [row[1] for row in rows],
+            [row[2] for row in rows],
+            [tags.index(row[3]) for row in rows],
+            tags,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        num_ranks: int,
+        root: int,
+        senders: Sequence[int] | np.ndarray,
+        dest: Sequence[int] | np.ndarray,
+        size: float | Sequence[float] | np.ndarray,
+        tag_code: int | Sequence[int] | np.ndarray,
+        tags: Sequence[str],
+        *,
+        name: str = "program",
+        initially_active: Iterable[int] = (),
+    ) -> "CommunicationProgram":
+        """Build a program from per-message arrays in emission order.
+
+        Message ``i`` goes from ``senders[i]`` to ``dest[i]``, carries
+        ``size[i]`` bytes and is labelled ``tags[tag_code[i]]``; ``size`` and
+        ``tag_code`` may be scalars shared by every message.  Messages are
+        stable-sorted by sender, so each rank performs its messages in the
+        order they appear here.  Every array is validated once: ranks in
+        range, no self-sends, finite non-negative sizes, known tag codes.
+        """
+        program = cls.__new__(cls)
+        program._set_header(num_ranks, root, name, initially_active)
+        program._set_messages(senders, dest, size, tag_code, tuple(tags))
+        return program
+
+    def _set_header(
+        self, num_ranks: int, root: int, name: str, initially_active: Iterable[int]
+    ) -> None:
+        if isinstance(num_ranks, bool) or not isinstance(num_ranks, int):
+            raise TypeError("num_ranks must be an int")
+        if num_ranks < 1:
+            raise ValueError(f"num_ranks must be >= 1, got {num_ranks}")
+        if not 0 <= root < num_ranks:
+            raise ValueError(f"root must be a valid rank, got {root}")
+        self.num_ranks = num_ranks
+        self.root = root
+        self.name = name
+        self.initially_active = tuple(initially_active)
+        for rank in self.initially_active:
+            if isinstance(rank, bool) or not isinstance(rank, int):
+                raise TypeError("initially_active ranks must be ints")
+            if not 0 <= rank < num_ranks:
+                raise ValueError(f"initially active rank {rank} out of range")
+
+    def _set_messages(
+        self, senders, dest, size, tag_code, tags: tuple[str, ...]
+    ) -> None:
+        n = self.num_ranks
+        senders = _index_array(senders, "senders")
+        dest = _index_array(dest, "dest")
+        count = senders.size
+        size = np.asarray(size, dtype=np.float64)
+        tag_code = np.asarray(tag_code)
+        if tag_code.size and tag_code.dtype.kind not in "iu":
+            raise TypeError("tag_code must hold integers")
+        tag_code = tag_code.astype(np.int64, copy=False)
+        for values, name in ((dest, "dest"), (size, "size"), (tag_code, "tag_code")):
+            if values.ndim and values.shape != (count,):
+                raise ValueError(f"{name} must match senders in length")
+        # Unsigned views fold "negative" and "too large" into one compare.
+        if np.count_nonzero(senders.view(np.uint64) >= n):
+            bad = senders[senders.view(np.uint64) >= n][0]
+            raise ValueError(f"sender rank {bad} out of range")
+        if np.count_nonzero(dest.view(np.uint64) >= n):
+            bad = dest[dest.view(np.uint64) >= n][0]
+            raise ValueError(f"destination {bad} out of range")
+        loops = senders == dest
+        if np.count_nonzero(loops):
+            raise ValueError(f"rank {senders[loops][0]} sends to itself")
+        if np.count_nonzero(~np.isfinite(size) | (size < 0)):
+            raise ValueError("message sizes must be finite and non-negative")
+        if np.count_nonzero(tag_code.view(np.uint64) >= len(tags)):
+            raise ValueError("tag codes must index the tag table")
+        order = np.argsort(senders, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(senders, minlength=n), out=indptr[1:])
+        self.indptr = _frozen(indptr)
+        self.dest = _frozen(dest[order])
+        self.size = _frozen(size[order] if size.ndim else np.full(count, size))
+        self.tag_code = _frozen(
+            tag_code[order] if tag_code.ndim else np.full(count, tag_code)
+        )
+        self.tags = tags
+        # The per-rank SendInstruction view, derived on first use.
+        self._view: dict[int, tuple[SendInstruction, ...]] | None = None
+
+    def senders(self) -> np.ndarray:
+        """The sending rank of every message, in CSR order."""
+        counts = self.indptr[1:] - self.indptr[:-1]
+        return np.repeat(np.arange(self.num_ranks), counts)
+
+    # -- hand-written programs and the per-message view ---------------------------
 
     def add_send(
         self, sender: int, destination: int, message_size: float, *, tag: str = ""
     ) -> None:
         """Append one send to ``sender``'s instruction list."""
-        instruction = SendInstruction(
-            destination=destination, message_size=message_size, tag=tag
-        )
+        SendInstruction(destination=destination, message_size=message_size, tag=tag)
         if not 0 <= sender < self.num_ranks:
             raise ValueError(f"sender rank {sender} out of range")
         if destination == sender:
             raise ValueError(f"rank {sender} cannot send to itself")
         if destination >= self.num_ranks:
             raise ValueError(f"destination {destination} out of range")
-        self.sends.setdefault(sender, []).append(instruction)
+        tags = self.tags if tag in self.tags else (*self.tags, tag)
+        self._set_messages(
+            np.append(self.senders(), sender),
+            np.append(self.dest, destination),
+            np.append(self.size, message_size),
+            np.append(self.tag_code, tags.index(tag)),
+            tags,
+        )
+
+    def _instructions(self) -> dict[int, tuple[SendInstruction, ...]]:
+        if self._view is None:
+            indptr = self.indptr.tolist()
+            dest = self.dest.tolist()
+            size = self.size.tolist()
+            tag = [self.tags[code] for code in self.tag_code.tolist()]
+            self._view = {
+                rank: tuple(
+                    SendInstruction(dest[i], size[i], tag[i])
+                    for i in range(indptr[rank], indptr[rank + 1])
+                )
+                for rank in range(self.num_ranks)
+                if indptr[rank + 1] > indptr[rank]
+            }
+        return self._view
+
+    @property
+    def sends(self) -> dict[int, list[SendInstruction]]:
+        """Each sending rank's ordered instruction list (a derived copy).
+
+        Editing the returned dict does not change the program; use
+        :meth:`add_send` or :meth:`from_arrays`.
+        """
+        return {rank: list(view) for rank, view in self._instructions().items()}
 
     def sends_of(self, rank: int) -> list[SendInstruction]:
         """The (possibly empty) instruction list of ``rank``."""
-        return list(self.sends.get(rank, []))
+        return list(self._instructions().get(rank, ()))
 
     def start_ranks(self, extra=()) -> list[int]:
         """All ranks active at time zero, in activation (ascending) order.
@@ -126,57 +281,77 @@ class CommunicationProgram:
 
     def total_messages(self) -> int:
         """Total number of point-to-point messages in the program."""
-        return sum(len(instructions) for instructions in self.sends.values())
+        return len(self.dest)
 
     def total_bytes(self) -> float:
         """Total payload volume injected into the network (bytes)."""
-        return sum(
-            instruction.message_size
-            for instructions in self.sends.values()
-            for instruction in instructions
-        )
+        return sum(self.size.tolist())
 
     def receivers(self) -> set[int]:
         """All ranks that appear as a destination at least once."""
-        return {
-            instruction.destination
-            for instructions in self.sends.values()
-            for instruction in instructions
-        }
+        return set(np.unique(self.dest).tolist())
 
     def validate_broadcast(self) -> None:
         """Check that the program is a well-formed broadcast dissemination.
 
         Every non-root rank must receive exactly one message, and every sender
         must be reachable from the root through earlier sends (the executor
-        would deadlock otherwise).
+        would deadlock otherwise).  In-degrees come from one ``bincount``;
+        reachability from pointer-jumping the parent array.
         """
-        incoming: dict[int, int] = {}
-        for instructions in self.sends.values():
-            for instruction in instructions:
-                incoming[instruction.destination] = (
-                    incoming.get(instruction.destination, 0) + 1
-                )
-        if self.root in incoming:
+        n = self.num_ranks
+        root = self.root
+        dest = self.dest
+        incoming = np.bincount(dest, minlength=n)
+        if incoming[root]:
             raise ValueError("the root must not receive the broadcast payload")
-        duplicates = {rank for rank, count in incoming.items() if count > 1}
-        if duplicates:
-            raise ValueError(f"ranks {sorted(duplicates)} receive more than once")
-        missing = set(range(self.num_ranks)) - {self.root} - set(incoming)
-        if missing:
-            raise ValueError(f"ranks {sorted(missing)} never receive the payload")
-        # reachability: senders must receive before they send
-        informed = {self.root}
-        frontier = [self.root]
-        while frontier:
-            sender = frontier.pop()
-            for instruction in self.sends.get(sender, []):
-                if instruction.destination not in informed:
-                    informed.add(instruction.destination)
-                    frontier.append(instruction.destination)
-        idle_senders = set(self.sends) - informed
-        idle_senders = {rank for rank in idle_senders if self.sends.get(rank)}
-        if idle_senders:
+        if np.count_nonzero(incoming == 1) != n - 1:
+            duplicates = np.flatnonzero(incoming > 1)
+            if duplicates.size:
+                raise ValueError(
+                    f"ranks {duplicates.tolist()} receive more than once"
+                )
+            missing = np.flatnonzero(incoming == 0)
+            missing = missing[missing != root]
+            raise ValueError(f"ranks {missing.tolist()} never receive the payload")
+        # Every other rank now has exactly one parent: jump to ancestors until
+        # all reach the root; ranks on a cycle never do.
+        ancestor = np.empty(n, dtype=np.int64)
+        ancestor[dest] = self.senders()
+        ancestor[root] = root
+        for _ in range(max(1, n - 1).bit_length()):
+            if not np.count_nonzero(ancestor != root):
+                return
+            ancestor = ancestor[ancestor]
+        unreached = ancestor != root
+        if np.count_nonzero(unreached):
+            sends = self.indptr[1:] > self.indptr[:-1]
+            idle_senders = np.flatnonzero(unreached & sends)
             raise ValueError(
-                f"ranks {sorted(idle_senders)} have sends but never receive the payload"
+                f"ranks {idle_senders.tolist()} have sends but never receive "
+                "the payload"
             )
+
+    # -- value semantics -----------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CommunicationProgram):
+            return NotImplemented
+        return (
+            self.num_ranks == other.num_ranks
+            and self.root == other.root
+            and self.name == other.name
+            and self.initially_active == other.initially_active
+            and self._instructions() == other._instructions()
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"CommunicationProgram(name={self.name!r}, num_ranks={self.num_ranks}, "
+            f"root={self.root}, messages={self.total_messages()})"
+        )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_view"] = None
+        return state

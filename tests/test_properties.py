@@ -838,3 +838,219 @@ class TestGossipProperties:
         repeated = run_gossip_study(config)
         assert np.array_equal(inline.metrics, fanned.metrics)
         assert np.array_equal(inline.metrics, repeated.metrics)
+
+
+# ---------------------------------------------------------------------------
+# flat program form (repro.simulator.program, repro.mpi.bcast)
+# ---------------------------------------------------------------------------
+
+from repro.collectives.trees import TREE_BUILDERS
+from repro.mpi.bcast import binomial_bcast_program, grid_aware_bcast_program
+from repro.simulator.batch import ExecutionTask, execute_programs
+from repro.simulator.network import NetworkConfig
+from repro.simulator.program import CommunicationProgram, SendInstruction
+
+
+def _reference_children(shape: str, size: int) -> list[list[int]]:
+    """Each tree shape's send lists, built participant by participant."""
+    children: list[list[int]] = [[] for _ in range(size)]
+    if shape == "binomial":
+        distance = 1
+        while distance < size:
+            for informed in range(distance):
+                if informed + distance < size:
+                    children[informed].append(informed + distance)
+            distance *= 2
+    elif shape == "flat":
+        children[0] = list(range(1, size))
+    elif shape == "chain":
+        for index in range(size - 1):
+            children[index].append(index + 1)
+    else:
+        for index in range(size):
+            children[index] = [c for c in (2 * index + 1, 2 * index + 2) if c < size]
+    return children
+
+
+def _transcribed_bcast(grid, schedule, size, local_tree, local_first):
+    """The scheduled broadcast transcribed message by message (reference)."""
+    inter: dict[int, list[SendInstruction]] = {}
+    for transfer in schedule.transfers:
+        inter.setdefault(grid.coordinator_rank(transfer.sender), []).append(
+            SendInstruction(grid.coordinator_rank(transfer.receiver), size, "inter-cluster")
+        )
+    local: dict[int, list[SendInstruction]] = {}
+    for cluster in grid.clusters:
+        base = cluster.coordinator.rank
+        tag = f"local-c{cluster.cluster_id}"
+        for parent, kids in enumerate(_reference_children(local_tree, cluster.size)):
+            for kid in kids:
+                local.setdefault(base + parent, []).append(
+                    SendInstruction(base + kid, size, tag)
+                )
+    first, second = (local, inter) if local_first else (inter, local)
+    return {
+        rank: first.get(rank, []) + second.get(rank, [])
+        for rank in range(grid.num_nodes)
+        if rank in first or rank in second
+    }
+
+
+def _reference_validate(program: CommunicationProgram) -> None:
+    """Broadcast validation walked message by message (reference)."""
+    sends = program.sends
+    incoming: dict[int, int] = {}
+    for instructions in sends.values():
+        for instruction in instructions:
+            incoming[instruction.destination] = incoming.get(instruction.destination, 0) + 1
+    if program.root in incoming:
+        raise ValueError("the root must not receive the broadcast payload")
+    duplicates = sorted(rank for rank, count in incoming.items() if count > 1)
+    if duplicates:
+        raise ValueError(f"ranks {duplicates} receive more than once")
+    missing = sorted(set(range(program.num_ranks)) - {program.root} - set(incoming))
+    if missing:
+        raise ValueError(f"ranks {missing} never receive the payload")
+    informed = {program.root}
+    frontier = [program.root]
+    while frontier:
+        for instruction in sends.get(frontier.pop(), []):
+            if instruction.destination not in informed:
+                informed.add(instruction.destination)
+                frontier.append(instruction.destination)
+    idle = sorted(set(sends) - informed)
+    if idle:
+        raise ValueError(f"ranks {idle} have sends but never receive the payload")
+
+
+def _validation_outcome(check, program) -> str | None:
+    try:
+        check(program)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def bcast_inputs(draw):
+    """A random grid, any paper heuristic, tree shape, phase order and root."""
+    if draw(st.booleans()):
+        grid = RandomGridGenerator(
+            cluster_size=draw(st.integers(min_value=1, max_value=9))
+        ).generate(
+            draw(st.integers(min_value=1, max_value=7)),
+            RandomStream(seed=draw(st.integers(min_value=0, max_value=2**32 - 1))),
+        )
+    else:
+        grid = draw(grids(max_clusters=7))
+    size = draw(st.sampled_from([0.0, 1.0, 4_096.0, 1_048_576.0, 4_194_304.0]))
+    schedule = get_heuristic(draw(st.sampled_from(PAPER_HEURISTICS))).schedule(
+        grid, size, root=draw(st.integers(min_value=0, max_value=grid.num_clusters - 1))
+    )
+    return (
+        grid,
+        schedule,
+        size,
+        draw(st.sampled_from(sorted(TREE_BUILDERS))),
+        draw(st.booleans()),
+    )
+
+
+class TestFlatProgramEquivalence:
+    """The array-built programs against per-message references.
+
+    Builders emit the CSR form directly and validate it with array
+    operations; these properties hold them to the message-by-message
+    transcription, the scalar execution engine and the message-by-message
+    validation they replaced.
+    """
+
+    @given(shape=st.sampled_from(sorted(TREE_BUILDERS)), size=st.integers(1, 300))
+    @settings(max_examples=80, deadline=None)
+    def test_tree_shapes_match_their_loop_construction(self, shape, size):
+        tree = make_tree(shape, size)
+        assert [list(kids) for kids in tree.children] == _reference_children(shape, size)
+
+    @given(inputs=bcast_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_grid_aware_program_is_the_schedule_transcribed(self, inputs):
+        grid, schedule, size, local_tree, local_first = inputs
+        program = grid_aware_bcast_program(
+            grid, schedule, size, local_tree=local_tree, local_first=local_first
+        )
+        assert program.sends == _transcribed_bcast(
+            grid, schedule, size, local_tree, local_first
+        )
+        assert program.total_messages() == grid.num_nodes - 1
+
+    @given(inputs=bcast_inputs(), noise_seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_batched_engine_equals_scalar_engine(self, inputs, noise_seed):
+        grid, schedule, size, local_tree, local_first = inputs
+        root_rank = grid.coordinator_rank(schedule.root)
+        tasks = [
+            ExecutionTask(
+                grid_aware_bcast_program(
+                    grid, schedule, size, local_tree=local_tree, local_first=local_first
+                ),
+                noise_seed=noise_seed,
+            ),
+            ExecutionTask(
+                binomial_bcast_program(grid, size, root_rank=root_rank),
+                noise_seed=noise_seed + 1,
+            ),
+        ]
+        config = NetworkConfig(noise_sigma=0.05, seed=noise_seed)
+        batched = execute_programs(grid, tasks, config=config, engine="batched", workers=0)
+        scalar = execute_programs(grid, tasks, config=config, engine="scalar", workers=0)
+        for fast, reference in zip(batched, scalar):
+            assert fast.activation_times == reference.activation_times
+            assert fast.completion_times == reference.completion_times
+            assert fast.trace == reference.trace
+            assert fast.makespan == reference.makespan
+
+    @given(
+        inputs=bcast_inputs(),
+        defect=st.sampled_from(["root", "duplicate", "missing", "cycle"]),
+        pick=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_validation_agrees_with_the_message_walk(self, inputs, defect, pick):
+        grid, schedule, size, local_tree, local_first = inputs
+        valid = grid_aware_bcast_program(
+            grid, schedule, size, local_tree=local_tree, local_first=local_first
+        )
+        assume(valid.total_messages() >= 2)
+        senders = valid.senders().copy()
+        dest = valid.dest.copy()
+        index = pick % dest.size
+        if defect == "root":
+            dest[index] = valid.root
+            assume(senders[index] != valid.root)
+        elif defect == "duplicate":
+            other = (index + 1 + pick % (dest.size - 1)) % dest.size
+            dest[index] = dest[other]
+            assume(senders[index] != dest[index])
+        elif defect == "missing":
+            senders = np.delete(senders, index)
+            dest = np.delete(dest, index)
+        else:
+            # Rewire the message delivering to one of a receiver's children
+            # so the child feeds its own parent: a cycle cut off from the root.
+            children = np.flatnonzero(np.isin(senders, dest))
+            assume(children.size)
+            child_message = children[pick % children.size]
+            parent = senders[child_message]
+            senders[np.flatnonzero(dest == parent)[0]] = dest[child_message]
+        broken = CommunicationProgram.from_arrays(
+            valid.num_ranks,
+            valid.root,
+            senders,
+            dest,
+            valid.size[: dest.size],
+            valid.tag_code[: dest.size],
+            valid.tags,
+        )
+        expected = _validation_outcome(_reference_validate, broken)
+        assert expected is not None
+        assert _validation_outcome(CommunicationProgram.validate_broadcast, broken) == expected

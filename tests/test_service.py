@@ -61,6 +61,7 @@ def running_service(**kwargs):
     finally:
         server.close()
         thread.join(timeout=5)
+    assert not thread.is_alive(), "serve_forever outlived close()"
 
 
 def inline_schedule(spec, message_size, heuristic, root=0):
