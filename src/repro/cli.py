@@ -27,7 +27,7 @@ Worker counts default to the ``REPRO_MC_WORKERS`` / ``REPRO_PRACTICAL_WORKERS``
 environment variables with the shared ``REPRO_WORKERS`` fallback; the fan-out
 lane defaults to ``REPRO_EXECUTOR`` (see ``--executor``: threads skip
 shipping entirely, processes ship through the study runtime — shared memory
-when available, see ``--transport``).
+when available, see ``practical --transport``).
 
 Every option's help string states its effective default; ``tests/test_cli.py``
 asserts help text and parser defaults stay in sync.
@@ -69,7 +69,7 @@ def _add_executor_option(sub_parser: argparse.ArgumentParser) -> None:
         choices=("auto", "thread", "process", "remote"),
         default=None,
         help="worker fan-out lane: threads read parent arrays in place (no "
-        "shipping), processes ship via --transport, remote ships chunks to "
+        "shipping), processes get their tasks shipped, remote ships chunks to "
         "the worker agents of --hosts; auto picks threads for small batches "
         "(default: REPRO_EXECUTOR, then auto)",
     )
@@ -186,15 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: REPRO_MC_WORKERS, then REPRO_WORKERS, then in-process)",
     )
     _add_executor_option(simulate)
-    simulate.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default=None,
-        help="ship the stacked (K, n, n) cost matrices to process workers "
-        "over this transport instead of letting workers regenerate grids "
-        "from seeds (default: seed shipping; auto = shared memory when "
-        "available)",
-    )
 
     practical = sub.add_parser(
         "practical", help="run the predicted-vs-measured study (Figures 5/6)"
@@ -577,7 +568,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config,
         workers=args.workers,
         executor=args.executor,
-        transport=args.transport,
         hosts=args.hosts,
     )
     series = {

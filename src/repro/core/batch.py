@@ -82,32 +82,6 @@ class BatchedGridCosts:
         self.broadcast = np.stack([cache.broadcast for cache in caches])
         self._transfer_plus_broadcast: np.ndarray | None = None
 
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The four stacked matrices, ready for an
-        :class:`~repro.runtime.transport.ArrayShipment` (the derived
-        ``transfer_plus_broadcast`` stays lazy — it is cheaper to recompute
-        than to ship)."""
-        return {
-            "gap": self.gap,
-            "latency": self.latency,
-            "transfer": self.transfer,
-            "broadcast": self.broadcast,
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "BatchedGridCosts":
-        """Rebuild a stack from :meth:`to_arrays` output (zero-copy: the
-        arrays — typically views into a shared-memory shipment — are adopted,
-        not copied)."""
-        stack = cls.__new__(cls)
-        stack.gap = arrays["gap"]
-        stack.latency = arrays["latency"]
-        stack.transfer = arrays["transfer"]
-        stack.broadcast = arrays["broadcast"]
-        stack.num_grids, stack.num_clusters = stack.gap.shape[:2]
-        stack._transfer_plus_broadcast = None
-        return stack
-
     @property
     def transfer_plus_broadcast(self) -> np.ndarray:
         """``g_{i,j}(m) + L_{i,j} + T_j`` per grid (grid-aware lookaheads)."""

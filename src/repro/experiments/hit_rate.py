@@ -93,7 +93,6 @@ def run_hit_rate_study(
     *,
     workers: int | None = None,
     executor: str | None = None,
-    transport: str | None = None,
     pool=None,
     hosts: str | None = None,
 ) -> HitRateResult:
@@ -104,14 +103,12 @@ def run_hit_rate_study(
     the persistent runtime pool (``None`` consults ``REPRO_MC_WORKERS``),
     ``executor`` picks the execution lane (``None`` consults
     ``REPRO_EXECUTOR``; the remote lane reads its host list from ``hosts`` /
-    ``REPRO_HOSTS``) and ``transport`` selects the seed- or stack-shipping
-    driver (see :func:`run_simulation_study`).
+    ``REPRO_HOSTS``).
     """
     study = run_simulation_study(
         config,
         workers=workers,
         executor=executor,
-        transport=transport,
         pool=pool,
         hosts=hosts,
     )

@@ -14,20 +14,15 @@ heuristic schedules a whole chunk of grids per NumPy call instead of one grid
 per Python loop.  Heuristics without a batched kernel transparently fall back
 to the per-grid engine on the same shared caches.  Iterations can additionally
 be fanned out over the persistent runtime pool
-(:mod:`repro.runtime.pool`); by default each worker regenerates its chunk's
-grids from shipped seeds, while ``transport="auto"|"shm"|"pickle"`` switches
-to the pipelined stack-shipping driver — the parent generates grids and
-builds the ``(K, n, n)`` cost stacks, ships them zero-copy through
-:mod:`repro.runtime.transport`, and keeps building the next chunk while the
-workers schedule the previous one.  Every (cluster count, iteration) pair
-keeps its own deterministic child seed, so the results are bit-identical
-regardless of batching, chunking, driver, transport or worker count.
+(:mod:`repro.runtime.pool`); each worker regenerates its chunk's grids from
+shipped seeds, which costs less than shipping the stacked cost matrices
+would.  Every (cluster count, iteration) pair keeps its own deterministic
+child seed, so the results are bit-identical regardless of batching,
+chunking, executor lane or worker count.
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,15 +32,8 @@ from repro.core.batch import BatchedGridCosts, batched_makespans, has_batched_ke
 from repro.core.costs import GridCostCache
 from repro.core.registry import instantiate
 from repro.experiments.config import SimulationStudyConfig
-from repro.runtime.chunking import (
-    CostModel,
-    choose_executor,
-    cost_model_key,
-    load_cost_model,
-    save_cost_models,
-)
+from repro.runtime.chunking import choose_executor
 from repro.runtime.pool import engage_remote_lane, get_pool
-from repro.runtime.transport import ArrayShipment
 from repro.topology.generators import RandomGridGenerator
 from repro.utils.rng import RandomStream
 from repro.utils.workers import resolve_workers
@@ -63,11 +51,6 @@ WORKERS_ENV_VAR = "REPRO_MC_WORKERS"
 #: Two schedules within this relative tolerance of each other are considered
 #: equally good when computing hits against the per-iteration global minimum.
 HIT_RELATIVE_TOLERANCE = 1e-9
-
-#: The pre-shaping shared cost-cache record; readers of the shaped
-#: ``pipeline/montecarlo/...`` keys fall back to it so cache files written
-#: before shaped keys existed still seed the model.
-_LEGACY_COST_KEY = "pipeline"
 
 
 @dataclass
@@ -215,153 +198,11 @@ def _evaluate_chunk_task(task) -> tuple[int, int, np.ndarray]:
     return count_index, start, values
 
 
-def _schedule_shipped_chunk(args) -> tuple[int, int, np.ndarray, float]:
-    """Worker body of the stack-shipping driver.
-
-    The chunk's ``(K, n, n)`` cost stack arrives as an
-    :class:`~repro.runtime.transport.ArrayShipment` (zero-copy views when
-    shared memory is in play); only heuristics with batched kernels are ever
-    routed here, so no grids are needed worker-side at all.  The returned
-    wall time covers the scheduling loop only (not shipment decode), and
-    feeds the shaped cost-cache record — a measurement clock, never part of
-    the results.
-    """
-    count_index, start, shipment, heuristic_keys, root = args
-    arrays = shipment.load()
-    costs = BatchedGridCosts.from_arrays(arrays)
-    heuristics = instantiate(heuristic_keys)
-    out = np.empty((len(heuristics), costs.num_grids), dtype=float)
-    started = time.monotonic()
-    for heuristic_index, heuristic in enumerate(heuristics):
-        out[heuristic_index] = batched_makespans(heuristic, costs, root=root)
-    elapsed = time.monotonic() - started
-    costs = arrays = None
-    shipment.close()
-    return count_index, start, out, elapsed
-
-
-def _run_stack_shipping(
-    tasks: list[tuple],
-    makespans: np.ndarray,
-    study_pool,
-    transport: str | None,
-    heuristics,
-) -> None:
-    """The pipelined stack-shipping driver.
-
-    For each chunk the parent generates the grids, builds the shared cost
-    caches and ships the stacked matrices; the workers schedule the previous
-    chunks *while the parent builds the next one*.  Chunks whose cluster
-    count leaves some heuristic without a batched kernel fall back to seed
-    shipping (the worker regenerates its grids), so results are identical to
-    the other drivers in every configuration.
-
-    Shipped chunks report their scheduling wall time, which is observed into
-    a per-cluster-count :class:`~repro.runtime.chunking.CostModel` under the
-    shaped cost-cache key ``pipeline/montecarlo/c<C>-n<C>`` (the scheduling
-    matrices of a ``C``-cluster study are ``C x C``, whatever each random
-    grid's node count is).  With ``REPRO_COST_CACHE`` set, the observed
-    units-per-second persists across studies — seeded from the legacy shared
-    ``"pipeline"`` record until a shaped record exists — so the remote
-    lane's routing and future chunk pricing start from measured throughput.
-    Purely a performance device: the cache never changes results.
-    """
-    kernel_ready: dict[int, bool] = {}
-    cost_models: dict[int, tuple[str, CostModel]] = {}
-    max_inflight = 2 * study_pool.workers + 2
-    pending: deque[tuple] = deque()
-
-    def cost_model_for(num_clusters: int) -> CostModel:
-        entry = cost_models.get(num_clusters)
-        if entry is None:
-            key = cost_model_key("montecarlo", num_clusters, num_clusters)
-            entry = (key, load_cost_model(key, fallback_keys=(_LEGACY_COST_KEY,)))
-            cost_models[num_clusters] = entry
-        return entry[1]
-
-    def collect() -> None:
-        handle, shipment, num_clusters, units = pending.popleft()
-        try:
-            if shipment is not None:
-                count_index, start, values, elapsed = handle.get()
-                if elapsed > 0:
-                    cost_model_for(num_clusters).observe(units, elapsed)
-            else:
-                count_index, start, values = handle.get()
-            makespans[count_index, :, start : start + values.shape[1]] = values
-        finally:
-            if shipment is not None:
-                shipment.unlink()
-
-    try:
-        for task in tasks:
-            (count_index, start, heuristic_keys, num_clusters, seeds,
-             message_size, root, ranges) = task
-            ready = kernel_ready.get(num_clusters)
-            if ready is None:
-                ready = all(
-                    has_batched_kernel(heuristic, num_clusters)
-                    for heuristic in heuristics
-                )
-                kernel_ready[num_clusters] = ready
-            if ready:
-                generator = RandomGridGenerator(ranges)
-                caches = [
-                    GridCostCache.for_grid(
-                        generator.generate(num_clusters, RandomStream(seed=seed)),
-                        message_size,
-                    )
-                    for seed in seeds
-                ]
-                shipment = ArrayShipment.pack(
-                    BatchedGridCosts(caches).to_arrays(), transport=transport
-                )
-                # One scheduling chunk costs ~seeds x clusters^2 stacked
-                # cells — the same prior _chunk_size works from — so the
-                # remote lane can route it throughput-proportionally.
-                chunk_units = float(len(seeds) * num_clusters**2)
-                handle = study_pool.submit(
-                    _schedule_shipped_chunk,
-                    (count_index, start, shipment, heuristic_keys, root),
-                    units=chunk_units,
-                )
-                pending.append((handle, shipment, num_clusters, chunk_units))
-            else:
-                chunk_units = float(len(seeds) * num_clusters**2)
-                pending.append(
-                    (
-                        study_pool.submit(
-                            _evaluate_chunk_task, task, units=chunk_units
-                        ),
-                        None,
-                        num_clusters,
-                        chunk_units,
-                    )
-                )
-            while len(pending) > max_inflight:
-                collect()
-        while pending:
-            collect()
-        # Persist whatever was observed (opt-in via REPRO_COST_CACHE) so
-        # the next study's first chunks are priced from measurement; one
-        # batched save merges all records under a single writer lock.
-        save_cost_models(dict(cost_models.values()))
-    except BaseException:
-        # A chunk failed (or construction did): release every in-flight
-        # shipment before propagating.
-        while pending:
-            _, shipment, _, _ = pending.popleft()
-            if shipment is not None:
-                shipment.unlink()
-        raise
-
-
 def run_simulation_study(
     config: SimulationStudyConfig,
     *,
     workers: int | None = None,
     executor: str | None = None,
-    transport: str | None = None,
     pool=None,
     hosts: str | None = None,
 ) -> SimulationStudyResult:
@@ -369,8 +210,7 @@ def run_simulation_study(
 
     Every (cluster count, iteration) pair gets its own deterministic child
     random stream, so results are independent of execution order, chunking,
-    driver, executor lane, transport and worker count, and reproducible for
-    a fixed seed.
+    executor lane and worker count, and reproducible for a fixed seed.
 
     Parameters
     ----------
@@ -388,19 +228,10 @@ def run_simulation_study(
         / ``REPRO_HOSTS``, loopback agents otherwise), or ``"auto"`` —
         threads when the study's total estimated cost
         (``iterations * clusters**2`` stacked-matrix cells) is too small to
-        amortise process shipping, processes otherwise (naming a
-        ``transport`` pins auto to processes; auto never picks remote).
-        ``None`` consults ``REPRO_EXECUTOR``, then defaults to ``"auto"``.
-        Every lane is bit-identical.
-    transport:
-        ``None`` (default) ships chunk *seeds* and lets each worker
-        regenerate its grids — the cheapest payload when generation is
-        inexpensive.  ``"auto"``/``"shm"``/``"pickle"`` switch to the
-        pipelined stack-shipping driver: the parent generates the grids and
-        ships the stacked ``(K, n, n)`` cost matrices zero-copy while workers
-        schedule the previous chunk (process and remote lanes — the thread
-        lane never ships; on the remote lane the stacks are framed over the
-        wire instead of a local segment).  All drivers are bit-identical.
+        amortise process shipping, processes otherwise (auto never picks
+        remote).  ``None`` consults ``REPRO_EXECUTOR``, then defaults to
+        ``"auto"``.  Every lane ships chunk *seeds* and lets the worker
+        regenerate its grids, and every lane is bit-identical.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
         :class:`~repro.runtime.pool.ThreadStudyPool` /
@@ -423,7 +254,7 @@ def run_simulation_study(
 
     worker_count = resolve_workers(workers, WORKERS_ENV_VAR)
     pool, worker_count = engage_remote_lane(
-        pool, executor, workers, worker_count, hosts, transport
+        pool, executor, workers, worker_count, hosts
     )
     tasks = []
     for count_index, num_clusters in enumerate(counts):
@@ -444,25 +275,20 @@ def run_simulation_study(
             )
 
     if worker_count > 1 and len(tasks) > 1:
-        if pool is not None:
-            lane = getattr(pool, "kind", "process")
-            study_pool = pool
-        else:
+        study_pool = pool
+        if study_pool is None:
             # Cost prior: one unit per stacked scheduling-matrix cell.
             total_units = config.iterations * sum(
                 num_clusters * num_clusters for num_clusters in counts
             )
-            lane = choose_executor(executor, total_units, transport=transport)
+            lane = choose_executor(executor, total_units)
             study_pool = get_pool(worker_count, kind=lane, hosts=hosts)
-        if transport is not None and lane in ("process", "remote"):
-            _run_stack_shipping(tasks, makespans, study_pool, transport, heuristics)
-        else:
-            # Seed shipping; on the thread lane "shipping" is a by-reference
-            # argument pass — the worker still regenerates its chunk's grids,
-            # which is what keeps the thread and process lanes bit-identical.
-            results = study_pool.imap_unordered(_evaluate_chunk_task, tasks)
-            for count_index, start, values in results:
-                makespans[count_index, :, start : start + values.shape[1]] = values
+        # Seed shipping; on the thread lane "shipping" is a by-reference
+        # argument pass — the worker still regenerates its chunk's grids,
+        # which is what keeps the thread and process lanes bit-identical.
+        results = study_pool.imap_unordered(_evaluate_chunk_task, tasks)
+        for count_index, start, values in results:
+            makespans[count_index, :, start : start + values.shape[1]] = values
     else:
         for task in tasks:
             count_index, start, values = _evaluate_chunk_task(task)

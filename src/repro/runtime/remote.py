@@ -621,9 +621,9 @@ def serve_agent(
         max_coordinators=max_coordinators,
         queue=queue,
     )
-    # begin_drain is async-signal-safe (an Event set plus a socket close,
-    # no locks) and kicks serve_forever out of accept; the drain itself
-    # runs below, in the normal flow, so atexit hooks — notably the
+    # begin_drain is async-signal-safe (an Event set plus a socket shutdown
+    # and close, no locks) and kicks serve_forever out of accept; the drain
+    # itself runs below, in the normal flow, so atexit hooks — notably the
     # shared-memory shipment sweep — still run on the way out.
     try:
         signal.signal(signal.SIGTERM, lambda *_: server.begin_drain())

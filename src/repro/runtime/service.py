@@ -641,9 +641,9 @@ def serve_service(
         cache_size=cache_size,
         band_bytes=band_bytes,
     )
-    # begin_drain is async-signal-safe (an Event set plus a socket close,
-    # no locks) and kicks serve_forever out of accept; the drain itself
-    # runs below, in the normal flow.
+    # begin_drain is async-signal-safe (an Event set plus a socket shutdown
+    # and close, no locks) and kicks serve_forever out of accept; the drain
+    # itself runs below, in the normal flow.
     try:
         signal.signal(signal.SIGTERM, lambda *_: server.begin_drain())
     except (ValueError, OSError):  # pragma: no cover - non-main thread

@@ -262,13 +262,19 @@ class FrameServer:
 
         New connections and new frames are refused ``BUSY`` from this point
         on; frames already admitted keep executing and their results still
-        flush.  Closing the listener kicks :meth:`serve_forever` out of its
-        blocking accept, so the serving thread can proceed to :meth:`drain`
-        and exit cleanly — the foreground-daemon SIGTERM path.
+        flush.  Shutting the listener down and closing it kicks
+        :meth:`serve_forever` out of its blocking accept from any thread
+        (closing alone does not wake accept() on Linux), so the serving
+        thread can proceed to :meth:`drain` and exit cleanly — the
+        foreground-daemon SIGTERM path.
         """
         self._drain.set()
         listener = self._listener
         if listener is not None:
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:

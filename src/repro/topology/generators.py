@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.topology.cluster import Cluster
 from repro.topology.grid import Grid, InterClusterLink
 from repro.utils.rng import RandomStream
@@ -107,6 +109,10 @@ class RandomGridGenerator:
 
         Every unordered cluster pair receives one latency and one gap draw
         (used in both directions); every cluster receives one ``T`` draw.
+        The draws come from the stream in one block each — all ``T`` values,
+        then a (latency, gap) pair per ``(i < j)`` pair in row-major order —
+        scaled as ``low + (high - low) * u``, which is exactly what
+        :meth:`RandomStream.uniform` computes one value at a time.
         """
         if isinstance(num_clusters, bool) or not isinstance(num_clusters, int):
             raise TypeError("num_clusters must be an int")
@@ -115,25 +121,33 @@ class RandomGridGenerator:
         if not isinstance(stream, RandomStream):
             raise TypeError("stream must be a RandomStream")
         ranges = self.ranges
-        clusters = [
-            Cluster(
-                cluster_id=index,
-                name=f"cluster{index}",
-                size=self.cluster_size,
-                fixed_broadcast_time=stream.uniform(
-                    ranges.broadcast_min, ranges.broadcast_max
-                ),
-            )
-            for index in range(num_clusters)
-        ]
-        links: dict[tuple[int, int], InterClusterLink] = {}
-        for i in range(num_clusters):
-            for j in range(i + 1, num_clusters):
-                links[(i, j)] = InterClusterLink.from_values(
-                    latency=stream.uniform(ranges.latency_min, ranges.latency_max),
-                    gap=stream.uniform(ranges.gap_min, ranges.gap_max),
-                )
-        return Grid(clusters, links, name=f"random-{num_clusters}-clusters")
+        draw = stream.generator.random
+        times = _scale(draw(num_clusters), ranges.broadcast_min, ranges.broadcast_max)
+        rows, cols = np.triu_indices(num_clusters, 1)
+        pairs = draw(2 * len(rows))
+        latency = np.zeros((num_clusters, num_clusters))
+        gap = np.zeros((num_clusters, num_clusters))
+        for matrix, values in (
+            (latency, _scale(pairs[0::2], ranges.latency_min, ranges.latency_max)),
+            (gap, _scale(pairs[1::2], ranges.gap_min, ranges.gap_max)),
+        ):
+            matrix[rows, cols] = values
+            matrix[cols, rows] = values
+        for label, values in (("T", times), ("latency", latency), ("gap", gap)):
+            if not (np.isfinite(values).all() and (values >= 0).all()):
+                raise ValueError(f"drawn {label} values must be finite and non-negative")
+        return Grid._from_arrays(
+            latency,
+            gap,
+            times,
+            cluster_size=self.cluster_size,
+            name=f"random-{num_clusters}-clusters",
+        )
+
+
+def _scale(draws: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Map ``[0, 1)`` draws onto ``[low, high)`` the way ``Generator.uniform`` does."""
+    return low + (high - low) * draws
 
 
 def make_uniform_grid(

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import accumulate
+from typing import Any, Iterable, Optional
 
 import networkx as nx
 import numpy as np
@@ -58,6 +60,15 @@ class Grid:
       are the only nodes that actually use those paths in a hierarchical
       broadcast, but the information is defined for every pair).
 
+    The grid is **array-backed**: its primary state is a read-only ``(n, n)``
+    latency matrix, a read-only ``(n, n)`` matrix of size-independent gaps
+    (plus the few size-dependent gap functions, evaluated per message size),
+    the per-cluster fixed ``T_i`` vector and the rank offset of every
+    cluster.  :class:`InterClusterLink`, :class:`Cluster` and :class:`Node`
+    objects are *views*, built on first access and cached — the Monte-Carlo
+    study reads only the arrays and never builds one.  Clusters are read
+    once, when the grid is built.
+
     Parameters
     ----------
     clusters:
@@ -78,10 +89,10 @@ class Grid:
         *,
         name: str = "grid",
     ) -> None:
-        self._clusters: list[Cluster] = list(clusters)
-        if not self._clusters:
+        clusters = list(clusters)
+        if not clusters:
             raise ValueError("a grid needs at least one cluster")
-        for index, cluster in enumerate(self._clusters):
+        for index, cluster in enumerate(clusters):
             if not isinstance(cluster, Cluster):
                 raise TypeError("clusters must be Cluster instances")
             if cluster.cluster_id != index:
@@ -89,30 +100,112 @@ class Grid:
                     f"cluster at position {index} has cluster_id {cluster.cluster_id}; "
                     "cluster ids must match their position"
                 )
-        self._links: dict[tuple[int, int], InterClusterLink] = dict(links)
+        links = dict(links)
+        _validate_links(len(clusters), links)
+        n = len(clusters)
+        # Every ordered pair resolves to its own link, else to its mirror's.
+        resolved = {(j, i): link for (i, j), link in links.items()}
+        resolved.update(links)
+        latency = np.zeros((n, n))
+        gap = np.zeros((n, n))
+        sized: dict[GapFunction, list[int]] = {}
+        for (i, j), link in resolved.items():
+            latency[i, j] = link.latency
+            function = link.gap
+            if len(function.sizes) == 1:
+                gap[i, j] = function.gaps[0]
+            else:
+                gap[i, j] = np.nan
+                sized.setdefault(function, []).append(i * n + j)
+        fixed = np.array(
+            [
+                np.nan if c.fixed_broadcast_time is None else c.fixed_broadcast_time
+                for c in clusters
+            ],
+            dtype=float,
+        )
+        self._setup(
+            latency,
+            gap,
+            fixed,
+            [cluster.size for cluster in clusters],
+            name=name,
+            sized_gaps=[
+                (function, np.array(cells)) for function, cells in sized.items()
+            ],
+            clusters=clusters,
+            links=links,
+        )
+        for cluster, first_rank in zip(clusters, self._first_ranks):
+            cluster.build_nodes(first_rank)
+
+    @classmethod
+    def _from_arrays(
+        cls,
+        latency: np.ndarray,
+        gap: np.ndarray,
+        fixed_broadcast_times: np.ndarray,
+        *,
+        cluster_size: int,
+        name: str,
+    ) -> "Grid":
+        """A grid of equal-sized fixed-``T`` clusters straight from its arrays.
+
+        The caller guarantees validated, finite, non-negative values and zero
+        diagonals (this is the random generator's path); the arrays are
+        adopted, not copied.
+        """
+        grid = cls.__new__(cls)
+        grid._setup(
+            latency,
+            gap,
+            fixed_broadcast_times,
+            [cluster_size] * len(fixed_broadcast_times),
+            name=name,
+            sized_gaps=[],
+        )
+        return grid
+
+    def _setup(
+        self,
+        latency: np.ndarray,
+        gap: np.ndarray,
+        fixed_broadcast_times: np.ndarray,
+        sizes: list[int],
+        *,
+        name: str,
+        sized_gaps: list[tuple[GapFunction, np.ndarray]],
+        clusters: Optional[list[Cluster]] = None,
+        links: Optional[dict[tuple[int, int], InterClusterLink]] = None,
+    ) -> None:
+        """Adopt the primary arrays; ``clusters`` and ``links`` pre-fill the
+        view caches (the links-dict constructor passes the caller's objects)."""
         self.name = name
-        self._validate_links()
-        self._nodes: list[Node] = []
-        rank = 0
-        for cluster in self._clusters:
-            self._nodes.extend(cluster.build_nodes(rank))
-            rank += cluster.size
+        self._latency = latency
+        self._gap = gap
+        #: ``(function, flat cell indices)`` of the size-dependent gaps; their
+        #: cells hold NaN in ``_gap``.
+        self._sized_gaps = sized_gaps
+        self._fixed_times = fixed_broadcast_times
+        # T_i where it does not depend on the message size (0 for one-node
+        # clusters); NaN where it is predicted from intra_params.
+        self._local_times = np.where(
+            np.asarray(sizes) > 1, fixed_broadcast_times, 0.0
+        )
+        self._first_ranks = [0, *accumulate(sizes)]
+        for array in (self._latency, self._gap, self._fixed_times, self._local_times):
+            array.setflags(write=False)
+        self._clusters: list[Optional[Cluster]] = (
+            [None] * len(sizes) if clusters is None else list(clusters)
+        )
+        self._links = {} if links is None else links
+        self._nodes: Optional[list[Node]] = None
 
-    # -- validation -------------------------------------------------------------
-
-    def _validate_links(self) -> None:
-        n = len(self._clusters)
-        for (i, j), link in self._links.items():
-            if not isinstance(link, InterClusterLink):
-                raise TypeError("links values must be InterClusterLink instances")
-            if i == j:
-                raise ValueError(f"link ({i}, {j}) connects a cluster to itself")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"link ({i}, {j}) references an unknown cluster")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) not in self._links and (j, i) not in self._links:
-                    raise ValueError(f"missing inter-cluster link between {i} and {j}")
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # Unpickled arrays come back writable.
+        self.__dict__.update(state)
+        for array in (self._latency, self._gap, self._fixed_times, self._local_times):
+            array.setflags(write=False)
 
     # -- basic accessors ---------------------------------------------------------
 
@@ -124,47 +217,76 @@ class Grid:
     @property
     def num_nodes(self) -> int:
         """Total number of machines across all clusters."""
-        return len(self._nodes)
+        return self._first_ranks[-1]
 
     @property
     def clusters(self) -> list[Cluster]:
         """The clusters, in index order."""
-        return list(self._clusters)
+        return [self.cluster(index) for index in range(len(self._clusters))]
 
     @property
     def nodes(self) -> list[Node]:
         """All nodes of the grid, in rank order."""
-        return list(self._nodes)
+        return list(self._node_list())
+
+    def _check_cluster(self, cluster_id: int) -> None:
+        if not 0 <= cluster_id < len(self._clusters):
+            raise ValueError(f"unknown cluster id {cluster_id}")
+
+    def _check_rank(self, rank: int) -> None:
+        if not 0 <= rank < self._first_ranks[-1]:
+            raise ValueError(f"unknown rank {rank}")
 
     def cluster(self, cluster_id: int) -> Cluster:
         """The cluster with the given index."""
-        if not 0 <= cluster_id < len(self._clusters):
-            raise ValueError(f"unknown cluster id {cluster_id}")
-        return self._clusters[cluster_id]
+        self._check_cluster(cluster_id)
+        cluster = self._clusters[cluster_id]
+        if cluster is None:
+            first_rank = self._first_ranks[cluster_id]
+            cluster = Cluster(
+                cluster_id=int(cluster_id),
+                size=self._first_ranks[cluster_id + 1] - first_rank,
+                fixed_broadcast_time=float(self._fixed_times[cluster_id]),
+            )
+            cluster.build_nodes(first_rank)
+            self._clusters[cluster_id] = cluster
+        return cluster
+
+    def _node_list(self) -> list[Node]:
+        if self._nodes is None:
+            self._nodes = [node for cluster in self.clusters for node in cluster.nodes]
+        return self._nodes
 
     def node(self, rank: int) -> Node:
         """The node with the given global rank."""
-        if not 0 <= rank < len(self._nodes):
-            raise ValueError(f"unknown rank {rank}")
-        return self._nodes[rank]
+        self._check_rank(rank)
+        return self._node_list()[rank]
 
     def coordinator_rank(self, cluster_id: int) -> int:
         """Global rank of the coordinator of ``cluster_id``."""
-        return self.cluster(cluster_id).coordinator.rank
+        self._check_cluster(cluster_id)
+        return self._first_ranks[cluster_id]
 
     def cluster_of_rank(self, rank: int) -> int:
         """Cluster index owning the given global rank."""
-        return self.node(rank).cluster_id
+        self._check_rank(rank)
+        return bisect_right(self._first_ranks, rank) - 1
 
     def link(self, i: int, j: int) -> InterClusterLink:
         """The inter-cluster link between clusters ``i`` and ``j``."""
         if i == j:
             raise ValueError("no inter-cluster link from a cluster to itself")
-        self.cluster(i)
-        self.cluster(j)
-        if (i, j) in self._links:
-            return self._links[(i, j)]
-        return self._links[(j, i)]
+        self._check_cluster(i)
+        self._check_cluster(j)
+        link = self._links.get((i, j))
+        if link is None:
+            link = self._links.get((j, i))
+        if link is None:
+            link = InterClusterLink.from_values(
+                latency=float(self._latency[i, j]), gap=float(self._gap[i, j])
+            )
+            self._links[(i, j)] = link
+        return link
 
     # -- pLogP quantities used by the heuristics ---------------------------------
 
@@ -186,36 +308,30 @@ class Grid:
 
     def broadcast_times(self, message_size: float) -> list[float]:
         """``T_i`` for every cluster, in index order."""
-        return [c.broadcast_time(message_size) for c in self._clusters]
+        check_non_negative(message_size, "message_size")
+        times = self._local_times.tolist()
+        for index in np.flatnonzero(np.isnan(self._local_times)).tolist():
+            times[index] = self.cluster(index).broadcast_time(message_size)
+        return times
 
     def cost_matrices(self, message_size: float) -> "tuple[np.ndarray, np.ndarray]":
-        """Dense ``(latency, gap)`` matrices for every ordered cluster pair.
+        """Dense read-only ``(latency, gap)`` matrices for every ordered pair.
 
-        Equivalent to querying :meth:`latency` / :meth:`gap` per pair (the
-        same ``(i, j)``-then-``(j, i)`` link fallback applies), but each
-        stored link's gap function is evaluated only once, so building the
-        full matrices is O(links) gap evaluations instead of O(n²).  The
-        diagonals are zero.  This is the bulk path behind
-        :class:`repro.core.costs.GridCostCache`.
+        Equal to querying :meth:`latency` / :meth:`gap` per pair (the same
+        ``(i, j)``-then-``(j, i)`` link fallback applies); the diagonals are
+        zero.  Size-independent gaps are the stored matrix itself, so on a
+        generated grid this returns the grid's own arrays without a copy;
+        each size-dependent gap function is evaluated once.  This is the bulk
+        path behind :class:`repro.core.costs.GridCostCache`.
         """
-        n = len(self._clusters)
-        latencies = np.zeros((n, n), dtype=float)
-        gaps = np.zeros((n, n), dtype=float)
-        evaluated = {
-            pair: (link.latency, link.gap(message_size))
-            for pair, link in self._links.items()
-        }
-        for i in range(n):
-            row_l = latencies[i]
-            row_g = gaps[i]
-            for j in range(n):
-                if i == j:
-                    continue
-                values = evaluated.get((i, j))
-                if values is None:
-                    values = evaluated[(j, i)]
-                row_l[j], row_g[j] = values
-        return latencies, gaps
+        check_non_negative(message_size, "message_size")
+        if not self._sized_gaps:
+            return self._latency, self._gap
+        gap = self._gap.copy()
+        for function, cells in self._sized_gaps:
+            gap.flat[cells] = function(message_size)
+        gap.setflags(write=False)
+        return self._latency, gap
 
     # -- node-level quantities used by the simulator ------------------------------
 
@@ -226,12 +342,12 @@ class Grid:
         parameters; nodes of different clusters use the inter-cluster link.
         A node talking to itself has zero cost.
         """
-        node_a = self.node(rank_a)
-        node_b = self.node(rank_b)
+        cluster_a = self.cluster_of_rank(rank_a)
+        cluster_b = self.cluster_of_rank(rank_b)
         if rank_a == rank_b:
             return PLogPParameters.from_values(latency=0.0, gap=0.0)
-        if node_a.cluster_id == node_b.cluster_id:
-            cluster = self.cluster(node_a.cluster_id)
+        if cluster_a == cluster_b:
+            cluster = self.cluster(cluster_a)
             if cluster.intra_params is not None:
                 return cluster.intra_params
             # Fall back to a proportional model derived from the fixed T_i so
@@ -244,7 +360,7 @@ class Grid:
                 gap=GapFunction.constant(per_hop / 2.0),
                 num_procs=cluster.size,
             )
-        link = self.link(node_a.cluster_id, node_b.cluster_id)
+        link = self.link(cluster_a, cluster_b)
         return PLogPParameters(latency=link.latency, gap=link.gap, num_procs=2)
 
     # -- conversions ---------------------------------------------------------------
@@ -259,7 +375,7 @@ class Grid:
         algorithms.
         """
         graph = nx.Graph(name=self.name)
-        for cluster in self._clusters:
+        for cluster in self.clusters:
             graph.add_node(
                 cluster.cluster_id,
                 name=cluster.name,
@@ -283,6 +399,20 @@ class Grid:
             f"Grid(name={self.name!r}, clusters={self.num_clusters}, "
             f"nodes={self.num_nodes})"
         )
+
+
+def _validate_links(n: int, links: dict[tuple[int, int], InterClusterLink]) -> None:
+    for (i, j), link in links.items():
+        if not isinstance(link, InterClusterLink):
+            raise TypeError("links values must be InterClusterLink instances")
+        if i == j:
+            raise ValueError(f"link ({i}, {j}) connects a cluster to itself")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"link ({i}, {j}) references an unknown cluster")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in links and (j, i) not in links:
+                raise ValueError(f"missing inter-cluster link between {i} and {j}")
 
 
 def complete_links(

@@ -1054,3 +1054,181 @@ class TestFlatProgramEquivalence:
         expected = _validation_outcome(_reference_validate, broken)
         assert expected is not None
         assert _validation_outcome(CommunicationProgram.validate_broadcast, broken) == expected
+
+
+# ---------------------------------------------------------------------------
+# array-backed random grids (repro.topology.generators)
+# ---------------------------------------------------------------------------
+
+import pickle
+
+import pytest
+
+from repro.topology.generators import ParameterRanges, RandomGridGenerator
+from repro.topology.grid import complete_links
+from repro.utils.rng import RandomStream
+
+
+def per_pair_reference_grid(
+    ranges: ParameterRanges, cluster_size: int, num_clusters: int, seed: int
+) -> Grid:
+    """The historical generator: one ``stream.uniform`` call per value, every
+    link a validated :class:`InterClusterLink`, built through the links-dict
+    constructor."""
+    stream = RandomStream(seed=seed)
+    clusters = [
+        Cluster(
+            cluster_id=index,
+            name=f"cluster{index}",
+            size=cluster_size,
+            fixed_broadcast_time=stream.uniform(
+                ranges.broadcast_min, ranges.broadcast_max
+            ),
+        )
+        for index in range(num_clusters)
+    ]
+    links = {}
+    for i in range(num_clusters):
+        for j in range(i + 1, num_clusters):
+            links[(i, j)] = InterClusterLink.from_values(
+                latency=stream.uniform(ranges.latency_min, ranges.latency_max),
+                gap=stream.uniform(ranges.gap_min, ranges.gap_max),
+            )
+    return Grid(clusters, links, name=f"random-{num_clusters}-clusters")
+
+
+range_bounds = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def range_pairs(draw) -> tuple[float, float]:
+    """An ordered ``(low, high)`` pair; degenerate ``low == high`` included."""
+    low = draw(range_bounds)
+    high = draw(st.one_of(st.just(low), range_bounds.filter(lambda h: h >= low)))
+    return low, high
+
+
+@st.composite
+def parameter_ranges(draw) -> ParameterRanges:
+    (lat_lo, lat_hi), (gap_lo, gap_hi), (t_lo, t_hi) = (
+        draw(range_pairs()) for _ in range(3)
+    )
+    ranges = ParameterRanges(
+        latency_min=lat_lo,
+        latency_max=lat_hi,
+        gap_min=gap_lo,
+        gap_max=gap_hi,
+        broadcast_min=t_lo,
+        broadcast_max=t_hi,
+    )
+    return ranges.scaled_broadcast(0) if draw(st.booleans()) else ranges
+
+
+class TestArrayGridEquivalence:
+    """The array-backed generator draws the same grid, bit for bit, as the
+    per-pair generator it replaced, and every view of it agrees."""
+
+    @given(
+        ranges=parameter_ranges(),
+        cluster_size=st.sampled_from([1, 2, 16]),
+        num_clusters=st.integers(min_value=1, max_value=60),
+        seed=seed_ints,
+        size=st.floats(min_value=0.0, max_value=1e8, allow_nan=False),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_array_grid_equals_per_pair_grid(
+        self, ranges, cluster_size, num_clusters, seed, size, data
+    ):
+        grid = RandomGridGenerator(ranges, cluster_size=cluster_size).generate(
+            num_clusters, RandomStream(seed=seed)
+        )
+        reference = per_pair_reference_grid(ranges, cluster_size, num_clusters, seed)
+        restored = pickle.loads(pickle.dumps(grid))
+        for candidate in (grid, restored):
+            assert candidate.name == reference.name
+            for got, want in zip(
+                candidate.cost_matrices(size), reference.cost_matrices(size)
+            ):
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+            assert candidate.broadcast_times(size) == reference.broadcast_times(size)
+            assert [
+                candidate.cluster(c).fixed_broadcast_time for c in range(num_clusters)
+            ] == [reference.cluster(c).fixed_broadcast_time for c in range(num_clusters)]
+            assert candidate.clusters == reference.clusters
+            assert candidate.num_nodes == reference.num_nodes
+            for i in range(num_clusters):
+                assert candidate.coordinator_rank(i) == reference.coordinator_rank(i)
+                for j in range(num_clusters):
+                    if i != j:
+                        got, want = candidate.link(i, j), reference.link(i, j)
+                        assert got.latency == want.latency
+                        assert got.gap(size) == want.gap(size)
+            ranks = st.integers(min_value=0, max_value=reference.num_nodes - 1)
+            for _ in range(4):
+                a, b = data.draw(ranks), data.draw(ranks)
+                assert candidate.cluster_of_rank(a) == reference.cluster_of_rank(a)
+                assert candidate.node(a) == reference.node(a)
+                assert candidate.node_link_parameters(
+                    a, b
+                ) == reference.node_link_parameters(a, b)
+            if num_clusters > 1:
+                # An inter-cluster pair: the coordinators of two clusters.
+                a, b = (reference.coordinator_rank(c) for c in (0, num_clusters - 1))
+                assert candidate.node_link_parameters(
+                    a, b
+                ) == reference.node_link_parameters(a, b)
+            if cluster_size > 1:
+                # An intra-cluster pair.
+                last = reference.num_nodes - 1
+                assert candidate.node_link_parameters(
+                    last, last - 1
+                ) == reference.node_link_parameters(last, last - 1)
+            assert candidate.nodes == reference.nodes
+
+    @given(size=st.floats(min_value=0.0, max_value=1e8, allow_nan=False))
+    @settings(max_examples=40, deadline=None)
+    def test_links_dict_matrices_match_per_pair_lookup(self, size):
+        """Size-dependent (Grid'5000) and asymmetric links resolve exactly as
+        the per-pair ``latency`` / ``gap`` lookups do."""
+        from repro.topology.grid5000 import build_grid5000_topology
+
+        grid5000 = build_grid5000_topology()
+        links = {
+            (0, 1): InterClusterLink.from_values(latency=0.01, gap=0.2),
+            (1, 0): InterClusterLink.from_values(latency=0.03, gap=0.4),
+            (2, 0): InterClusterLink(
+                latency=0.02, gap=GapFunction.from_bandwidth(overhead=0.1, bandwidth=1e6)
+            ),
+            (1, 2): InterClusterLink.from_values(latency=0.05, gap=0.6),
+        }
+        clusters = [
+            Cluster(cluster_id=index, size=2, fixed_broadcast_time=0.1)
+            for index in range(3)
+        ]
+        for grid in (grid5000, Grid(clusters, links)):
+            latency, gap = grid.cost_matrices(size)
+            for i in range(grid.num_clusters):
+                assert latency[i, i] == gap[i, i] == 0.0
+                for j in range(grid.num_clusters):
+                    if i != j:
+                        assert latency[i, j] == grid.latency(i, j)
+                        assert gap[i, j] == grid.gap(i, j, size)
+            assert grid.broadcast_times(size) == [
+                grid.cluster(c).broadcast_time(size) for c in range(grid.num_clusters)
+            ]
+
+    @pytest.mark.parametrize("bad", [-0.01, float("nan"), float("inf")])
+    @pytest.mark.parametrize("matrix", ["latency", "gap"])
+    def test_links_dict_rejects_bad_matrix_entries(self, bad, matrix):
+        latencies = [[0.0, 0.01, 0.02], [0.01, 0.0, 0.03], [0.02, 0.03, 0.0]]
+        gaps = [[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]]
+        target = latencies if matrix == "latency" else gaps
+        target[0][2] = target[2][0] = bad
+        clusters = [
+            Cluster(cluster_id=index, size=2, fixed_broadcast_time=0.1)
+            for index in range(3)
+        ]
+        with pytest.raises(ValueError):
+            Grid(clusters, complete_links(latencies, gaps))

@@ -78,6 +78,7 @@ from repro.runtime.transport import (
     sweep_shipments,
 )
 from repro.runtime.pipeline import PipelinedExecutor
+from repro.runtime.serving import FrameServer
 from repro.simulator.batch import ExecutionTask, execute_programs
 from repro.simulator.network import NetworkConfig
 from repro.utils.rng import derive_seed
@@ -476,32 +477,6 @@ class TestPipelinedDriver:
             executor.finish()
         with pytest.raises(RuntimeError, match="finish"):
             executor.submit([])
-
-
-class TestSimulationStudyTransports:
-    """Seed-shipping vs stack-shipping Monte-Carlo drivers are bit-identical."""
-
-    CONFIG = dict(cluster_counts=(3, 5), iterations=40, seed=23)
-
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
-    def test_stack_shipping_matches_inline(self, transport, pool):
-        config = SimulationStudyConfig(**self.CONFIG)
-        inline = run_simulation_study(config)
-        shipped = run_simulation_study(config, workers=2, transport=transport)
-        assert np.array_equal(inline.makespans, shipped.makespans)
-
-    def test_stack_shipping_with_fallback_heuristic(self, pool):
-        """A heuristic without a batched kernel routes its chunks through the
-        seed-shipping path; results must still be bit-identical."""
-        config = SimulationStudyConfig(
-            cluster_counts=(3,),
-            iterations=12,
-            seed=23,
-            heuristics=("ecef", "optimal"),
-        )
-        inline = run_simulation_study(config)
-        shipped = run_simulation_study(config, workers=2, transport="pickle")
-        assert np.array_equal(inline.makespans, shipped.makespans)
 
 
 class TestReplicas:
@@ -1324,6 +1299,35 @@ class TestShipmentCleanup:
             shipment.unlink()
 
 
+class TestFrameServerDrain:
+    def test_begin_drain_off_the_serving_thread_stops_accept(self):
+        """begin_drain from another thread wakes serve_forever's blocking
+        accept by itself — no close() needed."""
+
+        class Idle(FrameServer):
+            def _hello_message(self):
+                return wire.control_message(wire.OP_PONG)
+
+            def _handle_frame(self, message, reply):
+                return False
+
+        server = Idle(max_clients=1)
+        server.bind()
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        try:
+            time.sleep(0.1)  # let the serving thread block in accept()
+            drainer = threading.Thread(target=server.begin_drain)
+            drainer.start()
+            drainer.join(timeout=1)
+            serving.join(timeout=1)
+            assert not serving.is_alive()
+            assert server.draining
+        finally:
+            server.close()
+            serving.join(timeout=5)
+
+
 @pytest.fixture(scope="module")
 def remote_pool():
     """A dedicated loopback remote pool: two agents, one worker each.
@@ -1355,15 +1359,11 @@ class TestRemoteLane:
         assert np.array_equal(inline.baseline_measured, remote.baseline_measured)
         assert np.array_equal(inline.predicted, remote.predicted)
 
-    def test_simulation_study_seed_and_stack_shipping(self, remote_pool):
+    def test_simulation_study(self, remote_pool):
         config = SimulationStudyConfig(cluster_counts=(3, 4), iterations=24, seed=11)
         inline = run_simulation_study(config)
-        seeds = run_simulation_study(config, workers=2, pool=remote_pool)
-        assert np.array_equal(inline.makespans, seeds.makespans)
-        stacks = run_simulation_study(
-            config, workers=2, pool=remote_pool, transport="pickle"
-        )
-        assert np.array_equal(inline.makespans, stacks.makespans)
+        remote = run_simulation_study(config, workers=2, pool=remote_pool)
+        assert np.array_equal(inline.makespans, remote.makespans)
 
     def test_scatter_study(self, heterogeneous_grid, remote_pool):
         config = PracticalStudyConfig(**self.COLLECTIVE)
