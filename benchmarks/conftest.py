@@ -33,7 +33,7 @@ BENCH_JSON_FILE = Path(__file__).parent / "results" / "BENCH_scheduling.json"
 BENCH_PRACTICAL_JSON_FILE = Path(__file__).parent / "results" / "BENCH_practical.json"
 
 #: Same, for the study-runtime benchmarks (persistent pool, zero-copy
-#: shipping, pipelined end-to-end driver).
+#: shipping, lane-vs-inline end-to-end sweep).
 BENCH_RUNTIME_JSON_FILE = Path(__file__).parent / "results" / "BENCH_runtime.json"
 
 #: Same, for the schedule-service benchmarks (cold vs warm latency, QPS).

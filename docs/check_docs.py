@@ -6,7 +6,10 @@ this script keeps that promise mechanically checkable.  Every fenced
 ```` ```python ```` block is executed in its own namespace (fenced ``bash`` /
 ``console`` blocks are shell examples and are skipped), and
 ``examples/quickstart.py`` — the longer tour the README points at — is run
-as a subprocess.  CI's ``docs`` job fails if any block raises.
+as a subprocess.  It also checks that ``docs/reproducing.md`` names every
+performance floor of ``benchmarks/check_regression.py`` by its JSON section
+key, so that list cannot drift.  CI's ``docs`` job fails if any block
+raises or a floor is undocumented.
 
 Run from the repository root::
 
@@ -15,6 +18,7 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -38,6 +42,20 @@ _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
 def python_blocks(path: Path) -> list[str]:
     return [match.group(1) for match in _FENCE.finditer(path.read_text())]
+
+
+def undocumented_floors() -> list[str]:
+    """Floor section keys of ``check_regression.FLOORS`` missing from
+    ``docs/reproducing.md`` (a key counts as named when it appears in
+    backticks)."""
+    spec = importlib.util.spec_from_file_location(
+        "check_regression", REPO_ROOT / "benchmarks" / "check_regression.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    text = (REPO_ROOT / "docs" / "reproducing.md").read_text()
+    sections = dict.fromkeys(path[0] for _, path, _ in module.FLOORS)
+    return [section for section in sections if f"`{section}`" not in text]
 
 
 def main() -> int:
@@ -68,8 +86,19 @@ def main() -> int:
     else:
         print("  ok  examples/quickstart.py")
 
+    missing = undocumented_floors()
+    for section in missing:
+        failures += 1
+        print(
+            f"FAIL  docs/reproducing.md does not name the `{section}` floor "
+            "of benchmarks/check_regression.py",
+            file=sys.stderr,
+        )
+    if not missing:
+        print("  ok  docs/reproducing.md names every check_regression floor")
+
     if failures:
-        print(f"\n{failures} documentation block(s) failed.", file=sys.stderr)
+        print(f"\n{failures} documentation check(s) failed.", file=sys.stderr)
         return 1
     print("\nAll documentation code blocks execute.")
     return 0

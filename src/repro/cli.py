@@ -8,7 +8,7 @@
 * ``repro-bcast simulate`` — run a (small) Monte-Carlo study and print the
   Figure 1/2-style table;
 * ``repro-bcast practical`` — run the Figure 5/6 predicted-vs-measured study
-  (optionally with noise replicas and a pipelined worker fan-out);
+  (optionally with noise replicas and a worker fan-out);
 * ``repro-bcast chain`` — measure a warm-network pipeline of back-to-back
   collectives against its barrier-separated baseline;
 * ``repro-bcast gossip`` — run the tree-vs-gossip dissemination study
@@ -223,8 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fan the measured sweep out over this many workers "
         "(default: REPRO_PRACTICAL_WORKERS, then REPRO_WORKERS, then "
-        "in-process); with workers the bcast study pipelines construction "
-        "with measurement",
+        "in-process); the sweep is built first, then measured in one batch",
     )
     _add_executor_option(practical)
     practical.add_argument(

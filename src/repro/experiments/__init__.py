@@ -11,7 +11,7 @@
 * :mod:`~repro.experiments.practical_study` — the Table 3 / Figure 5 /
   Figure 6 experiment: predicted and simulator-measured completion times on
   the 88-machine GRID5000 grid as a function of the message size (with
-  first-class noise replicas and a pipelined worker driver).
+  first-class noise replicas and a worker fan-out).
 * :mod:`~repro.experiments.chained_study` — warm-network pipelines of
   back-to-back collectives measured against their barrier-separated
   baselines.

@@ -274,7 +274,7 @@ def run_gossip_study(
 
     worker_count = resolve_workers(workers, WORKERS_ENV_VAR)
     pool, worker_count = engage_remote_lane(
-        pool, executor, workers, worker_count, hosts, None
+        pool, executor, workers, worker_count, hosts
     )
     if worker_count > 1 and len(tasks) > 1:
         if pool is not None:

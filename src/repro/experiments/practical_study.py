@@ -13,16 +13,15 @@ The grid-unaware binomial broadcast ("Default LAM" in Figure 6) is measured
 as well; it has no scheduled prediction, matching the paper, which only plots
 it in the measured figure.
 
-The measured sweep runs through the study runtime: with workers the driver is
-**pipelined** — each message size's programs are compiled and shipped to the
-persistent :class:`~repro.runtime.pool.StudyPool` (zero-copy shared memory
-when available) and measured *while the next size's schedules construct*;
-without workers everything executes in one in-process batched pass.  Noise
-replicas are first-class: ``replicas=N`` measures every curve point ``N``
-times and the result carries both the per-replica columns and their
-mean/std aggregation.  Every (curve label, size, replica) owns a noise seed
-derived from the config seed, so results are bit-identical regardless of
-engine, driver (pipelined or sequential), transport, execution order,
+The measured sweep runs through the study runtime in two steps: every
+message size's schedules and programs are built first, then the whole batch
+executes in one :func:`~repro.simulator.batch.execute_programs` call —
+in-process, or fanned out over the persistent runtime pool of the chosen
+lane.  Noise replicas are first-class: ``replicas=N`` measures every curve
+point ``N`` times and the result carries both the per-replica columns and
+their mean/std aggregation.  Every (curve label, size, replica) owns a
+noise seed derived from the config seed, so results are bit-identical
+regardless of engine, executor lane, transport, execution order,
 heuristic-tuple order, pool lifetime or worker count.
 
 Beyond the paper's broadcast figures, the same machinery measures the §8
@@ -45,9 +44,7 @@ from repro.experiments.config import PracticalStudyConfig
 from repro.mpi.alltoall import direct_alltoall_program, grid_aware_alltoall_program
 from repro.mpi.bcast import binomial_bcast_program, grid_aware_bcast_program
 from repro.mpi.scatter import flat_scatter_program, grid_aware_scatter_program
-from repro.runtime.chunking import choose_executor
-from repro.runtime.pipeline import PipelinedExecutor
-from repro.runtime.pool import engage_remote_lane, get_pool
+from repro.runtime.pool import engage_remote_lane
 from repro.simulator.batch import ENGINES, ExecutionTask, execute_programs
 from repro.simulator.network import NetworkConfig
 from repro.topology.grid import Grid
@@ -216,9 +213,7 @@ def run_practical_study(
     engine: str = "batched",
     executor: str | None = None,
     replicas: int = 1,
-    pipeline: bool | None = None,
     transport: str | None = None,
-    chunking: str = "adaptive",
     pool=None,
     hosts: str | None = None,
 ) -> PracticalStudyResult:
@@ -254,21 +249,9 @@ def run_practical_study(
         per-replica columns ride along (``measured_replicas`` /
         ``measured_std``).  One replica reproduces the historical results
         bit for bit.
-    pipeline:
-        ``True`` overlaps schedule construction with measured execution
-        (requires the batched engine; needs ``workers >= 2`` to actually
-        overlap), ``False`` forces the sequential construct-then-measure
-        driver, ``None`` (default) pipelines exactly when a pool is in play
-        and the engine is batched.  Both drivers are bit-identical.
     transport:
-        How batches reach process workers: ``"auto"`` (default), ``"shm"``,
-        ``"pickle"``, or — sequential driver only — ``"legacy"`` (the
-        pre-runtime dispatch kept as the benchmark baseline).  Ignored on
-        the thread lane, which ships nothing.
-    chunking:
-        ``"adaptive"`` (default) sizes worker chunks from per-task cost and
-        observed wall time; ``"fixed"`` keeps the historical task-count
-        chunking.  Bit-identical either way.
+        How batches reach process workers: ``"auto"`` (default), ``"shm"``
+        or ``"pickle"``.  Ignored on the thread lane, which ships nothing.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
         :class:`~repro.runtime.pool.ThreadStudyPool` /
@@ -286,22 +269,10 @@ def run_practical_study(
     # a bad setting fails before the prediction sweep, not after it.
     worker_count = resolve_workers(workers, PRACTICAL_WORKERS_ENV_VAR)
     pool, worker_count = engage_remote_lane(
-        pool, executor, workers, worker_count, hosts, transport
+        pool, executor, workers, worker_count, hosts
     )
     _check_engine(engine)
     _check_replicas(replicas)
-    if pipeline and engine != "batched":
-        raise ValueError("pipeline=True requires the batched engine")
-    if pipeline and transport == "legacy":
-        raise ValueError(
-            "pipeline=True cannot ship over transport='legacy' (the legacy "
-            "dispatch is the sequential benchmark baseline)"
-        )
-    use_pipeline = (
-        engine == "batched" and worker_count >= 2 and transport != "legacy"
-        if pipeline is None
-        else bool(pipeline)
-    )
     heuristics = instantiate(config.heuristics)
     sizes = list(config.message_sizes)
     predicted = np.empty((len(sizes), len(heuristics)), dtype=float)
@@ -313,96 +284,54 @@ def run_practical_study(
     )
     network_config = NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed)
 
-    pipelined: PipelinedExecutor | None = None
-    if use_pipeline:
-        study_pool = pool
-        if study_pool is None and worker_count >= 2:
-            # Lane prior: one message per reached node per curve point (the
-            # broadcast programs inject ~num_nodes messages each).
-            estimated_units = (
-                len(sizes)
-                * (len(heuristics) + (1 if baseline is not None else 0))
-                * replicas
-                * grid.num_nodes
-            )
-            lane = choose_executor(executor, estimated_units, transport=transport)
-            study_pool = get_pool(worker_count, kind=lane, hosts=hosts)
-        pipelined = PipelinedExecutor(
-            grid,
-            config=network_config,
-            pool=study_pool,
-            transport=transport,
-            chunking=chunking,
-            collect_traces=False,
-            workload="bcast",
-        )
-
     # Build the measured sweep size by size.  Each task's noise stream is
     # keyed by (seed, curve label, message size[, replica]): stable under
-    # reordering, shuffling and worker fan-out.  The pipelined driver ships
-    # each size's batch for measurement as soon as it is built, so the next
-    # size's schedules construct while the workers measure this one.
+    # reordering, shuffling and worker fan-out.
     all_tasks: list[ExecutionTask] = []
     slots: list[tuple[int, int, int | None]] = []
-    try:
-        for size_index, message_size in enumerate(sizes):
-            costs = GridCostCache.for_grid(grid, message_size)
-            size_tasks: list[ExecutionTask] = []
-            programs: list[tuple[str, object, int | None]] = []
-            for heuristic_index, heuristic in enumerate(heuristics):
-                schedule = heuristic.schedule(
-                    grid, message_size, root=config.root_cluster, costs=costs
-                )
-                predicted[size_index, heuristic_index] = schedule.makespan
-                program = grid_aware_bcast_program(
-                    grid, schedule, message_size, local_tree=config.local_tree
-                )
-                programs.append((heuristic.name, program, heuristic_index))
-            if baseline is not None:
-                program = binomial_bcast_program(
-                    grid,
-                    message_size,
-                    root_rank=grid.coordinator_rank(config.root_cluster),
-                )
-                programs.append((BINOMIAL_BASELINE_NAME, program, None))
-            for replica in range(replicas):
-                for label, program, heuristic_index in programs:
-                    size_tasks.append(
-                        ExecutionTask(
-                            program,
-                            noise_seed=_replica_seed(
-                                config.seed, label, message_size, replica, replicas
-                            ),
-                        )
+    for size_index, message_size in enumerate(sizes):
+        costs = GridCostCache.for_grid(grid, message_size)
+        programs: list[tuple[str, object, int | None]] = []
+        for heuristic_index, heuristic in enumerate(heuristics):
+            schedule = heuristic.schedule(
+                grid, message_size, root=config.root_cluster, costs=costs
+            )
+            predicted[size_index, heuristic_index] = schedule.makespan
+            program = grid_aware_bcast_program(
+                grid, schedule, message_size, local_tree=config.local_tree
+            )
+            programs.append((heuristic.name, program, heuristic_index))
+        if baseline is not None:
+            program = binomial_bcast_program(
+                grid,
+                message_size,
+                root_rank=grid.coordinator_rank(config.root_cluster),
+            )
+            programs.append((BINOMIAL_BASELINE_NAME, program, None))
+        for replica in range(replicas):
+            for label, program, heuristic_index in programs:
+                all_tasks.append(
+                    ExecutionTask(
+                        program,
+                        noise_seed=_replica_seed(
+                            config.seed, label, message_size, replica, replicas
+                        ),
                     )
-                    slots.append((replica, size_index, heuristic_index))
-            if pipelined is not None:
-                pipelined.submit(size_tasks)
-            else:
-                all_tasks.extend(size_tasks)
-    except BaseException:
-        # Construction failed mid-sweep: release any batches already shipped
-        # to the pool before propagating.
-        if pipelined is not None:
-            pipelined.abort()
-        raise
+                )
+                slots.append((replica, size_index, heuristic_index))
 
-    if pipelined is not None:
-        executions = pipelined.finish()
-    else:
-        executions = execute_programs(
-            grid,
-            all_tasks,
-            config=network_config,
-            collect_traces=False,
-            workers=worker_count,
-            engine=engine,
-            executor=executor,
-            transport=transport,
-            chunking=chunking,
-            pool=pool,
-            hosts=hosts,
-        )
+    executions = execute_programs(
+        grid,
+        all_tasks,
+        config=network_config,
+        collect_traces=False,
+        workers=worker_count,
+        engine=engine,
+        executor=executor,
+        transport=transport,
+        pool=pool,
+        hosts=hosts,
+    )
     for (replica, size_index, heuristic_index), execution in zip(slots, executions):
         if heuristic_index is None:
             baseline[replica, size_index] = execution.makespan
@@ -486,7 +415,6 @@ def _run_collective_study(
     engine: str,
     transport: str | None = None,
     executor: str | None = None,
-    chunking: str = "adaptive",
     hosts: str | None = None,
     pool=None,
 ) -> CollectiveStudyResult:
@@ -498,11 +426,11 @@ def _run_collective_study(
     batched executor untouched.  The executor lane and chunk sizes resolve in
     :func:`~repro.simulator.batch.execute_programs` from the built programs'
     exact message counts (an all-to-all task is ~20x a scatter task, so
-    adaptive chunking matters most here).
+    cost-balanced chunking matters most here).
     """
     worker_count = resolve_workers(workers, PRACTICAL_WORKERS_ENV_VAR)
     pool, worker_count = engage_remote_lane(
-        pool, executor, workers, worker_count, hosts, transport
+        pool, executor, workers, worker_count, hosts
     )
     _check_engine(engine)
     sizes = list(config.message_sizes)
@@ -524,7 +452,6 @@ def _run_collective_study(
         engine=engine,
         executor=executor,
         transport=transport,
-        chunking=chunking,
         pool=pool,
         hosts=hosts,
     )
@@ -548,7 +475,6 @@ def run_scatter_study(
     engine: str = "batched",
     executor: str | None = None,
     transport: str | None = None,
-    chunking: str = "adaptive",
     hosts: str | None = None,
     pool=None,
 ) -> CollectiveStudyResult:
@@ -562,8 +488,8 @@ def run_scatter_study(
     ``workers`` defaults from ``REPRO_PRACTICAL_WORKERS`` then the shared
     ``REPRO_WORKERS``; ``executor``
     (``"thread"``/``"process"``/``"remote"``/``"auto"``, default from
-    ``REPRO_EXECUTOR``) picks the fan-out lane; ``transport``, ``chunking``,
-    ``hosts`` (default from ``REPRO_HOSTS``) and ``pool`` behave as in
+    ``REPRO_EXECUTOR``) picks the fan-out lane; ``transport``, ``hosts``
+    (default from ``REPRO_HOSTS``) and ``pool`` behave as in
     :func:`~repro.simulator.batch.execute_programs`.  Results are
     bit-identical for every combination.
     """
@@ -593,7 +519,7 @@ def run_scatter_study(
         )
     return _run_collective_study(
         "scatter", strategies, config, grid, workers, engine, transport,
-        executor, chunking, hosts, pool,
+        executor, hosts, pool,
     )
 
 
@@ -605,7 +531,6 @@ def run_alltoall_study(
     engine: str = "batched",
     executor: str | None = None,
     transport: str | None = None,
-    chunking: str = "adaptive",
     hosts: str | None = None,
     pool=None,
 ) -> CollectiveStudyResult:
@@ -621,8 +546,8 @@ def run_alltoall_study(
     ``workers`` defaults from ``REPRO_PRACTICAL_WORKERS`` then the shared
     ``REPRO_WORKERS``; ``executor``
     (``"thread"``/``"process"``/``"remote"``/``"auto"``, default from
-    ``REPRO_EXECUTOR``) picks the fan-out lane; ``transport``, ``chunking``,
-    ``hosts`` (default from ``REPRO_HOSTS``) and ``pool`` behave as in
+    ``REPRO_EXECUTOR``) picks the fan-out lane; ``transport``, ``hosts``
+    (default from ``REPRO_HOSTS``) and ``pool`` behave as in
     :func:`~repro.simulator.batch.execute_programs`.  Results are
     bit-identical for every combination.
     """
@@ -637,5 +562,5 @@ def run_alltoall_study(
     ]
     return _run_collective_study(
         "alltoall", strategies, config, grid, workers, engine, transport,
-        executor, chunking, hosts, pool,
+        executor, hosts, pool,
     )

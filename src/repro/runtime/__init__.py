@@ -3,9 +3,8 @@
 PR 1 and PR 2 made each half of a study fast in isolation — the batched
 scheduling kernel (:mod:`repro.core.batch`) and the batched measurement
 engine (:mod:`repro.simulator.batch`) — but every study still paid the same
-orchestration taxes: a fresh :mod:`multiprocessing` pool per call, full cost
-matrices and compiled programs re-pickled per chunk, and schedule
-construction strictly serialised before measured execution.  This package is
+orchestration taxes: a fresh :mod:`multiprocessing` pool per call, and full
+cost matrices and compiled programs re-pickled per chunk.  This package is
 the subsystem that removes them, shared by every study driver and the CLI:
 
 * :mod:`repro.runtime.pool` — :class:`~repro.runtime.pool.StudyPool` (the
@@ -25,9 +24,6 @@ the subsystem that removes them, shared by every study driver and the CLI:
   :class:`~repro.runtime.chunking.CostModel`) and executor selection
   (:func:`~repro.runtime.chunking.choose_executor`,
   ``executor="thread"|"process"|"auto"``);
-* :mod:`repro.runtime.pipeline` —
-  :class:`~repro.runtime.pipeline.PipelinedExecutor`, the overlapped
-  construct/measure driver behind the streaming Table 3 sweep;
 * :mod:`repro.runtime.wire` / :mod:`repro.runtime.remote` — the
   **distributed lane** (``executor="remote"``):
   :class:`~repro.runtime.remote.RemoteStudyPool` serves the same
@@ -61,7 +57,6 @@ from repro.runtime.transport import (
     sweep_shipments,
 )
 from repro.runtime.chunking import (
-    CHUNKINGS,
     EXECUTORS,
     CostModel,
     aggregate_unit_costs,
@@ -74,7 +69,6 @@ from repro.runtime.chunking import (
     save_cost_model,
     save_cost_models,
 )
-from repro.runtime.pipeline import PipelinedExecutor
 from repro.runtime.remote import (
     AgentServer,
     RemoteStudyPool,
@@ -103,7 +97,6 @@ __all__ = [
     "resolve_transport",
     "shared_memory_available",
     "sweep_shipments",
-    "CHUNKINGS",
     "EXECUTORS",
     "CostModel",
     "aggregate_unit_costs",
@@ -115,7 +108,6 @@ __all__ = [
     "resolve_executor",
     "save_cost_model",
     "save_cost_models",
-    "PipelinedExecutor",
     "AgentServer",
     "RemoteStudyPool",
     "parse_hosts",

@@ -11,10 +11,10 @@ sizes chunks from **per-task cost** instead:
 * the *prior* cost of a task is its program's message count (Monte-Carlo
   scheduling chunks use ``iterations * clusters**2`` — the stacked-matrix
   cell count — as the equivalent prior);
-* within a study, *observed wall-time* feeds back through a
-  :class:`CostModel`: the pipelined driver times every completed chunk and
-  refines its units-per-second rate, so later batches of the same study are
-  split against measured cost, not the prior.
+* on the remote lane, *observed wall-time* feeds back through a
+  :class:`CostModel` per agent link: every result frame reports its
+  worker-side wall time, and the coordinator routes later chunks against
+  each agent's measured units-per-second, not the prior.
 
 The same cost estimates drive **executor selection**
 (:func:`choose_executor`): ``executor="auto"`` runs small batches — the ones
@@ -48,11 +48,6 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: sockets to worker agents; never chosen by ``"auto"``, only explicitly).
 EXECUTORS = ("auto", "thread", "process", "remote")
 
-#: Valid ``chunking=`` values: ``"adaptive"`` (cost-balanced chunks, the
-#: default) and ``"fixed"`` (the historical task-count chunking, kept as the
-#: benchmark baseline and for the equivalence suite).
-CHUNKINGS = ("adaptive", "fixed")
-
 #: Environment variable consulted when ``executor=None``; the shared way to
 #: force every study onto one lane (``REPRO_EXECUTOR=thread|process|auto``).
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
@@ -64,10 +59,9 @@ EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 #: ``benchmarks/bench_runtime.py``, section ``thread_vs_process``).
 AUTO_THREAD_MAX_UNITS = 4096
 
-#: Prior throughput assumed before a study has observed any wall-time:
-#: roughly the batched measurement engine's per-message rate.  Only used to
-#: decide whether splitting a batch is worth the per-chunk overhead; never
-#: affects results.
+#: Prior throughput assumed before any wall-time has been observed: roughly
+#: the batched measurement engine's per-message rate.  Only used to route
+#: and time out remote chunks; never affects results.
 DEFAULT_UNITS_PER_SECOND = 200_000.0
 
 #: Chunks-per-worker target shared by every fan-out path: enough chunks that
@@ -76,35 +70,13 @@ DEFAULT_UNITS_PER_SECOND = 200_000.0
 CHUNKS_PER_WORKER = 4
 
 #: Environment variable naming an opt-in on-disk cost cache (a JSON file).
-#: When set, the pipelined driver restores previously observed
-#: units-per-second on start-up and records its own on finish — so the
-#: *first* submission of a study, local or remote, is split against measured
-#: throughput instead of the :data:`DEFAULT_UNITS_PER_SECOND` prior.  Purely
-#: a performance device: like everything in this module it can never change
-#: results, so a stale, missing or unwritable cache file is always safe.
+#: When set, remote agent links restore previously observed
+#: units-per-second on start-up and record their own on close — so the
+#: *first* chunk of a study is routed against measured throughput instead of
+#: the :data:`DEFAULT_UNITS_PER_SECOND` prior.  Purely a performance device:
+#: like everything in this module it can never change results, so a stale,
+#: missing or unwritable cache file is always safe.
 COST_CACHE_ENV_VAR = "REPRO_COST_CACHE"
-
-#: A fleet of remote agents is *skewed* when the fastest chunk slot's
-#: estimated throughput is at least this multiple of the slowest's — the
-#: point where weighted (throughput-proportional) chunk splitting starts to
-#: pay for its extra frames.  Below it, agents are near-enough identical
-#: that the historical uniform split behaves the same.
-FLEET_SKEW_MIN = 1.5
-
-
-def cost_model_key(workload: str, num_clusters: int, num_nodes: int) -> str:
-    """The shaped on-disk cost-cache key of one workload.
-
-    Observed units-per-second depends on *what* is being measured — an
-    all-to-all message costs the same unit as a bcast message, but grids of
-    different sizes compile and execute at different per-unit rates.  Keying
-    cache entries by ``(workload label, grid shape)`` keeps a 45-node bcast
-    sweep's throughput from mispricing a 6-node scatter study.  Readers pass
-    the legacy shared ``"pipeline"`` record as a fallback
-    (:func:`load_cost_model`), so cache files written before shaped keys
-    existed still seed the model.
-    """
-    return f"pipeline/{workload}/c{num_clusters}-n{num_nodes}"
 
 
 def resolve_executor(executor: str | None) -> str:
@@ -181,9 +153,9 @@ def compiled_cost(compiled_program: Any) -> int:
 
     Compiled programs (``repro.simulator.batch._CompiledProgram``) carry
     their flattened message list in ``dest``, so the message count is a
-    direct length.  Every dispatch path (pipelined, process, thread) must
+    direct length.  Every dispatch path (process, thread, remote) must
     price tasks through this one helper so the cost prior can never diverge
-    between drivers.
+    between lanes.
     """
     return 1 + len(compiled_program.dest)
 
@@ -192,10 +164,10 @@ class CostModel:
     """Estimated-then-observed cost of one study's tasks.
 
     Starts from the :data:`DEFAULT_UNITS_PER_SECOND` prior and refines it
-    with every ``observe(units, seconds)`` call — the pipelined driver feeds
-    it each completed chunk's wall time, so chunk-splitting decisions later
-    in the same study rest on measured throughput.  Purely a performance
-    device: the model never influences *what* is computed.
+    with every ``observe(units, seconds)`` call — each remote agent link
+    feeds its model the wall time every result frame reports, so routing
+    decisions later in the same study rest on measured throughput.  Purely
+    a performance device: the model never influences *what* is computed.
     """
 
     __slots__ = ("_units", "_seconds")
@@ -251,30 +223,21 @@ def _cost_cache_path() -> Path | None:
     return Path(raw) if raw else None
 
 
-def load_cost_model(key: str, fallback_keys: Sequence[str] = ()) -> CostModel:
+def load_cost_model(key: str) -> CostModel:
     """A :class:`CostModel` preloaded from the on-disk cache, if enabled.
 
-    Looks ``key`` up in the ``REPRO_COST_CACHE`` JSON file, then each of
-    ``fallback_keys`` in order — the migration path for cache files written
-    before shaped keys existed (a reader passes the legacy ``"pipeline"``
-    record as its fallback and re-saves under the shaped key).  Any failure
-    — variable unset, file missing, unreadable, every entry malformed —
-    falls back to a fresh model with the default prior.  Never raises.
+    Looks ``key`` up in the ``REPRO_COST_CACHE`` JSON file.  Any failure —
+    variable unset, file missing, unreadable, entry malformed — falls back
+    to a fresh model with the default prior.  Never raises.
     """
     model = CostModel()
     path = _cost_cache_path()
     if path is None:
         return model
     try:
-        document = json.loads(path.read_text())
+        return model.restore(json.loads(path.read_text())[key])
     except Exception:  # noqa: BLE001 - a cache miss is always fine
         return model
-    for candidate in (key, *fallback_keys):
-        try:
-            return model.restore(document[candidate])
-        except Exception:  # noqa: BLE001 - try the next candidate
-            continue
-    return model
 
 
 def save_cost_model(key: str, model: CostModel) -> None:
@@ -360,10 +323,10 @@ def aggregate_unit_costs(
     """Total cost of each chain-atomic unit, from per-task costs.
 
     ``units`` are the half-open ``[start, end)`` task ranges produced by
-    ``repro.simulator.batch._chain_units``.  Every dispatch path (pipelined,
-    process, thread) aggregates through this one helper before calling
+    ``repro.simulator.batch._chain_units``.  Every dispatch path (process,
+    thread, remote) aggregates through this one helper before calling
     :func:`partition_by_cost`, so unit pricing can never diverge between
-    drivers.
+    lanes.
     """
     return [
         float(sum(task_costs[index] for index in range(start, end)))
@@ -375,10 +338,9 @@ def partition_by_cost(
     units: Sequence[tuple[int, int]],
     unit_costs: Sequence[float],
     num_chunks: int,
-    weights: Sequence[float] | None = None,
 ) -> list[tuple[int, int]]:
     """Merge contiguous atomic units into at most ``num_chunks`` chunks of
-    roughly equal (or weighted) total cost.
+    roughly equal total cost.
 
     ``units`` are half-open ``[start, end)`` task ranges that must stay
     together (warm chains; single tasks otherwise — see
@@ -388,17 +350,7 @@ def partition_by_cost(
     whenever stopping short lands closer to that share than overshooting
     would — so an oversized unit gets its own chunk wherever it sits in the
     sequence (a ~20x all-to-all at the *tail* of a batch must not absorb
-    every cheap unit before it).
-
-    ``weights`` makes the split *throughput-proportional*: chunk ``i``
-    targets the share ``weights[i] / sum(weights[i:])`` of the remaining
-    cost instead of an equal share, which is how a heterogeneous remote
-    fleet receives chunks sized to each agent's observed units-per-second
-    (:meth:`repro.runtime.remote.RemoteStudyPool.partition_weights`).  With
-    fewer units than weights, the leading weights are used — callers pass
-    them fastest-first so the capable slots keep their chunks.  Every chunk
-    lands within one unit's cost of its weighted target (chains are atomic,
-    so no split can do better).  Partitioning never affects results — only
+    every cheap unit before it).  Partitioning never affects results — only
     which worker executes which tasks.
     """
     if len(units) != len(unit_costs):
@@ -407,35 +359,15 @@ def partition_by_cost(
         )
     if not units:
         return []
-    if weights is not None:
-        num_chunks = min(int(num_chunks), len(weights))
     num_chunks = max(1, min(int(num_chunks), len(units)))
-    if weights is None:
-        shares = [1.0] * num_chunks
-    else:
-        shares = [float(weight) for weight in weights[:num_chunks]]
-        if any(share <= 0.0 for share in shares):
-            raise ValueError(f"chunk weights must be positive, got {weights!r}")
-        # Normalise by the largest share so equal weights become exactly 1.0
-        # and the weighted targets round bit-identically to the uniform
-        # path's (w/(w*k) and 1/k differ in the last ulp for some w, which
-        # is enough to flip a near-tie boundary decision).
-        top = max(shares)
-        shares = [share / top for share in shares]
-    # Suffix sums: share_left[i] is the total weight of chunks i onwards,
-    # so the open chunk's target is remaining * shares[i] / share_left[i].
-    share_left = list(shares)
-    for index in range(num_chunks - 2, -1, -1):
-        share_left[index] += share_left[index + 1]
     chunks: list[tuple[int, int]] = []
     remaining = float(sum(unit_costs))
     start = units[0][0]
     accumulated = 0.0
     for unit_index, (unit_start, unit_end) in enumerate(units):
         cost = float(unit_costs[unit_index])
-        open_chunk = len(chunks)
-        chunks_left = num_chunks - open_chunk
-        target = remaining * shares[open_chunk] / share_left[open_chunk]
+        chunks_left = num_chunks - len(chunks)
+        target = remaining / chunks_left
         # Close before adding when the open chunk is non-empty and
         # overshooting the fair share by `cost` is worse than undershooting
         # by what is already accumulated.  (num_chunks is a ceiling, not a

@@ -103,8 +103,8 @@ class StudyPool:
     ) -> Any:
         """Submit ``fn(args)`` and return the :class:`AsyncResult` handle.
 
-        This is the pipelining primitive: the caller keeps constructing the
-        next batch while the workers chew on this one.  ``units`` is the
+        Every chunk of a fan-out is submitted before any result is
+        collected, so the workers drain them concurrently.  ``units`` is the
         job's estimated cost in the shared cost-unit scale — local lanes
         ignore it (their workers are identical by construction); the remote
         lane uses it for throughput-proportional routing, so drivers pass
@@ -222,7 +222,6 @@ def engage_remote_lane(
     workers: int | None,
     worker_count: int,
     hosts: str | Iterable[tuple[str, int]] | None,
-    transport: str | None = None,
 ) -> tuple[Any, int]:
     """Resolve the fan-out preamble of one study call (shared by every driver).
 
@@ -239,8 +238,6 @@ def engage_remote_lane(
       total.  An *explicit* ``workers=0``/``1`` (the ``workers`` argument,
       as opposed to the resolved ``worker_count``) still means in-process:
       naming a lane never overrides an explicit request not to fan out.
-      ``transport="legacy"`` — the fresh-process benchmark baseline — never
-      engages the remote lane.
 
     Every other combination passes through untouched.
     """
@@ -248,7 +245,7 @@ def engage_remote_lane(
 
     if workers is None and worker_count == 0 and pool is not None:
         worker_count = pool.workers
-    if pool is not None or transport == "legacy":
+    if pool is not None:
         return pool, worker_count
     if resolve_executor(executor) != "remote":
         return pool, worker_count

@@ -64,7 +64,7 @@ def sweep_shipments() -> None:
 
     The normal lifecycle (:meth:`ArrayShipment.unlink` in a ``finally``)
     leaves nothing for this sweep; it exists for *aborted* runs — a study
-    process dying mid-pipeline on an exception, a remote agent terminated
+    process dying mid-study on an exception, a remote agent terminated
     with chunks in flight (agents convert SIGTERM into a clean exit exactly
     so this sweep still runs) — where leaked segments would otherwise
     outlive the process and trigger resource-tracker warnings.  A SIGKILL

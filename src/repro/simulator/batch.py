@@ -42,12 +42,9 @@ no pickling, no result round-trip — which beats process fan-out whenever
 the batch is too small to amortise shipping (the hot loop holds the GIL, so
 the lane trades parallel compute for zero shipping); ``executor="auto"``
 picks the lane per call from the batch's estimated cost
-(:mod:`repro.runtime.chunking`).  Worker chunks are
-sized **adaptively** from per-task cost (message counts) rather than task
-counts, so a mixed scatter/all-to-all workload balances across workers;
-``chunking="fixed"`` keeps the historical task-count split.
-``transport="legacy"`` preserves the pre-runtime dispatch — a fresh pool per
-call, the grid and tasks re-pickled per chunk — as the benchmark baseline.
+(:mod:`repro.runtime.chunking`).  Worker chunks are sized from per-task
+cost (message counts) rather than task counts, so a mixed
+scatter/all-to-all workload balances across workers.
 
 The scalar :func:`~repro.simulator.execution.execute_program` remains the
 reference engine: ``engine="scalar"`` runs it program by program on
@@ -61,8 +58,6 @@ worker count, over either transport.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,11 +78,6 @@ VECTOR_MIN_SENDS = 12
 #: Valid ``engine=`` values of :func:`execute_programs` (and the study
 #: drivers built on it): the batched engine and the scalar reference loop.
 ENGINES = ("batched", "scalar")
-
-#: Valid ``transport=`` values of :func:`execute_programs`: the runtime
-#: transports plus ``"legacy"`` (fresh pool per call, grid and tasks pickled
-#: per chunk — the pre-runtime dispatch kept as the benchmark baseline).
-EXECUTE_TRANSPORTS = ("auto", "shm", "pickle", "legacy")
 
 
 @dataclass(frozen=True)
@@ -250,13 +240,11 @@ class _PairTables:
 
 
 class _BatchCompiler:
-    """Parent-side compile state reused across batches on one grid.
+    """Parent-side compile state of one batch on one grid.
 
     Holds the cluster-pair tables and the compiled cache (a program
     appearing in several tasks — noise replicas, chained stages — compiles
-    once; the compiled form is read-only during execution).  The pipelined
-    driver keeps one compiler alive across submissions, so later batches
-    reuse every parameter evaluated by earlier ones.
+    once; the compiled form is read-only during execution).
     """
 
     __slots__ = ("grid", "lean", "tables", "cache")
@@ -686,70 +674,41 @@ def _chain_units(tasks: Sequence[ExecutionTask]) -> list[tuple[int, int]]:
     return units
 
 
-def _partition_units(
-    units: Sequence[tuple[int, int]], chunk_target: int
-) -> list[tuple[int, int]]:
-    """Merge consecutive units into chunks of roughly ``chunk_target`` tasks.
-
-    Identical to the fixed-size contiguous chunking when every unit is one
-    task (no chains); chains are never split across chunks.  This is the
-    ``chunking="fixed"`` baseline; the default adaptive path sizes chunks
-    from per-task cost instead (:func:`_chunk_bounds`).
-    """
-    chunks: list[tuple[int, int]] = []
-    start = units[0][0]
-    count = 0
-    for unit_start, unit_end in units:
-        count += unit_end - unit_start
-        if count >= chunk_target:
-            chunks.append((start, unit_end))
-            start = unit_end
-            count = 0
-    if count:
-        chunks.append((start, units[-1][1]))
-    return chunks
-
-
 def _chunk_bounds(
     tasks: Sequence[ExecutionTask],
-    costs: Sequence[float] | None,
+    costs: Sequence[float],
     worker_count: int,
-    chunking: str,
 ) -> list[tuple[int, int]]:
     """Chain-respecting worker chunk boundaries for one fan-out.
 
-    ``chunking="adaptive"`` balances the chunks by per-task *cost* (the
-    program message counts of ``costs``) so an all-to-all task — ~20x a
-    bcast task — does not strand a count-balanced chunk; ``"fixed"`` keeps
-    the historical task-count split.  Either way chunks never split a warm
-    chain, and chunking never affects results (each task owns its seed).
+    Chunks are balanced by per-task *cost* (the program message counts of
+    ``costs``) so an all-to-all task — ~20x a bcast task — does not strand
+    a count-balanced chunk.  Chunks never split a warm chain, and chunking
+    never affects results (each task owns its seed).
     """
-    from repro.runtime.chunking import CHUNKS_PER_WORKER
+    from repro.runtime.chunking import (
+        CHUNKS_PER_WORKER,
+        aggregate_unit_costs,
+        partition_by_cost,
+    )
 
     units = _chain_units(tasks)
-    if chunking == "adaptive" and costs is not None:
-        from repro.runtime.chunking import aggregate_unit_costs, partition_by_cost
-
-        return partition_by_cost(
-            units,
-            aggregate_unit_costs(units, costs),
-            worker_count * CHUNKS_PER_WORKER,
-        )
-    chunk_target = max(1, -(-len(tasks) // (worker_count * CHUNKS_PER_WORKER)))
-    return _partition_units(units, chunk_target)
+    return partition_by_cost(
+        units,
+        aggregate_unit_costs(units, costs),
+        worker_count * CHUNKS_PER_WORKER,
+    )
 
 
-def _execute_pickled_chunk(args) -> tuple[int, list[ExecutionResult]]:
-    """Legacy multiprocessing adapter: one pickled slice of the task list.
+def _execute_scalar_chunk(args) -> tuple[int, list[ExecutionResult]]:
+    """Scalar-engine worker body: one pickled slice of the task list.
 
-    The pre-runtime dispatch: the grid, the config and the tasks themselves
-    travel through the task pickle and the chunk compiles its own programs.
-    Kept as the worker body of ``transport="legacy"`` (the benchmark
-    baseline) and of the scalar reference engine's fan-out.
+    The grid, the config and the tasks themselves travel with the job (by
+    reference on the thread lane) and run through the scalar reference
+    loop.
     """
-    start, grid, tasks, config, collect_traces, engine = args
-    runner = _execute_batch if engine == "batched" else _execute_scalar
-    return start, runner(grid, tasks, config, collect_traces)
+    start, grid, tasks, config, collect_traces = args
+    return start, _execute_scalar(grid, tasks, config, collect_traces)
 
 
 def _bundle_compiled(
@@ -902,14 +861,12 @@ def _rebuild_shipped(
     return prog
 
 
-def _execute_shipped_chunk(args) -> tuple[int, list[ExecutionResult], float]:
+def _execute_shipped_chunk(args) -> tuple[int, list[ExecutionResult]]:
     """Runtime multiprocessing adapter: execute a chunk against a shipment.
 
     The job carries only the shipment handle, the reconstruction metadata of
     the programs this chunk actually runs, and per-task ``(unique index,
     seed, reset)`` entries — never the grid or the programs themselves.
-    Returns the chunk's wall time alongside the results so the caller can
-    feed the runtime's :class:`~repro.runtime.chunking.CostModel`.
     """
     (
         start,
@@ -921,7 +878,6 @@ def _execute_shipped_chunk(args) -> tuple[int, list[ExecutionResult], float]:
         collect_traces,
         num_nodes,
     ) = args
-    started = time.perf_counter()
     arrays = shipment.load()
     rebuilt = {
         unique_index: _rebuild_shipped(meta, arrays, collect_traces)
@@ -940,10 +896,10 @@ def _execute_shipped_chunk(args) -> tuple[int, list[ExecutionResult], float]:
     # Drop every view into the shipment before unmapping it.
     compiled = rebuilt = arrays = None
     shipment.close()
-    return start, results, time.perf_counter() - started
+    return start, results
 
 
-def _execute_compiled_chunk(args) -> tuple[int, list[ExecutionResult], float]:
+def _execute_compiled_chunk(args) -> tuple[int, list[ExecutionResult]]:
     """Thread-lane adapter: execute already-compiled tasks, no shipment.
 
     Thread workers share the parent's address space, so the job carries the
@@ -953,37 +909,9 @@ def _execute_compiled_chunk(args) -> tuple[int, list[ExecutionResult], float]:
     """
     (start, compiled, seeds, resets, sigma, overhead, collect_traces,
      num_nodes) = args
-    started = time.perf_counter()
-    results = _run_task_sequence(
+    return start, _run_task_sequence(
         compiled, seeds, resets, sigma, overhead, collect_traces, num_nodes
     )
-    return start, results, time.perf_counter() - started
-
-
-def _execute_with_legacy_pool(
-    grid: Grid,
-    tasks: list[ExecutionTask],
-    config: NetworkConfig,
-    collect_traces: bool,
-    engine: str,
-    worker_count: int,
-) -> list[ExecutionResult]:
-    """The pre-runtime dispatch: fresh pool, grid and tasks pickled per chunk.
-
-    Kept byte-for-byte as the benchmark baseline — including its fixed
-    task-count chunking — so recorded speedups keep measuring the same
-    thing across PRs.
-    """
-    bounds = _chunk_bounds(tasks, None, worker_count, "fixed")
-    jobs = [
-        (start, grid, tasks[start:end], config, collect_traces, engine)
-        for start, end in bounds
-    ]
-    results: list[ExecutionResult | None] = [None] * len(tasks)
-    with multiprocessing.Pool(processes=worker_count) as mp_pool:
-        for start, values in mp_pool.imap_unordered(_execute_pickled_chunk, jobs):
-            results[start : start + len(values)] = values
-    return results  # type: ignore[return-value]
 
 
 def _execute_with_runtime_pool(
@@ -994,19 +922,17 @@ def _execute_with_runtime_pool(
     worker_count: int,
     transport: str | None,
     pool,
-    chunking: str,
 ) -> list[ExecutionResult]:
     """Process/remote lane: compile once in the parent, ship to the pool."""
-    from repro.runtime.pool import get_pool
-
     from repro.runtime.chunking import compiled_cost
+    from repro.runtime.pool import get_pool
 
     compiler = _BatchCompiler(grid, collect_traces)
     compiled = compiler.compile(tasks)
     seeds = _task_seeds(tasks, config)
     resets = [task.reset_network for task in tasks]
     costs = [compiled_cost(prog) for prog in compiled]
-    bounds = _chunk_bounds(tasks, costs, worker_count, chunking)
+    bounds = _chunk_bounds(tasks, costs, worker_count)
     study_pool = pool if pool is not None else get_pool(worker_count)
     results: list[ExecutionResult | None] = [None] * len(tasks)
     if getattr(study_pool, "kind", "process") == "remote":
@@ -1024,7 +950,7 @@ def _execute_with_runtime_pool(
             for job, (start, end) in zip(jobs, bounds)
         ]
         for handle in pending:
-            start, values, _ = handle.get()
+            start, values = handle.get()
             results[start : start + len(values)] = values
         return results  # type: ignore[return-value]
     shipment, metas, index_of = _ship_compiled(compiled, collect_traces, transport)
@@ -1049,7 +975,7 @@ def _execute_with_runtime_pool(
             )
             pending.append(study_pool.submit(_execute_shipped_chunk, job))
         for handle in pending:
-            start, values, _ = handle.get()
+            start, values = handle.get()
             results[start : start + len(values)] = values
     finally:
         shipment.unlink()
@@ -1063,7 +989,6 @@ def _execute_scalar_with_pool(
     collect_traces: bool,
     worker_count: int,
     pool,
-    chunking: str,
     kind: str,
 ) -> list[ExecutionResult]:
     """Scalar-engine fan-out over the persistent pool of either lane.
@@ -1078,13 +1003,13 @@ def _execute_scalar_with_pool(
 
     study_pool = pool if pool is not None else get_pool(worker_count, kind=kind)
     costs = [program_cost(task.program) for task in tasks]
-    bounds = _chunk_bounds(tasks, costs, worker_count, chunking)
+    bounds = _chunk_bounds(tasks, costs, worker_count)
     jobs = [
-        (start, grid, tasks[start:end], config, collect_traces, "scalar")
+        (start, grid, tasks[start:end], config, collect_traces)
         for start, end in bounds
     ]
     results: list[ExecutionResult | None] = [None] * len(tasks)
-    for start, values in study_pool.imap_unordered(_execute_pickled_chunk, jobs):
+    for start, values in study_pool.imap_unordered(_execute_scalar_chunk, jobs):
         results[start : start + len(values)] = values
     return results  # type: ignore[return-value]
 
@@ -1096,7 +1021,6 @@ def _execute_with_thread_pool(
     collect_traces: bool,
     worker_count: int,
     pool,
-    chunking: str,
 ) -> list[ExecutionResult]:
     """Thread lane: no shipment — workers read the parent's arrays in place.
 
@@ -1113,7 +1037,7 @@ def _execute_with_thread_pool(
     compiler = _BatchCompiler(grid, collect_traces)
     compiled = compiler.compile(tasks)
     costs = [compiled_cost(prog) for prog in compiled]
-    bounds = _chunk_bounds(tasks, costs, worker_count, chunking)
+    bounds = _chunk_bounds(tasks, costs, worker_count)
     seeds = _task_seeds(tasks, config)
     resets = [task.reset_network for task in tasks]
     pending = [
@@ -1133,7 +1057,7 @@ def _execute_with_thread_pool(
         for start, end in bounds
     ]
     for handle in pending:
-        start, values, _ = handle.get()
+        start, values = handle.get()
         results[start : start + len(values)] = values
     return results  # type: ignore[return-value]
 
@@ -1148,7 +1072,6 @@ def execute_programs(
     engine: str = "batched",
     executor: str | None = None,
     transport: str | None = None,
-    chunking: str = "adaptive",
     pool=None,
     hosts: str | None = None,
 ) -> list[ExecutionResult]:
@@ -1192,19 +1115,11 @@ def execute_programs(
     transport:
         How batches reach *process* workers (ignored in-process and on the
         thread lane, which ships nothing): ``"auto"`` (default, shared
-        memory when available), ``"shm"``, ``"pickle"``, or ``"legacy"`` —
-        the pre-runtime dispatch (fresh pool per call, grid and tasks
-        re-pickled per chunk), kept as the benchmark baseline and always
-        run on a fresh process pool of its own (``"legacy"`` therefore
-        rejects an explicit ``pool=`` and an explicit
-        ``executor="thread"``).  The batched engine's
-        ``"auto"``/``"shm"``/``"pickle"`` paths compile once in the parent
-        and reuse the persistent runtime pool; the scalar engine fans task
-        slices out over the persistent pool of either lane.
-    chunking:
-        ``"adaptive"`` (default) sizes worker chunks from per-task cost
-        (program message counts) so mixed workloads balance; ``"fixed"``
-        keeps the historical task-count chunking.  Bit-identical either way.
+        memory when available), ``"shm"`` or ``"pickle"``.  The batched
+        engine compiles once in the parent and reuses the persistent
+        runtime pool; the scalar engine fans task slices out over the
+        persistent pool of either lane.  Worker chunks are sized from
+        per-task cost (program message counts) so mixed workloads balance.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
         :class:`~repro.runtime.pool.ThreadStudyPool` /
@@ -1218,12 +1133,12 @@ def execute_programs(
         (agents auto-spawned as local subprocesses).
     """
     from repro.runtime.chunking import (
-        CHUNKINGS,
         EXECUTORS,
         choose_executor,
         program_cost,
         resolve_executor,
     )
+    from repro.runtime.transport import TRANSPORTS
 
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -1231,23 +1146,9 @@ def execute_programs(
         raise ValueError(
             f"executor must be one of {EXECUTORS}, got {executor!r}"
         )
-    if transport is not None and transport not in EXECUTE_TRANSPORTS:
+    if transport is not None and transport not in TRANSPORTS:
         raise ValueError(
-            f"transport must be one of {EXECUTE_TRANSPORTS}, got {transport!r}"
-        )
-    if chunking not in CHUNKINGS:
-        raise ValueError(f"chunking must be one of {CHUNKINGS}, got {chunking!r}")
-    if transport == "legacy" and pool is not None:
-        raise ValueError(
-            "transport='legacy' is the pre-runtime benchmark baseline and "
-            "spawns its own fresh pool per call; it cannot submit to an "
-            "explicit pool="
-        )
-    if transport == "legacy" and executor in ("thread", "remote"):
-        raise ValueError(
-            "transport='legacy' is the fresh-process benchmark baseline and "
-            f"cannot run on the {executor} lane; drop executor={executor!r} "
-            "or pick another transport"
+            f"transport must be one of {TRANSPORTS}, got {transport!r}"
         )
     config = config if config is not None else NetworkConfig()
     normalized = [
@@ -1266,7 +1167,7 @@ def execute_programs(
         from repro.runtime.pool import engage_remote_lane
 
         pool, worker_count = engage_remote_lane(
-            pool, executor, workers, worker_count, hosts, transport
+            pool, executor, workers, worker_count, hosts
         )
 
     if worker_count > 1 and len(normalized) > 1:
@@ -1281,26 +1182,18 @@ def execute_programs(
                     sum(program_cost(task.program) for task in normalized),
                     transport=transport,
                 )
-        if transport == "legacy":
-            # The benchmark baseline is a fresh-process dispatch by
-            # definition (validation above rejected pool= and
-            # executor="thread").
-            return _execute_with_legacy_pool(
-                grid, normalized, config, collect_traces, engine, worker_count
-            )
         if engine == "scalar":
             return _execute_scalar_with_pool(
                 grid, normalized, config, collect_traces, worker_count, pool,
-                chunking, lane,
+                lane,
             )
         if lane == "thread":
             return _execute_with_thread_pool(
-                grid, normalized, config, collect_traces, worker_count,
-                pool, chunking,
+                grid, normalized, config, collect_traces, worker_count, pool
             )
         return _execute_with_runtime_pool(
             grid, normalized, config, collect_traces, worker_count, transport,
-            pool, chunking,
+            pool,
         )
 
     runner = _execute_batch if engine == "batched" else _execute_scalar

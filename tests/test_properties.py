@@ -253,7 +253,7 @@ class TestScheduleProperties:
 import numpy as np
 
 from repro.runtime import wire
-from repro.runtime.chunking import partition_by_cost
+from repro.runtime.chunking import aggregate_unit_costs, partition_by_cost
 from repro.runtime.transport import ArrayShipment
 
 wire_scalars = st.one_of(
@@ -392,7 +392,7 @@ class TestWireRoundTripProperties:
 
 
 # ---------------------------------------------------------------------------
-# weighted partition properties
+# partition properties
 # ---------------------------------------------------------------------------
 
 
@@ -413,68 +413,37 @@ def chain_partition_inputs(draw):
     return units, costs
 
 
-chunk_weights = st.lists(
-    st.floats(min_value=0.1, max_value=50.0, allow_nan=False),
-    min_size=1,
-    max_size=8,
-)
-
-
 class TestWeightedPartitionProperties:
-    """partition_by_cost with weights: still a chain-atomic cover, reduces to
-    the uniform split on equal weights, and lands every closed chunk within
-    one unit's cost of its throughput-proportional target."""
+    """partition_by_cost is a chain-atomic cover of the task range, lands
+    every closed chunk within one unit's cost of its fair share, and depends
+    only on the relative unit costs."""
 
     @given(
         inputs=chain_partition_inputs(),
         num_chunks=st.integers(1, 8),
-        weights=st.one_of(st.none(), chunk_weights),
     )
     @settings(max_examples=120, deadline=None)
-    def test_partition_is_a_chain_atomic_cover(self, inputs, num_chunks, weights):
+    def test_partition_is_a_chain_atomic_cover(self, inputs, num_chunks):
         units, costs = inputs
-        chunks = partition_by_cost(units, costs, num_chunks, weights=weights)
+        chunks = partition_by_cost(units, costs, num_chunks)
         # Non-empty chunks, contiguous, covering every task exactly once.
         assert chunks[0][0] == units[0][0]
         assert chunks[-1][1] == units[-1][1]
         for (_, left_end), (right_start, _) in zip(chunks, chunks[1:]):
             assert left_end == right_start
         assert all(start < end for start, end in chunks)
-        # Ceiling: never more chunks than asked, than units, than weights.
-        limit = min(num_chunks, len(units))
-        if weights is not None:
-            limit = min(limit, len(weights))
-        assert len(chunks) <= limit
+        # Ceiling: never more chunks than asked, than units.
+        assert len(chunks) <= min(num_chunks, len(units))
         # Chains atomic: every boundary coincides with a unit boundary.
         unit_starts = {start for start, _ in units}
         assert all(start in unit_starts for start, _ in chunks)
 
-    @given(
-        inputs=chain_partition_inputs(),
-        num_chunks=st.integers(1, 8),
-        weight=st.floats(min_value=0.1, max_value=50.0, allow_nan=False),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_equal_weights_reduce_to_uniform_split(
-        self, inputs, num_chunks, weight
-    ):
-        units, costs = inputs
-        uniform = partition_by_cost(units, costs, num_chunks)
-        weighted = partition_by_cost(
-            units, costs, num_chunks, weights=[weight] * num_chunks
-        )
-        assert weighted == uniform
-
-    @given(
-        inputs=chain_partition_inputs(),
-        weights=chunk_weights,
-    )
+    @given(inputs=chain_partition_inputs(), num_chunks=st.integers(1, 8))
     @settings(max_examples=120, deadline=None)
-    def test_weights_respected_within_one_unit(self, inputs, weights):
+    def test_closed_chunks_within_one_unit_of_fair_share(self, inputs, num_chunks):
         units, costs = inputs
-        chunks = partition_by_cost(units, costs, len(weights), weights=weights)
-        num_chunks = min(len(weights), len(units))
-        shares = weights[:num_chunks]
+        chunks = partition_by_cost(units, costs, num_chunks)
+        num_chunks = min(num_chunks, len(units))
         chunk_costs = [
             sum(
                 cost
@@ -486,19 +455,47 @@ class TestWeightedPartitionProperties:
         max_unit = max(costs)
         remaining = sum(costs)
         # Each closed (non-final) chunk's cost sits within one unit's cost
-        # of its remaining-based weighted target — chains are atomic, so no
+        # of an equal share of what remains — chains are atomic, so no
         # partition can do better than one unit of slack.
         for index, chunk_cost in enumerate(chunk_costs[:-1]):
-            suffix = sum(shares[index:num_chunks])
-            target = remaining * shares[index] / suffix
+            target = remaining / (num_chunks - index)
             assert abs(chunk_cost - target) <= max_unit + 1e-6 * (1 + target)
             remaining -= chunk_cost
 
-    def test_rejects_non_positive_weights(self):
-        import pytest
+    @given(inputs=chain_partition_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_single_chunk_covers_the_whole_range(self, inputs):
+        units, costs = inputs
+        assert partition_by_cost(units, costs, 1) == [(units[0][0], units[-1][1])]
 
-        with pytest.raises(ValueError, match="positive"):
-            partition_by_cost([(0, 1), (1, 2)], [1.0, 1.0], 2, weights=[1.0, 0.0])
+    @given(
+        inputs=chain_partition_inputs(),
+        num_chunks=st.integers(1, 8),
+        exponent=st.integers(-10, 10),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_partition_depends_only_on_relative_costs(
+        self, inputs, num_chunks, exponent
+    ):
+        # A power-of-two scale is exact in floating point, so rescaling
+        # every cost (a faster or slower cost unit) cannot move a boundary.
+        units, costs = inputs
+        scaled = [cost * 2.0**exponent for cost in costs]
+        assert partition_by_cost(units, scaled, num_chunks) == partition_by_cost(
+            units, costs, num_chunks
+        )
+
+    @given(inputs=chain_partition_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_unit_costs_sum_their_tasks(self, inputs):
+        units, task_costs = inputs
+        # Reuse the drawn floats as per-task costs over the units' range.
+        num_tasks = units[-1][1]
+        task_costs = (task_costs * num_tasks)[:num_tasks]
+        totals = aggregate_unit_costs(units, task_costs)
+        assert len(totals) == len(units)
+        for (start, end), total in zip(units, totals):
+            assert total == float(sum(task_costs[start:end]))
 
 
 # ---------------------------------------------------------------------------
