@@ -14,18 +14,25 @@ noise seeds per curve point — the paper's own measurements averaged repeated
 runs), where the batched engine additionally amortises program compilation.
 The two engines are bit-identical, so the ratio is pure overhead removed.
 
+The sweep's schedule phase (Figure 5's predictions, every heuristic at every
+message size) is timed the same way: the per-size ``schedule()`` loop
+against one :func:`~repro.core.batch.batched_schedules` call per heuristic
+over all sizes, after asserting both build the same schedules.
+
 Results land in ``benchmarks/results/BENCH_practical.json`` so the speedup
 trajectory is tracked across PRs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
 
 from conftest import BENCH_PRACTICAL_JSON_FILE, emit, emit_json
 
+from repro.core.batch import BatchedGridCosts, batched_schedules
 from repro.core.costs import GridCostCache
 from repro.core.registry import PAPER_HEURISTICS, instantiate
 from repro.experiments.config import PRACTICAL_MESSAGE_SIZES, PracticalStudyConfig
@@ -163,6 +170,73 @@ def test_measured_sweep_throughput():
     # loop by at least 5x on the Table 3 measured sweep.
     assert timings["replicated"]["speedup"] >= 5.0
     assert timings["plain"]["speedup"] >= 3.0
+
+
+def _schedules_digest(schedules) -> str:
+    """sha256 over every field of every schedule, in order."""
+    fields = [
+        (
+            schedule.heuristic_name,
+            schedule.root,
+            float(schedule.message_size),
+            [
+                (t.sender, t.receiver, t.start_time, t.sender_release_time,
+                 t.arrival_time, t.gap, t.latency)
+                for t in schedule.transfers
+            ],
+            schedule.arrival_times,
+            schedule.local_start_times,
+            schedule.completion_times,
+        )
+        for schedule in schedules
+    ]
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+def test_schedule_phase_throughput():
+    """Per-size schedule() loop vs one batched kernel call per heuristic."""
+    grid = build_grid5000_topology()
+    heuristics = instantiate(PAPER_HEURISTICS)
+    caches = [GridCostCache.for_grid(grid, size) for size in PRACTICAL_MESSAGE_SIZES]
+
+    def per_size():
+        return [
+            heuristic.schedule(grid, costs.message_size, root=0, costs=costs)
+            for heuristic in heuristics
+            for costs in caches
+        ]
+
+    def batched():
+        stack = BatchedGridCosts(caches)
+        return [
+            schedule
+            for heuristic in heuristics
+            for schedule in batched_schedules(heuristic, stack, root=0)
+        ]
+
+    # Both paths must build the same schedules before their timings mean
+    # anything.
+    assert _schedules_digest(per_size()) == _schedules_digest(batched())
+    seconds = {"per_size": _best_of(per_size), "batched": _best_of(batched)}
+    speedup = seconds["per_size"] / seconds["batched"]
+    emit(
+        "Practical schedule phase "
+        f"({len(heuristics)} heuristics x {len(caches)} sizes): per-size "
+        f"{seconds['per_size'] * 1e3:.2f} ms, batched "
+        f"{seconds['batched'] * 1e3:.2f} ms ({speedup:.1f}x)"
+    )
+    emit_json(
+        "schedule_phase",
+        {
+            "grid": "grid5000-table3",
+            "heuristics": list(PAPER_HEURISTICS),
+            "message_sizes": list(PRACTICAL_MESSAGE_SIZES),
+            "schedules": len(heuristics) * len(caches),
+            "seconds": seconds,
+            "speedup": speedup,
+        },
+        path=BENCH_PRACTICAL_JSON_FILE,
+    )
 
 
 def test_practical_study_end_to_end():

@@ -10,6 +10,10 @@ perf wins of past PRs cannot silently rot:
   (``BENCH_scheduling.json``),
 * batched measured sweep     >=  5x the per-run scalar loop
   (``BENCH_practical.json``, replicated section),
+* batched schedule phase     >= 1.5x the per-size ``schedule()`` loop on
+  the Table 3 line-up x 10 sizes (``BENCH_practical.json``,
+  schedule_phase section — one kernel call per heuristic over all message
+  sizes, its schedules verified identical to the per-size loop's first),
 * process executor lane      >= 0.75x the inline pass on the full practical
   sweep (``BENCH_runtime.json``, practical_end_to_end section, plain and
   replicated — an overhead bound: fan-out may never cost more than a
@@ -67,6 +71,11 @@ FLOORS: tuple[tuple[str, tuple[str, ...], float], ...] = (
         "BENCH_practical.json",
         ("measured_sweep", "timings", "replicated", "speedup"),
         5.0,
+    ),
+    (
+        "BENCH_practical.json",
+        ("schedule_phase", "speedup"),
+        1.5,
     ),
     (
         "BENCH_runtime.json",

@@ -11,9 +11,12 @@ or by the discrete-event simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads on first export only
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,8 @@ class BroadcastTree:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export the tree as a directed :mod:`networkx` graph."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         graph.add_nodes_from(range(self.size))
         for order, (parent, child) in enumerate(self.edges()):

@@ -1,4 +1,4 @@
-"""Batched scheduling: run one heuristic on many grids simultaneously.
+"""Batched scheduling: run one heuristic on many problems simultaneously.
 
 The Monte-Carlo studies of the paper (Figures 1–4) schedule the *same*
 heuristic on thousands of independent random grids of identical size.  Doing
@@ -18,11 +18,19 @@ from the other engines', so their scores can differ by ULPs and agreement is
 only exact when no two candidate scores are within ULPs of each other (they
 are covered by fixed-seed tests instead of the hypothesis sweep).
 
+The batch axis is either K grids of one size (the Monte-Carlo study,
+:func:`batched_makespans`) or K message sizes of one grid (the Table 3
+sweep, :func:`batched_schedules`).  The latter records every round's
+decision and timing, so each :class:`~repro.core.schedule.BroadcastSchedule`
+comes straight out of the kernel without timing the order a second time.
+
 Only the heuristics of the paper's Monte-Carlo line-up have batched kernels
 (ECEF, the ECEF-LA family with registered lookaheads, FEF, BottomUp, Flat
 Tree, and Mixed by delegation).  :func:`batched_makespans` returns ``None``
 for anything else — e.g. :class:`~repro.core.optimal.OptimalSearch` or a
 custom heuristic — and callers fall back to the per-grid path.
+:func:`batched_schedules` additionally declines the two average-based
+lookaheads, whose schedules must equal the per-grid ones field for field.
 """
 
 from __future__ import annotations
@@ -46,10 +54,22 @@ from repro.core.lookahead import (
     no_lookahead,
 )
 from repro.core.mixed import MixedStrategy
+from repro.core.schedule import BroadcastSchedule, ScheduledTransfer
+
+#: Upper bound on the stacked matrix *elements* (``K * n * n``) of one batch;
+#: keeps a stack within a few dozen megabytes whatever the cluster count or
+#: the number of grids or message sizes to schedule.
+MAX_BATCH_ELEMENTS = 2_000_000
+
+
+def max_batch_size(num_clusters: int) -> int:
+    """The most ``num_clusters``-cluster problems one stack may hold (>= 1)."""
+    return max(1, MAX_BATCH_ELEMENTS // max(1, num_clusters * num_clusters))
 
 
 class BatchedGridCosts:
-    """Stacked cost matrices of ``K`` same-sized grids.
+    """Stacked cost matrices of ``K`` same-sized grids (or of one grid at
+    ``K`` message sizes).
 
     Every batched kernel round touches each stacked cell a constant number
     of times, so the study runtime prices a Monte-Carlo chunk at
@@ -58,6 +78,9 @@ class BatchedGridCosts:
 
     Attributes
     ----------
+    caches:
+        The stacked :class:`~repro.core.costs.GridCostCache` objects, in
+        batch order.
     num_grids, num_clusters:
         The stack dimensions ``K`` and ``n``.
     gap, latency, transfer:
@@ -74,6 +97,7 @@ class BatchedGridCosts:
             raise ValueError(
                 f"all grids of a batch must have the same size, got {sorted(sizes)}"
             )
+        self.caches = tuple(caches)
         self.num_grids = len(caches)
         self.num_clusters = sizes.pop()
         self.gap = np.stack([cache.gap for cache in caches])
@@ -90,11 +114,17 @@ class BatchedGridCosts:
         return self._transfer_plus_broadcast
 
 
-
 class _BatchedState:
-    """Ready times and A/B membership of ``K`` grids advancing in lockstep."""
+    """Ready times and A/B membership of ``K`` grids advancing in lockstep.
 
-    def __init__(self, costs: BatchedGridCosts, root: int) -> None:
+    With ``record=True`` every round's decisions and timings are kept in
+    ``(K, n - 1)`` arrays, from which :meth:`schedules` builds the timed
+    schedules; the makespan-only path leaves recording off.
+    """
+
+    def __init__(
+        self, costs: BatchedGridCosts, root: int, *, record: bool = False
+    ) -> None:
         if not 0 <= root < costs.num_clusters:
             raise ValueError(f"root must be a valid cluster index, got {root}")
         K, n = costs.num_grids, costs.num_clusters
@@ -109,6 +139,11 @@ class _BatchedState:
         self._grid_index = np.arange(K)
         self._scores = np.empty((K, n, n))
         self._diag = np.arange(n)
+        self._round = 0
+        # (sender, receiver) and (start, release, arrival, gap, latency) of
+        # every round.
+        self._pairs = np.empty((2, K, n - 1), dtype=np.intp) if record else None
+        self._times = np.empty((5, K, n - 1)) if record else None
 
     # Every round, each of the K grids commits its own (sender, receiver).
     def commit(self, senders: np.ndarray, receivers: np.ndarray) -> None:
@@ -117,8 +152,13 @@ class _BatchedState:
         latency = self.costs.latency[k, senders, receivers]
         start = self.rt[k, senders]
         release = start + gap
+        arrival = release + latency
         self.rt[k, senders] = release
-        self.rt[k, receivers] = release + latency
+        self.rt[k, receivers] = arrival
+        if self._pairs is not None:
+            self._pairs[:, :, self._round] = senders, receivers
+            self._times[:, :, self._round] = start, release, arrival, gap, latency
+            self._round += 1
         self.informed[k, receivers] = True
         self.pending[k, receivers] = False
         self.informed_f[k, receivers] = 1.0
@@ -139,6 +179,40 @@ class _BatchedState:
     def makespans(self) -> np.ndarray:
         """``max_c (RT_c + T_c)`` per grid — identical to the timed schedule."""
         return (self.rt + self.costs.broadcast).max(axis=1)
+
+    def schedules(self, heuristic_name: str) -> list[BroadcastSchedule]:
+        """The recorded rounds as one timed schedule per grid.
+
+        Every value was computed by :meth:`commit` with the same float
+        operations, in the same order, as
+        :func:`~repro.core.schedule.evaluate_order` would time the decisions,
+        so the schedules equal the per-grid engines' field for field.
+        """
+        K, n = self.rt.shape
+        arrival_times = np.zeros((K, n))
+        arrival_times[self._grid_index[:, None], self._pairs[1]] = self._times[2]
+        rounds = zip(*(column.tolist() for column in (*self._pairs, *self._times)))
+        return [
+            BroadcastSchedule(
+                root=self.root,
+                num_clusters=n,
+                message_size=cache.message_size,
+                transfers=[
+                    ScheduledTransfer(*fields) for fields in zip(*decisions)
+                ],
+                arrival_times=arrivals,
+                local_start_times=starts,
+                completion_times=completions,
+                heuristic_name=heuristic_name,
+            )
+            for cache, decisions, arrivals, starts, completions in zip(
+                self.costs.caches,
+                rounds,
+                arrival_times.tolist(),
+                self.rt.tolist(),
+                (self.rt + self.costs.broadcast).tolist(),
+            )
+        ]
 
 
 # -- batched lookahead columns -------------------------------------------------------
@@ -207,12 +281,14 @@ _BATCHED_LOOKAHEADS: dict[object, _BatchedLookahead] = {
 
 
 # -- batched heuristic drivers -------------------------------------------------------
+#
+# Each drives a fresh state through its ``n - 1`` selection rounds.
 
 
 def _run_ecef_family(
-    costs: BatchedGridCosts, root: int, lookahead: _BatchedLookahead | None
-) -> np.ndarray:
-    state = _BatchedState(costs, root)
+    state: _BatchedState, lookahead: _BatchedLookahead | None
+) -> None:
+    costs = state.costs
     n = costs.num_clusters
     for round_index in range(n - 1):
         scores = np.add(state.rt[:, :, None], costs.transfer, out=state._scores)
@@ -220,22 +296,18 @@ def _run_ecef_family(
         if lookahead is not None and pending_count > 1:
             scores += lookahead(state)[:, None, :]
         state.commit(*state.masked_argmin(scores))
-    return state.makespans()
 
 
-def _run_fef(costs: BatchedGridCosts, root: int, weight: str) -> np.ndarray:
+def _run_fef(state: _BatchedState, weight: str) -> None:
+    costs = state.costs
     weights = costs.latency if weight == "latency" else costs.transfer
-    state = _BatchedState(costs, root)
     for _ in range(costs.num_clusters - 1):
         np.copyto(state._scores, weights)
         state.commit(*state.masked_argmin(state._scores))
-    return state.makespans()
 
 
-def _run_bottom_up(
-    costs: BatchedGridCosts, root: int, use_ready_time: bool
-) -> np.ndarray:
-    state = _BatchedState(costs, root)
+def _run_bottom_up(state: _BatchedState, use_ready_time: bool) -> None:
+    costs = state.costs
     k = state._grid_index
     for _ in range(costs.num_clusters - 1):
         scores = np.add(
@@ -249,47 +321,53 @@ def _run_bottom_up(
         cheapest[~state.pending] = -np.inf
         receivers = cheapest.argmax(axis=1)
         state.commit(cheapest_sender[k, receivers], receivers)
-    return state.makespans()
 
 
-def _run_flat_tree(
-    costs: BatchedGridCosts, root: int, heuristic: FlatTreeHeuristic
-) -> np.ndarray:
-    targets = heuristic.resolve_targets(root, costs.num_clusters)
-    state = _BatchedState(costs, root)
-    K = costs.num_grids
-    senders = np.full(K, root)
+def _run_flat_tree(state: _BatchedState, heuristic: FlatTreeHeuristic) -> None:
+    targets = heuristic.resolve_targets(state.root, state.costs.num_clusters)
+    K = state.costs.num_grids
+    senders = np.full(K, state.root)
     for target in targets:
         state.commit(senders, np.full(K, target))
-    return state.makespans()
 
 
-def _resolve_kernel(heuristic: SchedulingHeuristic, num_clusters: int):
-    """The batched kernel for ``heuristic`` as ``(costs, root) -> array``.
+#: Lookaheads whose batched scores are only ULP-close to the per-grid ones
+#: (BLAS matmul reductions); fine for makespans, not for exact schedules.
+_INEXACT_LOOKAHEADS = frozenset(
+    {average_latency_lookahead, average_informed_lookahead}
+)
 
-    Returns ``None`` when the heuristic has no batched kernel.  Dispatch is
-    on the *exact* type — a subclass may override ``build_order``, so it must
-    take the per-grid path rather than silently inheriting the parent's
-    kernel.
+
+def _resolve_kernel(
+    heuristic: SchedulingHeuristic, num_clusters: int, *, exact: bool = False
+) -> Callable[[_BatchedState], None] | None:
+    """The batched kernel for ``heuristic`` as ``state -> None``.
+
+    Returns ``None`` when the heuristic has no batched kernel, or when
+    ``exact`` asks for one that reproduces the per-grid engines bit for bit
+    and the heuristic's lookahead does not.  Dispatch is on the *exact* type
+    — a subclass may override ``build_order``, so it must take the per-grid
+    path rather than silently inheriting the parent's kernel.
     """
     kind = type(heuristic)
     if kind is MixedStrategy:
-        return _resolve_kernel(heuristic.choose(num_clusters), num_clusters)
+        return _resolve_kernel(
+            heuristic.choose(num_clusters), num_clusters, exact=exact
+        )
     if kind is ECEFLookahead:
         lookahead = _BATCHED_LOOKAHEADS.get(heuristic.lookahead)
-        if lookahead is None:
+        inexact = exact and heuristic.lookahead in _INEXACT_LOOKAHEADS
+        if lookahead is None or inexact:
             return None
-        return lambda costs, root: _run_ecef_family(costs, root, lookahead)
+        return lambda state: _run_ecef_family(state, lookahead)
     if kind is ECEF:
-        return lambda costs, root: _run_ecef_family(costs, root, None)
+        return lambda state: _run_ecef_family(state, None)
     if kind is FastestEdgeFirst:
-        return lambda costs, root: _run_fef(costs, root, heuristic.weight)
+        return lambda state: _run_fef(state, heuristic.weight)
     if kind is BottomUp:
-        return lambda costs, root: _run_bottom_up(
-            costs, root, heuristic.use_ready_time
-        )
+        return lambda state: _run_bottom_up(state, heuristic.use_ready_time)
     if kind is FlatTreeHeuristic:
-        return lambda costs, root: _run_flat_tree(costs, root, heuristic)
+        return lambda state: _run_flat_tree(state, heuristic)
     return None
 
 
@@ -317,4 +395,40 @@ def batched_makespans(
     kernel = _resolve_kernel(heuristic, costs.num_clusters)
     if kernel is None:
         return None
-    return kernel(costs, root)
+    state = _BatchedState(costs, root)
+    kernel(state)
+    return state.makespans()
+
+
+def batched_schedules(
+    heuristic: SchedulingHeuristic,
+    costs: BatchedGridCosts,
+    *,
+    root: int = 0,
+) -> list[BroadcastSchedule] | None:
+    """Timed schedules of ``heuristic`` at every message size of one grid.
+
+    ``costs`` stacks one grid's :class:`~repro.core.costs.GridCostCache` at
+    K message sizes; one kernel call schedules all K of them.  Each schedule
+    equals ``heuristic.schedule(grid, size, root=root)`` field for field
+    (its ``message_size`` is the cache's float size).  ``None`` means the
+    heuristic has no exact batched kernel (exhaustive search, custom
+    heuristics or lookaheads, the average-based lookaheads); the caller
+    should fall back to :meth:`~repro.core.base.SchedulingHeuristic.schedule`
+    size by size.
+
+    Raises
+    ------
+    ValueError
+        If the stacked caches were built for different grids, or ``root`` is
+        not a cluster of the grid.
+    """
+    grid = costs.caches[0].grid
+    if any(cache.grid is not grid for cache in costs.caches):
+        raise ValueError("costs was computed for a different grid or message size")
+    kernel = _resolve_kernel(heuristic, costs.num_clusters, exact=True)
+    if kernel is None:
+        return None
+    state = _BatchedState(costs, root, record=True)
+    kernel(state)
+    return state.schedules(heuristic.name)

@@ -13,6 +13,12 @@ The grid-unaware binomial broadcast ("Default LAM" in Figure 6) is measured
 as well; it has no scheduled prediction, matching the paper, which only plots
 it in the measured figure.
 
+The predicted column comes from the batched scheduling kernel: the sweep's
+cost matrices are stacked once, and each heuristic schedules every message
+size in one :func:`~repro.core.batch.batched_schedules` call (heuristics
+without an exact batched kernel, and the ``engine="scalar"`` reference,
+schedule size by size).
+
 The measured sweep runs through the study runtime in two steps: every
 message size's schedules and programs are built first, then the whole batch
 executes in one :func:`~repro.simulator.batch.execute_programs` call —
@@ -34,12 +40,15 @@ taken from the program metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.core.base import SchedulingHeuristic
+from repro.core.batch import BatchedGridCosts, batched_schedules, max_batch_size
 from repro.core.costs import GridCostCache
 from repro.core.registry import instantiate
+from repro.core.schedule import BroadcastSchedule
 from repro.experiments.config import PracticalStudyConfig
 from repro.mpi.alltoall import direct_alltoall_program, grid_aware_alltoall_program
 from repro.mpi.bcast import binomial_bcast_program, grid_aware_bcast_program
@@ -81,6 +90,38 @@ def _replica_seed(seed: int, label: str, size: int, replica: int, replicas: int)
     if replicas == 1:
         return derive_seed(seed, label, size)
     return derive_seed(seed, label, size, replica)
+
+
+def _sweep_schedules(
+    heuristics: Sequence[SchedulingHeuristic],
+    grid: Grid,
+    sizes: Sequence[int],
+    root: int,
+    batched: bool,
+) -> Iterator[list[BroadcastSchedule]]:
+    """Every heuristic's schedule at each message size, size by size.
+
+    The batched path stacks the cost matrices of up to
+    :func:`~repro.core.batch.max_batch_size` sizes at a time and makes one
+    :func:`~repro.core.batch.batched_schedules` call per heuristic; a
+    heuristic it declines, like every heuristic of the unbatched path, is
+    scheduled per size.  Both paths yield bit-identical schedules.
+    """
+    step = max_batch_size(grid.num_clusters) if batched else 1
+    for start in range(0, len(sizes), step):
+        chunk = sizes[start : start + step]
+        caches = [GridCostCache.for_grid(grid, size) for size in chunk]
+        columns: list[list[BroadcastSchedule] | None] = [None] * len(heuristics)
+        if batched:
+            stack = BatchedGridCosts(caches)
+            columns = [batched_schedules(h, stack, root=root) for h in heuristics]
+        for offset, (size, costs) in enumerate(zip(chunk, caches)):
+            yield [
+                heuristic.schedule(grid, size, root=root, costs=costs)
+                if column is None
+                else column[offset]
+                for heuristic, column in zip(heuristics, columns)
+            ]
 
 
 @dataclass
@@ -232,8 +273,8 @@ def run_practical_study(
         in-process.  Results are identical at any worker count.
     engine:
         ``"batched"`` (default) or ``"scalar"``; both produce bit-identical
-        results — the scalar path exists as the reference for equivalence
-        tests and benchmarks.
+        results — the scalar path (per-size scheduling, scalar simulator)
+        exists as the reference for equivalence tests and benchmarks.
     executor:
         Fan-out lane: ``"thread"`` (no shipping — workers read the parent's
         compiled arrays in place), ``"process"``, ``"remote"`` (compiled
@@ -289,13 +330,16 @@ def run_practical_study(
     # reordering, shuffling and worker fan-out.
     all_tasks: list[ExecutionTask] = []
     slots: list[tuple[int, int, int | None]] = []
-    for size_index, message_size in enumerate(sizes):
-        costs = GridCostCache.for_grid(grid, message_size)
+    schedules = _sweep_schedules(
+        heuristics, grid, sizes, config.root_cluster, engine == "batched"
+    )
+    for size_index, (message_size, size_schedules) in enumerate(
+        zip(sizes, schedules)
+    ):
         programs: list[tuple[str, object, int | None]] = []
-        for heuristic_index, heuristic in enumerate(heuristics):
-            schedule = heuristic.schedule(
-                grid, message_size, root=config.root_cluster, costs=costs
-            )
+        for heuristic_index, (heuristic, schedule) in enumerate(
+            zip(heuristics, size_schedules)
+        ):
             predicted[size_index, heuristic_index] = schedule.makespan
             program = grid_aware_bcast_program(
                 grid, schedule, message_size, local_tree=config.local_tree

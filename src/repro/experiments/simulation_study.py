@@ -28,7 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.batch import BatchedGridCosts, batched_makespans, has_batched_kernel
+from repro.core.batch import (
+    MAX_BATCH_ELEMENTS,  # noqa: F401 - re-exported; the constant moved to core
+    BatchedGridCosts,
+    batched_makespans,
+    has_batched_kernel,
+    max_batch_size,
+)
 from repro.core.costs import GridCostCache
 from repro.core.registry import instantiate
 from repro.experiments.config import SimulationStudyConfig
@@ -37,11 +43,6 @@ from repro.runtime.pool import engage_remote_lane, get_pool
 from repro.topology.generators import RandomGridGenerator
 from repro.utils.rng import RandomStream
 from repro.utils.workers import resolve_workers
-
-#: Upper bound on the number of stacked matrix *elements* per batch chunk;
-#: keeps the (K, n, n) stacks of a 10 000-iteration study within a few dozen
-#: megabytes regardless of the cluster count.
-MAX_BATCH_ELEMENTS = 2_000_000
 
 #: Environment variable consulted for the default worker count (the shared
 #: ``REPRO_WORKERS`` is the fallback; see
@@ -135,8 +136,9 @@ def _chunk_size(num_clusters: int, iterations: int, worker_count: int) -> int:
     """Iterations per batch chunk, sized from per-iteration *cost*.
 
     An iteration's cost scales with ``num_clusters**2`` (its stacked-matrix
-    cells), so the memory bound doubles as a cost bound: chunks of a large
-    grid carry fewer iterations than chunks of a small one.  When a worker
+    cells), so the memory bound (:data:`~repro.core.batch.MAX_BATCH_ELEMENTS`)
+    doubles as a cost bound: chunks of a large grid carry fewer iterations
+    than chunks of a small one.  When a worker
     pool is in play the chunk additionally shrinks so each worker gets
     several chunks per cluster count (:data:`~repro.runtime.chunking.CHUNKS_PER_WORKER`)
     — otherwise a single-cluster-count study would collapse into one task
@@ -145,7 +147,7 @@ def _chunk_size(num_clusters: int, iterations: int, worker_count: int) -> int:
     """
     from repro.runtime.chunking import CHUNKS_PER_WORKER
 
-    chunk = max(1, MAX_BATCH_ELEMENTS // max(1, num_clusters * num_clusters))
+    chunk = max_batch_size(num_clusters)
     if worker_count > 1:
         per_worker = -(-iterations // (worker_count * CHUNKS_PER_WORKER))
         chunk = min(chunk, max(1, per_worker))

@@ -27,15 +27,14 @@ from repro.utils.validation import check_non_negative
 def rank_layout(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cluster coordinator ranks plus each rank's cluster and local index.
 
-    A grid numbers each cluster's ranks contiguously from its coordinator,
-    so a rank's local index is its offset from that coordinator.
+    A grid numbers each cluster's ranks contiguously from its coordinator
+    (:attr:`~repro.topology.grid.Grid.rank_offsets`), so a rank's local
+    index is its offset from that coordinator.  This is the one array form
+    of the rank -> cluster map.
     """
-    clusters = grid.clusters
-    sizes = np.array([cluster.size for cluster in clusters], dtype=np.int64)
-    coordinators = np.array(
-        [cluster.coordinator.rank for cluster in clusters], dtype=np.int64
-    )
-    cluster_of = np.repeat(np.arange(len(clusters)), sizes)
+    offsets = grid.rank_offsets
+    coordinators = offsets[:-1]
+    cluster_of = np.repeat(np.arange(grid.num_clusters), np.diff(offsets))
     return coordinators, cluster_of, np.arange(grid.num_nodes) - coordinators[cluster_of]
 
 

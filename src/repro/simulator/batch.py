@@ -190,12 +190,12 @@ class _PairTables:
     __slots__ = ("grid", "num_clusters", "cluster_of", "gaps", "latency")
 
     def __init__(self, grid: Grid) -> None:
+        # Imported here: repro.mpi imports this package.
+        from repro.mpi.bcast import rank_layout
+
         self.grid = grid
         self.num_clusters = grid.num_clusters
-        self.cluster_of = np.array(
-            [grid.cluster_of_rank(rank) for rank in range(grid.num_nodes)],
-            dtype=np.int64,
-        )
+        self.cluster_of = rank_layout(grid)[1]
         self.gaps: dict[float, np.ndarray] = {}
         self.latency = np.full(self.num_clusters**2, np.nan)
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.validation import check_probability
@@ -117,6 +116,8 @@ def identify_logical_clusters(
     for index in range(count):
         off_diagonal = np.delete(matrix[index], index)
         best_latency[index] = off_diagonal.min() if off_diagonal.size else 0.0
+
+    import networkx as nx  # imported on use: loading it dominates start-up
 
     graph = nx.Graph()
     graph.add_nodes_from(range(count))

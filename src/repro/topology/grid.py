@@ -5,15 +5,17 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.model.plogp import GapFunction, PLogPParameters
 from repro.topology.cluster import Cluster
 from repro.topology.node import Node
 from repro.utils.validation import check_non_negative
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads on first export only
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,8 @@ class Grid:
             np.asarray(sizes) > 1, fixed_broadcast_times, 0.0
         )
         self._first_ranks = [0, *accumulate(sizes)]
-        for array in (self._latency, self._gap, self._fixed_times, self._local_times):
-            array.setflags(write=False)
+        self._rank_offsets = np.array(self._first_ranks, dtype=np.int64)
+        self._freeze_arrays()
         self._clusters: list[Optional[Cluster]] = (
             [None] * len(sizes) if clusters is None else list(clusters)
         )
@@ -204,7 +206,16 @@ class Grid:
     def __setstate__(self, state: dict[str, Any]) -> None:
         # Unpickled arrays come back writable.
         self.__dict__.update(state)
-        for array in (self._latency, self._gap, self._fixed_times, self._local_times):
+        self._freeze_arrays()
+
+    def _freeze_arrays(self) -> None:
+        for array in (
+            self._latency,
+            self._gap,
+            self._fixed_times,
+            self._local_times,
+            self._rank_offsets,
+        ):
             array.setflags(write=False)
 
     # -- basic accessors ---------------------------------------------------------
@@ -218,6 +229,16 @@ class Grid:
     def num_nodes(self) -> int:
         """Total number of machines across all clusters."""
         return self._first_ranks[-1]
+
+    @property
+    def rank_offsets(self) -> np.ndarray:
+        """Read-only ``(num_clusters + 1,)`` array of cluster rank offsets.
+
+        Cluster ``c`` owns the contiguous ranks ``rank_offsets[c]`` up to
+        ``rank_offsets[c + 1]``; its coordinator is the first of them, and
+        the last entry is :attr:`num_nodes`.
+        """
+        return self._rank_offsets
 
     @property
     def clusters(self) -> list[Cluster]:
@@ -374,6 +395,8 @@ class Grid:
         visualisation and for sanity checks with networkx's own tree
         algorithms.
         """
+        import networkx as nx
+
         graph = nx.Graph(name=self.name)
         for cluster in self.clusters:
             graph.add_node(

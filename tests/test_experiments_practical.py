@@ -162,6 +162,70 @@ class TestDeterminism:
             run_practical_study(config, grid=heterogeneous_grid)
 
 
+class TestBatchedScheduling:
+    """The batched scheduling path against its per-size reference twin."""
+
+    def test_scalar_engine_never_calls_batched_schedules(self, monkeypatch):
+        import repro.experiments.practical_study as module
+
+        def spy(*args, **kwargs):
+            raise AssertionError("the scalar engine must schedule size by size")
+
+        monkeypatch.setattr(module, "batched_schedules", spy)
+        config = PracticalStudyConfig(message_sizes=(1_024, 65_536))
+        result = run_practical_study(config, engine="scalar")
+        assert np.all(result.predicted > 0)
+
+    def test_batched_equals_scalar_with_declined_heuristics(self, monkeypatch):
+        """A line-up mixing exact kernels with heuristics the batched path
+        declines (exhaustive search, an average-based lookahead)."""
+        from repro.core import registry
+        from repro.core.ecef import ECEFLookahead
+        from repro.core.lookahead import average_latency_lookahead
+
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            "ecef_la_average",
+            lambda: ECEFLookahead(
+                average_latency_lookahead,
+                key="ecef_la_average",
+                display_name="ECEF-LA (average)",
+            ),
+        )
+        config = PracticalStudyConfig(
+            message_sizes=(0, 65_536, 1_048_576, 4_194_304),
+            heuristics=("optimal", "mixed", "ecef_la_average", "fef"),
+            root_cluster=2,
+        )
+        batched = run_practical_study(config, replicas=2)
+        scalar = run_practical_study(config, replicas=2, engine="scalar")
+        assert np.array_equal(batched.predicted, scalar.predicted)
+        assert np.array_equal(batched.measured_replicas, scalar.measured_replicas)
+        assert np.array_equal(batched.baseline_replicas, scalar.baseline_replicas)
+
+    def test_size_chunks_do_not_change_results(self, monkeypatch):
+        import repro.core.batch
+        import repro.experiments.practical_study as module
+
+        config = PracticalStudyConfig()
+        whole = run_practical_study(config)
+        calls = []
+
+        def counting(heuristic, costs, **kwargs):
+            calls.append(costs.num_grids)
+            return repro.core.batch.batched_schedules(heuristic, costs, **kwargs)
+
+        monkeypatch.setattr(module, "batched_schedules", counting)
+        # Three message sizes of the 6-cluster grid per stack.
+        monkeypatch.setattr(repro.core.batch, "MAX_BATCH_ELEMENTS", 3 * 6 * 6)
+        chunked = run_practical_study(config)
+        heuristics = len(config.heuristics)
+        assert calls == [3] * 3 * heuristics + [1] * heuristics
+        assert np.array_equal(whole.predicted, chunked.predicted)
+        assert np.array_equal(whole.measured_replicas, chunked.measured_replicas)
+        assert np.array_equal(whole.baseline_replicas, chunked.baseline_replicas)
+
+
 class TestPredictionErrorNaN:
     def test_zero_size_on_single_node_grid_yields_nan(self):
         """A degenerate run with zero measured time must produce NaN, not a

@@ -72,7 +72,7 @@ class TestBatchedDriver:
         assert np.array_equal(study.makespans, expected)
 
     def test_chunking_does_not_change_results(self, monkeypatch):
-        import repro.experiments.simulation_study as module
+        import repro.core.batch as module
 
         config = SimulationStudyConfig(cluster_counts=(5,), iterations=11, seed=3)
         whole = run_simulation_study(config)

@@ -1229,3 +1229,142 @@ class TestArrayGridEquivalence:
         ]
         with pytest.raises(ValueError):
             Grid(clusters, complete_links(latencies, gaps))
+
+
+# ---------------------------------------------------------------------------
+# batched schedules: K message sizes of one grid in one kernel call
+# ---------------------------------------------------------------------------
+
+from repro.core.base import SchedulingState
+from repro.core.batch import batched_schedules
+from repro.core.ecef import ECEFLookahead
+from repro.core.lookahead import average_informed_lookahead, average_latency_lookahead
+
+#: Every registered heuristic with an exact batched kernel.
+EXACT_KERNEL_HEURISTICS = (*PAPER_HEURISTICS, "mixed")
+
+#: A few round values, so that equal costs (and tied scores) are common.
+tie_prone = st.sampled_from([0.01, 0.02, 0.04])
+
+
+@st.composite
+def sized_grids(draw, max_clusters: int = 12) -> Grid:
+    """Grids of 1..max_clusters clusters whose gaps are constant or grow
+    with the message size, with tie-prone and arbitrary parameters."""
+    count = draw(st.integers(min_value=1, max_value=max_clusters))
+    clusters = [
+        Cluster(
+            cluster_id=index,
+            size=draw(st.integers(min_value=1, max_value=3)),
+            fixed_broadcast_time=draw(st.one_of(tie_prone, broadcast_times)),
+        )
+        for index in range(count)
+    ]
+    links = {}
+    for i in range(count):
+        for j in range(i + 1, count):
+            latency = draw(st.one_of(tie_prone, latencies))
+            if draw(st.booleans()):
+                gap = GapFunction.from_bandwidth(
+                    overhead=draw(st.one_of(tie_prone, gaps)),
+                    bandwidth=draw(st.sampled_from([1e6, 1e7, 1.25e8])),
+                )
+                links[(i, j)] = InterClusterLink(latency=latency, gap=gap)
+            else:
+                gap = draw(st.one_of(tie_prone, gaps))
+                links[(i, j)] = InterClusterLink.from_values(latency=latency, gap=gap)
+    return Grid(clusters, links)
+
+
+def schedule_fields(schedule) -> tuple:
+    """Every field of a schedule, asserting each is a plain Python value."""
+    transfers = [
+        (t.sender, t.receiver, t.start_time, t.sender_release_time,
+         t.arrival_time, t.gap, t.latency)
+        for t in schedule.transfers
+    ]
+    for sender, receiver, *times in transfers:
+        assert type(sender) is int and type(receiver) is int
+        assert all(type(value) is float for value in times)
+    vectors = (
+        schedule.arrival_times, schedule.local_start_times, schedule.completion_times
+    )
+    assert all(type(value) is float for vector in vectors for value in vector)
+    return (
+        schedule.root,
+        schedule.num_clusters,
+        float(schedule.message_size),
+        schedule.heuristic_name,
+        transfers,
+        *vectors,
+    )
+
+
+class TestBatchedScheduleEquivalence:
+    """For ALL grids, message-size lists and roots, one batched kernel call
+    yields exactly the schedules the per-grid engine builds one size at a
+    time — and exactly what timing their orders gives."""
+
+    @given(
+        grid=sized_grids(),
+        sizes=st.lists(
+            st.one_of(st.sampled_from([0, 65_536, 1_048_576]), message_sizes),
+            min_size=1,
+            max_size=5,
+        ),
+        key=st.sampled_from(EXACT_KERNEL_HEURISTICS),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batched_schedules_equal_per_grid_schedules(self, grid, sizes, key, data):
+        root = data.draw(st.integers(min_value=0, max_value=grid.num_clusters - 1))
+        heuristic = get_heuristic(key)
+        caches = [GridCostCache.for_grid(grid, size) for size in sizes]
+        batched = batched_schedules(heuristic, BatchedGridCosts(caches), root=root)
+        assert batched is not None, f"{key} lost its exact batched kernel"
+        assert len(batched) == len(sizes)
+        for size, costs, schedule in zip(sizes, caches, batched):
+            reference = heuristic.schedule(grid, size, root=root, costs=costs)
+            assert schedule_fields(schedule) == schedule_fields(reference)
+            assert type(schedule.message_size) is float
+            assert schedule == evaluate_order(
+                grid, size, root, schedule.order, heuristic_name=heuristic.name
+            )
+
+    def test_single_cluster_grid_has_no_transfers(self):
+        grid = Grid([Cluster(cluster_id=0, size=3, fixed_broadcast_time=0.2)], {})
+        caches = [GridCostCache.for_grid(grid, size) for size in (0, 1_024)]
+        for key in EXACT_KERNEL_HEURISTICS:
+            heuristic = get_heuristic(key)
+            schedules = batched_schedules(heuristic, BatchedGridCosts(caches))
+            assert [schedule.transfers for schedule in schedules] == [[], []]
+            for schedule, costs in zip(schedules, caches):
+                reference = heuristic.schedule(grid, costs.message_size, costs=costs)
+                assert schedule_fields(schedule) == schedule_fields(reference)
+
+    def test_heuristics_without_an_exact_kernel_are_declined(self):
+        from repro.core.optimal import OptimalSearch
+
+        grid = RandomGridGenerator().generate(5, RandomStream(seed=11))
+        stack = BatchedGridCosts([GridCostCache.for_grid(grid, 1_048_576)])
+        declined = [
+            OptimalSearch(),
+            ECEFLookahead(lambda state, candidate: 0.0),
+            ECEFLookahead(average_latency_lookahead),
+            ECEFLookahead(average_informed_lookahead),
+        ]
+        for heuristic in declined:
+            assert batched_schedules(heuristic, stack) is None
+
+    def test_caches_of_another_grid_are_rejected_like_the_per_grid_state(self):
+        generator = RandomGridGenerator()
+        grid, other = (
+            generator.generate(4, RandomStream(seed=seed)) for seed in (1, 2)
+        )
+        foreign = GridCostCache.for_grid(other, 1_024)
+        with pytest.raises(ValueError) as per_grid:
+            SchedulingState(grid=grid, message_size=1_024, root=0, costs=foreign)
+        stack = BatchedGridCosts([GridCostCache.for_grid(grid, 0), foreign])
+        with pytest.raises(ValueError) as batched:
+            batched_schedules(get_heuristic("ecef"), stack)
+        assert str(batched.value) == str(per_grid.value)

@@ -58,6 +58,19 @@ class TestGridConstruction:
         assert grid.cluster_of_rank(5) == 1
         assert grid.cluster_of_rank(11) == 2
 
+    def test_rank_offsets_are_read_only_and_survive_pickling(self):
+        import pickle
+
+        clusters = [
+            Cluster(cluster_id=i, size=i + 1, fixed_broadcast_time=0.1)
+            for i in range(3)
+        ]
+        grid = Grid(clusters, full_links(3))
+        restored = pickle.loads(pickle.dumps(grid))
+        for candidate in (grid, restored):
+            assert candidate.rank_offsets.tolist() == [0, 1, 3, 6]
+            assert not candidate.rank_offsets.flags.writeable
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Grid([], {})
