@@ -25,9 +25,9 @@
 
 Worker counts default to the ``REPRO_MC_WORKERS`` / ``REPRO_PRACTICAL_WORKERS``
 environment variables with the shared ``REPRO_WORKERS`` fallback; the fan-out
-lane defaults to ``REPRO_EXECUTOR`` (see ``--executor``: threads skip
-shipping entirely, processes ship through the study runtime — shared memory
-when available, see ``practical --transport``).
+lane defaults to ``REPRO_EXECUTOR`` (see ``--executor``: processes ship
+through the study runtime — shared memory when available, see ``practical
+--transport`` — and auto keeps small batches inline).
 
 Every option's help string states its effective default; ``tests/test_cli.py``
 asserts help text and parser defaults stay in sync.
@@ -58,6 +58,7 @@ from repro.experiments.gossip_study import GossipStudyConfig, run_gossip_study
 from repro.experiments.report import render_series_table, render_table
 from repro.experiments.simulation_study import run_simulation_study
 from repro.gossip.spec import GOSSIP_PROTOCOLS, ChurnSpec
+from repro.runtime.chunking import EXECUTORS
 from repro.topology.generators import RandomGridGenerator
 from repro.topology.grid5000 import build_grid5000_topology
 from repro.utils.rng import RandomStream
@@ -66,12 +67,12 @@ from repro.utils.rng import RandomStream
 def _add_executor_option(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--executor",
-        choices=("auto", "thread", "process", "remote"),
+        choices=EXECUTORS,
         default=None,
-        help="worker fan-out lane: threads read parent arrays in place (no "
-        "shipping), processes get their tasks shipped, remote ships chunks to "
-        "the worker agents of --hosts; auto picks threads for small batches "
-        "(default: REPRO_EXECUTOR, then auto)",
+        help="worker fan-out lane: processes get their tasks shipped, remote "
+        "ships chunks to the worker agents of --hosts; auto runs small "
+        "batches inline and the rest on processes (default: REPRO_EXECUTOR, "
+        "then auto)",
     )
     sub_parser.add_argument(
         "--hosts",

@@ -33,20 +33,15 @@ import numpy as np
 from repro.core.costs import GridCostCache
 from repro.core.registry import instantiate
 from repro.experiments.config import PracticalStudyConfig
-from repro.experiments.practical_study import (
-    PRACTICAL_WORKERS_ENV_VAR,
-    _check_engine,
-)
+from repro.experiments.practical_study import _check_engine, _measure
 from repro.mpi.alltoall import grid_aware_alltoall_program
 from repro.mpi.bcast import grid_aware_bcast_program
 from repro.mpi.scatter import grid_aware_scatter_program
-from repro.runtime.pool import engage_remote_lane
-from repro.simulator.batch import ExecutionTask, execute_programs
+from repro.simulator.batch import ExecutionTask
 from repro.simulator.network import NetworkConfig
 from repro.topology.grid import Grid
 from repro.topology.grid5000 import build_grid5000_topology
 from repro.utils.rng import derive_seed
-from repro.utils.workers import resolve_workers
 
 #: Collectives a pipeline stage can name.
 CHAIN_COLLECTIVES = ("bcast", "scatter", "alltoall")
@@ -191,8 +186,8 @@ def run_chained_study(
     engine:
         ``"batched"`` (default) or the scalar reference.
     executor:
-        Fan-out lane — ``"thread"`` / ``"process"`` / ``"remote"`` /
-        ``"auto"`` (default via ``REPRO_EXECUTOR``); see
+        Fan-out lane — ``"process"`` / ``"remote"`` / ``"auto"`` (default
+        via ``REPRO_EXECUTOR``); see
         :func:`~repro.simulator.batch.execute_programs`.  Chains stay
         atomic on every lane — a warm pipeline never spans two workers or
         two agents.  Bit-identical either way.
@@ -205,8 +200,8 @@ def run_chained_study(
         ``REPRO_HOSTS``, then to auto-spawned loopback agents.
     pool:
         An explicit runtime pool of any lane; defaults to the process-wide
-        persistent pool of the chosen lane (a passed pool's ``kind`` wins
-        over ``executor``).
+        persistent pool of the chosen lane (a passed pool decides the lane,
+        overriding ``executor``).
     """
     config = config if config is not None else PracticalStudyConfig()
     grid = grid if grid is not None else build_grid5000_topology()
@@ -220,10 +215,6 @@ def run_chained_study(
             )
     if not stages:
         raise ValueError("stages must not be empty")
-    worker_count = resolve_workers(workers, PRACTICAL_WORKERS_ENV_VAR)
-    pool, worker_count = engage_remote_lane(
-        pool, executor, workers, worker_count, hosts
-    )
 
     sequence = list(stages) * repeat
     counts: dict[str, int] = {}
@@ -261,17 +252,11 @@ def run_chained_study(
             for stage_index, program in enumerate(programs)
         )
 
-    executions = execute_programs(
+    executions = _measure(
         grid,
         tasks,
-        config=NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed),
-        collect_traces=False,
-        workers=worker_count,
-        engine=engine,
-        executor=executor,
-        transport=transport,
-        pool=pool,
-        hosts=hosts,
+        NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed),
+        workers, engine, executor, transport, pool, hosts,
     )
     num_stages = len(sequence)
     makespans = np.array(

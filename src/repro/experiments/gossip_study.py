@@ -24,8 +24,8 @@ import numpy as np
 from repro.gossip.engine import DEFAULT_GOSSIP_PARAMS, run_gossip
 from repro.gossip.spec import GOSSIP_PROTOCOLS, MAX_ROUNDS, ChurnSpec, GossipSpec
 from repro.model.plogp import PLogPParameters
-from repro.runtime.chunking import choose_executor, gossip_cost
-from repro.runtime.pool import engage_remote_lane, get_pool
+from repro.runtime.chunking import gossip_cost
+from repro.runtime.pool import choose_lane
 from repro.utils.rng import DEFAULT_SEED, derive_seed
 from repro.utils.validation import check_non_negative, check_positive
 from repro.utils.workers import resolve_workers
@@ -239,20 +239,18 @@ def run_gossip_study(
         ``None`` consults the ``REPRO_GOSSIP_WORKERS`` environment variable,
         then the shared ``REPRO_WORKERS``; ``0``/``1`` run in-process.
     executor:
-        Fan-out lane: ``"thread"``, ``"process"``, ``"remote"`` (cells framed
-        over sockets to the worker agents named by ``hosts`` /
-        ``REPRO_HOSTS``), or ``"auto"`` — threads when the study's total
-        estimated cost (node-rounds, via
-        :func:`repro.runtime.chunking.gossip_cost`) is too small to amortise
-        process shipping, processes otherwise.  ``None`` consults
-        ``REPRO_EXECUTOR``, then defaults to ``"auto"``.  Every lane is
-        bit-identical.
+        Fan-out lane: ``"process"``, ``"remote"`` (cells framed over
+        sockets to the worker agents named by ``hosts`` / ``REPRO_HOSTS``),
+        or ``"auto"`` — inline when the study's total estimated cost
+        (node-rounds, via :func:`repro.runtime.chunking.gossip_cost`) is
+        too small to amortise process shipping, processes otherwise.
+        ``None`` consults ``REPRO_EXECUTOR``, then defaults to ``"auto"``.
+        Every lane is bit-identical.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
-        :class:`~repro.runtime.pool.ThreadStudyPool` /
         :class:`~repro.runtime.remote.RemoteStudyPool`; defaults to the
-        process-wide persistent pool of the chosen lane (a passed pool's
-        ``kind`` wins over ``executor``).
+        process-wide persistent pool of the chosen lane (a passed pool
+        decides the lane, overriding ``executor``).
     hosts:
         Remote-lane agent addresses (``"host:port,host:port"``); only
         consulted when the remote lane is engaged.  ``None`` falls back to
@@ -273,17 +271,12 @@ def run_gossip_study(
     ]
 
     worker_count = resolve_workers(workers, WORKERS_ENV_VAR)
-    pool, worker_count = engage_remote_lane(
-        pool, executor, workers, worker_count, hosts
+    pool, _ = choose_lane(
+        executor, workers, worker_count, sum(cell_units), pool=pool, hosts=hosts
     )
-    if worker_count > 1 and len(tasks) > 1:
-        if pool is not None:
-            study_pool = pool
-        else:
-            lane = choose_executor(executor, sum(cell_units))
-            study_pool = get_pool(worker_count, kind=lane, hosts=hosts)
+    if pool is not None and len(tasks) > 1:
         handles = [
-            study_pool.submit(_gossip_cell_task, task, units=units)
+            pool.submit(_gossip_cell_task, task, units=units)
             for task, units in zip(tasks, cell_units)
         ]
         for handle in handles:

@@ -53,7 +53,8 @@ from repro.experiments.config import PracticalStudyConfig
 from repro.mpi.alltoall import direct_alltoall_program, grid_aware_alltoall_program
 from repro.mpi.bcast import binomial_bcast_program, grid_aware_bcast_program
 from repro.mpi.scatter import flat_scatter_program, grid_aware_scatter_program
-from repro.runtime.pool import engage_remote_lane
+from repro.runtime.chunking import program_cost, resolve_executor
+from repro.runtime.pool import choose_lane
 from repro.simulator.batch import ENGINES, ExecutionTask, execute_programs
 from repro.simulator.network import NetworkConfig
 from repro.topology.grid import Grid
@@ -78,6 +79,46 @@ def _check_engine(engine: str) -> None:
 def _check_replicas(replicas: int) -> None:
     if isinstance(replicas, bool) or not isinstance(replicas, int) or replicas < 1:
         raise ValueError(f"replicas must be an integer >= 1, got {replicas!r}")
+
+
+def _measure(
+    grid: Grid,
+    tasks: list[ExecutionTask],
+    network_config: NetworkConfig,
+    workers: int | None,
+    engine: str,
+    executor: str | None,
+    transport: str | None,
+    pool,
+    hosts: str | None,
+) -> list:
+    """Execute a measured sweep on the lane :func:`choose_lane` picks for it.
+
+    The lane is decided here, once, from the built programs' exact message
+    counts and handed to :func:`execute_programs` as an explicit pool
+    (``workers=0`` when the sweep runs inline).
+    """
+    worker_count = resolve_workers(workers, PRACTICAL_WORKERS_ENV_VAR)
+    pool, worker_count = choose_lane(
+        executor,
+        workers,
+        worker_count,
+        sum(program_cost(task.program) for task in tasks),
+        pool=pool,
+        transport=transport,
+        hosts=hosts,
+    )
+    return execute_programs(
+        grid,
+        tasks,
+        config=network_config,
+        collect_traces=False,
+        workers=worker_count if pool is not None else 0,
+        engine=engine,
+        executor=executor,
+        transport=transport,
+        pool=pool,
+    )
 
 
 def _replica_seed(seed: int, label: str, size: int, replica: int, replicas: int) -> int:
@@ -276,14 +317,13 @@ def run_practical_study(
         results — the scalar path (per-size scheduling, scalar simulator)
         exists as the reference for equivalence tests and benchmarks.
     executor:
-        Fan-out lane: ``"thread"`` (no shipping — workers read the parent's
-        compiled arrays in place), ``"process"``, ``"remote"`` (compiled
-        batches framed over sockets to the worker agents named by ``hosts``
-        / ``REPRO_HOSTS``, loopback agents otherwise), or ``"auto"``
-        (threads for sweeps too small to amortise shipping, processes
-        otherwise; naming a ``transport`` pins auto to processes; auto
-        never picks remote).  ``None`` consults ``REPRO_EXECUTOR``, then
-        defaults to ``"auto"``.  Every lane is bit-identical.
+        Fan-out lane: ``"process"``, ``"remote"`` (compiled batches framed
+        over sockets to the worker agents named by ``hosts`` /
+        ``REPRO_HOSTS``, loopback agents otherwise), or ``"auto"`` (inline
+        for sweeps too small to amortise shipping, processes otherwise;
+        naming a ``transport`` pins auto to processes; auto never picks
+        remote).  ``None`` consults ``REPRO_EXECUTOR``, then defaults to
+        ``"auto"``.  Every lane is bit-identical.
     replicas:
         Number of independent noisy measurements per curve point.  The
         result's ``measured`` columns become replica means and the raw
@@ -292,13 +332,12 @@ def run_practical_study(
         bit for bit.
     transport:
         How batches reach process workers: ``"auto"`` (default), ``"shm"``
-        or ``"pickle"``.  Ignored on the thread lane, which ships nothing.
+        or ``"pickle"``.  Ignored inline, where nothing ships.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
-        :class:`~repro.runtime.pool.ThreadStudyPool` /
         :class:`~repro.runtime.remote.RemoteStudyPool`; defaults to the
-        process-wide persistent pool of the chosen lane (a passed pool's
-        ``kind`` wins over ``executor``).
+        process-wide persistent pool of the chosen lane (a passed pool
+        decides the lane, overriding ``executor``).
     hosts:
         Remote-lane agent addresses (``"host:port,host:port"``); only
         consulted when the remote lane is engaged.  ``None`` falls back to
@@ -306,12 +345,10 @@ def run_practical_study(
     """
     config = config if config is not None else PracticalStudyConfig()
     grid = grid if grid is not None else build_grid5000_topology()
-    # Resolve the fan-out (and implicitly validate the env vars) up front so
-    # a bad setting fails before the prediction sweep, not after it.
-    worker_count = resolve_workers(workers, PRACTICAL_WORKERS_ENV_VAR)
-    pool, worker_count = engage_remote_lane(
-        pool, executor, workers, worker_count, hosts
-    )
+    # Validate the fan-out settings (and the env vars behind them) up front
+    # so a bad setting fails before the prediction sweep, not after it.
+    resolve_workers(workers, PRACTICAL_WORKERS_ENV_VAR)
+    resolve_executor(executor)
     _check_engine(engine)
     _check_replicas(replicas)
     heuristics = instantiate(config.heuristics)
@@ -364,17 +401,9 @@ def run_practical_study(
                 )
                 slots.append((replica, size_index, heuristic_index))
 
-    executions = execute_programs(
-        grid,
-        all_tasks,
-        config=network_config,
-        collect_traces=False,
-        workers=worker_count,
-        engine=engine,
-        executor=executor,
-        transport=transport,
-        pool=pool,
-        hosts=hosts,
+    executions = _measure(
+        grid, all_tasks, network_config, workers, engine, executor, transport,
+        pool, hosts,
     )
     for (replica, size_index, heuristic_index), execution in zip(slots, executions):
         if heuristic_index is None:
@@ -467,15 +496,10 @@ def _run_collective_study(
     ``strategies`` maps display names to ``builder(grid, chunk_size)``
     callables returning a :class:`CommunicationProgram`; the programs' own
     ``initially_active`` metadata (all ranks for all-to-all) flows through the
-    batched executor untouched.  The executor lane and chunk sizes resolve in
-    :func:`~repro.simulator.batch.execute_programs` from the built programs'
-    exact message counts (an all-to-all task is ~20x a scatter task, so
-    cost-balanced chunking matters most here).
+    batched executor untouched.  The executor lane and chunk sizes resolve
+    from the built programs' exact message counts (an all-to-all task is
+    ~20x a scatter task, so cost-balanced chunking matters most here).
     """
-    worker_count = resolve_workers(workers, PRACTICAL_WORKERS_ENV_VAR)
-    pool, worker_count = engage_remote_lane(
-        pool, executor, workers, worker_count, hosts
-    )
     _check_engine(engine)
     sizes = list(config.message_sizes)
     tasks: list[ExecutionTask] = []
@@ -487,17 +511,11 @@ def _run_collective_study(
                     noise_seed=derive_seed(config.seed, collective, name, message_size),
                 )
             )
-    executions = execute_programs(
+    executions = _measure(
         grid,
         tasks,
-        config=NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed),
-        collect_traces=False,
-        workers=worker_count,
-        engine=engine,
-        executor=executor,
-        transport=transport,
-        pool=pool,
-        hosts=hosts,
+        NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed),
+        workers, engine, executor, transport, pool, hosts,
     )
     measured = np.array(
         [execution.makespan for execution in executions], dtype=float
@@ -531,7 +549,7 @@ def run_scatter_study(
 
     ``workers`` defaults from ``REPRO_PRACTICAL_WORKERS`` then the shared
     ``REPRO_WORKERS``; ``executor``
-    (``"thread"``/``"process"``/``"remote"``/``"auto"``, default from
+    (``"process"``/``"remote"``/``"auto"``, default from
     ``REPRO_EXECUTOR``) picks the fan-out lane; ``transport``, ``hosts``
     (default from ``REPRO_HOSTS``) and ``pool`` behave as in
     :func:`~repro.simulator.batch.execute_programs`.  Results are
@@ -589,7 +607,7 @@ def run_alltoall_study(
 
     ``workers`` defaults from ``REPRO_PRACTICAL_WORKERS`` then the shared
     ``REPRO_WORKERS``; ``executor``
-    (``"thread"``/``"process"``/``"remote"``/``"auto"``, default from
+    (``"process"``/``"remote"``/``"auto"``, default from
     ``REPRO_EXECUTOR``) picks the fan-out lane; ``transport``, ``hosts``
     (default from ``REPRO_HOSTS``) and ``pool`` behave as in
     :func:`~repro.simulator.batch.execute_programs`.  Results are

@@ -38,8 +38,7 @@ from repro.core.batch import (
 from repro.core.costs import GridCostCache
 from repro.core.registry import instantiate
 from repro.experiments.config import SimulationStudyConfig
-from repro.runtime.chunking import choose_executor
-from repro.runtime.pool import engage_remote_lane, get_pool
+from repro.runtime.pool import choose_lane
 from repro.topology.generators import RandomGridGenerator
 from repro.utils.rng import RandomStream
 from repro.utils.workers import resolve_workers
@@ -224,22 +223,20 @@ def run_simulation_study(
         variable, then the shared ``REPRO_WORKERS``; ``0``/``1`` run
         in-process.
     executor:
-        Fan-out lane: ``"thread"`` (chunks pass to worker threads by
-        reference — no pickling, no shipping), ``"process"``, ``"remote"``
-        (chunks framed over sockets to the worker agents named by ``hosts``
-        / ``REPRO_HOSTS``, loopback agents otherwise), or ``"auto"`` —
-        threads when the study's total estimated cost
-        (``iterations * clusters**2`` stacked-matrix cells) is too small to
-        amortise process shipping, processes otherwise (auto never picks
-        remote).  ``None`` consults ``REPRO_EXECUTOR``, then defaults to
-        ``"auto"``.  Every lane ships chunk *seeds* and lets the worker
-        regenerate its grids, and every lane is bit-identical.
+        Fan-out lane: ``"process"``, ``"remote"`` (chunks framed over
+        sockets to the worker agents named by ``hosts`` / ``REPRO_HOSTS``,
+        loopback agents otherwise), or ``"auto"`` — inline when the study's
+        total estimated cost (``iterations * clusters**2`` stacked-matrix
+        cells) is too small to amortise process shipping, processes
+        otherwise (auto never picks remote).  ``None`` consults
+        ``REPRO_EXECUTOR``, then defaults to ``"auto"``.  Every lane ships
+        chunk *seeds* and lets the worker regenerate its grids, and every
+        lane is bit-identical.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
-        :class:`~repro.runtime.pool.ThreadStudyPool` /
         :class:`~repro.runtime.remote.RemoteStudyPool`; defaults to the
-        process-wide persistent pool of the chosen lane (a passed pool's
-        ``kind`` wins over ``executor``).
+        process-wide persistent pool of the chosen lane (a passed pool
+        decides the lane, overriding ``executor``).
     hosts:
         Remote-lane agent addresses (``"host:port,host:port"``); only
         consulted when the remote lane is engaged.  ``None`` falls back to
@@ -255,46 +252,47 @@ def run_simulation_study(
     )
 
     worker_count = resolve_workers(workers, WORKERS_ENV_VAR)
-    pool, worker_count = engage_remote_lane(
-        pool, executor, workers, worker_count, hosts
+    # Cost prior: one unit per stacked scheduling-matrix cell.
+    pool, worker_count = choose_lane(
+        executor,
+        workers,
+        worker_count,
+        config.iterations * sum(clusters * clusters for clusters in counts),
+        pool=pool,
+        hosts=hosts,
     )
     tasks = []
+    task_units = []
     for count_index, num_clusters in enumerate(counts):
         seeds = [parent_stream.spawn_seed() for _ in range(config.iterations)]
         chunk = _chunk_size(num_clusters, config.iterations, worker_count)
         for start in range(0, config.iterations, chunk):
+            chunk_seeds = seeds[start : start + chunk]
+            task_units.append(float(len(chunk_seeds) * num_clusters * num_clusters))
             tasks.append(
                 (
                     count_index,
                     start,
                     heuristic_keys,
                     num_clusters,
-                    seeds[start : start + chunk],
+                    chunk_seeds,
                     config.message_size,
                     config.root_cluster,
                     config.ranges,
                 )
             )
 
-    if worker_count > 1 and len(tasks) > 1:
-        study_pool = pool
-        if study_pool is None:
-            # Cost prior: one unit per stacked scheduling-matrix cell.
-            total_units = config.iterations * sum(
-                num_clusters * num_clusters for num_clusters in counts
-            )
-            lane = choose_executor(executor, total_units)
-            study_pool = get_pool(worker_count, kind=lane, hosts=hosts)
-        # Seed shipping; on the thread lane "shipping" is a by-reference
-        # argument pass — the worker still regenerates its chunk's grids,
-        # which is what keeps the thread and process lanes bit-identical.
-        results = study_pool.imap_unordered(_evaluate_chunk_task, tasks)
-        for count_index, start, values in results:
-            makespans[count_index, :, start : start + values.shape[1]] = values
+    if pool is not None and len(tasks) > 1:
+        # Seed shipping: each worker regenerates its chunk's grids.
+        handles = [
+            pool.submit(_evaluate_chunk_task, task, units=units)
+            for task, units in zip(tasks, task_units)
+        ]
+        results = (handle.get() for handle in handles)
     else:
-        for task in tasks:
-            count_index, start, values = _evaluate_chunk_task(task)
-            makespans[count_index, :, start : start + values.shape[1]] = values
+        results = (_evaluate_chunk_task(task) for task in tasks)
+    for count_index, start, values in results:
+        makespans[count_index, :, start : start + values.shape[1]] = values
 
     return SimulationStudyResult(
         config=config,

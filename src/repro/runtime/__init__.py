@@ -8,22 +8,21 @@ cost matrices and compiled programs re-pickled per chunk.  This package is
 the subsystem that removes them, shared by every study driver and the CLI:
 
 * :mod:`repro.runtime.pool` — :class:`~repro.runtime.pool.StudyPool` (the
-  process lane) and :class:`~repro.runtime.pool.ThreadStudyPool` (the thread
-  lane: same submit/collect contract, workers read the parent's arrays in
-  place, nothing ships), both persistent — created once per process and
-  reused across studies (per-task seed derivation keeps results
-  bit-identical for any lane, pool lifetime, submission order or worker
-  count);
+  process lane), persistent — created once per process and reused across
+  studies (per-task seed derivation keeps results bit-identical for any
+  lane, pool lifetime, submission order or worker count) — and
+  :func:`~repro.runtime.pool.choose_lane`, the one place a fan-out decides
+  between inline, process and remote (``executor="auto"|"process"|"remote"``;
+  auto keeps batches too small to amortise shipping inline);
 * :mod:`repro.runtime.transport` —
   :class:`~repro.runtime.transport.ArrayShipment`, zero-copy shipping of
   ``(K, n, n)`` cost stacks and compiled program arrays through
   :mod:`multiprocessing.shared_memory` (pickle fallback on platforms
-  without it); process lane only — the thread lane needs no transport;
+  without it);
 * :mod:`repro.runtime.chunking` — cost-aware chunk sizing
   (:func:`~repro.runtime.chunking.partition_by_cost`,
-  :class:`~repro.runtime.chunking.CostModel`) and executor selection
-  (:func:`~repro.runtime.chunking.choose_executor`,
-  ``executor="thread"|"process"|"auto"``);
+  :class:`~repro.runtime.chunking.CostModel`) and the cost priors the lane
+  decision prices batches with;
 * :mod:`repro.runtime.wire` / :mod:`repro.runtime.remote` — the
   **distributed lane** (``executor="remote"``):
   :class:`~repro.runtime.remote.RemoteStudyPool` serves the same
@@ -43,12 +42,11 @@ the subsystem that removes them, shared by every study driver and the CLI:
 Worker counts everywhere resolve through
 :func:`repro.utils.workers.resolve_workers` (``REPRO_MC_WORKERS`` /
 ``REPRO_PRACTICAL_WORKERS`` with the shared ``REPRO_WORKERS`` fallback);
-executor lanes resolve through
-:func:`repro.runtime.chunking.resolve_executor` (``REPRO_EXECUTOR``, default
-``"auto"``).
+executor lanes resolve through :func:`repro.runtime.pool.choose_lane`
+(``REPRO_EXECUTOR``, default ``"auto"``).
 """
 
-from repro.runtime.pool import StudyPool, ThreadStudyPool, get_pool, shutdown_pool
+from repro.runtime.pool import StudyPool, choose_lane, get_pool, shutdown_pool
 from repro.runtime.transport import (
     TRANSPORTS,
     ArrayShipment,
@@ -60,7 +58,6 @@ from repro.runtime.chunking import (
     EXECUTORS,
     CostModel,
     aggregate_unit_costs,
-    choose_executor,
     compiled_cost,
     load_cost_model,
     partition_by_cost,
@@ -89,7 +86,7 @@ from repro.runtime.service import (
 
 __all__ = [
     "StudyPool",
-    "ThreadStudyPool",
+    "choose_lane",
     "get_pool",
     "shutdown_pool",
     "TRANSPORTS",
@@ -100,7 +97,6 @@ __all__ = [
     "EXECUTORS",
     "CostModel",
     "aggregate_unit_costs",
-    "choose_executor",
     "compiled_cost",
     "load_cost_model",
     "partition_by_cost",

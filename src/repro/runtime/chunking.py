@@ -17,13 +17,12 @@ sizes chunks from **per-task cost** instead:
   each agent's measured units-per-second, not the prior.
 
 The same cost estimates drive **executor selection**
-(:func:`choose_executor`): ``executor="auto"`` runs small batches — the ones
-whose total estimated cost cannot amortise process-pool shipping — on the
-thread lane (:class:`~repro.runtime.pool.ThreadStudyPool`, zero shipping) and
-everything else on the process lane.  Neither chunking nor executor choice
-ever changes results: every task carries its own derived seed, so all
-partitions of all sizes on either lane are bit-identical (asserted by
-``tests/test_runtime.py``).
+(:func:`repro.runtime.pool.choose_lane`): ``executor="auto"`` runs small
+batches — the ones whose total estimated cost cannot amortise process-pool
+shipping — inline and everything else on the process lane.  Neither
+chunking nor executor choice ever changes results: every task carries its
+own derived seed, so all partitions of all sizes on every lane are
+bit-identical (asserted by ``tests/test_runtime.py``).
 """
 
 from __future__ import annotations
@@ -41,23 +40,23 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 #: Valid ``executor=`` values accepted by the runtime entry points and every
-#: study driver: ``"auto"`` (cost-based choice), ``"thread"``
-#: (:class:`~repro.runtime.pool.ThreadStudyPool`, no shipping), ``"process"``
-#: (:class:`~repro.runtime.pool.StudyPool` + transport) and ``"remote"``
-#: (:class:`~repro.runtime.remote.RemoteStudyPool` — chunks shipped over
-#: sockets to worker agents; never chosen by ``"auto"``, only explicitly).
-EXECUTORS = ("auto", "thread", "process", "remote")
+#: study driver: ``"auto"`` (cost-based choice between inline and process),
+#: ``"process"`` (:class:`~repro.runtime.pool.StudyPool` + transport) and
+#: ``"remote"`` (:class:`~repro.runtime.remote.RemoteStudyPool` — chunks
+#: shipped over sockets to worker agents; never chosen by ``"auto"``, only
+#: explicitly).
+EXECUTORS = ("auto", "process", "remote")
 
 #: Environment variable consulted when ``executor=None``; the shared way to
-#: force every study onto one lane (``REPRO_EXECUTOR=thread|process|auto``).
+#: force every study onto one lane (``REPRO_EXECUTOR=process|remote|auto``).
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
 #: An ``"auto"`` fan-out whose total estimated cost is at most this many units
-#: runs on the thread lane.  One unit is roughly one message (or one stacked
-#: scheduling-matrix cell); the threshold sits where the measured
-#: thread-vs-process crossover lands on the benchmark box (see
-#: ``benchmarks/bench_runtime.py``, section ``thread_vs_process``).
-AUTO_THREAD_MAX_UNITS = 4096
+#: runs inline.  One unit is roughly one message (or one stacked
+#: scheduling-matrix cell); below the threshold process shipping costs more
+#: than the fan-out saves (see ``benchmarks/bench_runtime.py``, section
+#: ``auto_vs_inline``).
+AUTO_INLINE_MAX_UNITS = 4096
 
 #: Prior throughput assumed before any wall-time has been observed: roughly
 #: the batched measurement engine's per-message rate.  Only used to route
@@ -91,32 +90,6 @@ def resolve_executor(executor: str | None) -> str:
     if executor not in EXECUTORS:
         raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
     return executor
-
-
-def choose_executor(
-    executor: str | None,
-    total_units: float,
-    *,
-    transport: str | None = None,
-    threshold: float = AUTO_THREAD_MAX_UNITS,
-) -> str:
-    """The concrete lane (``"thread"`` or ``"process"``) for one fan-out.
-
-    ``"auto"`` picks the thread lane when the batch's total estimated cost is
-    at most ``threshold`` units — a batch that small finishes before process
-    shipping would have amortised — and the process lane otherwise.  Naming a
-    ``transport`` pins ``"auto"`` to the process lane (transports describe
-    process shipping; the thread lane ships nothing).  Explicit
-    ``"thread"``/``"process"``/``"remote"`` always win; ``"auto"`` never
-    chooses the remote lane on its own (crossing a machine boundary is an
-    explicit decision — via ``executor="remote"`` or ``REPRO_EXECUTOR``).
-    """
-    resolved = resolve_executor(executor)
-    if resolved != "auto":
-        return resolved
-    if transport is not None:
-        return "process"
-    return "thread" if total_units <= threshold else "process"
 
 
 def program_cost(program: Any) -> int:
@@ -153,7 +126,7 @@ def compiled_cost(compiled_program: Any) -> int:
 
     Compiled programs (``repro.simulator.batch._CompiledProgram``) carry
     their flattened message list in ``dest``, so the message count is a
-    direct length.  Every dispatch path (process, thread, remote) must
+    direct length.  Every dispatch path (process, remote) must
     price tasks through this one helper so the cost prior can never diverge
     between lanes.
     """
@@ -324,7 +297,7 @@ def aggregate_unit_costs(
 
     ``units`` are the half-open ``[start, end)`` task ranges produced by
     ``repro.simulator.batch._chain_units``.  Every dispatch path (process,
-    thread, remote) aggregates through this one helper before calling
+    remote) aggregates through this one helper before calling
     :func:`partition_by_cost`, so unit pricing can never diverge between
     lanes.
     """

@@ -1,4 +1,4 @@
-"""The persistent study worker pools (process lane and thread lane).
+"""The persistent study worker pools and the one lane decision.
 
 Before the runtime layer every study call spawned (and tore down) its own
 :class:`multiprocessing.Pool`; on the Table 3 practical sweep the spawn alone
@@ -9,20 +9,12 @@ ships its own derived seed, so results are bit-identical for any pool
 lifetime, submission order or worker count — the determinism suite asserts
 exactly that across back-to-back studies on one pool.
 
-:class:`ThreadStudyPool` is the **thread lane**: the same submit/collect
-contract served by threads in the parent process.  Its win is that threads
-share the parent's address space, so the lane skips
-:class:`~repro.runtime.transport.ArrayShipment` entirely: workers read the
-parent's compiled arrays and cost stacks **in place** — no pickling, no
-shared-memory segment, no per-chunk decode, no cross-process result
-round-trip.  The measured-execution hot loop is largely Python and holds
-the GIL on today's CPython, so the lane buys *saved shipping*, not parallel
-compute — which is exactly why ``executor="auto"`` (see
-:mod:`repro.runtime.chunking`) routes only small batches here: on a batch
-too small to amortise shipping, zero shipping wins outright (a
-free-threaded build would move that crossover sharply upward).  Both lanes
-are bit-identical because the per-task seed-derivation contract is
-lane-independent.
+:func:`choose_lane` is where every fan-out decides where it runs: inline,
+on the process pool, or on the remote pool
+(:class:`~repro.runtime.remote.RemoteStudyPool`).  ``executor="auto"``
+keeps batches too small to amortise process shipping inline and sends the
+rest to processes.  All lanes are bit-identical because the per-task
+seed-derivation contract is lane-independent.
 """
 
 from __future__ import annotations
@@ -31,13 +23,13 @@ import atexit
 import multiprocessing
 import multiprocessing.pool
 import threading
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 #: ``kind`` values a study pool can report (``executor="auto"`` resolves to
-#: ``"process"`` or ``"thread"`` per fan-out — see
-#: :func:`repro.runtime.chunking.choose_executor`; ``"remote"`` is only ever
-#: an explicit choice, see :mod:`repro.runtime.remote`).
-POOL_KINDS = ("process", "thread", "remote")
+#: inline or ``"process"`` per fan-out — see :func:`choose_lane`;
+#: ``"remote"`` is only ever an explicit choice, see
+#: :mod:`repro.runtime.remote`).
+POOL_KINDS = ("process", "remote")
 
 
 class StudyPool:
@@ -45,8 +37,7 @@ class StudyPool:
 
     Tasks submitted here are pickled to worker *processes*; bulk arrays
     should travel through :class:`~repro.runtime.transport.ArrayShipment`
-    rather than the task pickle.  See :class:`ThreadStudyPool` for the
-    shipping-free thread lane with the same contract.
+    rather than the task pickle.
 
     Parameters
     ----------
@@ -55,8 +46,7 @@ class StudyPool:
         slower than running in-process, so the studies never build one).
     """
 
-    #: Which lane this pool serves; dispatch code routes shipping-free
-    #: submissions to ``"thread"`` pools and shipped ones to ``"process"``.
+    #: Which lane this pool serves (the remote pool reports ``"remote"``).
     kind = "process"
 
     def __init__(self, workers: int) -> None:
@@ -118,12 +108,6 @@ class StudyPool:
             fn, (args,), callback=callback, error_callback=error_callback
         )
 
-    def imap_unordered(
-        self, fn: Callable[[Any], Any], iterable: Iterable[Any]
-    ) -> Iterator[Any]:
-        """Unordered streaming map over the pool (completion order)."""
-        return self._require().imap_unordered(fn, iterable)
-
     def close(self) -> None:
         """Terminate the workers and release the pool."""
         if self._pool is not None:
@@ -136,26 +120,6 @@ class StudyPool:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class ThreadStudyPool(StudyPool):
-    """The thread-lane twin of :class:`StudyPool`: same contract, no shipping.
-
-    Workers are threads of the parent process, so submitted jobs receive
-    their arguments **by reference** — compiled programs, cost stacks and
-    result lists cross no process boundary and are never pickled.  On
-    CPython the measured hot loop holds the GIL, so the lane's value is the
-    shipping it *doesn't* do, not parallel compute; for small batches that
-    saved shipping dwarfs the lost overlap, which is exactly when
-    ``executor="auto"`` selects this lane.  The per-task seed-derivation
-    contract is untouched, so results are bit-identical to the process lane
-    and the inline path.
-    """
-
-    kind = "thread"
-
-    def _make_pool(self) -> multiprocessing.pool.Pool:
-        return multiprocessing.pool.ThreadPool(processes=self._workers)
 
 
 #: Serialises pool creation/replacement: two threads racing get_pool() must
@@ -173,8 +137,8 @@ def get_pool(
 ) -> StudyPool:
     """The process-wide persistent pool of one lane, created on first use.
 
-    One pool per ``kind`` (``"process"`` — the default — ``"thread"`` or
-    ``"remote"``) is kept alive for the life of the process.  An alive pool
+    One pool per ``kind`` (``"process"`` — the default — or ``"remote"``)
+    is kept alive for the life of the process.  An alive pool
     with at least ``workers`` workers is reused as-is (chunking decisions
     use the *requested* count, so results never depend on the pool that
     happens to serve them); asking for more workers than the current pool
@@ -210,51 +174,62 @@ def get_pool(
         if pool is None or not pool.alive or pool.workers < workers:
             if pool is not None:
                 pool.close()
-            pool_class = ThreadStudyPool if kind == "thread" else StudyPool
-            pool = pool_class(workers)
+            pool = StudyPool(workers)
             _global_pools[kind] = pool
         return pool
 
 
-def engage_remote_lane(
-    pool: Any,
+def choose_lane(
     executor: str | None,
     workers: int | None,
     worker_count: int,
-    hosts: str | Iterable[tuple[str, int]] | None,
+    units: float,
+    *,
+    pool: Any = None,
+    transport: str | None = None,
+    hosts: str | Iterable[tuple[str, int]] | None = None,
 ) -> tuple[Any, int]:
-    """Resolve the fan-out preamble of one study call (shared by every driver).
+    """Decide where one fan-out runs: ``(pool, worker_count)``.
 
-    Returns a possibly-updated ``(pool, worker_count)``, subsuming the two
-    steps every driver needs in the same order:
+    ``pool`` is the pool to submit to — ``None`` means run inline — and
+    ``worker_count`` is the count to chunk by.  ``workers`` is the caller's
+    explicit argument (``None`` when it was left to the environment),
+    ``worker_count`` its resolved value, and ``units`` the batch's total
+    estimated cost (see :mod:`repro.runtime.chunking`).  The rules:
 
-    * an explicit ``pool=`` with no ``workers=`` is an explicit request for
-      fan-out, so the worker count lifts to the pool's;
-    * when ``executor`` resolves to ``"remote"`` (argument or
-      ``REPRO_EXECUTOR``) and no explicit pool was passed, the persistent
-      remote pool is engaged — and, because remote capacity lives on the
-      agents rather than in a local ``workers=`` knob, a worker count that
-      would otherwise mean "in-process" lifts to the agents' advertised
-      total.  An *explicit* ``workers=0``/``1`` (the ``workers`` argument,
-      as opposed to the resolved ``worker_count``) still means in-process:
-      naming a lane never overrides an explicit request not to fan out.
+    * an explicit ``pool=`` decides the lane; with no ``workers=`` it is a
+      request for fan-out, so a worker count of ``0`` lifts to the pool's;
+    * ``executor`` (argument, then ``REPRO_EXECUTOR``) resolving to
+      ``"remote"`` engages the persistent remote pool, and — because remote
+      capacity lives on the agents — a worker count below 2 lifts to the
+      agents' advertised total; an *explicit* ``workers=0``/``1`` still
+      runs inline;
+    * ``"process"`` fans out over the persistent process pool;
+    * ``"auto"`` runs inline when ``units`` is at most
+      :data:`~repro.runtime.chunking.AUTO_INLINE_MAX_UNITS` and on the
+      process pool otherwise; naming a ``transport`` pins it to processes,
+      and it never picks the remote lane on its own;
+    * fewer than 2 workers always run inline.
 
-    Every other combination passes through untouched.
+    An invalid ``executor`` raises :class:`ValueError` whatever the pool.
     """
-    from repro.runtime.chunking import resolve_executor
+    from repro.runtime.chunking import AUTO_INLINE_MAX_UNITS, resolve_executor
 
-    if workers is None and worker_count == 0 and pool is not None:
-        worker_count = pool.workers
+    lane = resolve_executor(executor)
     if pool is not None:
-        return pool, worker_count
-    if resolve_executor(executor) != "remote":
-        return pool, worker_count
-    if workers is not None and worker_count < 2:
-        return pool, worker_count
-    pool = get_pool(max(worker_count, 2), kind="remote", hosts=hosts)
-    if worker_count < 2:
-        worker_count = pool.workers
-    return pool, worker_count
+        if workers is None and worker_count == 0:
+            worker_count = pool.workers
+    elif lane == "remote" and (workers is None or worker_count > 1):
+        pool = get_pool(max(worker_count, 2), kind="remote", hosts=hosts)
+        if worker_count < 2:
+            worker_count = pool.workers
+    elif worker_count > 1 and (
+        lane == "process"
+        or transport is not None
+        or units > AUTO_INLINE_MAX_UNITS
+    ):
+        pool = get_pool(worker_count)
+    return (pool if worker_count > 1 else None), worker_count
 
 
 def shutdown_pool() -> None:

@@ -1,16 +1,15 @@
 """The distributed executor lane: shard studies across machines.
 
-The runtime's other two lanes place work inside one process tree — threads
-(:class:`~repro.runtime.pool.ThreadStudyPool`) and local processes
-(:class:`~repro.runtime.pool.StudyPool`).  This module adds the third
-``kind``: a :class:`RemoteStudyPool` (``executor="remote"``) that serves the
-exact submit/collect contract of :class:`~repro.runtime.pool.StudyPool`, but
-sends each chunk over a socket to a standalone **worker agent** —
+The runtime's other lanes place work inside one process tree — inline or on
+local processes (:class:`~repro.runtime.pool.StudyPool`).  This module adds
+the remote ``kind``: a :class:`RemoteStudyPool` (``executor="remote"``) that
+serves the exact submit/collect contract of
+:class:`~repro.runtime.pool.StudyPool`, but sends each chunk over a socket to a standalone **worker agent** —
 ``repro-bcast worker serve --bind HOST:PORT --workers N`` — where the agent
 fans it out over its own local process pool.  Because every task derives its
 own seed, sharding a study over any number of agents, in any join order,
 with any mid-run agent loss, is bit-identical to the inline path — the same
-invariant the thread and process lanes already carry, extended across
+invariant the inline and process lanes already carry, extended across
 machines.
 
 **Topology.**  One coordinator (the study process), N agents.  Agents are
@@ -1064,8 +1063,8 @@ class RemoteStudyPool:
         ``REPRO_CONNECT_TIMEOUT`` and falls back to
         :data:`CONNECT_TIMEOUT`).
 
-    The pool is used through the same three members as every other lane:
-    :meth:`submit`, :meth:`imap_unordered`, :meth:`close` — which is what
+    The pool is used through the same two members as every other lane:
+    :meth:`submit` and :meth:`close` — which is what
     lets every study driver run remotely unchanged.  Balancing, stealing,
     heartbeats, membership changes and every recovery path never affect
     study results — every task carries its own derived seed — only where
@@ -1236,21 +1235,6 @@ class RemoteStudyPool:
         else:
             self._pump(agent)
         return handle
-
-    def imap_unordered(
-        self, fn: Callable[[Any], Any], iterable: Iterable[Any]
-    ) -> Iterator[Any]:
-        """Submit every job now; yield results in completion order."""
-        handles = [self.submit(fn, args) for args in iterable]
-        done: queue.SimpleQueue = queue.SimpleQueue()
-        for handle in handles:
-            handle._on_done(done.put)
-
-        def _results() -> Iterator[Any]:
-            for _ in range(len(handles)):
-                yield done.get().get()
-
-        return _results()
 
     def close(self) -> None:
         """Disconnect every agent, stop loopback subprocesses (idempotent).

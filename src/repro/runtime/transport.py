@@ -20,12 +20,10 @@ is done; workers call :meth:`ArrayShipment.close` (or use the shipment as a
 context manager) when they finish reading.  Loaded arrays are read-only
 views — executing a shipped batch never mutates shipped data.
 
-Shipping is a **process-lane** concern: the thread lane
-(:class:`~repro.runtime.pool.ThreadStudyPool`, ``executor="thread"``) shares
-the parent's address space and bypasses this module entirely — thread
-workers receive the parent's arrays by reference.  That is exactly why
-``executor="auto"`` (:func:`repro.runtime.chunking.choose_executor`) routes
-batches too small to amortise a shipment onto threads.
+Shipping is a **process-lane** concern: inline execution reads the
+parent's arrays directly, which is why ``executor="auto"``
+(:func:`repro.runtime.pool.choose_lane`) keeps batches too small to
+amortise a shipment inline.
 """
 
 from __future__ import annotations

@@ -31,20 +31,17 @@ programs in one pass instead:
   which is how back-to-back collective pipelines (scatter→all-to-all,
   repeated broadcasts) are measured as one workload.
 
-Worker fan-out goes through the runtime layer and has two lanes.  On the
-**process lane** the batch is compiled **once in the parent**, the compiled
-arrays ship to the persistent :class:`~repro.runtime.pool.StudyPool` via
-shared memory (:mod:`repro.runtime.transport`; pickle fallback), and each
-worker executes a chain-respecting slice against zero-copy views.  On the
-**thread lane** (:class:`~repro.runtime.pool.ThreadStudyPool`) workers are
-threads of the parent and read the compiled arrays in place — no shipment,
-no pickling, no result round-trip — which beats process fan-out whenever
-the batch is too small to amortise shipping (the hot loop holds the GIL, so
-the lane trades parallel compute for zero shipping); ``executor="auto"``
-picks the lane per call from the batch's estimated cost
-(:mod:`repro.runtime.chunking`).  Worker chunks are sized from per-task
-cost (message counts) rather than task counts, so a mixed
-scatter/all-to-all workload balances across workers.
+Worker fan-out goes through the runtime layer.  On the **process lane** the
+batch is compiled **once in the parent**, the compiled arrays ship to the
+persistent :class:`~repro.runtime.pool.StudyPool` via shared memory
+(:mod:`repro.runtime.transport`; pickle fallback), and each worker executes
+a chain-respecting slice against zero-copy views; the **remote lane** frames
+per-chunk array bundles to worker agents instead.
+:func:`repro.runtime.pool.choose_lane` picks the lane per call
+(``executor="auto"`` keeps batches too small to amortise shipping inline).
+Worker chunks are sized from per-task cost (message counts) rather than
+task counts, so a mixed scatter/all-to-all workload balances across
+workers.
 
 The scalar :func:`~repro.simulator.execution.execute_program` remains the
 reference engine: ``engine="scalar"`` runs it program by program on
@@ -703,9 +700,8 @@ def _chunk_bounds(
 def _execute_scalar_chunk(args) -> tuple[int, list[ExecutionResult]]:
     """Scalar-engine worker body: one pickled slice of the task list.
 
-    The grid, the config and the tasks themselves travel with the job (by
-    reference on the thread lane) and run through the scalar reference
-    loop.
+    The grid, the config and the tasks themselves travel with the job and
+    run through the scalar reference loop.
     """
     start, grid, tasks, config, collect_traces = args
     return start, _execute_scalar(grid, tasks, config, collect_traces)
@@ -899,21 +895,6 @@ def _execute_shipped_chunk(args) -> tuple[int, list[ExecutionResult]]:
     return start, results
 
 
-def _execute_compiled_chunk(args) -> tuple[int, list[ExecutionResult]]:
-    """Thread-lane adapter: execute already-compiled tasks, no shipment.
-
-    Thread workers share the parent's address space, so the job carries the
-    parent's compiled programs by reference — nothing is packed, pickled or
-    rebuilt — and per-task seeds make the results bit-identical to every
-    other lane.
-    """
-    (start, compiled, seeds, resets, sigma, overhead, collect_traces,
-     num_nodes) = args
-    return start, _run_task_sequence(
-        compiled, seeds, resets, sigma, overhead, collect_traces, num_nodes
-    )
-
-
 def _execute_with_runtime_pool(
     grid: Grid,
     tasks: list[ExecutionTask],
@@ -923,9 +904,8 @@ def _execute_with_runtime_pool(
     transport: str | None,
     pool,
 ) -> list[ExecutionResult]:
-    """Process/remote lane: compile once in the parent, ship to the pool."""
+    """Process/remote lane: compile once in the parent, ship to ``pool``."""
     from repro.runtime.chunking import compiled_cost
-    from repro.runtime.pool import get_pool
 
     compiler = _BatchCompiler(grid, collect_traces)
     compiled = compiler.compile(tasks)
@@ -933,16 +913,15 @@ def _execute_with_runtime_pool(
     resets = [task.reset_network for task in tasks]
     costs = [compiled_cost(prog) for prog in compiled]
     bounds = _chunk_bounds(tasks, costs, worker_count)
-    study_pool = pool if pool is not None else get_pool(worker_count)
     results: list[ExecutionResult | None] = [None] * len(tasks)
-    if getattr(study_pool, "kind", "process") == "remote":
+    if getattr(pool, "kind", "process") == "remote":
         # Per-chunk wire bundles: each frame carries only its own arrays.
         jobs = _remote_chunk_jobs(
             compiled, seeds, resets, bounds, config, collect_traces,
             grid.num_nodes,
         )
         pending = [
-            study_pool.submit(
+            pool.submit(
                 _execute_shipped_chunk,
                 job,
                 units=float(sum(costs[start:end])),
@@ -973,7 +952,7 @@ def _execute_with_runtime_pool(
                 collect_traces,
                 grid.num_nodes,
             )
-            pending.append(study_pool.submit(_execute_shipped_chunk, job))
+            pending.append(pool.submit(_execute_shipped_chunk, job))
         for handle in pending:
             start, values = handle.get()
             results[start : start + len(values)] = values
@@ -989,73 +968,27 @@ def _execute_scalar_with_pool(
     collect_traces: bool,
     worker_count: int,
     pool,
-    kind: str,
 ) -> list[ExecutionResult]:
-    """Scalar-engine fan-out over the persistent pool of either lane.
+    """Scalar-engine fan-out: task slices submitted to ``pool`` as they are.
 
     The scalar reference engine executes task slices directly (no compiled
-    arrays to ship), so both lanes dispatch the same jobs: the process pool
-    pickles them, the thread pool passes them by reference.  Per-task seeds
-    keep the results bit-identical to the inline loop.
+    arrays to ship), priced like every other fan-out by the summed
+    :func:`~repro.runtime.chunking.program_cost` of each slice.  Per-task
+    seeds keep the results bit-identical to the inline loop.
     """
     from repro.runtime.chunking import program_cost
-    from repro.runtime.pool import get_pool
 
-    study_pool = pool if pool is not None else get_pool(worker_count, kind=kind)
     costs = [program_cost(task.program) for task in tasks]
     bounds = _chunk_bounds(tasks, costs, worker_count)
-    jobs = [
-        (start, grid, tasks[start:end], config, collect_traces)
-        for start, end in bounds
-    ]
-    results: list[ExecutionResult | None] = [None] * len(tasks)
-    for start, values in study_pool.imap_unordered(_execute_scalar_chunk, jobs):
-        results[start : start + len(values)] = values
-    return results  # type: ignore[return-value]
-
-
-def _execute_with_thread_pool(
-    grid: Grid,
-    tasks: list[ExecutionTask],
-    config: NetworkConfig,
-    collect_traces: bool,
-    worker_count: int,
-    pool,
-) -> list[ExecutionResult]:
-    """Thread lane: no shipment — workers read the parent's arrays in place.
-
-    The batch compiles once in the parent and each thread receives a slice
-    of the compiled list by reference (a :class:`ThreadPool` never pickles).
-    Per-task seeds keep the results bit-identical to the process lane and
-    the inline path.
-    """
-    from repro.runtime.chunking import compiled_cost
-    from repro.runtime.pool import get_pool
-
-    study_pool = pool if pool is not None else get_pool(worker_count, kind="thread")
-    results: list[ExecutionResult | None] = [None] * len(tasks)
-    compiler = _BatchCompiler(grid, collect_traces)
-    compiled = compiler.compile(tasks)
-    costs = [compiled_cost(prog) for prog in compiled]
-    bounds = _chunk_bounds(tasks, costs, worker_count)
-    seeds = _task_seeds(tasks, config)
-    resets = [task.reset_network for task in tasks]
     pending = [
-        study_pool.submit(
-            _execute_compiled_chunk,
-            (
-                start,
-                compiled[start:end],
-                seeds[start:end],
-                resets[start:end],
-                config.noise_sigma,
-                config.receive_overhead,
-                collect_traces,
-                grid.num_nodes,
-            ),
+        pool.submit(
+            _execute_scalar_chunk,
+            (start, grid, tasks[start:end], config, collect_traces),
+            units=float(sum(costs[start:end])),
         )
         for start, end in bounds
     ]
+    results: list[ExecutionResult | None] = [None] * len(tasks)
     for handle in pending:
         start, values = handle.get()
         results[start : start + len(values)] = values
@@ -1101,44 +1034,38 @@ def execute_programs(
         ``"batched"`` (default) or ``"scalar"`` — the scalar reference loop
         used by the equivalence suite and as the benchmark baseline.
     executor:
-        Which fan-out lane to use: ``"thread"``
-        (:class:`~repro.runtime.pool.ThreadStudyPool` — no shipping, workers
-        read the parent's compiled arrays in place), ``"process"``
+        Which fan-out lane to use: ``"process"``
         (:class:`~repro.runtime.pool.StudyPool` + transport), ``"remote"``
         (:class:`~repro.runtime.remote.RemoteStudyPool` — chunks shipped
         over sockets to worker agents, see ``hosts``), or ``"auto"`` —
-        threads when the batch's total estimated cost is too small to
+        inline when the batch's total estimated cost is too small to
         amortise shipping, processes otherwise (never remote).  ``None``
         consults the ``REPRO_EXECUTOR`` environment variable, then defaults
         to ``"auto"``.  Naming a transport pins ``"auto"`` to the process
-        lane (the lane that ships).  All lanes are bit-identical.
+        lane (the lane that ships).  All lanes are bit-identical; the rules
+        live in :func:`~repro.runtime.pool.choose_lane`.
     transport:
-        How batches reach *process* workers (ignored in-process and on the
-        thread lane, which ships nothing): ``"auto"`` (default, shared
-        memory when available), ``"shm"`` or ``"pickle"``.  The batched
-        engine compiles once in the parent and reuses the persistent
-        runtime pool; the scalar engine fans task slices out over the
-        persistent pool of either lane.  Worker chunks are sized from
+        How batches reach *process* workers (ignored in-process):
+        ``"auto"`` (default, shared memory when available), ``"shm"`` or
+        ``"pickle"``.  The batched engine compiles once in the parent and
+        reuses the persistent runtime pool; the scalar engine fans task
+        slices out over the same pool.  Worker chunks are sized from
         per-task cost (program message counts) so mixed workloads balance.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
-        :class:`~repro.runtime.pool.ThreadStudyPool` /
         :class:`~repro.runtime.remote.RemoteStudyPool` to submit to
         (defaults to the process-wide persistent pool of the chosen lane).
-        A passed pool's ``kind`` decides the lane, overriding ``executor``.
+        A passed pool decides the lane, overriding ``executor``.
     hosts:
         Remote-lane agent addresses (``"host:port,host:port"``); only
         consulted when the remote lane is engaged.  ``None`` falls back to
         the ``REPRO_HOSTS`` environment variable, then to loopback mode
         (agents auto-spawned as local subprocesses).
     """
-    from repro.runtime.chunking import (
-        EXECUTORS,
-        choose_executor,
-        program_cost,
-        resolve_executor,
-    )
+    from repro.runtime.chunking import EXECUTORS, program_cost
+    from repro.runtime.pool import choose_lane
     from repro.runtime.transport import TRANSPORTS
+    from repro.utils.workers import resolve_workers
 
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -1156,45 +1083,26 @@ def execute_programs(
         for task in tasks
     ]
     _validate_tasks(normalized)
-    from repro.utils.workers import resolve_workers
-
     worker_count = resolve_workers(workers)
-    if len(normalized) > 1:
-        # The shared fan-out preamble: an explicit pool lifts the worker
-        # count, and the remote lane (argument or REPRO_EXECUTOR) engages
-        # without requiring a local workers= — its capacity lives on the
-        # agents.  Single-task batches always run inline, so they skip it.
-        from repro.runtime.pool import engage_remote_lane
-
-        pool, worker_count = engage_remote_lane(
-            pool, executor, workers, worker_count, hosts
+    if len(normalized) > 1:  # a single task always runs inline
+        pool, worker_count = choose_lane(
+            executor,
+            workers,
+            worker_count,
+            sum(program_cost(task.program) for task in normalized),
+            pool=pool,
+            transport=transport,
+            hosts=hosts,
         )
-
-    if worker_count > 1 and len(normalized) > 1:
-        if pool is not None:
-            lane = getattr(pool, "kind", "process")
-        else:
-            lane = resolve_executor(executor)
-            if lane == "auto":
-                # Only an auto decision needs the batch priced.
-                lane = choose_executor(
-                    "auto",
-                    sum(program_cost(task.program) for task in normalized),
-                    transport=transport,
-                )
-        if engine == "scalar":
+        if pool is not None and engine == "scalar":
             return _execute_scalar_with_pool(
-                grid, normalized, config, collect_traces, worker_count, pool,
-                lane,
-            )
-        if lane == "thread":
-            return _execute_with_thread_pool(
                 grid, normalized, config, collect_traces, worker_count, pool
             )
-        return _execute_with_runtime_pool(
-            grid, normalized, config, collect_traces, worker_count, transport,
-            pool,
-        )
+        if pool is not None:
+            return _execute_with_runtime_pool(
+                grid, normalized, config, collect_traces, worker_count,
+                transport, pool,
+            )
 
     runner = _execute_batch if engine == "batched" else _execute_scalar
     return runner(grid, normalized, config, collect_traces)

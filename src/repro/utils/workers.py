@@ -17,9 +17,9 @@ resolution order is:
 Worker counts only change *where* work runs, never *what* it computes: every
 task carries its own derived seed, so results are bit-identical at any count.
 
-The companion knob — *which lane* those workers run on (threads or
-processes) — resolves separately through
-:func:`repro.runtime.chunking.resolve_executor` and its ``REPRO_EXECUTOR``
+The companion knob — *which lane* those workers run on (inline, local
+processes or remote agents) — resolves separately through
+:func:`repro.runtime.pool.choose_lane` and its ``REPRO_EXECUTOR``
 environment variable; ``resolve_workers`` only decides how many.
 """
 

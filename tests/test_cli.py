@@ -169,7 +169,7 @@ class TestParser:
 
 
 class TestExecutorFlag:
-    def test_simulate_with_thread_executor(self, capsys):
+    def test_simulate_with_process_executor(self, capsys):
         assert (
             main(
                 [
@@ -183,14 +183,14 @@ class TestExecutorFlag:
                     "--workers",
                     "2",
                     "--executor",
-                    "thread",
+                    "process",
                 ]
             )
             == 0
         )
         assert "Mean completion time" in capsys.readouterr().out
 
-    def test_practical_with_thread_executor(self, capsys):
+    def test_practical_with_process_executor(self, capsys):
         assert (
             main(
                 [
@@ -202,7 +202,7 @@ class TestExecutorFlag:
                     "--workers",
                     "2",
                     "--executor",
-                    "thread",
+                    "process",
                 ]
             )
             == 0

@@ -289,9 +289,9 @@ class TestGossipStudy:
 
     def test_worker_and_lane_invariance(self):
         inline = run_gossip_study(self.CONFIG)
-        threaded = run_gossip_study(self.CONFIG, workers=3, executor="thread")
+        three = run_gossip_study(self.CONFIG, workers=3, executor="process")
         processed = run_gossip_study(self.CONFIG, workers=2, executor="process")
-        assert np.array_equal(inline.metrics, threaded.metrics)
+        assert np.array_equal(inline.metrics, three.metrics)
         assert np.array_equal(inline.metrics, processed.metrics)
 
     def test_result_surface(self):
@@ -342,6 +342,6 @@ class TestGossipCli:
     def test_output_is_lane_invariant(self, capsys):
         assert main(self.ARGS) == 0
         inline = capsys.readouterr().out
-        assert main(self.ARGS + ["--workers", "3", "--executor", "thread"]) == 0
-        threaded = capsys.readouterr().out
-        assert threaded == inline
+        assert main(self.ARGS + ["--workers", "3", "--executor", "process"]) == 0
+        processed = capsys.readouterr().out
+        assert processed == inline

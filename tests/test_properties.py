@@ -729,7 +729,7 @@ class TestSchedulingDeterminism:
     @settings(max_examples=6, deadline=None)
     def test_executor_lane_and_chunking_never_change_a_study(self, seed, workers):
         """The fan-out machinery is pure plumbing: any worker count (which
-        changes the chunk partition) through the thread lane reproduces the
+        changes the chunk partition) through the process lane reproduces the
         in-process study bit for bit."""
         config = SimulationStudyConfig(
             cluster_counts=(3, 5),
@@ -738,7 +738,7 @@ class TestSchedulingDeterminism:
             heuristics=("fef", "ecef_la"),
         )
         inline = run_simulation_study(config)
-        fanned = run_simulation_study(config, workers=workers, executor="thread")
+        fanned = run_simulation_study(config, workers=workers, executor="process")
         assert np.array_equal(inline.makespans, fanned.makespans)
         assert inline.heuristic_names == fanned.heuristic_names
 
@@ -820,7 +820,7 @@ class TestGossipProperties:
     @settings(max_examples=6, deadline=None)
     def test_seed_worker_and_chunking_invariance_of_studies(self, seed, workers):
         """Fan-out plumbing never changes a gossip study: any worker count
-        (hence any chunk partition) through the thread lane reproduces the
+        (hence any chunk partition) through the process lane reproduces the
         in-process study bit for bit, and the same seed reproduces the
         same study."""
         config = GossipStudyConfig(
@@ -831,7 +831,7 @@ class TestGossipProperties:
             seed=seed,
         )
         inline = run_gossip_study(config)
-        fanned = run_gossip_study(config, workers=workers, executor="thread")
+        fanned = run_gossip_study(config, workers=workers, executor="process")
         repeated = run_gossip_study(config)
         assert np.array_equal(inline.metrics, fanned.metrics)
         assert np.array_equal(inline.metrics, repeated.metrics)

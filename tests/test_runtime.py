@@ -23,6 +23,7 @@ import pytest
 
 from repro.experiments.chained_study import ChainedStudyResult, run_chained_study
 from repro.experiments.config import PracticalStudyConfig, SimulationStudyConfig
+from repro.experiments.gossip_study import GossipStudyConfig, run_gossip_study
 from repro.experiments.practical_study import (
     run_alltoall_study,
     run_practical_study,
@@ -34,9 +35,8 @@ from repro.mpi.bcast import binomial_bcast_program
 from repro.mpi.scatter import flat_scatter_program
 from repro.runtime import wire
 from repro.runtime.chunking import (
-    AUTO_THREAD_MAX_UNITS,
+    AUTO_INLINE_MAX_UNITS,
     CostModel,
-    choose_executor,
     load_cost_model,
     partition_by_cost,
     program_cost,
@@ -57,8 +57,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.pool import (
     StudyPool,
-    ThreadStudyPool,
-    engage_remote_lane,
+    choose_lane,
     get_pool,
     shutdown_pool,
 )
@@ -86,6 +85,9 @@ from repro.utils.workers import resolve_workers
 
 TRANSPORT_PARAMS = ["pickle"] + (["shm"] if shared_memory_available() else [])
 
+#: The executor name of the deleted thread lane; every entry point rejects it.
+DELETED_LANE = "thr" "ead"
+
 
 @pytest.fixture(scope="module")
 def pool():
@@ -94,12 +96,6 @@ def pool():
     pool = get_pool(2)
     yield pool
     shutdown_pool()
-
-
-@pytest.fixture(scope="module")
-def thread_pool():
-    """The persistent thread-lane pool (shutdown_pool tears both lanes down)."""
-    return get_pool(2, kind="thread")
 
 
 def _makespans(results) -> list[float]:
@@ -413,12 +409,10 @@ class TestPipelinedDriver:
         )
 
 
-    def test_scalar_engine_fans_out_bit_identically(self, thread_pool):
+    def test_scalar_engine_fans_out_bit_identically(self, pool):
         config = PracticalStudyConfig(**self.CONFIG)
         batched = run_practical_study(config, workers=0)
-        scalar = run_practical_study(
-            config, engine="scalar", workers=2, pool=thread_pool
-        )
+        scalar = run_practical_study(config, engine="scalar", workers=2, pool=pool)
         assert np.array_equal(batched.measured, scalar.measured)
         assert np.array_equal(batched.baseline_measured, scalar.baseline_measured)
 
@@ -583,44 +577,16 @@ class TestChunkingUnit:
     def test_resolve_executor_env_fallback(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         assert resolve_executor(None) == "auto"
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        assert resolve_executor(None) == "thread"
-        assert resolve_executor("process") == "process"
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        assert resolve_executor(None) == "process"
+        assert resolve_executor("remote") == "remote"
         monkeypatch.setenv("REPRO_EXECUTOR", "hamster-wheel")
         with pytest.raises(ValueError, match="executor"):
             resolve_executor(None)
 
-    def test_choose_executor_splits_on_cost(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert choose_executor(None, AUTO_THREAD_MAX_UNITS) == "thread"
-        assert choose_executor(None, AUTO_THREAD_MAX_UNITS + 1) == "process"
-        # Naming a transport pins auto to the lane that ships.
-        assert choose_executor(None, 10, transport="pickle") == "process"
-        assert choose_executor("thread", 10**9) == "thread"
-
-
-class TestThreadPool:
-    def test_kind_markers(self, pool, thread_pool):
-        assert pool.kind == "process"
-        assert thread_pool.kind == "thread"
-        assert isinstance(thread_pool, ThreadStudyPool)
-
-    def test_get_pool_keeps_lanes_separate(self, pool, thread_pool):
-        assert get_pool(2) is pool
-        assert get_pool(2, kind="thread") is thread_pool
-        assert get_pool(2, kind="thread") is not pool
-
-    def test_get_pool_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            get_pool(2, kind="fiber")
-
-    def test_thread_pool_passes_arguments_by_reference(self, thread_pool):
-        marker = object()
-        assert thread_pool.submit(lambda value: value, marker).get() is marker
-
 
 class TestExecutorEquivalence:
-    """Thread vs process vs inline bit-identity on all five study drivers."""
+    """Process vs inline bit-identity on all five study drivers."""
 
     PRACTICAL = dict(
         message_sizes=(65_536, 1_048_576),
@@ -629,8 +595,8 @@ class TestExecutorEquivalence:
     )
     COLLECTIVE = dict(message_sizes=(2_048, 16_384), noise_sigma=0.05)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_practical_study(self, executor, pool, thread_pool):
+    @pytest.mark.parametrize("executor", ["process"])
+    def test_practical_study(self, executor, pool):
         config = PracticalStudyConfig(**self.PRACTICAL)
         inline = run_practical_study(config, workers=0)
         fanned = run_practical_study(config, workers=2, executor=executor)
@@ -638,15 +604,15 @@ class TestExecutorEquivalence:
         assert np.array_equal(inline.baseline_measured, fanned.baseline_measured)
         assert np.array_equal(inline.predicted, fanned.predicted)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_simulation_study(self, executor, pool, thread_pool):
+    @pytest.mark.parametrize("executor", ["process"])
+    def test_simulation_study(self, executor, pool):
         config = SimulationStudyConfig(cluster_counts=(3, 4), iterations=24, seed=11)
         inline = run_simulation_study(config)
         fanned = run_simulation_study(config, workers=2, executor=executor)
         assert np.array_equal(inline.makespans, fanned.makespans)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_scatter_study(self, executor, heterogeneous_grid, pool, thread_pool):
+    @pytest.mark.parametrize("executor", ["process"])
+    def test_scatter_study(self, executor, heterogeneous_grid, pool):
         config = PracticalStudyConfig(**self.COLLECTIVE)
         inline = run_scatter_study(config, grid=heterogeneous_grid)
         fanned = run_scatter_study(
@@ -654,8 +620,8 @@ class TestExecutorEquivalence:
         )
         assert np.array_equal(inline.measured, fanned.measured)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_alltoall_study(self, executor, heterogeneous_grid, pool, thread_pool):
+    @pytest.mark.parametrize("executor", ["process"])
+    def test_alltoall_study(self, executor, heterogeneous_grid, pool):
         config = PracticalStudyConfig(**self.COLLECTIVE)
         inline = run_alltoall_study(config, grid=heterogeneous_grid)
         fanned = run_alltoall_study(
@@ -663,8 +629,8 @@ class TestExecutorEquivalence:
         )
         assert np.array_equal(inline.measured, fanned.measured)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_chained_study(self, executor, heterogeneous_grid, pool, thread_pool):
+    @pytest.mark.parametrize("executor", ["process"])
+    def test_chained_study(self, executor, heterogeneous_grid, pool):
         config = PracticalStudyConfig(**self.COLLECTIVE)
         kwargs = dict(grid=heterogeneous_grid, stages=("scatter", "alltoall"))
         inline = run_chained_study(config, **kwargs)
@@ -672,33 +638,18 @@ class TestExecutorEquivalence:
         assert np.array_equal(inline.warm, fanned.warm)
         assert np.array_equal(inline.fresh, fanned.fresh)
 
-    def test_auto_lane_is_bit_identical_too(self, pool, thread_pool):
+    def test_auto_lane_is_bit_identical_too(self, pool):
         config = PracticalStudyConfig(**self.PRACTICAL)
         inline = run_practical_study(config, workers=0)
         auto = run_practical_study(config, workers=2, executor="auto")
         assert np.array_equal(inline.measured, auto.measured)
-
-    def test_explicit_thread_pool_selects_thread_lane(self, grid5000, thread_pool):
-        tasks = [
-            ExecutionTask(
-                binomial_bcast_program(grid5000, 16_384, root_rank=0),
-                noise_seed=derive_seed(7, index),
-            )
-            for index in range(6)
-        ]
-        config = NetworkConfig(noise_sigma=0.05, seed=7)
-        inline = execute_programs(grid5000, tasks, config=config)
-        pooled = execute_programs(grid5000, tasks, config=config, pool=thread_pool)
-        assert _makespans(inline) == _makespans(pooled)
 
     def test_rejects_unknown_executor(self, grid5000):
         program = binomial_bcast_program(grid5000, 1_024, root_rank=0)
         with pytest.raises(ValueError, match="executor"):
             execute_programs(grid5000, [program, program], executor="carrier-pigeon")
 
-    def test_scalar_engine_honours_explicit_pools_of_either_kind(
-        self, grid5000, pool, thread_pool
-    ):
+    def test_scalar_engine_honours_an_explicit_pool(self, grid5000, pool):
         tasks = [
             ExecutionTask(
                 binomial_bcast_program(grid5000, 2_048, root_rank=0),
@@ -708,16 +659,13 @@ class TestExecutorEquivalence:
         ]
         config = NetworkConfig(noise_sigma=0.05, seed=17)
         inline = execute_programs(grid5000, tasks, config=config, engine="scalar")
-        for explicit in (pool, thread_pool):
-            pooled = execute_programs(
-                grid5000, tasks, config=config, engine="scalar", pool=explicit
-            )
-            assert _makespans(pooled) == _makespans(inline)
+        pooled = execute_programs(
+            grid5000, tasks, config=config, engine="scalar", pool=pool
+        )
+        assert _makespans(pooled) == _makespans(inline)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_scalar_engine_fans_out_on_both_lanes(
-        self, grid5000, executor, pool, thread_pool
-    ):
+    @pytest.mark.parametrize("executor", ["process"])
+    def test_scalar_engine_fans_out(self, grid5000, executor, pool):
         tasks = [
             ExecutionTask(
                 flat_scatter_program(grid5000, 1_024, root_rank=0),
@@ -736,6 +684,242 @@ class TestExecutorEquivalence:
             executor=executor,
         )
         assert _makespans(inline) == _makespans(fanned)
+
+
+class TestChooseLane:
+    """The one lane decision: its rules, and that every fan-out obeys it."""
+
+    def test_choose_lane(self, monkeypatch):
+        import repro.runtime.pool as pool_module
+        import repro.runtime.remote as remote_module
+
+        class FakePool:
+            kind = "process"
+
+            def __init__(self, workers=None, *, hosts=None):
+                self.hosts_spec = resolve_hosts(hosts)
+                self.workers = max(2, int(workers or 0))
+                self.alive = True
+
+            def close(self):
+                self.alive = False
+
+        class FakeRemotePool(FakePool):
+            kind = "remote"
+
+        monkeypatch.delenv("REPRO_HOSTS", raising=False)
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        monkeypatch.setattr(pool_module, "StudyPool", FakePool)
+        monkeypatch.setattr(remote_module, "RemoteStudyPool", FakeRemotePool)
+        monkeypatch.setitem(pool_module._global_pools, "process", None)
+        monkeypatch.setitem(pool_module._global_pools, "remote", None)
+        small, large = AUTO_INLINE_MAX_UNITS, AUTO_INLINE_MAX_UNITS + 1
+        # Fewer than two workers run inline on every local lane.
+        assert choose_lane(None, None, 0, large) == (None, 0)
+        assert choose_lane("process", 1, 1, large) == (None, 1)
+        # auto splits on cost: inline up to the threshold, processes above
+        # it — never the remote lane.
+        assert choose_lane(None, None, 4, small) == (None, 4)
+        pool, workers = choose_lane(None, None, 4, large)
+        assert pool.kind == "process" and workers == 4
+        # Naming a transport pins auto to the lane that ships, and an
+        # explicit lane wins over the cost estimate.
+        pool, _ = choose_lane(None, 2, 2, 10, transport="pickle")
+        assert pool.kind == "process"
+        pool, _ = choose_lane("process", 2, 2, 10)
+        assert pool.kind == "process"
+        # Remote with no local worker request adopts the agents' capacity.
+        pool, workers = choose_lane("remote", None, 0, 10)
+        assert pool.kind == "remote" and workers == pool.workers == 2
+        # An explicit in-process request is never overridden.
+        assert choose_lane("remote", 0, 0, large) == (None, 0)
+        assert choose_lane("remote", 1, 1, large) == (None, 1)
+
+        # An explicit pool always wins, whatever its lane — and with no
+        # workers= it lifts the count to the pool's (the fan-out request
+        # an explicit pool implies).
+        class ExplicitPool:
+            kind = "process"
+            workers = 3
+
+        marker = ExplicitPool()
+        assert choose_lane("remote", None, 0, 10, pool=marker) == (marker, 3)
+        assert choose_lane("remote", 2, 2, 10, pool=marker) == (marker, 2)
+        assert choose_lane(None, 2, 2, small, pool=marker) == (marker, 2)
+        assert choose_lane(None, 1, 1, large, pool=marker) == (None, 1)
+        # The environment engages the lane exactly like the argument.
+        monkeypatch.setenv("REPRO_EXECUTOR", "remote")
+        pool, workers = choose_lane(None, None, 0, 10)
+        assert pool.kind == "remote" and workers == 2
+        # A bad executor fails whatever decides the lane.
+        monkeypatch.setenv("REPRO_EXECUTOR", "hamster-wheel")
+        with pytest.raises(ValueError, match="executor"):
+            choose_lane(None, None, 0, 10, pool=marker)
+
+    def test_get_pool_rejects_unknown_kind(self):
+        for kind in ("fiber", DELETED_LANE):
+            with pytest.raises(ValueError, match="kind"):
+                get_pool(2, kind=kind)
+
+    def test_auto_keeps_small_batches_inline(self, grid5000, pool, monkeypatch):
+        import repro.runtime.pool as pool_module
+
+        requested: list[int] = []
+        submitted: list[object] = []
+        real_get_pool, real_submit = pool_module.get_pool, StudyPool.submit
+
+        def spy_get_pool(workers, *args, **kwargs):
+            requested.append(workers)
+            return real_get_pool(workers, *args, **kwargs)
+
+        def spy_submit(self, fn, args, **kwargs):
+            submitted.append(fn)
+            return real_submit(self, fn, args, **kwargs)
+
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        monkeypatch.setattr(pool_module, "get_pool", spy_get_pool)
+        monkeypatch.setattr(StudyPool, "submit", spy_submit)
+        config = NetworkConfig(noise_sigma=0.05, seed=31)
+
+        def batch(count):
+            return [
+                ExecutionTask(
+                    binomial_bcast_program(grid5000, 4_096, root_rank=0),
+                    noise_seed=derive_seed(31, index),
+                )
+                for index in range(count)
+            ]
+
+        def units(tasks):
+            return sum(program_cost(task.program) for task in tasks)
+
+        small, large = batch(8), batch(64)
+        assert units(small) <= AUTO_INLINE_MAX_UNITS < units(large)
+        for tasks in (small, large):
+            inline = execute_programs(grid5000, tasks, config=config)
+            assert not requested and not submitted  # workers=0: no pool
+            auto = execute_programs(
+                grid5000, tasks, config=config, workers=2, executor="auto"
+            )
+            assert _makespans(auto) == _makespans(inline)
+            if tasks is small:
+                assert not requested and not submitted
+        assert requested == [2] and len(submitted) > 1
+
+    def test_every_fan_out_prices_its_chunks(self, grid5000):
+        """Monte-Carlo chunks carry iterations x clusters**2 units and
+        scalar-engine chunks their summed message counts, so the remote
+        lane routes a 6-cluster chunk as 4x a 3-cluster one."""
+
+        class Settled:
+            def __init__(self, value):
+                self.value = value
+
+            def get(self):
+                return self.value
+
+        class RecordingPool:
+            kind = "remote"
+            workers = 2
+
+            def __init__(self):
+                self.jobs = []
+
+            def submit(self, fn, args, units=None, **kwargs):
+                self.jobs.append((args, units))
+                return Settled(fn(args))
+
+        config = SimulationStudyConfig(cluster_counts=(3, 6), iterations=8, seed=5)
+        recorder = RecordingPool()
+        fanned = run_simulation_study(config, pool=recorder)
+        assert np.array_equal(fanned.makespans, run_simulation_study(config).makespans)
+        assert len(recorder.jobs) > 2
+        for (_, _, _, clusters, seeds, *_), units in recorder.jobs:
+            assert units == float(len(seeds) * clusters * clusters)
+
+        tasks = [
+            ExecutionTask(
+                flat_scatter_program(grid5000, 1_024, root_rank=0),
+                noise_seed=derive_seed(37, index),
+            )
+            for index in range(6)
+        ]
+        recorder = RecordingPool()
+        execute_programs(grid5000, tasks, engine="scalar", pool=recorder)
+        priced = [
+            (units, sum(program_cost(task.program) for task in chunk))
+            for (_, _, chunk, _, _), units in recorder.jobs
+        ]
+        assert len(priced) > 1
+        assert all(units == float(expected) for units, expected in priced)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "programs",
+            "practical",
+            "scatter",
+            "alltoall",
+            "chained",
+            "simulation",
+            "gossip",
+            "environment",
+            "cli",
+        ],
+    )
+    def test_every_entry_point_rejects_the_deleted_lane(
+        self, entry, grid5000, heterogeneous_grid, monkeypatch
+    ):
+        from repro.cli import main
+
+        config = PracticalStudyConfig(message_sizes=(2_048,), noise_sigma=0.0)
+        lane = DELETED_LANE
+        calls = {
+            "programs": lambda: execute_programs(
+                grid5000,
+                [binomial_bcast_program(grid5000, 1_024, root_rank=0)] * 2,
+                executor=lane,
+            ),
+            "practical": lambda: run_practical_study(
+                config, workers=0, executor=lane
+            ),
+            "scatter": lambda: run_scatter_study(
+                config, grid=heterogeneous_grid, workers=0, executor=lane
+            ),
+            "alltoall": lambda: run_alltoall_study(
+                config, grid=heterogeneous_grid, workers=0, executor=lane
+            ),
+            "chained": lambda: run_chained_study(
+                config, grid=heterogeneous_grid, workers=0, executor=lane
+            ),
+            "simulation": lambda: run_simulation_study(
+                SimulationStudyConfig(cluster_counts=(3,), iterations=2),
+                workers=0,
+                executor=lane,
+            ),
+            "gossip": lambda: run_gossip_study(
+                GossipStudyConfig(node_counts=(64,)), workers=0, executor=lane
+            ),
+            "environment": lambda: (
+                monkeypatch.setenv("REPRO_EXECUTOR", lane),
+                run_practical_study(config, workers=0),
+            ),
+            "cli": lambda: main(["simulate", "--executor", lane]),
+        }
+        expected = SystemExit if entry == "cli" else ValueError
+        with pytest.raises(expected):
+            calls[entry]()
+
+    def test_bad_executor_fails_before_the_prediction_sweep(self, monkeypatch):
+        import repro.experiments.practical_study as practical_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the prediction sweep ran")
+
+        monkeypatch.setattr(practical_module, "_sweep_schedules", unreachable)
+        monkeypatch.setenv("REPRO_EXECUTOR", "hamster-wheel")
+        with pytest.raises(ValueError, match="executor"):
+            run_practical_study(PracticalStudyConfig(message_sizes=(2_048,)))
 
 
 class TestAdaptiveChunking:
@@ -759,8 +943,8 @@ class TestAdaptiveChunking:
         tasks.append(ExecutionTask(expensive, reset_network=False))
         return tasks
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_adaptive_matches_fixed(self, grid5000, executor, pool, thread_pool):
+    @pytest.mark.parametrize("executor", ["process"])
+    def test_adaptive_matches_fixed(self, grid5000, executor, pool):
         tasks = self._mixed_tasks(grid5000)
         config = NetworkConfig(noise_sigma=0.08, seed=21)
         inline = execute_programs(grid5000, tasks, config=config)
@@ -800,13 +984,11 @@ class TestAdaptiveChunking:
         assert np.array_equal(two.measured, five.measured)
         assert np.array_equal(two.baseline_measured, five.baseline_measured)
 
-    def test_chained_study_worker_count_invariance(
-        self, heterogeneous_grid, thread_pool
-    ):
+    def test_chained_study_worker_count_invariance(self, heterogeneous_grid, pool):
         config = PracticalStudyConfig(message_sizes=(2_048, 16_384), noise_sigma=0.05)
         kwargs = dict(grid=heterogeneous_grid, stages=("scatter", "alltoall"))
-        two = run_chained_study(config, workers=2, pool=thread_pool, **kwargs)
-        five = run_chained_study(config, workers=5, pool=thread_pool, **kwargs)
+        two = run_chained_study(config, workers=2, pool=pool, **kwargs)
+        five = run_chained_study(config, workers=5, pool=pool, **kwargs)
         assert np.array_equal(two.warm, five.warm)
         assert np.array_equal(two.fresh, five.fresh)
 
@@ -1003,48 +1185,6 @@ class TestHostsResolution:
         loopback = get_pool(2, kind="remote")
         assert get_pool(4, kind="remote") is not loopback
         assert len(created) == 4
-
-    def test_engage_remote_lane(self, monkeypatch):
-        import repro.runtime.pool as pool_module
-        import repro.runtime.remote as remote_module
-
-        class FakeRemotePool:
-            kind = "remote"
-
-            def __init__(self, workers=None, *, hosts=None):
-                self.hosts_spec = resolve_hosts(hosts)
-                self.workers = max(2, int(workers or 0))
-                self.alive = True
-
-            def close(self):
-                self.alive = False
-
-        monkeypatch.delenv("REPRO_HOSTS", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        monkeypatch.setattr(remote_module, "RemoteStudyPool", FakeRemotePool)
-        monkeypatch.setitem(pool_module._global_pools, "remote", None)
-        # Non-remote executors pass through untouched.
-        assert engage_remote_lane(None, None, None, 0, None) == (None, 0)
-        assert engage_remote_lane(None, "thread", None, 4, None) == (None, 4)
-        # Remote with no local worker request adopts the agents' capacity.
-        pool, workers = engage_remote_lane(None, "remote", None, 0, None)
-        assert pool.kind == "remote" and workers == pool.workers == 2
-        # An explicit in-process request is never overridden.
-        assert engage_remote_lane(None, "remote", 0, 0, None) == (None, 0)
-        # An explicit pool always wins, whatever its lane — and with no
-        # workers= it lifts the count to the pool's (the fan-out request
-        # an explicit pool implies).
-        class ExplicitPool:
-            kind = "process"
-            workers = 3
-
-        marker = ExplicitPool()
-        assert engage_remote_lane(marker, "remote", None, 0, None) == (marker, 3)
-        assert engage_remote_lane(marker, "remote", 2, 2, None) == (marker, 2)
-        # The environment engages the lane exactly like the argument.
-        monkeypatch.setenv("REPRO_EXECUTOR", "remote")
-        pool, workers = engage_remote_lane(None, None, None, 0, None)
-        assert pool.kind == "remote" and workers == 2
 
 
 class TestCostModelPersistence:

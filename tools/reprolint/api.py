@@ -7,7 +7,7 @@ surfaces drift.  Two rules pin the convention:
 
 * ``api-executor-param`` — a public module-level driver that accepts
   ``workers=`` must also accept ``executor=`` and ``pool=``, so every
-  driver can be pointed at any lane (inline/thread/process/remote) and can
+  driver can be pointed at any lane (inline/process/remote) and can
   reuse a shared pool;
 * ``api-env-doc`` — the driver's docstring must name the environment
   variables its parameters fall back to: a ``workers`` parameter implies a
