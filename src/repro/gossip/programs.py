@@ -6,7 +6,9 @@ instances flow through the existing scalar and batched simulator lanes
 unchanged — same pLogP timing, same traces, same noise machinery as the
 paper's tree broadcasts.  The program is a faithful transcript of the
 engine's payload traffic: each rank's send list is its round-by-round sends,
-tagged ``round-<k>``, in round-major slot order.
+tagged ``round-<k>``, in round-major slot order.  Each round's targets are
+re-drawn with the engine's own drawer set (the senders, or every rank for
+``pushpull``), so the replay consumes exactly the rows the engine used.
 
 Two deliberate scope limits:
 
@@ -104,13 +106,17 @@ def gossip_program(
             parents = np.flatnonzero(informed & (offsets < pow2) & (offsets + pow2 < n))
             emit(parents, (offsets[parents] + pow2 + spec.root) % n, tag)
             continue
-        targets = _round_targets(spec, round_index)
         if protocol == "epto":
             senders_mask = informed & (informed_round + ttl > round_index)
         else:
             senders_mask = informed
         pushers = np.flatnonzero(senders_mask)
-        emit(np.repeat(pushers, spec.fanout), targets[pushers].ravel(), tag)
+        # The engine's drawers: the senders, or for pushpull every alive
+        # rank, which churn-free is every rank (so there row == rank).
+        drawers = np.arange(n) if protocol == "pushpull" else pushers
+        targets = _round_targets(spec, round_index, drawers)
+        pushed = targets[pushers] if protocol == "pushpull" else targets
+        emit(np.repeat(pushers, spec.fanout), pushed.ravel(), tag)
         if protocol == "pushpull":
             # Each uninformed puller asks its targets in slot order; the
             # informed ones reply with the payload.

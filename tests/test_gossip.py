@@ -20,6 +20,8 @@ from repro.gossip import (
     gossip_round_time,
     run_gossip,
 )
+from repro.gossip import engine as gossip_engine
+from repro.gossip import programs as gossip_programs
 from repro.gossip.engine import DEFAULT_GOSSIP_PARAMS
 from repro.runtime.chunking import gossip_cost
 from repro.simulator.batch import execute_programs
@@ -251,6 +253,67 @@ class TestGossipProgram:
         }
         # Without churn every node the engine delivered receives the payload.
         assert activated == set(np.flatnonzero(engine_result.delivered_mask))
+
+
+class TestDrawerContract:
+    """Targets are drawn only for the round's drawers, the same everywhere."""
+
+    @staticmethod
+    def spy(monkeypatch, module) -> list[tuple[int, np.ndarray]]:
+        calls: list[tuple[int, np.ndarray]] = []
+        draw = gossip_engine._round_targets
+
+        def recording(spec, round_index, drawers):
+            calls.append((round_index, drawers.copy()))
+            return draw(spec, round_index, drawers)
+
+        monkeypatch.setattr(module, "_round_targets", recording)
+        return calls
+
+    @pytest.mark.parametrize("protocol", ["push", "epto"])
+    @pytest.mark.parametrize("seed", [5, 20060331])
+    def test_program_replays_first_receive_rounds(self, protocol, seed):
+        spec = GossipSpec(protocol=protocol, num_nodes=97, fanout=2, seed=seed)
+        result = run_gossip(spec)
+        program = gossip_program(spec, 256.0, result=result)
+        rebuilt = np.full(spec.num_nodes, -1, dtype=np.int64)
+        for sends in program.sends.values():
+            for send in sends:
+                arrival = int(send.tag.removeprefix("round-")) + 1
+                if rebuilt[send.destination] < 0 or arrival < rebuilt[send.destination]:
+                    rebuilt[send.destination] = arrival
+        rebuilt[spec.root] = 0
+        assert np.array_equal(rebuilt, result.informed_round)
+
+    @pytest.mark.parametrize("protocol", ["push", "pushpull", "epto"])
+    @pytest.mark.parametrize("churn", [None, CHURN], ids=["nochurn", "churn"])
+    def test_every_caller_draws_for_the_same_drawers(
+        self, monkeypatch, protocol, churn
+    ):
+        spec = small_spec(protocol, churn=churn)
+        engine_calls = self.spy(monkeypatch, gossip_engine)
+        program_calls = self.spy(monkeypatch, gossip_programs)
+        result = run_gossip(spec)
+        vectorized = list(engine_calls)
+        engine_calls.clear()
+        run_gossip(spec, engine="scalar")
+        scalar = list(engine_calls)
+
+        def same(a, b):
+            return len(a) == len(b) and all(
+                ra == rb and np.array_equal(da, db) for (ra, da), (rb, db) in zip(a, b)
+            )
+
+        assert [r for r, _ in vectorized] == list(range(result.rounds_executed))
+        assert same(vectorized, scalar)
+        for _, drawers in vectorized:
+            assert np.all(np.diff(drawers) > 0)
+        if churn is None:
+            gossip_program(spec, 256.0, result=result)
+            assert same(vectorized, program_calls)
+        if protocol == "push":
+            drawn = sum(drawers.size for _, drawers in vectorized)
+            assert drawn * spec.fanout == result.total_messages
 
 
 class TestGossipStudy:

@@ -748,17 +748,25 @@ class TestSchedulingDeterminism:
 # ---------------------------------------------------------------------------
 
 from repro.experiments.gossip_study import GossipStudyConfig, run_gossip_study
-from repro.gossip import GOSSIP_PROTOCOLS, ChurnSpec, GossipSpec, run_gossip
+from repro.gossip import (
+    GOSSIP_PROTOCOLS,
+    ChurnSpec,
+    GossipSpec,
+    gossip_program,
+    run_gossip,
+)
+from repro.simulator.execution import execute_program
+from repro.simulator.network import SimulatedNetwork
 
 
 class TestGossipProperties:
     """Invariants of the epidemic round engines, for arbitrary specs.
 
     The deterministic-seeding design (per-round bulk draws keyed on
-    ``(seed, protocol, round)``) means every property that holds for the
-    vectorized engine holds verbatim for the scalar reference —
-    ``tests/test_gossip.py`` pins the two bit-identical, so these
-    properties exercise the fast engine only.
+    ``(seed, protocol, round)``, one row per drawing node) means every
+    property that holds for the vectorized engine holds verbatim for the
+    scalar reference; one property checks that equivalence over arbitrary
+    specs and the rest exercise the fast engine only.
     """
 
     @given(
@@ -812,6 +820,45 @@ class TestGossipProperties:
         assert np.all(informed <= result.rounds_executed)
         assert np.all(informed >= result.join_round[result.delivered_mask])
         assert np.all(informed < result.leave_round[result.delivered_mask])
+
+    @given(
+        protocol=st.sampled_from(["push", "pushpull", "epto"]),
+        num_nodes=st.integers(min_value=2, max_value=120),
+        fanout=st.integers(min_value=1, max_value=4),
+        churned=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sender_only_draws_agree_across_engines_and_programs(
+        self, protocol, num_nodes, fanout, churned, seed
+    ):
+        """The per-drawer target draw is consumed identically everywhere:
+        the scalar reference equals the vectorized engine, churn or not, and
+        without churn the transcribed program activates exactly the ranks
+        the engine delivered."""
+        assume(fanout <= num_nodes - 1)
+        spec = GossipSpec(
+            protocol=protocol,
+            num_nodes=num_nodes,
+            fanout=fanout,
+            seed=seed,
+            churn=ChurnSpec(leave_fraction=0.2, join_fraction=0.1) if churned else None,
+        )
+        vectorized = run_gossip(spec)
+        scalar = run_gossip(spec, engine="scalar")
+        assert np.array_equal(vectorized.informed_round, scalar.informed_round)
+        assert np.array_equal(vectorized.messages_per_round, scalar.messages_per_round)
+        if protocol == "epto":
+            assert np.array_equal(vectorized.final_ttl, scalar.final_ttl)
+        if not churned:
+            program = gossip_program(spec, 256.0, result=vectorized)
+            grid = Grid(
+                [Cluster(cluster_id=0, size=num_nodes, fixed_broadcast_time=0.0)], {}
+            )
+            executed = execute_program(SimulatedNetwork(grid), program)
+            times = executed.activation_times
+            activated = {rank for rank, t in enumerate(times) if t is not None}
+            assert activated == set(np.flatnonzero(vectorized.delivered_mask).tolist())
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
