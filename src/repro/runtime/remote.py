@@ -44,36 +44,27 @@ coordinator pings each agent every :data:`HEARTBEAT_INTERVAL` seconds
 (``REPRO_HEARTBEAT``) and the agent answers from its serve loop, outside
 the job path — so when an agent's connection drops *or* its host freezes
 while the socket stays open, the coordinator marks it dead (after
-:data:`HEARTBEAT_MISS_FACTOR` silent intervals) and re-routes that agent's
-outstanding frames to the survivors.  A result that arrives twice for one
-job — an agent raced its own loss, or executed a frame that had also been
-stolen — is counted and discarded (first delivery wins; both deliveries
-carry bitwise the same numbers, so which one wins is unobservable).
+:data:`HEARTBEAT_MISS_FACTOR` silent intervals).  A result that arrives
+twice for one job — an agent raced its own loss, or executed a frame that
+had also been stolen or re-routed — is counted and discarded (first
+delivery wins; both carry bitwise the same numbers).
 
-Four further recovery layers make the lane chaos-hardened:
-
-* **automatic reconnect** — a lost agent enters a probation list and its
-  address is re-probed with exponential backoff and jitter; a probe that
-  answers re-admits the agent through the :meth:`RemoteStudyPool.add_host`
-  path, so it immediately steals queued work (``reconnect=False`` restores
-  the stay-dead behaviour);
-* **per-frame deadlines** — with ``frame_timeout=`` /
-  ``REPRO_FRAME_TIMEOUT`` set, a frame on the wire longer than the floor
-  plus :data:`FRAME_DEADLINE_FACTOR` times the agent's own cost-model
-  estimate is re-routed to another agent exactly like a lost agent's
-  frames; a late original result is discarded through the stolen-twin
-  duplicate path (off by default — deadlines cost one monotonic read per
-  frame);
-* **admission backoff** — an agent that answers a frame (or a whole
-  connection) with :data:`~repro.runtime.wire.OP_BUSY` is backed off
-  exponentially and the frame retried there or elsewhere, degrading to the
-  local lane after repeated rejects rather than spinning;
-* **graceful degradation** — when *no* agent is alive or accepting (and
-  ``fallback="local"``, the default), outstanding and newly submitted
-  chunks drain through the persistent local process lane instead of
-  failing the study; because every task carries its own derived seed, the
-  drained results are bit-identical to the all-remote ones.
-  ``fallback="fail"`` restores the historical hard failure.
+Every recovery trigger re-routes through one path — each frame moves to
+the lowest-ETA alive agent other than the one that failed it — and applies
+its own policy only to frames no other agent can take.  An **agent loss**
+marks the link dead but keeps it: its address is re-probed with
+exponential backoff and jitter, and a probe that answers revives *the same
+link* (cost model, counters and owned loopback process intact), which
+steals queued work at once.  An expired **frame deadline**
+(``frame_timeout=`` / ``REPRO_FRAME_TIMEOUT``, off by default: the floor
+plus :data:`FRAME_DEADLINE_FACTOR` times the agent's own cost estimate)
+re-routes the frame, or re-arms on the only alive agent.  A
+:data:`~repro.runtime.wire.OP_BUSY` reject backs the agent off
+exponentially and re-routes the frame, or requeues it there.  Whatever no
+alive agent can take — or what was rejected too often — drains through the
+persistent local process lane, bit-identically because every task carries
+its own derived seed: a dead fleet degrades instead of failing.
+``docs/distributed.md`` maps every fault to its detector and recovery.
 
 All of these paths are exercised continuously by the deterministic fault
 harness in :mod:`repro.runtime.faults` (``faults=`` / ``REPRO_FAULT_PLAN``):
@@ -101,6 +92,7 @@ import sys
 import threading
 import time
 from collections import deque
+from functools import partial
 from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -141,6 +133,9 @@ CONNECT_TIMEOUT = 30.0
 #: ``connect_timeout=`` is given (fleets behind slow links raise it without
 #: touching call sites).
 CONNECT_TIMEOUT_ENV_VAR = "REPRO_CONNECT_TIMEOUT"
+
+#: Smallest connect budget ``REPRO_CONNECT_TIMEOUT`` can set.
+MIN_CONNECT_TIMEOUT = 0.05
 
 #: First and largest pause between connect retries (exponential backoff,
 #: jittered, capped) while an agent is still starting up.  Retrying inside
@@ -194,19 +189,14 @@ BUSY_BACKOFF_BASE = 0.05
 BUSY_BACKOFF_CAP = 1.0
 
 #: A job bounced ``BUSY`` this many times *per alive agent* stops retrying
-#: and degrades to the local lane (``fallback="local"``) — a fleet that is
-#: busy forever is indistinguishable from a fleet that is gone.
+#: and degrades to the local lane — a fleet that is busy forever is
+#: indistinguishable from a fleet that is gone.
 BUSY_FALLBACK_REJECTS = 8
 
 #: Default cap on concurrently served coordinators per agent (the
 #: ``worker serve --max-coordinators`` default).  Two leaves headroom for a
 #: coordinator reconnecting before the agent notices the old socket died.
 DEFAULT_MAX_COORDINATORS = 2
-
-#: Valid ``fallback=`` values of :class:`RemoteStudyPool`: ``"local"`` —
-#: drain chunks through the local process lane when no agent is alive or
-#: accepting, the default — and ``"fail"`` — the historical hard failure.
-FALLBACKS = ("local", "fail")
 
 _ANNOUNCE = re.compile(r"listening on ([^\s:]+):(\d+)")
 
@@ -271,52 +261,24 @@ def resolve_hosts(
     return tuple((str(host), int(port)) for host, port in hosts)
 
 
-def _resolve_heartbeat(heartbeat: float | None) -> float:
-    """Normalise a ``heartbeat=`` argument (``None`` consults the env var)."""
-    if heartbeat is None:
-        raw = os.environ.get(HEARTBEAT_ENV_VAR, "").strip()
-        if raw:
-            try:
-                return float(raw)
-            except ValueError:
-                return HEARTBEAT_INTERVAL
-        return HEARTBEAT_INTERVAL
-    return float(heartbeat)
+def _resolve_seconds(
+    value: float | None, env_var: str, default: float, floor: float
+) -> float:
+    """Normalise a seconds knob: an explicit ``value`` wins.
 
-
-def _resolve_connect_timeout(timeout: float | None) -> float:
-    """Normalise a ``connect_timeout=`` argument.
-
-    ``None`` consults ``REPRO_CONNECT_TIMEOUT`` and falls back to
-    :data:`CONNECT_TIMEOUT`; an unparsable variable falls back too (a bad
-    knob should degrade to the default, not kill the study).
+    ``None`` consults ``env_var``, clamped to at least ``floor``; an unset
+    or unparsable variable falls back to ``default`` (a bad knob should
+    degrade to the default, not kill the study).
     """
-    if timeout is None:
-        raw = os.environ.get(CONNECT_TIMEOUT_ENV_VAR, "").strip()
-        if raw:
-            try:
-                return max(0.05, float(raw))
-            except ValueError:
-                return CONNECT_TIMEOUT
-        return CONNECT_TIMEOUT
-    return float(timeout)
-
-
-def _resolve_frame_timeout(frame_timeout: float | None) -> float:
-    """Normalise a ``frame_timeout=`` argument (``0.0`` — disabled).
-
-    ``None`` consults ``REPRO_FRAME_TIMEOUT``; unset, unparsable or
-    non-positive values all resolve to ``0.0`` — deadlines off.
-    """
-    if frame_timeout is None:
-        raw = os.environ.get(FRAME_TIMEOUT_ENV_VAR, "").strip()
-        if raw:
-            try:
-                return max(0.0, float(raw))
-            except ValueError:
-                return 0.0
-        return 0.0
-    return max(0.0, float(frame_timeout))
+    if value is not None:
+        return float(value)
+    raw = os.environ.get(env_var, "").strip()
+    if not raw:
+        return default
+    try:
+        return max(floor, float(raw))
+    except ValueError:
+        return default
 
 
 def _function_name(fn: Callable[..., Any]) -> str:
@@ -477,11 +439,6 @@ class AgentServer(FrameServer):
         self.workers = int(workers)
         self.slowdown = float(slowdown)
         self._pool: multiprocessing.pool.Pool | None = None
-
-    @property
-    def max_coordinators(self) -> int:
-        """The connection cap, under its historical agent-side name."""
-        return self.max_clients
 
     def _ensure_pool(self) -> multiprocessing.pool.Pool:
         with self._idle:  # connection threads race the lazy spawn
@@ -650,7 +607,6 @@ def _spawn_loopback_agent(
     workers: int,
     slowdown: float = 1.0,
     queue_bound: int = 0,
-    max_coordinators: int | None = None,
 ) -> tuple[subprocess.Popen, tuple[str, int]]:
     """Start one agent subprocess on this machine and read its address back."""
     import repro
@@ -671,8 +627,6 @@ def _spawn_loopback_agent(
         command += ["--slowdown", str(slowdown)]
     if queue_bound:
         command += ["--queue", str(queue_bound)]
-    if max_coordinators is not None:
-        command += ["--max-coordinators", str(max_coordinators)]
     env = dict(os.environ)
     package_root = str(Path(repro.__file__).resolve().parents[1])
     existing = env.get("PYTHONPATH", "")
@@ -691,7 +645,9 @@ def _spawn_loopback_agent(
         target=lambda: announced.put(process.stdout.readline()),
         daemon=True,
     ).start()
-    deadline = time.monotonic() + _resolve_connect_timeout(None)
+    deadline = time.monotonic() + _resolve_seconds(
+        None, CONNECT_TIMEOUT_ENV_VAR, CONNECT_TIMEOUT, MIN_CONNECT_TIMEOUT
+    )
     line = ""
     while time.monotonic() < deadline:
         try:
@@ -715,23 +671,54 @@ def _spawn_loopback_agent(
 # -- the coordinator (client side) ----------------------------------------------------
 
 
+def _hang_up(sock: socket.socket | None) -> None:
+    """Shut ``sock`` down, then close it: on Linux, closing alone does not
+    wake a thread blocked in ``recv`` on it, so a dead link's receiver
+    would wait for a frozen agent to wake up."""
+    if sock is None:
+        return
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 class RemoteAsyncResult:
-    """The remote twin of :class:`multiprocessing.pool.AsyncResult`."""
+    """The remote twin of :class:`multiprocessing.pool.AsyncResult`.
 
-    __slots__ = ("_event", "_value", "_error", "_callbacks", "_lock", "job_id")
+    ``callback`` / ``error_callback`` run once, with the value or the
+    failure, on whichever thread settles the job — as with
+    :meth:`multiprocessing.pool.Pool.apply_async`.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = (
+        "_event",
+        "_value",
+        "_error",
+        "_callback",
+        "_error_callback",
+        "_lock",
+        "job_id",
+    )
+
+    def __init__(
+        self,
+        job_id: int,
+        callback: Callable[[Any], object] | None = None,
+        error_callback: Callable[[BaseException], object] | None = None,
+    ) -> None:
         self._event = threading.Event()
         self._value: Any = None
         self._error: BaseException | None = None
-        self._callbacks: list[Callable[["RemoteAsyncResult"], object]] = []
+        self._callback = callback
+        self._error_callback = error_callback
         self._lock = threading.Lock()
-        #: The wire-level job id this handle tracks (set by ``submit``).
-        self.job_id: int | None = None
-
-    def ready(self) -> bool:
-        """Whether the job's result (or failure) has arrived."""
-        return self._event.is_set()
+        #: The wire-level job id this handle tracks.
+        self.job_id = job_id
 
     def get(self, timeout: float | None = None) -> Any:
         """Block until the result arrives; re-raise the job's failure."""
@@ -748,16 +735,11 @@ class RemoteAsyncResult:
             self._value = value
             self._error = error
             self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-
-    def _on_done(self, callback: Callable[["RemoteAsyncResult"], object]) -> None:
-        with self._lock:
-            if not self._event.is_set():
-                self._callbacks.append(callback)
-                return
-        callback(self)
+        if error is not None:
+            if self._error_callback is not None:
+                self._error_callback(error)
+        elif self._callback is not None:
+            self._callback(value)
 
 
 class _Job:
@@ -784,8 +766,8 @@ class _Job:
         frame: bytes,
         handle: RemoteAsyncResult,
         units: float,
-        fn: Callable[[Any], Any] | None = None,
-        args: Any = None,
+        fn: Callable[[Any], Any],
+        args: Any,
     ) -> None:
         self.job_id = job_id
         self.frame = frame
@@ -801,29 +783,16 @@ class _Job:
         self.rejects = 0
 
 
-class _Probe:
-    """One probation entry: a lost agent's address and its re-probe state."""
-
-    __slots__ = ("host", "port", "attempt", "next_probe", "probing")
-
-    def __init__(self, host: str, port: int, next_probe: float) -> None:
-        self.host = host
-        self.port = port
-        self.attempt = 0
-        self.next_probe = next_probe
-        #: A probe thread is currently dialling this address (keeps the
-        #: monitor from stacking concurrent probes on a slow handshake).
-        self.probing = False
-
-
 class _AgentLink:
-    """Coordinator-side connection to one agent.
+    """Coordinator-side connection to one agent, for the life of the pool.
 
     Besides the socket, the link owns the agent's share of the dispatch
     state: ``inflight`` (frames on the wire, keyed by job id), ``queued``
     (jobs routed here but not yet sent — the stealable backlog) and a
     per-agent :class:`~repro.runtime.chunking.CostModel` observed from the
-    wall times the agent reports.
+    wall times the agent reports.  A lost agent's link is kept on
+    probation and revived by re-dialling it, never replaced, so all of
+    that survives a reconnect.
     """
 
     def __init__(
@@ -851,10 +820,17 @@ class _AgentLink:
         #: agent's own cost-cache record.
         self.cost_model = load_cost_model(f"agent/{host}:{port}")
         #: Monotonic time before which pumping skips this agent after an
-        #: admission reject (0.0: not backing off), and the consecutive
-        #: reject count driving the exponential backoff.
+        #: admission reject, and the consecutive reject count driving the
+        #: exponential backoff.
         self.busy_until = 0.0  # guarded-by: pool._lock
         self.busy_streak = 0  # guarded-by: pool._lock
+        #: Probation while dead: failed re-probes so far (drives the
+        #: backoff), the monotonic time of the next one, and whether a
+        #: probe thread is dialling right now (keeps the monitor from
+        #: stacking probes on a slow handshake).
+        self.probe_attempt = 0  # guarded-by: pool._lock
+        self.next_probe = 0.0  # guarded-by: pool._lock
+        self.probing = False  # guarded-by: pool._lock
         self._send_lock = threading.Lock()
         self._receiver: threading.Thread | None = None
         if pool.faults is not None:
@@ -885,9 +861,7 @@ class _AgentLink:
         """Estimated seconds to drain the backlog plus ``extra_units``."""
         return (self.backlog_units() + extra_units) / self.throughput
 
-    def connect(self, timeout: float | None = None) -> None:
-        if timeout is None:
-            timeout = self.pool.connect_timeout
+    def connect(self, timeout: float) -> None:
         plan = self.pool.faults
         deadline = time.monotonic() + timeout
         attempt = 0
@@ -948,20 +922,28 @@ class _AgentLink:
             if time.monotonic() + delay >= deadline:
                 raise last_error
             time.sleep(delay)
-        self.sock = sock
-        self.workers = max(1, int(hello["workers"]))
-        self.alive = True
-        self.last_heard = time.monotonic()
+        with self.pool._lock:
+            raced = self.alive  # another dial revived this link first
+            if not raced:
+                self.sock = sock
+                self.workers = max(1, int(hello["workers"]))
+                self.last_heard = time.monotonic()
+                self.alive = True
+        if raced:
+            _hang_up(sock)
+            return
         self._receiver = threading.Thread(
-            target=self._receive_loop, name=f"repro-agent-rx-{self.name}",
+            target=self._receive_loop,
+            args=(sock,),
+            name=f"repro-agent-rx-{self.name}",
             daemon=True,
         )
         self._receiver.start()
 
-    def _receive_loop(self) -> None:
+    def _receive_loop(self, sock: socket.socket) -> None:
         try:
             while True:
-                message = wire.recv_message(self.sock)
+                message = wire.recv_message(sock)
                 if message is None:
                     break
                 plan = self.pool.faults
@@ -981,9 +963,10 @@ class _AgentLink:
             pass
         finally:
             # Unconditional: however this loop ends, the link's outstanding
-            # jobs must be requeued (or failed) — never left to hang their
-            # waiters forever.
-            self.pool._agent_lost(self)
+            # jobs must be re-routed — never left to hang their waiters
+            # forever.  Naming the socket keeps a receiver outliving its
+            # connection from killing a link that was revived since.
+            self.pool._agent_lost(self, sock)
 
     def send(self, frame: bytes) -> None:
         plan = self.pool.faults
@@ -1006,10 +989,7 @@ class _AgentLink:
                     self.send(wire.encode_message({"op": wire.OP_SHUTDOWN}))
                 except OSError:
                     pass
-            try:
-                self.sock.close()
-            except OSError:
-                pass
+            _hang_up(self.sock)
         if self.process is not None:
             self.process.terminate()
             try:
@@ -1051,13 +1031,6 @@ class RemoteStudyPool:
         Per-frame deadline floor in seconds (``None`` consults
         ``REPRO_FRAME_TIMEOUT``; zero — the default — disables
         deadlines).  See :data:`FRAME_DEADLINE_FACTOR`.
-    reconnect:
-        Whether lost agents enter probation and are re-probed with
-        exponential backoff until they answer again (default ``True``).
-    fallback:
-        ``"local"`` (default) — when no agent is alive or accepting,
-        drain chunks through the local process lane bit-identically;
-        ``"fail"`` — the historical hard failure.
     connect_timeout:
         Connect/handshake budget in seconds (``None`` consults
         ``REPRO_CONNECT_TIMEOUT`` and falls back to
@@ -1081,23 +1054,24 @@ class RemoteStudyPool:
         heartbeat: float | None = None,
         faults: "FaultPlan | dict | str | Path | None" = None,
         frame_timeout: float | None = None,
-        reconnect: bool = True,
-        fallback: str = "local",
         connect_timeout: float | None = None,
     ) -> None:
-        if fallback not in FALLBACKS:
-            raise ValueError(
-                f"fallback must be one of {FALLBACKS}, got {fallback!r}"
-            )
         self.hosts_spec = resolve_hosts(hosts)
-        self._heartbeat = _resolve_heartbeat(heartbeat)
+        self._heartbeat = _resolve_seconds(
+            heartbeat, HEARTBEAT_ENV_VAR, HEARTBEAT_INTERVAL, 0.0
+        )
         #: The active fault-injection plan (``None``: injection off, and
         #: every consult site is a single ``is not None`` check).
         self.faults = resolve_fault_plan(faults)
-        self.connect_timeout = _resolve_connect_timeout(connect_timeout)
-        self._frame_timeout = _resolve_frame_timeout(frame_timeout)
-        self._reconnect = bool(reconnect)
-        self._fallback = fallback
+        self.connect_timeout = _resolve_seconds(
+            connect_timeout,
+            CONNECT_TIMEOUT_ENV_VAR,
+            CONNECT_TIMEOUT,
+            MIN_CONNECT_TIMEOUT,
+        )
+        self._frame_timeout = _resolve_seconds(
+            frame_timeout, FRAME_TIMEOUT_ENV_VAR, 0.0, 0.0
+        )
         self._lock = threading.RLock()
         self._jobs: dict[int, _Job] = {}  # guarded-by: _lock
         self._job_ids = itertools.count(1)
@@ -1108,31 +1082,28 @@ class RemoteStudyPool:
         self.duplicates_ignored = 0  # guarded-by: _lock
         #: Queued jobs re-routed to an agent that drained early.
         self.steals = 0  # guarded-by: _lock
-        #: Lost agents re-admitted by the probation prober.
+        #: Lost agents revived by the probation prober.
         self.reconnects = 0  # guarded-by: _lock
         #: Frames bounced by agent admission control (``BUSY`` rejects).
         self.busy_rejects = 0  # guarded-by: _lock
         #: In-flight frames re-routed because their deadline expired.
         self.deadline_expired = 0  # guarded-by: _lock
-        #: Chunks drained through the local lane (``fallback="local"``).
+        #: Chunks drained through the local lane (no agent could take them).
         self.degraded_jobs = 0  # guarded-by: _lock
+        #: One link per agent address ever connected, dead or alive.
         self._agents: list[_AgentLink] = []  # guarded-by: _lock
-        self._probation: dict[str, _Probe] = {}  # guarded-by: _lock
         self._monitor_stop = threading.Event()
         self._monitor_thread: threading.Thread | None = None
         try:
             if self.hosts_spec is not None:
                 for host, port in self.hosts_spec:
-                    link = _AgentLink(self, host, port)
-                    link.connect()
-                    self._agents.append(link)
+                    self._dial(_AgentLink(self, host, port), self.connect_timeout)
             else:
                 total = max(2, int(workers or 0))
                 for share in _split_workers(total, LOOPBACK_AGENTS):
                     process, (host, port) = _spawn_loopback_agent(share)
                     link = _AgentLink(self, host, port, process=process)
-                    link.connect()
-                    self._agents.append(link)
+                    self._dial(link, self.connect_timeout)
         except BaseException:
             for link in self._agents:
                 link.close(graceful=False)
@@ -1160,15 +1131,11 @@ class RemoteStudyPool:
     def alive(self) -> bool:
         """Whether the pool can still accept work.
 
-        Under ``fallback="local"`` an open pool always can — a fleet with
-        no live agent degrades to the local lane instead of refusing work.
+        An open pool always can — a fleet with no live agent degrades to
+        the local lane instead of refusing work.
         """
         with self._lock:
-            if self._closed:
-                return False
-            if self._fallback == "local":
-                return True
-            return any(link.alive for link in self._agents)
+            return not self._closed
 
     def submit(
         self,
@@ -1199,18 +1166,7 @@ class RemoteStudyPool:
         frame = wire.encode_message(
             {"job": job_id, "fn": _function_name(fn), "args": args}
         )
-        handle = RemoteAsyncResult()
-        handle.job_id = job_id
-        if callback is not None or error_callback is not None:
-
-            def _notify(done: RemoteAsyncResult) -> None:
-                if done._error is not None:
-                    if error_callback is not None:
-                        error_callback(done._error)
-                elif callback is not None:
-                    callback(done._value)
-
-            handle._on_done(_notify)
+        handle = RemoteAsyncResult(job_id, callback, error_callback)
         job = _Job(
             job_id,
             frame,
@@ -1219,19 +1175,13 @@ class RemoteStudyPool:
             fn=fn,
             args=args,
         )
-        agent: _AgentLink | None = None
         with self._lock:
-            try:
-                agent = self._route(job)  # before registering: a raise
-            except RuntimeError:  # here must not strand the job record
-                if self._fallback != "local":
-                    raise
-                self.degraded_jobs += 1
-            else:
-                self._jobs[job_id] = job
+            self._jobs[job_id] = job
+            agent = self._route(job)
+            if agent is not None:
                 agent.queued.append(job)
         if agent is None:
-            self._fallback_submit(job)
+            self._degrade([job])
         else:
             self._pump(agent)
         return handle
@@ -1278,21 +1228,13 @@ class RemoteStudyPool:
 
     # -- elastic membership -------------------------------------------------------
 
-    def add_host(
-        self,
-        host: str,
-        port: int | None = None,
-        *,
-        timeout: float | None = None,
-    ) -> _AgentLink:
+    def add_host(self, host: str, port: int | None = None) -> _AgentLink:
         """Connect one more agent mid-study; it immediately steals work.
 
         ``host`` may be a bare hostname (``port`` applying, default
         :data:`DEFAULT_AGENT_PORT`) or a ``"host:port"`` string.  Adding an
         address that is already connected and alive is a no-op returning
-        the existing link.  ``timeout`` bounds the connect/handshake
-        (``None``: the pool's :attr:`connect_timeout`); the reconnect
-        prober passes :data:`PROBE_TIMEOUT` here.
+        the existing link; the address of a dead link revives that link.
         """
         if port is None:
             ((host, port),) = parse_hosts(host)
@@ -1300,17 +1242,13 @@ class RemoteStudyPool:
         with self._lock:
             if self._closed:
                 raise RuntimeError("RemoteStudyPool is closed")
-            for link in self._agents:
-                if link.alive and (link.host, link.port) == address:
-                    return link
-        link = _AgentLink(self, *address)
-        link.connect(timeout)
-        with self._lock:
-            if self._closed:
-                link.close(graceful=False)
-                raise RuntimeError("RemoteStudyPool is closed")
-            self._agents.append(link)
-        self._replenish(link)
+            known = [
+                link for link in self._agents if (link.host, link.port) == address
+            ]
+        if known and known[0].alive:
+            return known[0]
+        link = known[0] if known else _AgentLink(self, *address)
+        self._dial(link, self.connect_timeout)
         return link
 
     def rescan_hosts(self) -> list[_AgentLink]:
@@ -1324,16 +1262,14 @@ class RemoteStudyPool:
         spec = resolve_hosts(None)
         if spec is None:
             return []
+        with self._lock:
+            connected = {link.name for link in self._agents if link.alive}
         added: list[_AgentLink] = []
         for host, port in spec:
+            if f"{host}:{port}" in connected:
+                continue
             try:
-                with self._lock:
-                    known = any(
-                        link.alive and (link.host, link.port) == (host, port)
-                        for link in self._agents
-                    )
-                if not known:
-                    added.append(self.add_host(host, port))
+                added.append(self.add_host(host, port))
             except (OSError, wire.WireError):
                 continue
         if self.hosts_spec is not None:
@@ -1342,17 +1278,70 @@ class RemoteStudyPool:
 
     # -- internals ----------------------------------------------------------------
 
-    def _route(self, job: _Job) -> _AgentLink:  # holds: _lock
-        """The alive agent this job should wait on (call holding the lock).
+    def _route(
+        self, job: _Job, avoid: _AgentLink | None = None
+    ) -> _AgentLink | None:  # holds: _lock
+        """The alive agent other than ``avoid`` this job should wait on
+        (``None``: there is none; call holding the lock).
 
         The lowest estimated completion time wins — current backlog plus
         this job, over estimated throughput — so a fast agent absorbs
         proportionally more work.
         """
-        alive = [link for link in self._agents if link.alive]
+        alive = [link for link in self._agents if link.alive and link is not avoid]
         if not alive:
-            raise RuntimeError("no remote agents available")
+            return None
         return min(alive, key=lambda link: link.eta(job.units))
+
+    def _dial(self, link: _AgentLink, timeout: float) -> None:
+        """Connect a new or dead ``link`` and put it to work: it joins the
+        roster (or leaves probation) and immediately steals queued work."""
+        link.connect(timeout)
+        with self._lock:
+            closed = self._closed
+            if not closed and link not in self._agents:
+                self._agents.append(link)
+        if closed:
+            link.close(graceful=False)
+            raise RuntimeError("RemoteStudyPool is closed")
+        self._replenish(link)
+
+    def _reroute(
+        self,
+        source: _AgentLink,
+        jobs: list[_Job],
+        keep: Callable[[_Job], None] | None = None,
+    ) -> int:
+        """Move jobs taken off ``source`` to the best other alive agent;
+        return how many moved.
+
+        The one re-route path of every recovery trigger: agent loss, frame
+        deadline, ``BUSY``.  A job no other agent can take goes to the
+        trigger's ``keep`` policy (run holding the lock) while ``source``
+        is alive, and to the local lane once no agent is.
+        """
+        moved = 0
+        targets: list[_AgentLink] = []
+        degraded: list[_Job] = []
+        with self._lock:
+            for job in jobs:
+                if job.job_id not in self._jobs:
+                    continue  # settled meanwhile
+                target = self._route(job, avoid=source)
+                if target is not None:
+                    job.deadline = None
+                    target.queued.append(job)
+                    moved += 1
+                    if target not in targets:
+                        targets.append(target)
+                elif keep is not None and source.alive:
+                    keep(job)
+                else:
+                    degraded.append(job)
+        self._degrade(degraded)
+        for target in targets:
+            self._pump(target)
+        return moved
 
     def _pump(self, agent: _AgentLink) -> None:
         """Move sendable jobs from ``agent``'s queue onto the wire."""
@@ -1411,41 +1400,42 @@ class RemoteStudyPool:
                 self.steals += 1
         self._pump(agent)
 
-    def _monitor_tick_seconds(self) -> float:
-        """The maintenance cadence: fine enough for the sharpest deadline."""
+    def _monitor_loop(self) -> None:
+        """All periodic maintenance, on one thread: heartbeats, frame
+        deadlines, probation probes and post-backoff re-pumps."""
+        # The cadence is fine enough for the sharpest deadline.
         tick = 0.25
         if self._heartbeat > 0:
             tick = min(tick, self._heartbeat / 2)
         if self._frame_timeout > 0:
             tick = min(tick, self._frame_timeout / 4)
-        return max(0.02, tick)
-
-    def _monitor_loop(self) -> None:
-        """All periodic maintenance, on one thread: heartbeats, frame
-        deadlines, probation probes and post-backoff re-pumps."""
         sequence = itertools.count(1)
         next_ping = (
             time.monotonic() + self._heartbeat if self._heartbeat > 0 else None
         )
-        while not self._monitor_stop.wait(self._monitor_tick_seconds()):
+        while not self._monitor_stop.wait(max(0.02, tick)):
             now = time.monotonic()
             if next_ping is not None and now >= next_ping:
                 next_ping = now + self._heartbeat
                 self._heartbeat_round(sequence, now)
             if self._frame_timeout > 0:
                 self._expire_overdue(now)
-            if self._reconnect:
-                self._launch_probes(now)
-            self._pump_backoff(now)
+            self._launch_probes(now)
+            # Re-pump every backlog: a no-op unless an agent's BUSY
+            # backoff has run out with jobs still queued behind it.
+            with self._lock:
+                backlogged = [
+                    link for link in self._agents if link.alive and link.queued
+                ]
+            for link in backlogged:
+                self._pump(link)
 
     def _heartbeat_round(self, sequence: Iterator[int], now: float) -> None:
         """Ping every alive agent; declare the silent ones dead."""
         stale = self._heartbeat * HEARTBEAT_MISS_FACTOR
         with self._lock:
-            links = list(self._agents)
+            links = [link for link in self._agents if link.alive]
         for link in links:
-            if not link.alive:
-                continue
             if now - link.last_heard > stale:
                 # The socket may still look healthy (a frozen host's
                 # kernel keeps ACKing) — silence is the only signal.
@@ -1472,95 +1462,67 @@ class RemoteStudyPool:
 
         The original agent may still answer later; that late result is
         discarded through the stolen-twin duplicate path (both executions
-        carry bitwise the same numbers).
+        carry bitwise the same numbers).  A frame with nowhere to go stays
+        in flight with its deadline re-armed, uncounted.
         """
-        repump: list[_AgentLink] = []
+        overdue: list[tuple[_AgentLink, list[_Job]]] = []
         with self._lock:
-            for link in list(self._agents):
-                if not link.alive:
-                    continue
-                overdue = [
+            for link in self._agents:  # a dead link has nothing in flight
+                jobs = [
                     job
                     for job in link.inflight.values()
                     if job.deadline is not None and now > job.deadline
                 ]
-                for job in overdue:
-                    others = [
-                        peer
-                        for peer in self._agents
-                        if peer.alive and peer is not link
-                    ]
-                    if not others:
-                        # Nowhere to re-route: re-arm instead of counting
-                        # the same frame expired every tick.
-                        job.deadline = now + self._deadline_seconds(link, job)
-                        continue
-                    link.inflight.pop(job.job_id, None)
-                    job.deadline = None
-                    self.deadline_expired += 1
-                    target = min(
-                        others,
-                        key=lambda peer, units=job.units: peer.eta(units),
-                    )
-                    target.queued.append(job)
-                    if target not in repump:
-                        repump.append(target)
-        for target in repump:
-            self._pump(target)
+                for job in jobs:
+                    del link.inflight[job.job_id]
+                if jobs:
+                    overdue.append((link, jobs))
+        for link, jobs in overdue:
+
+            def _rearm(stranded: _Job, link: _AgentLink = link) -> None:  # holds: _lock
+                stranded.deadline = now + self._deadline_seconds(link, stranded)
+                link.inflight[stranded.job_id] = stranded
+
+            moved = self._reroute(link, jobs, keep=_rearm)
+            with self._lock:
+                self.deadline_expired += moved
 
     def _launch_probes(self, now: float) -> None:
-        """Dial due probation entries, each probe on its own thread (a
+        """Dial due probation links, each probe on its own thread (a
         probe against a frozen host blocks for :data:`PROBE_TIMEOUT`, and
         the monitor must keep ticking meanwhile)."""
         with self._lock:
             due = [
-                probe
-                for probe in self._probation.values()
-                if not probe.probing and now >= probe.next_probe
+                link
+                for link in self._agents
+                if not link.alive and not link.probing and now >= link.next_probe
             ]
-            for probe in due:
-                probe.probing = True
-        for probe in due:
+            for link in due:
+                link.probing = True
+        for link in due:
             threading.Thread(
                 target=self._probe_agent,
-                args=(probe,),
-                name=f"repro-remote-probe-{probe.host}:{probe.port}",
+                args=(link,),
+                name=f"repro-remote-probe-{link.name}",
                 daemon=True,
             ).start()
 
-    def _probe_agent(self, probe: _Probe) -> None:
-        """One reconnect attempt against a probation address."""
-        name = f"{probe.host}:{probe.port}"
+    def _probe_agent(self, link: _AgentLink) -> None:
+        """One reconnect attempt: re-dial the lost agent's own link."""
         try:
-            self.add_host(probe.host, probe.port, timeout=PROBE_TIMEOUT)
+            self._dial(link, PROBE_TIMEOUT)
         except Exception:  # noqa: BLE001 - still dead: back off, retry
             with self._lock:
-                probe.attempt += 1
-                delay = min(RECONNECT_CAP, RECONNECT_BASE * 2**probe.attempt)
-                probe.next_probe = time.monotonic() + delay * (
+                link.probing = False
+                link.probe_attempt += 1
+                delay = min(RECONNECT_CAP, RECONNECT_BASE * 2**link.probe_attempt)
+                link.next_probe = time.monotonic() + delay * (
                     0.5 + random.random()
                 )
-                probe.probing = False
             return
         with self._lock:
-            self._probation.pop(name, None)
+            link.probing = False
             self.reconnects += 1
-
-    def _pump_backoff(self, now: float) -> None:
-        """Re-pump agents whose admission backoff has expired."""
-        with self._lock:
-            ready = [
-                link
-                for link in self._agents
-                if link.alive
-                and link.queued
-                and link.busy_until
-                and link.busy_until <= now
-            ]
-            for link in ready:
-                link.busy_until = 0.0
-        for link in ready:
-            self._pump(link)
 
     def _deliver(self, agent: _AgentLink, message: dict) -> None:
         """Settle one job from a result frame (first delivery wins)."""
@@ -1586,21 +1548,25 @@ class RemoteStudyPool:
         job.handle._settle(message.get("result"), error)
         plan = self.faults
         if plan is not None and plan.after_result(agent.name) == FAULT_CRASH:
-            self._inject_crash(agent)
+            # Injected crash: an owned loopback process dies outright
+            # (SIGKILL — no drain, no goodbye) and the link goes down the
+            # normal lost-agent path; the plan refuses every reconnect, so
+            # detection and recovery run exactly as for a real crash.
+            if agent.process is not None and agent.process.poll() is None:
+                agent.process.kill()
+            self._agent_lost(agent)
             return
         self._replenish(agent)
 
     def _job_rejected(self, agent: _AgentLink, job_id: int) -> None:
-        """Handle a per-job ``BUSY``: back the agent off, retry the frame.
+        """Handle a per-job ``BUSY``: back the agent off, re-route the frame.
 
-        The frame goes back to the best *other* agent when one exists
-        (otherwise it re-queues here, re-sent once the backoff expires);
-        after :data:`BUSY_FALLBACK_REJECTS` bounces per alive agent the
-        job stops retrying and degrades to the local lane instead — a
-        fleet that is busy forever is a fleet that is gone.
+        The frame goes to the best *other* agent when one exists (otherwise
+        it re-queues here, re-sent once the backoff expires); after
+        :data:`BUSY_FALLBACK_REJECTS` bounces per alive agent the job stops
+        retrying and degrades to the local lane instead — a fleet that is
+        busy forever is a fleet that is gone.
         """
-        fallback_job: _Job | None = None
-        retarget: _AgentLink | None = None
         with self._lock:
             job = agent.inflight.pop(job_id, None)
             if job is None or job.job_id not in self._jobs:
@@ -1616,145 +1582,69 @@ class RemoteStudyPool:
             agent.busy_until = time.monotonic() + backoff * (
                 0.5 + random.random()
             )
-            alive = [link for link in self._agents if link.alive]
-            if (
-                self._fallback == "local"
-                and job.rejects >= BUSY_FALLBACK_REJECTS * max(1, len(alive))
-            ):
-                self._jobs.pop(job_id, None)
-                self.degraded_jobs += 1
-                fallback_job = job
-            else:
-                others = [link for link in alive if link is not agent]
-                retarget = (
-                    min(
-                        others,
-                        key=lambda link, units=job.units: link.eta(units),
-                    )
-                    if others
-                    else agent
-                )
-                retarget.queued.append(job)
-        if fallback_job is not None:
-            self._fallback_submit(fallback_job)
-        elif retarget is not None and retarget is not agent:
-            self._pump(retarget)
+            alive = sum(1 for link in self._agents if link.alive)
+            give_up = job.rejects >= BUSY_FALLBACK_REJECTS * max(1, alive)
+        if give_up:
+            self._degrade([job])
+            return
 
-    def _inject_crash(self, agent: _AgentLink) -> None:
-        """Fault injection: make ``agent`` genuinely die, coordinator-side.
+        def _requeue(stranded: _Job) -> None:  # holds: _lock
+            agent.queued.append(stranded)
 
-        An owned loopback process is killed outright (SIGKILL — no drain,
-        no goodbye); either way the link is torn down through the normal
-        lost-agent path, and the plan refuses every later reconnect, so
-        detection and recovery run exactly as they would for a real crash.
-        """
-        process = agent.process
-        if process is not None and process.poll() is None:
-            process.kill()
-        self._agent_lost(agent)
+        self._reroute(agent, [job], keep=_requeue)
 
-    def _fallback_submit(self, job: _Job) -> None:
-        """Drain one chunk through the persistent local process lane.
+    def _degrade(self, jobs: list[_Job]) -> None:
+        """Drain chunks no agent can take through the persistent local
+        process lane.
 
-        The chunk executes from its original callable and arguments with
+        Each chunk executes from its original callable and arguments with
         its own derived seed, so the degraded result is bit-identical to
-        the remote one.  Any failure to degrade settles the handle with
-        the error — a degraded job must never hang its waiter.
+        the remote one.  A job settled meanwhile is skipped, and any
+        failure to degrade settles the handle with the error — a degraded
+        job must never hang its waiter.
         """
+        if not jobs:
+            return
         from repro.runtime.pool import get_pool
 
-        handle = job.handle
-
-        def _ok(value: Any) -> None:
-            handle._settle(value, None)
-
-        def _err(error: BaseException) -> None:
-            handle._settle(None, error)
-
-        if job.fn is None:
-            handle._settle(
-                None,
-                RuntimeError(
-                    "no remote agents available and the job carries no "
-                    "local fallback callable"
-                ),
-            )
-            return
-        try:
-            get_pool(2, kind="process").submit(
-                job.fn,
-                job.args,
-                units=job.units,
-                callback=_ok,
-                error_callback=_err,
-            )
-        except Exception as exc:  # noqa: BLE001 - never hang the waiter
-            handle._settle(None, _picklable_error(exc))
-
-    def _agent_lost(self, agent: _AgentLink) -> None:
-        """Mark ``agent`` dead, requeue its jobs, start its probation."""
         with self._lock:
-            if not agent.alive:
+            jobs = [
+                job for job in jobs if self._jobs.pop(job.job_id, None) is not None
+            ]
+            self.degraded_jobs += len(jobs)
+        for job in jobs:
+            try:
+                get_pool(2, kind="process").submit(
+                    job.fn,
+                    job.args,
+                    units=job.units,
+                    callback=partial(job.handle._settle, error=None),
+                    error_callback=partial(job.handle._settle, None),
+                )
+            except Exception as exc:  # noqa: BLE001 - never hang the waiter
+                job.handle._settle(None, _picklable_error(exc))
+
+    def _agent_lost(
+        self, agent: _AgentLink, sock: socket.socket | None = None
+    ) -> None:
+        """Mark ``agent`` dead, re-route its jobs, put its link on probation.
+
+        ``sock`` names the connection the caller saw fail; a loss reported
+        for a connection the link has since replaced is stale and ignored.
+        """
+        with self._lock:
+            if not agent.alive or (sock is not None and sock is not agent.sock):
                 return
             agent.alive = False
-            orphaned = [
-                job
-                for job in agent.inflight.values()
-                if job.job_id in self._jobs
-            ]
-            orphaned += [
-                job for job in agent.queued if job.job_id in self._jobs
-            ]
+            sock = agent.sock
+            orphaned = list(agent.inflight.values()) + list(agent.queued)
             agent.inflight.clear()
             agent.queued.clear()
             closed = self._closed
-            if (
-                self._reconnect
-                and not closed
-                and agent.name not in self._probation
-            ):
-                self._probation[agent.name] = _Probe(
-                    agent.host,
-                    agent.port,
-                    time.monotonic() + RECONNECT_BASE * (0.5 + random.random()),
-                )
-        if agent.sock is not None:
-            try:
-                agent.sock.close()
-            except OSError:
-                pass
-        if closed:
-            return
-        targets: list[_AgentLink] = []
-        degraded: list[_Job] = []
-        failed: list[_Job] = []
-        for job in orphaned:
-            with self._lock:
-                if job.job_id not in self._jobs:
-                    continue  # delivered while we were requeueing
-                try:
-                    target = self._route(job)
-                except RuntimeError:
-                    self._jobs.pop(job.job_id, None)
-                    if self._fallback == "local":
-                        self.degraded_jobs += 1
-                        degraded.append(job)
-                    else:
-                        failed.append(job)
-                    continue
-                job.deadline = None
-                target.queued.append(job)
-                if target not in targets:
-                    targets.append(target)
-        for job in degraded:
-            self._fallback_submit(job)
-        for job in failed:
-            job.handle._settle(
-                None,
-                RuntimeError(
-                    f"agent {agent.name} was lost with no surviving "
-                    "agents to requeue onto"
-                ),
+            agent.probe_attempt = 0
+            agent.next_probe = time.monotonic() + RECONNECT_BASE * (
+                0.5 + random.random()
             )
-        for target in targets:
-            self._pump(target)
+        _hang_up(sock)
+        if not closed:
+            self._reroute(agent, orphaned)

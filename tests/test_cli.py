@@ -221,19 +221,25 @@ class TestConnectTimeoutKnob:
         from repro.runtime.remote import (
             CONNECT_TIMEOUT,
             CONNECT_TIMEOUT_ENV_VAR,
-            _resolve_connect_timeout,
+            MIN_CONNECT_TIMEOUT,
+            _resolve_seconds,
         )
 
+        def resolve(value):
+            return _resolve_seconds(
+                value, CONNECT_TIMEOUT_ENV_VAR, CONNECT_TIMEOUT, MIN_CONNECT_TIMEOUT
+            )
+
         monkeypatch.delenv(CONNECT_TIMEOUT_ENV_VAR, raising=False)
-        assert _resolve_connect_timeout(None) == CONNECT_TIMEOUT
-        assert _resolve_connect_timeout(7.5) == 7.5  # explicit wins
+        assert resolve(None) == CONNECT_TIMEOUT
+        assert resolve(7.5) == 7.5  # explicit wins
         monkeypatch.setenv(CONNECT_TIMEOUT_ENV_VAR, "12.5")
-        assert _resolve_connect_timeout(None) == 12.5
-        assert _resolve_connect_timeout(7.5) == 7.5  # explicit still wins
+        assert resolve(None) == 12.5
+        assert resolve(7.5) == 7.5  # explicit still wins
         monkeypatch.setenv(CONNECT_TIMEOUT_ENV_VAR, "0")
-        assert _resolve_connect_timeout(None) == 0.05  # clamped floor
+        assert resolve(None) == 0.05  # clamped floor
         monkeypatch.setenv(CONNECT_TIMEOUT_ENV_VAR, "soon")
-        assert _resolve_connect_timeout(None) == CONNECT_TIMEOUT  # degrade
+        assert resolve(None) == CONNECT_TIMEOUT  # degrade
 
     def test_cli_flag_exports_the_env_var(self, monkeypatch, capsys):
         from repro.runtime.remote import CONNECT_TIMEOUT_ENV_VAR

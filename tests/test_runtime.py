@@ -1610,10 +1610,7 @@ class TestRemoteLane:
             heuristics=("ecef", "fef", "flat_tree"),
         )
         inline = run_practical_study(config, workers=0)
-        # fallback="fail" keeps the historical contract under test here:
-        # losing the last agent is a hard failure, not a degradation to the
-        # local lane (that path has its own tests in TestChaosRemoteLane).
-        pool = RemoteStudyPool(2, fallback="fail")
+        pool = RemoteStudyPool(2)
         try:
             victim = pool._agents[0]
             victim.process.kill()  # dies with the first chunks in flight
@@ -1623,12 +1620,7 @@ class TestRemoteLane:
                 inline.baseline_measured, survived.baseline_measured
             )
             assert not victim.alive and pool.alive
-            # Losing the *last* agent is a hard failure, not a hang
-            # (raised at submit if the loss was already detected, at get
-            # once the requeue finds no survivors otherwise).
-            pool._agents[1].process.kill()
-            with pytest.raises(RuntimeError, match="agent"):
-                pool.submit(derive_seed, 9).get(timeout=60)
+            assert pool.degraded_jobs == 0  # the survivor did the work
         finally:
             pool.close()
 
@@ -1732,6 +1724,28 @@ class TestElasticRemoteLane:
             )
             assert np.array_equal(inline_chain.warm, survived_chain.warm)
             assert np.array_equal(inline_chain.fresh, survived_chain.fresh)
+        finally:
+            try:
+                os.kill(victim.process.pid, signal.SIGCONT)
+            except ProcessLookupError:
+                pass
+            pool.close()
+
+    def test_dead_links_receiver_exits_while_the_agent_is_frozen(self):
+        """A heartbeat-declared death hangs the link's socket up, so its
+        receiver thread exits at once instead of staying blocked in recv
+        until the frozen agent wakes."""
+        pool = RemoteStudyPool(2, heartbeat=0.1)
+        victim = pool._agents[0]
+        receiver = victim._receiver
+        try:
+            os.kill(victim.process.pid, signal.SIGSTOP)
+            deadline = time.monotonic() + 30
+            while victim.alive and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not victim.alive
+            receiver.join(timeout=1.0)
+            assert not receiver.is_alive()
         finally:
             try:
                 os.kill(victim.process.pid, signal.SIGCONT)
@@ -1929,7 +1943,7 @@ class TestChaosRemoteLane:
         chain_kwargs = dict(
             grid=heterogeneous_grid, stages=("scatter", "alltoall")
         )
-        pool = RemoteStudyPool(2, faults=plan, fallback="fail")
+        pool = RemoteStudyPool(2, faults=plan)
         try:
             remote = run_practical_study(practical, workers=2, pool=pool)
             inline = run_practical_study(practical, workers=0)
@@ -1969,6 +1983,7 @@ class TestChaosRemoteLane:
             inline_chain = run_chained_study(collective, **chain_kwargs)
             assert np.array_equal(inline_chain.warm, chained.warm)
             assert np.array_equal(inline_chain.fresh, chained.fresh)
+            assert pool.degraded_jobs == 0  # the survivor did the work
         finally:
             pool.close()
 
@@ -1977,9 +1992,7 @@ class TestChaosRemoteLane:
         are the only detector): expired frames re-route to the survivor and
         every job still settles correctly."""
         plan = FaultPlan(seed=5, agents={"#0": {"drop_rate": 1.0}})
-        pool = RemoteStudyPool(
-            2, faults=plan, heartbeat=0.0, frame_timeout=0.2, fallback="fail"
-        )
+        pool = RemoteStudyPool(2, faults=plan, heartbeat=0.0, frame_timeout=0.2)
         try:
             handles = [
                 pool.submit(derive_seed, index, units=0.01) for index in range(12)
@@ -1988,6 +2001,7 @@ class TestChaosRemoteLane:
                 derive_seed(index) for index in range(12)
             ]
             assert pool.deadline_expired >= 1
+            assert pool.degraded_jobs == 0
         finally:
             pool.close()
 
@@ -1995,9 +2009,7 @@ class TestChaosRemoteLane:
         """Agents with a one-frame queue bound bounce the prefetch overflow
         BUSY; the coordinator backs off, retries, and loses nothing."""
         agents = [_spawn_loopback_agent(1, queue_bound=1) for _ in range(2)]
-        pool = RemoteStudyPool(
-            hosts=[address for _, address in agents], fallback="fail"
-        )
+        pool = RemoteStudyPool(hosts=[address for _, address in agents])
         try:
             handles = [
                 pool.submit(_diagnostic_sleep, (0.05, index), units=1.0)
@@ -2022,7 +2034,7 @@ class TestChaosRemoteLane:
             seed=13,
             agents={"#1": {"hang_after_results": 1, "hang_seconds": 1.0}},
         )
-        pool = RemoteStudyPool(2, faults=plan, heartbeat=0.1, fallback="fail")
+        pool = RemoteStudyPool(2, faults=plan, heartbeat=0.1)
         try:
             handles = [
                 pool.submit(_diagnostic_sleep, (0.02, index), units=1.0)
@@ -2040,8 +2052,106 @@ class TestChaosRemoteLane:
             assert [handle.get(timeout=60) for handle in more] == [
                 derive_seed(index) for index in range(8)
             ]
+            assert pool.degraded_jobs == 0
         finally:
             pool.close()
+
+    def test_reconnect_revives_the_same_link(self, tmp_path, monkeypatch):
+        """A re-admitted agent comes back on its own link: one link per
+        address, the loopback process still owned by it, and so no
+        loopback record written to the cost cache on close."""
+        cache = tmp_path / "costs.json"
+        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
+        plan = FaultPlan(
+            seed=13,
+            agents={"#1": {"hang_after_results": 1, "hang_seconds": 0.5}},
+        )
+        pool = RemoteStudyPool(2, faults=plan, heartbeat=0.1)
+        try:
+            victim = pool._agents[1]
+            process = victim.process
+            handles = [
+                pool.submit(_diagnostic_sleep, (0.02, index), units=1.0)
+                for index in range(12)
+            ]
+            assert [handle.get(timeout=120) for handle in handles] == list(
+                range(12)
+            )
+            deadline = time.monotonic() + 30
+            while pool.reconnects < 1 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert pool.reconnects >= 1
+            assert len(pool._agents) == 2
+            assert len({link.name for link in pool._agents}) == 2
+            assert victim.alive and victim.process is process
+            more = [pool.submit(derive_seed, index) for index in range(8)]
+            assert [handle.get(timeout=60) for handle in more] == [
+                derive_seed(index) for index in range(8)
+            ]
+        finally:
+            pool.close()
+        records = json.loads(cache.read_text()) if cache.exists() else {}
+        assert [key for key in records if key.startswith("agent/")] == []
+
+    def test_reroute_moves_to_a_peer_else_applies_the_trigger_policy(self):
+        """Deadline expiry, BUSY and agent loss share one re-route path.
+        With a peer alive the frame moves there (a deadline expiry is
+        counted); on the only alive agent an expired deadline re-arms,
+        uncounted, and a BUSY frame requeues on that agent."""
+        servers = [AgentServer(workers=1), AgentServer(workers=1)]
+        addresses = [server.bind() for server in servers]
+        for server in servers:
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+        # Every frame vanishes, so a job stays wherever the coordinator
+        # put it; no heartbeats, and deadlines only when the test asks.
+        plan = FaultPlan(agents={"*": {"drop_rate": 1.0}})
+        pool = RemoteStudyPool(
+            hosts=addresses, faults=plan, heartbeat=0.0, frame_timeout=60.0
+        )
+        try:
+            job_id = pool.submit(derive_seed, 1).job_id
+            with pool._lock:
+                (first,) = [
+                    link for link in pool._agents if job_id in link.inflight
+                ]
+                (second,) = [link for link in pool._agents if link is not first]
+            pool._expire_overdue(time.monotonic() + 600)
+            with pool._lock:
+                assert job_id in second.inflight
+                assert job_id not in first.inflight
+                assert pool.deadline_expired == 1
+            pool._job_rejected(second, job_id)
+            with pool._lock:
+                assert job_id in first.inflight
+                assert job_id not in second.inflight
+                assert pool.busy_rejects == 1
+            # Lose `first` for good: its frame moves to `second`, which
+            # the monitor pumps once the BUSY backoff runs out.
+            servers[addresses.index((first.host, first.port))].close()
+            pool._agent_lost(first)
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                with pool._lock:
+                    if job_id in second.inflight:
+                        break
+                time.sleep(0.02)
+            with pool._lock:
+                assert job_id in second.inflight
+            far = time.monotonic() + 600
+            pool._expire_overdue(far)
+            with pool._lock:
+                job = second.inflight[job_id]
+                assert job.deadline is not None and job.deadline > far
+                assert pool.deadline_expired == 1  # re-armed, not counted
+            pool._job_rejected(second, job_id)
+            with pool._lock:
+                assert job_id in second.inflight or job in second.queued
+                assert pool.busy_rejects == 2
+                assert pool.degraded_jobs == 0
+        finally:
+            pool.close()
+            for server in servers:
+                server.close()
 
     def test_corrupted_streams_reconnect_and_finish(self):
         """Agent #0 refuses its first connect, then every frame to it is
@@ -2051,7 +2161,7 @@ class TestChaosRemoteLane:
             seed=3,
             agents={"#0": {"refuse_connects": 1, "corrupt_rate": 1.0}},
         )
-        pool = RemoteStudyPool(2, faults=plan, fallback="fail")
+        pool = RemoteStudyPool(2, faults=plan)
         try:
             handles = [pool.submit(derive_seed, index) for index in range(12)]
             assert [handle.get(timeout=120) for handle in handles] == [
@@ -2061,6 +2171,7 @@ class TestChaosRemoteLane:
             while pool.reconnects < 1 and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert pool.reconnects >= 1
+            assert pool.degraded_jobs == 0
         finally:
             pool.close()
 
@@ -2073,7 +2184,7 @@ class TestChaosRemoteLane:
             cluster_counts=(3, 4), iterations=24, seed=11
         )
         inline = run_simulation_study(config)
-        pool = RemoteStudyPool(2, faults=plan)  # fallback="local" default
+        pool = RemoteStudyPool(2, faults=plan)
         try:
             degraded = run_simulation_study(config, workers=2, pool=pool)
             assert np.array_equal(inline.makespans, degraded.makespans)
@@ -2083,29 +2194,7 @@ class TestChaosRemoteLane:
             ]
             assert not any(link.alive for link in pool._agents)
             assert pool.degraded_jobs >= 1
-            assert pool.alive  # under fallback="local" the pool still serves
-        finally:
-            pool.close()
-
-    def test_fallback_fail_restores_the_hard_failure(self):
-        plan = FaultPlan(
-            seed=29, agents={"*": {"crash_after_results": 1, "refuse_connects": 0}}
-        )
-        pool = RemoteStudyPool(2, faults=plan, fallback="fail")
-        try:
-            handles = [
-                pool.submit(_diagnostic_sleep, (0.05, index), units=1.0)
-                for index in range(8)
-            ]
-            outcomes = []
-            for handle in handles:
-                try:
-                    outcomes.append(handle.get(timeout=120))
-                except RuntimeError:
-                    outcomes.append("failed")
-            assert "failed" in outcomes  # the fleet died and said so
-            assert pool.degraded_jobs == 0
-            assert not pool.alive
+            assert pool.alive  # a dead fleet still serves, locally
         finally:
             pool.close()
 
@@ -2113,7 +2202,7 @@ class TestChaosRemoteLane:
         """A deadline expiry re-dispatches a frame that the original agent
         is still executing; the late original (or the twin) is discarded
         through the duplicate path and the job settles exactly once."""
-        pool = RemoteStudyPool(2, frame_timeout=0.2, fallback="fail")
+        pool = RemoteStudyPool(2, frame_timeout=0.2)
         try:
             handle = pool.submit(_diagnostic_sleep, (0.6, "slow"), units=0.01)
             assert handle.get(timeout=60) == "slow"
@@ -2125,6 +2214,7 @@ class TestChaosRemoteLane:
             # as a discarded duplicate; exactly one delivery completed.
             assert pool.duplicates_ignored >= 1
             assert sum(link.completed for link in pool._agents) == 1
+            assert pool.degraded_jobs == 0
         finally:
             pool.close()
 
@@ -2133,13 +2223,14 @@ class TestChaosRemoteLane:
         result, refuses new work, and exits 0 — nothing is lost, nothing
         needs re-dispatch."""
         process, address = _spawn_loopback_agent(1)
-        pool = RemoteStudyPool(hosts=(address,), fallback="fail")
+        pool = RemoteStudyPool(hosts=(address,))
         try:
             handle = pool.submit(_diagnostic_sleep, (0.8, "drained"), units=1.0)
             time.sleep(0.25)  # let the frame reach the agent and start
             process.send_signal(signal.SIGTERM)
             assert handle.get(timeout=60) == "drained"
             assert process.wait(timeout=60) == 0
+            assert pool.degraded_jobs == 0
         finally:
             pool.close()
             if process.poll() is None:
