@@ -238,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--transport",
         choices=("auto", "shm", "pickle"),
         default=None,
-        help="how compiled program batches reach process workers "
+        help="how stacked program batches reach process workers "
         "(default: auto — shared memory when available, pickle otherwise)",
     )
 

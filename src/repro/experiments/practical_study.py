@@ -317,7 +317,7 @@ def run_practical_study(
         results — the scalar path (per-size scheduling, scalar simulator)
         exists as the reference for equivalence tests and benchmarks.
     executor:
-        Fan-out lane: ``"process"``, ``"remote"`` (compiled batches framed
+        Fan-out lane: ``"process"``, ``"remote"`` (stacked batches framed
         over sockets to the worker agents named by ``hosts`` /
         ``REPRO_HOSTS``, loopback agents otherwise), or ``"auto"`` (inline
         for sweeps too small to amortise shipping, processes otherwise;

@@ -16,7 +16,7 @@ the subsystem that removes them, shared by every study driver and the CLI:
   auto keeps batches too small to amortise shipping inline);
 * :mod:`repro.runtime.transport` —
   :class:`~repro.runtime.transport.ArrayShipment`, zero-copy shipping of
-  ``(K, n, n)`` cost stacks and compiled program arrays through
+  ``(K, n, n)`` cost stacks and stacked program arrays through
   :mod:`multiprocessing.shared_memory` (pickle fallback on platforms
   without it);
 * :mod:`repro.runtime.chunking` — cost-aware chunk sizing
@@ -58,7 +58,6 @@ from repro.runtime.chunking import (
     EXECUTORS,
     CostModel,
     aggregate_unit_costs,
-    compiled_cost,
     load_cost_model,
     partition_by_cost,
     program_cost,
@@ -97,7 +96,6 @@ __all__ = [
     "EXECUTORS",
     "CostModel",
     "aggregate_unit_costs",
-    "compiled_cost",
     "load_cost_model",
     "partition_by_cost",
     "program_cost",

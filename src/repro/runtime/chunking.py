@@ -63,9 +63,10 @@ AUTO_INLINE_MAX_UNITS = 4096
 #: and time out remote chunks; never affects results.
 DEFAULT_UNITS_PER_SECOND = 200_000.0
 
-#: Chunks-per-worker target shared by every fan-out path: enough chunks that
-#: a skewed workload still balances, few enough that per-chunk overhead stays
-#: negligible.
+#: Chunks-per-worker target of the fan-out paths: enough chunks that a
+#: skewed workload still balances, few enough that per-chunk overhead stays
+#: negligible.  The batched simulator's process lane cuts one chunk per
+#: worker instead: its stacked relaxation pays a fixed cost per call.
 CHUNKS_PER_WORKER = 4
 
 #: Environment variable naming an opt-in on-disk cost cache (a JSON file).
@@ -118,19 +119,6 @@ def gossip_cost(num_nodes: int, rounds: int) -> float:
     """
     expected_rounds = min(rounds, int(math.ceil(math.log2(max(2, num_nodes)))) + 2)
     return 1.0 + num_nodes * expected_rounds / 64.0
-
-
-def compiled_cost(compiled_program: Any) -> int:
-    """Prior cost of one *compiled* program — the compiled twin of
-    :func:`program_cost`.
-
-    Compiled programs (``repro.simulator.batch._CompiledProgram``) carry
-    their flattened message list in ``dest``, so the message count is a
-    direct length.  Every dispatch path (process, remote) must
-    price tasks through this one helper so the cost prior can never diverge
-    between lanes.
-    """
-    return 1 + len(compiled_program.dest)
 
 
 class CostModel:

@@ -41,6 +41,10 @@ from repro.runtime import wire
 
 __all__ = ["FrameServer"]
 
+#: Longest time :meth:`FrameServer.serve_forever` stays inside one accept
+#: call before returning to Python (where pending signal handlers run).
+_ACCEPT_POLL_SECONDS = 0.1
+
 
 class FrameServer:
     """A length-prefixed-frame server: accept loop, admission, drain.
@@ -144,9 +148,16 @@ class FrameServer:
         """Accept client connections until :meth:`close` is called."""
         self.bind()
         listener = self._listener
-        while listener is not None and not self._stopped.is_set():
+        assert listener is not None
+        # A bounded accept: a signal the kernel hands to another thread only
+        # sets a flag, and the main thread runs its Python handler (SIGTERM's
+        # begin_drain) when it next returns from the accept call.
+        listener.settimeout(_ACCEPT_POLL_SECONDS)
+        while not self._stopped.is_set():
             try:
                 conn, _ = listener.accept()
+            except TimeoutError:
+                continue
             except OSError:
                 break
             with self._idle:
@@ -311,6 +322,12 @@ class FrameServer:
         with self._idle:
             connections = list(self._connections)
         for conn in connections:
+            # Shut down first: close() alone neither wakes a connection
+            # thread blocked in recv() nor sends the client its EOF.
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 conn.close()
             except OSError:

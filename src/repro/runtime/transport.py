@@ -1,7 +1,7 @@
 """Zero-copy shipping of NumPy array bundles to worker processes.
 
 The studies move two kinds of bulk data to workers: stacked ``(K, n, n)``
-cost matrices (Monte-Carlo scheduling) and compiled program arrays (measured
+cost matrices (Monte-Carlo scheduling) and stacked program arrays (measured
 sweeps).  Pickling those per chunk re-serialises megabytes that every worker
 then deserialises again.  An :class:`ArrayShipment` instead packs the arrays
 into one :mod:`multiprocessing.shared_memory` block: the parent copies each

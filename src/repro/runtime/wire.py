@@ -1,7 +1,7 @@
 """The length-prefixed wire protocol of the distributed executor lane.
 
 The remote lane (:mod:`repro.runtime.remote`) moves exactly the payloads the
-process lane already ships through shared memory: compiled program arrays,
+process lane already ships through shared memory: stacked program arrays,
 stacked ``(K, n, n)`` cost matrices, chunk jobs and their results.  This
 module is the byte-level encoding of those payloads over a socket — stdlib
 only (:mod:`socket`, :mod:`struct`, :mod:`pickle`, :mod:`zlib`), no msgpack,

@@ -22,8 +22,8 @@ Building blocks
   network and returns an :class:`~repro.simulator.execution.ExecutionResult`
   (arrival times, makespan, trace).
 * :func:`~repro.simulator.batch.execute_programs` — runs many independent
-  programs in one pass (compiled programs, array-backed per-program state,
-  per-program noise seeds), bit-identical to the scalar engine and the
+  programs in one stacked relaxation pass (message-keyed noise from
+  per-task seeds), bit-identical to the scalar engine and the
   workhorse behind the measured sweeps of the practical study.
 """
 

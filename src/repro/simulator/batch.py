@@ -3,41 +3,42 @@
 The practical study (paper §7, Figures 5/6) measures one discrete-event
 execution per (heuristic, message size) — plus the binomial baseline — on the
 same grid.  Run through :func:`~repro.simulator.execution.execute_program`
-each message pays for a topology lookup, a fresh
-:class:`~repro.model.plogp.PLogPParameters` object, a piecewise gap-function
-evaluation, a callback closure and a trace dataclass; the per-message Python
-overhead dwarfs the arithmetic.  This module executes a whole batch of
-programs in one pass instead:
+each message pays for a topology lookup, a piecewise gap-function evaluation,
+an event-queue callback and a trace dataclass; the per-message Python
+overhead dwarfs the arithmetic.  This module measures a whole batch in one
+stacked relaxation pass instead:
 
-* every program is **compiled** once — its flat per-rank message arrays
-  (:class:`~repro.simulator.program.CommunicationProgram`'s own CSR form)
-  plus per-message gap/latency, gathered for the whole batch at once from
-  per-size (cluster x cluster) tables that evaluate each pair present once —
-  so the hot loop touches only plain numbers;
-* NIC occupancy, activation and completion state live in flat per-rank state
-  rows keyed per program, advanced by a per-program delivery-event heap
-  (programs are independent, so running them back to back is observationally
-  identical to interleaving their events — and keeps each program's state row
-  cache-hot);
-* long send bursts (a flat scatter root, an all-to-all coordinator) are
-  issued vectorised — noise included, via masked bulk log-normal draws — while
-  short bursts take a scalar fast path; both reproduce the reference
-  arithmetic operation-for-operation;
-* each program owns its own noise stream (``noise_seed``), which is what
-  makes batching, reordering and multiprocessing fan-out bit-preserving;
+* every task's program contributes its own CSR arrays (the
+  :class:`~repro.simulator.program.CommunicationProgram` flat form) plus
+  per-message gap/latency, gathered once per distinct program from per-size
+  (cluster x cluster) tables that evaluate each pair present once; the
+  tasks are concatenated with rank and message offsets into one stack;
+* noise is keyed by message, not by event: each task's stream draws
+  ``2 * M`` log-normal factors up front, message ``i`` (CSR order) scales
+  its gap by factor ``2i`` and its latency by factor ``2i + 1`` — exactly
+  what the scalar engine does through
+  :meth:`~repro.simulator.network.SimulatedNetwork.draw_noise`;
+* a rank's activation is the minimum delivery over its incoming messages
+  (0 for the roots).  Each wave recomputes the sends of the ranks whose
+  activation fell — their release chains summed left to right
+  (``start = max(activation, nic)``, ``release_k = release_{k-1} + gap_k``,
+  the scalar ``start + gap`` arithmetic) — and lowers the receivers with
+  ``np.minimum.at``, over every task of the batch at once, until nothing
+  falls; one path serves broadcasts, scatter, all-to-all and multi-receive
+  gossip programs;
 * a task may instead declare ``reset_network=False`` to **chain** onto the
   previous task's warm network — NIC backlog and the noise stream carry over,
-  exactly like the scalar engine's ``execute_program(reset_network=False)`` —
-  which is how back-to-back collective pipelines (scatter→all-to-all,
-  repeated broadcasts) are measured as one workload.
+  exactly like the scalar engine's ``execute_program(reset_network=False)``;
+  chained tasks run one stacked pass per chain position, carrying the NIC
+  row forward.
 
 Worker fan-out goes through the runtime layer.  On the **process lane** the
-batch is compiled **once in the parent**, the compiled arrays ship to the
+batch is stacked **once in the parent**, the stacked arrays ship to the
 persistent :class:`~repro.runtime.pool.StudyPool` via shared memory
-(:mod:`repro.runtime.transport`; pickle fallback), and each worker executes
-a chain-respecting slice against zero-copy views; the **remote lane** frames
-per-chunk array bundles to worker agents instead.
-:func:`repro.runtime.pool.choose_lane` picks the lane per call
+(:mod:`repro.runtime.transport`; pickle fallback), and each worker runs a
+chain-respecting task range of the stack against zero-copy views; the
+**remote lane** frames each chunk's slice of the stack to worker agents
+instead.  :func:`repro.runtime.pool.choose_lane` picks the lane per call
 (``executor="auto"`` keeps batches too small to amortise shipping inline).
 Worker chunks are sized from per-task cost (message counts) rather than
 task counts, so a mixed scatter/all-to-all workload balances across
@@ -46,15 +47,15 @@ workers.
 The scalar :func:`~repro.simulator.execution.execute_program` remains the
 reference engine: ``engine="scalar"`` runs it program by program on
 identically-seeded fresh (or chained warm) networks, and the equivalence
-suite (``tests/test_simulator_batch.py``, ``tests/test_runtime.py``) asserts
-that both engines produce bit-identical makespans, activation/completion
-vectors and traces for every collective shape, noise on and off, at any
-worker count, over either transport.
+suite (``tests/test_simulator_batch.py``, ``tests/test_runtime.py``,
+``tests/test_properties.py``) asserts that both engines produce
+bit-identical makespans, activation/completion vectors and traces for every
+collective shape, noise on and off, at any worker count, over either
+transport.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,12 +66,6 @@ from repro.simulator.network import NetworkConfig, SimulatedNetwork
 from repro.simulator.program import CommunicationProgram
 from repro.topology.grid import Grid
 from repro.utils.rng import RandomStream
-
-#: Send bursts at least this long are issued through the vectorised NumPy
-#: path; shorter bursts (the common broadcast case of 1–6 sends per rank) are
-#: cheaper through the scalar fast path.  Both paths are bit-identical, so the
-#: threshold is purely a performance knob.
-VECTOR_MIN_SENDS = 12
 
 #: Valid ``engine=`` values of :func:`execute_programs` (and the study
 #: drivers built on it): the batched engine and the scalar reference loop.
@@ -107,70 +102,6 @@ class ExecutionTask:
     initially_active: tuple[int, ...] = ()
     noise_seed: int | None = None
     reset_network: bool = True
-
-
-class _CompiledProgram:
-    """One program's message arrays plus their noise-free pLogP values.
-
-    Messages are stored rank-major (``indptr[rank] : indptr[rank + 1]``), in
-    program send order — the program's own CSR form, as plain lists for the
-    hot loop (plus ``size``/``tag`` when traces are collected).
-    ``gap``/``latency`` hold the noise-free pLogP values gathered from the
-    batch's cluster-pair tables — bitwise the same numbers
-    :meth:`~repro.simulator.network.SimulatedNetwork.transmit` would compute
-    per message — both as NumPy arrays (vector path) and plain lists (scalar
-    path).  A compiled program is read-only during execution, so one compile
-    serves replicas, chains and every worker that receives it.
-    """
-
-    __slots__ = (
-        "program",
-        "name",
-        "num_ranks",
-        "roots",
-        "indptr",
-        "dest",
-        "size",
-        "tag",
-        "gap",
-        "latency",
-        "gap_list",
-        "latency_list",
-        "max_draws",
-    )
-
-    def __init__(
-        self,
-        task: ExecutionTask,
-        gap: np.ndarray,
-        latency: np.ndarray,
-        lean: bool = False,
-    ) -> None:
-        program = task.program
-        self.program = program
-        self.name = program.name
-        self.num_ranks = program.num_ranks
-        self.roots = program.start_ranks(task.initially_active)
-        for rank in self.roots:
-            if not 0 <= rank < program.num_ranks:
-                raise ValueError(f"initially active rank {rank} out of range")
-        self.indptr = program.indptr.tolist()
-        self.dest = program.dest.tolist()
-        if lean:
-            self.size = self.tag = None
-        else:
-            tags = program.tags
-            self.size = program.size.tolist()
-            self.tag = [tags[code] for code in program.tag_code.tolist()]
-        self.gap = gap
-        self.latency = latency
-        self.gap_list = gap.tolist()
-        self.latency_list = latency.tolist()
-        # Upper bound on noise draws: one per nonzero gap/latency value.  The
-        # bound is only unreached when some sender never activates (its sends
-        # never execute); pre-drawing extra values is harmless because every
-        # executed message consumes the same stream positions either way.
-        self.max_draws = int(np.count_nonzero(gap) + np.count_nonzero(latency))
 
 
 class _PairTables:
@@ -236,350 +167,266 @@ class _PairTables:
         return gap, self.latency[pair]
 
 
-class _BatchCompiler:
-    """Parent-side compile state of one batch on one grid.
-
-    Holds the cluster-pair tables and the compiled cache (a program
-    appearing in several tasks — noise replicas, chained stages — compiles
-    once; the compiled form is read-only during execution).
-    """
-
-    __slots__ = ("grid", "lean", "tables", "cache")
-
-    def __init__(self, grid: Grid, collect_traces: bool) -> None:
-        self.grid = grid
-        self.lean = not collect_traces
-        self.tables = _PairTables(grid)
-        self.cache: dict[tuple[int, tuple[int, ...]], _CompiledProgram] = {}
-
-    def compile(self, tasks: Sequence[ExecutionTask]) -> list[_CompiledProgram]:
-        """The compiled form of every task, gathering new programs in one pass."""
-        keys = [(id(task.program), tuple(task.initially_active)) for task in tasks]
-        fresh: dict[tuple[int, tuple[int, ...]], ExecutionTask] = {}
-        for key, task in zip(keys, tasks):
-            if key in self.cache or key in fresh:
-                continue
-            if task.program.num_ranks > self.grid.num_nodes:
-                raise ValueError(
-                    f"program spans {task.program.num_ranks} ranks but the network "
-                    f"only has {self.grid.num_nodes}"
-                )
-            fresh[key] = task
-        if fresh:
-            gap, latency = self.tables.gather([task.program for task in fresh.values()])
-            start = 0
-            for key, task in fresh.items():
-                end = start + task.program.total_messages()
-                self.cache[key] = _CompiledProgram(
-                    task, gap[start:end], latency[start:end], lean=self.lean
-                )
-                start = end
-        return [self.cache[key] for key in keys]
-
-
-def _run_compiled(
-    prog: _CompiledProgram,
-    noise: np.ndarray | None,
-    overhead: float,
+def _stack_tasks(
+    grid: Grid,
+    tasks: Sequence[ExecutionTask],
+    config: NetworkConfig,
     collect_traces: bool,
-    nic_free: list[float],
-) -> tuple[ExecutionResult, int]:
-    """Execute one compiled program against per-rank array state.
+) -> tuple[dict[str, np.ndarray], list[tuple]]:
+    """Concatenate every task's CSR arrays and noise-free pLogP values.
 
-    ``nic_free`` is the (caller-owned) per-rank NIC availability row: all
-    zeros for a fresh network, or the carried-over row of the previous task
-    of a warm chain.  Activation and completion are per-execution either way,
-    exactly like the scalar engine.  Returns the result plus the number of
-    noise draws actually consumed, which a chain needs to keep its stream
-    aligned with the scalar reference.
-
-    The delivery heap is local to the program, so its (time, sequence)
-    ordering is exactly the scalar engine's — interleaving with other
-    programs of the batch never reorders a program's own ties.
+    Returns ``(arrays, metas)``.  ``arrays`` holds ``indptr`` (each task's
+    own ``num_ranks + 1`` offsets, back to back), per-message ``dest``
+    (task-local ranks), ``gap`` and ``latency`` (gathered once per distinct
+    program), plus ``size`` and ``tag_code`` when traces are kept.  ``metas``
+    holds one ``(name, num_ranks, roots, seed, reset, tags)`` tuple per task.
+    Task blocks are contiguous, so any task range is a slice of every array.
     """
-    n = prog.num_ranks
-    indptr = prog.indptr
-    dest = prog.dest
-    gap_list = prog.gap_list
-    latency_list = prog.latency_list
-    active = bytearray(n)
-    activation = [0.0] * n
-    completion = [0.0] * n
-    noisy = noise is not None
-    draws = noise.tolist() if noisy else []
-    position = 0
-    trace: list[tuple] | None = [] if collect_traces else None
-    heap: list[tuple[float, int, int]] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    sequence = 0
-
-    def issue_sends(rank: int, now: float) -> None:
-        nonlocal sequence, position
-        lo = indptr[rank]
-        hi = indptr[rank + 1]
-        count = hi - lo
-        if count >= VECTOR_MIN_SENDS:
-            gaps = prog.gap[lo:hi]
-            lats = prog.latency[lo:hi]
-            if noisy:
-                # Interleave gap0, lat0, gap1, lat1, ... so the draws are
-                # consumed in exactly the scalar transmit order (zero-valued
-                # entries draw nothing, like _perturb).
-                base = np.empty(2 * count)
-                base[0::2] = gaps
-                base[1::2] = lats
-                mask = base != 0.0
-                used = int(mask.sum())
-                factors = np.ones(2 * count)
-                factors[mask] = noise[position : position + used]
-                position += used
-                perturbed = base * factors
-                gaps = perturbed[0::2]
-                lats = perturbed[1::2]
-                chain = gaps
-            else:
-                chain = gaps.copy()
-            start0 = max(now, nic_free[rank])
-            chain[0] += start0
-            releases = np.cumsum(chain)
-            deliveries = releases + lats + overhead
-            release_list = releases.tolist()
-            last_release = release_list[-1]
-            nic_free[rank] = last_release
-            completion[rank] = max(completion[rank], last_release)
-            delivery_list = deliveries.tolist()
-            for offset, delivery in enumerate(delivery_list):
-                destination = dest[lo + offset]
-                if active[destination]:
-                    # Already-active receivers need no event: the delivery
-                    # can only raise their completion, and max() is
-                    # order-independent, so fold it in right away.
-                    if delivery > completion[destination]:
-                        completion[destination] = delivery
-                else:
-                    push(heap, (delivery, sequence, lo + offset))
-                    sequence += 1
-            if trace is not None:
-                start_list = [start0] + release_list[:-1]
-                for offset in range(count):
-                    index = lo + offset
-                    trace.append(
-                        (
-                            rank,
-                            dest[index],
-                            prog.size[index],
-                            now,
-                            start_list[offset],
-                            delivery_list[offset],
-                            prog.tag[index],
-                        )
-                    )
-        elif noisy:
-            nic = nic_free[rank]
-            for index in range(lo, hi):
-                gap = gap_list[index]
-                lat = latency_list[index]
-                if gap != 0.0:
-                    gap = gap * draws[position]
-                    position += 1
-                if lat != 0.0:
-                    lat = lat * draws[position]
-                    position += 1
-                start = now if now >= nic else nic
-                release = start + gap
-                delivery = release + lat + overhead
-                nic = release
-                destination = dest[index]
-                if active[destination]:
-                    if delivery > completion[destination]:
-                        completion[destination] = delivery
-                else:
-                    push(heap, (delivery, sequence, index))
-                    sequence += 1
-                if trace is not None:
-                    trace.append(
-                        (
-                            rank,
-                            dest[index],
-                            prog.size[index],
-                            now,
-                            start,
-                            delivery,
-                            prog.tag[index],
-                        )
-                    )
-            nic_free[rank] = nic
-            completion[rank] = max(completion[rank], nic)
-        else:
-            nic = nic_free[rank]
-            for index in range(lo, hi):
-                start = now if now >= nic else nic
-                release = start + gap_list[index]
-                delivery = release + latency_list[index] + overhead
-                nic = release
-                destination = dest[index]
-                if active[destination]:
-                    if delivery > completion[destination]:
-                        completion[destination] = delivery
-                else:
-                    push(heap, (delivery, sequence, index))
-                    sequence += 1
-                if trace is not None:
-                    trace.append(
-                        (
-                            rank,
-                            dest[index],
-                            prog.size[index],
-                            now,
-                            start,
-                            delivery,
-                            prog.tag[index],
-                        )
-                    )
-            nic_free[rank] = nic
-            completion[rank] = max(completion[rank], nic)
-
-    # Flag every initially-active rank before issuing anything: the scalar
-    # engine pops all time-zero activation events before the first delivery,
-    # so during root bursts the whole root set already counts as active.
-    for rank in prog.roots:
-        active[rank] = 1
-    for rank in prog.roots:
-        if indptr[rank + 1] > indptr[rank]:
-            issue_sends(rank, 0.0)
-
-    while heap:
-        time, _, index = pop(heap)
-        destination = dest[index]
-        if time > completion[destination]:
-            completion[destination] = time
-        if not active[destination]:
-            active[destination] = 1
-            activation[destination] = time
-            lo = indptr[destination]
-            hi = indptr[destination + 1]
-            if hi - lo == 1:
-                # Inlined single-send burst — the overwhelmingly common case
-                # in tree-shaped programs; same arithmetic as issue_sends.
-                gap = gap_list[lo]
-                lat = latency_list[lo]
-                if noisy:
-                    if gap != 0.0:
-                        gap = gap * draws[position]
-                        position += 1
-                    if lat != 0.0:
-                        lat = lat * draws[position]
-                        position += 1
-                nic = nic_free[destination]
-                start = time if time >= nic else nic
-                release = start + gap
-                nic_free[destination] = release
-                if release > completion[destination]:
-                    completion[destination] = release
-                delivery = release + lat + overhead
-                receiver = dest[lo]
-                if active[receiver]:
-                    if delivery > completion[receiver]:
-                        completion[receiver] = delivery
-                else:
-                    push(heap, (delivery, sequence, lo))
-                    sequence += 1
-                if trace is not None:
-                    trace.append(
-                        (
-                            destination,
-                            dest[lo],
-                            prog.size[lo],
-                            time,
-                            start,
-                            delivery,
-                            prog.tag[lo],
-                        )
-                    )
-            elif hi > lo:
-                issue_sends(destination, time)
-
-    # Every time in the state rows is a plain Python float by construction
-    # (heap entries and vector results pass through .tolist()), so result
-    # materialisation is copy-only.
-    activation_times: list[float | None] = [
-        value if flag else None for value, flag in zip(activation, active)
-    ]
-    trace_records: list[MessageRecord] = []
-    if trace is not None:
-        trace_records = [
-            MessageRecord(
-                source=source,
-                destination=destination,
-                message_size=size,
-                issue_time=issue,
-                start_time=start,
-                delivery_time=delivery,
-                tag=tag,
+    distinct: dict[int, CommunicationProgram] = {}
+    metas = []
+    for task in tasks:
+        program = task.program
+        if program.num_ranks > grid.num_nodes:
+            raise ValueError(
+                f"program spans {program.num_ranks} ranks but the network "
+                f"only has {grid.num_nodes}"
             )
-            for source, destination, size, issue, start, delivery, tag in trace
-        ]
-        trace_records.sort(key=lambda record: record.delivery_time)
-    result = ExecutionResult(
-        program_name=prog.name,
-        activation_times=activation_times,
-        completion_times=list(completion),
-        trace=trace_records,
-    )
-    return result, position
+        roots = program.start_ranks(task.initially_active)
+        for rank in roots:
+            if not 0 <= rank < program.num_ranks:
+                raise ValueError(f"initially active rank {rank} out of range")
+        distinct.setdefault(id(program), program)
+        metas.append(
+            (
+                program.name,
+                program.num_ranks,
+                tuple(roots),
+                task.noise_seed if task.noise_seed is not None else config.seed,
+                task.reset_network,
+                program.tags if collect_traces else (),
+            )
+        )
+    gap, latency = _PairTables(grid).gather(list(distinct.values()))
+    segment: dict[int, slice] = {}
+    start = 0
+    for key, program in distinct.items():
+        segment[key] = slice(start, start + program.total_messages())
+        start = segment[key].stop
+    programs = [task.program for task in tasks]
+    arrays = {
+        "indptr": np.concatenate([program.indptr for program in programs]),
+        "dest": np.concatenate([program.dest for program in programs]),
+        "gap": np.concatenate([gap[segment[id(program)]] for program in programs]),
+        "latency": np.concatenate(
+            [latency[segment[id(program)]] for program in programs]
+        ),
+    }
+    if collect_traces:
+        arrays["size"] = np.concatenate([program.size for program in programs])
+        arrays["tag_code"] = np.concatenate(
+            [program.tag_code for program in programs]
+        )
+    return arrays, metas
 
 
-def _run_task_sequence(
-    compiled: Sequence[_CompiledProgram],
-    seeds: Sequence[int],
-    resets: Sequence[bool],
+def _relax(
+    ptr: np.ndarray,
+    dest: np.ndarray,
+    gap: np.ndarray,
+    latency: np.ndarray,
+    overhead: float,
+    nic: np.ndarray,
+    activation: np.ndarray,
+    release: np.ndarray,
+    delivery: np.ndarray,
+    roots: np.ndarray,
+) -> None:
+    """Relax the stacked program from ``roots`` until no activation falls.
+
+    ``activation`` (``inf`` = not yet reached), ``release`` and ``delivery``
+    are updated in place.  Each wave recomputes the whole send list of every
+    rank whose activation fell: row ``r`` of a ``(senders, width + 1)``
+    matrix holds ``start = max(activation, nic)`` followed by the rank's gaps,
+    and a row-wise cumulative sum gives ``release_k = release_{k-1} + gap_k``
+    summed left to right, exactly the scalar ``start + gap``.  Delivery times
+    only fall with their sender's activation, so the ``np.minimum.at`` over
+    every wave leaves each rank at the minimum of its final deliveries.
+    """
+    activation[roots] = 0.0
+    degree = ptr[1:] - ptr[:-1]
+    fell = np.zeros(activation.size, dtype=bool)
+    frontier = roots
+    while frontier.size:
+        senders = frontier[degree[frontier] > 0]
+        if not senders.size:
+            return
+        counts = degree[senders]
+        stride = int(counts.max()) + 1
+        offsets = np.cumsum(counts) - counts
+        flat = np.arange(int(counts.sum()))
+        messages = np.repeat(ptr[senders] - offsets, counts) + flat
+        rows = np.arange(senders.size) * stride
+        cells = np.repeat(rows + 1 - offsets, counts) + flat
+        chain = np.zeros(senders.size * stride)
+        chain[::stride] = np.maximum(activation[senders], nic[senders])
+        chain[cells] = gap[messages]
+        released = np.cumsum(chain.reshape(-1, stride), axis=1).ravel()[cells]
+        arrived = (released + latency[messages]) + overhead
+        release[messages] = released
+        delivery[messages] = arrived
+        targets = dest[messages]
+        before = activation[targets]
+        np.minimum.at(activation, targets, arrived)
+        fell[targets[activation[targets] < before]] = True
+        frontier = np.flatnonzero(fell)
+        fell[frontier] = False
+
+
+def _execute_stacked(
+    arrays: dict[str, np.ndarray],
+    metas: Sequence[tuple],
     sigma: float,
     overhead: float,
     collect_traces: bool,
     num_nodes: int,
 ) -> list[ExecutionResult]:
-    """Execute compiled tasks in order, threading warm-chain state through.
+    """Execute a :func:`_stack_tasks` stack; the batched engine proper.
 
-    A task with ``resets[i]`` false continues the previous task's NIC row and
-    noise stream.  The noise sequence of each program is still pre-drawn in
-    one bulk call; when fewer draws are consumed than pre-drawn (a sender
-    that never activates) and the chain continues, the stream is rewound and
-    advanced by exactly the consumed count, so a chained successor sees
-    bitwise the stream position the scalar engine's lazy draws would leave.
+    Tasks that chain (``reset`` false) run one relaxation pass per chain
+    position; every other task runs in the first pass.  Passes share the
+    stacked state arrays, since every task owns its own rank and message
+    block.
     """
-    results: list[ExecutionResult] = []
-    stream: RandomStream | None = None
-    nic_free: list[float] | None = None
-    count = len(compiled)
-    for index in range(count):
-        prog = compiled[index]
-        if resets[index] or nic_free is None:
-            nic_free = [0.0] * num_nodes
-            stream = RandomStream(seed=seeds[index]) if sigma > 0.0 else None
-        noise: np.ndarray | None = None
-        state_before = None
-        chain_continues = index + 1 < count and not resets[index + 1]
-        if stream is not None and prog.max_draws:
-            if chain_continues:
-                state_before = stream.state
-            noise = stream.lognormal_array(0.0, sigma, prog.max_draws)
-        result, consumed = _run_compiled(
-            prog, noise, overhead, collect_traces, nic_free
+    count = len(metas)
+    num_ranks = [meta[1] for meta in metas]
+    rank_off = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(num_ranks, out=rank_off[1:])
+    local_ptr = arrays["indptr"]
+    segment_ends = rank_off[1:] + np.arange(1, count + 1)
+    msg_count = local_ptr[segment_ends - 1]
+    msg_off = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(msg_count, out=msg_off[1:])
+    total_ranks = int(rank_off[-1])
+    keep = np.ones(local_ptr.size, dtype=bool)
+    keep[segment_ends - 1] = False
+    ptr = np.empty(total_ranks + 1, dtype=np.int64)
+    ptr[:-1] = local_ptr[keep] + np.repeat(msg_off[:-1], num_ranks)
+    ptr[-1] = msg_off[-1]
+    dest = arrays["dest"] + np.repeat(rank_off[:-1], msg_count)
+    gap = arrays["gap"]
+    latency = arrays["latency"]
+    rank_bounds = rank_off.tolist()
+    msg_bounds = msg_off.tolist()
+    if sigma > 0.0:
+        factors = np.empty(2 * msg_bounds[-1])
+        # Every stack starts with a chain head (reset), which opens a stream.
+        for index, (_, _, _, seed, reset, _) in enumerate(metas):
+            if reset:
+                stream = RandomStream(seed=seed)
+            lo, hi = msg_bounds[index], msg_bounds[index + 1]
+            factors[2 * lo : 2 * hi] = stream.lognormal_array(
+                0.0, sigma, 2 * (hi - lo)
+            )
+        gap = gap * factors[0::2]
+        latency = latency * factors[1::2]
+
+    nic = np.zeros(total_ranks)
+    activation = np.full(total_ranks, np.inf)
+    release = np.zeros(msg_bounds[-1])
+    delivery = np.zeros(msg_bounds[-1])
+    degree = ptr[1:] - ptr[:-1]
+    position = [0] * count
+    for index in range(1, count):
+        if not metas[index][4]:
+            position[index] = position[index - 1] + 1
+    # Each chain's NIC row over the whole network, keyed by the task that
+    # reads it next.
+    nic_rows: dict[int, np.ndarray] = {}
+    for chain_position in range(max(position, default=-1) + 1):
+        members = [
+            index for index in range(count) if position[index] == chain_position
+        ]
+        roots = np.concatenate(
+            [np.add(metas[index][2], rank_bounds[index]) for index in members]
         )
-        if chain_continues and noise is not None and consumed < prog.max_draws:
-            stream.state = state_before
-            if consumed:
-                stream.lognormal_array(0.0, sigma, consumed)
-        results.append(result)
+        _relax(
+            ptr, dest, gap, latency, overhead, nic, activation, release,
+            delivery, roots,
+        )
+        for index in members:
+            if index + 1 == count or not position[index + 1]:
+                continue
+            # Hand the row on: the last release of every rank that sent, the
+            # carried value everywhere else.
+            lo, hi = rank_bounds[index], rank_bounds[index + 1]
+            row = nic_rows.pop(index, None)
+            if row is None:
+                row = np.zeros(num_nodes)
+            row[: hi - lo] = nic[lo:hi]
+            sent = lo + np.flatnonzero(
+                np.isfinite(activation[lo:hi]) & (degree[lo:hi] > 0)
+            )
+            row[sent - lo] = release[ptr[sent + 1] - 1]
+            nic[hi : rank_bounds[index + 2]] = row[: num_ranks[index + 1]]
+            nic_rows[index + 1] = row
+
+    # Completion: the activation, every delivery received from an active
+    # sender, and the rank's own last release.
+    active = np.isfinite(activation)
+    sender = np.repeat(np.arange(total_ranks), degree)
+    sent = active[sender]
+    completion = np.where(active, activation, 0.0)
+    np.maximum.at(completion, dest[sent], delivery[sent])
+    senders = np.flatnonzero(active & (degree > 0))
+    last = ptr[senders + 1] - 1
+    completion[senders] = np.maximum(completion[senders], release[last])
+    if collect_traces:
+        start = np.empty_like(release)
+        start[1:] = release[:-1]
+        start[ptr[senders]] = np.maximum(activation[senders], nic[senders])
+
+    activation_list: list[float | None] = activation.tolist()
+    for rank in np.flatnonzero(~active).tolist():
+        activation_list[rank] = None
+    completion_list = completion.tolist()
+    results = []
+    for index, (name, _, _, _, _, tags) in enumerate(metas):
+        lo, hi = rank_bounds[index], rank_bounds[index + 1]
+        trace: list[MessageRecord] = []
+        if collect_traces:
+            first, end = msg_bounds[index], msg_bounds[index + 1]
+            chosen = np.flatnonzero(sent[first:end]) + first
+            # Delivery order; simultaneous deliveries in CSR message order.
+            chosen = chosen[np.lexsort((chosen, delivery[chosen]))]
+            trace = [
+                MessageRecord(
+                    source=source,
+                    destination=destination,
+                    message_size=size,
+                    issue_time=issue,
+                    start_time=begin,
+                    delivery_time=arrival,
+                    tag=tags[code],
+                )
+                for source, destination, size, issue, begin, arrival, code in zip(
+                    (sender[chosen] - lo).tolist(),
+                    (dest[chosen] - lo).tolist(),
+                    arrays["size"][chosen].tolist(),
+                    activation[sender[chosen]].tolist(),
+                    start[chosen].tolist(),
+                    delivery[chosen].tolist(),
+                    arrays["tag_code"][chosen].tolist(),
+                )
+            ]
+        results.append(
+            ExecutionResult(
+                program_name=name,
+                activation_times=activation_list[lo:hi],
+                completion_times=completion_list[lo:hi],
+                trace=trace,
+            )
+        )
     return results
-
-
-def _task_seeds(tasks: Sequence[ExecutionTask], config: NetworkConfig) -> list[int]:
-    return [
-        task.noise_seed if task.noise_seed is not None else config.seed
-        for task in tasks
-    ]
 
 
 def _execute_batch(
@@ -588,13 +435,11 @@ def _execute_batch(
     config: NetworkConfig,
     collect_traces: bool,
 ) -> list[ExecutionResult]:
-    """Run every task in one pass; the batched engine proper."""
-    compiler = _BatchCompiler(grid, collect_traces)
-    compiled = compiler.compile(tasks)
-    return _run_task_sequence(
-        compiled,
-        _task_seeds(tasks, config),
-        [task.reset_network for task in tasks],
+    """Stack every task and run the stack in-process."""
+    arrays, metas = _stack_tasks(grid, tasks, config, collect_traces)
+    return _execute_stacked(
+        arrays,
+        metas,
         config.noise_sigma,
         config.receive_overhead,
         collect_traces,
@@ -675,13 +520,15 @@ def _chunk_bounds(
     tasks: Sequence[ExecutionTask],
     costs: Sequence[float],
     worker_count: int,
+    chunks_per_worker: int | None = None,
 ) -> list[tuple[int, int]]:
     """Chain-respecting worker chunk boundaries for one fan-out.
 
     Chunks are balanced by per-task *cost* (the program message counts of
     ``costs``) so an all-to-all task — ~20x a bcast task — does not strand
     a count-balanced chunk.  Chunks never split a warm chain, and chunking
-    never affects results (each task owns its seed).
+    never affects results (each task owns its seed).  ``chunks_per_worker``
+    defaults to the runtime's shared ``CHUNKS_PER_WORKER``.
     """
     from repro.runtime.chunking import (
         CHUNKS_PER_WORKER,
@@ -693,7 +540,7 @@ def _chunk_bounds(
     return partition_by_cost(
         units,
         aggregate_unit_costs(units, costs),
-        worker_count * CHUNKS_PER_WORKER,
+        worker_count * (chunks_per_worker or CHUNKS_PER_WORKER),
     )
 
 
@@ -707,190 +554,49 @@ def _execute_scalar_chunk(args) -> tuple[int, list[ExecutionResult]]:
     return start, _execute_scalar(grid, tasks, config, collect_traces)
 
 
-def _bundle_compiled(
-    compiled: Sequence[_CompiledProgram], collect_traces: bool
-):
-    """Concatenate the distinct compiled programs of a batch for shipping.
-
-    Returns ``(arrays, metas, index_of)``: the named message-array bundle of
-    every distinct compiled program, the per-program reconstruction
-    metadata, and the ``id() -> unique index`` map used to translate
-    per-task compiled references into shipped indices.  :func:`_ship_compiled`
-    packs the bundle into an :class:`~repro.runtime.transport.ArrayShipment`
-    for the local process lane; the remote lane bundles per *chunk* instead
-    and wraps each bundle in a :class:`~repro.runtime.wire.WireShipment`, so
-    a chunk's frame carries only the arrays that chunk actually runs.
-    """
-    index_of: dict[int, int] = {}
-    unique: list[_CompiledProgram] = []
-    for prog in compiled:
-        if id(prog) not in index_of:
-            index_of[id(prog)] = len(unique)
-            unique.append(prog)
-
-    metas: list[tuple] = []
-    msg_start = 0
-    ind_start = 0
-    for prog in unique:
-        message_count = len(prog.dest)
-        metas.append(
-            (
-                prog.name,
-                prog.num_ranks,
-                tuple(prog.roots),
-                prog.max_draws,
-                msg_start,
-                message_count,
-                ind_start,
-                None if prog.tag is None else list(prog.tag),
-            )
-        )
-        msg_start += message_count
-        ind_start += prog.num_ranks + 1
-
-    def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
-        if not parts:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate([np.asarray(part, dtype=dtype) for part in parts])
-
-    arrays = {
-        "gap": _concat([prog.gap for prog in unique], np.float64),
-        "latency": _concat([prog.latency for prog in unique], np.float64),
-        "dest": _concat([prog.dest for prog in unique], np.int64),
-        "indptr": _concat([prog.indptr for prog in unique], np.int64),
-    }
-    if collect_traces:
-        arrays["sizes"] = _concat([prog.size for prog in unique], np.float64)
-    return arrays, metas, index_of
-
-
-def _ship_compiled(
-    compiled: Sequence[_CompiledProgram],
-    collect_traces: bool,
-    transport: str | None,
-):
-    """Pack one batch-wide :func:`_bundle_compiled` bundle for the local
-    process lane (shared memory when available, pickle fallback)."""
-    from repro.runtime.transport import ArrayShipment
-
-    arrays, metas, index_of = _bundle_compiled(compiled, collect_traces)
-    return ArrayShipment.pack(arrays, transport=transport), metas, index_of
-
-
-def _remote_chunk_jobs(
-    compiled: Sequence[_CompiledProgram],
-    seeds: Sequence[int],
-    resets: Sequence[bool],
+def _task_windows(
+    arrays: dict[str, np.ndarray],
+    metas: Sequence[tuple],
     bounds: Sequence[tuple[int, int]],
-    config: NetworkConfig,
-    collect_traces: bool,
-    num_nodes: int,
-) -> list[tuple]:
-    """One :func:`_execute_shipped_chunk` job per chunk, arrays per chunk.
-
-    On the remote lane every job is framed and sent separately (and may be
-    re-sent verbatim to another agent after a loss), so sharing one
-    batch-wide shipment would copy the *whole batch's* arrays into every
-    chunk's frame.  Each chunk instead gets its own
-    :class:`~repro.runtime.wire.WireShipment` bundling exactly the distinct
-    programs it runs — the wire protocol ships it as raw buffers and the
-    agent re-packs it into local shared memory for its own workers.
-    """
-    from repro.runtime.wire import WireShipment
-
-    jobs: list[tuple] = []
-    for start, end in bounds:
-        arrays, metas, index_of = _bundle_compiled(
-            compiled[start:end], collect_traces
-        )
-        entries = [
-            (index_of[id(prog)], seed, reset)
-            for prog, seed, reset in zip(
-                compiled[start:end], seeds[start:end], resets[start:end]
-            )
-        ]
-        jobs.append(
-            (
-                start,
-                WireShipment(arrays),
-                dict(enumerate(metas)),
-                entries,
-                config.noise_sigma,
-                config.receive_overhead,
-                collect_traces,
-                num_nodes,
-            )
-        )
-    return jobs
+) -> list[tuple[int, int, int, int]]:
+    """``(indptr_lo, indptr_hi, message_lo, message_hi)`` of each task range."""
+    ind_off = np.cumsum([0] + [meta[1] + 1 for meta in metas])
+    msg_off = np.zeros(len(metas) + 1, dtype=np.int64)
+    np.cumsum(arrays["indptr"][ind_off[1:] - 1], out=msg_off[1:])
+    return [
+        (int(ind_off[start]), int(ind_off[end]), int(msg_off[start]), int(msg_off[end]))
+        for start, end in bounds
+    ]
 
 
-def _rebuild_shipped(
-    meta: tuple, arrays: dict[str, np.ndarray], collect_traces: bool
-) -> _CompiledProgram:
-    """Reconstruct a compiled program from shipped arrays (worker side).
-
-    The NumPy ``gap``/``latency`` segments stay zero-copy views into the
-    shipment; the hot-loop list mirrors are materialised locally (a C-level
-    ``tolist``), exactly as the parent-side compiler does.
-    """
-    name, num_ranks, roots, max_draws, msg_start, count, ind_start, tags = meta
-    prog = _CompiledProgram.__new__(_CompiledProgram)
-    prog.program = None
-    prog.name = name
-    prog.num_ranks = num_ranks
-    prog.roots = list(roots)
-    gap = arrays["gap"][msg_start : msg_start + count]
-    latency = arrays["latency"][msg_start : msg_start + count]
-    prog.gap = gap
-    prog.latency = latency
-    prog.gap_list = gap.tolist()
-    prog.latency_list = latency.tolist()
-    prog.dest = arrays["dest"][msg_start : msg_start + count].tolist()
-    prog.indptr = arrays["indptr"][ind_start : ind_start + num_ranks + 1].tolist()
-    prog.size = (
-        arrays["sizes"][msg_start : msg_start + count].tolist()
-        if collect_traces
-        else None
-    )
-    prog.tag = tags
-    prog.max_draws = max_draws
-    return prog
+def _slice_stack(
+    arrays: dict[str, np.ndarray], window: tuple[int, int, int, int]
+) -> dict[str, np.ndarray]:
+    """The sub-stack of one task range (views, no copies)."""
+    ind_lo, ind_hi, msg_lo, msg_hi = window
+    return {
+        name: array[ind_lo:ind_hi] if name == "indptr" else array[msg_lo:msg_hi]
+        for name, array in arrays.items()
+    }
 
 
 def _execute_shipped_chunk(args) -> tuple[int, list[ExecutionResult]]:
-    """Runtime multiprocessing adapter: execute a chunk against a shipment.
+    """Runtime worker body: run one task range of a shipped stack.
 
-    The job carries only the shipment handle, the reconstruction metadata of
-    the programs this chunk actually runs, and per-task ``(unique index,
-    seed, reset)`` entries — never the grid or the programs themselves.
+    The job carries the shipment handle, the range's window into it
+    (``None`` when the shipment holds exactly this range, as a remote
+    chunk's frame does) and the range's task metadata — never the grid or
+    the programs themselves.
     """
-    (
-        start,
-        shipment,
-        metas,
-        entries,
-        sigma,
-        overhead,
-        collect_traces,
-        num_nodes,
-    ) = args
+    start, shipment, window, metas, sigma, overhead, collect_traces, num_nodes = args
     arrays = shipment.load()
-    rebuilt = {
-        unique_index: _rebuild_shipped(meta, arrays, collect_traces)
-        for unique_index, meta in metas.items()
-    }
-    compiled = [rebuilt[unique_index] for unique_index, _, _ in entries]
-    results = _run_task_sequence(
-        compiled,
-        [seed for _, seed, _ in entries],
-        [reset for _, _, reset in entries],
-        sigma,
-        overhead,
-        collect_traces,
-        num_nodes,
+    if window is not None:
+        arrays = _slice_stack(arrays, window)
+    results = _execute_stacked(
+        arrays, metas, sigma, overhead, collect_traces, num_nodes
     )
     # Drop every view into the shipment before unmapping it.
-    compiled = rebuilt = arrays = None
+    arrays = None
     shipment.close()
     return start, results
 
@@ -904,60 +610,53 @@ def _execute_with_runtime_pool(
     transport: str | None,
     pool,
 ) -> list[ExecutionResult]:
-    """Process/remote lane: compile once in the parent, ship to ``pool``."""
-    from repro.runtime.chunking import compiled_cost
+    """Process/remote lane: stack once in the parent, ship to ``pool``.
 
-    compiler = _BatchCompiler(grid, collect_traces)
-    compiled = compiler.compile(tasks)
-    seeds = _task_seeds(tasks, config)
-    resets = [task.reset_network for task in tasks]
-    costs = [compiled_cost(prog) for prog in compiled]
-    bounds = _chunk_bounds(tasks, costs, worker_count)
+    The process lane packs the whole stack into one
+    :class:`~repro.runtime.transport.ArrayShipment` that every chunk reads
+    through its window.  On the remote lane every job is framed and sent
+    separately (and may be re-sent verbatim to another agent after a loss),
+    so each chunk gets a :class:`~repro.runtime.wire.WireShipment` of its own
+    slice of the stack instead of a copy of the whole batch.
+    """
+    from repro.runtime.chunking import program_cost
+    from repro.runtime.transport import ArrayShipment
+    from repro.runtime.wire import WireShipment
+
+    remote = getattr(pool, "kind", "process") == "remote"
+    arrays, metas = _stack_tasks(grid, tasks, config, collect_traces)
+    costs = [program_cost(task.program) for task in tasks]
+    # Each stacked relaxation pays a fixed cost per call (its waves of NumPy
+    # calls), so the process lane runs one cost-balanced chunk per worker;
+    # remote agents keep the finer chunks that stealing and requeueing use.
+    bounds = _chunk_bounds(tasks, costs, worker_count, None if remote else 1)
+    windows = _task_windows(arrays, metas, bounds)
+    settings = (
+        config.noise_sigma, config.receive_overhead, collect_traces, grid.num_nodes
+    )
     results: list[ExecutionResult | None] = [None] * len(tasks)
-    if getattr(pool, "kind", "process") == "remote":
-        # Per-chunk wire bundles: each frame carries only its own arrays.
-        jobs = _remote_chunk_jobs(
-            compiled, seeds, resets, bounds, config, collect_traces,
-            grid.num_nodes,
-        )
-        pending = [
-            pool.submit(
-                _execute_shipped_chunk,
-                job,
-                units=float(sum(costs[start:end])),
-            )
-            for job, (start, end) in zip(jobs, bounds)
-        ]
-        for handle in pending:
-            start, values = handle.get()
-            results[start : start + len(values)] = values
-        return results  # type: ignore[return-value]
-    shipment, metas, index_of = _ship_compiled(compiled, collect_traces, transport)
-    entries = [
-        (index_of[id(prog)], seed, reset)
-        for prog, seed, reset in zip(compiled, seeds, resets)
-    ]
+    shipment = None if remote else ArrayShipment.pack(arrays, transport=transport)
     try:
         pending = []
-        for start, end in bounds:
-            chunk_entries = entries[start:end]
-            needed = {unique_index for unique_index, _, _ in chunk_entries}
-            job = (
-                start,
-                shipment,
-                {unique_index: metas[unique_index] for unique_index in sorted(needed)},
-                chunk_entries,
-                config.noise_sigma,
-                config.receive_overhead,
-                collect_traces,
-                grid.num_nodes,
-            )
-            pending.append(pool.submit(_execute_shipped_chunk, job))
+        for (start, end), window in zip(bounds, windows):
+            if remote:
+                job = (
+                    start, WireShipment(_slice_stack(arrays, window)), None,
+                    metas[start:end], *settings,
+                )
+                handle = pool.submit(
+                    _execute_shipped_chunk, job, units=float(sum(costs[start:end]))
+                )
+            else:
+                job = (start, shipment, window, metas[start:end], *settings)
+                handle = pool.submit(_execute_shipped_chunk, job)
+            pending.append(handle)
         for handle in pending:
             start, values = handle.get()
             results[start : start + len(values)] = values
     finally:
-        shipment.unlink()
+        if shipment is not None:
+            shipment.unlink()
     return results  # type: ignore[return-value]
 
 
@@ -971,7 +670,7 @@ def _execute_scalar_with_pool(
 ) -> list[ExecutionResult]:
     """Scalar-engine fan-out: task slices submitted to ``pool`` as they are.
 
-    The scalar reference engine executes task slices directly (no compiled
+    The scalar reference engine executes task slices directly (no stacked
     arrays to ship), priced like every other fan-out by the summed
     :func:`~repro.runtime.chunking.program_cost` of each slice.  Per-task
     seeds keep the results bit-identical to the inline loop.
@@ -1047,7 +746,7 @@ def execute_programs(
     transport:
         How batches reach *process* workers (ignored in-process):
         ``"auto"`` (default, shared memory when available), ``"shm"`` or
-        ``"pickle"``.  The batched engine compiles once in the parent and
+        ``"pickle"``.  The batched engine stacks once in the parent and
         reuses the persistent runtime pool; the scalar engine fans task
         slices out over the same pool.  Worker chunks are sized from
         per-task cost (program message counts) so mixed workloads balance.
@@ -1083,6 +782,8 @@ def execute_programs(
         for task in tasks
     ]
     _validate_tasks(normalized)
+    if not normalized:
+        return []
     worker_count = resolve_workers(workers)
     if len(normalized) > 1:  # a single task always runs inline
         pool, worker_count = choose_lane(

@@ -59,7 +59,8 @@ class ExecutionResult:
         Per-rank time at which the rank finished all its activity (its last
         delivery received or the release of its last send).
     trace:
-        All messages, in delivery order.
+        All messages, in delivery order (simultaneous deliveries in the
+        program's CSR message order).
     """
 
     program_name: str
@@ -110,6 +111,12 @@ def execute_program(
     reset_network:
         Reset NIC occupancy and noise before executing (default).  Pass
         ``False`` to chain several collectives back to back on a warm network.
+
+    With noise on, the execution draws ``2 * program.total_messages()``
+    factors from the network's stream up front and keys them by message
+    (:meth:`~repro.simulator.network.SimulatedNetwork.draw_noise`), so the
+    draws — and a chained successor's stream position — never depend on the
+    order in which events fire.
     """
     if program.num_ranks > network.grid.num_nodes:
         raise ValueError(
@@ -122,7 +129,13 @@ def execute_program(
     engine = SimulationEngine()
     activation: list[float | None] = [None] * program.num_ranks
     completion: list[float] = [0.0] * program.num_ranks
-    trace: list[MessageRecord] = []
+    # (delivery time, message index, record): the trace sorts by the first
+    # two, so simultaneous deliveries keep CSR order whatever the event order.
+    keyed: list[tuple[float, int, MessageRecord]] = []
+    # Noise keyed by message: message i scales its gap by noise[2i] and its
+    # latency by noise[2i + 1].
+    noise = network.draw_noise(2 * program.total_messages())
+    indptr = program.indptr.tolist()
 
     def issue_sends(rank: int) -> None:
         """Issue every send of ``rank`` at its activation time.
@@ -133,9 +146,13 @@ def execute_program(
         sender's NIC.
         """
         issue_time = engine.now
-        for instruction in program.sends_of(rank):
+        for index, instruction in enumerate(program.sends_of(rank), indptr[rank]):
             start, release, delivery = network.transmit(
-                rank, instruction.destination, instruction.message_size, issue_time
+                rank,
+                instruction.destination,
+                instruction.message_size,
+                issue_time,
+                None if noise is None else (noise[2 * index], noise[2 * index + 1]),
             )
             record = MessageRecord(
                 source=rank,
@@ -146,13 +163,11 @@ def execute_program(
                 delivery_time=delivery,
                 tag=instruction.tag,
             )
-            trace.append(record)
+            keyed.append((delivery, index, record))
             completion[rank] = max(completion[rank], release)
-            engine.schedule_at(delivery, _make_delivery(instruction, delivery, record))
+            engine.schedule_at(delivery, _make_delivery(instruction, delivery))
 
-    def _make_delivery(
-        instruction: SendInstruction, delivery: float, record: MessageRecord
-    ):
+    def _make_delivery(instruction: SendInstruction, delivery: float):
         def on_delivery() -> None:
             destination = instruction.destination
             completion[destination] = max(completion[destination], delivery)
@@ -173,10 +188,10 @@ def execute_program(
         engine.schedule_at(0.0, lambda r=rank: activate(r))
 
     engine.run()
-    trace.sort(key=lambda record: record.delivery_time)
+    keyed.sort(key=lambda entry: entry[:2])
     return ExecutionResult(
         program_name=program.name,
         activation_times=activation,
         completion_times=completion,
-        trace=trace,
+        trace=[record for _, _, record in keyed],
     )

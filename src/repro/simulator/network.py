@@ -12,7 +12,10 @@ ingredients that make an *execution* different from a *prediction*:
 * **noise** — optional log-normal multiplicative jitter applied independently
   to the gap and latency of every message, seeded for reproducibility, which
   is how the "measured" curves of Figure 6 differ from the "predicted" curves
-  of Figure 5 without changing their shape.
+  of Figure 5 without changing their shape.  An execution draws its noise
+  keyed by message (:meth:`SimulatedNetwork.draw_noise`): message ``i`` of a
+  program, in CSR order, scales its gap by factor ``2i`` and its latency by
+  factor ``2i + 1``, so the draws never depend on event order.
 """
 
 from __future__ import annotations
@@ -90,6 +93,18 @@ class SimulatedNetwork:
 
     # -- timing ------------------------------------------------------------------
 
+    def draw_noise(self, count: int) -> list[float] | None:
+        """The next ``count`` noise factors of the stream (``None`` noise-free).
+
+        An execution of an ``M``-message program draws ``2 * M`` factors at
+        once; message ``i`` uses factor ``2i`` on its gap and ``2i + 1`` on
+        its latency (see :meth:`transmit`).  A warm network that is not reset
+        continues the stream where the previous execution left it.
+        """
+        if self.config.noise_sigma <= 0.0:
+            return None
+        return self._noise.lognormal_array(0.0, self.config.noise_sigma, count).tolist()
+
     def _perturb(self, value: float) -> float:
         if self.config.noise_sigma <= 0.0 or value == 0.0:
             return value
@@ -101,6 +116,7 @@ class SimulatedNetwork:
         destination: int,
         message_size: float,
         issue_time: float,
+        noise: tuple[float, float] | None = None,
     ) -> tuple[float, float, float]:
         """Transmit one message and return its timing.
 
@@ -113,6 +129,11 @@ class SimulatedNetwork:
         issue_time:
             Time at which the sender *wants* to start the transmission (it may
             be delayed by NIC occupancy).
+        noise:
+            The message's ``(gap, latency)`` noise factors from
+            :meth:`draw_noise`.  ``None`` draws them from the stream on the
+            spot instead (skipping zero values), which is what the
+            :meth:`round_trip_oracle` probes do.
 
         Returns
         -------
@@ -125,8 +146,12 @@ class SimulatedNetwork:
         if source == destination:
             raise ValueError("a node cannot transmit a message to itself")
         params = self.grid.node_link_parameters(source, destination)
-        gap = self._perturb(params.gap(message_size))
-        latency = self._perturb(params.latency)
+        if noise is None:
+            gap = self._perturb(params.gap(message_size))
+            latency = self._perturb(params.latency)
+        else:
+            gap = params.gap(message_size) * noise[0]
+            latency = params.latency * noise[1]
         start = max(issue_time, self._nic_free_at[source])
         release = start + gap
         delivery = release + latency + self.config.receive_overhead

@@ -1415,3 +1415,216 @@ class TestBatchedScheduleEquivalence:
         with pytest.raises(ValueError) as batched:
             batched_schedules(get_heuristic("ecef"), stack)
         assert str(batched.value) == str(per_grid.value)
+
+
+# ---------------------------------------------------------------------------
+# stacked relaxation (simulator/batch.py) vs the scalar event-queue engine
+# ---------------------------------------------------------------------------
+
+from repro.mpi.alltoall import direct_alltoall_program, grid_aware_alltoall_program
+from repro.mpi.scatter import flat_scatter_program, grid_aware_scatter_program
+
+PROGRAM_KINDS = (
+    "grid_aware",
+    "binomial",
+    "flat_scatter",
+    "grid_scatter",
+    "direct_alltoall",
+    "grid_alltoall",
+    "gossip",
+    "arbitrary",
+)
+
+
+@st.composite
+def simulator_grids(draw) -> Grid:
+    """Table 2 random grids, heterogeneous grids and tie-prone grids whose
+    gaps and latencies may be zero or repeat across links."""
+    kind = draw(st.sampled_from(["random", "heterogeneous", "tie_prone"]))
+    if kind == "random":
+        return RandomGridGenerator(
+            cluster_size=draw(st.integers(min_value=1, max_value=5))
+        ).generate(
+            draw(st.integers(min_value=1, max_value=5)),
+            RandomStream(seed=draw(st.integers(min_value=0, max_value=2**32 - 1))),
+        )
+    if kind == "heterogeneous":
+        return draw(grids(max_clusters=5))
+    return draw(sized_grids(max_clusters=5))
+
+
+@st.composite
+def simulator_programs(draw, grid: Grid) -> CommunicationProgram:
+    """Any program a builder of the repo emits on ``grid``, or an arbitrary
+    multi-receive program over a prefix of its ranks."""
+    kind = draw(st.sampled_from(PROGRAM_KINDS))
+    size = draw(st.sampled_from([0.0, 1.0, 4_096.0, 1_048_576.0]))
+    root_cluster = draw(st.integers(min_value=0, max_value=grid.num_clusters - 1))
+    root_rank = grid.coordinator_rank(root_cluster)
+    n = grid.num_nodes
+    if kind == "grid_aware":
+        schedule = get_heuristic(draw(st.sampled_from(PAPER_HEURISTICS))).schedule(
+            grid, size, root=root_cluster
+        )
+        return grid_aware_bcast_program(
+            grid,
+            schedule,
+            size,
+            local_tree=draw(st.sampled_from(sorted(TREE_BUILDERS))),
+            local_first=draw(st.booleans()),
+        )
+    if kind == "binomial":
+        return binomial_bcast_program(grid, size, root_rank=root_rank)
+    if kind == "flat_scatter":
+        return flat_scatter_program(grid, size, root_rank=root_rank)
+    if kind == "grid_scatter":
+        heuristic = get_heuristic(draw(st.sampled_from(PAPER_HEURISTICS)))
+        return grid_aware_scatter_program(
+            grid, size, heuristic=heuristic, root_cluster=root_cluster
+        )[0]
+    if kind == "direct_alltoall":
+        return direct_alltoall_program(grid, size)
+    if kind == "grid_alltoall":
+        return grid_aware_alltoall_program(grid, size)
+    if kind == "gossip" and n >= 2:
+        spec = GossipSpec(
+            protocol=draw(st.sampled_from(GOSSIP_PROTOCOLS)),
+            num_nodes=n,
+            fanout=draw(st.integers(min_value=1, max_value=min(3, n - 1))),
+            root=root_rank,
+            seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        )
+        return gossip_program(spec, size)
+    # Arbitrary: repeated receivers, unreachable senders, messages to roots.
+    ranks = draw(st.integers(min_value=1, max_value=n))
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=ranks - 1),
+                st.integers(min_value=1, max_value=max(1, ranks - 1)),
+            ),
+            max_size=0 if ranks == 1 else 3 * ranks,
+        )
+    )
+    senders = np.array([sender for sender, _ in pairs], dtype=np.int64)
+    dest = np.array([(sender + step) % ranks for sender, step in pairs], dtype=np.int64)
+    return CommunicationProgram.from_arrays(
+        ranks,
+        draw(st.integers(min_value=0, max_value=ranks - 1)),
+        senders,
+        dest,
+        np.array(
+            [draw(st.sampled_from([0.0, 1.0, 65_536.0])) for _ in pairs], dtype=float
+        ),
+        np.array([draw(st.integers(0, 1)) for _ in pairs], dtype=np.int64),
+        ("a", "b"),
+        name="arbitrary",
+    )
+
+
+@st.composite
+def simulator_batches(draw):
+    """Several tasks on one grid: overlays, warm chains, noise and traces."""
+    grid = draw(simulator_grids())
+    tasks = []
+    for index in range(draw(st.integers(min_value=1, max_value=4))):
+        program = draw(simulator_programs(grid))
+        chained = index > 0 and draw(st.booleans())
+        tasks.append(
+            ExecutionTask(
+                program,
+                initially_active=tuple(
+                    draw(
+                        st.lists(
+                            st.integers(0, program.num_ranks - 1),
+                            max_size=2,
+                            unique=True,
+                        )
+                    )
+                ),
+                noise_seed=None
+                if chained
+                else draw(st.one_of(st.none(), st.integers(0, 2**31 - 1))),
+                reset_network=not chained,
+            )
+        )
+    config = NetworkConfig(
+        noise_sigma=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        receive_overhead=draw(st.sampled_from([0.0, 0.25])),
+    )
+    return grid, tasks, config, draw(st.booleans())
+
+
+def _nic_probe(num_ranks: int) -> CommunicationProgram:
+    """Every rank active at time zero sends one empty message, so each
+    message's start time is its sender's carried NIC availability."""
+    ranks = np.arange(num_ranks)
+    return CommunicationProgram.from_arrays(
+        num_ranks,
+        0,
+        ranks,
+        (ranks + 1) % num_ranks,
+        0.0,
+        0,
+        ("probe",),
+        name="nic-probe",
+        initially_active=range(num_ranks),
+    )
+
+
+class TestStackedRelaxationEquivalence:
+    """The stacked frontier relaxation against the scalar event-queue
+    engine, field by field, with noise keyed by message in both."""
+
+    @given(batch=simulator_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_relaxation_equals_the_scalar_engine(self, batch):
+        grid, tasks, config, traces = batch
+        stacked = execute_programs(
+            grid, tasks, config=config, collect_traces=traces, workers=0
+        )
+        scalar = execute_programs(
+            grid, tasks, config=config, collect_traces=traces, engine="scalar",
+            workers=0,
+        )
+        assert len(stacked) == len(scalar) == len(tasks)
+        for fast, reference in zip(stacked, scalar):
+            assert fast.program_name == reference.program_name
+            assert fast.makespan == reference.makespan
+            assert fast.activation_times == reference.activation_times
+            assert fast.completion_times == reference.completion_times
+            assert fast.trace == reference.trace
+
+    @given(batch=simulator_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_nic_row_carries_over_a_chain(self, batch):
+        """A chained probe reads every rank's NIC availability after the
+        batch's last chain: the stacked engine carries the row exactly as
+        the scalar network leaves it."""
+        grid, tasks, config, _ = batch
+        assume(grid.num_nodes >= 2)
+        probe = ExecutionTask(_nic_probe(grid.num_nodes), reset_network=False)
+        stacked = execute_programs(grid, [*tasks, probe], config=config, workers=0)
+        head = max(index for index, task in enumerate(tasks) if task.reset_network)
+        network = SimulatedNetwork(
+            grid,
+            NetworkConfig(
+                noise_sigma=config.noise_sigma,
+                seed=tasks[head].noise_seed
+                if tasks[head].noise_seed is not None
+                else config.seed,
+                receive_overhead=config.receive_overhead,
+            ),
+        )
+        for task in tasks[head:]:
+            execute_program(
+                network,
+                task.program,
+                initially_active=task.initially_active,
+                reset_network=task.reset_network,
+            )
+        carried = {record.source: record.start_time for record in stacked[-1].trace}
+        assert carried == {
+            rank: network.nic_free_at(rank) for rank in range(grid.num_nodes)
+        }

@@ -1480,6 +1480,38 @@ class TestFrameServerDrain:
             server.close()
             serving.join(timeout=5)
 
+    def test_close_hangs_up_admitted_connections(self):
+        """close() shuts every admitted connection down: the coordinator's
+        link sees EOF and no connection thread stays blocked in recv."""
+        server = AgentServer(host="127.0.0.1", port=0, workers=1)
+        address = server.bind()
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        pool = RemoteStudyPool(hosts=(address,), heartbeat=0.0)
+
+        def connection_threads():
+            return [
+                thread
+                for thread in threading.enumerate()
+                if thread.name == AgentServer.thread_name and thread.is_alive()
+            ]
+
+        try:
+            link = pool._agents[0]
+            assert link.alive and connection_threads()
+            server.close()
+            deadline = time.monotonic() + 1.0
+            while (link.alive or connection_threads()) and (
+                time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert not link.alive
+            assert not connection_threads()
+        finally:
+            pool.close()
+            server.close()
+            serving.join(timeout=5)
+
 
 @pytest.fixture(scope="module")
 def remote_pool():

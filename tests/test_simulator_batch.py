@@ -16,11 +16,7 @@ from repro.core.registry import PAPER_HEURISTICS, get_heuristic, instantiate
 from repro.mpi.alltoall import direct_alltoall_program, grid_aware_alltoall_program
 from repro.mpi.bcast import binomial_bcast_program, grid_aware_bcast_program
 from repro.mpi.scatter import flat_scatter_program, grid_aware_scatter_program
-from repro.simulator.batch import (
-    VECTOR_MIN_SENDS,
-    ExecutionTask,
-    execute_programs,
-)
+from repro.simulator.batch import ExecutionTask, execute_programs
 from repro.simulator.network import NetworkConfig
 from repro.simulator.program import CommunicationProgram
 from repro.utils.rng import RandomStream
@@ -107,10 +103,9 @@ class TestEquivalence:
         assert_identical(batched, scalar)
 
     def test_vectorised_burst_path(self, grid5000):
-        """Flat scatter from the root exercises the long-burst NumPy path."""
+        """Flat scatter from the root: one rank's long release chain."""
         root = grid5000.coordinator_rank(0)
         program = flat_scatter_program(grid5000, 10_000, root_rank=root)
-        assert len(program.sends_of(root)) >= VECTOR_MIN_SENDS
         for sigma in (0.0, 0.2):
             config = NetworkConfig(noise_sigma=sigma, seed=5)
             tasks = [ExecutionTask(program, noise_seed=17)]
