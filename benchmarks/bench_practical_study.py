@@ -17,7 +17,11 @@ The two engines are bit-identical, so the ratio is pure overhead removed.
 The sweep's schedule phase (Figure 5's predictions, every heuristic at every
 message size) is timed the same way: the per-size ``schedule()`` loop
 against one :func:`~repro.core.batch.batched_schedules` call per heuristic
-over all sizes, after asserting both build the same schedules.
+over all sizes, after asserting both build the same schedules.  The
+program build is timed likewise: the 70 per-program
+:func:`~repro.mpi.bcast.grid_aware_bcast_program` calls against one stacked
+:func:`~repro.mpi.bcast.grid_aware_bcast_programs` call per heuristic, after
+asserting both build the same programs field for field.
 
 Results land in ``benchmarks/results/BENCH_practical.json`` so the speedup
 trajectory is tracked across PRs.
@@ -37,7 +41,11 @@ from repro.core.costs import GridCostCache
 from repro.core.registry import PAPER_HEURISTICS, instantiate
 from repro.experiments.config import PRACTICAL_MESSAGE_SIZES, PracticalStudyConfig
 from repro.experiments.practical_study import run_alltoall_study, run_practical_study
-from repro.mpi.bcast import binomial_bcast_program, grid_aware_bcast_program
+from repro.mpi.bcast import (
+    binomial_bcast_program,
+    grid_aware_bcast_program,
+    grid_aware_bcast_programs,
+)
 from repro.simulator.batch import ExecutionTask, execute_programs
 from repro.simulator.network import NetworkConfig
 from repro.topology.grid5000 import build_grid5000_topology
@@ -232,6 +240,76 @@ def test_schedule_phase_throughput():
             "heuristics": list(PAPER_HEURISTICS),
             "message_sizes": list(PRACTICAL_MESSAGE_SIZES),
             "schedules": len(heuristics) * len(caches),
+            "seconds": seconds,
+            "speedup": speedup,
+        },
+        path=BENCH_PRACTICAL_JSON_FILE,
+    )
+
+
+def _programs_digest(programs) -> str:
+    """sha256 over every field of every program (arrays with their dtype)."""
+    fields = [
+        (
+            program.name,
+            program.root,
+            program.num_ranks,
+            program.tags,
+            [
+                (array.dtype.str, array.tolist())
+                for array in (
+                    program.indptr, program.dest, program.size, program.tag_code
+                )
+            ],
+        )
+        for program in programs
+    ]
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+def test_program_build_throughput():
+    """70 per-program builds vs one stacked build per heuristic."""
+    grid = build_grid5000_topology()
+    sizes = list(PRACTICAL_MESSAGE_SIZES)
+    columns = [
+        [heuristic.schedule(grid, size, root=0) for size in sizes]
+        for heuristic in instantiate(PAPER_HEURISTICS)
+    ]
+
+    def per_program():
+        return [
+            grid_aware_bcast_program(grid, schedule, size)
+            for column in columns
+            for schedule, size in zip(column, sizes)
+        ]
+
+    def stacked():
+        return [
+            program
+            for column in columns
+            for program in grid_aware_bcast_programs(grid, column, sizes)
+        ]
+
+    # Both paths must build the same programs before their timings mean
+    # anything.
+    assert _programs_digest(per_program()) == _programs_digest(stacked())
+    seconds = {
+        "per_program": _best_of(per_program, 25),
+        "stacked": _best_of(stacked, 25),
+    }
+    speedup = seconds["per_program"] / seconds["stacked"]
+    emit(
+        f"Practical program build ({len(columns)} heuristics x {len(sizes)} "
+        f"sizes): per-program {seconds['per_program'] * 1e3:.2f} ms, stacked "
+        f"{seconds['stacked'] * 1e3:.2f} ms ({speedup:.1f}x)"
+    )
+    emit_json(
+        "program_build",
+        {
+            "grid": "grid5000-table3",
+            "heuristics": list(PAPER_HEURISTICS),
+            "message_sizes": sizes,
+            "programs": len(columns) * len(sizes),
             "seconds": seconds,
             "speedup": speedup,
         },

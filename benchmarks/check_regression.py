@@ -14,6 +14,10 @@ perf wins of past PRs cannot silently rot:
   the Table 3 line-up x 10 sizes (``BENCH_practical.json``,
   schedule_phase section — one kernel call per heuristic over all message
   sizes, its schedules verified identical to the per-size loop's first),
+* stacked program build      >= 2.5x the per-program loop on the Table 3
+  sweep's 70 grid-aware broadcasts (``BENCH_practical.json``,
+  program_build section — one stacked build per heuristic over all
+  message sizes, its programs verified identical field for field first),
 * process executor lane      >= 0.75x the inline pass on the full practical
   sweep (``BENCH_runtime.json``, practical_end_to_end section, plain and
   replicated — an overhead bound: fan-out may never cost more than a
@@ -76,6 +80,11 @@ FLOORS: tuple[tuple[str, tuple[str, ...], float], ...] = (
         "BENCH_practical.json",
         ("schedule_phase", "speedup"),
         1.5,
+    ),
+    (
+        "BENCH_practical.json",
+        ("program_build", "speedup"),
+        2.5,
     ),
     (
         "BENCH_runtime.json",

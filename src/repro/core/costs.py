@@ -14,8 +14,10 @@ heuristics that is 70 000 full n×n matrix rebuilds per cluster count.
 * every :class:`~repro.core.base.SchedulingState` (scalar and vectorized),
 * :func:`~repro.core.base.run_heuristics`,
 * the Monte-Carlo study (:mod:`repro.experiments.simulation_study`) and the
-  hit-rate analysis built on top of it, and
-* :func:`~repro.core.schedule.evaluate_order`.
+  hit-rate analysis built on top of it,
+* :func:`~repro.core.schedule.evaluate_order`, and
+* the batched simulator (:mod:`repro.simulator.batch`), which prices every
+  message from the node-level tables of :meth:`GridCostCache.node_tables`.
 
 The shared matrices are marked read-only so one heuristic cannot corrupt the
 costs seen by the next; vectorized consumers that need scratch space copy the
@@ -45,7 +47,8 @@ class GridCostCache:
         ``(n, n)`` float arrays holding ``g_{i,j}(m)``, ``L_{i,j}`` and their
         sum ``g_{i,j}(m) + L_{i,j}``.  Diagonals are zero.
     broadcast:
-        ``(n,)`` float array of the local broadcast times ``T_i``.
+        ``(n,)`` float array of the local broadcast times ``T_i`` (computed
+        on first read).
     """
 
     #: Per-grid cache of instances, keyed weakly so entries die with the grid.
@@ -67,13 +70,14 @@ class GridCostCache:
         self.gap = gap
         self.latency = latency
         self.transfer = gap + latency
-        self.broadcast = np.asarray(grid.broadcast_times(message_size), dtype=float)
-        for array in (self.gap, self.latency, self.transfer, self.broadcast):
+        for array in (self.gap, self.latency, self.transfer):
             array.setflags(write=False)
         # Weak back-reference only: a strong one would keep the grid (and this
         # cache, through _instances) alive forever.
         self._grid_ref = weakref.ref(grid)
+        self._broadcast: np.ndarray | None = None
         self._min_incoming: list[float] | None = None
+        self._node_tables: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- shared construction -------------------------------------------------------
 
@@ -104,6 +108,30 @@ class GridCostCache:
         return cls(grid, message_size)
 
     # -- accessors -----------------------------------------------------------------
+
+    def _live_grid(self) -> Grid:
+        grid = self._grid_ref()
+        if grid is None:
+            raise ReferenceError("the grid of this cost cache was collected")
+        return grid
+
+    @property
+    def broadcast(self) -> np.ndarray:
+        """``(n,)`` read-only local broadcast times ``T_i``.
+
+        Computed on first read: predicting ``T_i`` from a cluster's
+        ``intra_params`` is the costliest part of a cache, and the batched
+        simulator's :meth:`node_tables` never needs it — a collective
+        priced at a hundred distinct message sizes would otherwise predict
+        every cluster's broadcast at each of them.
+        """
+        if self._broadcast is None:
+            broadcast = np.asarray(
+                self._live_grid().broadcast_times(self.message_size), dtype=float
+            )
+            broadcast.setflags(write=False)
+            self._broadcast = broadcast
+        return self._broadcast
 
     @property
     def grid(self) -> Grid | None:
@@ -149,6 +177,32 @@ class GridCostCache:
                 np.fill_diagonal(masked, np.inf)
                 self._min_incoming = masked.min(axis=0).tolist()
         return self._min_incoming
+
+    def node_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(n, n)`` node-level ``(gap, latency)`` tables.
+
+        Entry ``[i, j]`` is the gap at this message size and the latency of
+        a message from a node of cluster ``i`` to a distinct node of cluster
+        ``j``, bitwise what
+        :meth:`~repro.topology.grid.Grid.node_link_parameters` gives: the
+        inter-cluster :attr:`gap` / :attr:`latency` off the diagonal, the
+        cluster's :meth:`~repro.topology.grid.Grid.intra_parameters` on it.
+        The batched simulator prices every message from these tables; they
+        are built on first use only, so studies that never simulate (the
+        Monte-Carlo sweeps) never pay for them.
+        """
+        if self._node_tables is None:
+            grid = self._live_grid()
+            gap = self.gap.copy()
+            latency = self.latency.copy()
+            for cluster in range(self.num_clusters):
+                params = grid.intra_parameters(cluster)
+                gap[cluster, cluster] = params.gap(self.message_size)
+                latency[cluster, cluster] = params.latency
+            gap.setflags(write=False)
+            latency.setflags(write=False)
+            self._node_tables = (gap, latency)
+        return self._node_tables
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -20,8 +20,11 @@ without an exact batched kernel, and the ``engine="scalar"`` reference,
 schedule size by size).
 
 The measured sweep runs through the study runtime in two steps: every
-message size's schedules and programs are built first, then the whole batch
-executes in one :func:`~repro.simulator.batch.execute_programs` call —
+message size's schedules and programs are built first (one stacked
+:func:`~repro.mpi.bcast.grid_aware_bcast_programs` call per heuristic, one
+:func:`~repro.mpi.bcast.binomial_bcast_programs` call for the baseline),
+then the whole batch executes in one
+:func:`~repro.simulator.batch.execute_programs` call —
 in-process, or fanned out over the persistent runtime pool of the chosen
 lane.  Noise replicas are first-class: ``replicas=N`` measures every curve
 point ``N`` times and the result carries both the per-replica columns and
@@ -51,7 +54,7 @@ from repro.core.registry import instantiate
 from repro.core.schedule import BroadcastSchedule
 from repro.experiments.config import PracticalStudyConfig
 from repro.mpi.alltoall import direct_alltoall_program, grid_aware_alltoall_program
-from repro.mpi.bcast import binomial_bcast_program, grid_aware_bcast_program
+from repro.mpi.bcast import binomial_bcast_programs, grid_aware_bcast_programs
 from repro.mpi.scatter import flat_scatter_program, grid_aware_scatter_program
 from repro.runtime.chunking import program_cost, resolve_executor
 from repro.runtime.pool import choose_lane
@@ -353,7 +356,6 @@ def run_practical_study(
     _check_replicas(replicas)
     heuristics = instantiate(config.heuristics)
     sizes = list(config.message_sizes)
-    predicted = np.empty((len(sizes), len(heuristics)), dtype=float)
     measured = np.empty((replicas, len(sizes), len(heuristics)), dtype=float)
     baseline = (
         np.empty((replicas, len(sizes)), dtype=float)
@@ -362,38 +364,51 @@ def run_practical_study(
     )
     network_config = NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed)
 
-    # Build the measured sweep size by size.  Each task's noise stream is
-    # keyed by (seed, curve label, message size[, replica]): stable under
-    # reordering, shuffling and worker fan-out.
+    # Build the measured sweep: one stacked program build per heuristic (and
+    # one for the baseline) over every message size.  Each task's noise
+    # stream is keyed by (seed, curve label, message size[, replica]):
+    # stable under reordering, shuffling and worker fan-out.
+    rows = list(
+        _sweep_schedules(
+            heuristics, grid, sizes, config.root_cluster, engine == "batched"
+        )
+    )
+    predicted = np.array(
+        [[schedule.makespan for schedule in row] for row in rows], dtype=float
+    ).reshape(len(sizes), len(heuristics))
+    curves: list[tuple[str, list, int | None]] = [
+        (
+            heuristic.name,
+            grid_aware_bcast_programs(
+                grid,
+                [row[heuristic_index] for row in rows],
+                sizes,
+                local_tree=config.local_tree,
+            ),
+            heuristic_index,
+        )
+        for heuristic_index, heuristic in enumerate(heuristics)
+    ]
+    if baseline is not None:
+        curves.append(
+            (
+                BINOMIAL_BASELINE_NAME,
+                binomial_bcast_programs(
+                    grid,
+                    sizes,
+                    root_rank=grid.coordinator_rank(config.root_cluster),
+                ),
+                None,
+            )
+        )
     all_tasks: list[ExecutionTask] = []
     slots: list[tuple[int, int, int | None]] = []
-    schedules = _sweep_schedules(
-        heuristics, grid, sizes, config.root_cluster, engine == "batched"
-    )
-    for size_index, (message_size, size_schedules) in enumerate(
-        zip(sizes, schedules)
-    ):
-        programs: list[tuple[str, object, int | None]] = []
-        for heuristic_index, (heuristic, schedule) in enumerate(
-            zip(heuristics, size_schedules)
-        ):
-            predicted[size_index, heuristic_index] = schedule.makespan
-            program = grid_aware_bcast_program(
-                grid, schedule, message_size, local_tree=config.local_tree
-            )
-            programs.append((heuristic.name, program, heuristic_index))
-        if baseline is not None:
-            program = binomial_bcast_program(
-                grid,
-                message_size,
-                root_rank=grid.coordinator_rank(config.root_cluster),
-            )
-            programs.append((BINOMIAL_BASELINE_NAME, program, None))
+    for size_index, message_size in enumerate(sizes):
         for replica in range(replicas):
-            for label, program, heuristic_index in programs:
+            for label, programs, heuristic_index in curves:
                 all_tasks.append(
                     ExecutionTask(
-                        program,
+                        programs[size_index],
                         noise_seed=_replica_seed(
                             config.seed, label, message_size, replica, replicas
                         ),

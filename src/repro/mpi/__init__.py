@@ -21,7 +21,9 @@ of the discrete-event simulator:
 from repro.mpi.communicator import GridCommunicator
 from repro.mpi.bcast import (
     binomial_bcast_program,
+    binomial_bcast_programs,
     grid_aware_bcast_program,
+    grid_aware_bcast_programs,
     predict_bcast_makespan,
 )
 from repro.mpi.scatter import flat_scatter_program, grid_aware_scatter_program
@@ -30,7 +32,9 @@ from repro.mpi.alltoall import direct_alltoall_program, grid_aware_alltoall_prog
 __all__ = [
     "GridCommunicator",
     "binomial_bcast_program",
+    "binomial_bcast_programs",
     "grid_aware_bcast_program",
+    "grid_aware_bcast_programs",
     "predict_bcast_makespan",
     "flat_scatter_program",
     "grid_aware_scatter_program",

@@ -1,19 +1,23 @@
 """Broadcast programs: grid-aware (scheduled) and grid-unaware (binomial).
 
-Two program builders live here:
+Two program builders live here, each building a batch of programs as one
+stack (the single-program functions are their one-program case):
 
-* :func:`grid_aware_bcast_program` converts an inter-cluster
-  :class:`~repro.core.schedule.BroadcastSchedule` into a node-level
-  :class:`~repro.simulator.program.CommunicationProgram`: each coordinator
-  performs its scheduled wide-area sends in order and then broadcasts locally
-  along a tree (binomial by default), which is exactly the MagPIe execution
-  structure the paper modified.
-* :func:`binomial_bcast_program` builds the topology-oblivious binomial tree
+* :func:`grid_aware_bcast_programs` converts inter-cluster
+  :class:`~repro.core.schedule.BroadcastSchedule` objects into node-level
+  :class:`~repro.simulator.program.CommunicationProgram` objects: each
+  coordinator performs its scheduled wide-area sends in order and then
+  broadcasts locally along a tree (binomial by default), which is exactly
+  the MagPIe execution structure the paper modified.
+* :func:`binomial_bcast_programs` builds the topology-oblivious binomial tree
   over **all** ranks, i.e. the "Default LAM" / "pure MPI_Bcast" baseline the
   paper compares against in Figure 6.
 """
 
 from __future__ import annotations
+
+import weakref
+from typing import Sequence
 
 import numpy as np
 
@@ -38,24 +42,83 @@ def rank_layout(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return coordinators, cluster_of, np.arange(grid.num_nodes) - coordinators[cluster_of]
 
 
-def grid_aware_bcast_program(
+#: Each grid's intra-cluster tree edges per tree shape, keyed weakly so
+#: entries die with the grid.
+_LOCAL_EDGES: "weakref.WeakKeyDictionary[Grid, dict[str, tuple[np.ndarray, ...]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _local_edges(grid: Grid, local_tree: str) -> tuple[np.ndarray, ...]:
+    """Read-only ``(senders, dest, tag_code)`` of every cluster's local tree.
+
+    Each cluster broadcasts along its own ``local_tree``, coordinator first;
+    the tag code of cluster ``c``'s messages is ``1 + c``.  Every grid-aware
+    broadcast on ``grid`` shares these messages, so they are computed once
+    per (grid, tree shape).
+    """
+    per_grid = _LOCAL_EDGES.setdefault(grid, {})
+    edges = per_grid.get(local_tree)
+    if edges is None:
+        _, cluster_of, local_index = rank_layout(grid)
+        children = np.flatnonzero(local_index > 0)
+        offsets = local_index[children]
+        edges = (
+            children + tree_parents(local_tree, offsets) - offsets,
+            children,
+            1 + cluster_of[children],
+        )
+        for column in edges:
+            column.setflags(write=False)
+        per_grid[local_tree] = edges
+    return edges
+
+
+def _stacked(build, *columns):
+    """``build(*columns)``, re-run row by row when a multi-row build fails.
+
+    A stack runs each check once over every program, so the first error it
+    meets need not be the one a program-by-program build raises first.
+    Re-building row by row on failure raises exactly that error.
+    """
+    try:
+        return build(*columns)
+    except (ValueError, IndexError, TypeError):
+        if len(columns[0]) > 1:
+            for row in zip(*columns):
+                build(*([value] for value in row))
+        raise
+
+
+def grid_aware_bcast_programs(
     grid: Grid,
-    schedule: BroadcastSchedule,
-    message_size: float,
+    schedules: Sequence[BroadcastSchedule],
+    sizes: Sequence[float],
     *,
     local_tree: str = "binomial",
     local_first: bool = False,
-) -> CommunicationProgram:
-    """Build the node-level program implementing a scheduled hierarchical bcast.
+) -> list[CommunicationProgram]:
+    """Build the node-level programs implementing scheduled hierarchical bcasts.
+
+    Program ``k`` carries ``sizes[k]`` bytes along ``schedules[k]``.  The
+    whole batch is built as one stack: the intra-cluster tree edges are
+    computed once per grid, every schedule's coordinator pairs join them,
+    and one stable sort by ``(program, sender)`` lays all the programs out;
+    the message and broadcast checks run once over the stack (see
+    :meth:`~repro.simulator.program.CommunicationProgram.from_broadcast_stack`).
+    Each program is equal to :func:`grid_aware_bcast_program` of its own
+    schedule and size, and a malformed schedule raises the error that call
+    would.
 
     Parameters
     ----------
     grid:
-        The topology the schedule was computed for.
-    schedule:
-        The inter-cluster schedule (its ``num_clusters`` must match the grid).
-    message_size:
-        Payload size in bytes.
+        The topology the schedules were computed for.
+    schedules:
+        The inter-cluster schedules (each ``num_clusters`` must match the
+        grid).
+    sizes:
+        Payload size in bytes of each program.
     local_tree:
         Tree shape used inside every cluster ("binomial" by default).
     local_first:
@@ -67,54 +130,142 @@ def grid_aware_bcast_program(
 
     Returns
     -------
-    CommunicationProgram
-        A validated broadcast program rooted at the root cluster's coordinator.
+    list[CommunicationProgram]
+        Validated broadcast programs, each rooted at its schedule's root
+        cluster coordinator, holding read-only views into the stack.
     """
-    check_non_negative(message_size, "message_size")
-    if schedule.num_clusters != grid.num_clusters:
+    schedules = list(schedules)
+    sizes = list(sizes)
+    if len(schedules) != len(sizes):
         raise ValueError(
-            f"schedule covers {schedule.num_clusters} clusters but the grid has "
-            f"{grid.num_clusters}"
+            f"got {len(schedules)} schedules but {len(sizes)} message sizes"
         )
-    coordinators, cluster_of, local_index = rank_layout(grid)
 
-    # Inter-cluster phase: coordinators follow the schedule order.
-    pairs = np.array(
-        [(transfer.sender, transfer.receiver) for transfer in schedule.transfers],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    inter = (
-        coordinators[pairs[:, 0]],
-        coordinators[pairs[:, 1]],
-        np.zeros(len(pairs), dtype=np.int64),
-    )
+    def build(schedules, sizes):
+        if not schedules:
+            return []
+        for schedule, size in zip(schedules, sizes):
+            check_non_negative(size, "message_size")
+            if schedule.num_clusters != grid.num_clusters:
+                raise ValueError(
+                    f"schedule covers {schedule.num_clusters} clusters but the "
+                    f"grid has {grid.num_clusters}"
+                )
+        count = len(schedules)
+        coordinators = grid.rank_offsets[:-1]
 
-    # Local phase: each cluster broadcasts along its own tree, coordinator
-    # first.
-    children = np.flatnonzero(local_index > 0)
-    offsets = local_index[children]
-    local = (
-        children + tree_parents(local_tree, offsets) - offsets,
-        children,
-        1 + cluster_of[children],
-    )
+        # Inter-cluster phase: coordinators follow each schedule's order.
+        pairs = np.array(
+            [
+                (transfer.sender, transfer.receiver)
+                for schedule in schedules
+                for transfer in schedule.transfers
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        inter = (
+            np.repeat(
+                np.arange(count),
+                [len(schedule.transfers) for schedule in schedules],
+            ),
+            coordinators[pairs[:, 0]],
+            coordinators[pairs[:, 1]],
+            np.zeros(len(pairs), dtype=np.int64),
+        )
 
-    # Each rank performs its first phase's messages, then its second's;
-    # from_arrays keeps that emission order per sender.
-    phases = (local, inter) if local_first else (inter, local)
-    senders, dest, tag_code = (np.concatenate(parts) for parts in zip(*phases))
-    program = CommunicationProgram.from_arrays(
-        grid.num_nodes,
-        int(coordinators[schedule.root]),
-        senders,
-        dest,
-        message_size,
-        tag_code,
-        ("inter-cluster", *(f"local-c{c}" for c in range(grid.num_clusters))),
-        name=f"grid-aware-bcast[{schedule.heuristic_name or 'schedule'}]",
+        # Local phase: the same tree edges in every program.
+        edges = _local_edges(grid, local_tree)
+        local = (
+            np.repeat(np.arange(count), edges[0].size),
+            *(np.concatenate([column] * count) for column in edges),
+        )
+
+        # Each rank performs its first phase's messages, then its second's;
+        # the stable (program, sender) sort keeps that order per sender.
+        phases = (local, inter) if local_first else (inter, local)
+        program, senders, dest, tag_code = (
+            np.concatenate(parts) for parts in zip(*phases)
+        )
+        return CommunicationProgram.from_broadcast_stack(
+            grid.num_nodes,
+            coordinators[[schedule.root for schedule in schedules]].tolist(),
+            program,
+            senders,
+            dest,
+            np.asarray(sizes, dtype=np.float64)[program],
+            tag_code,
+            ("inter-cluster", *(f"local-c{c}" for c in range(grid.num_clusters))),
+            names=[
+                f"grid-aware-bcast[{schedule.heuristic_name or 'schedule'}]"
+                for schedule in schedules
+            ],
+        )
+
+    return _stacked(build, schedules, sizes)
+
+
+def grid_aware_bcast_program(
+    grid: Grid,
+    schedule: BroadcastSchedule,
+    message_size: float,
+    *,
+    local_tree: str = "binomial",
+    local_first: bool = False,
+) -> CommunicationProgram:
+    """The one-program case of :func:`grid_aware_bcast_programs`.
+
+    Each coordinator performs its scheduled wide-area sends in order and then
+    broadcasts locally along ``local_tree`` (binomial by default); the
+    result is a validated broadcast program rooted at the root cluster's
+    coordinator.
+    """
+    (program,) = grid_aware_bcast_programs(
+        grid, [schedule], [message_size], local_tree=local_tree,
+        local_first=local_first,
     )
-    program.validate_broadcast()
     return program
+
+
+def binomial_bcast_programs(
+    grid: Grid,
+    sizes: Sequence[float],
+    *,
+    root_rank: int = 0,
+) -> list[CommunicationProgram]:
+    """The grid-unaware binomial broadcast over all ranks, once per size.
+
+    One binomial tree serves every size: the programs differ only in their
+    message sizes and are built and validated as one stack (see
+    :func:`grid_aware_bcast_programs`).  Program ``k`` equals
+    :func:`binomial_bcast_program` at ``sizes[k]``.
+    """
+    num_ranks = grid.num_nodes
+
+    def build(sizes):
+        for size in sizes:
+            check_non_negative(size, "message_size")
+        if not 0 <= root_rank < num_ranks:
+            raise ValueError(f"root_rank must be a valid rank, got {root_rank}")
+        count = len(sizes)
+        if not count:
+            return []
+        virtual = np.arange(1, num_ranks)
+        program = np.repeat(np.arange(count), virtual.size)
+        return CommunicationProgram.from_broadcast_stack(
+            num_ranks,
+            [root_rank] * count,
+            program,
+            np.concatenate(
+                [(tree_parents("binomial", virtual) + root_rank) % num_ranks] * count
+            ),
+            np.concatenate([(virtual + root_rank) % num_ranks] * count),
+            np.asarray(sizes, dtype=np.float64)[program],
+            0,
+            ("binomial",),
+            names=["binomial-bcast"] * count,
+        )
+
+    return _stacked(build, list(sizes))
 
 
 def binomial_bcast_program(
@@ -130,24 +281,10 @@ def binomial_bcast_program(
     classic MPI implementations).  Because the rank order interleaves clusters
     only by construction of the topology, wide-area links end up used many
     times — which is precisely why the paper's Figure 6 shows this baseline
-    losing to every grid-aware heuristic except the Flat Tree.
+    losing to every grid-aware heuristic except the Flat Tree.  This is the
+    one-size case of :func:`binomial_bcast_programs`.
     """
-    check_non_negative(message_size, "message_size")
-    num_ranks = grid.num_nodes
-    if not 0 <= root_rank < num_ranks:
-        raise ValueError(f"root_rank must be a valid rank, got {root_rank}")
-    virtual = np.arange(1, num_ranks)
-    program = CommunicationProgram.from_arrays(
-        num_ranks,
-        root_rank,
-        (tree_parents("binomial", virtual) + root_rank) % num_ranks,
-        (virtual + root_rank) % num_ranks,
-        message_size,
-        0,
-        ("binomial",),
-        name="binomial-bcast",
-    )
-    program.validate_broadcast()
+    (program,) = binomial_bcast_programs(grid, [message_size], root_rank=root_rank)
     return program
 
 

@@ -32,6 +32,25 @@ from typing import Any, Callable, Iterable
 POOL_KINDS = ("process", "remote")
 
 
+def process_pool(workers: int) -> multiprocessing.pool.Pool:
+    """A :class:`multiprocessing.Pool` whose workers share their parent's
+    resource tracker.
+
+    The shared-memory resource tracker is started *before* the fork, so the
+    children inherit it: a worker's attach-registration and the parent's
+    unlink-unregistration meet in the same bookkeeping, and segments are
+    never reported as leaked at exit.  Both the study pool and the remote
+    agent's local pool are built here.
+    """
+    try:  # pragma: no cover - depends on platform support
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
+    except Exception:
+        pass
+    return multiprocessing.Pool(processes=workers)
+
+
 class StudyPool:
     """A reusable multiprocessing pool with an async submission surface.
 
@@ -53,20 +72,7 @@ class StudyPool:
         if workers < 2:
             raise ValueError(f"a StudyPool needs at least 2 workers, got {workers}")
         self._workers = int(workers)
-        self._pool: multiprocessing.pool.Pool | None = self._make_pool()
-
-    def _make_pool(self) -> multiprocessing.pool.Pool:
-        # Start the shared-memory resource tracker *before* forking the
-        # workers: children then inherit the parent's tracker, so a worker's
-        # attach-registration and the parent's unlink-unregistration meet in
-        # the same bookkeeping and segments are never reported as leaked.
-        try:  # pragma: no cover - depends on platform support
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:
-            pass
-        return multiprocessing.Pool(processes=self._workers)
+        self._pool: multiprocessing.pool.Pool | None = process_pool(self._workers)
 
     @property
     def workers(self) -> int:

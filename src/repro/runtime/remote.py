@@ -112,6 +112,7 @@ from repro.runtime.faults import (
     corrupt_frame,
     resolve_fault_plan,
 )
+from repro.runtime.pool import process_pool
 from repro.runtime.transport import ArrayShipment
 
 #: Environment variable naming the agents (``host:port,host:port``) consulted
@@ -444,7 +445,7 @@ class AgentServer(FrameServer):
         with self._idle:  # connection threads race the lazy spawn
             if self._pool is None:
                 if self.workers >= 2:
-                    self._pool = multiprocessing.Pool(processes=self.workers)
+                    self._pool = process_pool(self.workers)
                 else:
                     self._pool = multiprocessing.pool.ThreadPool(processes=1)
             return self._pool

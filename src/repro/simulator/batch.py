@@ -10,9 +10,11 @@ stacked relaxation pass instead:
 
 * every task's program contributes its own CSR arrays (the
   :class:`~repro.simulator.program.CommunicationProgram` flat form) plus
-  per-message gap/latency, gathered once per distinct program from per-size
-  (cluster x cluster) tables that evaluate each pair present once; the
-  tasks are concatenated with rank and message offsets into one stack;
+  per-message gap/latency, gathered once per distinct program from the
+  per-size (cluster x cluster) node tables of
+  :meth:`~repro.core.costs.GridCostCache.node_tables` — the same cached
+  cost object the schedule phase reads; the tasks are concatenated with
+  rank and message offsets into one stack;
 * noise is keyed by message, not by event: each task's stream draws
   ``2 * M`` log-normal factors up front, message ``i`` (CSR order) scales
   its gap by factor ``2i`` and its latency by factor ``2i + 1`` — exactly
@@ -104,67 +106,39 @@ class ExecutionTask:
     reset_network: bool = True
 
 
-class _PairTables:
-    """Per-size ``(cluster, cluster)`` tables of evaluated pLogP values.
+def _node_costs(
+    grid: Grid, programs: Sequence[CommunicationProgram]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-message ``(gap, latency)`` of ``programs``, concatenated.
 
-    ``gaps[size]`` holds ``gap(size)`` and ``latency`` the (size-free)
-    latency for a message between any node of cluster ``ci`` and any node of
-    cluster ``cj`` at flat index ``ci * num_clusters + cj`` (NaN until first
-    use) — the values :meth:`~repro.topology.grid.Grid.node_link_parameters`
-    would produce, evaluated once per pair present and shared by every
-    program of the batch.
+    Each message reads its (sender cluster, receiver cluster) cell of its
+    size's node tables (:meth:`~repro.core.costs.GridCostCache.node_tables`),
+    taken through the shared :meth:`~repro.core.costs.GridCostCache.for_grid`
+    cache: a grid's schedule phase and its batched simulation share one set
+    of tables per message size.
     """
+    # Imported here: repro.mpi imports this package.
+    from repro.core.costs import GridCostCache
+    from repro.mpi.bcast import rank_layout
 
-    __slots__ = ("grid", "num_clusters", "cluster_of", "gaps", "latency")
-
-    def __init__(self, grid: Grid) -> None:
-        # Imported here: repro.mpi imports this package.
-        from repro.mpi.bcast import rank_layout
-
-        self.grid = grid
-        self.num_clusters = grid.num_clusters
-        self.cluster_of = rank_layout(grid)[1]
-        self.gaps: dict[float, np.ndarray] = {}
-        self.latency = np.full(self.num_clusters**2, np.nan)
-
-    def gather(
-        self, programs: Sequence[CommunicationProgram]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-message ``(gap, latency)`` of ``programs``, concatenated."""
-        dest = np.concatenate([program.dest for program in programs])
-        if not dest.size:
-            return np.empty(0), np.empty(0)
-        senders = np.concatenate([program.senders() for program in programs])
-        cells = self.num_clusters**2
-        pair = self.cluster_of[senders] * self.num_clusters + self.cluster_of[dest]
-        unique, inverse = np.unique(
-            np.concatenate([program.size for program in programs]),
-            return_inverse=True,
-        )
-        sizes = unique.tolist()
-        for size in sizes:
-            if size not in self.gaps:
-                self.gaps[size] = np.full(cells, np.nan)
-        flat = inverse * cells + pair
-
-        def gather_gaps() -> np.ndarray:
-            return np.stack([self.gaps[size] for size in sizes]).ravel()[flat]
-
-        gap = gather_gaps()
-        missing = np.flatnonzero(np.isnan(gap))
-        if missing.size:
-            # Evaluate each (size, pair) not seen before through its first
-            # message, then gather again.
-            _, first = np.unique(flat[missing], return_index=True)
-            for index in missing[first].tolist():
-                params = self.grid.node_link_parameters(
-                    int(senders[index]), int(dest[index])
-                )
-                size = sizes[inverse[index]]
-                self.gaps[size][pair[index]] = params.gap(size)
-                self.latency[pair[index]] = params.latency
-            gap = gather_gaps()
-        return gap, self.latency[pair]
+    dest = np.concatenate([program.dest for program in programs])
+    if not dest.size:
+        return np.empty(0), np.empty(0)
+    senders = np.concatenate([program.senders() for program in programs])
+    cluster_of = rank_layout(grid)[1]
+    cells = grid.num_clusters**2
+    pair = cluster_of[senders] * grid.num_clusters + cluster_of[dest]
+    unique, inverse = np.unique(
+        np.concatenate([program.size for program in programs]),
+        return_inverse=True,
+    )
+    tables = [
+        GridCostCache.for_grid(grid, size).node_tables() for size in unique.tolist()
+    ]
+    flat = inverse * cells + pair
+    gap = np.concatenate([table[0].ravel() for table in tables])[flat]
+    latency = np.concatenate([table[1].ravel() for table in tables])[flat]
+    return gap, latency
 
 
 def _stack_tasks(
@@ -206,7 +180,7 @@ def _stack_tasks(
                 program.tags if collect_traces else (),
             )
         )
-    gap, latency = _PairTables(grid).gather(list(distinct.values()))
+    gap, latency = _node_costs(grid, list(distinct.values()))
     segment: dict[int, slice] = {}
     start = 0
     for key, program in distinct.items():

@@ -68,6 +68,115 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _checked_messages(
+    num_ranks: int, senders, dest, size, tag_code, num_tags: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Messages as arrays, checked: ranks in range, no self-sends, finite
+    non-negative sizes, known tag codes.
+
+    ``size`` and ``tag_code`` may be scalars shared by every message.
+    """
+    n = num_ranks
+    senders = _index_array(senders, "senders")
+    dest = _index_array(dest, "dest")
+    count = senders.size
+    size = np.asarray(size, dtype=np.float64)
+    tag_code = np.asarray(tag_code)
+    if tag_code.size and tag_code.dtype.kind not in "iu":
+        raise TypeError("tag_code must hold integers")
+    tag_code = tag_code.astype(np.int64, copy=False)
+    for values, name in ((dest, "dest"), (size, "size"), (tag_code, "tag_code")):
+        if values.ndim and values.shape != (count,):
+            raise ValueError(f"{name} must match senders in length")
+    # Unsigned views fold "negative" and "too large" into one compare.
+    if np.count_nonzero(senders.view(np.uint64) >= n):
+        bad = senders[senders.view(np.uint64) >= n][0]
+        raise ValueError(f"sender rank {bad} out of range")
+    if np.count_nonzero(dest.view(np.uint64) >= n):
+        bad = dest[dest.view(np.uint64) >= n][0]
+        raise ValueError(f"destination {bad} out of range")
+    loops = senders == dest
+    if np.count_nonzero(loops):
+        raise ValueError(f"rank {senders[loops][0]} sends to itself")
+    if np.count_nonzero(~np.isfinite(size) | (size < 0)):
+        raise ValueError("message sizes must be finite and non-negative")
+    if np.count_nonzero(tag_code.view(np.uint64) >= num_tags):
+        raise ValueError("tag codes must index the tag table")
+    return senders, dest, size, tag_code
+
+
+def _csr(keys: np.ndarray, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, order)`` of messages keyed ``row * width + rank``.
+
+    ``order`` stable-sorts the messages by key, so each rank keeps its
+    messages in emission order; ``indptr`` is ``(rows, width + 1)``, each
+    row its own offsets from 0.
+    """
+    order = np.argsort(keys, kind="stable")
+    indptr = np.zeros((rows, width + 1), dtype=np.int64)
+    np.cumsum(
+        np.bincount(keys, minlength=rows * width).reshape(rows, width),
+        axis=1,
+        out=indptr[:, 1:],
+    )
+    return indptr, order
+
+
+def _check_broadcasts(
+    num_ranks: int, roots: Sequence[int], senders: np.ndarray, dest: np.ndarray
+) -> None:
+    """:meth:`CommunicationProgram.validate_broadcast` over a program stack.
+
+    Rank ``r`` of program ``k`` is the stacked rank ``k * num_ranks + r``;
+    ``senders`` and ``dest`` hold every message's stacked ranks and
+    ``roots[k]`` is program ``k``'s own root.  Every non-root rank must
+    receive exactly one message and every sender must be reachable from its
+    root through earlier sends (the executor would deadlock otherwise).
+    In-degrees come from one ``bincount``; reachability from pointer-jumping
+    the stacked parent array.  Errors name the first bad program.
+    """
+    n = num_ranks
+    count = len(roots)
+    root = np.arange(count, dtype=np.int64) * n + np.asarray(roots, dtype=np.int64)
+    incoming = np.bincount(dest, minlength=count * n)
+    received = incoming[root]
+    # With no root receiving, each program has at most n - 1 single
+    # receivers, so the total is (n - 1) per program only if every one has.
+    single = np.count_nonzero(incoming == 1)
+    if np.count_nonzero(received) or single != count * (n - 1):
+        rows = incoming.reshape(count, n)
+        singles = np.count_nonzero(rows == 1, axis=1)
+        k = int(np.flatnonzero(received | (singles != n - 1))[0])
+        if received[k]:
+            raise ValueError("the root must not receive the broadcast payload")
+        duplicates = np.flatnonzero(rows[k] > 1)
+        if duplicates.size:
+            raise ValueError(f"ranks {duplicates.tolist()} receive more than once")
+        missing = np.flatnonzero(rows[k] == 0)
+        missing = missing[missing != roots[k]]
+        raise ValueError(f"ranks {missing.tolist()} never receive the payload")
+    # Every other rank now has exactly one parent: jump to ancestors until
+    # all reach their root; ranks on a cycle never do.
+    ancestor = np.empty(count * n, dtype=np.int64)
+    ancestor[dest] = senders
+    ancestor[root] = root
+    home = np.repeat(root, n)
+    for _ in range(max(1, n - 1).bit_length()):
+        if not np.count_nonzero(ancestor != home):
+            return
+        ancestor = ancestor[ancestor]
+    unreached = ancestor != home
+    if np.count_nonzero(unreached):
+        k = int(np.flatnonzero(unreached)[0]) // n
+        row = slice(k * n, (k + 1) * n)
+        sends = np.bincount(senders, minlength=count * n)[row] > 0
+        idle_senders = np.flatnonzero(unreached[row] & sends)
+        raise ValueError(
+            f"ranks {idle_senders.tolist()} have sends but never receive "
+            "the payload"
+        )
+
+
 class CommunicationProgram:
     """A dissemination program over ``num_ranks`` machines.
 
@@ -152,6 +261,77 @@ class CommunicationProgram:
         program._set_messages(senders, dest, size, tag_code, tuple(tags))
         return program
 
+    @classmethod
+    def from_broadcast_stack(
+        cls,
+        num_ranks: int,
+        roots: Sequence[int],
+        program: np.ndarray,
+        senders: np.ndarray,
+        dest: np.ndarray,
+        size: float | np.ndarray,
+        tag_code: int | np.ndarray,
+        tags: Sequence[str],
+        *,
+        names: Sequence[str],
+    ) -> "list[CommunicationProgram]":
+        """Build ``len(roots)`` broadcast programs over the same ranks from
+        one stack.
+
+        Message ``i`` belongs to program ``program[i]`` and is otherwise
+        described as in :meth:`from_arrays`; program ``k`` is rooted at
+        ``roots[k]`` and named ``names[k]``.  One stable sort by
+        ``(program, sender)`` and one ``bincount`` lay the whole stack out
+        in CSR form, and the message checks and the
+        :meth:`validate_broadcast` checks run once over it.  Each program
+        holds read-only views into the stack, equal field for field to
+        what :meth:`from_arrays` builds from its own messages.  A failed
+        check names the first bad message of the stack, which need not be
+        the first bad program's first error; callers that want that
+        re-build program by program.
+        """
+        tags = tuple(tags)
+        programs = []
+        for root, name in zip(roots, names):
+            item = cls.__new__(cls)
+            item._set_header(num_ranks, root, name, ())
+            item.tags = tags
+            item._view = None
+            programs.append(item)
+        senders, dest, size, tag_code = _checked_messages(
+            num_ranks, senders, dest, size, tag_code, len(tags)
+        )
+        program = _index_array(program, "program")
+        if program.shape != senders.shape:
+            raise ValueError("program must match senders in length")
+        if np.count_nonzero(program.view(np.uint64) >= len(programs)):
+            raise ValueError("program indices must index the roots")
+        # Stacked ranks: rank r of program k is k * num_ranks + r.
+        base = program * num_ranks
+        keys = base + senders
+        indptr, order = _csr(keys, len(programs), num_ranks)
+        _check_broadcasts(
+            num_ranks,
+            [item.root for item in programs],
+            keys[order],
+            (base + dest)[order],
+        )
+        count = senders.size
+        _frozen(indptr)
+        dest, size, tag_code = (
+            _frozen(values[order] if values.ndim else np.full(count, values))
+            for values in (dest, size, tag_code)
+        )
+        lo = 0
+        for item, row, messages in zip(programs, indptr, indptr[:, -1].tolist()):
+            hi = lo + messages
+            item.indptr = row
+            item.dest = dest[lo:hi]
+            item.size = size[lo:hi]
+            item.tag_code = tag_code[lo:hi]
+            lo = hi
+        return programs
+
     def _set_header(
         self, num_ranks: int, root: int, name: str, initially_active: Iterable[int]
     ) -> None:
@@ -174,36 +354,12 @@ class CommunicationProgram:
     def _set_messages(
         self, senders, dest, size, tag_code, tags: tuple[str, ...]
     ) -> None:
-        n = self.num_ranks
-        senders = _index_array(senders, "senders")
-        dest = _index_array(dest, "dest")
+        senders, dest, size, tag_code = _checked_messages(
+            self.num_ranks, senders, dest, size, tag_code, len(tags)
+        )
+        indptr, order = _csr(senders, 1, self.num_ranks)
         count = senders.size
-        size = np.asarray(size, dtype=np.float64)
-        tag_code = np.asarray(tag_code)
-        if tag_code.size and tag_code.dtype.kind not in "iu":
-            raise TypeError("tag_code must hold integers")
-        tag_code = tag_code.astype(np.int64, copy=False)
-        for values, name in ((dest, "dest"), (size, "size"), (tag_code, "tag_code")):
-            if values.ndim and values.shape != (count,):
-                raise ValueError(f"{name} must match senders in length")
-        # Unsigned views fold "negative" and "too large" into one compare.
-        if np.count_nonzero(senders.view(np.uint64) >= n):
-            bad = senders[senders.view(np.uint64) >= n][0]
-            raise ValueError(f"sender rank {bad} out of range")
-        if np.count_nonzero(dest.view(np.uint64) >= n):
-            bad = dest[dest.view(np.uint64) >= n][0]
-            raise ValueError(f"destination {bad} out of range")
-        loops = senders == dest
-        if np.count_nonzero(loops):
-            raise ValueError(f"rank {senders[loops][0]} sends to itself")
-        if np.count_nonzero(~np.isfinite(size) | (size < 0)):
-            raise ValueError("message sizes must be finite and non-negative")
-        if np.count_nonzero(tag_code.view(np.uint64) >= len(tags)):
-            raise ValueError("tag codes must index the tag table")
-        order = np.argsort(senders, kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(senders, minlength=n), out=indptr[1:])
-        self.indptr = _frozen(indptr)
+        self.indptr = _frozen(indptr[0])
         self.dest = _frozen(dest[order])
         self.size = _frozen(size[order] if size.ndim else np.full(count, size))
         self.tag_code = _frozen(
@@ -299,38 +455,7 @@ class CommunicationProgram:
         would deadlock otherwise).  In-degrees come from one ``bincount``;
         reachability from pointer-jumping the parent array.
         """
-        n = self.num_ranks
-        root = self.root
-        dest = self.dest
-        incoming = np.bincount(dest, minlength=n)
-        if incoming[root]:
-            raise ValueError("the root must not receive the broadcast payload")
-        if np.count_nonzero(incoming == 1) != n - 1:
-            duplicates = np.flatnonzero(incoming > 1)
-            if duplicates.size:
-                raise ValueError(
-                    f"ranks {duplicates.tolist()} receive more than once"
-                )
-            missing = np.flatnonzero(incoming == 0)
-            missing = missing[missing != root]
-            raise ValueError(f"ranks {missing.tolist()} never receive the payload")
-        # Every other rank now has exactly one parent: jump to ancestors until
-        # all reach the root; ranks on a cycle never do.
-        ancestor = np.empty(n, dtype=np.int64)
-        ancestor[dest] = self.senders()
-        ancestor[root] = root
-        for _ in range(max(1, n - 1).bit_length()):
-            if not np.count_nonzero(ancestor != root):
-                return
-            ancestor = ancestor[ancestor]
-        unreached = ancestor != root
-        if np.count_nonzero(unreached):
-            sends = self.indptr[1:] > self.indptr[:-1]
-            idle_senders = np.flatnonzero(unreached & sends)
-            raise ValueError(
-                f"ranks {idle_senders.tolist()} have sends but never receive "
-                "the payload"
-            )
+        _check_broadcasts(self.num_ranks, [self.root], self.senders(), self.dest)
 
     # -- value semantics -----------------------------------------------------------
 

@@ -368,21 +368,31 @@ class Grid:
         if rank_a == rank_b:
             return PLogPParameters.from_values(latency=0.0, gap=0.0)
         if cluster_a == cluster_b:
-            cluster = self.cluster(cluster_a)
-            if cluster.intra_params is not None:
-                return cluster.intra_params
-            # Fall back to a proportional model derived from the fixed T_i so
-            # that Monte-Carlo grids remain simulable at the node level.
-            fixed = cluster.fixed_broadcast_time or 0.0
-            rounds = max(1, (cluster.size - 1).bit_length())
-            per_hop = fixed / rounds if rounds else 0.0
-            return PLogPParameters(
-                latency=per_hop / 2.0,
-                gap=GapFunction.constant(per_hop / 2.0),
-                num_procs=cluster.size,
-            )
+            return self.intra_parameters(cluster_a)
         link = self.link(cluster_a, cluster_b)
         return PLogPParameters(latency=link.latency, gap=link.gap, num_procs=2)
+
+    def intra_parameters(self, cluster_id: int) -> PLogPParameters:
+        """pLogP parameters between two distinct nodes of one cluster.
+
+        The cluster's ``intra_params`` where it has them.  Otherwise a
+        proportional model derived from the fixed ``T_i``, so that
+        Monte-Carlo grids remain simulable at the node level.  This is the
+        one place that rule lives: :meth:`node_link_parameters` and the
+        batched simulator's node tables
+        (:meth:`repro.core.costs.GridCostCache.node_tables`) both read it.
+        """
+        cluster = self.cluster(cluster_id)
+        if cluster.intra_params is not None:
+            return cluster.intra_params
+        fixed = cluster.fixed_broadcast_time or 0.0
+        rounds = max(1, (cluster.size - 1).bit_length())
+        per_hop = fixed / rounds if rounds else 0.0
+        return PLogPParameters(
+            latency=per_hop / 2.0,
+            gap=GapFunction.constant(per_hop / 2.0),
+            num_procs=cluster.size,
+        )
 
     # -- conversions ---------------------------------------------------------------
 

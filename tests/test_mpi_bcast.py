@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.ecef import ECEF
 from repro.core.flat_tree import FlatTreeHeuristic
 from repro.mpi.bcast import (
     binomial_bcast_program,
+    binomial_bcast_programs,
     grid_aware_bcast_program,
+    grid_aware_bcast_programs,
     predict_bcast_makespan,
 )
 from repro.simulator.execution import execute_program
@@ -111,3 +115,47 @@ class TestBinomialBcastProgram:
         )
         naive = execute_program(network, binomial_bcast_program(grid5000, 4_194_304))
         assert naive.makespan < flat.makespan
+
+
+class TestStackedBcastPrograms:
+    def test_one_stack_per_heuristic_sweep(self, grid5000):
+        sizes = [0, 65_536, 4_194_304]
+        schedules = [ECEF().schedule(grid5000, size) for size in sizes]
+        programs = grid_aware_bcast_programs(grid5000, schedules, sizes)
+        assert [program.size[0] for program in programs] == sizes
+        for program, schedule, size in zip(programs, schedules, sizes):
+            assert program == grid_aware_bcast_program(grid5000, schedule, size)
+        assert grid_aware_bcast_programs(grid5000, [], []) == []
+
+    def test_binomial_stack_shares_one_tree(self, heterogeneous_grid):
+        programs = binomial_bcast_programs(heterogeneous_grid, [0, 1_000], root_rank=5)
+        assert [program.root for program in programs] == [5, 5]
+        assert programs[0].dest.tolist() == programs[1].dest.tolist()
+        assert programs[1] == binomial_bcast_program(
+            heterogeneous_grid, 1_000, root_rank=5
+        )
+        with pytest.raises(ValueError, match="root_rank"):
+            binomial_bcast_programs(heterogeneous_grid, [0, 1_000], root_rank=999)
+
+    def test_schedules_and_sizes_must_pair_up(self, heterogeneous_grid):
+        schedule = ECEF().schedule(heterogeneous_grid, 1_000)
+        with pytest.raises(ValueError, match="1 schedules but 2 message sizes"):
+            grid_aware_bcast_programs(heterogeneous_grid, [schedule], [1_000, 2_000])
+
+    def test_first_bad_program_decides_the_error(self, heterogeneous_grid):
+        """The stack checks every size before any broadcast, but a failed
+        stack is re-built program by program: program 0's duplicate receiver
+        is reported, as a per-program loop would, not program 1's size."""
+        schedule = FlatTreeHeuristic().schedule(heterogeneous_grid, 1_000)
+        first, second = schedule.transfers
+        broken = replace(
+            schedule, transfers=[first, replace(second, receiver=first.receiver)]
+        )
+        with pytest.raises(ValueError) as single:
+            grid_aware_bcast_program(heterogeneous_grid, broken, 1_000)
+        assert "receive more than once" in str(single.value)
+        with pytest.raises(ValueError) as stacked:
+            grid_aware_bcast_programs(
+                heterogeneous_grid, [broken, schedule], [1_000, -1]
+            )
+        assert str(stacked.value) == str(single.value)

@@ -1101,6 +1101,177 @@ class TestFlatProgramEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# stacked program builders (repro.mpi.bcast)
+# ---------------------------------------------------------------------------
+
+from dataclasses import replace
+
+import pytest
+
+from repro.mpi.bcast import binomial_bcast_programs, grid_aware_bcast_programs
+from repro.topology.generators import RandomGridGenerator
+from repro.topology.grid5000 import build_grid5000_topology
+from repro.utils.rng import RandomStream
+
+GRID5000 = build_grid5000_topology()
+
+stack_sizes = st.sampled_from([0, 0.0, 1, 4_096, 65_536.0, 1_048_576, 4_194_304])
+
+
+@st.composite
+def stack_grids(draw) -> Grid:
+    """Grid5000 (intra parameters, size-dependent gaps), a heterogeneous
+    fixed-T grid, or a generated array-backed grid."""
+    kind = draw(st.sampled_from(["grid5000", "heterogeneous", "generated"]))
+    if kind == "grid5000":
+        return GRID5000
+    if kind == "heterogeneous":
+        return draw(grids(max_clusters=7))
+    return RandomGridGenerator(
+        cluster_size=draw(st.integers(min_value=1, max_value=9))
+    ).generate(
+        draw(st.integers(min_value=1, max_value=7)),
+        RandomStream(seed=draw(st.integers(min_value=0, max_value=2**32 - 1))),
+    )
+
+
+@st.composite
+def stacked_bcast_inputs(draw):
+    """A grid, K = 1..5 schedules of any paper heuristic at sizes that may
+    be 0, a tree shape and a phase order."""
+    grid = draw(stack_grids())
+    sizes = draw(st.lists(stack_sizes, min_size=1, max_size=5))
+    roots = st.integers(min_value=0, max_value=grid.num_clusters - 1)
+    schedules = [
+        get_heuristic(draw(st.sampled_from(PAPER_HEURISTICS))).schedule(
+            grid, size, root=draw(roots)
+        )
+        for size in sizes
+    ]
+    return (
+        grid,
+        schedules,
+        sizes,
+        draw(st.sampled_from(sorted(TREE_BUILDERS))),
+        draw(st.booleans()),
+    )
+
+
+def _fields(program: CommunicationProgram) -> tuple:
+    """Every field of a program, arrays as (dtype, values)."""
+    return (
+        program.name,
+        program.root,
+        type(program.root),
+        program.num_ranks,
+        program.initially_active,
+        program.tags,
+        *(
+            (array.dtype, array.tolist())
+            for array in (program.indptr, program.dest, program.size, program.tag_code)
+        ),
+    )
+
+
+def _assert_read_only(program: CommunicationProgram) -> None:
+    for array in (program.indptr, program.dest, program.size, program.tag_code):
+        assert not array.flags.writeable
+
+
+def _transcribed_binomial(num_ranks, root_rank, size):
+    """The binomial broadcast over all ranks, rotated to the root (reference)."""
+    return {
+        (parent + root_rank) % num_ranks: [
+            SendInstruction((kid + root_rank) % num_ranks, size, "binomial")
+            for kid in kids
+        ]
+        for parent, kids in enumerate(_reference_children("binomial", num_ranks))
+        if kids
+    }
+
+
+def _malformed(schedule, defect: str, pick: int):
+    """``schedule`` with one duplicate receiver or one unreachable sender."""
+    transfers = list(schedule.transfers)
+    if defect == "duplicate":
+        assume(len(transfers) >= 2)
+        index = pick % len(transfers)
+        other = transfers[(index + 1) % len(transfers)]
+        assume(transfers[index].sender != other.receiver)
+        transfers[index] = replace(transfers[index], receiver=other.receiver)
+    else:
+        # A relay P -> C (P not the root) makes C feed P instead of P's own
+        # parent: P and C form a cycle cut off from the root.
+        relays = [t for t in transfers if t.sender != schedule.root]
+        assume(relays)
+        relay = relays[pick % len(relays)]
+        feed = next(
+            index for index, t in enumerate(transfers) if t.receiver == relay.sender
+        )
+        transfers[feed] = replace(transfers[feed], sender=relay.receiver)
+    return replace(schedule, transfers=transfers)
+
+
+class TestStackedBuilders:
+    """One stacked build of K programs equals K single-program builds."""
+
+    @given(inputs=stacked_bcast_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_grid_aware_stack_equals_per_program_builds(self, inputs):
+        grid, schedules, sizes, local_tree, local_first = inputs
+        stacked = grid_aware_bcast_programs(
+            grid, schedules, sizes, local_tree=local_tree, local_first=local_first
+        )
+        assert len(stacked) == len(schedules)
+        for program, schedule, size in zip(stacked, schedules, sizes):
+            single = grid_aware_bcast_program(
+                grid, schedule, size, local_tree=local_tree, local_first=local_first
+            )
+            assert _fields(program) == _fields(single)
+            assert program.sends == _transcribed_bcast(
+                grid, schedule, float(size), local_tree, local_first
+            )
+            _assert_read_only(program)
+
+    @given(
+        grid=stack_grids(),
+        sizes=st.lists(stack_sizes, min_size=1, max_size=5),
+        pick=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_binomial_stack_equals_per_program_builds(self, grid, sizes, pick):
+        root_rank = pick % grid.num_nodes
+        stacked = binomial_bcast_programs(grid, sizes, root_rank=root_rank)
+        assert len(stacked) == len(sizes)
+        for program, size in zip(stacked, sizes):
+            single = binomial_bcast_program(grid, size, root_rank=root_rank)
+            assert _fields(program) == _fields(single)
+            assert program.sends == _transcribed_binomial(
+                grid.num_nodes, root_rank, float(size)
+            )
+            _assert_read_only(program)
+
+    @given(
+        inputs=stacked_bcast_inputs(),
+        defect=st.sampled_from(["duplicate", "cycle"]),
+        pick=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_malformed_schedule_raises_the_per_program_error(
+        self, inputs, defect, pick
+    ):
+        grid, schedules, sizes, local_tree, local_first = inputs
+        bad = pick % len(schedules)
+        schedules[bad] = _malformed(schedules[bad], defect, pick)
+        options = dict(local_tree=local_tree, local_first=local_first)
+        with pytest.raises(ValueError) as single:
+            grid_aware_bcast_program(grid, schedules[bad], sizes[bad], **options)
+        with pytest.raises(ValueError) as stacked:
+            grid_aware_bcast_programs(grid, schedules, sizes, **options)
+        assert str(stacked.value) == str(single.value)
+
+
+# ---------------------------------------------------------------------------
 # array-backed random grids (repro.topology.generators)
 # ---------------------------------------------------------------------------
 

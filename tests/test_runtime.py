@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import socket
 import threading
@@ -1450,6 +1451,50 @@ class TestShipmentCleanup:
                 grid5000, [program, program], transport="pickle", pool=FailingPool()
             )
         assert shipments and all(item.shm_name is None for item in shipments)
+
+    def test_multi_worker_agent_reports_no_leaked_segments(self, tmp_path):
+        """A ``--workers 2`` agent repacks each frame's arrays into shared
+        memory for its pool and unlinks them when the job is done; stopped
+        with SIGTERM after a remote practical sweep, its resource tracker
+        must find nothing left to report."""
+        if not shared_memory_available():
+            pytest.skip("no shared memory on this platform")
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        source = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [source, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        with open(tmp_path / "agent.err", "w+") as stderr:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "worker", "serve",
+                 "--bind", "127.0.0.1:0", "--workers", "2", "--exit-with-parent"],
+                stdout=subprocess.PIPE, stderr=stderr, text=True, env=env,
+            )
+            try:
+                announce = re.search(
+                    r"listening on ([^\s:]+):(\d+)", process.stdout.readline()
+                )
+                host, port = announce.group(1), announce.group(2)
+                config = PracticalStudyConfig(message_sizes=(0, 65_536, 1_048_576))
+                pool = RemoteStudyPool(hosts=((host, int(port)),))
+                try:
+                    remote = run_practical_study(config, workers=2, pool=pool)
+                finally:
+                    pool.close()
+                process.send_signal(signal.SIGTERM)
+                assert process.wait(timeout=60) == 0
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=15)
+            stderr.seek(0)
+            log = stderr.read()
+        inline = run_practical_study(config, workers=0)
+        assert np.array_equal(remote.measured_replicas, inline.measured_replicas)
+        assert "leaked shared_memory" not in log, log
 
 
 class TestFrameServerDrain:

@@ -10,15 +10,21 @@ count.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.costs import GridCostCache
 from repro.core.registry import PAPER_HEURISTICS, get_heuristic, instantiate
+from repro.experiments.config import PracticalStudyConfig
 from repro.mpi.alltoall import direct_alltoall_program, grid_aware_alltoall_program
 from repro.mpi.bcast import binomial_bcast_program, grid_aware_bcast_program
 from repro.mpi.scatter import flat_scatter_program, grid_aware_scatter_program
 from repro.simulator.batch import ExecutionTask, execute_programs
 from repro.simulator.network import NetworkConfig
 from repro.simulator.program import CommunicationProgram
+from repro.topology.generators import RandomGridGenerator
+from repro.topology.grid import Grid
+from repro.topology.grid5000 import build_grid5000_topology
 from repro.utils.rng import RandomStream
 
 
@@ -210,3 +216,71 @@ class TestBatchOptions:
         assert warm.makespan > cold.makespan
         batched = execute_programs(heterogeneous_grid, [program, program])
         assert batched[0].makespan == batched[1].makespan == cold.makespan
+
+
+class TestNodeTables:
+    """The batched engine prices messages from per-size node tables that
+    equal :meth:`~repro.topology.grid.Grid.node_link_parameters` bitwise."""
+
+    SIZES = (0, 1, 4_096, 65_536, 1_000_000, 4_194_304, 16_777_216)
+
+    @staticmethod
+    def _generated_grid():
+        # Fixed-T clusters without intra parameters: the proportional
+        # intra-cluster fallback.
+        return RandomGridGenerator(cluster_size=4).generate(5, RandomStream(seed=11))
+
+    @pytest.mark.parametrize("kind", ["grid5000", "heterogeneous_grid", "generated"])
+    def test_tables_equal_node_link_parameters(self, kind, request):
+        if kind == "generated":
+            grid = self._generated_grid()
+        else:
+            grid = request.getfixturevalue(kind)
+        offsets = grid.rank_offsets
+        for size in self.SIZES:
+            gap, latency = GridCostCache.for_grid(grid, size).node_tables()
+            assert gap.shape == latency.shape == (grid.num_clusters,) * 2
+            assert not gap.flags.writeable and not latency.flags.writeable
+            for a in range(grid.num_clusters):
+                for b in range(grid.num_clusters):
+                    # A distinct node of cluster b (its second node when
+                    # a == b, which needs a cluster of two or more).
+                    rank_b = int(offsets[b]) + (a == b)
+                    if rank_b >= offsets[b + 1]:
+                        continue
+                    params = grid.node_link_parameters(int(offsets[a]), rank_b)
+                    assert _bits(gap[a, b]) == _bits(params.gap(size))
+                    assert _bits(latency[a, b]) == _bits(params.latency)
+
+    def test_table3_batch_makes_no_node_link_calls(self, monkeypatch):
+        """Pricing the 80-task Table 3 batch evaluates no per-pair
+        ``node_link_parameters`` and predicts no cluster broadcast time."""
+        grid = build_grid5000_topology()
+        config = PracticalStudyConfig()
+        tasks = []
+        for size in config.message_sizes:
+            for heuristic in instantiate(config.heuristics):
+                schedule = heuristic.schedule(grid, size, root=config.root_cluster)
+                tasks.append(grid_aware_bcast_program(grid, schedule, size))
+            tasks.append(binomial_bcast_program(grid, size))
+        assert len(tasks) == 80
+        # A fresh grid, so the tables are built inside the measured call.
+        fresh = build_grid5000_topology()
+        calls = {"node_link_parameters": 0, "broadcast_times": 0}
+        for name in calls:
+            original = getattr(Grid, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(Grid, name, spy)
+        execute_programs(fresh, tasks, collect_traces=False, workers=0)
+        assert calls == {"node_link_parameters": 0, "broadcast_times": 0}
+        # The spy is live: the scalar reference engine does call it.
+        execute_programs(fresh, tasks[:1], engine="scalar", workers=0)
+        assert calls["node_link_parameters"] > 0
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
