@@ -10,7 +10,10 @@ benchmark measures
 * the throughput of the Monte-Carlo engines on the paper's 10-cluster
   workload: the seed-style scalar reference (fresh cost matrices per
   schedule, scalar selection loops) versus the vectorized per-grid engine and
-  the batched engine that drives whole chunks of grids per NumPy call.
+  the batched line-up kernel that advances every heuristic on a whole chunk
+  of grids per NumPy call, and
+* the line-up kernel against the per-grid vectorized engine at paper scale
+  (50 clusters).
 
 The schedules/sec numbers and per-heuristic timings are also written to
 ``benchmarks/results/BENCH_scheduling.json`` so the trajectory is tracked
@@ -26,7 +29,12 @@ import pytest
 
 from conftest import bench_iterations, emit, emit_json
 
-from repro.core.batch import BatchedGridCosts, batched_makespans
+from repro.core.batch import (
+    BatchedGridCosts,
+    batched_makespans,
+    max_batch_size,
+    schedule_lineup,
+)
 from repro.core.costs import GridCostCache
 from repro.core.registry import PAPER_HEURISTICS, get_heuristic, instantiate
 from repro.topology.generators import RandomGridGenerator
@@ -92,7 +100,8 @@ def test_monte_carlo_throughput():
     matrices (uncached) and runs the scalar selection loops.  The vectorized
     engine shares one :class:`GridCostCache` per grid across all heuristics;
     the batched engine additionally stacks the whole workload and advances
-    every grid per NumPy call.
+    every heuristic on every grid per NumPy call, in the one line-up call
+    :func:`~repro.experiments.simulation_study.run_simulation_study` makes.
     """
     num_clusters = 10
     # Floor the workload at 100 grids: the batched engine finishes a small
@@ -126,7 +135,7 @@ def test_monte_carlo_throughput():
     def batched():
         caches = [GridCostCache.build(grid, MESSAGE_SIZE) for grid in grids]
         stacked = BatchedGridCosts(caches)
-        results = [batched_makespans(h, stacked, root=0) for h in heuristics]
+        results = schedule_lineup(heuristics, stacked, root=0)
         assert all(r is not None for r in results)
 
     # Warm up allocators / import costs on a small slice before timing.
@@ -170,6 +179,79 @@ def test_monte_carlo_throughput():
     # The batched engine is the one the Monte-Carlo studies actually use;
     # it must stay well ahead of the seed-style baseline.
     assert throughput["batched"] >= 5.0 * baseline
+
+
+def test_paper_scale_kernel():
+    """The line-up kernel against the per-grid vectorized engine, 50 clusters.
+
+    Both engines schedule the same grids with the seven paper heuristics on
+    prebuilt cost caches, after checking that their makespans are identical.
+    The kernel takes the grids in the chunks ``run_simulation_study`` uses.
+    """
+    num_clusters = 50
+    grid_count = bench_iterations(100)
+    grids = _monte_carlo_grids(num_clusters, grid_count)
+    heuristics = instantiate(PAPER_HEURISTICS)
+    caches = [GridCostCache.for_grid(grid, MESSAGE_SIZE) for grid in grids]
+    chunk = max_batch_size(num_clusters, len(heuristics))
+
+    def lineup() -> np.ndarray:
+        return np.concatenate(
+            [
+                np.array(
+                    schedule_lineup(
+                        heuristics, BatchedGridCosts(caches[start : start + chunk])
+                    )
+                )
+                for start in range(0, grid_count, chunk)
+            ],
+            axis=1,
+        )
+
+    def vectorized() -> np.ndarray:
+        return np.array(
+            [
+                [
+                    heuristic.makespan(grid, MESSAGE_SIZE, costs=cache)
+                    for grid, cache in zip(grids, caches)
+                ]
+                for heuristic in heuristics
+            ]
+        )
+
+    assert np.array_equal(lineup(), vectorized())
+
+    def best_of(run, repeats: int = 2) -> float:
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    seconds = {
+        "lineup_kernel": best_of(lineup),
+        "vectorized_per_grid": best_of(vectorized),
+    }
+    speedup = seconds["vectorized_per_grid"] / seconds["lineup_kernel"]
+    emit(
+        f"Paper-scale scheduling ({num_clusters} clusters, {grid_count} grids x "
+        f"{len(heuristics)} heuristics): line-up kernel "
+        f"{seconds['lineup_kernel']:.3f} s, per-grid vectorized "
+        f"{seconds['vectorized_per_grid']:.3f} s ({speedup:.2f}x)"
+    )
+    emit_json(
+        "paper_scale_kernel",
+        {
+            "num_clusters": num_clusters,
+            "grids": grid_count,
+            "chunk": chunk,
+            "heuristics": list(PAPER_HEURISTICS),
+            "message_size": MESSAGE_SIZE,
+            "seconds": seconds,
+            "speedup_vs_vectorized": speedup,
+        },
+    )
 
 
 def test_engines_agree_on_throughput_workload():

@@ -8,6 +8,10 @@ perf wins of past PRs cannot silently rot:
 
 * batched scheduling engine  >= 10x the seed-style scalar path
   (``BENCH_scheduling.json``),
+* line-up kernel at paper scale >= 2.5x the per-grid vectorized engine
+  on 50-cluster grids with the seven paper heuristics
+  (``BENCH_scheduling.json``, paper_scale_kernel section — both engines'
+  makespans verified identical before they are timed),
 * batched measured sweep     >=  5x the per-run scalar loop
   (``BENCH_practical.json``, replicated section),
 * batched schedule phase     >= 1.5x the per-size ``schedule()`` loop on
@@ -70,6 +74,11 @@ FLOORS: tuple[tuple[str, tuple[str, ...], float], ...] = (
         "BENCH_scheduling.json",
         ("monte_carlo_throughput", "speedup_vs_seed_style", "batched"),
         10.0,
+    ),
+    (
+        "BENCH_scheduling.json",
+        ("paper_scale_kernel", "speedup_vs_vectorized"),
+        2.5,
     ),
     (
         "BENCH_practical.json",

@@ -1,41 +1,35 @@
-"""Batched scheduling: run one heuristic on many problems simultaneously.
+"""Batched scheduling: a whole heuristic line-up on many problems at once.
 
 The Monte-Carlo studies of the paper (Figures 1–4) schedule the *same*
-heuristic on thousands of independent random grids of identical size.  Doing
-that one grid at a time leaves NumPy's per-call overhead as the dominant cost
-for small grids — at 10 clusters a masked ``argmin`` over a 10×10 matrix is
-pure dispatch overhead.  This module stacks the per-grid cost matrices of a
-whole batch into ``(K, n, n)`` arrays and advances **all K grids one selection
-round at a time**, so every NumPy call does K grids' worth of work.
+heuristics on thousands of random grids of identical size, where one grid at
+a time leaves NumPy's per-call overhead dominant.  This module stacks a
+batch's cost matrices into ``(K, n, n)`` arrays and advances **every
+heuristic of the line-up on all K problems one selection round at a time**;
+each heuristic owns K rows of the kernel state.  The batch axis is K grids
+of one size (the Monte-Carlo study) or K message sizes of one grid (the
+Table 3 sweep, which records every round so each
+:class:`~repro.core.schedule.BroadcastSchedule` comes straight out).
 
-The batched kernels mirror the per-grid selection rules exactly — the same
-score formulas, the same row-major first-occurrence tie-breaking — so a
-batched run produces bit-identical makespans to the per-grid engines (scalar
-and vectorized) for every paper heuristic and min/max lookahead; the
-equivalence test-suite asserts exactly that.  The two *average*-based
-ablation lookaheads reduce via BLAS matmuls whose summation order differs
-from the other engines', so their scores can differ by ULPs and agreement is
-only exact when no two candidate scores are within ULPs of each other (they
-are covered by fixed-seed tests instead of the hypothesis sweep).
-
-The batch axis is either K grids of one size (the Monte-Carlo study,
-:func:`batched_makespans`) or K message sizes of one grid (the Table 3
-sweep, :func:`batched_schedules`).  The latter records every round's
-decision and timing, so each :class:`~repro.core.schedule.BroadcastSchedule`
-comes straight out of the kernel without timing the order a second time.
-
-Only the heuristics of the paper's Monte-Carlo line-up have batched kernels
-(ECEF, the ECEF-LA family with registered lookaheads, FEF, BottomUp, Flat
-Tree, and Mixed by delegation).  :func:`batched_makespans` returns ``None``
-for anything else — e.g. :class:`~repro.core.optimal.OptimalSearch` or a
-custom heuristic — and callers fall back to the per-grid path.
-:func:`batched_schedules` additionally declines the two average-based
-lookaheads, whose schedules must equal the per-grid ones field for field.
+Score matrices are kept up to date in place: an informed sender ``i``'s row
+holds ``RT_i·c + base_{i,j}`` (``g + L`` for the ECEF family, ``L`` or
+``g + L`` with ``c = 0`` for FEF, ``g + L + T_j`` for BottomUp), a pending
+sender's row holds +∞, and a commit rewrites only the sender's and the
+receiver's rows.  A min-form lookahead's matrix gets the leaving receiver's
+column set to +∞, so ``F_j`` is a plain row minimum (ECEF-LAT's maximum is
+the minimum of the negated matrix).  Every score is the float expression
+the per-grid engines evaluate, with their row-major first-occurrence
+tie-breaking, so makespans and schedules are bit-identical to theirs for
+every paper heuristic and min/max lookahead.  The two *average*-based
+ablation lookaheads reduce via BLAS matmuls whose summation order differs,
+so their scores can differ by ULPs (fixed-seed tests cover them, and
+recording declines them).  Heuristics without kernel rows — e.g.
+:class:`~repro.core.optimal.OptimalSearch` or custom ones — get ``None``,
+and callers fall back to the per-grid path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,15 +50,16 @@ from repro.core.lookahead import (
 from repro.core.mixed import MixedStrategy
 from repro.core.schedule import BroadcastSchedule, ScheduledTransfer
 
-#: Upper bound on the stacked matrix *elements* (``K * n * n``) of one batch;
-#: keeps a stack within a few dozen megabytes whatever the cluster count or
-#: the number of grids or message sizes to schedule.
+#: Upper bound on the stacked score *elements* (``K * rows * n * n``) of one
+#: batch; keeps a stack within a few dozen megabytes whatever the cluster
+#: count, the line-up or the number of grids or message sizes to schedule.
 MAX_BATCH_ELEMENTS = 2_000_000
 
 
-def max_batch_size(num_clusters: int) -> int:
-    """The most ``num_clusters``-cluster problems one stack may hold (>= 1)."""
-    return max(1, MAX_BATCH_ELEMENTS // max(1, num_clusters * num_clusters))
+def max_batch_size(num_clusters: int, rows: int) -> int:
+    """The most ``num_clusters``-cluster problems one stack may hold (>= 1)
+    when a line-up of ``rows`` heuristics schedules each of them."""
+    return max(1, MAX_BATCH_ELEMENTS // max(1, rows * num_clusters**2))
 
 
 class BatchedGridCosts:
@@ -83,8 +78,8 @@ class BatchedGridCosts:
         batch order.
     num_grids, num_clusters:
         The stack dimensions ``K`` and ``n``.
-    gap, latency, transfer:
-        ``(K, n, n)`` arrays (zero diagonals).
+    gap, latency, transfer, transfer_plus_broadcast:
+        ``(K, n, n)`` arrays; the last adds ``T_j`` to ``transfer``.
     broadcast:
         ``(K, n)`` array of local broadcast times.
     """
@@ -104,94 +99,217 @@ class BatchedGridCosts:
         self.latency = np.stack([cache.latency for cache in caches])
         self.transfer = np.stack([cache.transfer for cache in caches])
         self.broadcast = np.stack([cache.broadcast for cache in caches])
-        self._transfer_plus_broadcast: np.ndarray | None = None
-
-    @property
-    def transfer_plus_broadcast(self) -> np.ndarray:
-        """``g_{i,j}(m) + L_{i,j} + T_j`` per grid (grid-aware lookaheads)."""
-        if self._transfer_plus_broadcast is None:
-            self._transfer_plus_broadcast = self.transfer + self.broadcast[:, None, :]
-        return self._transfer_plus_broadcast
+        self.transfer_plus_broadcast = self.transfer + self.broadcast[:, None, :]
 
 
-class _BatchedState:
-    """Ready times and A/B membership of ``K`` grids advancing in lockstep.
+# -- average lookahead columns ------------------------------------------------------
+# ``(K, n)`` F_j values from the ``(K, n, n)`` transfer stack and the 0/1
+# informed and pending masks, called while >= 2 clusters are pending.
 
-    With ``record=True`` every round's decisions and timings are kept in
-    ``(K, n - 1)`` arrays, from which :meth:`schedules` builds the timed
-    schedules; the makespan-only path leaves recording off.
+
+def _average_latency(
+    transfer: np.ndarray, informed: np.ndarray, pending: np.ndarray
+) -> np.ndarray:
+    # Zero diagonal => the row sums over pending columns already exclude j.
+    sums = np.matmul(transfer, pending[:, :, None])[:, :, 0]
+    others = pending.sum(axis=1) - 1.0
+    return sums / others[:, None]
+
+
+def _average_informed(
+    transfer: np.ndarray, informed: np.ndarray, pending: np.ndarray
+) -> np.ndarray:
+    column_sums = np.matmul(informed[:, None, :], transfer)[:, 0, :]
+    row_sums = np.matmul(transfer, pending[:, :, None])[:, :, 0]
+    total = (column_sums * pending).sum(axis=1)
+    informed_count = informed.sum(axis=1)
+    others = pending.sum(axis=1) - 1.0
+    count = (informed_count + 1.0) * others
+    return (total[:, None] - column_sums + row_sums) / count[:, None]
+
+
+# -- line-up rows --------------------------------------------------------------------
+# A heuristic's kernel is a row spec ``(group, base, ready weight, extra)``;
+# specs stack in group order, so each group's rows are one contiguous slice.
+
+_MIN_LOOKAHEAD, _AVERAGE_LOOKAHEAD, _EDGE, _BOTTOM_UP, _FLAT = range(5)
+
+#: Lookahead rows: a min-form lookahead names the stacked matrix whose row
+#: minima over the pending columns give F_j, and the sign turning that
+#: minimum into F_j; an average one its column function, whose BLAS scores
+#: are only ULP-close to the per-grid ones (fine for makespans, not for
+#: exact schedules).
+_LOOKAHEADS = {
+    min_edge_lookahead: (_MIN_LOOKAHEAD, ("transfer", 1.0)),
+    grid_aware_min_lookahead: (_MIN_LOOKAHEAD, ("transfer_plus_broadcast", 1.0)),
+    grid_aware_max_lookahead: (_MIN_LOOKAHEAD, ("transfer_plus_broadcast", -1.0)),
+    average_latency_lookahead: (_AVERAGE_LOOKAHEAD, _average_latency),
+    average_informed_lookahead: (_AVERAGE_LOOKAHEAD, _average_informed),
+}
+
+
+def _row_spec(
+    heuristic: SchedulingHeuristic, num_clusters: int, *, exact: bool = False
+) -> tuple | None:
+    """The kernel rows of ``heuristic`` (``None``: none, or with ``exact``
+    none that reproduce the per-grid engines bit for bit).  Dispatch is on
+    the *exact* type: a subclass may override ``build_order``."""
+    kind = type(heuristic)
+    if kind is MixedStrategy:
+        return _row_spec(heuristic.choose(num_clusters), num_clusters, exact=exact)
+    lookahead = getattr(heuristic, "lookahead", None)
+    if kind is ECEF or (kind is ECEFLookahead and lookahead is no_lookahead):
+        return (_EDGE, "transfer", 1.0, None)
+    if kind is ECEFLookahead:
+        group, extra = _LOOKAHEADS.get(lookahead, (None, None))
+        if group is None or (exact and group == _AVERAGE_LOOKAHEAD):
+            return None
+        return (group, "transfer", 1.0, extra)
+    if kind is FastestEdgeFirst:
+        base = "latency" if heuristic.weight == "latency" else "transfer"
+        return (_EDGE, base, 0.0, None)
+    if kind is BottomUp:
+        weight = float(heuristic.use_ready_time)
+        return (_BOTTOM_UP, "transfer_plus_broadcast", weight, None)
+    if kind is FlatTreeHeuristic:
+        return (_FLAT, None, 0.0, heuristic)
+    return None
+
+
+class _LineUp:
+    """Ready times, score rows and lookahead columns of a line-up advancing
+    over ``K`` problems in lockstep.
+
+    Row ``p * K + k`` is the ``p``-th distinct spec on problem ``k``.  Rows
+    ``[0, edge_end)`` select an edge by argmin (the first ``min_end`` with a
+    min-form lookahead), ``[edge_end, scored_end)`` are BottomUp rows and the
+    rest follow a Flat Tree order.  ``record=True`` keeps every round for
+    :meth:`schedules`.
     """
 
     def __init__(
-        self, costs: BatchedGridCosts, root: int, *, record: bool = False
+        self, specs: Sequence[tuple], costs: BatchedGridCosts, root: int, record: bool
     ) -> None:
-        if not 0 <= root < costs.num_clusters:
-            raise ValueError(f"root must be a valid cluster index, got {root}")
         K, n = costs.num_grids, costs.num_clusters
-        self.costs = costs
-        self.root = root
-        self.rt = np.zeros((K, n))
-        self.informed = np.zeros((K, n), dtype=bool)
-        self.informed[:, root] = True
-        self.pending = ~self.informed
-        self.informed_f = self.informed.astype(float)
-        self.pending_f = self.pending.astype(float)
-        self._grid_index = np.arange(K)
-        self._scores = np.empty((K, n, n))
-        self._diag = np.arange(n)
-        self._round = 0
-        # (sender, receiver) and (start, release, arrival, gap, latency) of
-        # every round.
-        self._pairs = np.empty((2, K, n - 1), dtype=np.intp) if record else None
-        self._times = np.empty((5, K, n - 1)) if record else None
+        ends = np.cumsum([K * sum(s[0] == g for s in specs) for g in range(_FLAT)])
+        self.min_end, _, self.edge_end, self.scored_end = ends.tolist()
+        self.costs, self.root, self.n = costs, root, n
+        self.grid = np.tile(np.arange(K), len(specs))
+        self.rows = np.arange(len(specs) * K)
+        self.rt = np.zeros((len(specs) * K, n))
+        scored, flat = specs[: self.scored_end // K], specs[self.scored_end // K :]
+        targets = [spec[3].resolve_targets(root, n) for spec in flat]
+        self.flat_targets = np.array(targets, dtype=np.intp).reshape(len(flat), n - 1)
+        self.flat_targets = self.flat_targets.repeat(K, axis=0)
+        self.averages = [spec[3] for spec in specs if spec[0] == _AVERAGE_LOOKAHEAD]
 
-    # Every round, each of the K grids commits its own (sender, receiver).
-    def commit(self, senders: np.ndarray, receivers: np.ndarray) -> None:
-        k = self._grid_index
-        gap = self.costs.gap[k, senders, receivers]
-        latency = self.costs.latency[k, senders, receivers]
-        start = self.rt[k, senders]
+        # Scores: RT_i·c + base_ij on informed rows, +inf on pending ones.
+        self.bases = np.concatenate(
+            [getattr(costs, spec[1]) for spec in scored] or [np.empty((0, n, n))]
+        )
+        self.scores = np.full((self.scored_end, n, n), np.inf)
+        self.penalty = np.zeros((self.scored_end, n))
+        self.penalty[:, root] = np.inf
+        self._scratch = np.empty((self.edge_end, n, n))
+        self._rewrite_rows = np.tile(self.rows[: self.scored_end], 2)
+        weights = np.repeat([spec[2] for spec in scored], K)
+        self._rewrite_weights = np.tile(weights, 2)[:, None]
+        self._rewrite(np.full(self.scored_end, root), np.full(self.scored_end, root))
+
+        # Min-form lookahead columns: diagonal and informed columns at +inf.
+        minimum = [spec[3] for spec in specs if spec[0] == _MIN_LOOKAHEAD]
+        self.lookahead = np.concatenate(
+            [getattr(costs, name) * sign for name, sign in minimum]
+            or [np.empty((0, n, n))]
+        )
+        self.lookahead[:, np.arange(n), np.arange(n)] = np.inf
+        self.lookahead[:, :, root] = np.inf
+        self.sign = np.repeat([sign for _, sign in minimum], K)[:, None]
+
+        rounds = (len(self.rows), n - 1)
+        self._pairs = np.empty((2, *rounds), dtype=np.intp) if record else None
+        self._times = np.empty((5, *rounds)) if record else None
+
+    def _rewrite(self, senders: np.ndarray, receivers: np.ndarray) -> None:
+        """Rewrite the score rows of each scored row's sender and receiver."""
+        rows, index = self._rewrite_rows, np.concatenate((senders, receivers))
+        ready = self.rt[rows, index][:, None] * self._rewrite_weights
+        self.scores[rows, index] = ready + self.bases[rows, index]
+
+    def _edge_penalty(self, last_round: bool) -> np.ndarray:
+        """``F_j`` plus the 0/+inf pending-column penalty of every edge row."""
+        columns = self.penalty[: self.edge_end].copy()
+        if last_round:
+            return columns
+        columns[: self.min_end] += self.lookahead.min(axis=2) * self.sign
+        K = self.costs.num_grids
+        for offset, average in enumerate(self.averages):
+            start = self.min_end + offset * K
+            rows = slice(start, start + K)
+            pending = (self.penalty[rows] == 0.0).astype(float)
+            columns[rows] += average(self.costs.transfer, 1.0 - pending, pending)
+        return columns
+
+    def run(self) -> None:
+        n, edge_end, scored_end = self.n, self.edge_end, self.scored_end
+        senders = np.full(len(self.rows), self.root)
+        receivers = np.empty(len(self.rows), dtype=np.intp)
+        columns = np.arange(n)
+        bottom_up = np.arange(scored_end - edge_end)[:, None]
+        for round_index in range(n - 1):
+            if edge_end:
+                scores = np.add(
+                    self.scores[:edge_end],
+                    self._edge_penalty(round_index == n - 2)[:, None, :],
+                    out=self._scratch,
+                )
+                flat = scores.reshape(edge_end, n * n).argmin(axis=1)
+                senders[:edge_end], receivers[:edge_end] = np.divmod(flat, n)
+            if scored_end > edge_end:
+                block = self.scores[edge_end:scored_end]
+                cheapest_sender = block.argmin(axis=1)
+                cheapest = block[bottom_up, cheapest_sender, columns]
+                cheapest -= self.penalty[edge_end:scored_end]
+                chosen = cheapest.argmax(axis=1)
+                receivers[edge_end:scored_end] = chosen
+                senders[edge_end:scored_end] = cheapest_sender[bottom_up[:, 0], chosen]
+            receivers[scored_end:] = self.flat_targets[:, round_index]
+            self.commit(senders, receivers, round_index)
+
+    # Every round, each row commits its own (sender, receiver).
+    def commit(
+        self, senders: np.ndarray, receivers: np.ndarray, round_index: int
+    ) -> None:
+        rows, grid = self.rows, self.grid
+        gap = self.costs.gap[grid, senders, receivers]
+        latency = self.costs.latency[grid, senders, receivers]
+        start = self.rt[rows, senders]
         release = start + gap
         arrival = release + latency
-        self.rt[k, senders] = release
-        self.rt[k, receivers] = arrival
+        self.rt[rows, senders] = release
+        self.rt[rows, receivers] = arrival
         if self._pairs is not None:
-            self._pairs[:, :, self._round] = senders, receivers
-            self._times[:, :, self._round] = start, release, arrival, gap, latency
-            self._round += 1
-        self.informed[k, receivers] = True
-        self.pending[k, receivers] = False
-        self.informed_f[k, receivers] = 1.0
-        self.pending_f[k, receivers] = 0.0
+            self._pairs[:, :, round_index] = senders, receivers
+            self._times[:, :, round_index] = start, release, arrival, gap, latency
+        scored, leaving = self.scored_end, self.min_end
+        self.penalty[rows[:scored], receivers[:scored]] = np.inf
+        self._rewrite(senders[:scored], receivers[:scored])
+        self.lookahead.transpose(0, 2, 1)[rows[:leaving], receivers[:leaving]] = np.inf
 
-    def masked_argmin(self, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-grid argmin over A×B; first occurrence in row-major order.
-
-        Row-major first-occurrence matches the scalar loops' tie-breaking
-        (senders ascending, receivers ascending, strict comparisons).
-        """
-        scores[~self.informed, :] = np.inf
-        scores.transpose(0, 2, 1)[~self.pending, :] = np.inf
-        n = self.costs.num_clusters
-        flat = scores.reshape(self.costs.num_grids, n * n).argmin(axis=1)
-        return flat // n, flat % n
-
-    def makespans(self) -> np.ndarray:
-        """``max_c (RT_c + T_c)`` per grid — identical to the timed schedule."""
-        return (self.rt + self.costs.broadcast).max(axis=1)
-
-    def schedules(self, heuristic_name: str) -> list[BroadcastSchedule]:
-        """The recorded rounds as one timed schedule per grid.
+    def schedules(self, position: int, heuristic_name: str) -> list[BroadcastSchedule]:
+        """The recorded rounds of one spec's rows as one timed schedule each.
 
         Every value was computed by :meth:`commit` with the same float
         operations, in the same order, as
         :func:`~repro.core.schedule.evaluate_order` would time the decisions,
         so the schedules equal the per-grid engines' field for field.
         """
-        K, n = self.rt.shape
+        K, n = self.costs.num_grids, self.n
+        rows = slice(position * K, (position + 1) * K)
+        rt, pairs, times = self.rt[rows], self._pairs[:, rows], self._times[:, rows]
         arrival_times = np.zeros((K, n))
-        arrival_times[self._grid_index[:, None], self._pairs[1]] = self._times[2]
-        rounds = zip(*(column.tolist() for column in (*self._pairs, *self._times)))
+        arrival_times[np.arange(K)[:, None], pairs[1]] = times[2]
+        rounds = zip(*(column.tolist() for column in (*pairs, *times)))
         return [
             BroadcastSchedule(
                 root=self.root,
@@ -209,175 +327,59 @@ class _BatchedState:
                 self.costs.caches,
                 rounds,
                 arrival_times.tolist(),
-                self.rt.tolist(),
-                (self.rt + self.costs.broadcast).tolist(),
+                rt.tolist(),
+                (rt + self.costs.broadcast).tolist(),
             )
         ]
 
 
-# -- batched lookahead columns -------------------------------------------------------
-#
-# Each returns the (K, n) matrix of F_j values for the current pending sets;
-# entries at non-pending j are garbage and are masked away by the selection.
-# They are only called while every grid still has >= 2 pending clusters (the
-# final round skips the lookahead: with one candidate left F_j is a constant
-# offset, exactly the scalar convention of returning 0).
+def schedule_lineup(
+    heuristics: Sequence[SchedulingHeuristic],
+    costs: BatchedGridCosts,
+    *,
+    root: int = 0,
+    record: bool = False,
+) -> list:
+    """Schedule every problem of the batch with every heuristic, in one pass.
 
-_BatchedLookahead = Callable[[_BatchedState], np.ndarray]
+    Returns one entry per heuristic, in line-up order: the ``(K,)`` makespans,
+    or with ``record=True`` the K timed schedules (each equal to the
+    per-grid engine's field for field).  ``None`` means the heuristic has no
+    kernel rows (exhaustive search, custom heuristics or lookaheads, and with
+    ``record=True`` the average-based lookaheads); the caller should fall
+    back to scheduling problem by problem.  Heuristics with the same kernel
+    (duplicates, Mixed and its delegate) share their rows.
 
-
-def _batch_zero(state: _BatchedState) -> np.ndarray:
-    return np.zeros((state.costs.num_grids, state.costs.num_clusters))
-
-
-def _batch_min_edge(state: _BatchedState) -> np.ndarray:
-    masked = np.where(state.pending[:, None, :], state.costs.transfer, np.inf)
-    masked[:, state._diag, state._diag] = np.inf
-    return masked.min(axis=2)
-
-
-def _batch_average_latency(state: _BatchedState) -> np.ndarray:
-    # Zero diagonal => the row sums over pending columns already exclude j.
-    sums = np.matmul(state.costs.transfer, state.pending_f[:, :, None])[:, :, 0]
-    others = state.pending_f.sum(axis=1) - 1.0
-    return sums / others[:, None]
-
-
-def _batch_average_informed(state: _BatchedState) -> np.ndarray:
-    transfer = state.costs.transfer
-    column_sums = np.matmul(state.informed_f[:, None, :], transfer)[:, 0, :]
-    row_sums = np.matmul(transfer, state.pending_f[:, :, None])[:, :, 0]
-    total = (column_sums * state.pending_f).sum(axis=1)
-    informed_count = state.informed_f.sum(axis=1)
-    others = state.pending_f.sum(axis=1) - 1.0
-    count = (informed_count + 1.0) * others
-    return (total[:, None] - column_sums + row_sums) / count[:, None]
-
-
-def _batch_grid_aware_min(state: _BatchedState) -> np.ndarray:
-    masked = np.where(
-        state.pending[:, None, :], state.costs.transfer_plus_broadcast, np.inf
-    )
-    masked[:, state._diag, state._diag] = np.inf
-    return masked.min(axis=2)
-
-
-def _batch_grid_aware_max(state: _BatchedState) -> np.ndarray:
-    masked = np.where(
-        state.pending[:, None, :], state.costs.transfer_plus_broadcast, -np.inf
-    )
-    masked[:, state._diag, state._diag] = -np.inf
-    return masked.max(axis=2)
-
-
-_BATCHED_LOOKAHEADS: dict[object, _BatchedLookahead] = {
-    no_lookahead: _batch_zero,
-    min_edge_lookahead: _batch_min_edge,
-    average_latency_lookahead: _batch_average_latency,
-    average_informed_lookahead: _batch_average_informed,
-    grid_aware_min_lookahead: _batch_grid_aware_min,
-    grid_aware_max_lookahead: _batch_grid_aware_max,
-}
-
-
-# -- batched heuristic drivers -------------------------------------------------------
-#
-# Each drives a fresh state through its ``n - 1`` selection rounds.
-
-
-def _run_ecef_family(
-    state: _BatchedState, lookahead: _BatchedLookahead | None
-) -> None:
-    costs = state.costs
-    n = costs.num_clusters
-    for round_index in range(n - 1):
-        scores = np.add(state.rt[:, :, None], costs.transfer, out=state._scores)
-        pending_count = n - 1 - round_index
-        if lookahead is not None and pending_count > 1:
-            scores += lookahead(state)[:, None, :]
-        state.commit(*state.masked_argmin(scores))
-
-
-def _run_fef(state: _BatchedState, weight: str) -> None:
-    costs = state.costs
-    weights = costs.latency if weight == "latency" else costs.transfer
-    for _ in range(costs.num_clusters - 1):
-        np.copyto(state._scores, weights)
-        state.commit(*state.masked_argmin(state._scores))
-
-
-def _run_bottom_up(state: _BatchedState, use_ready_time: bool) -> None:
-    costs = state.costs
-    k = state._grid_index
-    for _ in range(costs.num_clusters - 1):
-        scores = np.add(
-            costs.transfer, costs.broadcast[:, None, :], out=state._scores
-        )
-        if use_ready_time:
-            scores += state.rt[:, :, None]
-        scores[~state.informed, :] = np.inf
-        cheapest = scores.min(axis=1)
-        cheapest_sender = scores.argmin(axis=1)
-        cheapest[~state.pending] = -np.inf
-        receivers = cheapest.argmax(axis=1)
-        state.commit(cheapest_sender[k, receivers], receivers)
-
-
-def _run_flat_tree(state: _BatchedState, heuristic: FlatTreeHeuristic) -> None:
-    targets = heuristic.resolve_targets(state.root, state.costs.num_clusters)
-    K = state.costs.num_grids
-    senders = np.full(K, state.root)
-    for target in targets:
-        state.commit(senders, np.full(K, target))
-
-
-#: Lookaheads whose batched scores are only ULP-close to the per-grid ones
-#: (BLAS matmul reductions); fine for makespans, not for exact schedules.
-_INEXACT_LOOKAHEADS = frozenset(
-    {average_latency_lookahead, average_informed_lookahead}
-)
-
-
-def _resolve_kernel(
-    heuristic: SchedulingHeuristic, num_clusters: int, *, exact: bool = False
-) -> Callable[[_BatchedState], None] | None:
-    """The batched kernel for ``heuristic`` as ``state -> None``.
-
-    Returns ``None`` when the heuristic has no batched kernel, or when
-    ``exact`` asks for one that reproduces the per-grid engines bit for bit
-    and the heuristic's lookahead does not.  Dispatch is on the *exact* type
-    — a subclass may override ``build_order``, so it must take the per-grid
-    path rather than silently inheriting the parent's kernel.
+    Raises
+    ------
+    ValueError
+        If ``root`` is not a cluster of the grids, or a Flat Tree's
+        ``cluster_order`` is malformed.
     """
-    kind = type(heuristic)
-    if kind is MixedStrategy:
-        return _resolve_kernel(
-            heuristic.choose(num_clusters), num_clusters, exact=exact
-        )
-    if kind is ECEFLookahead:
-        lookahead = _BATCHED_LOOKAHEADS.get(heuristic.lookahead)
-        inexact = exact and heuristic.lookahead in _INEXACT_LOOKAHEADS
-        if lookahead is None or inexact:
-            return None
-        return lambda state: _run_ecef_family(state, lookahead)
-    if kind is ECEF:
-        return lambda state: _run_ecef_family(state, None)
-    if kind is FastestEdgeFirst:
-        return lambda state: _run_fef(state, heuristic.weight)
-    if kind is BottomUp:
-        return lambda state: _run_bottom_up(state, heuristic.use_ready_time)
-    if kind is FlatTreeHeuristic:
-        return lambda state: _run_flat_tree(state, heuristic)
-    return None
+    if not 0 <= root < costs.num_clusters:
+        raise ValueError(f"root must be a valid cluster index, got {root}")
+    specs = [_row_spec(h, costs.num_clusters, exact=record) for h in heuristics]
+    distinct = sorted(dict.fromkeys(filter(None, specs)), key=lambda spec: spec[0])
+    if not distinct:
+        return [None] * len(heuristics)
+    lineup = _LineUp(distinct, costs, root, record)
+    lineup.run()
+    rows = [None if spec is None else distinct.index(spec) for spec in specs]
+    if record:
+        return [
+            None if row is None else lineup.schedules(row, heuristic.name)
+            for heuristic, row in zip(heuristics, rows)
+        ]
+    # max_c (RT_c + T_c) per problem — identical to the timed schedule's.
+    rt = lineup.rt.reshape(len(distinct), costs.num_grids, -1)
+    makespans = (rt + costs.broadcast).max(axis=2)
+    return [None if row is None else makespans[row] for row in rows]
 
 
 def has_batched_kernel(heuristic: SchedulingHeuristic, num_clusters: int) -> bool:
-    """Whether :func:`batched_makespans` would handle this heuristic.
-
-    Lets callers avoid stacking a :class:`BatchedGridCosts` at all when every
-    configured heuristic needs the per-grid fallback anyway.
-    """
-    return _resolve_kernel(heuristic, num_clusters) is not None
+    """Whether :func:`schedule_lineup` has kernel rows for this heuristic
+    (callers skip stacking a :class:`BatchedGridCosts` when none has)."""
+    return _row_spec(heuristic, num_clusters) is not None
 
 
 def batched_makespans(
@@ -386,18 +388,9 @@ def batched_makespans(
     *,
     root: int = 0,
 ) -> np.ndarray | None:
-    """Makespans of ``heuristic`` on every grid of the batch, or ``None``.
-
-    ``None`` means the heuristic has no batched kernel (exhaustive search,
-    custom heuristics, custom lookahead callables); the caller should fall
-    back to scheduling grid by grid.
-    """
-    kernel = _resolve_kernel(heuristic, costs.num_clusters)
-    if kernel is None:
-        return None
-    state = _BatchedState(costs, root)
-    kernel(state)
-    return state.makespans()
+    """Makespans of ``heuristic`` on every grid of the batch, or ``None``
+    (no kernel rows): the one-heuristic :func:`schedule_lineup`."""
+    return schedule_lineup([heuristic], costs, root=root)[0]
 
 
 def batched_schedules(
@@ -406,16 +399,13 @@ def batched_schedules(
     *,
     root: int = 0,
 ) -> list[BroadcastSchedule] | None:
-    """Timed schedules of ``heuristic`` at every message size of one grid.
+    """Timed schedules of ``heuristic`` at every message size of one grid:
+    the one-heuristic recording :func:`schedule_lineup`.
 
     ``costs`` stacks one grid's :class:`~repro.core.costs.GridCostCache` at
-    K message sizes; one kernel call schedules all K of them.  Each schedule
-    equals ``heuristic.schedule(grid, size, root=root)`` field for field
-    (its ``message_size`` is the cache's float size).  ``None`` means the
-    heuristic has no exact batched kernel (exhaustive search, custom
-    heuristics or lookaheads, the average-based lookaheads); the caller
-    should fall back to :meth:`~repro.core.base.SchedulingHeuristic.schedule`
-    size by size.
+    K message sizes.  Each schedule equals ``heuristic.schedule(grid, size,
+    root=root)`` field for field (its ``message_size`` is the cache's float
+    size); ``None`` means the heuristic has no exact kernel rows.
 
     Raises
     ------
@@ -426,9 +416,4 @@ def batched_schedules(
     grid = costs.caches[0].grid
     if any(cache.grid is not grid for cache in costs.caches):
         raise ValueError("costs was computed for a different grid or message size")
-    kernel = _resolve_kernel(heuristic, costs.num_clusters, exact=True)
-    if kernel is None:
-        return None
-    state = _BatchedState(costs, root, record=True)
-    kernel(state)
-    return state.schedules(heuristic.name)
+    return schedule_lineup([heuristic], costs, root=root, record=True)[0]

@@ -33,14 +33,13 @@ import numpy as np
 from repro.core.costs import GridCostCache
 from repro.core.registry import instantiate
 from repro.experiments.config import PracticalStudyConfig
-from repro.experiments.practical_study import _check_engine, _measure
+from repro.experiments.practical_study import _check_engine, _default_grid, _measure
 from repro.mpi.alltoall import grid_aware_alltoall_program
 from repro.mpi.bcast import grid_aware_bcast_program
 from repro.mpi.scatter import grid_aware_scatter_program
 from repro.simulator.batch import ExecutionTask
 from repro.simulator.network import NetworkConfig
 from repro.topology.grid import Grid
-from repro.topology.grid5000 import build_grid5000_topology
 from repro.utils.rng import derive_seed
 
 #: Collectives a pipeline stage can name.
@@ -204,7 +203,7 @@ def run_chained_study(
         overriding ``executor``).
     """
     config = config if config is not None else PracticalStudyConfig()
-    grid = grid if grid is not None else build_grid5000_topology()
+    grid = grid if grid is not None else _default_grid()
     _check_engine(engine)
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")

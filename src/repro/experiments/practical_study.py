@@ -14,10 +14,9 @@ as well; it has no scheduled prediction, matching the paper, which only plots
 it in the measured figure.
 
 The predicted column comes from the batched scheduling kernel: the sweep's
-cost matrices are stacked once, and each heuristic schedules every message
-size in one :func:`~repro.core.batch.batched_schedules` call (heuristics
-without an exact batched kernel, and the ``engine="scalar"`` reference,
-schedule size by size).
+cost matrices are stacked once, and the whole line-up schedules every size
+in one :func:`~repro.core.batch.schedule_lineup` call (heuristics it
+declines, and the ``engine="scalar"`` reference, schedule size by size).
 
 The measured sweep runs through the study runtime in two steps: every
 message size's schedules and programs are built first (one stacked
@@ -43,12 +42,13 @@ taken from the program metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.core.base import SchedulingHeuristic
-from repro.core.batch import BatchedGridCosts, batched_schedules, max_batch_size
+from repro.core.batch import BatchedGridCosts, max_batch_size, schedule_lineup
 from repro.core.costs import GridCostCache
 from repro.core.registry import instantiate
 from repro.core.schedule import BroadcastSchedule
@@ -72,6 +72,12 @@ BINOMIAL_BASELINE_NAME = "Default LAM"
 #: (the shared ``REPRO_WORKERS`` is the fallback; see
 #: :func:`repro.utils.workers.resolve_workers`).
 PRACTICAL_WORKERS_ENV_VAR = "REPRO_PRACTICAL_WORKERS"
+
+
+@cache
+def _default_grid() -> Grid:
+    """The Table 3 grid, built once: ``grid=None`` sweeps share its caches."""
+    return build_grid5000_topology()
 
 
 def _check_engine(engine: str) -> None:
@@ -147,18 +153,19 @@ def _sweep_schedules(
 
     The batched path stacks the cost matrices of up to
     :func:`~repro.core.batch.max_batch_size` sizes at a time and makes one
-    :func:`~repro.core.batch.batched_schedules` call per heuristic; a
-    heuristic it declines, like every heuristic of the unbatched path, is
-    scheduled per size.  Both paths yield bit-identical schedules.
+    recording :func:`~repro.core.batch.schedule_lineup` call for the whole
+    line-up; a heuristic it declines, like every heuristic of the unbatched
+    path, is scheduled per size.  Both paths yield bit-identical schedules.
     """
-    step = max_batch_size(grid.num_clusters) if batched else 1
+    step = max_batch_size(grid.num_clusters, len(heuristics)) if batched else 1
     for start in range(0, len(sizes), step):
         chunk = sizes[start : start + step]
         caches = [GridCostCache.for_grid(grid, size) for size in chunk]
         columns: list[list[BroadcastSchedule] | None] = [None] * len(heuristics)
         if batched:
-            stack = BatchedGridCosts(caches)
-            columns = [batched_schedules(h, stack, root=root) for h in heuristics]
+            columns = schedule_lineup(
+                heuristics, BatchedGridCosts(caches), root=root, record=True
+            )
         for offset, (size, costs) in enumerate(zip(chunk, caches)):
             yield [
                 heuristic.schedule(grid, size, root=root, costs=costs)
@@ -347,7 +354,7 @@ def run_practical_study(
         ``REPRO_HOSTS``, then to auto-spawned loopback agents.
     """
     config = config if config is not None else PracticalStudyConfig()
-    grid = grid if grid is not None else build_grid5000_topology()
+    grid = grid if grid is not None else _default_grid()
     # Validate the fan-out settings (and the env vars behind them) up front
     # so a bad setting fails before the prediction sweep, not after it.
     resolve_workers(workers, PRACTICAL_WORKERS_ENV_VAR)
@@ -571,7 +578,7 @@ def run_scatter_study(
     bit-identical for every combination.
     """
     config = config if config is not None else PracticalStudyConfig()
-    grid = grid if grid is not None else build_grid5000_topology()
+    grid = grid if grid is not None else _default_grid()
     root_rank = grid.coordinator_rank(config.root_cluster)
 
     def flat_builder(target_grid: Grid, chunk_size: float):
@@ -629,7 +636,7 @@ def run_alltoall_study(
     bit-identical for every combination.
     """
     config = config if config is not None else PracticalStudyConfig()
-    grid = grid if grid is not None else build_grid5000_topology()
+    grid = grid if grid is not None else _default_grid()
     strategies: list[tuple[str, object]] = [
         ("Direct", lambda target_grid, chunk: direct_alltoall_program(target_grid, chunk)),
         (

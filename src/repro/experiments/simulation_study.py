@@ -9,11 +9,12 @@ counts) for the Figure 4 hit-rate analysis to reuse the same runs.
 
 The driver is batched: iterations are processed in chunks whose per-grid cost
 matrices are built once (in the shared :class:`~repro.core.costs.GridCostCache`)
-and stacked into :class:`~repro.core.batch.BatchedGridCosts`, so each
-heuristic schedules a whole chunk of grids per NumPy call instead of one grid
-per Python loop.  Heuristics without a batched kernel transparently fall back
-to the per-grid engine on the same shared caches.  Iterations can additionally
-be fanned out over the persistent runtime pool
+and stacked into :class:`~repro.core.batch.BatchedGridCosts`, so the whole
+line-up schedules a chunk in one :func:`~repro.core.batch.schedule_lineup`
+pass instead of one grid per Python loop.  Heuristics without a batched
+kernel transparently fall back to the per-grid engine on the same shared
+caches.  Iterations can additionally be fanned out over the persistent
+runtime pool
 (:mod:`repro.runtime.pool`); each worker regenerates its chunk's grids from
 shipped seeds, which costs less than shipping the stacked cost matrices
 would.  Every (cluster count, iteration) pair keeps its own deterministic
@@ -31,9 +32,9 @@ import numpy as np
 from repro.core.batch import (
     MAX_BATCH_ELEMENTS,  # noqa: F401 - re-exported; the constant moved to core
     BatchedGridCosts,
-    batched_makespans,
     has_batched_kernel,
     max_batch_size,
+    schedule_lineup,
 )
 from repro.core.costs import GridCostCache
 from repro.core.registry import instantiate
@@ -131,24 +132,25 @@ class SimulationStudyResult:
         return rows
 
 
-def _chunk_size(num_clusters: int, iterations: int, worker_count: int) -> int:
+def _chunk_size(clusters: int, iterations: int, workers: int, rows: int) -> int:
     """Iterations per batch chunk, sized from per-iteration *cost*.
 
-    An iteration's cost scales with ``num_clusters**2`` (its stacked-matrix
-    cells), so the memory bound (:data:`~repro.core.batch.MAX_BATCH_ELEMENTS`)
-    doubles as a cost bound: chunks of a large grid carry fewer iterations
-    than chunks of a small one.  When a worker
-    pool is in play the chunk additionally shrinks so each worker gets
-    several chunks per cluster count (:data:`~repro.runtime.chunking.CHUNKS_PER_WORKER`)
-    — otherwise a single-cluster-count study would collapse into one task
-    and run serially regardless of ``workers``.  Chunking never affects
-    results (each iteration owns its seed).
+    An iteration's cost scales with ``rows * clusters**2`` (its stacked
+    score cells for a line-up of ``rows`` heuristics), so the memory bound
+    (:data:`~repro.core.batch.MAX_BATCH_ELEMENTS`) doubles as a cost bound:
+    chunks of a large grid carry fewer iterations than chunks of a small
+    one.  With more than one of ``workers`` the chunk additionally shrinks
+    so each worker gets several chunks per cluster count
+    (:data:`~repro.runtime.chunking.CHUNKS_PER_WORKER`) — otherwise a
+    single-cluster-count study would collapse into one task and run
+    serially regardless of ``workers``.  Chunking never affects results
+    (each iteration owns its seed).
     """
     from repro.runtime.chunking import CHUNKS_PER_WORKER
 
-    chunk = max_batch_size(num_clusters)
-    if worker_count > 1:
-        per_worker = -(-iterations // (worker_count * CHUNKS_PER_WORKER))
+    chunk = max_batch_size(clusters, rows)
+    if workers > 1:
+        per_worker = -(-iterations // (workers * CHUNKS_PER_WORKER))
         chunk = min(chunk, max(1, per_worker))
     return chunk
 
@@ -164,8 +166,8 @@ def _evaluate_chunk(
     """Makespans of every heuristic on one chunk of generated grids.
 
     Returns an array of shape ``(len(heuristic_keys), len(seeds))``.  The
-    per-grid cost matrices are built once, shared by the batched kernels and
-    by any per-grid fallback heuristic.
+    per-grid cost matrices are built once, shared by the one line-up kernel
+    call and by any per-grid fallback heuristic.
     """
     heuristics = instantiate(heuristic_keys)
     generator = RandomGridGenerator(ranges)
@@ -173,14 +175,12 @@ def _evaluate_chunk(
         generator.generate(num_clusters, RandomStream(seed=seed)) for seed in seeds
     ]
     caches = [GridCostCache.for_grid(grid, message_size) for grid in grids]
-    batched: BatchedGridCosts | None = None  # stacked on first kernel user
+    columns: list = [None] * len(heuristics)
+    if any(has_batched_kernel(h, num_clusters) for h in heuristics):
+        columns = schedule_lineup(heuristics, BatchedGridCosts(caches), root=root)
     out = np.empty((len(heuristics), len(grids)), dtype=float)
-    for heuristic_index, heuristic in enumerate(heuristics):
-        if has_batched_kernel(heuristic, num_clusters):
-            if batched is None:
-                batched = BatchedGridCosts(caches)
-            makespans = batched_makespans(heuristic, batched, root=root)
-        else:
+    for heuristic_index, (heuristic, makespans) in enumerate(zip(heuristics, columns)):
+        if makespans is None:
             makespans = [
                 heuristic.makespan(grid, message_size, root=root, costs=cache)
                 for grid, cache in zip(grids, caches)
@@ -265,7 +265,8 @@ def run_simulation_study(
     task_units = []
     for count_index, num_clusters in enumerate(counts):
         seeds = [parent_stream.spawn_seed() for _ in range(config.iterations)]
-        chunk = _chunk_size(num_clusters, config.iterations, worker_count)
+        rows = len(heuristics)
+        chunk = _chunk_size(num_clusters, config.iterations, worker_count, rows)
         for start in range(0, config.iterations, chunk):
             chunk_seeds = seeds[start : start + chunk]
             task_units.append(float(len(chunk_seeds) * num_clusters * num_clusters))

@@ -832,6 +832,8 @@ class _AgentLink:
         self.probe_attempt = 0  # guarded-by: pool._lock
         self.next_probe = 0.0  # guarded-by: pool._lock
         self.probing = False  # guarded-by: pool._lock
+        #: Backoff jitter that leaves the process-wide ``random`` state alone.
+        self.jitter = random.Random()
         self._send_lock = threading.Lock()
         self._receiver: threading.Thread | None = None
         if pool.faults is not None:
@@ -919,7 +921,9 @@ class _AgentLink:
             delay = min(
                 CONNECT_RETRY_CAP, CONNECT_RETRY_BASE * 2 ** (attempt - 1)
             )
-            delay *= 0.5 + random.random()
+            delay *= 0.5 + self.jitter.random()
+            if not self.pool.alive:
+                raise RuntimeError("RemoteStudyPool is closed")
             if time.monotonic() + delay >= deadline:
                 raise last_error
             time.sleep(delay)
@@ -1518,7 +1522,7 @@ class RemoteStudyPool:
                 link.probe_attempt += 1
                 delay = min(RECONNECT_CAP, RECONNECT_BASE * 2**link.probe_attempt)
                 link.next_probe = time.monotonic() + delay * (
-                    0.5 + random.random()
+                    0.5 + link.jitter.random()
                 )
             return
         with self._lock:
@@ -1581,7 +1585,7 @@ class RemoteStudyPool:
                 BUSY_BACKOFF_BASE * 2 ** (agent.busy_streak - 1),
             )
             agent.busy_until = time.monotonic() + backoff * (
-                0.5 + random.random()
+                0.5 + agent.jitter.random()
             )
             alive = sum(1 for link in self._agents if link.alive)
             give_up = job.rejects >= BUSY_FALLBACK_REJECTS * max(1, alive)
@@ -1644,7 +1648,7 @@ class RemoteStudyPool:
             closed = self._closed
             agent.probe_attempt = 0
             agent.next_probe = time.monotonic() + RECONNECT_BASE * (
-                0.5 + random.random()
+                0.5 + agent.jitter.random()
             )
         _hang_up(sock)
         if not closed:

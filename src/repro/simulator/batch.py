@@ -124,14 +124,21 @@ def _node_costs(
     dest = np.concatenate([program.dest for program in programs])
     if not dest.size:
         return np.empty(0), np.empty(0)
-    senders = np.concatenate([program.senders() for program in programs])
+    # Row r of the CSR stack is rank r - (its program's first row); the row
+    # between two programs has a non-positive count.
+    indptr = np.concatenate([program.indptr for program in programs])
+    rows = np.array([program.indptr.size for program in programs])
+    ends = np.cumsum(rows)
+    local = np.arange(indptr.size - 1) - np.repeat(ends - rows, rows)[:-1]
+    senders = np.repeat(local, np.maximum(np.diff(indptr), 0))
     cluster_of = rank_layout(grid)[1]
     cells = grid.num_clusters**2
     pair = cluster_of[senders] * grid.num_clusters + cluster_of[dest]
-    unique, inverse = np.unique(
-        np.concatenate([program.size for program in programs]),
-        return_inverse=True,
-    )
+    # Sort only each run of equal sizes' head: a broadcast is one run.
+    size = np.concatenate([program.size for program in programs])
+    head = np.flatnonzero(np.r_[True, size[1:] != size[:-1]])
+    unique, inverse = np.unique(size[head], return_inverse=True)
+    inverse = np.repeat(inverse, np.diff(np.r_[head, size.size]))
     tables = [
         GridCostCache.for_grid(grid, size).node_tables() for size in unique.tolist()
     ]

@@ -66,15 +66,6 @@ def _validate_matrix(latency_matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _compatible(latency_a: float, latency_b: float, tolerance: float) -> bool:
-    """Whether two latencies are within a factor (1 + tolerance) of each other."""
-    low = min(latency_a, latency_b)
-    high = max(latency_a, latency_b)
-    if low == 0.0:
-        return high == 0.0
-    return high <= low * (1.0 + tolerance)
-
-
 def identify_logical_clusters(
     latency_matrix: np.ndarray,
     *,

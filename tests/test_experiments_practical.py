@@ -14,6 +14,7 @@ from repro.experiments.practical_study import (
 )
 from repro.topology.cluster import Cluster
 from repro.topology.grid import Grid
+from repro.topology.grid5000 import build_grid5000_topology
 
 
 @pytest.fixture(scope="module")
@@ -162,16 +163,44 @@ class TestDeterminism:
             run_practical_study(config, grid=heterogeneous_grid)
 
 
+class TestDefaultGrid:
+    """``grid=None`` sweeps share one Table 3 grid per process."""
+
+    def test_default_grid_is_built_once_and_explicit_grids_win(
+        self, heterogeneous_grid, monkeypatch
+    ):
+        import repro.experiments.practical_study as module
+
+        seen = []
+        measure = module._measure
+
+        def recording(grid, *args):
+            seen.append(grid)
+            return measure(grid, *args)
+
+        monkeypatch.setattr(module, "_measure", recording)
+        config = PracticalStudyConfig(message_sizes=(0, 65_536, 1_048_576))
+        first = run_practical_study(config)
+        second = run_practical_study(config)
+        fresh = run_practical_study(config, grid=build_grid5000_topology())
+        assert seen[0] is seen[1] and seen[2] is not seen[0]
+        for other in (second, fresh):
+            for name in ("predicted", "measured_replicas", "baseline_replicas"):
+                assert np.array_equal(getattr(first, name), getattr(other, name))
+        run_practical_study(config, grid=heterogeneous_grid)
+        assert seen[3] is heterogeneous_grid
+
+
 class TestBatchedScheduling:
     """The batched scheduling path against its per-size reference twin."""
 
-    def test_scalar_engine_never_calls_batched_schedules(self, monkeypatch):
+    def test_scalar_engine_never_calls_the_lineup_kernel(self, monkeypatch):
         import repro.experiments.practical_study as module
 
         def spy(*args, **kwargs):
             raise AssertionError("the scalar engine must schedule size by size")
 
-        monkeypatch.setattr(module, "batched_schedules", spy)
+        monkeypatch.setattr(module, "schedule_lineup", spy)
         config = PracticalStudyConfig(message_sizes=(1_024, 65_536))
         result = run_practical_study(config, engine="scalar")
         assert np.all(result.predicted > 0)
@@ -211,16 +240,19 @@ class TestBatchedScheduling:
         whole = run_practical_study(config)
         calls = []
 
-        def counting(heuristic, costs, **kwargs):
+        def counting(heuristics, costs, **kwargs):
             calls.append(costs.num_grids)
-            return repro.core.batch.batched_schedules(heuristic, costs, **kwargs)
+            return repro.core.batch.schedule_lineup(heuristics, costs, **kwargs)
 
-        monkeypatch.setattr(module, "batched_schedules", counting)
-        # Three message sizes of the 6-cluster grid per stack.
-        monkeypatch.setattr(repro.core.batch, "MAX_BATCH_ELEMENTS", 3 * 6 * 6)
-        chunked = run_practical_study(config)
+        monkeypatch.setattr(module, "schedule_lineup", counting)
+        # Three message sizes of the 6-cluster grid per stack, one line-up
+        # call per stack.
         heuristics = len(config.heuristics)
-        assert calls == [3] * 3 * heuristics + [1] * heuristics
+        monkeypatch.setattr(
+            repro.core.batch, "MAX_BATCH_ELEMENTS", 3 * heuristics * 6 * 6
+        )
+        chunked = run_practical_study(config)
+        assert calls == [3, 3, 3, 1]
         assert np.array_equal(whole.predicted, chunked.predicted)
         assert np.array_equal(whole.measured_replicas, chunked.measured_replicas)
         assert np.array_equal(whole.baseline_replicas, chunked.baseline_replicas)

@@ -1466,10 +1466,12 @@ tie_prone = st.sampled_from([0.01, 0.02, 0.04])
 
 
 @st.composite
-def sized_grids(draw, max_clusters: int = 12) -> Grid:
-    """Grids of 1..max_clusters clusters whose gaps are constant or grow
-    with the message size, with tie-prone and arbitrary parameters."""
-    count = draw(st.integers(min_value=1, max_value=max_clusters))
+def sized_grids(draw, max_clusters: int = 12, count: int | None = None) -> Grid:
+    """Grids of 1..max_clusters clusters (or exactly ``count``) whose gaps
+    are constant or grow with the message size, with tie-prone and
+    arbitrary parameters."""
+    if count is None:
+        count = draw(st.integers(min_value=1, max_value=max_clusters))
     clusters = [
         Cluster(
             cluster_id=index,
@@ -1586,6 +1588,132 @@ class TestBatchedScheduleEquivalence:
         with pytest.raises(ValueError) as batched:
             batched_schedules(get_heuristic("ecef"), stack)
         assert str(batched.value) == str(per_grid.value)
+
+
+# ---------------------------------------------------------------------------
+# the line-up kernel: H heuristics x K problems in one lockstep pass
+# ---------------------------------------------------------------------------
+
+from repro.core.batch import schedule_lineup
+from repro.core.bottomup import BottomUp
+from repro.core.fef import FastestEdgeFirst
+from repro.core.flat_tree import FlatTreeHeuristic
+
+
+def kernel_heuristics(order: list[int]) -> list:
+    """One of every heuristic with kernel rows, ablation variants included;
+    ``order`` is the Flat Tree's visit order."""
+    return [
+        *(get_heuristic(key) for key in EXACT_KERNEL_HEURISTICS),
+        FastestEdgeFirst(weight="transfer_time"),
+        BottomUp(use_ready_time=True),
+        FlatTreeHeuristic(cluster_order=order),
+    ]
+
+
+class TestLineupKernel:
+    """For ALL stacks of same-sized grids (each at its own message size),
+    roots and line-ups (any order, duplicates included), every row of one
+    line-up pass equals the per-grid engine on its own problem bit for bit."""
+
+    @given(
+        grid=sized_grids(),
+        problems=st.integers(min_value=1, max_value=5),
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_every_row_equals_the_per_grid_engine(self, grid, problems, data):
+        n = grid.num_clusters
+        grids = [grid] + [
+            data.draw(sized_grids(count=n)) for _ in range(problems - 1)
+        ]
+        sizes = data.draw(
+            st.lists(
+                st.one_of(st.sampled_from([0, 65_536, 1_048_576]), message_sizes),
+                min_size=problems,
+                max_size=problems,
+            )
+        )
+        root = data.draw(st.integers(min_value=0, max_value=n - 1))
+        order = data.draw(st.permutations(range(n)))
+        pool = kernel_heuristics(order)
+        picks = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=len(pool) - 1),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        lineup = [pool[pick] for pick in picks]
+        caches = [GridCostCache.for_grid(g, size) for g, size in zip(grids, sizes)]
+        stack = BatchedGridCosts(caches)
+        makespans = schedule_lineup(lineup, stack, root=root)
+        schedules = schedule_lineup(lineup, stack, root=root, record=True)
+        for heuristic, row, recorded in zip(lineup, makespans, schedules):
+            assert row is not None and recorded is not None, heuristic.name
+            references = [
+                heuristic.schedule(g, size, root=root, costs=costs)
+                for g, size, costs in zip(grids, sizes, caches)
+            ]
+            assert row.tolist() == [ref.makespan for ref in references], heuristic.name
+            for schedule, reference in zip(recorded, references):
+                assert schedule_fields(schedule) == schedule_fields(reference)
+
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2024])
+    @pytest.mark.parametrize("num_clusters", [2, 5, 9])
+    def test_average_lookahead_rows_on_fixed_seeds(self, seed, num_clusters):
+        """The average lookaheads reduce with BLAS, so they are checked on
+        fixed seeds; recording declines them, and only them."""
+        generator = RandomGridGenerator()
+        grids = [
+            generator.generate(num_clusters, RandomStream(seed=seed + offset))
+            for offset in range(3)
+        ]
+        caches = [GridCostCache.for_grid(g, 1_048_576) for g in grids]
+        averages = [
+            ECEFLookahead(average_latency_lookahead),
+            ECEFLookahead(average_informed_lookahead),
+        ]
+        order = list(range(num_clusters))
+        lineup = [averages[0], *kernel_heuristics(order), averages[1]]
+        stack = BatchedGridCosts(caches)
+        for heuristic, row in zip(lineup, schedule_lineup(lineup, stack, root=1)):
+            assert row.tolist() == [
+                heuristic.makespan(g, 1_048_576, root=1, costs=costs)
+                for g, costs in zip(grids, caches)
+            ], heuristic.name
+        recorded = schedule_lineup(lineup, stack, root=1, record=True)
+        assert [row is None for row in recorded] == [
+            heuristic in averages for heuristic in lineup
+        ]
+
+    def test_rounded_row_tie_goes_to_the_first_receiver(self):
+        """After the root's first send RT_0 = 1.0, and 1.0 + T_02 rounds to
+        the same 2.5 as 1.0 + T_03 although T_03 < T_02: the first pending
+        column of the row must win, as in the scalar loops."""
+        ulp = 2.0**-52
+        clusters = [
+            Cluster(cluster_id=index, size=1, fixed_broadcast_time=0.01)
+            for index in range(4)
+        ]
+        links = {
+            (0, 1): InterClusterLink.from_values(latency=0.25, gap=1.0),
+            (0, 2): InterClusterLink.from_values(latency=0.5, gap=1.0 + ulp),
+            (0, 3): InterClusterLink.from_values(latency=0.5, gap=1.0),
+            (1, 2): InterClusterLink.from_values(latency=5.0, gap=5.0),
+            (1, 3): InterClusterLink.from_values(latency=5.0, gap=5.0),
+            (2, 3): InterClusterLink.from_values(latency=5.0, gap=5.0),
+        }
+        grid = Grid(clusters, links)
+        costs = GridCostCache.for_grid(grid, 1_024)
+        assert costs.transfer[0, 3] < costs.transfer[0, 2]
+        assert 1.0 + costs.transfer[0, 2] == 1.0 + costs.transfer[0, 3]
+        lineup = kernel_heuristics([0, 1, 2, 3])
+        recorded = schedule_lineup(lineup, BatchedGridCosts([costs]), record=True)
+        assert recorded[PAPER_HEURISTICS.index("ecef")][0].order[:2] == [(0, 1), (0, 2)]
+        for heuristic, (schedule,) in zip(lineup, recorded):
+            reference = heuristic.schedule(grid, 1_024, vectorized=False)
+            assert schedule.order == reference.order, heuristic.name
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import signal
 import socket
@@ -2132,6 +2133,33 @@ class TestChaosRemoteLane:
             assert pool.degraded_jobs == 0
         finally:
             pool.close()
+
+    def test_backoff_jitter_leaves_the_global_random_state_alone(self):
+        """Connection, probe and monitor threads draw their backoff jitter
+        from per-link generators, so a whole lose-probe-readmit cycle leaves
+        the process-wide ``random`` state (which Hypothesis checks around
+        its draws) untouched."""
+        state = random.getstate()
+        plan = FaultPlan(
+            seed=13,
+            agents={"#1": {"hang_after_results": 1, "hang_seconds": 0.5}},
+        )
+        pool = RemoteStudyPool(2, faults=plan, heartbeat=0.1)
+        try:
+            handles = [
+                pool.submit(_diagnostic_sleep, (0.02, index), units=1.0)
+                for index in range(12)
+            ]
+            assert [handle.get(timeout=120) for handle in handles] == list(
+                range(12)
+            )
+            deadline = time.monotonic() + 30
+            while pool.reconnects < 1 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert pool.reconnects >= 1
+        finally:
+            pool.close()
+        assert random.getstate() == state
 
     def test_reconnect_revives_the_same_link(self, tmp_path, monkeypatch):
         """A re-admitted agent comes back on its own link: one link per

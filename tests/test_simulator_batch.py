@@ -252,6 +252,34 @@ class TestNodeTables:
                     assert _bits(gap[a, b]) == _bits(params.gap(size))
                     assert _bits(latency[a, b]) == _bits(params.latency)
 
+    def test_mixed_size_batch_gathers_node_link_parameters(self, heterogeneous_grid):
+        """A batch mixing one-size broadcasts with multi-size scatters and
+        all-to-alls (and an empty program) prices every message bitwise like
+        ``node_link_parameters``."""
+        from repro.simulator.batch import _node_costs
+
+        grid = heterogeneous_grid
+        schedule = get_heuristic("ecef").schedule(grid, 4_096, root=1)
+        programs = [
+            grid_aware_scatter_program(grid, 1_000, heuristic=get_heuristic("ecef"))[0],
+            grid_aware_bcast_program(grid, schedule, 4_096),
+            CommunicationProgram(grid.num_nodes, root=0),
+            direct_alltoall_program(grid, 512),
+            binomial_bcast_program(grid, 0),
+            grid_aware_alltoall_program(grid, 2_048),
+            flat_scatter_program(grid, 3_000),
+        ]
+        assert any(len(set(program.size.tolist())) > 1 for program in programs)
+        gap, latency = _node_costs(grid, programs)
+        expected = []
+        for program in programs:
+            for sender, dest, size in zip(
+                program.senders().tolist(), program.dest.tolist(), program.size.tolist()
+            ):
+                params = grid.node_link_parameters(sender, dest)
+                expected.append((_bits(params.gap(size)), _bits(params.latency)))
+        assert [(_bits(g), _bits(l)) for g, l in zip(gap, latency)] == expected
+
     def test_table3_batch_makes_no_node_link_calls(self, monkeypatch):
         """Pricing the 80-task Table 3 batch evaluates no per-pair
         ``node_link_parameters`` and predicts no cluster broadcast time."""
