@@ -15,9 +15,10 @@ runs), where the batched engine additionally amortises program compilation.
 The two engines are bit-identical, so the ratio is pure overhead removed.
 
 The sweep's schedule phase (Figure 5's predictions, every heuristic at every
-message size) is timed the same way: the per-size ``schedule()`` loop
-against one :func:`~repro.core.batch.batched_schedules` call per heuristic
-over all sizes, after asserting both build the same schedules.  The
+message size) is timed the same way, through the driver's own schedule
+sweep: the per-size ``schedule()`` loop against one recording
+:func:`~repro.core.batch.schedule_lineup` call for the whole line-up over
+all sizes, after asserting both build the same schedules.  The
 program build is timed likewise: the 70 per-program
 :func:`~repro.mpi.bcast.grid_aware_bcast_program` calls against one stacked
 :func:`~repro.mpi.bcast.grid_aware_bcast_programs` call per heuristic, after
@@ -36,11 +37,14 @@ import numpy as np
 
 from conftest import BENCH_PRACTICAL_JSON_FILE, emit, emit_json
 
-from repro.core.batch import BatchedGridCosts, batched_schedules
 from repro.core.costs import GridCostCache
 from repro.core.registry import PAPER_HEURISTICS, instantiate
 from repro.experiments.config import PRACTICAL_MESSAGE_SIZES, PracticalStudyConfig
-from repro.experiments.practical_study import run_alltoall_study, run_practical_study
+from repro.experiments.practical_study import (
+    _sweep_schedules,
+    run_alltoall_study,
+    run_practical_study,
+)
 from repro.mpi.bcast import (
     binomial_bcast_program,
     grid_aware_bcast_program,
@@ -202,25 +206,26 @@ def _schedules_digest(schedules) -> str:
 
 
 def test_schedule_phase_throughput():
-    """Per-size schedule() loop vs one batched kernel call per heuristic."""
+    """The practical driver's schedule phase, per-size loop vs line-up.
+
+    Both sides run :func:`run_practical_study`'s own schedule sweep: the
+    scalar engine's per-size ``schedule()`` loop, and the batched engine's
+    one recording :func:`~repro.core.batch.schedule_lineup` call per stack
+    of sizes.
+    """
     grid = build_grid5000_topology()
     heuristics = instantiate(PAPER_HEURISTICS)
-    caches = [GridCostCache.for_grid(grid, size) for size in PRACTICAL_MESSAGE_SIZES]
+    sizes = list(PRACTICAL_MESSAGE_SIZES)
+
+    def sweep(batched: bool):
+        rows = _sweep_schedules(heuristics, grid, sizes, 0, batched)
+        return [schedule for row in rows for schedule in row]
 
     def per_size():
-        return [
-            heuristic.schedule(grid, costs.message_size, root=0, costs=costs)
-            for heuristic in heuristics
-            for costs in caches
-        ]
+        return sweep(False)
 
     def batched():
-        stack = BatchedGridCosts(caches)
-        return [
-            schedule
-            for heuristic in heuristics
-            for schedule in batched_schedules(heuristic, stack, root=0)
-        ]
+        return sweep(True)
 
     # Both paths must build the same schedules before their timings mean
     # anything.
@@ -229,7 +234,7 @@ def test_schedule_phase_throughput():
     speedup = seconds["per_size"] / seconds["batched"]
     emit(
         "Practical schedule phase "
-        f"({len(heuristics)} heuristics x {len(caches)} sizes): per-size "
+        f"({len(heuristics)} heuristics x {len(sizes)} sizes): per-size "
         f"{seconds['per_size'] * 1e3:.2f} ms, batched "
         f"{seconds['batched'] * 1e3:.2f} ms ({speedup:.1f}x)"
     )
@@ -239,7 +244,7 @@ def test_schedule_phase_throughput():
             "grid": "grid5000-table3",
             "heuristics": list(PAPER_HEURISTICS),
             "message_sizes": list(PRACTICAL_MESSAGE_SIZES),
-            "schedules": len(heuristics) * len(caches),
+            "schedules": len(heuristics) * len(sizes),
             "seconds": seconds,
             "speedup": speedup,
         },

@@ -9,7 +9,8 @@ sweep runs on one of two paths:
   baseline;
 * **process** — ``workers=2`` on the persistent
   :class:`~repro.runtime.pool.StudyPool`, compiled once in the parent and
-  shipped zero-copy (shared memory when available).
+  shipped zero-copy through shared memory (a by-value slice per chunk where
+  shared memory is unavailable; the ``shipping`` section times both).
 
 Both produce bit-identical results (asserted below), so the ratio is pure
 orchestration overhead.  On a two-core box the lanes cannot beat the
@@ -24,6 +25,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from conftest import BENCH_RUNTIME_JSON_FILE, emit, emit_json
 
@@ -32,7 +34,7 @@ from repro.experiments.config import (
     PRACTICAL_MESSAGE_SIZES,
     PracticalStudyConfig,
 )
-from repro.experiments.practical_study import run_practical_study
+from repro.experiments.practical_study import run_alltoall_study, run_practical_study
 from repro.mpi.bcast import binomial_bcast_program
 from repro.mpi.scatter import flat_scatter_program
 from repro.runtime.pool import get_pool
@@ -127,6 +129,65 @@ def test_practical_end_to_end():
     # inline pass's throughput on the sweep it is built for.
     assert timings["plain"]["speedup_process_vs_inline"] >= 0.75
     assert timings["replicated"]["speedup_process_vs_inline"] >= 0.75
+
+
+def test_shipping_paths():
+    """Why the process lane keeps two ways to ship a chunk.
+
+    The all-to-all study (the Table 3 sizes as chunk sizes) runs inline, on the process lane through shared memory, and on
+    the process lane by value — each chunk pickling its own slice of the
+    stack, the path a platform without shared memory takes, forced here by
+    substituting the shared-memory probe's answer.  All three must be
+    bit-identical before they are timed.  Median of alternating runs; no
+    floor: the section records the margin that keeps shared memory.
+    """
+    import repro.runtime.transport as transport_module
+
+    config = PracticalStudyConfig(noise_sigma=NOISE_SIGMA, seed=SEED)
+    get_pool(WORKERS)  # warm the process pool
+    variants = {
+        "inline": (dict(workers=0), None),
+        "by_value": (dict(workers=WORKERS, executor="process"), False),
+    }
+    if shared_memory_available():
+        variants["shm"] = (dict(workers=WORKERS, executor="process"), None)
+
+    def run(name: str):
+        options, probe = variants[name]
+        with pytest.MonkeyPatch.context() as patch:
+            if probe is not None:
+                patch.setattr(transport_module, "_shm_probe_result", probe)
+            return run_alltoall_study(config, **options)
+
+    reference = run("inline").measured
+    for name in variants:
+        assert np.array_equal(run(name).measured, reference), name
+
+    samples: dict[str, list[float]] = {name: [] for name in variants}
+    for _ in range(15):
+        for name in variants:
+            started = time.perf_counter()
+            run(name)
+            samples[name].append(time.perf_counter() - started)
+    seconds = {name: float(np.median(values)) for name, values in samples.items()}
+    emit(
+        f"Shipping paths (all-to-all study, workers={WORKERS}, median of 15): "
+        + ", ".join(f"{name} {value * 1e3:.1f} ms" for name, value in seconds.items())
+    )
+    emit_json(
+        "shipping",
+        {
+            "grid": "grid5000-table3",
+            "collective": "alltoall",
+            "noise_sigma": NOISE_SIGMA,
+            "seed": SEED,
+            "workers": WORKERS,
+            "message_sizes": list(config.message_sizes),
+            "shared_memory": shared_memory_available(),
+            "seconds": seconds,
+        },
+        path=BENCH_RUNTIME_JSON_FILE,
+    )
 
 
 def test_auto_vs_inline():

@@ -16,8 +16,9 @@ perf wins of past PRs cannot silently rot:
   (``BENCH_practical.json``, replicated section),
 * batched schedule phase     >= 1.5x the per-size ``schedule()`` loop on
   the Table 3 line-up x 10 sizes (``BENCH_practical.json``,
-  schedule_phase section — one kernel call per heuristic over all message
-  sizes, its schedules verified identical to the per-size loop's first),
+  schedule_phase section — the driver's one recording line-up call over
+  all message sizes, its schedules verified identical to the per-size
+  loop's first),
 * stacked program build      >= 2.5x the per-program loop on the Table 3
   sweep's 70 grid-aware broadcasts (``BENCH_practical.json``,
   program_build section — one stacked build per heuristic over all

@@ -23,11 +23,10 @@
   cache, and the matching client (``query`` prints the same summary the
   ``schedule`` subcommand prints, byte for byte).
 
-Worker counts default to the ``REPRO_MC_WORKERS`` / ``REPRO_PRACTICAL_WORKERS``
-environment variables with the shared ``REPRO_WORKERS`` fallback; the fan-out
-lane defaults to ``REPRO_EXECUTOR`` (see ``--executor``: processes ship
-through the study runtime — shared memory when available, see ``practical
---transport`` — and auto keeps small batches inline).
+Worker counts default to the ``REPRO_WORKERS`` environment variable; the
+fan-out lane defaults to ``REPRO_EXECUTOR`` (see ``--executor``: processes
+ship through the study runtime — shared memory when available — and auto
+keeps small batches inline).
 
 Every option's help string states its effective default; ``tests/test_cli.py``
 asserts help text and parser defaults stay in sync.
@@ -184,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="fan the Monte-Carlo chunks out over this many workers "
-        "(default: REPRO_MC_WORKERS, then REPRO_WORKERS, then in-process)",
+        "(default: REPRO_WORKERS, then in-process)",
     )
     _add_executor_option(simulate)
 
@@ -223,8 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="fan the measured sweep out over this many workers "
-        "(default: REPRO_PRACTICAL_WORKERS, then REPRO_WORKERS, then "
-        "in-process); the sweep is built first, then measured in one batch",
+        "(default: REPRO_WORKERS, then in-process); the sweep is built "
+        "first, then measured in one batch",
     )
     _add_executor_option(practical)
     practical.add_argument(
@@ -233,13 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="independent noisy measurements per curve point; the measured "
         "table reports the replica mean (bcast study only; default: 1)",
-    )
-    practical.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default=None,
-        help="how stacked program batches reach process workers "
-        "(default: auto — shared memory when available, pickle otherwise)",
     )
 
     chain = sub.add_parser(
@@ -283,8 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="fan sizes out over this many workers; chains are never split "
-        "(default: REPRO_PRACTICAL_WORKERS, then REPRO_WORKERS, then "
-        "in-process)",
+        "(default: REPRO_WORKERS, then in-process)",
     )
     _add_executor_option(chain)
 
@@ -364,8 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="fan the study cells out over this many workers "
-        "(default: REPRO_GOSSIP_WORKERS, then REPRO_WORKERS, then "
-        "in-process)",
+        "(default: REPRO_WORKERS, then in-process)",
     )
     _add_executor_option(gossip)
 
@@ -595,7 +585,6 @@ def _cmd_practical(args: argparse.Namespace) -> int:
             config,
             workers=args.workers,
             executor=args.executor,
-            transport=args.transport,
             hosts=args.hosts,
         )
         print(
@@ -609,7 +598,6 @@ def _cmd_practical(args: argparse.Namespace) -> int:
             config,
             workers=args.workers,
             executor=args.executor,
-            transport=args.transport,
             hosts=args.hosts,
         )
         print(
@@ -623,7 +611,6 @@ def _cmd_practical(args: argparse.Namespace) -> int:
         workers=args.workers,
         executor=args.executor,
         replicas=args.replicas,
-        transport=args.transport,
         hosts=args.hosts,
     )
     print(render_table(result.as_table(which="predicted"), title="Predicted completion time (s)"))

@@ -160,7 +160,6 @@ def run_chained_study(
     workers: int | None = None,
     engine: str = "batched",
     executor: str | None = None,
-    transport: str | None = None,
     hosts: str | None = None,
     pool=None,
 ) -> ChainedStudyResult:
@@ -180,8 +179,8 @@ def run_chained_study(
         ``repeat=4`` measures four back-to-back broadcasts).
     workers:
         Fan sizes out over the persistent runtime pool (chains are never
-        split).  ``None`` consults the ``REPRO_PRACTICAL_WORKERS``
-        environment variable, then the shared ``REPRO_WORKERS``.
+        split).  ``None`` consults the ``REPRO_WORKERS`` environment
+        variable.
     engine:
         ``"batched"`` (default) or the scalar reference.
     executor:
@@ -190,9 +189,6 @@ def run_chained_study(
         :func:`~repro.simulator.batch.execute_programs`.  Chains stay
         atomic on every lane — a warm pipeline never spans two workers or
         two agents.  Bit-identical either way.
-    transport:
-        Worker shipping transport on the process lane (see
-        :func:`~repro.simulator.batch.execute_programs`).
     hosts:
         Remote-lane agent addresses (``"host:port,host:port"``); only
         consulted when the remote lane is engaged.  ``None`` falls back to
@@ -255,7 +251,7 @@ def run_chained_study(
         grid,
         tasks,
         NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed),
-        workers, engine, executor, transport, pool, hosts,
+        workers, engine, executor, pool, hosts,
     )
     num_stages = len(sequence)
     makespans = np.array(

@@ -30,11 +30,6 @@ from repro.utils.rng import DEFAULT_SEED, derive_seed
 from repro.utils.validation import check_non_negative, check_positive
 from repro.utils.workers import resolve_workers
 
-#: Environment variable consulted for the default worker count (the shared
-#: ``REPRO_WORKERS`` is the fallback; see
-#: :func:`repro.utils.workers.resolve_workers`).
-WORKERS_ENV_VAR = "REPRO_GOSSIP_WORKERS"
-
 #: The per-cell metrics recorded by the study, in storage order.
 METRIC_NAMES = (
     "rounds_executed",
@@ -236,8 +231,8 @@ def run_gossip_study(
         The study set-up.
     workers:
         Optional fan-out of the cells over the persistent runtime pool.
-        ``None`` consults the ``REPRO_GOSSIP_WORKERS`` environment variable,
-        then the shared ``REPRO_WORKERS``; ``0``/``1`` run in-process.
+        ``None`` consults the ``REPRO_WORKERS`` environment variable;
+        ``0``/``1`` run in-process.
     executor:
         Fan-out lane: ``"process"``, ``"remote"`` (cells framed over
         sockets to the worker agents named by ``hosts`` / ``REPRO_HOSTS``),
@@ -270,7 +265,7 @@ def run_gossip_study(
         for _, n_index, _ in tasks
     ]
 
-    worker_count = resolve_workers(workers, WORKERS_ENV_VAR)
+    worker_count = resolve_workers(workers)
     pool, _ = choose_lane(
         executor, workers, worker_count, sum(cell_units), pool=pool, hosts=hosts
     )

@@ -100,7 +100,7 @@ def run_hit_rate_study(
 
     The underlying study uses the batched scheduling engine and shared
     per-grid cost caches; ``workers`` optionally fans the iterations out over
-    the persistent runtime pool (``None`` consults ``REPRO_MC_WORKERS``),
+    the persistent runtime pool (``None`` consults ``REPRO_WORKERS``),
     ``executor`` picks the execution lane (``None`` consults
     ``REPRO_EXECUTOR``; the remote lane reads its host list from ``hosts`` /
     ``REPRO_HOSTS``).

@@ -29,7 +29,7 @@ lane.  Noise replicas are first-class: ``replicas=N`` measures every curve
 point ``N`` times and the result carries both the per-replica columns and
 their mean/std aggregation.  Every (curve label, size, replica) owns a
 noise seed derived from the config seed, so results are bit-identical
-regardless of engine, executor lane, transport, execution order,
+regardless of engine, executor lane, shipping path, execution order,
 heuristic-tuple order, pool lifetime or worker count.
 
 Beyond the paper's broadcast figures, the same machinery measures the §8
@@ -56,8 +56,7 @@ from repro.experiments.config import PracticalStudyConfig
 from repro.mpi.alltoall import direct_alltoall_program, grid_aware_alltoall_program
 from repro.mpi.bcast import binomial_bcast_programs, grid_aware_bcast_programs
 from repro.mpi.scatter import flat_scatter_program, grid_aware_scatter_program
-from repro.runtime.chunking import program_cost, resolve_executor
-from repro.runtime.pool import choose_lane
+from repro.runtime.chunking import resolve_executor
 from repro.simulator.batch import ENGINES, ExecutionTask, execute_programs
 from repro.simulator.network import NetworkConfig
 from repro.topology.grid import Grid
@@ -67,11 +66,6 @@ from repro.utils.workers import resolve_workers
 
 #: Display name of the grid-unaware baseline, as labelled in Figure 6.
 BINOMIAL_BASELINE_NAME = "Default LAM"
-
-#: Environment variable consulted for the default measured-sweep worker count
-#: (the shared ``REPRO_WORKERS`` is the fallback; see
-#: :func:`repro.utils.workers.resolve_workers`).
-PRACTICAL_WORKERS_ENV_VAR = "REPRO_PRACTICAL_WORKERS"
 
 
 @cache
@@ -97,36 +91,21 @@ def _measure(
     workers: int | None,
     engine: str,
     executor: str | None,
-    transport: str | None,
     pool,
     hosts: str | None,
 ) -> list:
-    """Execute a measured sweep on the lane :func:`choose_lane` picks for it.
-
-    The lane is decided here, once, from the built programs' exact message
-    counts and handed to :func:`execute_programs` as an explicit pool
-    (``workers=0`` when the sweep runs inline).
-    """
-    worker_count = resolve_workers(workers, PRACTICAL_WORKERS_ENV_VAR)
-    pool, worker_count = choose_lane(
-        executor,
-        workers,
-        worker_count,
-        sum(program_cost(task.program) for task in tasks),
-        pool=pool,
-        transport=transport,
-        hosts=hosts,
-    )
+    """Execute a measured sweep, makespans only, in one
+    :func:`execute_programs` call (which picks the lane)."""
     return execute_programs(
         grid,
         tasks,
         config=network_config,
         collect_traces=False,
-        workers=worker_count if pool is not None else 0,
+        workers=workers,
         engine=engine,
         executor=executor,
-        transport=transport,
         pool=pool,
+        hosts=hosts,
     )
 
 
@@ -305,7 +284,6 @@ def run_practical_study(
     engine: str = "batched",
     executor: str | None = None,
     replicas: int = 1,
-    transport: str | None = None,
     pool=None,
     hosts: str | None = None,
 ) -> PracticalStudyResult:
@@ -319,30 +297,27 @@ def run_practical_study(
         The grid to evaluate on; defaults to the Table 3 GRID5000 topology.
     workers:
         Optional fan-out of the measured sweep over the persistent runtime
-        pool.  ``None`` consults the ``REPRO_PRACTICAL_WORKERS`` environment
-        variable, then the shared ``REPRO_WORKERS``; ``0``/``1`` run
-        in-process.  Results are identical at any worker count.
+        pool.  ``None`` consults the ``REPRO_WORKERS`` environment variable;
+        ``0``/``1`` run in-process.  Results are identical at any worker
+        count.
     engine:
         ``"batched"`` (default) or ``"scalar"``; both produce bit-identical
-        results — the scalar path (per-size scheduling, scalar simulator)
-        exists as the reference for equivalence tests and benchmarks.
+        results — the scalar path (per-size scheduling, scalar simulator,
+        always in-process) exists as the reference for equivalence tests
+        and benchmarks.
     executor:
         Fan-out lane: ``"process"``, ``"remote"`` (stacked batches framed
         over sockets to the worker agents named by ``hosts`` /
         ``REPRO_HOSTS``, loopback agents otherwise), or ``"auto"`` (inline
         for sweeps too small to amortise shipping, processes otherwise;
-        naming a ``transport`` pins auto to processes; auto never picks
-        remote).  ``None`` consults ``REPRO_EXECUTOR``, then defaults to
-        ``"auto"``.  Every lane is bit-identical.
+        auto never picks remote).  ``None`` consults ``REPRO_EXECUTOR``,
+        then defaults to ``"auto"``.  Every lane is bit-identical.
     replicas:
         Number of independent noisy measurements per curve point.  The
         result's ``measured`` columns become replica means and the raw
         per-replica columns ride along (``measured_replicas`` /
         ``measured_std``).  One replica reproduces the historical results
         bit for bit.
-    transport:
-        How batches reach process workers: ``"auto"`` (default), ``"shm"``
-        or ``"pickle"``.  Ignored inline, where nothing ships.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
         :class:`~repro.runtime.remote.RemoteStudyPool`; defaults to the
@@ -357,7 +332,7 @@ def run_practical_study(
     grid = grid if grid is not None else _default_grid()
     # Validate the fan-out settings (and the env vars behind them) up front
     # so a bad setting fails before the prediction sweep, not after it.
-    resolve_workers(workers, PRACTICAL_WORKERS_ENV_VAR)
+    resolve_workers(workers)
     resolve_executor(executor)
     _check_engine(engine)
     _check_replicas(replicas)
@@ -424,8 +399,7 @@ def run_practical_study(
                 slots.append((replica, size_index, heuristic_index))
 
     executions = _measure(
-        grid, all_tasks, network_config, workers, engine, executor, transport,
-        pool, hosts,
+        grid, all_tasks, network_config, workers, engine, executor, pool, hosts
     )
     for (replica, size_index, heuristic_index), execution in zip(slots, executions):
         if heuristic_index is None:
@@ -508,10 +482,9 @@ def _run_collective_study(
     grid: Grid,
     workers: int | None,
     engine: str,
-    transport: str | None = None,
-    executor: str | None = None,
-    hosts: str | None = None,
-    pool=None,
+    executor: str | None,
+    hosts: str | None,
+    pool,
 ) -> CollectiveStudyResult:
     """Shared driver: one ExecutionTask per (strategy, chunk size).
 
@@ -537,7 +510,7 @@ def _run_collective_study(
         grid,
         tasks,
         NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed),
-        workers, engine, executor, transport, pool, hosts,
+        workers, engine, executor, pool, hosts,
     )
     measured = np.array(
         [execution.makespan for execution in executions], dtype=float
@@ -558,7 +531,6 @@ def run_scatter_study(
     workers: int | None = None,
     engine: str = "batched",
     executor: str | None = None,
-    transport: str | None = None,
     hosts: str | None = None,
     pool=None,
 ) -> CollectiveStudyResult:
@@ -569,11 +541,10 @@ def run_scatter_study(
     MagPIe-style aggregated scatter (paper §8's first "future work" pattern).
     ``config.message_sizes`` are interpreted as per-rank chunk sizes.
 
-    ``workers`` defaults from ``REPRO_PRACTICAL_WORKERS`` then the shared
-    ``REPRO_WORKERS``; ``executor``
+    ``workers`` defaults from ``REPRO_WORKERS``; ``executor``
     (``"process"``/``"remote"``/``"auto"``, default from
-    ``REPRO_EXECUTOR``) picks the fan-out lane; ``transport``, ``hosts``
-    (default from ``REPRO_HOSTS``) and ``pool`` behave as in
+    ``REPRO_EXECUTOR``) picks the fan-out lane; ``hosts`` (default from
+    ``REPRO_HOSTS``) and ``pool`` behave as in
     :func:`~repro.simulator.batch.execute_programs`.  Results are
     bit-identical for every combination.
     """
@@ -602,8 +573,7 @@ def run_scatter_study(
             (f"Grid-aware [{heuristic.name}]", aware_builder(heuristic))
         )
     return _run_collective_study(
-        "scatter", strategies, config, grid, workers, engine, transport,
-        executor, hosts, pool,
+        "scatter", strategies, config, grid, workers, engine, executor, hosts, pool
     )
 
 
@@ -614,7 +584,6 @@ def run_alltoall_study(
     workers: int | None = None,
     engine: str = "batched",
     executor: str | None = None,
-    transport: str | None = None,
     hosts: str | None = None,
     pool=None,
 ) -> CollectiveStudyResult:
@@ -627,11 +596,10 @@ def run_alltoall_study(
     per-rank-pair chunk sizes, so keep them modest — the direct strategy
     injects ``n * (n - 1)`` messages per execution.
 
-    ``workers`` defaults from ``REPRO_PRACTICAL_WORKERS`` then the shared
-    ``REPRO_WORKERS``; ``executor``
+    ``workers`` defaults from ``REPRO_WORKERS``; ``executor``
     (``"process"``/``"remote"``/``"auto"``, default from
-    ``REPRO_EXECUTOR``) picks the fan-out lane; ``transport``, ``hosts``
-    (default from ``REPRO_HOSTS``) and ``pool`` behave as in
+    ``REPRO_EXECUTOR``) picks the fan-out lane; ``hosts`` (default from
+    ``REPRO_HOSTS``) and ``pool`` behave as in
     :func:`~repro.simulator.batch.execute_programs`.  Results are
     bit-identical for every combination.
     """
@@ -645,6 +613,5 @@ def run_alltoall_study(
         ),
     ]
     return _run_collective_study(
-        "alltoall", strategies, config, grid, workers, engine, transport,
-        executor, hosts, pool,
+        "alltoall", strategies, config, grid, workers, engine, executor, hosts, pool
     )

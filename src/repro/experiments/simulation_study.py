@@ -24,7 +24,7 @@ chunking, executor lane or worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,11 +43,6 @@ from repro.runtime.pool import choose_lane
 from repro.topology.generators import RandomGridGenerator
 from repro.utils.rng import RandomStream
 from repro.utils.workers import resolve_workers
-
-#: Environment variable consulted for the default worker count (the shared
-#: ``REPRO_WORKERS`` is the fallback; see
-#: :func:`repro.utils.workers.resolve_workers`).
-WORKERS_ENV_VAR = "REPRO_MC_WORKERS"
 
 #: Two schedules within this relative tolerance of each other are considered
 #: equally good when computing hits against the per-iteration global minimum.
@@ -219,9 +214,8 @@ def run_simulation_study(
         The study set-up.
     workers:
         Optional fan-out of the batch chunks over the persistent runtime
-        pool.  ``None`` consults the ``REPRO_MC_WORKERS`` environment
-        variable, then the shared ``REPRO_WORKERS``; ``0``/``1`` run
-        in-process.
+        pool.  ``None`` consults the ``REPRO_WORKERS`` environment
+        variable; ``0``/``1`` run in-process.
     executor:
         Fan-out lane: ``"process"``, ``"remote"`` (chunks framed over
         sockets to the worker agents named by ``hosts`` / ``REPRO_HOSTS``,
@@ -251,7 +245,7 @@ def run_simulation_study(
         (len(counts), len(heuristic_keys), config.iterations), dtype=float
     )
 
-    worker_count = resolve_workers(workers, WORKERS_ENV_VAR)
+    worker_count = resolve_workers(workers)
     # Cost prior: one unit per stacked scheduling-matrix cell.
     pool, worker_count = choose_lane(
         executor,

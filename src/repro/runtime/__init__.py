@@ -16,9 +16,8 @@ the subsystem that removes them, shared by every study driver and the CLI:
   auto keeps batches too small to amortise shipping inline);
 * :mod:`repro.runtime.transport` —
   :class:`~repro.runtime.transport.ArrayShipment`, zero-copy shipping of
-  ``(K, n, n)`` cost stacks and stacked program arrays through
-  :mod:`multiprocessing.shared_memory` (pickle fallback on platforms
-  without it);
+  stacked program arrays through :mod:`multiprocessing.shared_memory`
+  (where it is unavailable, each chunk carries its own by-value slice);
 * :mod:`repro.runtime.chunking` — cost-aware chunk sizing
   (:func:`~repro.runtime.chunking.partition_by_cost`,
   :class:`~repro.runtime.chunking.CostModel`) and the cost priors the lane
@@ -40,17 +39,14 @@ the subsystem that removes them, shared by every study driver and the CLI:
   :class:`~repro.runtime.service.ScheduleClient`.
 
 Worker counts everywhere resolve through
-:func:`repro.utils.workers.resolve_workers` (``REPRO_MC_WORKERS`` /
-``REPRO_PRACTICAL_WORKERS`` with the shared ``REPRO_WORKERS`` fallback);
+:func:`repro.utils.workers.resolve_workers` (``REPRO_WORKERS``);
 executor lanes resolve through :func:`repro.runtime.pool.choose_lane`
 (``REPRO_EXECUTOR``, default ``"auto"``).
 """
 
 from repro.runtime.pool import StudyPool, choose_lane, get_pool, shutdown_pool
 from repro.runtime.transport import (
-    TRANSPORTS,
     ArrayShipment,
-    resolve_transport,
     shared_memory_available,
     sweep_shipments,
 )
@@ -88,9 +84,7 @@ __all__ = [
     "choose_lane",
     "get_pool",
     "shutdown_pool",
-    "TRANSPORTS",
     "ArrayShipment",
-    "resolve_transport",
     "shared_memory_available",
     "sweep_shipments",
     "EXECUTORS",

@@ -41,7 +41,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 #: Valid ``executor=`` values accepted by the runtime entry points and every
 #: study driver: ``"auto"`` (cost-based choice between inline and process),
-#: ``"process"`` (:class:`~repro.runtime.pool.StudyPool` + transport) and
+#: ``"process"`` (:class:`~repro.runtime.pool.StudyPool`) and
 #: ``"remote"`` (:class:`~repro.runtime.remote.RemoteStudyPool` — chunks
 #: shipped over sockets to worker agents; never chosen by ``"auto"``, only
 #: explicitly).

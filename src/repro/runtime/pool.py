@@ -55,8 +55,8 @@ class StudyPool:
     """A reusable multiprocessing pool with an async submission surface.
 
     Tasks submitted here are pickled to worker *processes*; bulk arrays
-    should travel through :class:`~repro.runtime.transport.ArrayShipment`
-    rather than the task pickle.
+    travel through :class:`~repro.runtime.transport.ArrayShipment` where
+    shared memory works.
 
     Parameters
     ----------
@@ -192,7 +192,6 @@ def choose_lane(
     units: float,
     *,
     pool: Any = None,
-    transport: str | None = None,
     hosts: str | Iterable[tuple[str, int]] | None = None,
 ) -> tuple[Any, int]:
     """Decide where one fan-out runs: ``(pool, worker_count)``.
@@ -213,8 +212,8 @@ def choose_lane(
     * ``"process"`` fans out over the persistent process pool;
     * ``"auto"`` runs inline when ``units`` is at most
       :data:`~repro.runtime.chunking.AUTO_INLINE_MAX_UNITS` and on the
-      process pool otherwise; naming a ``transport`` pins it to processes,
-      and it never picks the remote lane on its own;
+      process pool otherwise, and it never picks the remote lane on its
+      own;
     * fewer than 2 workers always run inline.
 
     An invalid ``executor`` raises :class:`ValueError` whatever the pool.
@@ -229,11 +228,7 @@ def choose_lane(
         pool = get_pool(max(worker_count, 2), kind="remote", hosts=hosts)
         if worker_count < 2:
             worker_count = pool.workers
-    elif worker_count > 1 and (
-        lane == "process"
-        or transport is not None
-        or units > AUTO_INLINE_MAX_UNITS
-    ):
+    elif worker_count > 1 and (lane == "process" or units > AUTO_INLINE_MAX_UNITS):
         pool = get_pool(worker_count)
     return (pool if worker_count > 1 else None), worker_count
 

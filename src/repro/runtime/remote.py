@@ -113,7 +113,7 @@ from repro.runtime.faults import (
     resolve_fault_plan,
 )
 from repro.runtime.pool import process_pool
-from repro.runtime.transport import ArrayShipment
+from repro.runtime.transport import ArrayShipment, shared_memory_available
 
 #: Environment variable naming the agents (``host:port,host:port``) consulted
 #: when no ``hosts=`` argument is given; unset means loopback mode.
@@ -307,13 +307,16 @@ def _localise(obj: Any, repacked: list[ArrayShipment]) -> Any:
     """Replace wire shipments with freshly packed local shipments.
 
     The agent fans jobs out over its own process pool, so the arrays that
-    crossed the wire take their last hop through the local shared-memory
-    transport (pickle fallback included) instead of being re-pickled per
-    worker.  ``repacked`` collects the shipments so the agent can unlink
-    them once the job completes.
+    crossed the wire take their last hop through local shared memory
+    instead of being re-pickled per worker.  Where shared memory is
+    unavailable a wire shipment stays as it is: it already holds just this
+    job's slice.  ``repacked`` collects the shipments so the agent can
+    unlink them once the job completes.
     """
     if isinstance(obj, wire.WireShipment):
-        shipment = ArrayShipment.pack(obj.load(), transport="auto")
+        if not shared_memory_available():
+            return obj
+        shipment = ArrayShipment.pack(obj.load())
         repacked.append(shipment)
         return shipment
     if isinstance(obj, tuple):

@@ -1,18 +1,17 @@
 """Zero-copy shipping of NumPy array bundles to worker processes.
 
-The studies move two kinds of bulk data to workers: stacked ``(K, n, n)``
-cost matrices (Monte-Carlo scheduling) and stacked program arrays (measured
-sweeps).  Pickling those per chunk re-serialises megabytes that every worker
-then deserialises again.  An :class:`ArrayShipment` instead packs the arrays
-into one :mod:`multiprocessing.shared_memory` block: the parent copies each
-array in exactly once, the handle that travels through the task pickle is a
-few bytes (segment name + dtype/shape/offset specs), and workers map the
-block and read the arrays **in place** — no copy, no decode.
+The measured sweeps move stacked program arrays to worker processes.  An
+:class:`ArrayShipment` packs them into one
+:mod:`multiprocessing.shared_memory` block: the parent copies each array in
+exactly once, the handle that travels through the task pickle is a few
+bytes (segment name + dtype/shape/offset specs), and workers map the block
+and read the arrays **in place** — no copy, no decode.
 
 Shared memory is not available everywhere (some sandboxes mount no
-``/dev/shm``), so ``transport="auto"`` probes once and silently falls back to
-carrying the arrays inside the pickle itself; ``"shm"`` and ``"pickle"``
-force either side.  Both transports deliver bit-identical arrays — the
+``/dev/shm``).  :func:`shared_memory_available` probes once; where it is
+false the process lane ships each chunk its own by-value slice of the stack
+instead (:func:`repro.simulator.batch.execute_programs`), exactly as the
+remote lane always does.  Both paths deliver bit-identical arrays — the
 determinism suite runs the same study over each and compares exactly.
 
 Lifecycle: the parent calls :meth:`ArrayShipment.unlink` once every consumer
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import pickle
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -40,9 +38,6 @@ try:  # pragma: no cover - import failure only on exotic platforms
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover
     _shared_memory = None
-
-#: Valid ``transport=`` values accepted by the runtime entry points.
-TRANSPORTS = ("auto", "shm", "pickle")
 
 #: Alignment of each array inside the shared block (cache-line friendly and
 #: valid for every NumPy dtype the library ships).
@@ -103,19 +98,6 @@ def shared_memory_available() -> bool:
     return _shm_probe_result
 
 
-def resolve_transport(transport: str | None) -> str:
-    """Normalise a ``transport=`` argument to ``"shm"`` or ``"pickle"``."""
-    if transport is None:
-        transport = "auto"
-    if transport not in TRANSPORTS:
-        raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
-    if transport == "auto":
-        return "shm" if shared_memory_available() else "pickle"
-    if transport == "shm" and not shared_memory_available():
-        raise RuntimeError("shared memory is not available on this platform")
-    return transport
-
-
 def _attach(name: str) -> Any:
     """Map an existing segment without adopting cleanup responsibility.
 
@@ -137,38 +119,26 @@ class ArrayShipment:
     """A named bundle of arrays travelling to workers by handle, not by value.
 
     Build with :meth:`pack`; read with :meth:`load`.  The object itself is
-    picklable: for the ``"shm"`` transport the pickle carries only the
-    segment name and the array specs, for ``"pickle"`` it carries the raw
-    bytes (the fallback behaves exactly like shipping the arrays directly).
+    picklable: the pickle carries only the segment name and the array specs.
     """
 
-    transport: str
     specs: list[tuple[str, str, tuple[int, ...], int]] = field(default_factory=list)
     shm_name: str | None = None
-    payload: bytes | None = None
     _shm: object | None = field(default=None, repr=False, compare=False)
     _arrays: dict | None = field(default=None, repr=False, compare=False)
 
     # -- construction (parent side) ---------------------------------------------------
 
     @classmethod
-    def pack(
-        cls, arrays: dict[str, np.ndarray], *, transport: str | None = None
-    ) -> "ArrayShipment":
-        """Pack named arrays for shipping (one copy per array, total)."""
-        resolved = resolve_transport(transport)
+    def pack(cls, arrays: dict[str, np.ndarray]) -> "ArrayShipment":
+        """Pack named arrays into one shared block (one copy per array, total).
+
+        Callers check :func:`shared_memory_available` first; packing where
+        it is false raises.
+        """
         contiguous = {
             name: np.ascontiguousarray(array) for name, array in arrays.items()
         }
-        if resolved == "pickle":
-            return cls(
-                transport="pickle",
-                specs=[
-                    (name, array.dtype.str, array.shape, 0)
-                    for name, array in contiguous.items()
-                ],
-                payload=pickle.dumps(contiguous, protocol=pickle.HIGHEST_PROTOCOL),
-            )
         specs: list[tuple[str, str, tuple[int, ...], int]] = []
         offset = 0
         for name, array in contiguous.items():
@@ -185,23 +155,16 @@ class ArrayShipment:
             shm.unlink()
             raise
         _owned_segments[shm.name] = os.getpid()
-        return cls(transport="shm", specs=specs, shm_name=shm.name, _shm=shm)
+        return cls(specs=specs, shm_name=shm.name, _shm=shm)
 
     # -- pickling ---------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        return {
-            "transport": self.transport,
-            "specs": self.specs,
-            "shm_name": self.shm_name,
-            "payload": self.payload,
-        }
+        return {"specs": self.specs, "shm_name": self.shm_name}
 
     def __setstate__(self, state: dict) -> None:
-        self.transport = state["transport"]
         self.specs = state["specs"]
         self.shm_name = state["shm_name"]
-        self.payload = state["payload"]
         self._shm = None
         self._arrays = None
 
@@ -210,25 +173,19 @@ class ArrayShipment:
     def load(self) -> dict[str, np.ndarray]:
         """The shipped arrays, keyed by name.
 
-        ``"shm"`` returns read-only views straight into the shared block
-        (valid until :meth:`close`); ``"pickle"`` decodes the payload once
-        and caches it.
+        Read-only views straight into the shared block, valid until
+        :meth:`close`.
         """
         if self._arrays is not None:
             return self._arrays
-        if self.transport == "pickle":
-            self._arrays = pickle.loads(self.payload)
-        else:
-            if self._shm is None:
-                self._shm = _attach(self.shm_name)
-            arrays: dict[str, np.ndarray] = {}
-            for name, dtype, shape, start in self.specs:
-                view = np.ndarray(
-                    shape, dtype=dtype, buffer=self._shm.buf, offset=start
-                )
-                view.flags.writeable = False
-                arrays[name] = view
-            self._arrays = arrays
+        if self._shm is None:
+            self._shm = _attach(self.shm_name)
+        arrays: dict[str, np.ndarray] = {}
+        for name, dtype, shape, start in self.specs:
+            view = np.ndarray(shape, dtype=dtype, buffer=self._shm.buf, offset=start)
+            view.flags.writeable = False
+            arrays[name] = view
+        self._arrays = arrays
         return self._arrays
 
     def close(self) -> None:
@@ -250,7 +207,7 @@ class ArrayShipment:
         The owner calls this once every consumer is done; the atexit sweep
         (:func:`sweep_shipments`) covers shipments whose owner died first.
         """
-        if self.transport != "shm" or self.shm_name is None:
+        if self.shm_name is None:
             return
         _owned_segments.pop(self.shm_name, None)
         if self._shm is None:

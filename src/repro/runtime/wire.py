@@ -32,13 +32,14 @@ shared-memory :class:`~repro.runtime.transport.ArrayShipment` maps in place.
 as a shared-memory segment *name* — meaningless on another machine.  The
 encoder therefore rewrites any shipment in the message into a
 :class:`WireShipment`: a wire-native bundle carrying the same arrays (read
-through :meth:`~repro.runtime.transport.ArrayShipment.load`, so the shm and
-pickle transports both encode identically) and serving the same
-``load()``/``close()``/``unlink()`` consumer surface on the far side.  The
-receiving agent re-packs a ``WireShipment`` into a *local*
-``ArrayShipment`` before fanning the job out to its own worker processes —
-the wire protocol bridges machines, the shared-memory transport still does
-the last hop inside each one.
+through :meth:`~repro.runtime.transport.ArrayShipment.load`) and serving
+the same ``load()``/``close()``/``unlink()`` consumer surface on the far
+side.  The receiving agent re-packs a ``WireShipment`` into a *local*
+``ArrayShipment`` before fanning the job out to its own worker processes
+where shared memory works — the wire protocol bridges machines, shared
+memory still does the last hop inside each one.  A ``WireShipment`` also
+pickles normally, which is how the process lane ships a chunk's slice by
+value where shared memory is unavailable.
 
 Frames at least :data:`COMPRESS_MIN_BYTES` long are zlib-compressed when
 that actually shrinks them (cost stacks compress well; already-dense noise

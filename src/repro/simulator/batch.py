@@ -34,26 +34,28 @@ stacked relaxation pass instead:
   chained tasks run one stacked pass per chain position, carrying the NIC
   row forward.
 
-Worker fan-out goes through the runtime layer.  On the **process lane** the
-batch is stacked **once in the parent**, the stacked arrays ship to the
-persistent :class:`~repro.runtime.pool.StudyPool` via shared memory
-(:mod:`repro.runtime.transport`; pickle fallback), and each worker runs a
-chain-respecting task range of the stack against zero-copy views; the
-**remote lane** frames each chunk's slice of the stack to worker agents
-instead.  :func:`repro.runtime.pool.choose_lane` picks the lane per call
+Worker fan-out goes through the runtime layer.  The batch is stacked
+**once in the parent** and each worker runs a chain-respecting task range
+of the stack.  A chunk ships one of two ways, picked from what the platform
+offers: on the **process lane**, where shared memory works, the whole stack
+goes to the persistent :class:`~repro.runtime.pool.StudyPool` in one
+:class:`~repro.runtime.transport.ArrayShipment` and each worker reads its
+range through zero-copy views; otherwise — and always on the **remote
+lane** — each chunk carries a by-value slice of just its own range.
+:func:`repro.runtime.pool.choose_lane` picks the lane per call
 (``executor="auto"`` keeps batches too small to amortise shipping inline).
 Worker chunks are sized from per-task cost (message counts) rather than
 task counts, so a mixed scatter/all-to-all workload balances across
 workers.
 
 The scalar :func:`~repro.simulator.execution.execute_program` remains the
-reference engine: ``engine="scalar"`` runs it program by program on
-identically-seeded fresh (or chained warm) networks, and the equivalence
-suite (``tests/test_simulator_batch.py``, ``tests/test_runtime.py``,
+reference engine: ``engine="scalar"`` runs it program by program,
+in-process, on identically-seeded fresh (or chained warm) networks, and the
+equivalence suite (``tests/test_simulator_batch.py``, ``tests/test_runtime.py``,
 ``tests/test_properties.py``) asserts that both engines produce
 bit-identical makespans, activation/completion vectors and traces for every
 collective shape, noise on and off, at any worker count, over either
-transport.
+shipping path.
 """
 
 from __future__ import annotations
@@ -525,16 +527,6 @@ def _chunk_bounds(
     )
 
 
-def _execute_scalar_chunk(args) -> tuple[int, list[ExecutionResult]]:
-    """Scalar-engine worker body: one pickled slice of the task list.
-
-    The grid, the config and the tasks themselves travel with the job and
-    run through the scalar reference loop.
-    """
-    start, grid, tasks, config, collect_traces = args
-    return start, _execute_scalar(grid, tasks, config, collect_traces)
-
-
 def _task_windows(
     arrays: dict[str, np.ndarray],
     metas: Sequence[tuple],
@@ -588,20 +580,20 @@ def _execute_with_runtime_pool(
     config: NetworkConfig,
     collect_traces: bool,
     worker_count: int,
-    transport: str | None,
     pool,
 ) -> list[ExecutionResult]:
     """Process/remote lane: stack once in the parent, ship to ``pool``.
 
-    The process lane packs the whole stack into one
-    :class:`~repro.runtime.transport.ArrayShipment` that every chunk reads
-    through its window.  On the remote lane every job is framed and sent
-    separately (and may be re-sent verbatim to another agent after a loss),
-    so each chunk gets a :class:`~repro.runtime.wire.WireShipment` of its own
-    slice of the stack instead of a copy of the whole batch.
+    On the process lane, where shared memory works, the whole stack goes
+    into one :class:`~repro.runtime.transport.ArrayShipment` that every
+    chunk reads through its window.  Otherwise each chunk carries a
+    :class:`~repro.runtime.wire.WireShipment` of its own slice of the
+    stack, so every task ships exactly once.  The remote lane always takes
+    the slice path: every job is framed and sent separately (and may be
+    re-sent verbatim to another agent after a loss).
     """
     from repro.runtime.chunking import program_cost
-    from repro.runtime.transport import ArrayShipment
+    from repro.runtime.transport import ArrayShipment, shared_memory_available
     from repro.runtime.wire import WireShipment
 
     remote = getattr(pool, "kind", "process") == "remote"
@@ -616,62 +608,27 @@ def _execute_with_runtime_pool(
         config.noise_sigma, config.receive_overhead, collect_traces, grid.num_nodes
     )
     results: list[ExecutionResult | None] = [None] * len(tasks)
-    shipment = None if remote else ArrayShipment.pack(arrays, transport=transport)
+    shared = not remote and shared_memory_available()
+    shipment = ArrayShipment.pack(arrays) if shared else None
     try:
         pending = []
         for (start, end), window in zip(bounds, windows):
-            if remote:
-                job = (
-                    start, WireShipment(_slice_stack(arrays, window)), None,
-                    metas[start:end], *settings,
-                )
-                handle = pool.submit(
+            if shipment is not None:
+                job = (start, shipment, window, metas[start:end], *settings)
+            else:
+                sliced = WireShipment(_slice_stack(arrays, window))
+                job = (start, sliced, None, metas[start:end], *settings)
+            pending.append(
+                pool.submit(
                     _execute_shipped_chunk, job, units=float(sum(costs[start:end]))
                 )
-            else:
-                job = (start, shipment, window, metas[start:end], *settings)
-                handle = pool.submit(_execute_shipped_chunk, job)
-            pending.append(handle)
+            )
         for handle in pending:
             start, values = handle.get()
             results[start : start + len(values)] = values
     finally:
         if shipment is not None:
             shipment.unlink()
-    return results  # type: ignore[return-value]
-
-
-def _execute_scalar_with_pool(
-    grid: Grid,
-    tasks: list[ExecutionTask],
-    config: NetworkConfig,
-    collect_traces: bool,
-    worker_count: int,
-    pool,
-) -> list[ExecutionResult]:
-    """Scalar-engine fan-out: task slices submitted to ``pool`` as they are.
-
-    The scalar reference engine executes task slices directly (no stacked
-    arrays to ship), priced like every other fan-out by the summed
-    :func:`~repro.runtime.chunking.program_cost` of each slice.  Per-task
-    seeds keep the results bit-identical to the inline loop.
-    """
-    from repro.runtime.chunking import program_cost
-
-    costs = [program_cost(task.program) for task in tasks]
-    bounds = _chunk_bounds(tasks, costs, worker_count)
-    pending = [
-        pool.submit(
-            _execute_scalar_chunk,
-            (start, grid, tasks[start:end], config, collect_traces),
-            units=float(sum(costs[start:end])),
-        )
-        for start, end in bounds
-    ]
-    results: list[ExecutionResult | None] = [None] * len(tasks)
-    for handle in pending:
-        start, values = handle.get()
-        results[start : start + len(values)] = values
     return results  # type: ignore[return-value]
 
 
@@ -684,7 +641,6 @@ def execute_programs(
     workers: int | None = None,
     engine: str = "batched",
     executor: str | None = None,
-    transport: str | None = None,
     pool=None,
     hosts: str | None = None,
 ) -> list[ExecutionResult]:
@@ -712,25 +668,22 @@ def execute_programs(
         count because every task carries its own noise seed.
     engine:
         ``"batched"`` (default) or ``"scalar"`` — the scalar reference loop
-        used by the equivalence suite and as the benchmark baseline.
+        used by the equivalence suite and as the benchmark baseline.  The
+        scalar engine always runs in-process: ``workers``, ``executor``,
+        ``pool`` and ``hosts`` do not apply to it.
     executor:
         Which fan-out lane to use: ``"process"``
-        (:class:`~repro.runtime.pool.StudyPool` + transport), ``"remote"``
+        (:class:`~repro.runtime.pool.StudyPool`), ``"remote"``
         (:class:`~repro.runtime.remote.RemoteStudyPool` — chunks shipped
         over sockets to worker agents, see ``hosts``), or ``"auto"`` —
         inline when the batch's total estimated cost is too small to
         amortise shipping, processes otherwise (never remote).  ``None``
         consults the ``REPRO_EXECUTOR`` environment variable, then defaults
-        to ``"auto"``.  Naming a transport pins ``"auto"`` to the process
-        lane (the lane that ships).  All lanes are bit-identical; the rules
-        live in :func:`~repro.runtime.pool.choose_lane`.
-    transport:
-        How batches reach *process* workers (ignored in-process):
-        ``"auto"`` (default, shared memory when available), ``"shm"`` or
-        ``"pickle"``.  The batched engine stacks once in the parent and
-        reuses the persistent runtime pool; the scalar engine fans task
-        slices out over the same pool.  Worker chunks are sized from
-        per-task cost (program message counts) so mixed workloads balance.
+        to ``"auto"``.  All lanes are bit-identical; the rules live in
+        :func:`~repro.runtime.pool.choose_lane`.  Worker chunks are sized
+        from per-task cost (program message counts) so mixed workloads
+        balance, and reach process workers through shared memory where it
+        works, as by-value slices otherwise.
     pool:
         An explicit :class:`~repro.runtime.pool.StudyPool` /
         :class:`~repro.runtime.remote.RemoteStudyPool` to submit to
@@ -744,7 +697,6 @@ def execute_programs(
     """
     from repro.runtime.chunking import EXECUTORS, program_cost
     from repro.runtime.pool import choose_lane
-    from repro.runtime.transport import TRANSPORTS
     from repro.utils.workers import resolve_workers
 
     if engine not in ENGINES:
@@ -752,10 +704,6 @@ def execute_programs(
     if executor is not None and executor not in EXECUTORS:
         raise ValueError(
             f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    if transport is not None and transport not in TRANSPORTS:
-        raise ValueError(
-            f"transport must be one of {TRANSPORTS}, got {transport!r}"
         )
     config = config if config is not None else NetworkConfig()
     normalized = [
@@ -765,6 +713,8 @@ def execute_programs(
     _validate_tasks(normalized)
     if not normalized:
         return []
+    if engine == "scalar":
+        return _execute_scalar(grid, normalized, config, collect_traces)
     worker_count = resolve_workers(workers)
     if len(normalized) > 1:  # a single task always runs inline
         pool, worker_count = choose_lane(
@@ -773,18 +723,10 @@ def execute_programs(
             worker_count,
             sum(program_cost(task.program) for task in normalized),
             pool=pool,
-            transport=transport,
             hosts=hosts,
         )
-        if pool is not None and engine == "scalar":
-            return _execute_scalar_with_pool(
-                grid, normalized, config, collect_traces, worker_count, pool
-            )
         if pool is not None:
             return _execute_with_runtime_pool(
-                grid, normalized, config, collect_traces, worker_count,
-                transport, pool,
+                grid, normalized, config, collect_traces, worker_count, pool
             )
-
-    runner = _execute_batch if engine == "batched" else _execute_scalar
-    return runner(grid, normalized, config, collect_traces)
+    return _execute_batch(grid, normalized, config, collect_traces)

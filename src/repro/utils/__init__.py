@@ -12,7 +12,7 @@ library:
   single canonical unit (seconds and bytes) while still speaking the paper's
   language (milliseconds and megabytes) at the API boundary.
 * :mod:`repro.utils.workers` -- the one place worker counts are resolved from
-  arguments and the ``REPRO_*_WORKERS`` / ``REPRO_WORKERS`` environment.
+  arguments and the ``REPRO_WORKERS`` environment variable.
 """
 
 from repro.utils.validation import (

@@ -157,9 +157,9 @@ class TestDeterminism:
         assert np.array_equal(inline.baseline_measured, fanned.baseline_measured)
 
     def test_workers_env_var_rejects_garbage(self, heterogeneous_grid, monkeypatch):
-        monkeypatch.setenv("REPRO_PRACTICAL_WORKERS", "many")
+        monkeypatch.setenv("REPRO_WORKERS", "many")
         config = PracticalStudyConfig(message_sizes=(1_000,), heuristics=("ecef",))
-        with pytest.raises(ValueError, match="REPRO_PRACTICAL_WORKERS"):
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
             run_practical_study(config, grid=heterogeneous_grid)
 
 

@@ -251,10 +251,11 @@ class TestScheduleProperties:
 
 
 import numpy as np
+import pytest
 
 from repro.runtime import wire
 from repro.runtime.chunking import aggregate_unit_costs, partition_by_cost
-from repro.runtime.transport import ArrayShipment
+from repro.runtime.transport import ArrayShipment, shared_memory_available
 
 wire_scalars = st.one_of(
     st.none(),
@@ -356,8 +357,11 @@ class TestWireRoundTripProperties:
         job=st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=40, deadline=None)
+    @pytest.mark.skipif(
+        not shared_memory_available(), reason="no shared memory on this platform"
+    )
     def test_shipments_cross_as_wire_shipments(self, arrays, job):
-        shipment = ArrayShipment.pack(arrays, transport="pickle")
+        shipment = ArrayShipment.pack(arrays)
         try:
             decoded = _wire_round_trip({"job": job, "args": (shipment,)})
         finally:

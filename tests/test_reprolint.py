@@ -395,6 +395,16 @@ class TestApiEnvDoc:
     def test_passes_documented_driver(self):
         assert_clean(_DOCUMENTED_DRIVER, "api-env-doc", path=API_PATH)
 
+    def test_a_deleted_per_study_variable_does_not_count(self):
+        # Only REPRO_WORKERS sets a worker count; a docstring that names a
+        # per-study variable instead documents a fallback that is not there.
+        violations = assert_flags(
+            _DOCUMENTED_DRIVER.replace("REPRO_WORKERS", "REPRO_MC_WORKERS"),
+            "api-env-doc",
+            path=API_PATH,
+        )
+        assert "REPRO_WORKERS" in violations[0].message
+
 
 # ---------------------------------------------------------------------------
 # suppression comments, selection, engine surface

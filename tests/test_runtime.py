@@ -1,9 +1,9 @@
-"""Tests for the study runtime (repro.runtime): pool, transport, chunking,
+"""Tests for the study runtime (repro.runtime): pool, shipping, chunking,
 and the distributed remote lane.
 
 The runtime's contract is that *none* of its machinery changes results:
-pool reuse across studies, executor lanes, shared-memory vs pickle
-transport, chunking, worker counts — and, for the remote lane, agent
+pool reuse across studies, executor lanes, shared-memory vs by-value
+shipping, chunking, worker counts — and, for the remote lane, agent
 counts, join order, duplicate result delivery and mid-run agent loss — are
 all required to be bit-identical, with warm-network chaining verified
 against the scalar reference engine.
@@ -23,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.runtime.transport as transport_module
 from repro.experiments.chained_study import ChainedStudyResult, run_chained_study
 from repro.experiments.config import PracticalStudyConfig, SimulationStudyConfig
 from repro.experiments.gossip_study import GossipStudyConfig, run_gossip_study
@@ -68,13 +69,13 @@ from repro.runtime.remote import (
     AgentServer,
     RemoteStudyPool,
     _diagnostic_sleep,
+    _localise,
     _spawn_loopback_agent,
     parse_hosts,
     resolve_hosts,
 )
 from repro.runtime.transport import (
     ArrayShipment,
-    resolve_transport,
     shared_memory_available,
     sweep_shipments,
 )
@@ -85,7 +86,22 @@ from repro.utils.rng import derive_seed
 from repro.utils.workers import resolve_workers
 
 
-TRANSPORT_PARAMS = ["pickle"] + (["shm"] if shared_memory_available() else [])
+needs_shm = pytest.mark.skipif(
+    not shared_memory_available(), reason="no shared memory on this platform"
+)
+
+
+@pytest.fixture(params=["shm", "by-value"])
+def shipping(request, monkeypatch):
+    """Each way a chunk reaches process workers: one shared-memory stack
+    read through per-chunk windows, or a by-value slice per chunk (what a
+    platform without shared memory gets, forced by substituting the
+    probe's answer)."""
+    if request.param == "shm" and not shared_memory_available():
+        pytest.skip("no shared memory on this platform")
+    if request.param == "by-value":
+        monkeypatch.setattr(transport_module, "_shm_probe_result", False)
+    return request.param
 
 #: The executor name of the deleted thread lane; every entry point rejects it.
 DELETED_LANE = "thr" "ead"
@@ -107,30 +123,34 @@ def _makespans(results) -> list[float]:
 class TestResolveWorkers:
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "7")
-        assert resolve_workers(3, "REPRO_PRACTICAL_WORKERS") == 3
-
-    def test_specific_env_var_preferred_over_shared(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PRACTICAL_WORKERS", "2")
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers(None, "REPRO_PRACTICAL_WORKERS") == 2
+        assert resolve_workers(3) == 3
 
     def test_shared_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PRACTICAL_WORKERS", raising=False)
         monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers(None, "REPRO_PRACTICAL_WORKERS") == 5
+        assert resolve_workers(None) == 5
 
     def test_default_is_in_process(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MC_WORKERS", raising=False)
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(None, "REPRO_MC_WORKERS") == 0
+        assert resolve_workers(None) == 0
 
     def test_garbage_env_var_named_in_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "many")
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            resolve_workers(None, "REPRO_MC_WORKERS")
+            resolve_workers(None)
 
     def test_negative_clamps_to_zero(self):
         assert resolve_workers(-3) == 0
+
+    def test_only_the_shared_variable_is_read(self, monkeypatch):
+        # The per-study worker variables are gone; setting one, even to
+        # garbage, neither picks a worker count nor raises.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.setenv("REPRO_MC_WORKERS", "4")
+        monkeypatch.setenv("REPRO_PRACTICAL_WORKERS", "not-a-number")
+        monkeypatch.setenv("REPRO_GOSSIP_WORKERS", "3")
+        assert resolve_workers(None) == 0
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        assert resolve_workers(None) == 2
 
     def test_shared_env_reaches_studies(self, monkeypatch, heterogeneous_grid):
         monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
@@ -155,16 +175,16 @@ class TestStudyPool:
             small.submit(len, ())
 
 
+@needs_shm
 class TestArrayShipment:
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
-    def test_round_trip_is_bitwise(self, transport):
+    def test_round_trip_is_bitwise(self):
         arrays = {
             "floats": np.linspace(0.0, 1.0, 37).reshape(37),
             "matrix": np.arange(24, dtype=np.float64).reshape(2, 3, 4) * np.pi,
             "ints": np.arange(11, dtype=np.int64),
             "empty": np.empty(0, dtype=np.float64),
         }
-        shipment = ArrayShipment.pack(arrays, transport=transport)
+        shipment = ArrayShipment.pack(arrays)
         try:
             loaded = shipment.load()
             assert set(loaded) == set(arrays)
@@ -176,12 +196,11 @@ class TestArrayShipment:
             shipment.close()
             shipment.unlink()
 
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
-    def test_survives_pickling(self, transport):
+    def test_survives_pickling(self):
         import pickle
 
         arrays = {"data": np.arange(100, dtype=np.float64) ** 0.5}
-        shipment = ArrayShipment.pack(arrays, transport=transport)
+        shipment = ArrayShipment.pack(arrays)
         try:
             clone = pickle.loads(pickle.dumps(shipment))
             assert np.array_equal(clone.load()["data"], arrays["data"])
@@ -191,19 +210,13 @@ class TestArrayShipment:
             shipment.unlink()
 
     def test_unlink_is_idempotent(self):
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
-        shipment = ArrayShipment.pack({"x": np.ones(4)}, transport="shm")
+        shipment = ArrayShipment.pack({"x": np.ones(4)})
         shipment.unlink()
         shipment.unlink()
 
-    def test_rejects_unknown_transport(self):
-        with pytest.raises(ValueError, match="transport"):
-            resolve_transport("carrier-pigeon")
 
-
-class TestExecuteProgramsTransports:
-    """Shared-memory vs pickle shipping is bit-identical."""
+class TestExecuteProgramsShipping:
+    """Shared-memory vs by-value shipping is bit-identical."""
 
     @pytest.fixture(scope="class")
     def tasks(self, grid5000):
@@ -227,9 +240,8 @@ class TestExecuteProgramsTransports:
             collect_traces=True,
         )
 
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
-    def test_worker_transport_bit_identical(
-        self, grid5000, tasks, reference, transport, pool
+    def test_worker_shipping_bit_identical(
+        self, grid5000, tasks, reference, shipping, pool
     ):
         fanned = execute_programs(
             grid5000,
@@ -237,7 +249,7 @@ class TestExecuteProgramsTransports:
             config=NetworkConfig(noise_sigma=0.05, seed=5),
             collect_traces=True,
             workers=2,
-            transport=transport,
+            executor="process",
         )
         assert _makespans(fanned) == _makespans(reference)
         assert [r.completion_times for r in fanned] == [
@@ -245,9 +257,44 @@ class TestExecuteProgramsTransports:
         ]
         assert [r.trace for r in fanned] == [r.trace for r in reference]
 
-    def test_rejects_unknown_transport(self, grid5000, tasks):
-        with pytest.raises(ValueError, match="transport"):
-            execute_programs(grid5000, tasks, transport="smoke-signals")
+    def test_by_value_path_ships_each_task_once(
+        self, grid5000, tasks, reference, monkeypatch
+    ):
+        """Without shared memory every job carries only its own chunk's
+        slice: the per-job message counts sum to the batch's."""
+        monkeypatch.setattr(transport_module, "_shm_probe_result", False)
+
+        class Settled:
+            def __init__(self, value):
+                self.value = value
+
+            def get(self):
+                return self.value
+
+        class RecordingPool:
+            kind = "process"
+            workers = 2
+
+            def __init__(self):
+                self.shipped = []
+
+            def submit(self, fn, args, units=None):
+                self.shipped.append(len(args[1].load()["dest"]))
+                return Settled(fn(args))
+
+        recorder = RecordingPool()
+        fanned = execute_programs(
+            grid5000,
+            tasks,
+            config=NetworkConfig(noise_sigma=0.05, seed=5),
+            collect_traces=True,
+            pool=recorder,
+        )
+        assert [r.trace for r in fanned] == [r.trace for r in reference]
+        assert len(recorder.shipped) == 2
+        assert sum(recorder.shipped) == sum(
+            task.program.total_messages() for task in tasks
+        )
 
 
 class TestWarmChaining:
@@ -291,9 +338,8 @@ class TestWarmChaining:
             for index in range(1, len(tasks))
         )
 
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
     def test_chains_never_split_across_workers(
-        self, grid5000, transport, pool
+        self, grid5000, shipping, pool
     ):
         tasks = []
         for chain_index in range(6):
@@ -307,7 +353,7 @@ class TestWarmChaining:
         config = NetworkConfig(noise_sigma=0.08, seed=9)
         inline = execute_programs(grid5000, tasks, config=config)
         fanned = execute_programs(
-            grid5000, tasks, config=config, workers=2, transport=transport
+            grid5000, tasks, config=config, workers=2, executor="process"
         )
         assert _makespans(fanned) == _makespans(inline)
 
@@ -364,20 +410,19 @@ class TestChainedStudy:
         with pytest.raises(ValueError, match="unknown collective"):
             run_chained_study(grid=heterogeneous_grid, stages=("gather",))
 
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
-    def test_transport_invariance(self, heterogeneous_grid, transport, pool):
+    def test_shipping_invariance(self, heterogeneous_grid, shipping, pool):
         config = PracticalStudyConfig(message_sizes=(2_048, 16_384), noise_sigma=0.05)
         kwargs = dict(grid=heterogeneous_grid, stages=("scatter", "alltoall"))
         inline = run_chained_study(config, workers=0, **kwargs)
         shipped = run_chained_study(
-            config, workers=2, executor="process", transport=transport, **kwargs
+            config, workers=2, executor="process", **kwargs
         )
         assert np.array_equal(inline.warm, shipped.warm)
         assert np.array_equal(inline.fresh, shipped.fresh)
 
 
 class TestPipelinedDriver:
-    """Inline vs fanned-out practical study, pool reuse, transports."""
+    """Inline vs fanned-out practical study, pool reuse, shipping paths."""
 
     CONFIG = dict(
         message_sizes=(65_536, 1_048_576, 4_194_304),
@@ -410,19 +455,19 @@ class TestPipelinedDriver:
             run_simulation_study(simulation_config, pool=pool).makespans,
         )
 
-
-    def test_scalar_engine_fans_out_bit_identically(self, pool):
-        config = PracticalStudyConfig(**self.CONFIG)
-        batched = run_practical_study(config, workers=0)
-        scalar = run_practical_study(config, engine="scalar", workers=2, pool=pool)
-        assert np.array_equal(batched.measured, scalar.measured)
-        assert np.array_equal(batched.baseline_measured, scalar.baseline_measured)
-
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
-    def test_transport_invariance(self, transport, pool):
+    def test_shipping_invariance(self, shipping, pool):
         config = PracticalStudyConfig(**self.CONFIG)
         reference = run_practical_study(config)
-        shipped = run_practical_study(config, workers=2, transport=transport)
+        shipped = run_practical_study(config, workers=2, executor="process")
+        assert np.array_equal(reference.measured, shipped.measured)
+
+    @pytest.mark.parametrize("study", [run_scatter_study, run_alltoall_study])
+    def test_collective_shipping_invariance(self, study, shipping, pool):
+        config = PracticalStudyConfig(
+            message_sizes=(1_024, 8_192), noise_sigma=0.05
+        )
+        reference = study(config, workers=0)
+        shipped = study(config, workers=2, executor="process")
         assert np.array_equal(reference.measured, shipped.measured)
 
     def test_pool_reuse_across_two_studies_is_bit_identical(self, pool):
@@ -651,7 +696,18 @@ class TestExecutorEquivalence:
         with pytest.raises(ValueError, match="executor"):
             execute_programs(grid5000, [program, program], executor="carrier-pigeon")
 
-    def test_scalar_engine_honours_an_explicit_pool(self, grid5000, pool):
+    class RefusingPool:
+        """A process-lane pool that fails the test if it is given a job."""
+
+        kind = "process"
+        workers = 2
+
+        def submit(self, fn, args, units=None):
+            raise AssertionError("the scalar engine submitted a job")
+
+    def test_scalar_engine_always_runs_in_process(self, grid5000):
+        """The scalar reference never reaches a pool, whatever the lane
+        settings, and matches the batched engine's fan-out."""
         tasks = [
             ExecutionTask(
                 binomial_bcast_program(grid5000, 2_048, root_rank=0),
@@ -660,32 +716,46 @@ class TestExecutorEquivalence:
             for index in range(6)
         ]
         config = NetworkConfig(noise_sigma=0.05, seed=17)
-        inline = execute_programs(grid5000, tasks, config=config, engine="scalar")
-        pooled = execute_programs(
-            grid5000, tasks, config=config, engine="scalar", pool=pool
-        )
-        assert _makespans(pooled) == _makespans(inline)
-
-    @pytest.mark.parametrize("executor", ["process"])
-    def test_scalar_engine_fans_out(self, grid5000, executor, pool):
-        tasks = [
-            ExecutionTask(
-                flat_scatter_program(grid5000, 1_024, root_rank=0),
-                noise_seed=derive_seed(13, index),
-            )
-            for index in range(6)
-        ]
-        config = NetworkConfig(noise_sigma=0.05, seed=13)
-        inline = execute_programs(grid5000, tasks, config=config, engine="scalar")
-        fanned = execute_programs(
+        inline = execute_programs(grid5000, tasks, config=config)
+        scalar = execute_programs(
             grid5000,
             tasks,
             config=config,
             engine="scalar",
             workers=2,
-            executor=executor,
+            executor="process",
+            pool=self.RefusingPool(),
         )
-        assert _makespans(inline) == _makespans(fanned)
+        assert _makespans(scalar) == _makespans(inline)
+
+    @pytest.mark.parametrize(
+        "study", ["practical", "scatter", "alltoall", "chained"]
+    )
+    def test_scalar_studies_never_reach_a_pool(self, study, heterogeneous_grid):
+        """Every study driver keeps ``engine="scalar"`` in-process, past an
+        explicit pool and worker count, bit-identical to the batched run."""
+        lanes = dict(workers=2, executor="process", pool=self.RefusingPool())
+        if study == "practical":
+            config = PracticalStudyConfig(**self.PRACTICAL)
+            batched = run_practical_study(config, workers=0)
+            scalar = run_practical_study(config, engine="scalar", **lanes)
+            assert np.array_equal(batched.measured, scalar.measured)
+            assert np.array_equal(
+                batched.baseline_measured, scalar.baseline_measured
+            )
+            return
+        config = PracticalStudyConfig(**self.COLLECTIVE)
+        if study == "chained":
+            kwargs = dict(grid=heterogeneous_grid, stages=("scatter", "alltoall"))
+            batched = run_chained_study(config, workers=0, **kwargs)
+            scalar = run_chained_study(config, engine="scalar", **lanes, **kwargs)
+            assert np.array_equal(batched.warm, scalar.warm)
+            assert np.array_equal(batched.fresh, scalar.fresh)
+            return
+        run = run_scatter_study if study == "scatter" else run_alltoall_study
+        batched = run(config, grid=heterogeneous_grid, workers=0)
+        scalar = run(config, grid=heterogeneous_grid, engine="scalar", **lanes)
+        assert np.array_equal(batched.measured, scalar.measured)
 
 
 class TestChooseLane:
@@ -724,10 +794,7 @@ class TestChooseLane:
         assert choose_lane(None, None, 4, small) == (None, 4)
         pool, workers = choose_lane(None, None, 4, large)
         assert pool.kind == "process" and workers == 4
-        # Naming a transport pins auto to the lane that ships, and an
-        # explicit lane wins over the cost estimate.
-        pool, _ = choose_lane(None, 2, 2, 10, transport="pickle")
-        assert pool.kind == "process"
+        # An explicit lane wins over the cost estimate.
         pool, _ = choose_lane("process", 2, 2, 10)
         assert pool.kind == "process"
         # Remote with no local worker request adopts the agents' capacity.
@@ -810,7 +877,7 @@ class TestChooseLane:
 
     def test_every_fan_out_prices_its_chunks(self, grid5000):
         """Monte-Carlo chunks carry iterations x clusters**2 units and
-        scalar-engine chunks their summed message counts, so the remote
+        measured-sweep chunks their summed message counts, so the remote
         lane routes a 6-cluster chunk as 4x a 3-cluster one."""
 
         class Settled:
@@ -847,10 +914,16 @@ class TestChooseLane:
             for index in range(6)
         ]
         recorder = RecordingPool()
-        execute_programs(grid5000, tasks, engine="scalar", pool=recorder)
+        execute_programs(grid5000, tasks, pool=recorder)
         priced = [
-            (units, sum(program_cost(task.program) for task in chunk))
-            for (_, _, chunk, _, _), units in recorder.jobs
+            (
+                units,
+                sum(
+                    program_cost(task.program)
+                    for task in tasks[start : start + len(metas)]
+                ),
+            )
+            for (start, _, _, metas, *_), units in recorder.jobs
         ]
         assert len(priced) > 1
         assert all(units == float(expected) for units, expected in priced)
@@ -994,36 +1067,31 @@ class TestAdaptiveChunking:
         assert np.array_equal(two.warm, five.warm)
         assert np.array_equal(two.fresh, five.fresh)
 
-    @pytest.mark.parametrize(
-        "study", ["practical", "scatter", "alltoall", "chained", "programs"]
-    )
-    def test_every_entry_point_rejects_removed_transports(
-        self, study, grid5000, heterogeneous_grid
+
+class TestAgentLocalise:
+    """How an agent hands a job's wire shipments to its own process pool."""
+
+    @needs_shm
+    def test_wire_shipments_repack_into_shared_memory(self):
+        arrays = {"dest": np.arange(6), "gap": np.linspace(0.0, 1.0, 6)}
+        repacked = []
+        args = _localise((3, wire.WireShipment(arrays), None), repacked)
+        try:
+            assert isinstance(args[1], ArrayShipment) and repacked == [args[1]]
+            assert np.array_equal(args[1].load()["gap"], arrays["gap"])
+            args[1].close()
+        finally:
+            for shipment in repacked:
+                shipment.unlink()
+
+    def test_without_shared_memory_wire_shipments_stay_as_they_are(
+        self, monkeypatch
     ):
-        # Only auto/shm/pickle ship batches; a baseline-only transport name
-        # is an error at every entry point, not a silent fallback.
-        config = PracticalStudyConfig(message_sizes=(2_048,), noise_sigma=0.0)
-        calls = {
-            "practical": lambda: run_practical_study(
-                config, workers=0, transport="legacy"
-            ),
-            "scatter": lambda: run_scatter_study(
-                config, grid=heterogeneous_grid, workers=0, transport="legacy"
-            ),
-            "alltoall": lambda: run_alltoall_study(
-                config, grid=heterogeneous_grid, workers=0, transport="legacy"
-            ),
-            "chained": lambda: run_chained_study(
-                config, grid=heterogeneous_grid, workers=0, transport="legacy"
-            ),
-            "programs": lambda: execute_programs(
-                grid5000,
-                [binomial_bcast_program(grid5000, 1_024, root_rank=0)] * 2,
-                transport="legacy",
-            ),
-        }
-        with pytest.raises(ValueError, match="transport"):
-            calls[study]()
+        monkeypatch.setattr(transport_module, "_shm_probe_result", False)
+        shipment = wire.WireShipment({"dest": np.arange(6)})
+        repacked = []
+        args = _localise((3, shipment, None), repacked)
+        assert args[1] is shipment and not repacked
 
 
 class TestWireProtocol:
@@ -1072,10 +1140,10 @@ class TestWireProtocol:
         assert big_flags & wire.FLAG_ZLIB
         assert np.array_equal(decoded["z"], big_message["z"])
 
-    @pytest.mark.parametrize("transport", TRANSPORT_PARAMS)
-    def test_shipments_cross_the_wire_as_arrays(self, transport):
+    @needs_shm
+    def test_shipments_cross_the_wire_as_arrays(self):
         arrays = {"stack": np.arange(24.0).reshape(2, 3, 4)}
-        shipment = ArrayShipment.pack(arrays, transport=transport)
+        shipment = ArrayShipment.pack(arrays)
         try:
             decoded, _ = self._round_trip({"ship": shipment})
             crossed = decoded["ship"]
@@ -1087,6 +1155,27 @@ class TestWireProtocol:
                 crossed.load()
         finally:
             shipment.unlink()
+
+    def test_by_value_shipments_cross_the_wire_as_arrays(self):
+        # The by-value path's own shipment: no shared memory involved, so
+        # this runs on every platform.
+        arrays = {
+            "stack": np.arange(24.0).reshape(2, 3, 4) * np.pi,
+            "dest": np.arange(7, dtype=np.int64),
+            "empty": np.empty(0, dtype=np.float64),
+        }
+        decoded, _ = self._round_trip({"ship": wire.WireShipment(arrays)})
+        crossed = decoded["ship"]
+        assert isinstance(crossed, wire.WireShipment)
+        loaded = crossed.load()
+        assert set(loaded) == set(arrays)
+        for name, array in arrays.items():
+            assert loaded[name].dtype == array.dtype
+            assert loaded[name].shape == array.shape
+            assert np.array_equal(loaded[name], array)
+        crossed.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            crossed.load()
 
     def test_truncated_and_corrupt_frames_are_rejected(self):
         import socket as socket_module
@@ -1318,9 +1407,10 @@ class TestCostModelPersistence:
         assert set(document) == expected
 
 
+@needs_shm
 class TestShipmentCleanup:
     def test_close_and_unlink_are_idempotent(self):
-        shipment = ArrayShipment.pack({"x": np.ones(8)}, transport="pickle")
+        shipment = ArrayShipment.pack({"x": np.ones(8)})
         shipment.load()
         shipment.close()
         shipment.close()
@@ -1328,11 +1418,9 @@ class TestShipmentCleanup:
         shipment.unlink()
 
     def test_sweep_unlinks_abandoned_segments(self):
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
         from multiprocessing import shared_memory
 
-        shipment = ArrayShipment.pack({"x": np.ones(64)}, transport="shm")
+        shipment = ArrayShipment.pack({"x": np.ones(64)})
         name = shipment.shm_name
         shipment.close()  # mapping dropped, segment deliberately left behind
         sweep_shipments()
@@ -1342,11 +1430,7 @@ class TestShipmentCleanup:
         shipment.unlink()
 
     def test_sweep_skips_other_owners(self):
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
-        import repro.runtime.transport as transport_module
-
-        shipment = ArrayShipment.pack({"x": np.ones(16)}, transport="shm")
+        shipment = ArrayShipment.pack({"x": np.ones(16)})
         try:
             # Pretend a (forked) parent owns the segment: the sweep of this
             # process must leave it alone.
@@ -1361,8 +1445,6 @@ class TestShipmentCleanup:
     def test_failed_chunk_unlinks_the_batch_shipment(self, grid5000):
         """A chunk failing on the process lane still unlinks the batch's
         shared-memory segment, and the worker's error propagates."""
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
         from multiprocessing import shared_memory
 
         segment_names = []
@@ -1382,7 +1464,7 @@ class TestShipmentCleanup:
         program = binomial_bcast_program(grid5000, 4_096, root_rank=0)
         with pytest.raises(RuntimeError, match="worker died"):
             execute_programs(
-                grid5000, [program, program], transport="shm", pool=FailingPool()
+                grid5000, [program, program], pool=FailingPool()
             )
         assert segment_names and segment_names[0] is not None
         with pytest.raises(FileNotFoundError):
@@ -1391,8 +1473,6 @@ class TestShipmentCleanup:
     def test_late_chunk_failure_still_unlinks_the_batch_shipment(self, grid5000):
         """Earlier chunks completing does not stop the segment being
         unlinked when a later chunk fails."""
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
         from multiprocessing import shared_memory
 
         segment_names = []
@@ -1425,13 +1505,16 @@ class TestShipmentCleanup:
         program = binomial_bcast_program(grid5000, 4_096, root_rank=0)
         fake = LastChunkFailsPool()
         with pytest.raises(RuntimeError, match="worker died"):
-            execute_programs(grid5000, [program] * 4, transport="shm", pool=fake)
+            execute_programs(grid5000, [program] * 4, pool=fake)
         assert fake.submitted > 1
         assert len(set(segment_names)) == 1  # one segment per batch
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=segment_names[0])
 
-    def test_failed_chunk_propagates_on_the_pickle_transport(self, grid5000):
+    def test_failed_chunk_propagates_on_the_by_value_path(
+        self, grid5000, monkeypatch
+    ):
+        monkeypatch.setattr(transport_module, "_shm_probe_result", False)
         shipments = []
 
         class FailingHandle:
@@ -1448,18 +1531,16 @@ class TestShipmentCleanup:
 
         program = binomial_bcast_program(grid5000, 4_096, root_rank=0)
         with pytest.raises(RuntimeError, match="worker died"):
-            execute_programs(
-                grid5000, [program, program], transport="pickle", pool=FailingPool()
-            )
-        assert shipments and all(item.shm_name is None for item in shipments)
+            execute_programs(grid5000, [program, program], pool=FailingPool())
+        assert shipments and all(
+            isinstance(item, wire.WireShipment) for item in shipments
+        )
 
     def test_multi_worker_agent_reports_no_leaked_segments(self, tmp_path):
         """A ``--workers 2`` agent repacks each frame's arrays into shared
         memory for its pool and unlinks them when the job is done; stopped
         with SIGTERM after a remote practical sweep, its resource tracker
         must find nothing left to report."""
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
         import subprocess
         import sys
 

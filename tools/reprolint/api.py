@@ -11,7 +11,7 @@ surfaces drift.  Two rules pin the convention:
   reuse a shared pool;
 * ``api-env-doc`` — the driver's docstring must name the environment
   variables its parameters fall back to: a ``workers`` parameter implies a
-  ``REPRO_*WORKERS`` mention, ``executor`` implies ``REPRO_EXECUTOR``, and
+  ``REPRO_WORKERS`` mention, ``executor`` implies ``REPRO_EXECUTOR``, and
   a driver taking both ``executor`` and ``pool`` can be routed to the
   remote lane, so it must mention ``REPRO_HOSTS``.
 
@@ -28,7 +28,7 @@ from typing import Iterable
 from reprolint.engine import Config, Rule, SourceModule, Violation, register
 
 _DRIVER_RE = re.compile(r"^(run|execute)_[a-z0-9_]+$")
-_WORKERS_ENV_RE = re.compile(r"REPRO_\w*WORKERS")
+_WORKERS_ENV_RE = re.compile(r"REPRO_WORKERS\b")
 
 
 def _param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
@@ -88,7 +88,7 @@ class EnvDocRule(Rule):
             params = _param_names(func)
             requirements: list[tuple[str, re.Pattern[str]]] = []
             if "workers" in params:
-                requirements.append(("REPRO_*WORKERS", _WORKERS_ENV_RE))
+                requirements.append(("REPRO_WORKERS", _WORKERS_ENV_RE))
             if "executor" in params:
                 requirements.append(
                     ("REPRO_EXECUTOR", re.compile(r"REPRO_EXECUTOR"))
