@@ -15,14 +15,16 @@ runs), where the batched engine additionally amortises program compilation.
 The two engines are bit-identical, so the ratio is pure overhead removed.
 
 The sweep's schedule phase (Figure 5's predictions, every heuristic at every
-message size) is timed the same way, through the driver's own schedule
-sweep: the per-size ``schedule()`` loop against one recording
-:func:`~repro.core.batch.schedule_lineup` call for the whole line-up over
-all sizes, after asserting both build the same schedules.  The
-program build is timed likewise: the 70 per-program
-:func:`~repro.mpi.bcast.grid_aware_bcast_program` calls against one stacked
-:func:`~repro.mpi.bcast.grid_aware_bcast_programs` call per heuristic, after
-asserting both build the same programs field for field.
+message size) is timed the same way, through the driver's own prediction
+sweep: the per-size ``schedule()`` loop against one
+:func:`~repro.core.batch.record_lineup` call for the whole line-up over all
+sizes, whose recorded makespan and pair arrays build no schedule object,
+after asserting both give the same arrays.  The program build is timed
+likewise: the 70 per-program
+:func:`~repro.mpi.bcast.grid_aware_bcast_program` calls against the
+driver's one :func:`~repro.mpi.bcast.grid_aware_pair_programs` stack for
+the whole line-up, after asserting both build the same programs field for
+field.
 
 Results land in ``benchmarks/results/BENCH_practical.json`` so the speedup
 trajectory is tracked across PRs.
@@ -41,14 +43,14 @@ from repro.core.costs import GridCostCache
 from repro.core.registry import PAPER_HEURISTICS, instantiate
 from repro.experiments.config import PRACTICAL_MESSAGE_SIZES, PracticalStudyConfig
 from repro.experiments.practical_study import (
-    _sweep_schedules,
+    _sweep_predictions,
     run_alltoall_study,
     run_practical_study,
 )
 from repro.mpi.bcast import (
     binomial_bcast_program,
     grid_aware_bcast_program,
-    grid_aware_bcast_programs,
+    grid_aware_pair_programs,
 )
 from repro.simulator.batch import ExecutionTask, execute_programs
 from repro.simulator.network import NetworkConfig
@@ -184,52 +186,29 @@ def test_measured_sweep_throughput():
     assert timings["plain"]["speedup"] >= 3.0
 
 
-def _schedules_digest(schedules) -> str:
-    """sha256 over every field of every schedule, in order."""
-    fields = [
-        (
-            schedule.heuristic_name,
-            schedule.root,
-            float(schedule.message_size),
-            [
-                (t.sender, t.receiver, t.start_time, t.sender_release_time,
-                 t.arrival_time, t.gap, t.latency)
-                for t in schedule.transfers
-            ],
-            schedule.arrival_times,
-            schedule.local_start_times,
-            schedule.completion_times,
-        )
-        for schedule in schedules
-    ]
-    return hashlib.sha256(repr(fields).encode()).hexdigest()
-
-
 def test_schedule_phase_throughput():
     """The practical driver's schedule phase, per-size loop vs line-up.
 
-    Both sides run :func:`run_practical_study`'s own schedule sweep: the
+    Both sides run :func:`run_practical_study`'s own prediction sweep: the
     scalar engine's per-size ``schedule()`` loop, and the batched engine's
-    one recording :func:`~repro.core.batch.schedule_lineup` call per stack
-    of sizes.
+    one :func:`~repro.core.batch.record_lineup` call per stack of sizes,
+    which hands over makespan and pair arrays without building schedules.
     """
     grid = build_grid5000_topology()
     heuristics = instantiate(PAPER_HEURISTICS)
     sizes = list(PRACTICAL_MESSAGE_SIZES)
 
-    def sweep(batched: bool):
-        rows = _sweep_schedules(heuristics, grid, sizes, 0, batched)
-        return [schedule for row in rows for schedule in row]
-
     def per_size():
-        return sweep(False)
+        return _sweep_predictions(heuristics, grid, sizes, 0, False)
 
     def batched():
-        return sweep(True)
+        return _sweep_predictions(heuristics, grid, sizes, 0, True)
 
-    # Both paths must build the same schedules before their timings mean
-    # anything.
-    assert _schedules_digest(per_size()) == _schedules_digest(batched())
+    # Both paths must give the same predictions and decision orders before
+    # their timings mean anything.
+    for reference, recorded in zip(per_size(), batched()):
+        assert reference.dtype == recorded.dtype
+        assert np.array_equal(reference, recorded)
     seconds = {"per_size": _best_of(per_size), "batched": _best_of(batched)}
     speedup = seconds["per_size"] / seconds["batched"]
     emit(
@@ -273,13 +252,18 @@ def _programs_digest(programs) -> str:
 
 
 def test_program_build_throughput():
-    """70 per-program builds vs one stacked build per heuristic."""
+    """70 per-program builds vs the driver's one stack for the line-up."""
     grid = build_grid5000_topology()
+    heuristics = instantiate(PAPER_HEURISTICS)
     sizes = list(PRACTICAL_MESSAGE_SIZES)
     columns = [
         [heuristic.schedule(grid, size, root=0) for size in sizes]
-        for heuristic in instantiate(PAPER_HEURISTICS)
+        for heuristic in heuristics
     ]
+    _, pairs = _sweep_predictions(heuristics, grid, sizes, 0, True)
+    count = len(heuristics) * len(sizes)
+    pairs = pairs.reshape(count, grid.num_clusters - 1, 2)
+    names = [heuristic.name for heuristic in heuristics for _ in sizes]
 
     def per_program():
         return [
@@ -289,11 +273,9 @@ def test_program_build_throughput():
         ]
 
     def stacked():
-        return [
-            program
-            for column in columns
-            for program in grid_aware_bcast_programs(grid, column, sizes)
-        ]
+        return grid_aware_pair_programs(
+            grid, pairs, sizes * len(heuristics), [0] * count, names
+        )
 
     # Both paths must build the same programs before their timings mean
     # anything.
@@ -314,7 +296,7 @@ def test_program_build_throughput():
             "grid": "grid5000-table3",
             "heuristics": list(PAPER_HEURISTICS),
             "message_sizes": sizes,
-            "programs": len(columns) * len(sizes),
+            "programs": count,
             "seconds": seconds,
             "speedup": speedup,
         },

@@ -7,8 +7,10 @@ batch's cost matrices into ``(K, n, n)`` arrays and advances **every
 heuristic of the line-up on all K problems one selection round at a time**;
 each heuristic owns K rows of the kernel state.  The batch axis is K grids
 of one size (the Monte-Carlo study) or K message sizes of one grid (the
-Table 3 sweep, which records every round so each
-:class:`~repro.core.schedule.BroadcastSchedule` comes straight out).
+Table 3 sweep, which records every round's ``(sender, receiver)`` pair and
+hands the pair arrays straight to the program builder; timed
+:class:`~repro.core.schedule.BroadcastSchedule` objects are built from the
+same record only for callers that ask for them).
 
 Score matrices are kept up to date in place: an informed sender ``i``'s row
 holds ``RT_i·c + base_{i,j}`` (``g + L`` for the ECEF family, ``L`` or
@@ -184,7 +186,7 @@ class _LineUp:
     ``[0, edge_end)`` select an edge by argmin (the first ``min_end`` with a
     min-form lookahead), ``[edge_end, scored_end)`` are BottomUp rows and the
     rest follow a Flat Tree order.  ``record=True`` keeps every round for
-    :meth:`schedules`.
+    :meth:`pairs` and :meth:`schedules`.
     """
 
     def __init__(
@@ -227,7 +229,7 @@ class _LineUp:
         self.sign = np.repeat([sign for _, sign in minimum], K)[:, None]
 
         rounds = (len(self.rows), n - 1)
-        self._pairs = np.empty((2, *rounds), dtype=np.intp) if record else None
+        self._pairs = np.empty((*rounds, 2), dtype=np.intp) if record else None
         self._times = np.empty((5, *rounds)) if record else None
 
     def _rewrite(self, senders: np.ndarray, receivers: np.ndarray) -> None:
@@ -289,12 +291,25 @@ class _LineUp:
         self.rt[rows, senders] = release
         self.rt[rows, receivers] = arrival
         if self._pairs is not None:
-            self._pairs[:, :, round_index] = senders, receivers
+            self._pairs[:, round_index, 0] = senders
+            self._pairs[:, round_index, 1] = receivers
             self._times[:, :, round_index] = start, release, arrival, gap, latency
         scored, leaving = self.scored_end, self.min_end
         self.penalty[rows[:scored], receivers[:scored]] = np.inf
         self._rewrite(senders[:scored], receivers[:scored])
         self.lookahead.transpose(0, 2, 1)[rows[:leaving], receivers[:leaving]] = np.inf
+
+    def makespans(self) -> np.ndarray:
+        """``(specs, K)`` makespans: ``max_c (RT_c + T_c)`` per problem, the
+        very floats the timed schedule's ``makespan`` returns."""
+        K = self.costs.num_grids
+        rt = self.rt.reshape(len(self.rows) // K, K, self.n)
+        return (rt + self.costs.broadcast).max(axis=2)
+
+    def pairs(self) -> np.ndarray:
+        """``(specs, K, n - 1, 2)`` recorded ``(sender, receiver)`` rounds."""
+        K = self.costs.num_grids
+        return self._pairs.reshape(len(self.rows) // K, K, self.n - 1, 2)
 
     def schedules(self, position: int, heuristic_name: str) -> list[BroadcastSchedule]:
         """The recorded rounds of one spec's rows as one timed schedule each.
@@ -306,7 +321,8 @@ class _LineUp:
         """
         K, n = self.costs.num_grids, self.n
         rows = slice(position * K, (position + 1) * K)
-        rt, pairs, times = self.rt[rows], self._pairs[:, rows], self._times[:, rows]
+        rt, times = self.rt[rows], self._times[:, rows]
+        pairs = self._pairs[rows].transpose(2, 0, 1)
         arrival_times = np.zeros((K, n))
         arrival_times[np.arange(K)[:, None], pairs[1]] = times[2]
         rounds = zip(*(column.tolist() for column in (*pairs, *times)))
@@ -333,6 +349,25 @@ class _LineUp:
         ]
 
 
+def _run_lineup(
+    heuristics: Sequence[SchedulingHeuristic],
+    costs: BatchedGridCosts,
+    root: int,
+    record: bool,
+) -> tuple[_LineUp | None, list[int | None]]:
+    """Run the line-up's distinct kernel rows; each heuristic's spec index
+    (``None``: no kernel rows, or with ``record`` no exact ones)."""
+    if not 0 <= root < costs.num_clusters:
+        raise ValueError(f"root must be a valid cluster index, got {root}")
+    specs = [_row_spec(h, costs.num_clusters, exact=record) for h in heuristics]
+    distinct = sorted(dict.fromkeys(filter(None, specs)), key=lambda spec: spec[0])
+    if not distinct:
+        return None, [None] * len(heuristics)
+    lineup = _LineUp(distinct, costs, root, record)
+    lineup.run()
+    return lineup, [None if spec is None else distinct.index(spec) for spec in specs]
+
+
 def schedule_lineup(
     heuristics: Sequence[SchedulingHeuristic],
     costs: BatchedGridCosts,
@@ -356,24 +391,36 @@ def schedule_lineup(
         If ``root`` is not a cluster of the grids, or a Flat Tree's
         ``cluster_order`` is malformed.
     """
-    if not 0 <= root < costs.num_clusters:
-        raise ValueError(f"root must be a valid cluster index, got {root}")
-    specs = [_row_spec(h, costs.num_clusters, exact=record) for h in heuristics]
-    distinct = sorted(dict.fromkeys(filter(None, specs)), key=lambda spec: spec[0])
-    if not distinct:
-        return [None] * len(heuristics)
-    lineup = _LineUp(distinct, costs, root, record)
-    lineup.run()
-    rows = [None if spec is None else distinct.index(spec) for spec in specs]
+    lineup, rows = _run_lineup(heuristics, costs, root, record)
     if record:
         return [
             None if row is None else lineup.schedules(row, heuristic.name)
             for heuristic, row in zip(heuristics, rows)
         ]
-    # max_c (RT_c + T_c) per problem — identical to the timed schedule's.
-    rt = lineup.rt.reshape(len(distinct), costs.num_grids, -1)
-    makespans = (rt + costs.broadcast).max(axis=2)
+    makespans = None if lineup is None else lineup.makespans()
     return [None if row is None else makespans[row] for row in rows]
+
+
+def record_lineup(
+    heuristics: Sequence[SchedulingHeuristic],
+    costs: BatchedGridCosts,
+    *,
+    root: int = 0,
+) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """The recording :func:`schedule_lineup` as arrays, with no schedule
+    objects.
+
+    Returns one entry per heuristic, in line-up order: the ``(K,)``
+    makespans and the ``(K, n - 1, 2)`` decided ``(sender, receiver)``
+    pairs, equal to the ``makespan`` and ``order`` of the schedules
+    ``schedule_lineup(..., record=True)`` returns.  ``None`` marks the
+    heuristics that call declines.
+    """
+    lineup, rows = _run_lineup(heuristics, costs, root, True)
+    if lineup is None:
+        return rows
+    makespans, pairs = lineup.makespans(), lineup.pairs()
+    return [None if row is None else (makespans[row], pairs[row]) for row in rows]
 
 
 def has_batched_kernel(heuristic: SchedulingHeuristic, num_clusters: int) -> bool:

@@ -15,14 +15,17 @@ it in the measured figure.
 
 The predicted column comes from the batched scheduling kernel: the sweep's
 cost matrices are stacked once, and the whole line-up schedules every size
-in one :func:`~repro.core.batch.schedule_lineup` call (heuristics it
-declines, and the ``engine="scalar"`` reference, schedule size by size).
+in one :func:`~repro.core.batch.record_lineup` call, which hands over the
+predicted makespans and every decided ``(sender, receiver)`` pair as arrays
+— no schedule objects are built.  Heuristics it declines, and the
+``engine="scalar"`` reference, schedule size by size and supply the same
+arrays from their schedules.
 
-The measured sweep runs through the study runtime in two steps: every
-message size's schedules and programs are built first (one stacked
-:func:`~repro.mpi.bcast.grid_aware_bcast_programs` call per heuristic, one
-:func:`~repro.mpi.bcast.binomial_bcast_programs` call for the baseline),
-then the whole batch executes in one
+The measured sweep runs through the study runtime in two steps: the
+programs of every heuristic at every message size are built first, as one
+stacked :func:`~repro.mpi.bcast.grid_aware_pair_programs` call for the
+whole line-up (plus one :func:`~repro.mpi.bcast.binomial_bcast_programs`
+call for the baseline), then the whole batch executes in one
 :func:`~repro.simulator.batch.execute_programs` call —
 in-process, or fanned out over the persistent runtime pool of the chosen
 lane.  Noise replicas are first-class: ``replicas=N`` measures every curve
@@ -43,18 +46,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.base import SchedulingHeuristic
-from repro.core.batch import BatchedGridCosts, max_batch_size, schedule_lineup
+from repro.core.batch import BatchedGridCosts, max_batch_size, record_lineup
 from repro.core.costs import GridCostCache
 from repro.core.registry import instantiate
-from repro.core.schedule import BroadcastSchedule
 from repro.experiments.config import PracticalStudyConfig
 from repro.mpi.alltoall import direct_alltoall_program, grid_aware_alltoall_program
-from repro.mpi.bcast import binomial_bcast_programs, grid_aware_bcast_programs
+from repro.mpi.bcast import binomial_bcast_programs, grid_aware_pair_programs
 from repro.mpi.scatter import flat_scatter_program, grid_aware_scatter_program
 from repro.runtime.chunking import resolve_executor
 from repro.simulator.batch import ENGINES, ExecutionTask, execute_programs
@@ -121,37 +123,49 @@ def _replica_seed(seed: int, label: str, size: int, replica: int, replicas: int)
     return derive_seed(seed, label, size, replica)
 
 
-def _sweep_schedules(
+def _sweep_predictions(
     heuristics: Sequence[SchedulingHeuristic],
     grid: Grid,
     sizes: Sequence[int],
     root: int,
     batched: bool,
-) -> Iterator[list[BroadcastSchedule]]:
-    """Every heuristic's schedule at each message size, size by size.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every heuristic's predicted makespan and decision order at each size.
 
-    The batched path stacks the cost matrices of up to
-    :func:`~repro.core.batch.max_batch_size` sizes at a time and makes one
-    recording :func:`~repro.core.batch.schedule_lineup` call for the whole
-    line-up; a heuristic it declines, like every heuristic of the unbatched
-    path, is scheduled per size.  Both paths yield bit-identical schedules.
+    Returns the ``(len(sizes), len(heuristics))`` predicted makespans and
+    the ``(len(heuristics), len(sizes), n - 1, 2)`` decided ``(sender,
+    receiver)`` cluster pairs.  The batched path stacks the cost matrices
+    of up to :func:`~repro.core.batch.max_batch_size` sizes at a time and
+    makes one :func:`~repro.core.batch.record_lineup` call for the whole
+    line-up, which yields both as arrays; a heuristic it declines, like
+    every heuristic of the unbatched path, is scheduled per size and
+    supplies its schedules' makespans and transfers.  Both paths yield
+    bit-identical arrays.
     """
-    step = max_batch_size(grid.num_clusters, len(heuristics)) if batched else 1
+    n = grid.num_clusters
+    predicted = np.empty((len(sizes), len(heuristics)))
+    pairs = np.empty((len(heuristics), len(sizes), n - 1, 2), dtype=np.intp)
+    step = max_batch_size(n, len(heuristics)) if batched else 1
     for start in range(0, len(sizes), step):
-        chunk = sizes[start : start + step]
-        caches = [GridCostCache.for_grid(grid, size) for size in chunk]
-        columns: list[list[BroadcastSchedule] | None] = [None] * len(heuristics)
+        chunk = slice(start, start + step)
+        caches = [GridCostCache.for_grid(grid, size) for size in sizes[chunk]]
+        columns: list = [None] * len(heuristics)
         if batched:
-            columns = schedule_lineup(
-                heuristics, BatchedGridCosts(caches), root=root, record=True
-            )
-        for offset, (size, costs) in enumerate(zip(chunk, caches)):
-            yield [
-                heuristic.schedule(grid, size, root=root, costs=costs)
-                if column is None
-                else column[offset]
-                for heuristic, column in zip(heuristics, columns)
-            ]
+            columns = record_lineup(heuristics, BatchedGridCosts(caches), root=root)
+        for index, (heuristic, column) in enumerate(zip(heuristics, columns)):
+            if column is None:
+                schedules = [
+                    heuristic.schedule(grid, size, root=root, costs=costs)
+                    for size, costs in zip(sizes[chunk], caches)
+                ]
+                column = (
+                    [schedule.makespan for schedule in schedules],
+                    np.array(
+                        [schedule.order for schedule in schedules], dtype=np.intp
+                    ).reshape(len(schedules), n - 1, 2),
+                )
+            predicted[chunk, index], pairs[index, chunk] = column
+    return predicted, pairs
 
 
 @dataclass
@@ -346,27 +360,26 @@ def run_practical_study(
     )
     network_config = NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed)
 
-    # Build the measured sweep: one stacked program build per heuristic (and
-    # one for the baseline) over every message size.  Each task's noise
-    # stream is keyed by (seed, curve label, message size[, replica]):
-    # stable under reordering, shuffling and worker fan-out.
-    rows = list(
-        _sweep_schedules(
-            heuristics, grid, sizes, config.root_cluster, engine == "batched"
-        )
+    # Build the measured sweep: one stacked program build for the whole
+    # line-up (and one for the baseline) over every message size.  Each
+    # task's noise stream is keyed by (seed, curve label, message size[,
+    # replica]): stable under reordering, shuffling and worker fan-out.
+    predicted, pairs = _sweep_predictions(
+        heuristics, grid, sizes, config.root_cluster, engine == "batched"
     )
-    predicted = np.array(
-        [[schedule.makespan for schedule in row] for row in rows], dtype=float
-    ).reshape(len(sizes), len(heuristics))
+    count = len(heuristics) * len(sizes)
+    programs = grid_aware_pair_programs(
+        grid,
+        pairs.reshape(count, grid.num_clusters - 1, 2),
+        sizes * len(heuristics),
+        [config.root_cluster] * count,
+        [heuristic.name for heuristic in heuristics for _ in sizes],
+        local_tree=config.local_tree,
+    )
     curves: list[tuple[str, list, int | None]] = [
         (
             heuristic.name,
-            grid_aware_bcast_programs(
-                grid,
-                [row[heuristic_index] for row in rows],
-                sizes,
-                local_tree=config.local_tree,
-            ),
+            programs[heuristic_index * len(sizes) : (heuristic_index + 1) * len(sizes)],
             heuristic_index,
         )
         for heuristic_index, heuristic in enumerate(heuristics)

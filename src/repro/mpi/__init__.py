@@ -24,6 +24,7 @@ from repro.mpi.bcast import (
     binomial_bcast_programs,
     grid_aware_bcast_program,
     grid_aware_bcast_programs,
+    grid_aware_pair_programs,
     predict_bcast_makespan,
 )
 from repro.mpi.scatter import flat_scatter_program, grid_aware_scatter_program
@@ -35,6 +36,7 @@ __all__ = [
     "binomial_bcast_programs",
     "grid_aware_bcast_program",
     "grid_aware_bcast_programs",
+    "grid_aware_pair_programs",
     "predict_bcast_makespan",
     "flat_scatter_program",
     "grid_aware_scatter_program",

@@ -3,12 +3,15 @@
 Two program builders live here, each building a batch of programs as one
 stack (the single-program functions are their one-program case):
 
-* :func:`grid_aware_bcast_programs` converts inter-cluster
-  :class:`~repro.core.schedule.BroadcastSchedule` objects into node-level
+* :func:`grid_aware_pair_programs` turns inter-cluster decision orders —
+  a stacked ``(programs, n - 1, 2)`` array of ``(sender, receiver)``
+  cluster pairs — into node-level
   :class:`~repro.simulator.program.CommunicationProgram` objects: each
   coordinator performs its scheduled wide-area sends in order and then
   broadcasts locally along a tree (binomial by default), which is exactly
   the MagPIe execution structure the paper modified.
+  :func:`grid_aware_bcast_programs` is its adapter for
+  :class:`~repro.core.schedule.BroadcastSchedule` objects.
 * :func:`binomial_bcast_programs` builds the topology-oblivious binomial tree
   over **all** ranks, i.e. the "Default LAM" / "pure MPI_Bcast" baseline the
   paper compares against in Figure 6.
@@ -90,35 +93,97 @@ def _stacked(build, *columns):
         raise
 
 
-def grid_aware_bcast_programs(
+def _pair_programs(
     grid: Grid,
-    schedules: Sequence[BroadcastSchedule],
+    pairs,
     sizes: Sequence[float],
+    roots: Sequence[int],
+    names: Sequence[str],
+    local_tree: str,
+    local_first: bool,
+) -> list[CommunicationProgram]:
+    """One stacked build of :func:`grid_aware_pair_programs`; ``pairs`` may
+    also come flat, as ``(programs * (n - 1), 2)``."""
+    for size in sizes:
+        check_non_negative(size, "message_size")
+    count = len(sizes)
+    if not count:
+        return []
+    num_clusters = grid.num_clusters
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(count, num_clusters - 1, 2)
+    if pairs.size and not 0 <= pairs.min() <= pairs.max() < num_clusters:
+        raise ValueError(f"cluster pairs must index the grid's {num_clusters} clusters")
+    coordinators = grid.rank_offsets[:-1]
+
+    # Inter-cluster phase: coordinators follow each program's pair order.
+    inter = (
+        np.repeat(np.arange(count), num_clusters - 1),
+        coordinators[pairs[:, :, 0].ravel()],
+        coordinators[pairs[:, :, 1].ravel()],
+        np.zeros(pairs.size // 2, dtype=np.int64),
+    )
+
+    # Local phase: the same tree edges in every program.
+    edges = _local_edges(grid, local_tree)
+    local = (
+        np.repeat(np.arange(count), edges[0].size),
+        *(np.tile(column, count) for column in edges),
+    )
+
+    # Each rank performs its first phase's messages, then its second's;
+    # the stable (program, sender) sort keeps that order per sender.
+    phases = (local, inter) if local_first else (inter, local)
+    program, senders, dest, tag_code = (
+        np.concatenate(parts) for parts in zip(*phases)
+    )
+    return CommunicationProgram.from_broadcast_stack(
+        grid.num_nodes,
+        coordinators[np.asarray(roots, dtype=np.intp)].tolist(),
+        program,
+        senders,
+        dest,
+        np.asarray(sizes, dtype=np.float64)[program],
+        tag_code,
+        ("inter-cluster", *(f"local-c{c}" for c in range(num_clusters))),
+        names=[f"grid-aware-bcast[{name or 'schedule'}]" for name in names],
+    )
+
+
+def grid_aware_pair_programs(
+    grid: Grid,
+    pairs,
+    sizes: Sequence[float],
+    roots: Sequence[int],
+    names: Sequence[str],
     *,
     local_tree: str = "binomial",
     local_first: bool = False,
 ) -> list[CommunicationProgram]:
-    """Build the node-level programs implementing scheduled hierarchical bcasts.
+    """Build scheduled hierarchical broadcasts from their decision orders.
 
-    Program ``k`` carries ``sizes[k]`` bytes along ``schedules[k]``.  The
-    whole batch is built as one stack: the intra-cluster tree edges are
-    computed once per grid, every schedule's coordinator pairs join them,
-    and one stable sort by ``(program, sender)`` lays all the programs out;
-    the message and broadcast checks run once over the stack (see
+    Program ``k`` carries ``sizes[k]`` bytes from root cluster ``roots[k]``
+    along the inter-cluster order ``pairs[k]`` — ``n - 1`` ``(sender,
+    receiver)`` cluster pairs, as a heuristic decided them — and is named
+    after heuristic ``names[k]``.  The whole batch is built as one stack:
+    the intra-cluster tree edges are computed once per grid, every
+    program's coordinator pairs join them, and one stable sort by
+    ``(program, sender)`` lays all the programs out; the message and
+    broadcast checks run once over the stack (see
     :meth:`~repro.simulator.program.CommunicationProgram.from_broadcast_stack`).
-    Each program is equal to :func:`grid_aware_bcast_program` of its own
-    schedule and size, and a malformed schedule raises the error that call
-    would.
+    A malformed order raises the error a one-program build of it would.
 
     Parameters
     ----------
     grid:
-        The topology the schedules were computed for.
-    schedules:
-        The inter-cluster schedules (each ``num_clusters`` must match the
-        grid).
+        The topology the orders were computed for.
+    pairs:
+        ``(programs, n - 1, 2)`` cluster indices.
     sizes:
         Payload size in bytes of each program.
+    roots:
+        Root cluster of each program.
+    names:
+        Name of the heuristic behind each program (informational).
     local_tree:
         Tree shape used inside every cluster ("binomial" by default).
     local_first:
@@ -131,8 +196,51 @@ def grid_aware_bcast_programs(
     Returns
     -------
     list[CommunicationProgram]
-        Validated broadcast programs, each rooted at its schedule's root
-        cluster coordinator, holding read-only views into the stack.
+        Validated broadcast programs, each rooted at its root cluster's
+        coordinator, holding read-only views into the stack.
+
+    Raises
+    ------
+    ValueError
+        If the four per-program sequences differ in length, or a pair,
+        size or root is malformed or a program is no broadcast.
+    """
+    sizes, roots, names = list(sizes), list(roots), list(names)
+    if not len(pairs) == len(sizes) == len(roots) == len(names):
+        raise ValueError(
+            f"got {len(pairs)} pair orders, {len(sizes)} message sizes, "
+            f"{len(roots)} roots and {len(names)} names"
+        )
+
+    def build(pairs, sizes, roots, names):
+        return _pair_programs(
+            grid, pairs, sizes, roots, names, local_tree, local_first
+        )
+
+    return _stacked(build, pairs, sizes, roots, names)
+
+
+def grid_aware_bcast_programs(
+    grid: Grid,
+    schedules: Sequence[BroadcastSchedule],
+    sizes: Sequence[float],
+    *,
+    local_tree: str = "binomial",
+    local_first: bool = False,
+) -> list[CommunicationProgram]:
+    """Build the node-level programs implementing scheduled hierarchical bcasts.
+
+    Program ``k`` carries ``sizes[k]`` bytes along ``schedules[k]``: the
+    schedules' decision orders, roots and heuristic names go through one
+    :func:`grid_aware_pair_programs` stack (the options are its own).  Each
+    program is equal to :func:`grid_aware_bcast_program` of its own schedule
+    and size, and a malformed schedule raises the error that call would.
+
+    Raises
+    ------
+    ValueError
+        If the counts of schedules and sizes differ, a schedule was computed
+        for a grid of another size, or a schedule or size is malformed.
     """
     schedules = list(schedules)
     sizes = list(sizes)
@@ -140,65 +248,33 @@ def grid_aware_bcast_programs(
         raise ValueError(
             f"got {len(schedules)} schedules but {len(sizes)} message sizes"
         )
+    expected = grid.num_clusters - 1
 
     def build(schedules, sizes):
-        if not schedules:
-            return []
-        for schedule, size in zip(schedules, sizes):
-            check_non_negative(size, "message_size")
+        for schedule in schedules:
             if schedule.num_clusters != grid.num_clusters:
                 raise ValueError(
                     f"schedule covers {schedule.num_clusters} clusters but the "
                     f"grid has {grid.num_clusters}"
                 )
-        count = len(schedules)
-        coordinators = grid.rank_offsets[:-1]
-
-        # Inter-cluster phase: coordinators follow each schedule's order.
-        pairs = np.array(
-            [
-                (transfer.sender, transfer.receiver)
-                for schedule in schedules
-                for transfer in schedule.transfers
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        inter = (
-            np.repeat(
-                np.arange(count),
-                [len(schedule.transfers) for schedule in schedules],
-            ),
-            coordinators[pairs[:, 0]],
-            coordinators[pairs[:, 1]],
-            np.zeros(len(pairs), dtype=np.int64),
-        )
-
-        # Local phase: the same tree edges in every program.
-        edges = _local_edges(grid, local_tree)
-        local = (
-            np.repeat(np.arange(count), edges[0].size),
-            *(np.concatenate([column] * count) for column in edges),
-        )
-
-        # Each rank performs its first phase's messages, then its second's;
-        # the stable (program, sender) sort keeps that order per sender.
-        phases = (local, inter) if local_first else (inter, local)
-        program, senders, dest, tag_code = (
-            np.concatenate(parts) for parts in zip(*phases)
-        )
-        return CommunicationProgram.from_broadcast_stack(
-            grid.num_nodes,
-            coordinators[[schedule.root for schedule in schedules]].tolist(),
-            program,
-            senders,
-            dest,
-            np.asarray(sizes, dtype=np.float64)[program],
-            tag_code,
-            ("inter-cluster", *(f"local-c{c}" for c in range(grid.num_clusters))),
-            names=[
-                f"grid-aware-bcast[{schedule.heuristic_name or 'schedule'}]"
-                for schedule in schedules
-            ],
+            if len(schedule.transfers) != expected:
+                raise ValueError(
+                    f"a broadcast over {grid.num_clusters} clusters needs "
+                    f"{expected} transfers, got {len(schedule.transfers)}"
+                )
+        pairs = [
+            (transfer.sender, transfer.receiver)
+            for schedule in schedules
+            for transfer in schedule.transfers
+        ]
+        return _pair_programs(
+            grid,
+            pairs,
+            sizes,
+            [schedule.root for schedule in schedules],
+            [schedule.heuristic_name for schedule in schedules],
+            local_tree,
+            local_first,
         )
 
     return _stacked(build, schedules, sizes)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import multiprocessing.pool
+import signal
 import threading
 from typing import Any, Callable, Iterable
 
@@ -32,15 +33,29 @@ from typing import Any, Callable, Iterable
 POOL_KINDS = ("process", "remote")
 
 
+def _default_signals() -> None:
+    """Pool worker initializer: the default SIGTERM and SIGINT dispositions.
+
+    A forked worker inherits its parent's Python signal handlers.  An agent
+    that installed a draining SIGTERM handler would hand it to its pool, and
+    :meth:`~multiprocessing.pool.Pool.terminate` — which stops workers with
+    SIGTERM — would then leave a busy worker running and its ``join()``
+    waiting forever.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 def process_pool(workers: int) -> multiprocessing.pool.Pool:
     """A :class:`multiprocessing.Pool` whose workers share their parent's
-    resource tracker.
+    resource tracker and run with the default SIGTERM/SIGINT dispositions.
 
     The shared-memory resource tracker is started *before* the fork, so the
     children inherit it: a worker's attach-registration and the parent's
     unlink-unregistration meet in the same bookkeeping, and segments are
-    never reported as leaked at exit.  Both the study pool and the remote
-    agent's local pool are built here.
+    never reported as leaked at exit.  The workers drop any inherited
+    signal handler, so ``terminate()`` always stops them.  Both the study
+    pool and the remote agent's local pool are built here.
     """
     try:  # pragma: no cover - depends on platform support
         from multiprocessing import resource_tracker
@@ -48,7 +63,7 @@ def process_pool(workers: int) -> multiprocessing.pool.Pool:
         resource_tracker.ensure_running()
     except Exception:
         pass
-    return multiprocessing.Pool(processes=workers)
+    return multiprocessing.Pool(processes=workers, initializer=_default_signals)
 
 
 class StudyPool:
@@ -216,7 +231,9 @@ def choose_lane(
       own;
     * fewer than 2 workers always run inline.
 
-    An invalid ``executor`` raises :class:`ValueError` whatever the pool.
+    An inline lane always comes back with a worker count of 1, so the
+    caller cuts one worker's chunks rather than chunks for workers that
+    will never see them.  An invalid ``executor`` raises :class:`ValueError` whatever the pool.
     """
     from repro.runtime.chunking import AUTO_INLINE_MAX_UNITS, resolve_executor
 
@@ -230,7 +247,9 @@ def choose_lane(
             worker_count = pool.workers
     elif worker_count > 1 and (lane == "process" or units > AUTO_INLINE_MAX_UNITS):
         pool = get_pool(worker_count)
-    return (pool if worker_count > 1 else None), worker_count
+    if pool is None or worker_count < 2:
+        return None, 1
+    return pool, worker_count
 
 
 def shutdown_pool() -> None:

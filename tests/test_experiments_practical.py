@@ -200,7 +200,7 @@ class TestBatchedScheduling:
         def spy(*args, **kwargs):
             raise AssertionError("the scalar engine must schedule size by size")
 
-        monkeypatch.setattr(module, "schedule_lineup", spy)
+        monkeypatch.setattr(module, "record_lineup", spy)
         config = PracticalStudyConfig(message_sizes=(1_024, 65_536))
         result = run_practical_study(config, engine="scalar")
         assert np.all(result.predicted > 0)
@@ -242,9 +242,9 @@ class TestBatchedScheduling:
 
         def counting(heuristics, costs, **kwargs):
             calls.append(costs.num_grids)
-            return repro.core.batch.schedule_lineup(heuristics, costs, **kwargs)
+            return repro.core.batch.record_lineup(heuristics, costs, **kwargs)
 
-        monkeypatch.setattr(module, "schedule_lineup", counting)
+        monkeypatch.setattr(module, "record_lineup", counting)
         # Three message sizes of the 6-cluster grid per stack, one line-up
         # call per stack.
         heuristics = len(config.heuristics)
@@ -256,6 +256,110 @@ class TestBatchedScheduling:
         assert np.array_equal(whole.predicted, chunked.predicted)
         assert np.array_equal(whole.measured_replicas, chunked.measured_replicas)
         assert np.array_equal(whole.baseline_replicas, chunked.baseline_replicas)
+
+
+    def test_batched_sweep_builds_no_schedule_objects(self, monkeypatch):
+        """The paper line-up goes from the line-up kernel's recorded arrays
+        to the program stack without one timed transfer object; the spy
+        does see the scalar reference build them."""
+        from repro.core.schedule import ScheduledTransfer
+
+        created = []
+        init = ScheduledTransfer.__init__
+
+        def counting(self, *args, **kwargs):
+            created.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScheduledTransfer, "__init__", counting)
+        run_practical_study(PracticalStudyConfig(), workers=0)
+        assert created == []
+        config = PracticalStudyConfig(message_sizes=(1_024,))
+        run_practical_study(config, workers=0, engine="scalar")
+        assert created
+
+    @pytest.mark.parametrize("case", ["grid5000", "random12"])
+    def test_one_stack_equals_per_heuristic_builds(self, case, monkeypatch):
+        """The whole line-up's programs, built as one stack from pair
+        arrays, equal one schedule-based build per heuristic field for
+        field — also where kernel rows mix with a declined average
+        lookahead."""
+        import repro.experiments.practical_study as module
+        from repro.core import registry
+        from repro.core.batch import BatchedGridCosts, record_lineup
+        from repro.core.costs import GridCostCache
+        from repro.core.ecef import ECEFLookahead
+        from repro.core.lookahead import average_informed_lookahead
+        from repro.mpi.bcast import grid_aware_bcast_programs
+        from repro.topology.generators import RandomGridGenerator
+        from repro.utils.rng import RandomStream
+
+        if case == "grid5000":
+            grid = build_grid5000_topology()
+            config = PracticalStudyConfig(message_sizes=(0, 65_536, 4_194_304))
+        else:
+            monkeypatch.setitem(
+                registry._REGISTRY,
+                "ecef_la_average",
+                lambda: ECEFLookahead(
+                    average_informed_lookahead,
+                    key="ecef_la_average",
+                    display_name="ECEF-LA (average)",
+                ),
+            )
+            grid = RandomGridGenerator().generate(12, RandomStream(seed=41))
+            config = PracticalStudyConfig(
+                message_sizes=(0, 4_096, 1_048_576),
+                heuristics=("ecef_lat_min", "ecef_la_average", "bottom_up", "fef"),
+                root_cluster=7,
+                local_tree="flat",
+            )
+        heuristics = registry.instantiate(config.heuristics)
+        sizes = list(config.message_sizes)
+        root = config.root_cluster
+        if case == "random12":
+            caches = [GridCostCache.for_grid(grid, size) for size in sizes]
+            columns = record_lineup(heuristics, BatchedGridCosts(caches), root=root)
+            assert [column is None for column in columns] == [
+                False, True, False, False
+            ]
+
+        built = []
+        stack = module.grid_aware_pair_programs
+
+        def spy(*args, **kwargs):
+            built.append(stack(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(module, "grid_aware_pair_programs", spy)
+        run_practical_study(config, grid=grid, workers=0)
+        expected = [
+            program
+            for heuristic in heuristics
+            for program in grid_aware_bcast_programs(
+                grid,
+                [heuristic.schedule(grid, size, root=root) for size in sizes],
+                sizes,
+                local_tree=config.local_tree,
+            )
+        ]
+        (programs,) = built
+        assert [_fields(p) for p in programs] == [_fields(p) for p in expected]
+
+
+def _fields(program) -> tuple:
+    """Every field of a program, its arrays with their dtype."""
+    return (
+        program.name,
+        program.root,
+        program.num_ranks,
+        program.tags,
+        program.initially_active,
+        [
+            (array.dtype.str, array.tolist())
+            for array in (program.indptr, program.dest, program.size, program.tag_code)
+        ],
+    )
 
 
 class TestPredictionErrorNaN:

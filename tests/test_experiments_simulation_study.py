@@ -87,6 +87,28 @@ class TestBatchedDriver:
         parallel = run_simulation_study(config, workers=2)
         assert np.array_equal(serial.makespans, parallel.makespans)
 
+    def test_inline_lane_schedules_one_chunk_per_cluster_count(self, monkeypatch):
+        """A study too small for the auto lane's pool stays inline, and an
+        inline run chunks for one worker: one line-up call per cluster
+        count, whatever ``workers`` asked for."""
+        import repro.experiments.simulation_study as module
+        from repro.runtime.chunking import AUTO_INLINE_MAX_UNITS
+
+        config = SimulationStudyConfig(cluster_counts=(6, 10), iterations=10, seed=29)
+        assert 10 * (6 * 6 + 10 * 10) <= AUTO_INLINE_MAX_UNITS
+        serial = run_simulation_study(config, workers=0)
+        calls = []
+        lineup = module.schedule_lineup
+
+        def spy(heuristics, costs, **kwargs):
+            calls.append(costs.num_clusters)
+            return lineup(heuristics, costs, **kwargs)
+
+        monkeypatch.setattr(module, "schedule_lineup", spy)
+        inline = run_simulation_study(config, workers=2, executor="auto")
+        assert calls == [6, 10]
+        assert np.array_equal(inline.makespans, serial.makespans)
+
     def test_heuristic_without_batched_kernel_falls_back(self):
         config = SimulationStudyConfig(
             cluster_counts=(3, 4),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.ecef import ECEF
@@ -13,6 +14,7 @@ from repro.mpi.bcast import (
     binomial_bcast_programs,
     grid_aware_bcast_program,
     grid_aware_bcast_programs,
+    grid_aware_pair_programs,
     predict_bcast_makespan,
 )
 from repro.simulator.execution import execute_program
@@ -141,6 +143,36 @@ class TestStackedBcastPrograms:
         schedule = ECEF().schedule(heterogeneous_grid, 1_000)
         with pytest.raises(ValueError, match="1 schedules but 2 message sizes"):
             grid_aware_bcast_programs(heterogeneous_grid, [schedule], [1_000, 2_000])
+
+    def test_pair_programs_are_the_schedule_builds(self, heterogeneous_grid):
+        sizes = [0, 1_000, 65_536]
+        schedules = [ECEF().schedule(heterogeneous_grid, size, root=1) for size in sizes]
+        pairs = np.array([schedule.order for schedule in schedules])
+        programs = grid_aware_pair_programs(
+            heterogeneous_grid, pairs, sizes, [1] * 3, ["ECEF"] * 3, local_tree="flat"
+        )
+        assert programs == grid_aware_bcast_programs(
+            heterogeneous_grid, schedules, sizes, local_tree="flat"
+        )
+
+    def test_pairs_must_name_clusters_of_the_grid(self, heterogeneous_grid):
+        """A negative cluster index would silently pick the last cluster's
+        coordinator."""
+        schedule = ECEF().schedule(heterogeneous_grid, 1_000)
+        pairs = np.array([schedule.order])
+        pairs[0, -1, 0] = -1
+        with pytest.raises(ValueError, match="must index the grid's"):
+            grid_aware_pair_programs(heterogeneous_grid, pairs, [1_000], [0], ["x"])
+        with pytest.raises(ValueError, match="1 pair orders, 2 message sizes"):
+            grid_aware_pair_programs(
+                heterogeneous_grid, pairs, [1_000, 0], [0, 0], ["x", "x"]
+            )
+
+    def test_schedule_needs_one_transfer_per_receiver(self, heterogeneous_grid):
+        schedule = ECEF().schedule(heterogeneous_grid, 1_000)
+        short = replace(schedule, transfers=schedule.transfers[:-1])
+        with pytest.raises(ValueError, match="over 3 clusters needs 2 transfers, got 1"):
+            grid_aware_bcast_program(heterogeneous_grid, short, 1_000)
 
     def test_first_bad_program_decides_the_error(self, heterogeneous_grid):
         """The stack checks every size before any broadcast, but a failed

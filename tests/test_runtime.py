@@ -62,6 +62,7 @@ from repro.runtime.pool import (
     StudyPool,
     choose_lane,
     get_pool,
+    process_pool,
     shutdown_pool,
 )
 from repro.runtime.remote import (
@@ -173,6 +174,36 @@ class TestStudyPool:
         assert not small.alive
         with pytest.raises(RuntimeError, match="closed"):
             small.submit(len, ())
+
+    def test_terminate_stops_busy_workers_despite_a_parent_handler(self):
+        """Workers forked after the parent installed a SIGTERM handler (as
+        a serving agent does) must still die on ``terminate()``: an
+        inherited handler would swallow the signal and hang ``join()``."""
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            workers = process_pool(2)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        processes = list(workers._pool)
+        assert workers.apply_async(os.getpid).get(timeout=30)
+        for _ in range(4):
+            workers.apply_async(time.sleep, (5,))
+        time.sleep(0.2)  # let both workers pick up a task
+        stopper = threading.Thread(
+            target=lambda: (workers.terminate(), workers.join()), daemon=True
+        )
+        started = time.monotonic()
+        stopper.start()
+        stopper.join(timeout=2)
+        hung = stopper.is_alive()
+        if hung:  # unblock join() so the failure leaves no orphan behind
+            for process in processes:
+                if process.is_alive():
+                    os.kill(process.pid, signal.SIGKILL)
+            stopper.join(timeout=10)
+        assert not hung, "terminate() + join() hung on busy workers"
+        assert time.monotonic() - started <= 2
+        assert not any(process.is_alive() for process in processes)
 
 
 @needs_shm
@@ -786,12 +817,13 @@ class TestChooseLane:
         monkeypatch.setitem(pool_module._global_pools, "process", None)
         monkeypatch.setitem(pool_module._global_pools, "remote", None)
         small, large = AUTO_INLINE_MAX_UNITS, AUTO_INLINE_MAX_UNITS + 1
-        # Fewer than two workers run inline on every local lane.
-        assert choose_lane(None, None, 0, large) == (None, 0)
+        # Fewer than two workers run inline on every local lane, and an
+        # inline lane always chunks for one worker.
+        assert choose_lane(None, None, 0, large) == (None, 1)
         assert choose_lane("process", 1, 1, large) == (None, 1)
         # auto splits on cost: inline up to the threshold, processes above
         # it — never the remote lane.
-        assert choose_lane(None, None, 4, small) == (None, 4)
+        assert choose_lane(None, None, 4, small) == (None, 1)
         pool, workers = choose_lane(None, None, 4, large)
         assert pool.kind == "process" and workers == 4
         # An explicit lane wins over the cost estimate.
@@ -801,7 +833,7 @@ class TestChooseLane:
         pool, workers = choose_lane("remote", None, 0, 10)
         assert pool.kind == "remote" and workers == pool.workers == 2
         # An explicit in-process request is never overridden.
-        assert choose_lane("remote", 0, 0, large) == (None, 0)
+        assert choose_lane("remote", 0, 0, large) == (None, 1)
         assert choose_lane("remote", 1, 1, large) == (None, 1)
 
         # An explicit pool always wins, whatever its lane — and with no
@@ -991,7 +1023,7 @@ class TestChooseLane:
         def unreachable(*args, **kwargs):
             raise AssertionError("the prediction sweep ran")
 
-        monkeypatch.setattr(practical_module, "_sweep_schedules", unreachable)
+        monkeypatch.setattr(practical_module, "_sweep_predictions", unreachable)
         monkeypatch.setenv("REPRO_EXECUTOR", "hamster-wheel")
         with pytest.raises(ValueError, match="executor"):
             run_practical_study(PracticalStudyConfig(message_sizes=(2_048,)))
