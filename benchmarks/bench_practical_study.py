@@ -26,6 +26,13 @@ driver's one :func:`~repro.mpi.bcast.grid_aware_pair_programs` stack for
 the whole line-up, after asserting both build the same programs field for
 field.
 
+The measured sweep's noise streams are timed on their own too: the 80
+Table 3 task seeds each opened as a :class:`~repro.utils.rng.RandomStream`
+(the scalar engine's per-task stream) against one
+:func:`~repro.utils.rng.open_generators` call, every task drawing its
+``2 * M`` log-normal factors, after asserting both give the same factor
+bits.
+
 Results land in ``benchmarks/results/BENCH_practical.json`` so the speedup
 trajectory is tracked across PRs.
 """
@@ -55,7 +62,7 @@ from repro.mpi.bcast import (
 from repro.simulator.batch import ExecutionTask, execute_programs
 from repro.simulator.network import NetworkConfig
 from repro.topology.grid5000 import build_grid5000_topology
-from repro.utils.rng import derive_seed
+from repro.utils.rng import RandomStream, derive_seed, open_generators
 
 NOISE_SIGMA = 0.03
 SEED = 20060331
@@ -184,6 +191,50 @@ def test_measured_sweep_throughput():
     # loop by at least 5x on the Table 3 measured sweep.
     assert timings["replicated"]["speedup"] >= 5.0
     assert timings["plain"]["speedup"] >= 3.0
+
+
+def test_noise_streams_throughput():
+    """The Table 3 sweep's 80 noise streams, per-task vs bulk-opened."""
+    grid = build_grid5000_topology()
+    programs = _sweep_programs(grid)
+    seeds = [task.noise_seed for task in _tasks(programs, replica=0)]
+    counts = [2 * program.total_messages() for _, _, program in programs]
+
+    def per_task():
+        return [
+            RandomStream(seed=seed).lognormal_array(0.0, NOISE_SIGMA, count)
+            for seed, count in zip(seeds, counts)
+        ]
+
+    def bulk():
+        return [
+            generator.lognormal(0.0, NOISE_SIGMA, count)
+            for generator, count in zip(open_generators(seeds), counts)
+        ]
+
+    # Both paths must draw the same factors before their timings mean
+    # anything.
+    assert np.concatenate(per_task()).tobytes() == np.concatenate(bulk()).tobytes()
+    seconds = {"per_task": _best_of(per_task, 200), "bulk": _best_of(bulk, 200)}
+    speedup = seconds["per_task"] / seconds["bulk"]
+    emit(
+        f"Practical noise streams ({len(seeds)} tasks, {sum(counts)} factors): "
+        f"per-task {seconds['per_task'] * 1e3:.3f} ms, bulk "
+        f"{seconds['bulk'] * 1e3:.3f} ms ({speedup:.1f}x)"
+    )
+    emit_json(
+        "noise_streams",
+        {
+            "grid": "grid5000-table3",
+            "noise_sigma": NOISE_SIGMA,
+            "seed": SEED,
+            "tasks": len(seeds),
+            "factors": sum(counts),
+            "seconds": seconds,
+            "speedup": speedup,
+        },
+        path=BENCH_PRACTICAL_JSON_FILE,
+    )
 
 
 def test_schedule_phase_throughput():

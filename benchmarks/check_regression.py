@@ -24,14 +24,19 @@ perf wins of past PRs cannot silently rot:
   program_build section — the driver's one stacked build for the whole
   line-up over all message sizes, its programs verified identical field
   for field first),
+* bulk-opened noise streams  >= 1.4x one ``RandomStream`` per task on the
+  Table 3 sweep's 80 tasks (``BENCH_practical.json``, noise_streams
+  section — one vectorised seeding pass for every task's stream, the
+  drawn factor bits verified identical first),
 * process executor lane      >= 0.75x the inline pass on the full practical
   sweep (``BENCH_runtime.json``, practical_end_to_end section, plain and
   replicated — an overhead bound: fan-out may never cost more than a
   quarter of the inline throughput on the sweep it is built for),
 * auto executor lane         >= 0.9x the inline pass on the small-batch
-  workload (``BENCH_runtime.json``, auto_vs_inline section — an overhead
-  bound: where ``executor="auto"`` keeps a batch inline, the lane decision
-  may cost at most a tenth of the inline throughput),
+  workload and on a small Monte-Carlo study (``BENCH_runtime.json``,
+  auto_vs_inline section — an overhead bound: where ``executor="auto"``
+  keeps the work inline, the lane decision may cost at most a tenth of
+  the inline throughput),
 * remote executor lane       >= 0.5x the process lane on the loopback
   practical sweep (``BENCH_runtime.json``, remote_loopback section — wire
   framing and socket hops must never halve the lane's throughput; across
@@ -98,6 +103,11 @@ FLOORS: tuple[tuple[str, tuple[str, ...], float], ...] = (
         2.5,
     ),
     (
+        "BENCH_practical.json",
+        ("noise_streams", "speedup"),
+        1.4,
+    ),
+    (
         "BENCH_runtime.json",
         ("practical_end_to_end", "timings", "plain", "speedup_process_vs_inline"),
         0.75,
@@ -111,6 +121,11 @@ FLOORS: tuple[tuple[str, tuple[str, ...], float], ...] = (
     (
         "BENCH_runtime.json",
         ("auto_vs_inline", "small_batch", "speedup_auto_vs_inline"),
+        0.9,
+    ),
+    (
+        "BENCH_runtime.json",
+        ("auto_vs_inline", "monte_carlo_small", "speedup_auto_vs_inline"),
         0.9,
     ),
     (

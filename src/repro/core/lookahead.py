@@ -55,11 +55,17 @@ def average_latency_lookahead(state: SchedulingState, candidate: int) -> float:
 
     ``F_j = mean_{k in B} (g_{j,k}(m) + L_{j,k})``; a smoother utility
     estimate that is less sensitive to one exceptionally close cluster.
+    Summed left to right in increasing cluster order: the built-in ``sum``
+    of floats is compensated from Python 3.12 on, which would make this
+    value depend on the interpreter.
     """
-    others = [k for k in state.waiting if k != candidate]
-    if not others:
-        return 0.0
-    return sum(state.transfer_time(candidate, k) for k in others) / len(others)
+    total = 0.0
+    count = 0
+    for k in state.pending:
+        if k != candidate:
+            total += state.transfer_time(candidate, k)
+            count += 1
+    return total / count if count else 0.0
 
 
 def average_informed_lookahead(state: SchedulingState, candidate: int) -> float:

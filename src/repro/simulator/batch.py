@@ -9,14 +9,16 @@ overhead dwarfs the arithmetic.  This module measures a whole batch in one
 stacked relaxation pass instead:
 
 * every task's program contributes its own CSR arrays (the
-  :class:`~repro.simulator.program.CommunicationProgram` flat form) plus
-  per-message gap/latency, gathered once per distinct program from the
-  per-size (cluster x cluster) node tables of
-  :meth:`~repro.core.costs.GridCostCache.node_tables` — the same cached
-  cost object the schedule phase reads; the tasks are concatenated with
-  rank and message offsets into one stack;
-* noise is keyed by message, not by event: each task's stream draws
-  ``2 * M`` log-normal factors up front, message ``i`` (CSR order) scales
+  :class:`~repro.simulator.program.CommunicationProgram` flat form); the
+  tasks are concatenated once into one stack, whose per-message gap/latency
+  is gathered in one pass from the per-size (cluster x cluster) node tables
+  of :meth:`~repro.core.costs.GridCostCache.node_tables` — the same cached
+  cost object the schedule phase reads;
+* noise is keyed by message, not by event: every chain head's stream is
+  opened by :func:`~repro.utils.rng.open_generators` in one vectorised
+  seeding pass, each stream equal to the scalar engine's per-task
+  :class:`~repro.utils.rng.RandomStream`, and each task draws ``2 * M``
+  log-normal factors up front, message ``i`` (CSR order) scales
   its gap by factor ``2i`` and its latency by factor ``2i + 1`` — exactly
   what the scalar engine does through
   :meth:`~repro.simulator.network.SimulatedNetwork.draw_noise`;
@@ -69,7 +71,7 @@ from repro.simulator.execution import ExecutionResult, MessageRecord, execute_pr
 from repro.simulator.network import NetworkConfig, SimulatedNetwork
 from repro.simulator.program import CommunicationProgram
 from repro.topology.grid import Grid
-from repro.utils.rng import RandomStream
+from repro.utils.rng import open_generators
 
 #: Valid ``engine=`` values of :func:`execute_programs` (and the study
 #: drivers built on it): the batched engine and the scalar reference loop.
@@ -109,27 +111,31 @@ class ExecutionTask:
 
 
 def _node_costs(
-    grid: Grid, programs: Sequence[CommunicationProgram]
+    grid: Grid,
+    indptr: np.ndarray,
+    dest: np.ndarray,
+    size: np.ndarray,
+    num_ranks: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-message ``(gap, latency)`` of ``programs``, concatenated.
+    """Per-message ``(gap, latency)`` of a stack of CSR programs.
 
-    Each message reads its (sender cluster, receiver cluster) cell of its
-    size's node tables (:meth:`~repro.core.costs.GridCostCache.node_tables`),
-    taken through the shared :meth:`~repro.core.costs.GridCostCache.for_grid`
-    cache: a grid's schedule phase and its batched simulation share one set
-    of tables per message size.
+    ``indptr`` holds each program's own ``num_ranks + 1`` offsets back to
+    back, and ``dest``/``size`` its messages.  Each message reads its
+    (sender cluster, receiver cluster) cell of its size's node tables
+    (:meth:`~repro.core.costs.GridCostCache.node_tables`), taken through the
+    shared :meth:`~repro.core.costs.GridCostCache.for_grid` cache: a grid's
+    schedule phase and its batched simulation share one set of tables per
+    message size.
     """
     # Imported here: repro.mpi imports this package.
     from repro.core.costs import GridCostCache
     from repro.mpi.bcast import rank_layout
 
-    dest = np.concatenate([program.dest for program in programs])
     if not dest.size:
         return np.empty(0), np.empty(0)
     # Row r of the CSR stack is rank r - (its program's first row); the row
     # between two programs has a non-positive count.
-    indptr = np.concatenate([program.indptr for program in programs])
-    rows = np.array([program.indptr.size for program in programs])
+    rows = np.add(num_ranks, 1)
     ends = np.cumsum(rows)
     local = np.arange(indptr.size - 1) - np.repeat(ends - rows, rows)[:-1]
     senders = np.repeat(local, np.maximum(np.diff(indptr), 0))
@@ -137,12 +143,11 @@ def _node_costs(
     cells = grid.num_clusters**2
     pair = cluster_of[senders] * grid.num_clusters + cluster_of[dest]
     # Sort only each run of equal sizes' head: a broadcast is one run.
-    size = np.concatenate([program.size for program in programs])
     head = np.flatnonzero(np.r_[True, size[1:] != size[:-1]])
     unique, inverse = np.unique(size[head], return_inverse=True)
     inverse = np.repeat(inverse, np.diff(np.r_[head, size.size]))
     tables = [
-        GridCostCache.for_grid(grid, size).node_tables() for size in unique.tolist()
+        GridCostCache.for_grid(grid, value).node_tables() for value in unique.tolist()
     ]
     flat = inverse * cells + pair
     gap = np.concatenate([table[0].ravel() for table in tables])[flat]
@@ -160,12 +165,11 @@ def _stack_tasks(
 
     Returns ``(arrays, metas)``.  ``arrays`` holds ``indptr`` (each task's
     own ``num_ranks + 1`` offsets, back to back), per-message ``dest``
-    (task-local ranks), ``gap`` and ``latency`` (gathered once per distinct
-    program), plus ``size`` and ``tag_code`` when traces are kept.  ``metas``
-    holds one ``(name, num_ranks, roots, seed, reset, tags)`` tuple per task.
-    Task blocks are contiguous, so any task range is a slice of every array.
+    (task-local ranks), ``gap`` and ``latency``, plus ``size`` and
+    ``tag_code`` when traces are kept.  ``metas`` holds one ``(name,
+    num_ranks, roots, seed, reset, tags)`` tuple per task.  Task blocks are
+    contiguous, so any task range is a slice of every array.
     """
-    distinct: dict[int, CommunicationProgram] = {}
     metas = []
     for task in tasks:
         program = task.program
@@ -178,7 +182,6 @@ def _stack_tasks(
         for rank in roots:
             if not 0 <= rank < program.num_ranks:
                 raise ValueError(f"initially active rank {rank} out of range")
-        distinct.setdefault(id(program), program)
         metas.append(
             (
                 program.name,
@@ -189,23 +192,17 @@ def _stack_tasks(
                 program.tags if collect_traces else (),
             )
         )
-    gap, latency = _node_costs(grid, list(distinct.values()))
-    segment: dict[int, slice] = {}
-    start = 0
-    for key, program in distinct.items():
-        segment[key] = slice(start, start + program.total_messages())
-        start = segment[key].stop
     programs = [task.program for task in tasks]
     arrays = {
         "indptr": np.concatenate([program.indptr for program in programs]),
         "dest": np.concatenate([program.dest for program in programs]),
-        "gap": np.concatenate([gap[segment[id(program)]] for program in programs]),
-        "latency": np.concatenate(
-            [latency[segment[id(program)]] for program in programs]
-        ),
     }
+    size = np.concatenate([program.size for program in programs])
+    arrays["gap"], arrays["latency"] = _node_costs(
+        grid, arrays["indptr"], arrays["dest"], size, [meta[1] for meta in metas]
+    )
     if collect_traces:
-        arrays["size"] = np.concatenate([program.size for program in programs])
+        arrays["size"] = size
         arrays["tag_code"] = np.concatenate(
             [program.tag_code for program in programs]
         )
@@ -302,14 +299,14 @@ def _execute_stacked(
     msg_bounds = msg_off.tolist()
     if sigma > 0.0:
         factors = np.empty(2 * msg_bounds[-1])
-        # Every stack starts with a chain head (reset), which opens a stream.
-        for index, (_, _, _, seed, reset, _) in enumerate(metas):
-            if reset:
-                stream = RandomStream(seed=seed)
+        # Every stack starts with a chain head (reset), which opens a stream;
+        # the tasks chained onto it continue that stream.
+        heads = iter(open_generators([meta[3] for meta in metas if meta[4]]))
+        for index, meta in enumerate(metas):
+            if meta[4]:
+                generator = next(heads)
             lo, hi = msg_bounds[index], msg_bounds[index + 1]
-            factors[2 * lo : 2 * hi] = stream.lognormal_array(
-                0.0, sigma, 2 * (hi - lo)
-            )
+            factors[2 * lo : 2 * hi] = generator.lognormal(0.0, sigma, 2 * (hi - lo))
         gap = gap * factors[0::2]
         latency = latency * factors[1::2]
 

@@ -9,17 +9,25 @@ random grid instances.  To make every figure regenerable bit-for-bit we wrap
   per benchmark) without correlations, and
 * exposes only the handful of draw primitives the library needs, which keeps
   the experiment code easy to audit.
+
+:func:`open_generators` opens many such streams at once: a batch of noisy
+simulator runs seeds one stream per task, and building each one through
+:class:`numpy.random.SeedSequence` costs more than the draws it feeds.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.utils.validation import check_positive
+
+if TYPE_CHECKING:
+    from numpy.typing import DTypeLike
 
 DEFAULT_SEED = 20060331
 """Default seed: the HAL submission date of the paper (2006-03-31)."""
@@ -172,3 +180,104 @@ def spawn_streams(seed: int, count: int) -> list[RandomStream]:
         raise ValueError(f"count must be non-negative, got {count}")
     parent = RandomStream(seed=seed)
     return [parent.spawn() for _ in range(count)]
+
+
+# -- bulk stream opening ---------------------------------------------------------
+#
+# ``SeedSequence(seed)`` hashes the seed's 32-bit words into a four-word pool
+# and stretches the pool into the PCG64 seed words; NEP 19 keeps both steps
+# stable.  The constants below are those of ``numpy/random/bit_generator.pyx``.
+
+_MASK32 = 0xFFFFFFFF
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_SEED_LIMIT = 1 << 64
+
+
+def _hash_constants(
+    init: int, mult: int, count: int
+) -> list[tuple[np.uint32, np.uint32]]:
+    """The ``(xor, multiplier)`` pair of each of ``count`` successive hashes."""
+    constants = []
+    for _ in range(count):
+        following = (init * mult) & _MASK32
+        constants.append((np.uint32(init), np.uint32(following)))
+        init = following
+    return constants
+
+
+#: Four pool fills, then twelve cross-mixes of the four-word pool.
+_POOL_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+#: Eight 32-bit output words: four uint64 PCG64 seed words.
+_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(value: np.ndarray, constants: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    xor, mult = constants
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed.
+
+    ``seeds`` is a uint64 array; the result has one row of four uint64 words
+    per seed.  A seed's entropy is its little-endian 32-bit words, hashed into
+    a four-word pool that a short entropy pads with hashed zeros — so a seed
+    under 2**32 pools exactly like its two-word form ``[low, 0]``, and every
+    seed below 2**64 runs the same uint32 pass.
+    """
+    hashes = iter(_POOL_HASHES)
+    low = (seeds & _MASK32).astype(np.uint32)
+    high = (seeds >> 32).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [_hashmix(word, next(hashes)) for word in (low, high, zero, zero)]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                pool[target] = _mix(pool[target], _hashmix(pool[source], next(hashes)))
+    state = np.empty((seeds.size, 8), dtype=np.uint32)
+    for index, constants in enumerate(_STATE_HASHES):
+        state[:, index] = _hashmix(pool[index % 4], constants)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands a bit generator the seed words :func:`_seed_words` computed."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words: int, dtype: DTypeLike = np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed seed words only seed PCG64's state")
+        return self._words
+
+
+def open_generators(seeds: Sequence[int]) -> list[np.random.Generator]:
+    """One generator per seed, each drawing exactly like ``RandomStream(seed)``.
+
+    Every plain ``int`` seed in ``[0, 2**64)`` is hashed in one vectorised
+    pass (:func:`_seed_words`) instead of one ``SeedSequence`` per seed; any
+    other seed opens through :class:`RandomStream`, so its draws — or the
+    exception it raises — are unchanged.
+    """
+    bulk = [type(seed) is int and 0 <= seed < _SEED_LIMIT for seed in seeds]
+    words = iter(
+        _seed_words(
+            np.array([seed for seed, fast in zip(seeds, bulk) if fast], dtype=np.uint64)
+        )
+    )
+    # numpy's stubs type the seed as a SeedSequence; any ISeedSequence seeds
+    # the bit generator at run time.
+    return [
+        np.random.default_rng(_SeedWords(next(words)))  # type: ignore[arg-type]
+        if fast
+        else RandomStream(seed=seed).generator
+        for seed, fast in zip(seeds, bulk)
+    ]

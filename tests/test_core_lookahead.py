@@ -52,6 +52,26 @@ class TestLookaheadValues:
         assert value == pytest.approx((0.51 + 0.305) / 2)
 
 
+class _StubState:
+    """Cluster 0's transfer times to the waiting clusters 1, 2 and 3."""
+
+    waiting = {1, 2, 3}
+    pending = [1, 2, 3]
+    times = {1: 1e16, 2: 1.0, 3: 1.0}
+
+    def transfer_time(self, source, target):
+        return self.times[target]
+
+
+def test_average_latency_sums_left_to_right():
+    """The average is summed left to right on every Python: ``1e16 + 1.0``
+    rounds back to ``1e16`` twice, where the compensated built-in ``sum``
+    of Python 3.12 would keep the 2.0."""
+    value = average_latency_lookahead(_StubState(), 0)
+    assert value == ((1e16 + 1.0) + 1.0) / 3
+    assert value != 1.0000000000000002e16 / 3
+
+
 class TestRegistry:
     def test_all_registered_names_resolve(self):
         for name in LOOKAHEAD_FUNCTIONS:

@@ -149,6 +149,37 @@ class TestEquivalence:
         )
         assert results[0].makespan != results[1].makespan
 
+    def test_noisy_batch_of_opened_streams(self, heterogeneous_grid):
+        """Chained tasks, a config-seed head, a seed past 2**64 and three
+        replicas of the same programs, all in one noisy batch."""
+        grid = heterogeneous_grid
+        root = grid.coordinator_rank(0)
+        programs = [
+            binomial_bcast_program(grid, 65_536, root_rank=root),
+            flat_scatter_program(grid, 2_000, root_rank=root),
+            direct_alltoall_program(grid, 512),
+        ]
+        parent = RandomStream(seed=21)
+        tasks = [
+            ExecutionTask(program, noise_seed=parent.spawn_seed())
+            for _ in range(3)
+            for program in programs
+        ]
+        tasks += [
+            ExecutionTask(programs[0]),
+            ExecutionTask(programs[1], reset_network=False),
+            ExecutionTask(programs[2], noise_seed=2**64 + 3),
+            ExecutionTask(programs[0], reset_network=False),
+            ExecutionTask(programs[1], reset_network=False),
+            ExecutionTask(programs[0], noise_seed=2**64 - 1),
+        ]
+        config = NetworkConfig(noise_sigma=0.05, seed=8)
+        batched = execute_programs(grid, tasks, config=config)
+        scalar = execute_programs(grid, tasks, config=config, engine="scalar")
+        assert_identical(batched, scalar)
+        # Replicas of one program under different seeds measure differently.
+        assert batched[0].makespan != batched[3].makespan
+
 
 class TestWorkers:
     def test_worker_fanout_is_bit_identical(self, heterogeneous_grid):
@@ -254,9 +285,9 @@ class TestNodeTables:
 
     def test_mixed_size_batch_gathers_node_link_parameters(self, heterogeneous_grid):
         """A batch mixing one-size broadcasts with multi-size scatters and
-        all-to-alls (and an empty program) prices every message bitwise like
-        ``node_link_parameters``."""
-        from repro.simulator.batch import _node_costs
+        all-to-alls (and an empty program, and a program listed twice)
+        prices every message bitwise like ``node_link_parameters``."""
+        from repro.simulator.batch import _stack_tasks
 
         grid = heterogeneous_grid
         schedule = get_heuristic("ecef").schedule(grid, 4_096, root=1)
@@ -269,8 +300,11 @@ class TestNodeTables:
             grid_aware_alltoall_program(grid, 2_048),
             flat_scatter_program(grid, 3_000),
         ]
+        programs.append(programs[0])
         assert any(len(set(program.size.tolist())) > 1 for program in programs)
-        gap, latency = _node_costs(grid, programs)
+        tasks = [ExecutionTask(program) for program in programs]
+        arrays, _ = _stack_tasks(grid, tasks, NetworkConfig(), False)
+        gap, latency = arrays["gap"], arrays["latency"]
         expected = []
         for program in programs:
             for sender, dest, size in zip(

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.utils.rng import DEFAULT_SEED, RandomStream, spawn_streams
+from repro.utils.rng import DEFAULT_SEED, RandomStream, open_generators, spawn_streams
+
+#: Word boundaries of the bulk seeding pass: one- and two-word entropies.
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 
 
 class TestRandomStream:
@@ -113,3 +118,58 @@ class TestSpawning:
         parent_b = RandomStream(seed=4)
         assert parent_a.spawn_seed() == parent_b.spawn().seed
         assert parent_a.spawn().seed == parent_b.spawn_seed()
+
+
+def _draws(generator: np.random.Generator) -> bytes:
+    """A mix of draws that exercises every word of the PCG64 state."""
+    return b"".join(
+        (
+            generator.lognormal(0.0, 0.03, 9).tobytes(),
+            generator.integers(0, 2**63, 3).tobytes(),
+            generator.random(5).tobytes(),
+        )
+    )
+
+
+def _outcome(open_one):
+    """``("draws", bytes)`` of a freshly opened generator, or the error type."""
+    try:
+        return "draws", _draws(open_one())
+    except Exception as error:  # the exception type is what is compared
+        return "error", type(error)
+
+
+class TestOpenGenerators:
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(EDGE_SEEDS)),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_draws_equal_random_stream(self, seeds):
+        seeds = seeds + seeds[:2]  # duplicate seeds open independent streams
+        generators = open_generators(seeds)
+        assert len(generators) == len(seeds)
+        for seed, generator in zip(seeds, generators):
+            reference = RandomStream(seed=seed)
+            assert generator.bit_generator.state == reference.state
+            assert _draws(generator) == _draws(reference.generator)
+
+    def test_edges_duplicates_and_empty(self):
+        assert open_generators([]) == []
+        seeds = [*EDGE_SEEDS, *EDGE_SEEDS, DEFAULT_SEED]
+        generators = open_generators(seeds)
+        assert len({id(generator) for generator in generators}) == len(seeds)
+        for seed, generator in zip(seeds, generators):
+            assert _draws(generator) == _draws(RandomStream(seed=seed).generator)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**80, True, 1.5, np.uint64(7)])
+    def test_other_seeds_behave_like_random_stream(self, seed):
+        expected = _outcome(lambda: RandomStream(seed=seed).generator)
+        assert _outcome(lambda: open_generators([seed])[0]) == expected
+        # Mixed into a bulk batch, the bulk seeds around it stay exact.
+        if expected[0] == "draws":
+            generators = open_generators([5, seed, 2**40])
+            assert _draws(generators[1]) == expected[1]
+            assert _draws(generators[2]) == _draws(RandomStream(seed=2**40).generator)
