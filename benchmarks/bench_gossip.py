@@ -14,11 +14,16 @@ records what that buys:
   ``push_speedup_vectorized_vs_scalar``, not gated.)
 * **scale trajectory** — rounds/s for fanout-4 push at 10^4, 10^5 and 10^6
   nodes, the sizes the scalar engine could never touch.
+* **other protocols** — fanout-4 ``pushpull`` and ``epto`` at 10^5 nodes
+  (informational, no floor): pushpull draws for every alive node, epto
+  keeps relaying for its TTL budget after delivery, so each stresses a
+  different part of the round than push does.
 
-The two engines are verified bit-identical on the timed specs *before* any
-timing is recorded — a fast wrong answer is not a result.  Rounds/s and
-node-rounds/s per network size and the ``speedup_vectorized_vs_scalar``
-headline land in ``benchmarks/results/BENCH_gossip.json``; the acceptance
+The two engines are verified bit-identical on the timed specs (and on
+pushpull and epto at 10^4 nodes) *before* any timing is recorded — a fast
+wrong answer is not a result.  Rounds/s and node-rounds/s per network size
+and the ``speedup_vectorized_vs_scalar`` headline land in
+``benchmarks/results/BENCH_gossip.json``; the acceptance
 floor (enforced by ``benchmarks/check_regression.py``) requires the
 vectorized engine to advance the 10^4-node tree workload at least **20x**
 faster than the scalar reference.
@@ -43,9 +48,13 @@ SEED = 20060331
 #: The floor workload: draw-free binomial tree at the scalar-feasible size.
 FLOOR_NODES = 10_000
 
+#: Informational protocols, timed at one size next to push.
+OTHER_PROTOCOLS = ("pushpull", "epto")
+OTHER_NODES = 100_000
 
-def _push_spec(num_nodes: int) -> GossipSpec:
-    return GossipSpec(protocol="push", num_nodes=num_nodes, fanout=FANOUT, seed=SEED)
+
+def _fanout_spec(num_nodes: int, protocol: str = "push") -> GossipSpec:
+    return GossipSpec(protocol=protocol, num_nodes=num_nodes, fanout=FANOUT, seed=SEED)
 
 
 def _tree_spec(num_nodes: int) -> GossipSpec:
@@ -57,6 +66,9 @@ def _assert_bit_identical(spec: GossipSpec) -> None:
     scalar = run_gossip(spec, engine="scalar")
     assert np.array_equal(vectorized.informed_round, scalar.informed_round)
     assert np.array_equal(vectorized.messages_per_round, scalar.messages_per_round)
+    assert vectorized.rounds_executed == scalar.rounds_executed
+    if spec.protocol == "epto":
+        assert np.array_equal(vectorized.final_ttl, scalar.final_ttl)
 
 
 def _time_run(spec: GossipSpec, engine: str, *, repeats: int = 1):
@@ -74,7 +86,8 @@ def test_gossip_engine_throughput():
     # specs (the full cross-protocol/churn matrix lives in
     # tests/test_gossip.py).
     _assert_bit_identical(_tree_spec(FLOOR_NODES))
-    _assert_bit_identical(_push_spec(SIZES[0]))
+    for protocol in ("push", *OTHER_PROTOCOLS):
+        _assert_bit_identical(_fanout_spec(SIZES[0], protocol))
 
     # Floor workload: draw-free tree, scalar vs vectorized.
     tree = _tree_spec(FLOOR_NODES)
@@ -84,14 +97,14 @@ def test_gossip_engine_throughput():
 
     # Informational: the same ratio on fanout-4 push, where both engines
     # make the same per-round target draw.
-    push_small = _push_spec(SIZES[0])
+    push_small = _fanout_spec(SIZES[0])
     push_scalar_seconds, _ = _time_run(push_small, "scalar")
     push_vectorized_seconds, _ = _time_run(push_small, "vectorized", repeats=5)
 
     rows = []
     sections: dict[str, dict] = {}
     for num_nodes in SIZES:
-        seconds, result = _time_run(_push_spec(num_nodes), "vectorized")
+        seconds, result = _time_run(_fanout_spec(num_nodes), "vectorized", repeats=3)
         rows.append(
             {
                 "nodes": float(num_nodes),
@@ -109,6 +122,17 @@ def test_gossip_engine_throughput():
         }
         assert result.delivered_count == num_nodes  # no churn: full delivery
 
+    others: dict[str, dict] = {}
+    for protocol in OTHER_PROTOCOLS:
+        spec = _fanout_spec(OTHER_NODES, protocol)
+        seconds, result = _time_run(spec, "vectorized", repeats=3)
+        others[protocol] = {
+            "nodes": OTHER_NODES,
+            "rounds": result.rounds_executed,
+            "seconds": seconds,
+            "node_rounds_per_s": OTHER_NODES * result.rounds_executed / seconds,
+        }
+
     emit(
         render_table(
             rows,
@@ -119,6 +143,11 @@ def test_gossip_engine_throughput():
                 f"{vectorized_seconds * 1000:.2f}ms -> speedup {speedup:.1f}x"
             ),
             precision=4,
+        )
+        + "".join(
+            f"\n{protocol} at {OTHER_NODES} nodes: {row['rounds']} rounds in "
+            f"{row['seconds'] * 1000:.1f}ms"
+            for protocol, row in others.items()
         )
     )
     emit_json(
@@ -132,6 +161,7 @@ def test_gossip_engine_throughput():
             "push_speedup_vectorized_vs_scalar": push_scalar_seconds
             / push_vectorized_seconds,
             "vectorized_push": sections,
+            "vectorized_other": others,
         },
         path=BENCH_GOSSIP_JSON_FILE,
     )

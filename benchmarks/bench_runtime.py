@@ -35,6 +35,7 @@ from repro.experiments.config import (
     PracticalStudyConfig,
     SimulationStudyConfig,
 )
+from repro.experiments.gossip_study import GossipStudyConfig, run_gossip_study
 from repro.experiments.practical_study import run_alltoall_study, run_practical_study
 from repro.experiments.simulation_study import run_simulation_study
 from repro.mpi.bcast import binomial_bcast_program
@@ -198,14 +199,15 @@ def test_auto_vs_inline():
     ``auto`` runs a batch inline when its estimated cost cannot amortise
     process shipping and on the process lane otherwise.  On the *small*
     batch (8 tasks, one practical-sweep curve point, well under
-    ``AUTO_INLINE_MAX_UNITS``) and on a *small Monte-Carlo study*
-    (:func:`run_simulation_study`, 10 clusters x 10 iterations) ``auto``
-    with ``workers=2`` must stay within 10% of the inline pass — the lane
-    decision may cost next to nothing; both floors are recorded in
-    ``BENCH_runtime.json`` and enforced by ``check_regression.py``.  The
-    *large* batch (320 tasks, which ``auto`` sends to processes) is
-    recorded for inline, auto and process with no floor, so the crossover
-    stays visible across PRs.
+    ``AUTO_INLINE_MAX_UNITS``), on a *small Monte-Carlo study*
+    (:func:`run_simulation_study`, 10 clusters x 10 iterations) and on a
+    *small gossip study* (:func:`run_gossip_study`, the five protocols at
+    5,000 nodes) ``auto`` with ``workers=2`` must stay within 10% of the
+    inline pass — the lane decision may cost next to nothing; the three
+    floors are recorded in ``BENCH_runtime.json`` and enforced by
+    ``check_regression.py``.  The *large* batch (320 tasks, which ``auto``
+    sends to processes) is recorded for inline, auto and process with no
+    floor, so the crossover stays visible across PRs.
     """
     grid = build_grid5000_topology()
     config = NetworkConfig(noise_sigma=NOISE_SIGMA, seed=SEED)
@@ -247,10 +249,22 @@ def test_auto_vs_inline():
             executor=None if lane == "inline" else lane,
         ).makespans.tolist()
 
+    gossip_study = GossipStudyConfig(node_counts=(5_000,))
+
+    def gossip_small(lane: str):
+        return run_gossip_study(
+            gossip_study,
+            workers=0 if lane == "inline" else WORKERS,
+            executor=None if lane == "inline" else lane,
+        ).metrics.tolist()
+
     workloads = {
         "small_batch": (8, batch(build_tasks(8)), ("inline", "auto"), 100),
         "monte_carlo_small": (
             study.iterations, monte_carlo, ("inline", "auto"), 100
+        ),
+        "gossip_small": (
+            len(gossip_study.protocols), gossip_small, ("inline", "auto"), 100
         ),
         "large_batch": (
             320, batch(build_tasks(320)), ("inline", "auto", "process"), 3
@@ -301,6 +315,7 @@ def test_auto_vs_inline():
     # most 10% of the inline pass's throughput.
     assert sections["small_batch"]["speedup_auto_vs_inline"] >= 0.9
     assert sections["monte_carlo_small"]["speedup_auto_vs_inline"] >= 0.9
+    assert sections["gossip_small"]["speedup_auto_vs_inline"] >= 0.9
 
 
 def test_remote_loopback_lane():

@@ -33,10 +33,10 @@ perf wins of past PRs cannot silently rot:
   replicated — an overhead bound: fan-out may never cost more than a
   quarter of the inline throughput on the sweep it is built for),
 * auto executor lane         >= 0.9x the inline pass on the small-batch
-  workload and on a small Monte-Carlo study (``BENCH_runtime.json``,
-  auto_vs_inline section — an overhead bound: where ``executor="auto"``
-  keeps the work inline, the lane decision may cost at most a tenth of
-  the inline throughput),
+  workload, on a small Monte-Carlo study and on a small gossip study
+  (``BENCH_runtime.json``, auto_vs_inline section — an overhead bound:
+  where ``executor="auto"`` keeps the work inline, the lane decision may
+  cost at most a tenth of the inline throughput),
 * remote executor lane       >= 0.5x the process lane on the loopback
   practical sweep (``BENCH_runtime.json``, remote_loopback section — wire
   framing and socket hops must never halve the lane's throughput; across
@@ -126,6 +126,11 @@ FLOORS: tuple[tuple[str, tuple[str, ...], float], ...] = (
     (
         "BENCH_runtime.json",
         ("auto_vs_inline", "monte_carlo_small", "speedup_auto_vs_inline"),
+        0.9,
+    ),
+    (
+        "BENCH_runtime.json",
+        ("auto_vs_inline", "gossip_small", "speedup_auto_vs_inline"),
         0.9,
     ),
     (

@@ -111,14 +111,15 @@ def gossip_cost(num_nodes: int, rounds: int) -> float:
     A round of the vectorized engine touches every node once, so the work is
     ``num_nodes`` times the *expected* executed rounds — an epidemic over
     ``n`` nodes completes in about ``log2(n)`` rounds, capped by the spec's
-    round budget.  One vectorized node-round costs roughly 1/64 of a
-    simulated message (the engine advances ~10⁷ node-rounds/s where the
-    batched measurement engine moves ~10⁵ messages/s), so node-rounds are
-    scaled down to keep one shared unit across workloads.  Like every prior
-    here it only balances chunks and picks lanes; it never affects results.
+    round budget.  One unit is the work of ``1 / DEFAULT_UNITS_PER_SECOND``
+    seconds, and a study over all five protocols advances about 3.2 × 10⁷
+    node-rounds/s (2.9–4 × 10⁷ over 5,000 to 10⁵ nodes on a 2-core x86
+    box; the fanout-4 push runs in ``BENCH_gossip.json`` are faster), so
+    one unit is about 160 node-rounds.  Like every prior here it only
+    balances chunks and picks lanes; it never affects results.
     """
     expected_rounds = min(rounds, int(math.ceil(math.log2(max(2, num_nodes)))) + 2)
-    return 1.0 + num_nodes * expected_rounds / 64.0
+    return 1.0 + num_nodes * expected_rounds * DEFAULT_UNITS_PER_SECOND / 3.2e7
 
 
 class CostModel:

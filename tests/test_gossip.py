@@ -23,12 +23,13 @@ from repro.gossip import (
 from repro.gossip import engine as gossip_engine
 from repro.gossip import programs as gossip_programs
 from repro.gossip.engine import DEFAULT_GOSSIP_PARAMS
-from repro.runtime.chunking import gossip_cost
+from repro.runtime.chunking import AUTO_INLINE_MAX_UNITS, gossip_cost
 from repro.simulator.batch import execute_programs
 from repro.simulator.execution import execute_program
 from repro.simulator.network import SimulatedNetwork
 from repro.topology.cluster import Cluster
 from repro.topology.grid import Grid
+from repro.utils.rng import derive_seed
 
 CHURN = ChurnSpec(leave_fraction=0.25, join_fraction=0.15)
 
@@ -134,6 +135,104 @@ class TestEngineBitIdentity:
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="engine"):
             run_gossip(small_spec("push"), engine="quantum")
+
+
+def fixed_schedule(join_at: int, leave_at: int):
+    """A churn schedule where every node but the root joins at ``join_at``
+    and leaves at ``leave_at`` (the root stays for the whole run)."""
+
+    def schedule(spec):
+        horizon = spec.rounds + 1
+        join = np.full(spec.num_nodes, join_at, dtype=np.int64)
+        leave = np.full(spec.num_nodes, leave_at, dtype=np.int64)
+        join[spec.root] = 0
+        leave[spec.root] = horizon
+        return np.minimum(join, leave), leave
+
+    return schedule
+
+
+class TestMembershipBookkeeping:
+    """The vectorized engine keeps the alive set and the reachable count
+    incrementally; rounds where the whole membership moves at once must
+    still match the scalar reference, which re-derives both per node."""
+
+    @pytest.mark.parametrize("protocol", GOSSIP_PROTOCOLS)
+    @pytest.mark.parametrize(
+        "join_at, leave_at", [(0, 1), (0, 2), (2, 7), (1, 3)],
+        ids=["all-leave-r1", "all-leave-r2", "all-join-r2", "join-r1-leave-r3"],
+    )
+    def test_whole_network_moves_at_once(
+        self, monkeypatch, protocol, join_at, leave_at
+    ):
+        monkeypatch.setattr(
+            gossip_engine, "churn_schedule", fixed_schedule(join_at, leave_at)
+        )
+        spec = GossipSpec(
+            protocol=protocol, num_nodes=61, fanout=3, rounds=6, root=4, seed=17
+        )
+        vectorized = run_gossip(spec)
+        scalar = run_gossip(spec, engine="scalar")
+        assert np.array_equal(vectorized.informed_round, scalar.informed_round)
+        assert np.array_equal(
+            vectorized.messages_per_round, scalar.messages_per_round
+        )
+        assert vectorized.rounds_executed == scalar.rounds_executed
+        if protocol == "epto":
+            assert np.array_equal(vectorized.final_ttl, scalar.final_ttl)
+        # Nobody is informed outside its alive interval.
+        delivered = vectorized.delivered_mask
+        delivered[spec.root] = False
+        assert np.all(vectorized.informed_round[delivered] >= join_at)
+        assert np.all(vectorized.informed_round[delivered] < leave_at)
+        if leave_at == 1:
+            # Everyone but the root is gone before a first send can land.
+            assert vectorized.delivered_count == 1
+            if protocol in ("push", "pushpull"):
+                assert vectorized.rounds_executed == 0  # nothing reachable
+
+
+class TestTargetDrawWidth:
+    """The narrow target draw is the int64 one, row for row.
+
+    The vectorized round draws targets as ``int32`` whenever every rank fits,
+    resting on NumPy drawing any range below ``2**32`` with one 32-bit step
+    whatever the output dtype.  These cases pin that behaviour at the edges
+    of both widths without allocating anything network-sized, so a NumPy
+    that splits the two paths fails here first.
+    """
+
+    @staticmethod
+    def int64_rows(spec, round_index, drawers):
+        rng = np.random.default_rng(
+            derive_seed(spec.seed, "gossip/targets", spec.protocol, round_index)
+        )
+        raw = rng.integers(0, spec.num_nodes - 1, size=(drawers.size, spec.fanout))
+        raw += raw >= drawers[:, None]
+        return raw
+
+    @pytest.mark.parametrize(
+        "num_nodes", [2, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**40]
+    )
+    @pytest.mark.parametrize("fanout", [1, 2, 7])
+    @pytest.mark.parametrize("seed", [1, 2**40 + 3])
+    def test_rows_equal_the_int64_formula(self, num_nodes, fanout, seed):
+        spec = GossipSpec(
+            protocol="push",
+            num_nodes=num_nodes,
+            fanout=min(fanout, num_nodes - 1),
+            seed=seed,
+        )
+        low = np.arange(min(num_nodes, 40))
+        high = np.arange(max(num_nodes - 40, 0), num_nodes)
+        drawers = np.union1d(low, high)
+        for round_index in (0, 1, 11):
+            rows = gossip_engine._round_targets(spec, round_index, drawers)
+            assert rows.dtype == (np.int32 if num_nodes <= 2**31 else np.int64)
+            expected = self.int64_rows(spec, round_index, drawers)
+            assert rows.tolist() == expected.tolist()
+            assert np.all((rows >= 0) & (rows < num_nodes))
+            assert not np.any(rows == drawers[:, None])
 
 
 class TestEngineBehaviour:
@@ -373,6 +472,18 @@ class TestGossipStudy:
         assert gossip_cost(100_000, 64) > gossip_cost(1_000, 64) > 0
         # The prior never exceeds the round budget's worth of node-rounds.
         assert gossip_cost(8, 2) <= 1.0 + 8 * 2 / 64.0
+
+    def test_auto_lane_boundary_for_default_studies(self):
+        """Priced over the five protocols, a 5,000-node study stays under
+        the auto-inline threshold and a (10^3, 10^4) study goes over it —
+        the crossover ``bench_runtime.py``'s auto_vs_inline section times."""
+
+        def units(node_counts):
+            config = GossipStudyConfig(node_counts=node_counts)
+            per_protocol = sum(gossip_cost(n, config.rounds) for n in node_counts)
+            return per_protocol * len(config.protocols)
+
+        assert units((5_000,)) <= AUTO_INLINE_MAX_UNITS < units((1_000, 10_000))
 
 
 class TestGossipCli:

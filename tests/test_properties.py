@@ -826,35 +826,47 @@ class TestGossipProperties:
         assert np.all(informed < result.leave_round[result.delivered_mask])
 
     @given(
-        protocol=st.sampled_from(["push", "pushpull", "epto"]),
+        protocol=st.sampled_from(GOSSIP_PROTOCOLS),
         num_nodes=st.integers(min_value=2, max_value=120),
         fanout=st.integers(min_value=1, max_value=4),
-        churned=st.booleans(),
+        rounds=st.integers(min_value=1, max_value=6) | st.just(64),
+        churn=st.none()
+        | st.builds(
+            ChurnSpec,
+            leave_fraction=st.floats(0.0, 0.9, allow_nan=False),
+            join_fraction=st.floats(0.0, 0.9, allow_nan=False),
+        ),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_sender_only_draws_agree_across_engines_and_programs(
-        self, protocol, num_nodes, fanout, churned, seed
+        self, protocol, num_nodes, fanout, rounds, churn, seed
     ):
         """The per-drawer target draw is consumed identically everywhere:
         the scalar reference equals the vectorized engine, churn or not, and
         without churn the transcribed program activates exactly the ranks
-        the engine delivered."""
+        the engine delivered.  Heavy churn over few rounds changes the
+        membership on most rounds, which the vectorized engine tracks
+        incrementally and the scalar one re-derives node by node."""
         assume(fanout <= num_nodes - 1)
         spec = GossipSpec(
             protocol=protocol,
             num_nodes=num_nodes,
             fanout=fanout,
+            rounds=rounds,
             seed=seed,
-            churn=ChurnSpec(leave_fraction=0.2, join_fraction=0.1) if churned else None,
+            churn=churn,
         )
         vectorized = run_gossip(spec)
         scalar = run_gossip(spec, engine="scalar")
         assert np.array_equal(vectorized.informed_round, scalar.informed_round)
         assert np.array_equal(vectorized.messages_per_round, scalar.messages_per_round)
+        assert vectorized.rounds_executed == scalar.rounds_executed
         if protocol == "epto":
             assert np.array_equal(vectorized.final_ttl, scalar.final_ttl)
-        if not churned:
+        else:
+            assert vectorized.final_ttl is None and scalar.final_ttl is None
+        if churn is None:
             program = gossip_program(spec, 256.0, result=vectorized)
             grid = Grid(
                 [Cluster(cluster_id=0, size=num_nodes, fixed_broadcast_time=0.0)], {}
