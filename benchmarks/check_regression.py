@@ -8,10 +8,13 @@ perf wins of past PRs cannot silently rot:
 
 * batched scheduling engine  >= 10x the seed-style scalar path
   (``BENCH_scheduling.json``),
-* line-up kernel at paper scale >= 2.5x the per-grid vectorized engine
+* line-up kernel at paper scale >= 1.2x the per-grid vectorized engine
   on 50-cluster grids with the seven paper heuristics
   (``BENCH_scheduling.json``, paper_scale_kernel section — both engines'
-  makespans verified identical before they are timed),
+  makespans verified identical before they are timed; the floor keeps the
+  0.72 headroom factor of the former 2.5x floor over its 3.45x record,
+  against the 1.76x recorded once the per-grid engine kept its score rows
+  in place),
 * batched measured sweep     >=  5x the per-run scalar loop
   (``BENCH_practical.json``, replicated section),
 * batched schedule phase     >= 5x the per-size ``schedule()`` loop on
@@ -85,7 +88,7 @@ FLOORS: tuple[tuple[str, tuple[str, ...], float], ...] = (
     (
         "BENCH_scheduling.json",
         ("paper_scale_kernel", "speedup_vs_vectorized"),
-        2.5,
+        1.2,
     ),
     (
         "BENCH_practical.json",

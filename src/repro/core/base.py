@@ -10,9 +10,47 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.costs import GridCostCache
-from repro.core.schedule import BroadcastSchedule, evaluate_order
+from repro.core.schedule import BroadcastSchedule, ScheduledTransfer, check_order_types
 from repro.topology.grid import Grid
 from repro.utils.validation import check_non_negative
+
+
+class _ScoreRows:
+    """One selection rule's ``(sender, receiver)`` scores, kept in place.
+
+    An informed sender ``i``'s row holds ``RT_i + base_{i,j}`` (``base_{i,j}``
+    alone for a rule without ready times), a pending sender's row +inf.  A
+    *masked* rule also holds +inf on every informed column, so the pair it
+    selects is one plain argmin; BottomUp's unmasked rows leave the columns
+    to the state's pending penalty.  A commit rewrites only the sender's and
+    the receiver's rows and, for a masked rule, the receiver's column.
+    """
+
+    __slots__ = ("base", "ready", "masked", "matrix")
+
+    def __init__(
+        self, state: "SchedulingState", base: np.ndarray, ready: bool, masked: bool
+    ) -> None:
+        self.base, self.ready, self.masked = base, ready, masked
+        self.matrix = np.full(base.shape, np.inf)
+        for sender in state._informed_sorted:
+            self._rewrite(state, sender)
+
+    def _rewrite(self, state: "SchedulingState", sender: int) -> None:
+        row = self.matrix[sender]
+        if self.ready:
+            np.add(state._rt[sender], self.base[sender], out=row)
+        else:
+            np.copyto(row, self.base[sender])
+        if self.masked:
+            row += state._penalty
+
+    def commit(self, state: "SchedulingState", sender: int, receiver: int) -> None:
+        if self.masked:
+            self.matrix[:, receiver] = np.inf
+        if self.ready:
+            self._rewrite(state, sender)
+        self._rewrite(state, receiver)
 
 
 @dataclass
@@ -31,6 +69,10 @@ class SchedulingState:
     only do array reads and the matrices are built once per grid rather than
     once per heuristic.
 
+    Every :meth:`commit` records the times of its transfer, so
+    :meth:`to_schedule` builds the timed schedule without re-timing the
+    decision order.
+
     Parameters
     ----------
     grid, message_size, root:
@@ -39,7 +81,7 @@ class SchedulingState:
         Optional pre-built cost cache; defaults to the shared per-grid cache.
     vectorized:
         When true (the default) the heuristics drive the state through the
-        masked NumPy argmin kernels below; when false they fall back to the
+        NumPy selection kernels below; when false they fall back to the
         scalar reference loops, which exist so the equivalence of the two
         engines stays testable.
     """
@@ -58,9 +100,10 @@ class SchedulingState:
     _informed_sorted: list[int] = field(init=False, repr=False, compare=False)
     _pending_sorted: list[int] = field(init=False, repr=False, compare=False)
     _rt: np.ndarray = field(init=False, repr=False, compare=False)
-    _informed_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    _pending_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    _scores: np.ndarray = field(init=False, repr=False, compare=False)
+    _penalty: np.ndarray = field(init=False, repr=False, compare=False)
+    _timings: list[tuple[float, ...]] = field(init=False, repr=False, compare=False)
+    _rules: dict[tuple, _ScoreRows] = field(init=False, repr=False, compare=False)
+    _lookaheads: dict[tuple, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_non_negative(self.message_size, "message_size")
@@ -79,10 +122,12 @@ class SchedulingState:
         self._informed_sorted = [self.root]
         self._pending_sorted = [c for c in range(n) if c != self.root]
         self._rt = np.zeros(n, dtype=float)
-        self._informed_mask = np.zeros(n, dtype=bool)
-        self._informed_mask[self.root] = True
-        self._pending_mask = ~self._informed_mask
-        self._scores = np.empty((n, n), dtype=float)
+        # 0 on the pending columns, +inf on the informed ones.
+        self._penalty = np.zeros(n, dtype=float)
+        self._penalty[self.root] = np.inf
+        self._timings = []
+        self._rules = {}
+        self._lookaheads = {}
 
     # -- cached pLogP reads -------------------------------------------------------
 
@@ -158,50 +203,62 @@ class SchedulingState:
         self.ready_time[receiver] = arrival
         self.waiting.remove(receiver)
         self.order.append((sender, receiver))
+        self._timings.append((start, release, arrival, gap, latency))
         insort(self._informed_sorted, receiver)
         del self._pending_sorted[bisect_left(self._pending_sorted, receiver)]
         self._rt[sender] = release
         self._rt[receiver] = arrival
-        self._informed_mask[receiver] = True
-        self._pending_mask[receiver] = False
+        self._penalty[receiver] = np.inf
+        for rows in self._rules.values():
+            rows.commit(self, sender, receiver)
+        for matrix in self._lookaheads.values():
+            matrix[:, receiver] = np.inf
 
     # -- vectorized selection kernels ------------------------------------------------
     #
-    # All kernels reduce a masked (sender, receiver) score matrix with
-    # np.argmin / np.argmax.  NumPy returns the *first* occurrence of the
-    # extremum in row-major order, which is exactly the tie-breaking of the
-    # scalar reference loops (senders ascending, receivers ascending, strict
-    # comparisons) — so both engines pick identical pairs, ties included.
+    # Each selection rule keeps its score matrix in place (_ScoreRows), built
+    # on the rule's first call and updated by every commit.  np.argmin /
+    # np.argmax return the *first* occurrence of the extremum in row-major
+    # order, which is exactly the tie-breaking of the scalar reference loops
+    # (senders ascending, receivers ascending, strict comparisons), and every
+    # score is the scalar loops' float expression — so both engines pick
+    # identical pairs, ties included.
 
-    def _masked_argmin(self, scores: np.ndarray) -> tuple[int, int]:
-        scores[~self._informed_mask, :] = np.inf
-        scores[:, ~self._pending_mask] = np.inf
-        flat = int(np.argmin(scores))
-        n = scores.shape[1]
-        return flat // n, flat % n
+    def _score_rows(
+        self, base: np.ndarray, *, ready: bool, masked: bool = True
+    ) -> np.ndarray:
+        key = (id(base), ready, masked)
+        rows = self._rules.get(key)
+        if rows is None:
+            rows = self._rules[key] = _ScoreRows(self, base, ready, masked)
+        return rows.matrix
+
+    @staticmethod
+    def _first_min(scores: np.ndarray) -> tuple[int, int]:
+        return divmod(int(scores.argmin()), scores.shape[1])
 
     def select_min_completion(self) -> tuple[int, int]:
         """ECEF: argmin over A×B of ``RT_i + g_{i,j}(m) + L_{i,j}``."""
-        scores = self._scores
-        np.add(self._rt[:, None], self.costs.transfer, out=scores)
-        return self._masked_argmin(scores)
+        return self._first_min(self._score_rows(self.costs.transfer, ready=True))
 
     def select_min_completion_plus(self, receiver_bonus: np.ndarray) -> tuple[int, int]:
         """ECEF-LA family: argmin of ``RT_i + g_{i,j}(m) + L_{i,j} + F_j``.
 
         ``receiver_bonus`` is a length-``n`` vector of lookahead values
-        ``F_j``; entries outside ``B`` are ignored (masked to +inf).
+        ``F_j``; entries outside ``B`` are ignored unless they are -inf or
+        NaN (they are added to +inf).
         """
-        scores = self._scores
-        np.add(self._rt[:, None], self.costs.transfer, out=scores)
-        scores += receiver_bonus
-        return self._masked_argmin(scores)
+        scores = self._score_rows(self.costs.transfer, ready=True)
+        return self._first_min(scores + receiver_bonus)
 
     def select_min_edge(self, weights: np.ndarray) -> tuple[int, int]:
-        """FEF: argmin over A×B of a static edge-weight matrix."""
-        scores = self._scores
-        np.copyto(scores, weights)
-        return self._masked_argmin(scores)
+        """FEF: argmin over A×B of a static edge-weight matrix.
+
+        The state keeps one score matrix per ``weights`` array, so pass the
+        same array every round (a :class:`~repro.core.costs.GridCostCache`
+        matrix).
+        """
+        return self._first_min(self._score_rows(weights, ready=False))
 
     def select_bottom_up(self, *, use_ready_time: bool = False) -> tuple[int, int]:
         """BottomUp: max over B of the per-receiver cheapest completion.
@@ -209,26 +266,61 @@ class SchedulingState:
         ``argmax_{j in B} min_{i in A} (g_{i,j}(m) + L_{i,j} + T_j [+ RT_i])``,
         returned as the (cheapest sender, selected receiver) pair.
         """
-        scores = self._scores
-        np.add(self.costs.transfer, self.costs.broadcast[None, :], out=scores)
-        if use_ready_time:
-            scores += self._rt[:, None]
-        scores[~self._informed_mask, :] = np.inf
-        cheapest = scores.min(axis=0)
+        scores = self._score_rows(
+            self.costs.transfer_plus_broadcast, ready=use_ready_time, masked=False
+        )
         cheapest_sender = scores.argmin(axis=0)
-        cheapest[~self._pending_mask] = -np.inf
-        receiver = int(np.argmax(cheapest))
+        cheapest = scores[cheapest_sender, np.arange(scores.shape[1])]
+        receiver = int(np.argmax(cheapest - self._penalty))
         return int(cheapest_sender[receiver]), receiver
 
+    def lookahead_minima(self, base: str, sign: float) -> np.ndarray:
+        """A min-form lookahead column: ``F_j = s·min_{k in B∖{j}} s·base_{j,k}``.
+
+        ``base`` names a :class:`~repro.core.costs.GridCostCache` matrix and
+        ``s`` is ``sign`` (-1 turns the minimum into ECEF-LAT's maximum).
+        The state keeps ``s·base`` with +inf on the diagonal and on the
+        informed columns (a commit sets the leaving receiver's), so ``F`` is
+        one row minimum; entries outside ``B`` are finite and meaningless.
+        ``F`` is 0 once ``B`` holds a single cluster.
+        """
+        if len(self._pending_sorted) < 2:
+            return np.zeros(self.grid.num_clusters)
+        matrix = self._lookaheads.get((base, sign))
+        if matrix is None:
+            matrix = getattr(self.costs, base) * sign
+            np.fill_diagonal(matrix, np.inf)
+            matrix[:, self._informed_sorted] = np.inf
+            self._lookaheads[base, sign] = matrix
+        minima = matrix.min(axis=1)
+        return minima if sign > 0 else np.negative(minima, out=minima)
+
     def to_schedule(self, heuristic_name: str = "") -> BroadcastSchedule:
-        """Time the accumulated decision order into a full schedule."""
-        return evaluate_order(
-            self.grid,
-            self.message_size,
-            self.root,
-            self.order,
+        """The timed schedule of the decisions, from the times :meth:`commit`
+        recorded: the floats :func:`~repro.core.schedule.evaluate_order`
+        computes for the same order."""
+        check_order_types(self.order)
+        if self.waiting:
+            raise ValueError(f"clusters {sorted(self.waiting)} never receive the message")
+        n = self.grid.num_clusters
+        arrival_times = [0.0] * n
+        transfers = []
+        for (sender, receiver), timing in zip(self.order, self._timings):
+            transfers.append(ScheduledTransfer(sender, receiver, *timing))
+            arrival_times[receiver] = timing[2]
+        local_start_times = [self.ready_time[c] for c in range(n)]
+        return BroadcastSchedule(
+            root=self.root,
+            num_clusters=n,
+            message_size=self.message_size,
+            transfers=transfers,
+            arrival_times=arrival_times,
+            local_start_times=local_start_times,
+            completion_times=[
+                start + broadcast
+                for start, broadcast in zip(local_start_times, self.broadcast_times)
+            ],
             heuristic_name=heuristic_name,
-            costs=self.costs,
         )
 
 

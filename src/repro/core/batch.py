@@ -42,11 +42,9 @@ from repro.core.ecef import ECEF, ECEFLookahead
 from repro.core.fef import FastestEdgeFirst
 from repro.core.flat_tree import FlatTreeHeuristic
 from repro.core.lookahead import (
+    MIN_FORM_LOOKAHEADS,
     average_informed_lookahead,
     average_latency_lookahead,
-    grid_aware_max_lookahead,
-    grid_aware_min_lookahead,
-    min_edge_lookahead,
     no_lookahead,
 )
 from repro.core.mixed import MixedStrategy
@@ -142,9 +140,7 @@ _MIN_LOOKAHEAD, _AVERAGE_LOOKAHEAD, _EDGE, _BOTTOM_UP, _FLAT = range(5)
 #: are only ULP-close to the per-grid ones (fine for makespans, not for
 #: exact schedules).
 _LOOKAHEADS = {
-    min_edge_lookahead: (_MIN_LOOKAHEAD, ("transfer", 1.0)),
-    grid_aware_min_lookahead: (_MIN_LOOKAHEAD, ("transfer_plus_broadcast", 1.0)),
-    grid_aware_max_lookahead: (_MIN_LOOKAHEAD, ("transfer_plus_broadcast", -1.0)),
+    **{fn: (_MIN_LOOKAHEAD, form) for fn, form in MIN_FORM_LOOKAHEADS.items()},
     average_latency_lookahead: (_AVERAGE_LOOKAHEAD, _average_latency),
     average_informed_lookahead: (_AVERAGE_LOOKAHEAD, _average_informed),
 }

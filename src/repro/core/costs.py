@@ -49,6 +49,9 @@ class GridCostCache:
     broadcast:
         ``(n,)`` float array of the local broadcast times ``T_i`` (computed
         on first read).
+    transfer_plus_broadcast:
+        ``(n, n)`` float array ``g_{i,j}(m) + L_{i,j} + T_j`` (computed on
+        first read).
     """
 
     #: Per-grid cache of instances, keyed weakly so entries die with the grid.
@@ -76,6 +79,7 @@ class GridCostCache:
         # cache, through _instances) alive forever.
         self._grid_ref = weakref.ref(grid)
         self._broadcast: np.ndarray | None = None
+        self._transfer_plus_broadcast: np.ndarray | None = None
         self._min_incoming: list[float] | None = None
         self._node_tables: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -132,6 +136,17 @@ class GridCostCache:
             broadcast.setflags(write=False)
             self._broadcast = broadcast
         return self._broadcast
+
+    @property
+    def transfer_plus_broadcast(self) -> np.ndarray:
+        """``(n, n)`` read-only ``g_{i,j}(m) + L_{i,j} + T_j``: BottomUp's
+        scores and the grid-aware lookaheads' matrix, shared by every
+        heuristic on this cache."""
+        if self._transfer_plus_broadcast is None:
+            matrix = self.transfer + self.broadcast[None, :]
+            matrix.setflags(write=False)
+            self._transfer_plus_broadcast = matrix
+        return self._transfer_plus_broadcast
 
     @property
     def grid(self) -> Grid | None:

@@ -13,10 +13,17 @@ A lookahead function receives the scheduling state and the candidate receiver
 evaluated over the *other* clusters of ``B`` (``k != j``); when ``j`` is the
 last waiting cluster the lookahead is 0, which never changes the selected pair
 because ``F_j`` is then a constant offset.
+
+Every registered lookahead has a vectorized twin that computes the whole
+``F`` column per round.  The min and max ones are described once, in
+:data:`MIN_FORM_LOOKAHEADS`: the per-grid engine and the batched kernel both
+keep the named matrix with the leaving receiver's column set to +inf, so
+``F_j`` is one row minimum.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -122,26 +129,27 @@ def grid_aware_max_lookahead(state: SchedulingState, candidate: int) -> float:
 
 # -- vectorized counterparts -------------------------------------------------------
 #
-# Each function computes the whole ``F`` column for the current pending set in
-# a handful of masked matrix reductions instead of one Python call per
-# (candidate, other) pair.  The min/max variants produce bit-identical values
-# to their scalar twins (IEEE min/max are exact regardless of reduction
-# order); the average variants may differ by one or two ULPs because NumPy
-# uses pairwise summation, which is tighter than the scalar left-to-right sum.
+# Each function computes the whole ``F`` column for the current pending set at
+# once instead of one Python call per (candidate, other) pair.  The min/max
+# variants (:meth:`SchedulingState.lookahead_minima`) produce bit-identical
+# values to their scalar twins (IEEE min/max are exact regardless of
+# reduction order); the average variants may differ by one or two ULPs
+# because NumPy uses pairwise summation, which is tighter than the scalar
+# left-to-right sum.
+
+#: The min-form lookaheads as ``(cost matrix, sign)``: ``F_j`` is ``sign``
+#: times the minimum over ``k in B∖{j}`` of ``sign`` times the named matrix
+#: (an attribute of both :class:`~repro.core.costs.GridCostCache` and the
+#: batched stack).  ECEF-LAT's maximum is the minimum of the negated matrix.
+MIN_FORM_LOOKAHEADS: dict[LookaheadFunction, tuple[str, float]] = {
+    min_edge_lookahead: ("transfer", 1.0),
+    grid_aware_min_lookahead: ("transfer_plus_broadcast", 1.0),
+    grid_aware_max_lookahead: ("transfer_plus_broadcast", -1.0),
+}
 
 
 def _vec_no_lookahead(state: SchedulingState) -> np.ndarray:
     return np.zeros(state.grid.num_clusters)
-
-
-def _vec_min_edge_lookahead(state: SchedulingState) -> np.ndarray:
-    pending = state.pending_indices
-    out = np.zeros(state.grid.num_clusters)
-    if pending.size > 1:
-        sub = state.costs.transfer[np.ix_(pending, pending)]
-        np.fill_diagonal(sub, np.inf)
-        out[pending] = sub.min(axis=1)
-    return out
 
 
 def _vec_average_latency_lookahead(state: SchedulingState) -> np.ndarray:
@@ -172,41 +180,15 @@ def _vec_average_informed_lookahead(state: SchedulingState) -> np.ndarray:
     return out
 
 
-def _grid_aware_matrix(state: SchedulingState, pending: np.ndarray) -> np.ndarray:
-    return (
-        state.costs.transfer[np.ix_(pending, pending)]
-        + state.costs.broadcast[pending][None, :]
-    )
-
-
-def _vec_grid_aware_min_lookahead(state: SchedulingState) -> np.ndarray:
-    pending = state.pending_indices
-    out = np.zeros(state.grid.num_clusters)
-    if pending.size > 1:
-        sub = _grid_aware_matrix(state, pending)
-        np.fill_diagonal(sub, np.inf)
-        out[pending] = sub.min(axis=1)
-    return out
-
-
-def _vec_grid_aware_max_lookahead(state: SchedulingState) -> np.ndarray:
-    pending = state.pending_indices
-    out = np.zeros(state.grid.num_clusters)
-    if pending.size > 1:
-        sub = _grid_aware_matrix(state, pending)
-        np.fill_diagonal(sub, -np.inf)
-        out[pending] = sub.max(axis=1)
-    return out
-
-
 #: Vectorized twins of the scalar lookaheads, keyed by the scalar function.
 VECTORIZED_LOOKAHEADS: dict[LookaheadFunction, VectorizedLookahead] = {
     no_lookahead: _vec_no_lookahead,
-    min_edge_lookahead: _vec_min_edge_lookahead,
     average_latency_lookahead: _vec_average_latency_lookahead,
     average_informed_lookahead: _vec_average_informed_lookahead,
-    grid_aware_min_lookahead: _vec_grid_aware_min_lookahead,
-    grid_aware_max_lookahead: _vec_grid_aware_max_lookahead,
+    **{
+        function: partial(SchedulingState.lookahead_minima, base=base, sign=sign)
+        for function, (base, sign) in MIN_FORM_LOOKAHEADS.items()
+    },
 }
 
 

@@ -2,9 +2,11 @@
 
 Every heuristic in this package ultimately produces an ordered list of
 ``(sender_cluster, receiver_cluster)`` decisions.  The conversion of that
-order into actual times — and therefore into a makespan — is performed by a
-single function, :func:`evaluate_order`, so that all heuristics are compared
-under exactly the same cost model:
+order into actual times — and therefore into a makespan — follows one cost
+model, so that all heuristics are compared on exactly the same footing.
+:func:`evaluate_order` times any order; the scheduling state and the batched
+kernel record the same floats while they decide, and build their schedules
+from that record:
 
 * a coordinator may start a transmission only once it *has* the message and
   is not busy injecting a previous one (its *ready time* ``RT``);
@@ -75,10 +77,12 @@ class ScheduledTransfer:
 class BroadcastSchedule:
     """A fully timed inter-cluster broadcast schedule.
 
-    Instances are produced by :func:`evaluate_order`; they are immutable in
-    spirit (nothing mutates them after construction) and expose the quantities
-    the experiments need: per-cluster arrival times, local-broadcast start
-    times, completion times and the overall makespan.
+    Instances are produced by :func:`evaluate_order`, or by the scheduling
+    engines from the times they recorded while deciding (the same floats);
+    they are immutable in spirit (nothing mutates them after construction)
+    and expose the quantities the experiments need: per-cluster arrival
+    times, local-broadcast start times, completion times and the overall
+    makespan.
 
     Attributes
     ----------
@@ -354,8 +358,7 @@ def _check_order(order: Iterable[tuple[int, int]], root: int, num_clusters: int)
             raise ValueError(f"order entry {position} is not a (sender, receiver) pair")
         sender, receiver = pair
         for name, value in (("sender", sender), ("receiver", receiver)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} at position {position} must be an int")
+            _check_index_type(name, value, position)
             if not 0 <= value < num_clusters:
                 raise ValueError(
                     f"{name} {value} at position {position} is not a valid cluster index"
@@ -376,3 +379,20 @@ def _check_order(order: Iterable[tuple[int, int]], root: int, num_clusters: int)
     missing = expected - received
     if missing:
         raise ValueError(f"clusters {sorted(missing)} never receive the message")
+
+
+def check_order_types(order: Iterable[tuple[int, int]]) -> None:
+    """Raise :class:`TypeError` unless every cluster index of a decision
+    sequence is an ``int`` (a ``bool`` is not), as :func:`evaluate_order`
+    does."""
+    for position, (sender, receiver) in enumerate(order):
+        # Plain ints pass at once; bools, int subclasses and NumPy integers
+        # take the full check.
+        if type(sender) is not int or type(receiver) is not int:
+            _check_index_type("sender", sender, position)
+            _check_index_type("receiver", receiver, position)
+
+
+def _check_index_type(name: str, value: object, position: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} at position {position} must be an int")

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.base import SchedulingState, run_heuristics
+from repro.core.base import SchedulingHeuristic, SchedulingState, run_heuristics
 from repro.core.ecef import ECEF
 from repro.core.flat_tree import FlatTreeHeuristic
 
@@ -87,8 +88,6 @@ class TestHeuristicBase:
         assert schedule.transfers == []
 
     def test_incomplete_heuristic_detected(self, heterogeneous_grid):
-        from repro.core.base import SchedulingHeuristic
-
         class Lazy(SchedulingHeuristic):
             display_name = "Lazy"
 
@@ -97,6 +96,43 @@ class TestHeuristicBase:
 
         with pytest.raises(RuntimeError, match="without informing"):
             Lazy().schedule(heterogeneous_grid, 1_000)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_uninformed_sender_is_rejected(self, heterogeneous_grid, vectorized):
+        class Eager(SchedulingHeuristic):
+            display_name = "Eager"
+
+            def build_order(self, state):
+                state.commit(0, 1)
+                state.commit(2, 1)
+
+        with pytest.raises(ValueError, match="cluster 2 is not informed"):
+            Eager().schedule(heterogeneous_grid, 1_000, vectorized=vectorized)
+
+    @pytest.mark.parametrize(
+        ("sender", "receiver", "message"),
+        [
+            (np.int64(0), 1, "sender at position 0 must be an int"),
+            # A bool already fails reading its cost (NumPy takes it as a mask).
+            (0, True, None),
+        ],
+    )
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_non_int_cluster_index_is_rejected(
+        self, heterogeneous_grid, vectorized, sender, receiver, message
+    ):
+        """The schedule is built from the commits' own record, and still
+        rejects an index ``evaluate_order`` would reject."""
+
+        class Sloppy(SchedulingHeuristic):
+            display_name = "Sloppy"
+
+            def build_order(self, state):
+                state.commit(sender, receiver)
+                state.commit(0, 2)
+
+        with pytest.raises(TypeError, match=message):
+            Sloppy().schedule(heterogeneous_grid, 1_000, vectorized=vectorized)
 
     def test_run_heuristics_collects_all(self, heterogeneous_grid):
         results = run_heuristics([ECEF(), FlatTreeHeuristic()], heterogeneous_grid, 1_000)

@@ -4,7 +4,8 @@ The repository ships three scheduling engines that must agree bit-for-bit:
 
 * the **scalar reference** (``vectorized=False``): the seed implementation's
   nested Python loops;
-* the **vectorized** per-grid engine: masked NumPy argmin kernels on a
+* the **vectorized** per-grid engine: NumPy argmin kernels over score
+  matrices that each commit updates in place, on a
   :class:`~repro.core.costs.GridCostCache`;
 * the **batched** engine (:mod:`repro.core.batch`): whole stacks of grids
   advanced one selection round at a time.
@@ -12,6 +13,9 @@ The repository ships three scheduling engines that must agree bit-for-bit:
 The property tests below assert identical decision orders and identical
 (``==``, not approximately equal) makespans across engines on randomized
 grids, for every registered heuristic and lookahead — tie-breaking included.
+Fixed-seed cases at the schedule service's 16–48 clusters compare whole
+schedules, field for field, with the scalar engine and with the decision
+order re-timed by :func:`~repro.core.schedule.evaluate_order`.
 
 One caveat: the *average*-based ablation lookaheads reduce with a different
 summation order per engine (scalar left-to-right vs NumPy pairwise vs BLAS
@@ -33,6 +37,7 @@ from repro.core.costs import GridCostCache
 from repro.core.ecef import ECEFLookahead
 from repro.core.lookahead import LOOKAHEAD_FUNCTIONS
 from repro.core.registry import PAPER_HEURISTICS, get_heuristic, instantiate
+from repro.core.schedule import evaluate_order
 from repro.topology.generators import RandomGridGenerator, make_uniform_grid
 from repro.utils.rng import RandomStream
 
@@ -168,6 +173,35 @@ class TestEngineEquivalence:
             assert heuristic.makespan(grid, MESSAGE_SIZE) == (
                 heuristic.schedule(grid, MESSAGE_SIZE).makespan
             )
+
+
+class TestServiceScaleEquivalence:
+    """Fixed seeds at the cluster counts the schedule service answers
+    (16–48), on random grids and on tie-prone uniform ones."""
+
+    @pytest.mark.parametrize("num_clusters", [16, 32, 48])
+    @pytest.mark.parametrize("kind", ["random", "uniform"])
+    def test_schedules_equal_scalar_and_retimed_order(self, kind, num_clusters):
+        if kind == "random":
+            grid = random_grid(num_clusters, seed=1_000 + num_clusters)
+        else:
+            grid = make_uniform_grid(num_clusters)
+        heuristics = instantiate(GREEDY_KEYS) + [
+            ECEFLookahead(lookahead, key=lookahead, display_name=lookahead)
+            for lookahead in EXACT_LOOKAHEADS
+        ]
+        for size in (0, 4 * MESSAGE_SIZE):
+            for root in (0, num_clusters - 1):
+                for heuristic in heuristics:
+                    case = (heuristic.name, size, root)
+                    fast = heuristic.schedule(grid, size, root=root)
+                    reference = heuristic.schedule(
+                        grid, size, root=root, vectorized=False
+                    )
+                    assert fast == reference, case
+                    assert fast == evaluate_order(
+                        grid, size, root, fast.order, heuristic_name=heuristic.name
+                    ), case
 
 
 # ---------------------------------------------------------------------------
