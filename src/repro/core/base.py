@@ -170,16 +170,6 @@ class SchedulingState:
         return list(self._pending_sorted)
 
     @property
-    def informed_indices(self) -> np.ndarray:
-        """Set ``A`` as a sorted integer array (vectorized consumers)."""
-        return np.asarray(self._informed_sorted, dtype=np.intp)
-
-    @property
-    def pending_indices(self) -> np.ndarray:
-        """Set ``B`` as a sorted integer array (vectorized consumers)."""
-        return np.asarray(self._pending_sorted, dtype=np.intp)
-
-    @property
     def done(self) -> bool:
         """Whether every cluster has been scheduled to receive the message."""
         return not self.waiting
@@ -190,6 +180,8 @@ class SchedulingState:
 
     def commit(self, sender: int, receiver: int) -> None:
         """Record the decision (sender -> receiver) and update both ready times."""
+        if type(sender) is not int or type(receiver) is not int:
+            check_order_types([*self.order, (sender, receiver)])
         if sender not in self.ready_time:
             raise ValueError(f"cluster {sender} is not informed yet")
         if receiver not in self.waiting:

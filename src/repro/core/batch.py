@@ -21,10 +21,9 @@ column set to +∞, so ``F_j`` is a plain row minimum (ECEF-LAT's maximum is
 the minimum of the negated matrix).  Every score is the float expression
 the per-grid engines evaluate, with their row-major first-occurrence
 tie-breaking, so makespans and schedules are bit-identical to theirs for
-every paper heuristic and min/max lookahead.  The two *average*-based
-ablation lookaheads reduce via BLAS matmuls whose summation order differs,
-so their scores can differ by ULPs (fixed-seed tests cover them, and
-recording declines them).  Heuristics without kernel rows — e.g.
+every paper heuristic and registered lookahead; an average lookahead's
+``F`` comes from the column function the per-grid engine calls too.
+Heuristics without kernel rows — e.g.
 :class:`~repro.core.optimal.OptimalSearch` or custom ones — get ``None``,
 and callers fall back to the per-grid path.
 """
@@ -42,9 +41,8 @@ from repro.core.ecef import ECEF, ECEFLookahead
 from repro.core.fef import FastestEdgeFirst
 from repro.core.flat_tree import FlatTreeHeuristic
 from repro.core.lookahead import (
+    AVERAGE_FORM_LOOKAHEADS,
     MIN_FORM_LOOKAHEADS,
-    average_informed_lookahead,
-    average_latency_lookahead,
     no_lookahead,
 )
 from repro.core.mixed import MixedStrategy
@@ -102,32 +100,6 @@ class BatchedGridCosts:
         self.transfer_plus_broadcast = self.transfer + self.broadcast[:, None, :]
 
 
-# -- average lookahead columns ------------------------------------------------------
-# ``(K, n)`` F_j values from the ``(K, n, n)`` transfer stack and the 0/1
-# informed and pending masks, called while >= 2 clusters are pending.
-
-
-def _average_latency(
-    transfer: np.ndarray, informed: np.ndarray, pending: np.ndarray
-) -> np.ndarray:
-    # Zero diagonal => the row sums over pending columns already exclude j.
-    sums = np.matmul(transfer, pending[:, :, None])[:, :, 0]
-    others = pending.sum(axis=1) - 1.0
-    return sums / others[:, None]
-
-
-def _average_informed(
-    transfer: np.ndarray, informed: np.ndarray, pending: np.ndarray
-) -> np.ndarray:
-    column_sums = np.matmul(informed[:, None, :], transfer)[:, 0, :]
-    row_sums = np.matmul(transfer, pending[:, :, None])[:, :, 0]
-    total = (column_sums * pending).sum(axis=1)
-    informed_count = informed.sum(axis=1)
-    others = pending.sum(axis=1) - 1.0
-    count = (informed_count + 1.0) * others
-    return (total[:, None] - column_sums + row_sums) / count[:, None]
-
-
 # -- line-up rows --------------------------------------------------------------------
 # A heuristic's kernel is a row spec ``(group, base, ready weight, extra)``;
 # specs stack in group order, so each group's rows are one contiguous slice.
@@ -136,33 +108,25 @@ _MIN_LOOKAHEAD, _AVERAGE_LOOKAHEAD, _EDGE, _BOTTOM_UP, _FLAT = range(5)
 
 #: Lookahead rows: a min-form lookahead names the stacked matrix whose row
 #: minima over the pending columns give F_j, and the sign turning that
-#: minimum into F_j; an average one its column function, whose BLAS scores
-#: are only ULP-close to the per-grid ones (fine for makespans, not for
-#: exact schedules).
+#: minimum into F_j; an average one its column function.
 _LOOKAHEADS = {
     **{fn: (_MIN_LOOKAHEAD, form) for fn, form in MIN_FORM_LOOKAHEADS.items()},
-    average_latency_lookahead: (_AVERAGE_LOOKAHEAD, _average_latency),
-    average_informed_lookahead: (_AVERAGE_LOOKAHEAD, _average_informed),
+    **{fn: (_AVERAGE_LOOKAHEAD, cols) for fn, cols in AVERAGE_FORM_LOOKAHEADS.items()},
 }
 
 
-def _row_spec(
-    heuristic: SchedulingHeuristic, num_clusters: int, *, exact: bool = False
-) -> tuple | None:
-    """The kernel rows of ``heuristic`` (``None``: none, or with ``exact``
-    none that reproduce the per-grid engines bit for bit).  Dispatch is on
-    the *exact* type: a subclass may override ``build_order``."""
+def _row_spec(heuristic: SchedulingHeuristic, num_clusters: int) -> tuple | None:
+    """The kernel rows of ``heuristic`` (``None``: none).  Dispatch is on the
+    *exact* type: a subclass may override ``build_order``."""
     kind = type(heuristic)
     if kind is MixedStrategy:
-        return _row_spec(heuristic.choose(num_clusters), num_clusters, exact=exact)
+        return _row_spec(heuristic.choose(num_clusters), num_clusters)
     lookahead = getattr(heuristic, "lookahead", None)
     if kind is ECEF or (kind is ECEFLookahead and lookahead is no_lookahead):
         return (_EDGE, "transfer", 1.0, None)
     if kind is ECEFLookahead:
         group, extra = _LOOKAHEADS.get(lookahead, (None, None))
-        if group is None or (exact and group == _AVERAGE_LOOKAHEAD):
-            return None
-        return (group, "transfer", 1.0, extra)
+        return None if group is None else (group, "transfer", 1.0, extra)
     if kind is FastestEdgeFirst:
         base = "latency" if heuristic.weight == "latency" else "transfer"
         return (_EDGE, base, 0.0, None)
@@ -189,7 +153,8 @@ class _LineUp:
         self, specs: Sequence[tuple], costs: BatchedGridCosts, root: int, record: bool
     ) -> None:
         K, n = costs.num_grids, costs.num_clusters
-        ends = np.cumsum([K * sum(s[0] == g for s in specs) for g in range(_FLAT)])
+        groups = [spec[0] for spec in specs]
+        ends = np.cumsum([K * groups.count(group) for group in range(_FLAT)])
         self.min_end, _, self.edge_end, self.scored_end = ends.tolist()
         self.costs, self.root, self.n = costs, root, n
         self.grid = np.tile(np.arange(K), len(specs))
@@ -244,8 +209,7 @@ class _LineUp:
         for offset, average in enumerate(self.averages):
             start = self.min_end + offset * K
             rows = slice(start, start + K)
-            pending = (self.penalty[rows] == 0.0).astype(float)
-            columns[rows] += average(self.costs.transfer, 1.0 - pending, pending)
+            columns[rows] += average(self.costs.transfer, self.penalty[rows])
         return columns
 
     def run(self) -> None:
@@ -352,10 +316,10 @@ def _run_lineup(
     record: bool,
 ) -> tuple[_LineUp | None, list[int | None]]:
     """Run the line-up's distinct kernel rows; each heuristic's spec index
-    (``None``: no kernel rows, or with ``record`` no exact ones)."""
+    (``None``: no kernel rows)."""
     if not 0 <= root < costs.num_clusters:
         raise ValueError(f"root must be a valid cluster index, got {root}")
-    specs = [_row_spec(h, costs.num_clusters, exact=record) for h in heuristics]
+    specs = [_row_spec(h, costs.num_clusters) for h in heuristics]
     distinct = sorted(dict.fromkeys(filter(None, specs)), key=lambda spec: spec[0])
     if not distinct:
         return None, [None] * len(heuristics)
@@ -376,10 +340,10 @@ def schedule_lineup(
     Returns one entry per heuristic, in line-up order: the ``(K,)`` makespans,
     or with ``record=True`` the K timed schedules (each equal to the
     per-grid engine's field for field).  ``None`` means the heuristic has no
-    kernel rows (exhaustive search, custom heuristics or lookaheads, and with
-    ``record=True`` the average-based lookaheads); the caller should fall
-    back to scheduling problem by problem.  Heuristics with the same kernel
-    (duplicates, Mixed and its delegate) share their rows.
+    kernel rows (exhaustive search, custom heuristics or lookaheads); the
+    caller should fall back to scheduling problem by problem.  Heuristics
+    with the same kernel (duplicates, Mixed and its delegate) share their
+    rows.
 
     Raises
     ------
@@ -410,7 +374,7 @@ def record_lineup(
     makespans and the ``(K, n - 1, 2)`` decided ``(sender, receiver)``
     pairs, equal to the ``makespan`` and ``order`` of the schedules
     ``schedule_lineup(..., record=True)`` returns.  ``None`` marks the
-    heuristics that call declines.
+    heuristics without kernel rows.
     """
     lineup, rows = _run_lineup(heuristics, costs, root, True)
     if lineup is None:
@@ -448,7 +412,7 @@ def batched_schedules(
     ``costs`` stacks one grid's :class:`~repro.core.costs.GridCostCache` at
     K message sizes.  Each schedule equals ``heuristic.schedule(grid, size,
     root=root)`` field for field (its ``message_size`` is the cache's float
-    size); ``None`` means the heuristic has no exact kernel rows.
+    size); ``None`` means the heuristic has no kernel rows.
 
     Raises
     ------

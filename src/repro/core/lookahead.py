@@ -15,10 +15,13 @@ last waiting cluster the lookahead is 0, which never changes the selected pair
 because ``F_j`` is then a constant offset.
 
 Every registered lookahead has a vectorized twin that computes the whole
-``F`` column per round.  The min and max ones are described once, in
-:data:`MIN_FORM_LOOKAHEADS`: the per-grid engine and the batched kernel both
-keep the named matrix with the leaving receiver's column set to +inf, so
-``F_j`` is one row minimum.
+``F`` column per round, bit for bit equal to the scalar values, shared by
+the per-grid engine and the batched kernel.  The min and max ones are
+described once, in :data:`MIN_FORM_LOOKAHEADS`: both engines keep the named
+matrix with the leaving receiver's column set to +inf, so ``F_j`` is one row
+minimum.  The averages are one column function each
+(:data:`AVERAGE_FORM_LOOKAHEADS`) that sums as the scalar one does: left to
+right over increasing cluster indices, on every Python.
 """
 
 from __future__ import annotations
@@ -80,21 +83,26 @@ def average_informed_lookahead(state: SchedulingState, candidate: int) -> float:
 
     Estimates the quality of the *global* dissemination capacity if ``j`` is
     promoted: the mean transfer time from every (would-be) informed cluster to
-    every remaining waiting cluster.
+    every remaining waiting cluster.  Taken as the total over ``A × B``, minus
+    ``j``'s column over ``A``, plus ``j``'s row over ``B∖{j}``; every partial
+    sum (each column over ``A``, the total of the columns, the row) runs left
+    to right in increasing cluster order.
     """
-    informed = list(state.ready_time) + [candidate]
-    others = [k for k in state.waiting if k != candidate]
-    if not others:
+    informed, pending = state.informed, state.pending
+    if len(pending) < 2:
         return 0.0
-    total = 0.0
-    count = 0
-    for source in informed:
-        for target in others:
-            if source == target:
-                continue
-            total += state.transfer_time(source, target)
-            count += 1
-    return total / count if count else 0.0
+    total = candidate_column = row = 0.0
+    for k in pending:
+        column = 0.0
+        for i in informed:
+            column += state.transfer_time(i, k)
+        total += column
+        if k == candidate:
+            candidate_column = column
+        else:
+            row += state.transfer_time(candidate, k)
+    count = (len(informed) + 1) * (len(pending) - 1)
+    return (total - candidate_column + row) / count
 
 
 def grid_aware_min_lookahead(state: SchedulingState, candidate: int) -> float:
@@ -130,12 +138,8 @@ def grid_aware_max_lookahead(state: SchedulingState, candidate: int) -> float:
 # -- vectorized counterparts -------------------------------------------------------
 #
 # Each function computes the whole ``F`` column for the current pending set at
-# once instead of one Python call per (candidate, other) pair.  The min/max
-# variants (:meth:`SchedulingState.lookahead_minima`) produce bit-identical
-# values to their scalar twins (IEEE min/max are exact regardless of
-# reduction order); the average variants may differ by one or two ULPs
-# because NumPy uses pairwise summation, which is tighter than the scalar
-# left-to-right sum.
+# once instead of one Python call per (candidate, other) pair, with the same
+# float operations as its scalar twin (IEEE min/max are exact in any order).
 
 #: The min-form lookaheads as ``(cost matrix, sign)``: ``F_j`` is ``sign``
 #: times the minimum over ``k in B∖{j}`` of ``sign`` times the named matrix
@@ -148,43 +152,79 @@ MIN_FORM_LOOKAHEADS: dict[LookaheadFunction, tuple[str, float]] = {
 }
 
 
+def _set_columns(mask: np.ndarray) -> np.ndarray:
+    """``(K, c)``: each row's set columns of the ``(K, n)`` ``mask``, in
+    increasing order.  Every row must set the same number ``c`` of columns
+    (the K problems of a line-up advance in lockstep)."""
+    K = len(mask)
+    problems, columns = np.divmod(np.flatnonzero(mask), mask.shape[1])
+    if problems.size % K or (problems.reshape(K, -1).T != np.arange(K)).any():
+        raise ValueError(
+            "every problem must have the same number of pending clusters"
+        )
+    return columns.reshape(K, -1)
+
+
+def _ordered_sums(matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``(K, r)`` sums of ``matrix[k, :, c]`` over the ``(K, c)`` column
+    indices, left to right: one gather, then one ``(K, r)`` add per column."""
+    block = matrix[np.arange(len(columns))[:, None], :, columns]
+    sums = np.zeros(matrix.shape[:2])
+    for position in range(columns.shape[1]):
+        sums += block[:, position]
+    return sums
+
+
+def average_latency_columns(transfer: np.ndarray, penalty: np.ndarray) -> np.ndarray:
+    """:func:`average_latency_lookahead` for every candidate of K problems.
+
+    ``transfer`` is the ``(K, n, n)`` stack of ``g + L`` matrices and
+    ``penalty`` the ``(K, n)`` rows holding 0 on the pending columns and +inf
+    on the informed ones, the same number of pending ones in every row.
+    Returns the ``(K, n)`` ``F_j``, meaningful on the pending columns; the
+    zero diagonal makes the candidate's own column add an exact +0.0.
+    """
+    pending = _set_columns(penalty == 0.0)
+    return _ordered_sums(transfer, pending) / max(pending.shape[1] - 1, 1)
+
+
+def average_informed_columns(transfer: np.ndarray, penalty: np.ndarray) -> np.ndarray:
+    """:func:`average_informed_lookahead` for every candidate of K problems,
+    from the same ``(K, n, n)`` transfer stack and ``(K, n)`` pending-penalty
+    rows as :func:`average_latency_columns`."""
+    pending = _set_columns(penalty == 0.0)
+    informed = _set_columns(penalty != 0.0)
+    columns = _ordered_sums(transfer.transpose(0, 2, 1), informed)
+    total = _ordered_sums(columns[:, None, :], pending)
+    rows = _ordered_sums(transfer, pending)
+    count = (informed.shape[1] + 1) * max(pending.shape[1] - 1, 1)
+    return (total - columns + rows) / count
+
+
+#: The average lookaheads' column functions.
+AVERAGE_FORM_LOOKAHEADS: dict[LookaheadFunction, Callable[..., np.ndarray]] = {
+    average_latency_lookahead: average_latency_columns,
+    average_informed_lookahead: average_informed_columns,
+}
+
+
 def _vec_no_lookahead(state: SchedulingState) -> np.ndarray:
     return np.zeros(state.grid.num_clusters)
 
 
-def _vec_average_latency_lookahead(state: SchedulingState) -> np.ndarray:
-    pending = state.pending_indices
-    out = np.zeros(state.grid.num_clusters)
-    if pending.size > 1:
-        # The diagonal of the transfer matrix is zero, so the row sums over
-        # the pending sub-matrix already exclude the candidate itself.
-        sub = state.costs.transfer[np.ix_(pending, pending)]
-        out[pending] = sub.sum(axis=1) / (pending.size - 1)
-    return out
-
-
-def _vec_average_informed_lookahead(state: SchedulingState) -> np.ndarray:
-    pending = state.pending_indices
-    out = np.zeros(state.grid.num_clusters)
-    if pending.size > 1:
-        informed = state.informed_indices
-        transfer = state.costs.transfer
-        # Sum over A × B per pending target, then correct per candidate j:
-        # drop column j (j is never a target of its own lookahead) and add
-        # row j over B∖{j} (zero diagonal keeps the sum exact).
-        column_sums = transfer[np.ix_(informed, pending)].sum(axis=0)
-        row_sums = transfer[np.ix_(pending, pending)].sum(axis=1)
-        total = column_sums.sum()
-        count = (informed.size + 1) * (pending.size - 1)
-        out[pending] = (total - column_sums + row_sums) / count
-    return out
+def _one_problem(
+    columns: Callable[..., np.ndarray], state: SchedulingState
+) -> np.ndarray:
+    return columns(state.costs.transfer[None], state._penalty[None])[0]
 
 
 #: Vectorized twins of the scalar lookaheads, keyed by the scalar function.
 VECTORIZED_LOOKAHEADS: dict[LookaheadFunction, VectorizedLookahead] = {
     no_lookahead: _vec_no_lookahead,
-    average_latency_lookahead: _vec_average_latency_lookahead,
-    average_informed_lookahead: _vec_average_informed_lookahead,
+    **{
+        function: partial(_one_problem, columns)
+        for function, columns in AVERAGE_FORM_LOOKAHEADS.items()
+    },
     **{
         function: partial(SchedulingState.lookahead_minima, base=base, sign=sign)
         for function, (base, sign) in MIN_FORM_LOOKAHEADS.items()

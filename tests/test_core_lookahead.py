@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core.base import SchedulingState
 from repro.core.lookahead import (
     LOOKAHEAD_FUNCTIONS,
+    average_informed_columns,
     average_informed_lookahead,
+    average_latency_columns,
     average_latency_lookahead,
     get_lookahead,
     grid_aware_max_lookahead,
@@ -70,6 +75,53 @@ def test_average_latency_sums_left_to_right():
     value = average_latency_lookahead(_StubState(), 0)
     assert value == ((1e16 + 1.0) + 1.0) / 3
     assert value != 1.0000000000000002e16 / 3
+    transfer = np.zeros((1, 5, 5))
+    transfer[0, 4, 1:4] = [1e16, 1.0, 1.0]
+    penalty = np.array([[np.inf, 0.0, 0.0, 0.0, 0.0]])
+    # Candidate 4's times to B∖{4} = {1, 2, 3} are the stub's.
+    assert average_latency_columns(transfer, penalty)[0, 4] == value
+
+
+class _InformedStubState:
+    """Clusters 0, 1 and 2 informed, 3, 4 and 5 waiting.  Cluster 0 sends
+    to cluster 3 in 1e16 s and to any other cluster in 3 s; every other
+    transfer takes 1 s."""
+
+    informed = [0, 1, 2]
+    pending = [3, 4, 5]
+
+    def transfer_time(self, source, target):
+        if source == 0:
+            return 1e16 if target == 3 else 3.0
+        return 1.0
+
+
+def test_average_informed_sums_left_to_right():
+    """The decomposed ordered sums, on every Python: column 3 over A is
+    ``1e16 + 1.0 + 1.0``, which rounds back to ``1e16`` twice.  Neither the
+    direct double loop over ``(A ∪ {j}) × (B ∖ {j})`` nor compensated sums
+    (Python 3.12's built-in ``sum``, ``math.fsum``) give these bits."""
+    state = _InformedStubState()
+    value = average_informed_lookahead(state, 4)
+    columns = [((0.0 + 1e16) + 1.0) + 1.0, ((0.0 + 3.0) + 1.0) + 1.0, 5.0]
+    total = ((0.0 + columns[0]) + columns[1]) + columns[2]
+    row = (0.0 + 1.0) + 1.0
+    assert value == (total - columns[1] + row) / ((3 + 1) * (3 - 1))
+    direct = 0.0
+    for source in (0, 1, 2, 4):
+        for target in (3, 5):
+            direct += state.transfer_time(source, target)
+    assert value != direct / 8
+    compensated = [
+        math.fsum(state.transfer_time(i, k) for i in (0, 1, 2)) for k in (3, 4, 5)
+    ]
+    assert value != (math.fsum(compensated) - compensated[1] + row) / 8
+    transfer = np.zeros((1, 6, 6))
+    for i, k in np.ndindex(6, 6):
+        if i != k:
+            transfer[0, i, k] = state.transfer_time(i, k)
+    penalty = np.array([[np.inf] * 3 + [0.0] * 3])
+    assert average_informed_columns(transfer, penalty)[0, 4] == value
 
 
 class TestRegistry:
@@ -83,3 +135,12 @@ class TestRegistry:
 
     def test_expected_names_present(self):
         assert {"min_edge", "grid_aware_min", "grid_aware_max"} <= set(LOOKAHEAD_FUNCTIONS)
+
+
+def test_column_functions_need_lockstep_problems():
+    """Three pending clusters in one problem and one in the other add up to
+    two per problem, which must not pass for lockstep."""
+    penalty = np.array([[np.inf, 0.0, 0.0, 0.0], [np.inf, np.inf, np.inf, 0.0]])
+    for columns in (average_latency_columns, average_informed_columns):
+        with pytest.raises(ValueError, match="same number of pending"):
+            columns(np.zeros((2, 4, 4)), penalty)

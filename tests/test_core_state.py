@@ -113,8 +113,8 @@ class TestHeuristicBase:
         ("sender", "receiver", "message"),
         [
             (np.int64(0), 1, "sender at position 0 must be an int"),
-            # A bool already fails reading its cost (NumPy takes it as a mask).
-            (0, True, None),
+            # Rejected by commit before NumPy could read it as a mask.
+            (0, True, "receiver at position 0 must be an int"),
         ],
     )
     @pytest.mark.parametrize("vectorized", [True, False])

@@ -206,9 +206,11 @@ class TestBatchedScheduling:
         assert np.all(result.predicted > 0)
 
     def test_batched_equals_scalar_with_declined_heuristics(self, monkeypatch):
-        """A line-up mixing exact kernels with heuristics the batched path
-        declines (exhaustive search, an average-based lookahead)."""
+        """A line-up mixing kernel rows, an average-based lookahead among
+        them, with the exhaustive search the batched path declines."""
+        import repro.experiments.practical_study as module
         from repro.core import registry
+        from repro.core.batch import record_lineup
         from repro.core.ecef import ECEFLookahead
         from repro.core.lookahead import average_latency_lookahead
 
@@ -226,7 +228,16 @@ class TestBatchedScheduling:
             heuristics=("optimal", "mixed", "ecef_la_average", "fef"),
             root_cluster=2,
         )
+        declined = []
+
+        def spy(heuristics, costs, **kwargs):
+            columns = record_lineup(heuristics, costs, **kwargs)
+            declined.append([column is None for column in columns])
+            return columns
+
+        monkeypatch.setattr(module, "record_lineup", spy)
         batched = run_practical_study(config, replicas=2)
+        assert declined == [[True, False, False, False]]
         scalar = run_practical_study(config, replicas=2, engine="scalar")
         assert np.array_equal(batched.predicted, scalar.predicted)
         assert np.array_equal(batched.measured_replicas, scalar.measured_replicas)
@@ -282,8 +293,7 @@ class TestBatchedScheduling:
     def test_one_stack_equals_per_heuristic_builds(self, case, monkeypatch):
         """The whole line-up's programs, built as one stack from pair
         arrays, equal one schedule-based build per heuristic field for
-        field — also where kernel rows mix with a declined average
-        lookahead."""
+        field — also where kernel rows include an average lookahead."""
         import repro.experiments.practical_study as module
         from repro.core import registry
         from repro.core.batch import BatchedGridCosts, record_lineup
@@ -320,9 +330,7 @@ class TestBatchedScheduling:
         if case == "random12":
             caches = [GridCostCache.for_grid(grid, size) for size in sizes]
             columns = record_lineup(heuristics, BatchedGridCosts(caches), root=root)
-            assert [column is None for column in columns] == [
-                False, True, False, False
-            ]
+            assert [column is None for column in columns] == [False] * 4
 
         built = []
         stack = module.grid_aware_pair_programs

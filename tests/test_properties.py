@@ -1472,10 +1472,18 @@ class TestArrayGridEquivalence:
 from repro.core.base import SchedulingState
 from repro.core.batch import batched_schedules
 from repro.core.ecef import ECEFLookahead
-from repro.core.lookahead import average_informed_lookahead, average_latency_lookahead
 
 #: Every registered heuristic with an exact batched kernel.
 EXACT_KERNEL_HEURISTICS = (*PAPER_HEURISTICS, "mixed")
+
+
+def average_lookahead_heuristics() -> list[ECEFLookahead]:
+    """ECEF-LA with each average-based lookahead (ablation A1)."""
+    return [
+        ECEFLookahead(name, key=f"la_{name}", display_name=f"LA[{name}]")
+        for name in ("average_latency", "average_informed")
+    ]
+
 
 #: A few round values, so that equal costs (and tied scores) are common.
 tie_prone = st.sampled_from([0.01, 0.02, 0.04])
@@ -1548,16 +1556,20 @@ class TestBatchedScheduleEquivalence:
             min_size=1,
             max_size=5,
         ),
-        key=st.sampled_from(EXACT_KERNEL_HEURISTICS),
+        heuristic=st.one_of(
+            st.sampled_from(EXACT_KERNEL_HEURISTICS).map(get_heuristic),
+            st.sampled_from(average_lookahead_heuristics()),
+        ),
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_batched_schedules_equal_per_grid_schedules(self, grid, sizes, key, data):
+    def test_batched_schedules_equal_per_grid_schedules(
+        self, grid, sizes, heuristic, data
+    ):
         root = data.draw(st.integers(min_value=0, max_value=grid.num_clusters - 1))
-        heuristic = get_heuristic(key)
         caches = [GridCostCache.for_grid(grid, size) for size in sizes]
         batched = batched_schedules(heuristic, BatchedGridCosts(caches), root=root)
-        assert batched is not None, f"{key} lost its exact batched kernel"
+        assert batched is not None, f"{heuristic.name} lost its exact batched kernel"
         assert len(batched) == len(sizes)
         for size, costs, schedule in zip(sizes, caches, batched):
             reference = heuristic.schedule(grid, size, root=root, costs=costs)
@@ -1583,12 +1595,7 @@ class TestBatchedScheduleEquivalence:
 
         grid = RandomGridGenerator().generate(5, RandomStream(seed=11))
         stack = BatchedGridCosts([GridCostCache.for_grid(grid, 1_048_576)])
-        declined = [
-            OptimalSearch(),
-            ECEFLookahead(lambda state, candidate: 0.0),
-            ECEFLookahead(average_latency_lookahead),
-            ECEFLookahead(average_informed_lookahead),
-        ]
+        declined = [OptimalSearch(), ECEFLookahead(lambda state, candidate: 0.0)]
         for heuristic in declined:
             assert batched_schedules(heuristic, stack) is None
 
@@ -1624,6 +1631,7 @@ def kernel_heuristics(order: list[int]) -> list:
         FastestEdgeFirst(weight="transfer_time"),
         BottomUp(use_ready_time=True),
         FlatTreeHeuristic(cluster_order=order),
+        *average_lookahead_heuristics(),
     ]
 
 
@@ -1674,34 +1682,6 @@ class TestLineupKernel:
             assert row.tolist() == [ref.makespan for ref in references], heuristic.name
             for schedule, reference in zip(recorded, references):
                 assert schedule_fields(schedule) == schedule_fields(reference)
-
-    @pytest.mark.parametrize("seed", [0, 7, 42, 2024])
-    @pytest.mark.parametrize("num_clusters", [2, 5, 9])
-    def test_average_lookahead_rows_on_fixed_seeds(self, seed, num_clusters):
-        """The average lookaheads reduce with BLAS, so they are checked on
-        fixed seeds; recording declines them, and only them."""
-        generator = RandomGridGenerator()
-        grids = [
-            generator.generate(num_clusters, RandomStream(seed=seed + offset))
-            for offset in range(3)
-        ]
-        caches = [GridCostCache.for_grid(g, 1_048_576) for g in grids]
-        averages = [
-            ECEFLookahead(average_latency_lookahead),
-            ECEFLookahead(average_informed_lookahead),
-        ]
-        order = list(range(num_clusters))
-        lineup = [averages[0], *kernel_heuristics(order), averages[1]]
-        stack = BatchedGridCosts(caches)
-        for heuristic, row in zip(lineup, schedule_lineup(lineup, stack, root=1)):
-            assert row.tolist() == [
-                heuristic.makespan(g, 1_048_576, root=1, costs=costs)
-                for g, costs in zip(grids, caches)
-            ], heuristic.name
-        recorded = schedule_lineup(lineup, stack, root=1, record=True)
-        assert [row is None for row in recorded] == [
-            heuristic in averages for heuristic in lineup
-        ]
 
     def test_rounded_row_tie_goes_to_the_first_receiver(self):
         """After the root's first send RT_0 = 1.0, and 1.0 + T_02 rounds to

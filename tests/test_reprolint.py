@@ -215,6 +215,56 @@ class TestDeterminismIdComparison:
         )
 
 
+#: A path inside the scheduling kernel, where float reductions are checked.
+CORE_PATH = "src/repro/core/fixture.py"
+
+
+class TestDeterminismFloatReduction:
+    def test_flags_blas_products(self):
+        violations = assert_flags(
+            "import numpy as np\n"
+            "def scores(a, b):\n"
+            "    return np.matmul(a, b) + a @ b + np.dot(a, b)"
+            " + np.einsum('ij,jk', a, b)\n",
+            "determinism-float-reduction",
+            path=CORE_PATH,
+        )
+        assert len(violations) == 4
+
+    def test_flags_pairwise_and_compensated_sums(self):
+        violations = assert_flags(
+            "import math\n"
+            "import numpy as np\n"
+            "from math import fsum\n"
+            "def mean(values, matrix):\n"
+            "    return (np.sum(matrix) + matrix.sum(axis=1) + matrix.mean()\n"
+            "            + sum(values) + math.fsum(values) + fsum(values))\n",
+            "determinism-float-reduction",
+            path=CORE_PATH,
+        )
+        assert len(violations) == 6
+
+    def test_passes_left_to_right_loop_and_integer_counts(self):
+        assert_clean(
+            "import numpy as np\n"
+            "def total(values, mask, groups):\n"
+            "    out = 0.0\n"
+            "    for value in values:\n"
+            "        out += value\n"
+            "    return out, np.count_nonzero(mask, axis=1), groups.count(0)\n",
+            "determinism-float-reduction",
+            path=CORE_PATH,
+        )
+
+    def test_only_the_scheduling_kernel_is_in_scope(self):
+        assert_clean(
+            "import numpy as np\n"
+            "def mean(matrix):\n"
+            "    return matrix.sum() / matrix.size\n",
+            "determinism-float-reduction",
+        )
+
+
 # ---------------------------------------------------------------------------
 # resource lifecycle family (applies to every path)
 # ---------------------------------------------------------------------------
@@ -579,6 +629,22 @@ class TestMutationRegressions:
             "lock-guarded-by",
             path="src/repro/runtime/remote.py",
         )
+
+    def test_blas_average_lookahead_fails_again(self):
+        # core/batch.py before the ordered sums: the average lookahead
+        # column reduced with BLAS, and the row-group count used sum().
+        violations = assert_flags(
+            "import numpy as np\n"
+            "def _average_latency(transfer, informed, pending):\n"
+            "    sums = np.matmul(transfer, pending[:, :, None])[:, :, 0]\n"
+            "    others = pending.sum(axis=1) - 1.0\n"
+            "    return sums / others[:, None]\n"
+            "def _group_ends(specs, groups):\n"
+            "    return [sum(s[0] == g for s in specs) for g in range(groups)]\n",
+            "determinism-float-reduction",
+            path="src/repro/core/batch.py",
+        )
+        assert [violation.line for violation in violations] == [3, 4, 7]
 
     def test_unseeded_rng_fails_again(self):
         # The rule the whole rng facade exists to make unnecessary.

@@ -29,11 +29,20 @@ enters:
   comparison is hash-order nondeterminism in disguise.  (Using ``id()`` as a
   *dictionary key* for identity maps is deterministic within a run and stays
   allowed.)
+* ``determinism-float-reduction`` — a float reduction whose summation order
+  is not fixed: ``np.matmul``/``@``/``np.dot``/``np.einsum`` (BLAS picks the
+  order per CPU), ``np.sum``/``.sum()``/``.mean()`` (pairwise), ``math.fsum``
+  and the built-in ``sum()`` (compensated from Python 3.12 on).  Every score
+  of the scheduling engines must be one float expression that the scalar,
+  per-grid and batched engines evaluate bit for bit alike, so sums there are
+  left-to-right loops.
 
-All five apply only under :attr:`reprolint.engine.Config.determinism_paths`
-— the ordering-sensitive library layers.  Timing jitter in the runtime's
-connect-retry backoff, for example, is deliberately random and lives outside
-the scope.
+All but the last apply only under
+:attr:`reprolint.engine.Config.determinism_paths` — the ordering-sensitive
+library layers.  Timing jitter in the runtime's connect-retry backoff, for
+example, is deliberately random and lives outside the scope.  The
+float-reduction rule applies to the scheduling kernel, ``repro/core``, alone:
+elsewhere a sum's last bits feed no decision.
 """
 
 from __future__ import annotations
@@ -332,3 +341,61 @@ class IdComparisonRule(Rule):
                                 f"{tail}(key=id) orders objects by memory "
                                 "address, which changes run to run",
                             )
+
+
+#: Where every score must be one fixed-order float expression.
+_FLOAT_REDUCTION_PATHS = ("repro/core",)
+
+#: NumPy functions that reduce floats in an unfixed order.
+_NUMPY_REDUCTIONS = {"matmul", "dot", "einsum", "sum", "mean"}
+
+#: Array methods that do (whatever the array).
+_REDUCTION_METHODS = {"sum", "mean", "dot"}
+
+
+@register
+class FloatReductionRule(Rule):
+    id = "determinism-float-reduction"
+    family = "determinism"
+    summary = "float reduction with no fixed summation order in the scheduling kernel"
+
+    def check(self, module: SourceModule, config: Config) -> Iterable[Violation]:
+        if not module.in_scope(_FLOAT_REDUCTION_PATHS):
+            return
+        numpy = import_aliases(module.tree, "numpy")
+        math = import_aliases(module.tree, "math")
+        named = {"sum"}
+        named.update(
+            local
+            for local, original in from_imports(module.tree, "numpy").items()
+            if original in _NUMPY_REDUCTIONS
+        )
+        named.update(
+            local
+            for local, original in from_imports(module.tree, "math").items()
+            if original == "fsum"
+        )
+        for node in ast.walk(module.tree):
+            site = None
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                if isinstance(node.op, ast.MatMult):
+                    site = "@"
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in named:
+                    site = f"{node.func.id}()"
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                base, attr = dotted_name(node.func.value), node.func.attr
+                if (
+                    attr in _REDUCTION_METHODS
+                    or (base in numpy and attr in _NUMPY_REDUCTIONS)
+                    or (base in math and attr == "fsum")
+                ):
+                    site = f"{base or ''}.{attr}()"
+            if site is not None:
+                yield self.violation(
+                    module,
+                    node,
+                    f"{site} reduces floats in an order that is not fixed "
+                    "(pairwise, BLAS or compensated); sum left to right in a "
+                    "loop so every engine and Python computes the same bits",
+                )
