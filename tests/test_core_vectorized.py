@@ -28,7 +28,12 @@ from repro.core.base import SchedulingState, run_heuristics
 from repro.core.batch import BatchedGridCosts, batched_makespans
 from repro.core.costs import GridCostCache
 from repro.core.ecef import ECEFLookahead
-from repro.core.lookahead import LOOKAHEAD_FUNCTIONS, MIN_FORM_LOOKAHEADS
+from repro.core.lookahead import (
+    AVERAGE_FORM_LOOKAHEADS,
+    LOOKAHEAD_FUNCTIONS,
+    MIN_FORM_LOOKAHEADS,
+    no_lookahead,
+)
 from repro.core.registry import PAPER_HEURISTICS, get_heuristic, instantiate
 from repro.core.schedule import evaluate_order
 from repro.topology.generators import RandomGridGenerator, make_uniform_grid
@@ -85,6 +90,31 @@ class TestEngineEquivalence:
         assert fast.makespan == reference.makespan
         stacked = BatchedGridCosts([GridCostCache.for_grid(grid, MESSAGE_SIZE)])
         assert batched_makespans(heuristic, stacked).tolist() == [reference.makespan]
+
+    @pytest.mark.parametrize("lookahead", ["average_latency", "average_informed"])
+    @pytest.mark.parametrize("seed", [0, 7, 42, 123, 999, 2024])
+    @pytest.mark.parametrize("num_clusters", [2, 5, 9])
+    def test_average_lookaheads_match_scalar_on_fixed_seeds(
+        self, seed, num_clusters, lookahead
+    ):
+        """A deterministic seed set that every run checks, next to the
+        Hypothesis draws: the averages' ordered sums give the same bits in
+        the scalar, per-grid and batched engines."""
+        grid = random_grid(num_clusters, seed)
+        heuristic = ECEFLookahead(lookahead, key="t", display_name="t")
+        fast = heuristic.schedule(grid, MESSAGE_SIZE, vectorized=True)
+        reference = heuristic.schedule(grid, MESSAGE_SIZE, vectorized=False)
+        assert fast.order == reference.order
+        assert fast.makespan == reference.makespan
+        stacked = BatchedGridCosts([GridCostCache.for_grid(grid, MESSAGE_SIZE)])
+        assert batched_makespans(heuristic, stacked).tolist() == [reference.makespan]
+
+    def test_lookahead_split_covers_the_registry(self):
+        """Every registered lookahead has one vectorized form: ``none``, a
+        min form or an average form, and no lookahead has two."""
+        forms = [no_lookahead, *MIN_FORM_LOOKAHEADS, *AVERAGE_FORM_LOOKAHEADS]
+        assert len(set(forms)) == len(forms)
+        assert set(forms) == set(LOOKAHEAD_FUNCTIONS.values())
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),

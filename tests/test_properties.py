@@ -1683,6 +1683,34 @@ class TestLineupKernel:
             for schedule, reference in zip(recorded, references):
                 assert schedule_fields(schedule) == schedule_fields(reference)
 
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2024])
+    @pytest.mark.parametrize("num_clusters", [2, 5, 9])
+    def test_average_lookahead_rows_on_fixed_seeds(self, seed, num_clusters):
+        """A deterministic seed set that every run checks: the average
+        lookaheads' rows, at either end of a line-up, equal the per-grid
+        engine bit for bit, and recording keeps them field for field."""
+        generator = RandomGridGenerator()
+        grids = [
+            generator.generate(num_clusters, RandomStream(seed=seed + offset))
+            for offset in range(3)
+        ]
+        caches = [GridCostCache.for_grid(g, 1_048_576) for g in grids]
+        latency, informed = average_lookahead_heuristics()
+        order = list(range(num_clusters))
+        lineup = [latency, *kernel_heuristics(order), informed]
+        stack = BatchedGridCosts(caches)
+        makespans = schedule_lineup(lineup, stack, root=1)
+        recorded = schedule_lineup(lineup, stack, root=1, record=True)
+        for heuristic, row, schedules in zip(lineup, makespans, recorded):
+            assert schedules is not None, heuristic.name
+            references = [
+                heuristic.schedule(g, 1_048_576, root=1, costs=costs)
+                for g, costs in zip(grids, caches)
+            ]
+            assert row.tolist() == [ref.makespan for ref in references], heuristic.name
+            for schedule, reference in zip(schedules, references):
+                assert schedule_fields(schedule) == schedule_fields(reference)
+
     def test_rounded_row_tie_goes_to_the_first_receiver(self):
         """After the root's first send RT_0 = 1.0, and 1.0 + T_02 rounds to
         the same 2.5 as 1.0 + T_03 although T_03 < T_02: the first pending
