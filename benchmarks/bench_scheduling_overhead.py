@@ -13,7 +13,9 @@ benchmark measures
   the batched line-up kernel that advances every heuristic on a whole chunk
   of grids per NumPy call, and
 * the line-up kernel against the per-grid vectorized engine at paper scale
-  (50 clusters).
+  (50 clusters), and
+* drawing a Monte-Carlo chunk straight into its cost stacks against
+  generating, caching and stacking its grids one at a time.
 
 The schedules/sec numbers and per-heuristic timings are also written to
 ``benchmarks/results/BENCH_scheduling.json`` so the trajectory is tracked
@@ -252,6 +254,62 @@ def test_paper_scale_kernel():
             "speedup_vs_vectorized": speedup,
         },
     )
+
+
+def test_monte_carlo_draw():
+    """One chunk's draw: per-grid ``generate`` + cost caches + stack against
+    :meth:`~repro.topology.generators.RandomGridGenerator.generate_stack`
+    and :meth:`~repro.core.batch.BatchedGridCosts.from_arrays`.
+
+    The chunks are the ones ``run_simulation_study`` draws for the seven
+    paper heuristics at 10 and 50 clusters (2,857 and 114 grids).  Both
+    paths' stacks are verified equal bit for bit first; each path's time is
+    the median of five samples, taken alternately.
+    """
+    generator = RandomGridGenerator()
+    rows = len(PAPER_HEURISTICS)
+    sections = {}
+    for num_clusters in (10, 50):
+        parent = RandomStream(seed=num_clusters)
+        seeds = [parent.spawn_seed() for _ in range(max_batch_size(num_clusters, rows))]
+
+        def per_grid() -> BatchedGridCosts:
+            grids = [generator.generate(num_clusters, RandomStream(seed=s)) for s in seeds]
+            return BatchedGridCosts(
+                [GridCostCache.for_grid(grid, MESSAGE_SIZE) for grid in grids]
+            )
+
+        def stacked() -> BatchedGridCosts:
+            stack = generator.generate_stack(num_clusters, seeds)
+            return BatchedGridCosts.from_arrays(*stack, MESSAGE_SIZE)
+
+        reference, drawn = per_grid(), stacked()
+        for name in ("latency", "gap", "broadcast", "transfer", "transfer_plus_broadcast"):
+            assert getattr(reference, name).tobytes() == getattr(drawn, name).tobytes()
+
+        runs = {"per_grid": per_grid, "stacked_draw": stacked}
+        samples: dict[str, list[float]] = {name: [] for name in runs}
+        for _ in range(5):
+            for name, run in runs.items():
+                start = time.perf_counter()
+                run()
+                samples[name].append(time.perf_counter() - start)
+        seconds = {name: float(np.median(times)) for name, times in samples.items()}
+        speedup = seconds["per_grid"] / seconds["stacked_draw"]
+        key = f"{num_clusters}x{len(seeds)}"
+        sections[key] = {
+            "num_clusters": num_clusters,
+            "grids": len(seeds),
+            "seconds": seconds,
+            "samples": samples,
+            "speedup": speedup,
+        }
+        emit(
+            f"Monte-Carlo chunk draw ({num_clusters} clusters x {len(seeds)} grids): "
+            f"per-grid {seconds['per_grid'] * 1e3:.1f} ms, stacked "
+            f"{seconds['stacked_draw'] * 1e3:.1f} ms ({speedup:.1f}x)"
+        )
+    emit_json("monte_carlo_draw", {"message_size": MESSAGE_SIZE, **sections})
 
 
 def test_engines_agree_on_throughput_workload():

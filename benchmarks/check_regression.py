@@ -15,6 +15,10 @@ perf wins of past PRs cannot silently rot:
   0.72 headroom factor of the former 2.5x floor over its 3.45x record,
   against the 1.76x recorded once the per-grid engine kept its score rows
   in place),
+* stacked Monte-Carlo draw   >= 4x per-grid ``generate`` + cost caches +
+  stack on the 10-cluster chunk of 2,857 grids (``BENCH_scheduling.json``,
+  monte_carlo_draw section — the chunk drawn straight into its cost
+  stacks, both stacks verified equal bit for bit first),
 * batched measured sweep     >=  5x the per-run scalar loop
   (``BENCH_practical.json``, replicated section),
 * batched schedule phase     >= 5x the per-size ``schedule()`` loop on
@@ -89,6 +93,11 @@ FLOORS: tuple[tuple[str, tuple[str, ...], float], ...] = (
         "BENCH_scheduling.json",
         ("paper_scale_kernel", "speedup_vs_vectorized"),
         1.2,
+    ),
+    (
+        "BENCH_scheduling.json",
+        ("monte_carlo_draw", "10x2857", "speedup"),
+        4.0,
     ),
     (
         "BENCH_practical.json",

@@ -17,8 +17,8 @@ holds ``RT_i·c + base_{i,j}`` (``g + L`` for the ECEF family, ``L`` or
 ``g + L`` with ``c = 0`` for FEF, ``g + L + T_j`` for BottomUp), a pending
 sender's row holds +∞, and a commit rewrites only the sender's and the
 receiver's rows.  A min-form lookahead's matrix gets the leaving receiver's
-column set to +∞, so ``F_j`` is a plain row minimum (ECEF-LAT's maximum is
-the minimum of the negated matrix).  Every score is the float expression
+column set to +∞, so ``F_j`` is a plain minimum (ECEF-LAT's maximum is the
+minimum of the negated matrix).  Every score is the float expression
 the per-grid engines evaluate, with their row-major first-occurrence
 tie-breaking, so makespans and schedules are bit-identical to theirs for
 every paper heuristic and registered lookahead; an average lookahead's
@@ -73,7 +73,9 @@ class BatchedGridCosts:
     ----------
     caches:
         The stacked :class:`~repro.core.costs.GridCostCache` objects, in
-        batch order.
+        batch order (empty for a stack built :meth:`from_arrays`).
+    message_sizes:
+        Each problem's message size in bytes, as a float.
     num_grids, num_clusters:
         The stack dimensions ``K`` and ``n``.
     gap, latency, transfer, transfer_plus_broadcast:
@@ -90,14 +92,48 @@ class BatchedGridCosts:
             raise ValueError(
                 f"all grids of a batch must have the same size, got {sorted(sizes)}"
             )
+        self._adopt(
+            np.stack([cache.latency for cache in caches]),
+            np.stack([cache.gap for cache in caches]),
+            np.stack([cache.broadcast for cache in caches]),
+            tuple(cache.message_size for cache in caches),
+        )
         self.caches = tuple(caches)
-        self.num_grids = len(caches)
-        self.num_clusters = sizes.pop()
-        self.gap = np.stack([cache.gap for cache in caches])
-        self.latency = np.stack([cache.latency for cache in caches])
-        self.transfer = np.stack([cache.transfer for cache in caches])
-        self.broadcast = np.stack([cache.broadcast for cache in caches])
-        self.transfer_plus_broadcast = self.transfer + self.broadcast[:, None, :]
+
+    @classmethod
+    def from_arrays(
+        cls,
+        latency: np.ndarray,
+        gap: np.ndarray,
+        broadcast: np.ndarray,
+        message_size: float,
+    ) -> "BatchedGridCosts":
+        """A stack straight from ``(K, n, n)`` latency and gap stacks
+        (already evaluated at ``message_size``) and the ``(K, n)`` broadcast
+        times, such as the draw of
+        :meth:`~repro.topology.generators.RandomGridGenerator.generate_stack`.
+        The arrays are adopted, not copied."""
+        if latency.ndim != 3 or latency.shape[0] == 0:
+            raise ValueError("BatchedGridCosts needs a (K, n, n) stack, K >= 1")
+        if gap.shape != latency.shape or broadcast.shape != latency.shape[:2]:
+            raise ValueError("latency, gap and broadcast stacks must match")
+        costs = cls.__new__(cls)
+        costs._adopt(latency, gap, broadcast, (float(message_size),) * len(latency))
+        costs.caches = ()
+        return costs
+
+    def _adopt(
+        self,
+        latency: np.ndarray,
+        gap: np.ndarray,
+        broadcast: np.ndarray,
+        message_sizes: tuple[float, ...],
+    ) -> None:
+        self.num_grids, self.num_clusters = latency.shape[:2]
+        self.message_sizes = message_sizes
+        self.latency, self.gap, self.broadcast = latency, gap, broadcast
+        self.transfer = gap + latency
+        self.transfer_plus_broadcast = self.transfer + broadcast[:, None, :]
 
 
 # -- line-up rows --------------------------------------------------------------------
@@ -147,6 +183,10 @@ class _LineUp:
     min-form lookahead), ``[edge_end, scored_end)`` are BottomUp rows and the
     rest follow a Flat Tree order.  ``record=True`` keeps every round for
     :meth:`pairs` and :meth:`schedules`.
+
+    Each round gathers and scatters through flat indices: row ``r``'s
+    cluster ``c`` is cell ``r·n + c`` of the ready times and the penalty
+    rows, and score row ``r·n + i`` holds sender ``i``'s scores.
     """
 
     def __init__(
@@ -157,9 +197,12 @@ class _LineUp:
         ends = np.cumsum([K * groups.count(group) for group in range(_FLAT)])
         self.min_end, _, self.edge_end, self.scored_end = ends.tolist()
         self.costs, self.root, self.n = costs, root, n
-        self.grid = np.tile(np.arange(K), len(specs))
-        self.rows = np.arange(len(specs) * K)
-        self.rt = np.zeros((len(specs) * K, n))
+        rows = len(specs) * K
+        self.rt = np.zeros((rows, n))
+        self._rt = self.rt.reshape(-1)
+        self._row_cells = np.arange(rows) * n
+        self._problem_cells = np.tile(np.arange(K) * (n * n), len(specs))
+        self._gap, self._latency = costs.gap.reshape(-1), costs.latency.reshape(-1)
         scored, flat = specs[: self.scored_end // K], specs[self.scored_end // K :]
         targets = [spec[3].resolve_targets(root, n) for spec in flat]
         self.flat_targets = np.array(targets, dtype=np.intp).reshape(len(flat), n - 1)
@@ -167,44 +210,49 @@ class _LineUp:
         self.averages = [spec[3] for spec in specs if spec[0] == _AVERAGE_LOOKAHEAD]
 
         # Scores: RT_i·c + base_ij on informed rows, +inf on pending ones.
-        self.bases = np.concatenate(
-            [getattr(costs, spec[1]) for spec in scored] or [np.empty((0, n, n))]
-        )
+        bases = [getattr(costs, spec[1]) for spec in scored] or [np.empty((0, n, n))]
+        self._base_rows = np.concatenate(bases).reshape(-1, n)
         self.scores = np.full((self.scored_end, n, n), np.inf)
+        self._score_rows = self.scores.reshape(-1, n)
         self.penalty = np.zeros((self.scored_end, n))
         self.penalty[:, root] = np.inf
+        self._penalty = self.penalty.reshape(-1)
         self._scratch = np.empty((self.edge_end, n, n))
-        self._rewrite_rows = np.tile(self.rows[: self.scored_end], 2)
-        weights = np.repeat([spec[2] for spec in scored], K)
-        self._rewrite_weights = np.tile(weights, 2)[:, None]
-        self._rewrite(np.full(self.scored_end, root), np.full(self.scored_end, root))
+        self._columns = np.empty((self.edge_end, n))
+        self._rewrite_weights = np.repeat([spec[2] for spec in scored], K)
+        self._ends = np.empty((2, rows), dtype=np.intp)
+        self._ends[:] = self._row_cells + root
+        self._rewrite(self._ends[:, : self.scored_end])
 
-        # Min-form lookahead columns: diagonal and informed columns at +inf.
+        # Min-form lookaheads, laid out (k, row, j) so that F_j's minimum
+        # over k reduces whole (row, j) planes: k = j and informed k at +inf.
         minimum = [spec[3] for spec in specs if spec[0] == _MIN_LOOKAHEAD]
-        self.lookahead = np.concatenate(
-            [getattr(costs, name) * sign for name, sign in minimum]
-            or [np.empty((0, n, n))]
-        )
-        self.lookahead[:, np.arange(n), np.arange(n)] = np.inf
-        self.lookahead[:, :, root] = np.inf
+        self.lookahead = np.empty((n, self.min_end, n))
+        for position, (name, sign) in enumerate(minimum):
+            rows_of_spec = self.lookahead[:, position * K : (position + 1) * K]
+            np.multiply(getattr(costs, name).transpose(2, 0, 1), sign, out=rows_of_spec)
+        self.lookahead[np.arange(n), :, np.arange(n)] = np.inf
+        self.lookahead[root] = np.inf
+        self._min_rows = np.arange(self.min_end)
         self.sign = np.repeat([sign for _, sign in minimum], K)[:, None]
 
-        rounds = (len(self.rows), n - 1)
+        rounds = (rows, n - 1)
         self._pairs = np.empty((*rounds, 2), dtype=np.intp) if record else None
         self._times = np.empty((5, *rounds)) if record else None
 
-    def _rewrite(self, senders: np.ndarray, receivers: np.ndarray) -> None:
-        """Rewrite the score rows of each scored row's sender and receiver."""
-        rows, index = self._rewrite_rows, np.concatenate((senders, receivers))
-        ready = self.rt[rows, index][:, None] * self._rewrite_weights
-        self.scores[rows, index] = ready + self.bases[rows, index]
+    def _rewrite(self, ends: np.ndarray) -> None:
+        """Rewrite the score rows at the ``(2, scored_end)`` flat sender and
+        receiver cells ``ends``."""
+        ready = self._rt[ends] * self._rewrite_weights
+        self._score_rows[ends] = ready[..., None] + self._base_rows[ends]
 
     def _edge_penalty(self, last_round: bool) -> np.ndarray:
         """``F_j`` plus the 0/+inf pending-column penalty of every edge row."""
-        columns = self.penalty[: self.edge_end].copy()
+        columns = self._columns
+        columns[...] = self.penalty[: self.edge_end]
         if last_round:
             return columns
-        columns[: self.min_end] += self.lookahead.min(axis=2) * self.sign
+        columns[: self.min_end] += self.lookahead.min(axis=0) * self.sign
         K = self.costs.num_grids
         for offset, average in enumerate(self.averages):
             start = self.min_end + offset * K
@@ -214,10 +262,9 @@ class _LineUp:
 
     def run(self) -> None:
         n, edge_end, scored_end = self.n, self.edge_end, self.scored_end
-        senders = np.full(len(self.rows), self.root)
-        receivers = np.empty(len(self.rows), dtype=np.intp)
-        columns = np.arange(n)
-        bottom_up = np.arange(scored_end - edge_end)[:, None]
+        senders = np.full(len(self.rt), self.root)
+        receivers = np.empty(len(self.rt), dtype=np.intp)
+        bottom_up = np.arange(scored_end - edge_end)
         for round_index in range(n - 1):
             if edge_end:
                 scores = np.add(
@@ -226,15 +273,16 @@ class _LineUp:
                     out=self._scratch,
                 )
                 flat = scores.reshape(edge_end, n * n).argmin(axis=1)
-                senders[:edge_end], receivers[:edge_end] = np.divmod(flat, n)
+                np.divmod(flat, n, out=(senders[:edge_end], receivers[:edge_end]))
             if scored_end > edge_end:
+                # The receiver whose cheapest incoming score is the largest,
+                # then its cheapest sender, read from that column only.
                 block = self.scores[edge_end:scored_end]
-                cheapest_sender = block.argmin(axis=1)
-                cheapest = block[bottom_up, cheapest_sender, columns]
+                cheapest = block.min(axis=1)
                 cheapest -= self.penalty[edge_end:scored_end]
                 chosen = cheapest.argmax(axis=1)
                 receivers[edge_end:scored_end] = chosen
-                senders[edge_end:scored_end] = cheapest_sender[bottom_up[:, 0], chosen]
+                senders[edge_end:scored_end] = block[bottom_up, :, chosen].argmin(axis=1)
             receivers[scored_end:] = self.flat_targets[:, round_index]
             self.commit(senders, receivers, round_index)
 
@@ -242,34 +290,36 @@ class _LineUp:
     def commit(
         self, senders: np.ndarray, receivers: np.ndarray, round_index: int
     ) -> None:
-        rows, grid = self.rows, self.grid
-        gap = self.costs.gap[grid, senders, receivers]
-        latency = self.costs.latency[grid, senders, receivers]
-        start = self.rt[rows, senders]
+        n, rt, ends = self.n, self._rt, self._ends
+        cells = self._problem_cells + senders * n + receivers
+        gap, latency = self._gap[cells], self._latency[cells]
+        np.add(self._row_cells, senders, out=ends[0])
+        np.add(self._row_cells, receivers, out=ends[1])
+        start = rt[ends[0]]
         release = start + gap
         arrival = release + latency
-        self.rt[rows, senders] = release
-        self.rt[rows, receivers] = arrival
+        rt[ends[0]] = release
+        rt[ends[1]] = arrival
         if self._pairs is not None:
             self._pairs[:, round_index, 0] = senders
             self._pairs[:, round_index, 1] = receivers
             self._times[:, :, round_index] = start, release, arrival, gap, latency
-        scored, leaving = self.scored_end, self.min_end
-        self.penalty[rows[:scored], receivers[:scored]] = np.inf
-        self._rewrite(senders[:scored], receivers[:scored])
-        self.lookahead.transpose(0, 2, 1)[rows[:leaving], receivers[:leaving]] = np.inf
+        scored = ends[:, : self.scored_end]
+        self._penalty[scored[1]] = np.inf
+        self._rewrite(scored)
+        self.lookahead[receivers[: self.min_end], self._min_rows] = np.inf
 
     def makespans(self) -> np.ndarray:
         """``(specs, K)`` makespans: ``max_c (RT_c + T_c)`` per problem, the
         very floats the timed schedule's ``makespan`` returns."""
         K = self.costs.num_grids
-        rt = self.rt.reshape(len(self.rows) // K, K, self.n)
+        rt = self.rt.reshape(len(self.rt) // K, K, self.n)
         return (rt + self.costs.broadcast).max(axis=2)
 
     def pairs(self) -> np.ndarray:
         """``(specs, K, n - 1, 2)`` recorded ``(sender, receiver)`` rounds."""
         K = self.costs.num_grids
-        return self._pairs.reshape(len(self.rows) // K, K, self.n - 1, 2)
+        return self._pairs.reshape(len(self.rt) // K, K, self.n - 1, 2)
 
     def schedules(self, position: int, heuristic_name: str) -> list[BroadcastSchedule]:
         """The recorded rounds of one spec's rows as one timed schedule each.
@@ -290,7 +340,7 @@ class _LineUp:
             BroadcastSchedule(
                 root=self.root,
                 num_clusters=n,
-                message_size=cache.message_size,
+                message_size=size,
                 transfers=[
                     ScheduledTransfer(*fields) for fields in zip(*decisions)
                 ],
@@ -299,8 +349,8 @@ class _LineUp:
                 completion_times=completions,
                 heuristic_name=heuristic_name,
             )
-            for cache, decisions, arrivals, starts, completions in zip(
-                self.costs.caches,
+            for size, decisions, arrivals, starts, completions in zip(
+                self.costs.message_sizes,
                 rounds,
                 arrival_times.tolist(),
                 rt.tolist(),
@@ -417,9 +467,11 @@ def batched_schedules(
     Raises
     ------
     ValueError
-        If the stacked caches were built for different grids, or ``root`` is
-        not a cluster of the grid.
+        If ``costs`` was not stacked from caches, the stacked caches were
+        built for different grids, or ``root`` is not a cluster of the grid.
     """
+    if not costs.caches:
+        raise ValueError("batched_schedules needs a stack of one grid's cost caches")
     grid = costs.caches[0].grid
     if any(cache.grid is not grid for cache in costs.caches):
         raise ValueError("costs was computed for a different grid or message size")

@@ -83,26 +83,24 @@ def average_informed_lookahead(state: SchedulingState, candidate: int) -> float:
 
     Estimates the quality of the *global* dissemination capacity if ``j`` is
     promoted: the mean transfer time from every (would-be) informed cluster to
-    every remaining waiting cluster.  Taken as the total over ``A × B``, minus
-    ``j``'s column over ``A``, plus ``j``'s row over ``B∖{j}``; every partial
-    sum (each column over ``A``, the total of the columns, the row) runs left
-    to right in increasing cluster order.
+    every remaining waiting cluster,
+    ``F_j = Σ_{k ∈ B∖{j}} (col_k + T_{j,k}) / ((|A| + 1)(|B| − 1))`` with
+    ``col_k = Σ_{i ∈ A} T_{i,k}``.  Every sum runs left to right in
+    increasing cluster order, and nothing is subtracted, so no large term can
+    cancel the small ones.
     """
     informed, pending = state.informed, state.pending
     if len(pending) < 2:
         return 0.0
-    total = candidate_column = row = 0.0
+    total = 0.0
     for k in pending:
-        column = 0.0
-        for i in informed:
-            column += state.transfer_time(i, k)
-        total += column
-        if k == candidate:
-            candidate_column = column
-        else:
-            row += state.transfer_time(candidate, k)
+        if k != candidate:
+            column = 0.0
+            for i in informed:
+                column += state.transfer_time(i, k)
+            total += column + state.transfer_time(candidate, k)
     count = (len(informed) + 1) * (len(pending) - 1)
-    return (total - candidate_column + row) / count
+    return total / count
 
 
 def grid_aware_min_lookahead(state: SchedulingState, candidate: int) -> float:
@@ -191,14 +189,22 @@ def average_latency_columns(transfer: np.ndarray, penalty: np.ndarray) -> np.nda
 def average_informed_columns(transfer: np.ndarray, penalty: np.ndarray) -> np.ndarray:
     """:func:`average_informed_lookahead` for every candidate of K problems,
     from the same ``(K, n, n)`` transfer stack and ``(K, n)`` pending-penalty
-    rows as :func:`average_latency_columns`."""
+    rows as :func:`average_latency_columns`.
+
+    Term ``p`` of candidate ``j`` is ``col_k + T_{j,k}`` for the ``p``-th
+    pending cluster ``k``, and an exact +0.0 when ``k`` is ``j`` itself.
+    """
     pending = _set_columns(penalty == 0.0)
     informed = _set_columns(penalty != 0.0)
+    problems = np.arange(len(pending))[:, None]
     columns = _ordered_sums(transfer.transpose(0, 2, 1), informed)
-    total = _ordered_sums(columns[:, None, :], pending)
-    rows = _ordered_sums(transfer, pending)
-    count = (informed.shape[1] + 1) * max(pending.shape[1] - 1, 1)
-    return (total - columns + rows) / count
+    terms = transfer[problems, :, pending]
+    terms += columns[problems, pending][:, :, None]
+    terms[problems, np.arange(pending.shape[1]), pending] = 0.0
+    sums = np.zeros(columns.shape)
+    for position in range(pending.shape[1]):
+        sums += terms[:, position]
+    return sums / ((informed.shape[1] + 1) * max(pending.shape[1] - 1, 1))
 
 
 #: The average lookaheads' column functions.

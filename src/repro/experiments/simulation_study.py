@@ -7,19 +7,19 @@ completion time per heuristic and cluster count — the y-axis of Figures 1, 2
 and 3 — together with enough raw material (per-iteration minima and hit
 counts) for the Figure 4 hit-rate analysis to reuse the same runs.
 
-The driver is batched: iterations are processed in chunks whose per-grid cost
-matrices are built once (in the shared :class:`~repro.core.costs.GridCostCache`)
-and stacked into :class:`~repro.core.batch.BatchedGridCosts`, so the whole
+The driver is batched: iterations are processed in chunks that are drawn
+straight into ``(K, n, n)`` cost stacks
+(:meth:`~repro.topology.generators.RandomGridGenerator.generate_stack`,
+:meth:`~repro.core.batch.BatchedGridCosts.from_arrays`), so the whole
 line-up schedules a chunk in one :func:`~repro.core.batch.schedule_lineup`
 pass instead of one grid per Python loop.  Heuristics without a batched
-kernel transparently fall back to the per-grid engine on the same shared
-caches.  Iterations can additionally be fanned out over the persistent
-runtime pool
-(:mod:`repro.runtime.pool`); each worker regenerates its chunk's grids from
-shipped seeds, which costs less than shipping the stacked cost matrices
-would.  Every (cluster count, iteration) pair keeps its own deterministic
-child seed, so the results are bit-identical regardless of batching,
-chunking, executor lane or worker count.
+kernel transparently fall back to the per-grid engine on grids and caches
+built from slices of the same stacks.  Iterations can additionally be fanned
+out over the persistent runtime pool (:mod:`repro.runtime.pool`); each worker
+draws its chunk from shipped seeds, which costs less than shipping the
+stacked cost matrices would.  Every (cluster count, iteration) pair keeps
+its own deterministic child seed, so the results are bit-identical
+regardless of batching, chunking, executor lane or worker count.
 """
 
 from __future__ import annotations
@@ -161,21 +161,26 @@ def _evaluate_chunk(
     """Makespans of every heuristic on one chunk of generated grids.
 
     Returns an array of shape ``(len(heuristic_keys), len(seeds))``.  The
-    per-grid cost matrices are built once, shared by the one line-up kernel
-    call and by any per-grid fallback heuristic.
+    chunk is drawn once, straight into ``(K, n, n)`` stacks that the one
+    line-up kernel call schedules; a :class:`~repro.topology.grid.Grid` and
+    its cost cache are built from slices of the stacks only when some
+    heuristic has no kernel rows and falls back to the per-grid engine.
     """
     heuristics = instantiate(heuristic_keys)
     generator = RandomGridGenerator(ranges)
-    grids = [
-        generator.generate(num_clusters, RandomStream(seed=seed)) for seed in seeds
-    ]
-    caches = [GridCostCache.for_grid(grid, message_size) for grid in grids]
+    # The generator's clusters have 16 nodes, so every drawn T is the grid's.
+    latency, gap, times = generator.generate_stack(num_clusters, seeds)
     columns: list = [None] * len(heuristics)
     if any(has_batched_kernel(h, num_clusters) for h in heuristics):
-        columns = schedule_lineup(heuristics, BatchedGridCosts(caches), root=root)
-    out = np.empty((len(heuristics), len(grids)), dtype=float)
+        stack = BatchedGridCosts.from_arrays(latency, gap, times, message_size)
+        columns = schedule_lineup(heuristics, stack, root=root)
+    out = np.empty((len(heuristics), len(seeds)), dtype=float)
+    grids = None
     for heuristic_index, (heuristic, makespans) in enumerate(zip(heuristics, columns)):
         if makespans is None:
+            if grids is None:
+                grids = [generator.as_grid(*arrays) for arrays in zip(latency, gap, times)]
+                caches = [GridCostCache.for_grid(grid, message_size) for grid in grids]
             makespans = [
                 heuristic.makespan(grid, message_size, root=root, costs=cache)
                 for grid, cache in zip(grids, caches)

@@ -17,12 +17,14 @@ receives an independent intra-cluster broadcast time ``T``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from repro.topology.cluster import Cluster
 from repro.topology.grid import Grid, InterClusterLink
-from repro.utils.rng import RandomStream
+from repro.utils.rng import RandomStream, open_generators
 from repro.utils.units import ms_to_s
 from repro.utils.validation import check_non_negative
 
@@ -112,37 +114,86 @@ class RandomGridGenerator:
         The draws come from the stream in one block each — all ``T`` values,
         then a (latency, gap) pair per ``(i < j)`` pair in row-major order —
         scaled as ``low + (high - low) * u``, which is exactly what
-        :meth:`RandomStream.uniform` computes one value at a time.
+        :meth:`RandomStream.uniform` computes one value at a time.  This is
+        the one-grid case of :meth:`generate_stack`.
         """
-        if isinstance(num_clusters, bool) or not isinstance(num_clusters, int):
-            raise TypeError("num_clusters must be an int")
-        if num_clusters < 1:
-            raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
+        _check_cluster_count(num_clusters)
         if not isinstance(stream, RandomStream):
             raise TypeError("stream must be a RandomStream")
-        ranges = self.ranges
-        draw = stream.generator.random
-        times = _scale(draw(num_clusters), ranges.broadcast_min, ranges.broadcast_max)
-        rows, cols = np.triu_indices(num_clusters, 1)
-        pairs = draw(2 * len(rows))
-        latency = np.zeros((num_clusters, num_clusters))
-        gap = np.zeros((num_clusters, num_clusters))
-        for matrix, values in (
-            (latency, _scale(pairs[0::2], ranges.latency_min, ranges.latency_max)),
-            (gap, _scale(pairs[1::2], ranges.gap_min, ranges.gap_max)),
-        ):
-            matrix[rows, cols] = values
-            matrix[cols, rows] = values
-        for label, values in (("T", times), ("latency", latency), ("gap", gap)):
-            if not (np.isfinite(values).all() and (values >= 0).all()):
-                raise ValueError(f"drawn {label} values must be finite and non-negative")
+        latency, gap, times = self._draw(num_clusters, [stream.generator])
+        return self.as_grid(latency[0], gap[0], times[0])
+
+    def generate_stack(
+        self, num_clusters: int, seeds: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The grids ``generate(num_clusters, RandomStream(seed))`` draws for
+        every seed, as ``(latency, gap, T)`` stacks of shapes ``(K, n, n)``,
+        ``(K, n, n)`` and ``(K, n)``, with no grid object built.
+
+        The streams open in one :func:`~repro.utils.rng.open_generators`
+        pass, so a seed that pass cannot bulk-open raises what
+        :class:`RandomStream` raises.  ``T`` is the drawn cluster broadcast
+        time; a grid of one-node clusters reports 0 instead
+        (:meth:`Grid.broadcast_times`).
+        """
+        _check_cluster_count(num_clusters)
+        return self._draw(num_clusters, open_generators(seeds))
+
+    def as_grid(self, latency: np.ndarray, gap: np.ndarray, times: np.ndarray) -> Grid:
+        """Wrap one drawn grid's arrays (a slice of :meth:`generate_stack`'s
+        stacks) in a :class:`Grid` of this generator's cluster size.  The
+        arrays are adopted, not copied, and become read-only."""
         return Grid._from_arrays(
             latency,
             gap,
             times,
             cluster_size=self.cluster_size,
-            name=f"random-{num_clusters}-clusters",
+            name=f"random-{len(times)}-clusters",
         )
+
+    def _draw(
+        self, num_clusters: int, generators: Sequence[np.random.Generator]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One grid per generator: each fills its own row of one block with
+        its ``T`` draws, then its interleaved (latency, gap) pair draws."""
+        n, ranges = num_clusters, self.ranges
+        upper, lower = _triangle_cells(n)
+        draws = np.empty((len(generators), n + 2 * len(upper)))
+        for row, generator in zip(draws, generators):
+            generator.random(out=row[:n])
+            generator.random(out=row[n:])
+        times = _scale(draws[:, :n], ranges.broadcast_min, ranges.broadcast_max)
+        latency = np.zeros((len(generators), n * n))
+        gap = np.zeros((len(generators), n * n))
+        for matrix, values in (
+            (latency, _scale(draws[:, n::2], ranges.latency_min, ranges.latency_max)),
+            (gap, _scale(draws[:, n + 1 :: 2], ranges.gap_min, ranges.gap_max)),
+        ):
+            matrix[:, upper] = values
+            matrix[:, lower] = values
+        for label, values in (("T", times), ("latency", latency), ("gap", gap)):
+            if not (np.isfinite(values).all() and (values >= 0).all()):
+                raise ValueError(f"drawn {label} values must be finite and non-negative")
+        shape = (len(generators), n, n)
+        return latency.reshape(shape), gap.reshape(shape), times
+
+
+def _check_cluster_count(num_clusters: int) -> None:
+    if isinstance(num_clusters, bool) or not isinstance(num_clusters, int):
+        raise TypeError("num_clusters must be an int")
+    if num_clusters < 1:
+        raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
+
+
+@lru_cache(maxsize=64)
+def _triangle_cells(num_clusters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ``(i, j)`` and ``(j, i)`` cell indices of every ``i < j`` pair,
+    in row-major order."""
+    rows, cols = np.triu_indices(num_clusters, 1)
+    upper, lower = rows * num_clusters + cols, cols * num_clusters + rows
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
 
 
 def _scale(draws: np.ndarray, low: float, high: float) -> np.ndarray:

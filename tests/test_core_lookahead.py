@@ -97,31 +97,68 @@ class _InformedStubState:
 
 
 def test_average_informed_sums_left_to_right():
-    """The decomposed ordered sums, on every Python: column 3 over A is
+    """``Σ_{k ∈ B∖{j}} (col_k + T_jk)`` in one fixed order, on every Python
+    (0x1.1c37937e08003p+50 under 3.10, 3.11 and 3.12): column 3 over A is
     ``1e16 + 1.0 + 1.0``, which rounds back to ``1e16`` twice.  Neither the
     direct double loop over ``(A ∪ {j}) × (B ∖ {j})`` nor compensated sums
-    (Python 3.12's built-in ``sum``, ``math.fsum``) give these bits."""
+    (``math.fsum``, Python 3.12's built-in ``sum``) give these bits."""
     state = _InformedStubState()
     value = average_informed_lookahead(state, 4)
-    columns = [((0.0 + 1e16) + 1.0) + 1.0, ((0.0 + 3.0) + 1.0) + 1.0, 5.0]
-    total = ((0.0 + columns[0]) + columns[1]) + columns[2]
-    row = (0.0 + 1.0) + 1.0
-    assert value == (total - columns[1] + row) / ((3 + 1) * (3 - 1))
+    column_3 = ((0.0 + 1e16) + 1.0) + 1.0
+    column_5 = ((0.0 + 3.0) + 1.0) + 1.0
+    assert value == ((0.0 + (column_3 + 1.0)) + (column_5 + 1.0)) / ((3 + 1) * (3 - 1))
+    assert value == float.fromhex("0x1.1c37937e08003p+50")
     direct = 0.0
     for source in (0, 1, 2, 4):
         for target in (3, 5):
             direct += state.transfer_time(source, target)
     assert value != direct / 8
-    compensated = [
-        math.fsum(state.transfer_time(i, k) for i in (0, 1, 2)) for k in (3, 4, 5)
-    ]
-    assert value != (math.fsum(compensated) - compensated[1] + row) / 8
+    pairs = [(i, k) for i in (0, 1, 2, 4) for k in (3, 5)]
+    assert value != math.fsum(state.transfer_time(i, k) for i, k in pairs) / 8
     transfer = np.zeros((1, 6, 6))
     for i, k in np.ndindex(6, 6):
         if i != k:
             transfer[0, i, k] = state.transfer_time(i, k)
     penalty = np.array([[np.inf] * 3 + [0.0] * 3])
     assert average_informed_columns(transfer, penalty)[0, 4] == value
+
+
+def _found_transfer() -> np.ndarray:
+    """A = {0, 1, 2}, B = {3, 4, 5}: ``T(0, 4) = 1e16``, every other transfer
+    into 3 takes 2 s and the rest 1 s."""
+    transfer = np.ones((6, 6))
+    transfer[:, 3] = 2.0
+    transfer[0, 4] = 1e16
+    np.fill_diagonal(transfer, 0.0)
+    return transfer
+
+
+def test_average_informed_is_exact_in_every_engine():
+    """The candidate's own 1e16 column must not cancel the small terms:
+    over (A ∪ {4}) × (B ∖ {4}) the mean is exactly (6 + 2 + 3 + 1) / 8 = 1.5
+    in the scalar loop, the per-grid column and the kernel rows (the old
+    ``(total − col_j + row_j) / count`` form returned 1.375)."""
+    from repro.core.batch import BatchedGridCosts, _LineUp, _row_spec
+    from repro.core.ecef import ECEFLookahead
+    from repro.core.lookahead import VECTORIZED_LOOKAHEADS
+    from repro.topology.generators import RandomGridGenerator
+
+    transfer = _found_transfer()
+    grid = RandomGridGenerator().as_grid(np.zeros((6, 6)), transfer, np.zeros(6))
+    state = SchedulingState(grid=grid, message_size=0, root=0)
+    state.commit(0, 1)
+    state.commit(0, 2)
+    assert average_informed_lookahead(state, 4) == 1.5
+    assert VECTORIZED_LOOKAHEADS[average_informed_lookahead](state)[4] == 1.5
+
+    costs = BatchedGridCosts.from_arrays(
+        np.zeros((1, 6, 6)), transfer[None], np.zeros((1, 6)), 0.0
+    )
+    heuristic = ECEFLookahead("average_informed")
+    lineup = _LineUp([_row_spec(heuristic, 6)], costs, 0, False)
+    for round_index, receiver in enumerate((1, 2)):
+        lineup.commit(np.array([0]), np.array([receiver]), round_index)
+    assert lineup._edge_penalty(False)[0, 4] == 1.5
 
 
 class TestRegistry:

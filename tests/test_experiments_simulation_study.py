@@ -2,11 +2,42 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.experiments.config import SimulationStudyConfig
-from repro.experiments.simulation_study import run_simulation_study
+from repro.core.ecef import ECEFLookahead
+from repro.core import registry
+from repro.core.lookahead import min_edge_lookahead
+from repro.core.registry import PAPER_HEURISTICS, instantiate, register_heuristic
+from repro.experiments.config import (
+    FIGURE1_CLUSTER_COUNTS,
+    FIGURE2_CLUSTER_COUNTS,
+    PAPER_MESSAGE_SIZE,
+    SimulationStudyConfig,
+)
+from repro.experiments.simulation_study import _evaluate_chunk, run_simulation_study
+from repro.topology.generators import PAPER_PARAMETER_RANGES, RandomGridGenerator
+from repro.topology.grid import Grid
+from repro.utils.rng import RandomStream
+
+
+def _half_min_edge(state, candidate):
+    """A lookahead no engine knows: half of ECEF-LA's."""
+    return 0.5 * min_edge_lookahead(state, candidate)
+
+
+@pytest.fixture(scope="module")
+def custom_lookahead_key():
+    key = "test_half_min_edge"
+    register_heuristic(
+        key,
+        lambda: ECEFLookahead(_half_min_edge, key=key, display_name="LA/2"),
+        overwrite=True,
+    )
+    yield key
+    registry._REGISTRY.pop(key)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +152,74 @@ class TestBatchedDriver:
         assert np.all(np.isfinite(study.makespans))
         # The exhaustive search is a true lower bound for ECEF.
         assert np.all(optimal <= ecef + 1e-12)
+
+
+class TestStackedChunk:
+    """A chunk is drawn once into cost stacks; grids exist only for the
+    heuristics that fall back to the per-grid engine."""
+
+    SEEDS = [RandomStream(seed=41).spawn_seed() for _ in range(5)]
+
+    @staticmethod
+    def _per_grid(heuristic_keys, num_clusters, seeds):
+        generator = RandomGridGenerator(PAPER_PARAMETER_RANGES)
+        grids = [generator.generate(num_clusters, RandomStream(seed=s)) for s in seeds]
+        return np.array(
+            [
+                [heuristic.makespan(grid, PAPER_MESSAGE_SIZE, root=1) for grid in grids]
+                for heuristic in instantiate(heuristic_keys)
+            ]
+        )
+
+    def test_mixed_chunk_equals_per_grid_path(self, custom_lookahead_key):
+        keys = ("ecef_la", "optimal", custom_lookahead_key, "bottom_up", "flat_tree")
+        chunk = _evaluate_chunk(
+            keys, 5, self.SEEDS, PAPER_MESSAGE_SIZE, 1, PAPER_PARAMETER_RANGES
+        )
+        assert np.array_equal(chunk, self._per_grid(keys, 5, self.SEEDS))
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_grids_are_built_only_for_fallbacks(self, monkeypatch, fallback):
+        calls = []
+        from_arrays = Grid._from_arrays.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args[0].shape)
+            return from_arrays(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Grid, "_from_arrays", classmethod(counting))
+        keys = PAPER_HEURISTICS + (("optimal",) if fallback else ())
+        chunk = _evaluate_chunk(
+            keys, 6, self.SEEDS, PAPER_MESSAGE_SIZE, 1, PAPER_PARAMETER_RANGES
+        )
+        assert calls == ([(6, 6)] * len(self.SEEDS) if fallback else [])
+        monkeypatch.undo()
+        assert np.array_equal(chunk, self._per_grid(keys, 6, self.SEEDS))
+
+
+class TestGoldenMakespans:
+    """Makespans of fixed studies, pinned as the sha256 of their
+    little-endian float64 bytes: a drift of the grid draw or of the kernel
+    that every lane shares fails here, where lane-against-lane diffs agree."""
+
+    @pytest.mark.parametrize(
+        "cluster_counts, digest",
+        [
+            (
+                FIGURE1_CLUSTER_COUNTS,
+                "4b32b51f0900c3745ed2979ad9841f62a7ce507b81d35e74c5ecdea009c0f238",
+            ),
+            (
+                FIGURE2_CLUSTER_COUNTS,
+                "b1110e149bcd1ea605cc599f3719068a7f075afd454a10b5085ceefcb2e42fce",
+            ),
+        ],
+    )
+    def test_figure_sweeps(self, cluster_counts, digest):
+        config = SimulationStudyConfig(cluster_counts=cluster_counts, iterations=4, seed=31)
+        makespans = run_simulation_study(config, workers=0).makespans
+        data = np.ascontiguousarray(makespans, dtype="<f8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestReproducibility:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.topology.generators import (
     PAPER_PARAMETER_RANGES,
@@ -112,3 +116,63 @@ class TestUniformGrid:
     def test_rejects_negative_parameters(self):
         with pytest.raises(ValueError):
             make_uniform_grid(3, latency=-1.0)
+
+
+#: Seeds the bulk seeding pass opens through ``RandomStream``.
+ODD_SEEDS = (2**64, 2**64 + 3, 2**80, np.uint64(7), np.int64(2**40))
+
+
+def _bits(*arrays) -> list[bytes]:
+    return [np.ascontiguousarray(array, dtype="<f8").tobytes() for array in arrays]
+
+
+class TestGenerateStack:
+    """The stacked draw equals one ``generate`` per seed, bit for bit."""
+
+    @given(
+        num_clusters=st.integers(1, 60),
+        seeds=st.lists(
+            st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(ODD_SEEDS)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_grid_generate(self, num_clusters, seeds):
+        generator = RandomGridGenerator()
+        latency, gap, times = generator.generate_stack(num_clusters, seeds)
+        assert latency.shape == gap.shape == (len(seeds), num_clusters, num_clusters)
+        assert times.shape == (len(seeds), num_clusters)
+        for k, seed in enumerate(seeds):
+            grid = generator.generate(num_clusters, RandomStream(seed=seed))
+            grid_latency, grid_gap = grid.cost_matrices(0.0)
+            assert _bits(latency[k], gap[k], times[k]) == _bits(
+                grid_latency, grid_gap, grid.broadcast_times(0.0)
+            )
+
+    def test_scaled_ranges_and_slices_as_grids(self):
+        generator = RandomGridGenerator(PAPER_PARAMETER_RANGES.scaled_broadcast(0.1))
+        seeds = [11, 12, 13]
+        stack = generator.generate_stack(9, seeds)
+        for k, seed in enumerate(seeds):
+            grid = generator.as_grid(*(array[k] for array in stack))
+            reference = generator.generate(9, RandomStream(seed=seed))
+            assert grid.name == reference.name
+            assert grid.num_nodes == reference.num_nodes
+            assert _bits(*grid.cost_matrices(0.0), grid.broadcast_times(0.0)) == _bits(
+                *reference.cost_matrices(0.0), reference.broadcast_times(0.0)
+            )
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
+    def test_bad_seeds_raise_like_random_stream(self, seed):
+        with pytest.raises(Exception) as expected:
+            RandomStream(seed=seed)
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            RandomGridGenerator().generate_stack(4, [3, seed])
+
+    def test_rejects_bad_cluster_counts(self):
+        generator = RandomGridGenerator()
+        with pytest.raises(ValueError):
+            generator.generate_stack(0, [1])
+        with pytest.raises(TypeError):
+            generator.generate_stack(3.0, [1])
