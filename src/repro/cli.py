@@ -20,8 +20,9 @@
 * ``repro-bcast service serve`` / ``service query`` —
   broadcast-scheduling-as-a-service: a long-running schedule daemon
   answering (topology, size, heuristic) queries out of an LRU schedule
-  cache, and the matching client (``query`` prints the same summary the
-  ``schedule`` subcommand prints, byte for byte).
+  cache with frequency admission, and the matching client (``query``
+  prints the same summary the ``schedule`` subcommand prints, byte for
+  byte).
 
 Worker counts default to the ``REPRO_WORKERS`` environment variable; the
 fan-out lane defaults to ``REPRO_EXECUTOR`` (see ``--executor``: processes
@@ -417,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
     service = sub.add_parser(
         "service",
         help="broadcast-scheduling-as-a-service: a schedule daemon answering "
-        "(topology, size, heuristic) queries out of an LRU schedule cache",
+        "(topology, size, heuristic) queries out of an LRU schedule cache "
+        "with frequency admission",
     )
     service_sub = service.add_subparsers(dest="service_command", required=True)
     service_serve = service_sub.add_parser(
@@ -451,7 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="bound on cached schedules (and cached topologies), evicted "
-        "least-recently-used (default: 1024)",
+        "least-recently-used; a full schedule cache admits a new schedule "
+        "only if it was queried more often than the one it would evict "
+        "(default: 1024)",
     )
     service_serve.add_argument(
         "--band-bytes",

@@ -26,8 +26,12 @@ service against the inline path.
   :class:`~repro.core.costs.GridCostCache` entries warm (they are keyed
   by grid identity through a weak reference), so even a *new* (size,
   heuristic) query on a known topology skips the dense-matrix rebuild;
-* an **LRU schedule cache** keyed by ``(topology hash, size band,
-  heuristic, root)`` holding complete response payloads.
+* an **LRU schedule cache with frequency admission** keyed by
+  ``(topology hash, size band, heuristic, root)`` holding complete response
+  payloads.  Eviction takes the least recently used entry, but a full
+  cache admits a computed miss only if its key was queried more often
+  (in a decaying count) than that entry's, so one-off queries cannot evict
+  hot schedules (:class:`_ScheduleCache`).
 
 With the default ``band_bytes=0`` the size band *is* the exact message
 size, so a cache hit replays a stored payload verbatim — trivially
@@ -48,7 +52,9 @@ dict; replies echo the ``query`` correlation id:
   errors) or ``{"query": id, "op": "busy"}`` when draining / over the
   ``queue`` bound;
 * ``{"op": "stats"}`` → ``{"op": "stats", "served": ..., "hits": ...,
-  "misses": ..., "retimed": ..., "entries": ..., "topologies": ...}``;
+  "misses": ..., "rejected": ..., "retimed": ..., "entries": ...,
+  "topologies": ...}``, where ``rejected`` counts the misses whose payload
+  the cache did not admit;
 * ``PING`` / ``SHUTDOWN`` control frames as everywhere on this wire.
 """
 
@@ -60,7 +66,7 @@ import socket
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Hashable, Mapping
 
 from repro.core.costs import GridCostCache
 from repro.core.registry import available_heuristics, get_heuristic
@@ -239,6 +245,57 @@ def _payload_schedule(payload: Mapping[str, Any]) -> BroadcastSchedule:
     )
 
 
+# -- the schedule cache ---------------------------------------------------------------
+
+
+class _ScheduleCache:
+    """LRU order for eviction, query frequency for admission.
+
+    Every :meth:`lookup` counts one query of its key.  Every ``10 x size``
+    lookups all counts are halved and zeros dropped, so stale popularity
+    ages out and the table holds at most two windows' worth of keys.  A
+    computed miss enters a cache with room; a full cache takes it only if
+    its count beats the LRU entry's, which it then evicts (a tie keeps the
+    entry).  So a key queried once cannot push out a hot one (TinyLFU's
+    rule, Einziger, Friedman and Manes, ACM TOS 2017).  Not thread-safe:
+    the service calls it under its ``_cache_lock``.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.entries: OrderedDict[Hashable, dict[str, Any]] = OrderedDict()
+        self.counts: dict[Hashable, int] = {}
+        self._window = 10 * size
+        self._until_aging = self._window
+
+    def lookup(self, key: Hashable) -> dict[str, Any] | None:
+        """Count one query of ``key``; its payload, touched MRU, or ``None``."""
+        self.counts[key] = self.counts.get(key, 0) + 1
+        self._until_aging -= 1
+        if not self._until_aging:
+            self._until_aging = self._window
+            self.counts = {k: c >> 1 for k, c in self.counts.items() if c > 1}
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+        return entry
+
+    def admit(self, key: Hashable, payload: dict[str, Any]) -> bool:
+        """Insert a computed miss if the policy lets it in; whether it did.
+
+        A key another thread inserted meanwhile is left as it is.
+        """
+        if key in self.entries:
+            return False
+        if len(self.entries) >= self.size:
+            victim = next(iter(self.entries))
+            if self.counts.get(key, 0) <= self.counts.get(victim, 0):
+                return False
+            del self.entries[victim]
+        self.entries[key] = payload
+        return True
+
+
 # -- the daemon -----------------------------------------------------------------------
 
 
@@ -259,8 +316,9 @@ class ScheduleService(FrameServer):
         Bound on queries admitted but not yet answered across all clients;
         ``0`` — the default — is unbounded.
     cache_size:
-        Bound on cached schedules (and on cached topologies), evicted LRU
-        (default :data:`DEFAULT_CACHE_SIZE`).
+        Bound on cached schedules (and on cached topologies), evicted LRU;
+        a full schedule cache admits by query frequency (default
+        :data:`DEFAULT_CACHE_SIZE`).
     band_bytes:
         Width of the message-size band in the schedule-cache key.  ``0`` —
         the default — keys by exact size, which keeps cache hits trivially
@@ -293,11 +351,10 @@ class ScheduleService(FrameServer):
         #: queries never serialise the whole daemon.
         self._cache_lock = threading.Lock()
         self._grids: OrderedDict[str, Grid] = OrderedDict()  # guarded-by: _cache_lock
-        self._schedules: OrderedDict[
-            tuple[str, float, str, int], dict[str, Any]
-        ] = OrderedDict()  # guarded-by: _cache_lock
+        self._schedules = _ScheduleCache(self.cache_size)  # guarded-by: _cache_lock
         self.hits = 0  # guarded-by: _cache_lock
         self.misses = 0  # guarded-by: _cache_lock
+        self.rejected = 0  # guarded-by: _cache_lock
         self.retimed = 0  # guarded-by: _cache_lock
         self.served = 0  # guarded-by: _cache_lock
         #: GridCostCache.for_grid is unsynchronised (its callers are
@@ -365,9 +422,8 @@ class ScheduleService(FrameServer):
             band = message_size
         cache_key = (key, band, heuristic_key.lower().replace("-", "_"), root)
         with self._cache_lock:
-            entry = self._schedules.get(cache_key)
+            entry = self._schedules.lookup(cache_key)
             if entry is not None:
-                self._schedules.move_to_end(cache_key)
                 self.hits += 1
                 self.served += 1
             else:
@@ -396,10 +452,8 @@ class ScheduleService(FrameServer):
         )
         payload = _schedule_payload(schedule)
         with self._cache_lock:
-            self._schedules[cache_key] = payload
-            self._schedules.move_to_end(cache_key)
-            while len(self._schedules) > self.cache_size:
-                self._schedules.popitem(last=False)
+            if not self._schedules.admit(cache_key, payload):
+                self.rejected += 1
         return payload, False
 
     def _grid_for(self, key: str, spec: Mapping[str, Any]) -> Grid:
@@ -438,8 +492,9 @@ class ScheduleService(FrameServer):
                 "served": self.served,
                 "hits": self.hits,
                 "misses": self.misses,
+                "rejected": self.rejected,
                 "retimed": self.retimed,
-                "entries": len(self._schedules),
+                "entries": len(self._schedules.entries),
                 "topologies": len(self._grids),
             }
 

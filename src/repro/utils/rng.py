@@ -194,27 +194,35 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 _SEED_LIMIT = 1 << 64
 
 
-def _hash_constants(
-    init: int, mult: int, count: int
-) -> list[tuple[np.uint32, np.uint32]]:
-    """The ``(xor, multiplier)`` pair of each of ``count`` successive hashes."""
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The ``(xor, multiplier)`` pair of each of ``count`` successive hashes.
+
+    A ``(2, count, 1)`` uint32 array, so one :func:`_hashmix` call applies
+    ``count`` hashes to a row of seeds at once.
+    """
     constants = []
     for _ in range(count):
         following = (init * mult) & _MASK32
-        constants.append((np.uint32(init), np.uint32(following)))
+        constants.append((init, following))
         init = following
-    return constants
+    return np.array(constants, dtype=np.uint32).T[:, :, None].copy()
 
 
-#: Four pool fills, then twelve cross-mixes of the four-word pool.
-_POOL_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-#: Eight 32-bit output words: four uint64 PCG64 seed words.
+#: Four pool fills, then each pool word mixed into the other three, in turn.
+_FILL_HASHES, *_CROSS_HASHES = np.split(
+    _hash_constants(0x43B0D7E5, 0x931E8875, 16), [4, 7, 10, 13], axis=1
+)
+#: The pool rows each pool word is mixed into.
+_CROSS_TARGETS = [
+    [target for target in range(4) if target != source] for source in range(4)
+]
+#: Eight 32-bit output words, hashed from pool words 0-3, 0-3: four uint64
+#: PCG64 seed words.
 _STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
-def _hashmix(value: np.ndarray, constants: tuple[np.uint32, np.uint32]) -> np.ndarray:
-    xor, mult = constants
-    value = (value ^ xor) * mult
+def _hashmix(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    value = (value ^ constants[0]) * constants[1]
     return value ^ (value >> 16)
 
 
@@ -230,21 +238,19 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     per seed.  A seed's entropy is its little-endian 32-bit words, hashed into
     a four-word pool that a short entropy pads with hashed zeros — so a seed
     under 2**32 pools exactly like its two-word form ``[low, 0]``, and every
-    seed below 2**64 runs the same uint32 pass.
+    seed below 2**64 runs the same uint32 pass.  The pool is a ``(4, K)``
+    array: each source word is hashed three ways and mixed into its three
+    targets in one step, and the eight state words are hashed in one call.
     """
-    hashes = iter(_POOL_HASHES)
-    low = (seeds & _MASK32).astype(np.uint32)
-    high = (seeds >> 32).astype(np.uint32)
-    zero = np.zeros_like(low)
-    pool = [_hashmix(word, next(hashes)) for word in (low, high, zero, zero)]
-    for source in range(4):
-        for target in range(4):
-            if source != target:
-                pool[target] = _mix(pool[target], _hashmix(pool[source], next(hashes)))
-    state = np.empty((seeds.size, 8), dtype=np.uint32)
-    for index, constants in enumerate(_STATE_HASHES):
-        state[:, index] = _hashmix(pool[index % 4], constants)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    words = np.zeros((4, seeds.size), dtype=np.uint32)
+    words[0] = seeds & _MASK32
+    words[1] = seeds >> 32
+    pool = _hashmix(words, _FILL_HASHES)
+    for source, targets in enumerate(_CROSS_TARGETS):
+        hashed = _hashmix(pool[source], _CROSS_HASHES[source])
+        pool[targets] = _mix(pool[targets], hashed)
+    state = _hashmix(np.tile(pool, (2, 1)), _STATE_HASHES)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
 class _SeedWords(ISeedSequence):

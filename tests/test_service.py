@@ -3,7 +3,7 @@
 The service's headline promise is the determinism contract: every response
 is **bit-identical** to what the inline scheduling path produces for the
 same (topology, size, heuristic, root) — whether the answer was computed,
-replayed from the LRU schedule cache, or served concurrently to a pile of
+replayed from the schedule cache, or served concurrently to a pile of
 hammering clients.  The serving scaffolding itself (admission ``BUSY``
 bounce, graceful SIGTERM drain, malformed-frame rejection) is the same
 :class:`~repro.runtime.serving.FrameServer` skeleton the study agent uses,
@@ -13,6 +13,7 @@ re-verified here through the service's wire surface.
 from __future__ import annotations
 
 import os
+import random
 import re
 import signal
 import socket
@@ -33,6 +34,7 @@ from repro.runtime.service import (
     ScheduleService,
     ServiceBusyError,
     ServiceError,
+    _ScheduleCache,
     build_topology,
     canonical_topology_spec,
     topology_key,
@@ -70,8 +72,11 @@ def inline_schedule(spec, message_size, heuristic, root=0):
     return get_heuristic(heuristic).schedule(grid, float(message_size), root=root)
 
 
-def assert_bit_identical(reply, spec, message_size, heuristic, root=0):
-    reference = inline_schedule(spec, message_size, heuristic, root=root)
+def assert_bit_identical(
+    reply, spec, message_size, heuristic, root=0, reference=None
+):
+    if reference is None:
+        reference = inline_schedule(spec, message_size, heuristic, root=root)
     schedule = reply.schedule()
     assert schedule.order == reference.order
     assert schedule.makespan == reference.makespan
@@ -215,6 +220,7 @@ class TestServiceQueries:
                 assert stats["served"] == 4
                 assert stats["hits"] == 2
                 assert stats["misses"] == 2
+                assert stats["rejected"] == 0
                 assert stats["retimed"] == 0
                 assert stats["entries"] == 2
                 assert stats["topologies"] == 1
@@ -275,21 +281,116 @@ class TestServiceQueries:
                 raw.close()
 
 
-class TestServiceCaching:
-    def test_lru_eviction_respects_cache_size(self):
+def replay(cache, keys):
+    """Drive a schedule cache the way ``_answer`` does: count each query,
+    offer each miss for admission.  ``[(hit, admitted), ...]`` per key."""
+    outcomes = []
+    for key in keys:
+        hit = cache.lookup(key) is not None
+        outcomes.append((hit, False if hit else cache.admit(key, {"key": key})))
+    return outcomes
+
+
+class TestScheduleCacheAdmission:
+    """LRU order for eviction, query frequency for admission."""
+
+    G5K = {"kind": "grid5000"}
+
+    def test_a_key_queried_once_does_not_evict(self):
         with running_service(cache_size=2) as (server, address):
             with ScheduleClient(address) as client:
-                client.query({"kind": "grid5000"}, MB, "fef")
-                client.query({"kind": "grid5000"}, MB, "ecef")
-                client.query({"kind": "grid5000"}, MB, "bottom_up")  # evicts fef
-                assert client.stats()["entries"] == 2
-                again = client.query({"kind": "grid5000"}, MB, "fef")
-                assert not again.cached  # it was evicted, recomputed
-                recent = client.query({"kind": "grid5000"}, MB, "bottom_up")
-                assert recent.cached
-            assert server.stats()["misses"] == 4
-            assert server.stats()["hits"] == 1
+                client.query(self.G5K, MB, "fef")
+                client.query(self.G5K, MB, "ecef")
+                # One query of a third key ties the LRU entry's count: the
+                # entry stays and the computed payload is not admitted.
+                once = client.query(self.G5K, MB, "bottom_up")
+                assert not once.cached
+                assert_bit_identical(once, self.G5K, MB, "bottom_up")
+                assert client.query(self.G5K, MB, "fef").cached
+                assert client.query(self.G5K, MB, "ecef").cached
+                # A second query of it still only ties fef (2 against 2).
+                assert not client.query(self.G5K, MB, "bottom_up").cached
+                stats = client.stats()
+            assert stats == server.stats()
+            assert stats["served"] == 6
+            assert stats["hits"] == 2
+            assert stats["misses"] == 4
+            assert stats["rejected"] == 2
+            assert stats["entries"] == 2
+            assert set(server._schedules.entries) == {
+                (topology_key(self.G5K), float(MB), "fef", 0),
+                (topology_key(self.G5K), float(MB), "ecef", 0),
+            }
 
+    def test_a_hotter_key_displaces_exactly_the_lru_victim(self):
+        with running_service(cache_size=2) as (server, address):
+            with ScheduleClient(address) as client:
+                client.query(self.G5K, MB, "fef")  # the LRU victim, count 1
+                client.query(self.G5K, MB, "ecef")
+                assert not client.query(self.G5K, MB, "bottom_up").cached
+                # Count 2 beats fef's 1: admitted, and only fef is evicted.
+                assert not client.query(self.G5K, MB, "bottom_up").cached
+                assert set(server._schedules.entries) == {
+                    (topology_key(self.G5K), float(MB), "ecef", 0),
+                    (topology_key(self.G5K), float(MB), "bottom_up", 0),
+                }
+                assert client.query(self.G5K, MB, "ecef").cached
+                hot = client.query(self.G5K, MB, "bottom_up")
+                assert hot.cached
+                assert_bit_identical(hot, self.G5K, MB, "bottom_up")
+                again = client.query(self.G5K, MB, "fef")
+                assert not again.cached  # evicted, recomputed
+                assert_bit_identical(again, self.G5K, MB, "fef")
+                stats = client.stats()
+            assert stats["served"] == 7
+            assert stats["hits"] == 2
+            assert stats["misses"] == 5
+            # bottom_up's first miss and fef's recomputation (count 2 ties
+            # ecef's 2) were not admitted.
+            assert stats["rejected"] == 2
+            assert stats["entries"] == 2
+
+    def test_counts_halve_every_window_so_old_heat_ages_out(self):
+        cache = _ScheduleCache(2)  # a window of 20 queries
+        replay(cache, ["hot"] * 6 + ["warm"] * 6)
+        assert list(cache.entries) == ["hot", "warm"]
+        # Three queries of a newcomer do not beat hot's six.
+        assert replay(cache, ["new"] * 3) == [(False, False)] * 3
+        # The twentieth query halves every count and drops the zeros.
+        replay(cache, [f"pad{index}" for index in range(5)])
+        assert cache.counts == {"hot": 3, "warm": 3, "new": 1}
+        assert list(cache.entries) == ["hot", "warm"]
+        # Now four queries beat hot's halved three: hot is displaced.
+        assert replay(cache, ["new"] * 3) == [(False, False)] * 2 + [(False, True)]
+        assert list(cache.entries) == ["warm", "new"]
+
+    def test_count_table_stays_bounded_on_unique_keys(self):
+        size = 4
+        cache = _ScheduleCache(size)
+        for index in range(50 * 10 * size + 3):
+            replay(cache, [index])
+            assert len(cache.counts) <= 10 * size
+            assert len(cache.entries) <= size
+        # A stream of one-off keys ages out completely at each window.
+        assert len(cache.counts) == 3
+
+    def test_a_cache_that_never_fills_admits_every_miss(self):
+        queries = TestServiceQueries.QUERIES
+        with running_service(cache_size=len(queries)) as (server, address):
+            with ScheduleClient(address) as client:
+                for spec, size, heuristic, root in queries:
+                    assert not client.query(spec, size, heuristic, root=root).cached
+                for spec, size, heuristic, root in queries:
+                    reply = client.query(spec, size, heuristic, root=root)
+                    assert reply.cached
+                    assert_bit_identical(reply, spec, size, heuristic, root=root)
+            stats = server.stats()
+        assert stats["misses"] == stats["entries"] == len(queries)
+        assert stats["rejected"] == 0
+        assert stats["hits"] == len(queries)
+
+
+class TestServiceCaching:
     def test_topology_cache_keeps_cost_matrices_warm(self):
         """A known topology keeps one grid identity across queries — which
         is what keeps its weakly-keyed GridCostCache matrices warm."""
@@ -384,6 +485,82 @@ class TestServiceConcurrency:
             # is at least one per distinct query rather than exactly one.
             assert len(queries) <= stats["misses"] <= workers * len(queries)
             assert stats["entries"] == len(queries)
+            # The cache never fills: every miss was admitted except the ones
+            # whose key a racing thread had already inserted.
+            assert stats["misses"] == stats["entries"] + stats["rejected"]
+
+    def test_concurrent_soak_on_a_full_cache(self):
+        """Four clients replay a skewed stream over a 4-entry cache, so
+        admissions, rejections, evictions and racing inserts all happen;
+        every reply must still match the inline path bit for bit."""
+        specs = [{"kind": "grid5000"}] + [
+            {"kind": "random", "clusters": 6 + seed, "seed": seed} for seed in range(3)
+        ]
+        keys = [
+            (spec, size, heuristic, 0)
+            for spec in specs
+            for size, heuristic in ((MB, "ecef_la"), (4 * MB, "fef"))
+        ]
+        # Key i is queried about 24 / (i + 1) times per client.
+        stream = [
+            index for index in range(len(keys)) for _ in range(24 // (index + 1))
+        ]
+        references = [
+            inline_schedule(spec, size, heuristic, root=root)
+            for spec, size, heuristic, root in keys
+        ]
+        clients, cache_size = 4, 4
+        failures: list[str] = []
+        counted = [{"served": 0, "hits": 0, "misses": 0} for _ in range(clients)]
+
+        with running_service(
+            max_clients=clients + 1, cache_size=cache_size
+        ) as (server, address):
+
+            def hammer(slot: int) -> None:
+                order = stream[:]
+                random.Random(slot).shuffle(order)
+                try:
+                    with ScheduleClient(address, timeout=60) as client:
+                        for index in order:
+                            spec, size, heuristic, root = keys[index]
+                            reply = client.query(spec, size, heuristic, root=root)
+                            counted[slot]["served"] += 1
+                            counted[slot]["hits" if reply.cached else "misses"] += 1
+                            try:
+                                assert_bit_identical(
+                                    reply, spec, size, heuristic, root=root,
+                                    reference=references[index],
+                                )
+                            except AssertionError:
+                                failures.append(f"client {slot} key {index} diverged")
+                except Exception as exc:  # noqa: BLE001 - surfaced below
+                    failures.append(f"client {slot}: {type(exc).__name__}: {exc}")
+
+            threads = [
+                threading.Thread(target=hammer, args=(slot,)) for slot in range(clients)
+            ]
+            # Frequent thread switches give racing lookups and inserts a
+            # chance to interleave inside the daemon.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures, failures
+            stats = server.stats()
+        for name in ("served", "hits", "misses"):
+            assert stats[name] == sum(count[name] for count in counted), name
+        assert stats["served"] == clients * len(stream)
+        assert stats["served"] == stats["hits"] + stats["misses"]
+        assert stats["entries"] <= cache_size
+        assert stats["entries"] <= stats["misses"] - stats["rejected"]
+        assert stats["rejected"] > 0
 
     def test_connection_admission_bounces_busy(self):
         with running_service(max_clients=1) as (_, address):

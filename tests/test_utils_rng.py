@@ -156,6 +156,23 @@ class TestOpenGenerators:
             assert generator.bit_generator.state == reference.state
             assert _draws(generator) == _draws(reference.generator)
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 13])
+    def test_small_batches_with_two_word_seeds(self, count):
+        """The batch sizes a Monte-Carlo chunk opens, with seeds at and
+        above 2**32 (two-word entropies) mixed among one-word ones."""
+        draw = np.random.default_rng(count)
+        wide = draw.integers(2**32, 2**64, size=count, dtype=np.uint64)
+        seeds = [2**32] + [
+            int(value) if index % 2 == 0 else int(value) >> 33
+            for index, value in enumerate(wide[1:])
+        ]
+        generators = open_generators(seeds)
+        assert len(generators) == count
+        for seed, generator in zip(seeds, generators):
+            reference = RandomStream(seed=seed)
+            assert generator.bit_generator.state == reference.state
+            assert _draws(generator) == _draws(reference.generator)
+
     def test_edges_duplicates_and_empty(self):
         assert open_generators([]) == []
         seeds = [*EDGE_SEEDS, *EDGE_SEEDS, DEFAULT_SEED]
