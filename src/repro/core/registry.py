@@ -57,18 +57,27 @@ def available_heuristics() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def normalize_heuristic_key(key: str) -> str:
+    """The registry spelling of ``key``: trimmed, lowercase, with dashes and
+    spaces as underscores, so ``"ECEF-LA"``, ``"ECEF LA"`` and ``" ecef_la "``
+    all name ``"ecef_la"``.  Every lookup and cache keyed by heuristic name
+    goes through it."""
+    return key.strip().lower().replace("-", "_").replace(" ", "_")
+
+
 def get_heuristic(key: str) -> SchedulingHeuristic:
     """Instantiate the heuristic registered under ``key``.
 
-    Keys are case-insensitive and accept dashes in place of underscores, so
-    ``"ECEF-LA"`` resolves like ``"ecef_la"``.
+    Keys are case-insensitive and accept dashes or spaces in place of
+    underscores (:func:`normalize_heuristic_key`), so ``"ECEF-LA"``
+    resolves like ``"ecef_la"``.
 
     Raises
     ------
     ValueError
         If the key is unknown; the message lists the registered keys.
     """
-    normalised = key.strip().lower().replace("-", "_").replace(" ", "_")
+    normalised = normalize_heuristic_key(key)
     try:
         factory = _REGISTRY[normalised]
     except KeyError as exc:
@@ -94,7 +103,7 @@ def register_heuristic(key: str, factory: HeuristicFactory, *, overwrite: bool =
     """
     if not callable(factory):
         raise TypeError("factory must be callable")
-    normalised = key.strip().lower().replace("-", "_").replace(" ", "_")
+    normalised = normalize_heuristic_key(key)
     if not normalised:
         raise ValueError("key must not be empty")
     if normalised in _REGISTRY and not overwrite:

@@ -33,11 +33,11 @@ import numpy as np
 from repro.core.costs import GridCostCache
 from repro.core.registry import instantiate
 from repro.experiments.config import PracticalStudyConfig
-from repro.experiments.practical_study import _check_engine, _default_grid, _measure
+from repro.experiments.practical_study import _check_engine, _default_grid
 from repro.mpi.alltoall import grid_aware_alltoall_program
 from repro.mpi.bcast import grid_aware_bcast_program
 from repro.mpi.scatter import grid_aware_scatter_program
-from repro.simulator.batch import ExecutionTask
+from repro.simulator.batch import ExecutionTask, execute_makespans
 from repro.simulator.network import NetworkConfig
 from repro.topology.grid import Grid
 from repro.utils.rng import derive_seed
@@ -247,15 +247,16 @@ def run_chained_study(
             for stage_index, program in enumerate(programs)
         )
 
-    executions = _measure(
+    num_stages = len(sequence)
+    makespans = execute_makespans(
         grid,
         tasks,
-        NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed),
-        workers, engine, executor, pool, hosts,
-    )
-    num_stages = len(sequence)
-    makespans = np.array(
-        [execution.makespan for execution in executions], dtype=float
+        config=NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed),
+        workers=workers,
+        engine=engine,
+        executor=executor,
+        pool=pool,
+        hosts=hosts,
     ).reshape(len(sizes), 2 * num_stages)
     return ChainedStudyResult(
         config=config,

@@ -26,11 +26,12 @@ programs of every heuristic at every message size are built first, as one
 stacked :func:`~repro.mpi.bcast.grid_aware_pair_programs` call for the
 whole line-up (plus one :func:`~repro.mpi.bcast.binomial_bcast_programs`
 call for the baseline), then the whole batch executes in one
-:func:`~repro.simulator.batch.execute_programs` call —
+:func:`~repro.simulator.batch.execute_makespans` call —
 in-process, or fanned out over the persistent runtime pool of the chosen
-lane.  Noise replicas are first-class: ``replicas=N`` measures every curve
-point ``N`` times and the result carries both the per-replica columns and
-their mean/std aggregation.  Every (curve label, size, replica) owns a
+lane — which hands back every task's makespan as one array, reshaped into
+the result's columns.  Noise replicas are first-class: ``replicas=N``
+measures every curve point ``N`` times and the result carries both the
+per-replica columns and their mean/std aggregation.  Every (curve label, size, replica) owns a
 noise seed derived from the config seed, so results are bit-identical
 regardless of engine, executor lane, shipping path, execution order,
 heuristic-tuple order, pool lifetime or worker count.
@@ -59,7 +60,7 @@ from repro.mpi.alltoall import direct_alltoall_program, grid_aware_alltoall_prog
 from repro.mpi.bcast import binomial_bcast_programs, grid_aware_pair_programs
 from repro.mpi.scatter import flat_scatter_program, grid_aware_scatter_program
 from repro.runtime.chunking import resolve_executor
-from repro.simulator.batch import ENGINES, ExecutionTask, execute_programs
+from repro.simulator.batch import ENGINES, ExecutionTask, execute_makespans
 from repro.simulator.network import NetworkConfig
 from repro.topology.grid import Grid
 from repro.topology.grid5000 import build_grid5000_topology
@@ -84,31 +85,6 @@ def _check_engine(engine: str) -> None:
 def _check_replicas(replicas: int) -> None:
     if isinstance(replicas, bool) or not isinstance(replicas, int) or replicas < 1:
         raise ValueError(f"replicas must be an integer >= 1, got {replicas!r}")
-
-
-def _measure(
-    grid: Grid,
-    tasks: list[ExecutionTask],
-    network_config: NetworkConfig,
-    workers: int | None,
-    engine: str,
-    executor: str | None,
-    pool,
-    hosts: str | None,
-) -> list:
-    """Execute a measured sweep, makespans only, in one
-    :func:`execute_programs` call (which picks the lane)."""
-    return execute_programs(
-        grid,
-        tasks,
-        config=network_config,
-        collect_traces=False,
-        workers=workers,
-        engine=engine,
-        executor=executor,
-        pool=pool,
-        hosts=hosts,
-    )
 
 
 def _replica_seed(seed: int, label: str, size: int, replica: int, replicas: int) -> int:
@@ -352,12 +328,6 @@ def run_practical_study(
     _check_replicas(replicas)
     heuristics = instantiate(config.heuristics)
     sizes = list(config.message_sizes)
-    measured = np.empty((replicas, len(sizes), len(heuristics)), dtype=float)
-    baseline = (
-        np.empty((replicas, len(sizes)), dtype=float)
-        if config.include_binomial_baseline
-        else None
-    )
     network_config = NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed)
 
     # Build the measured sweep: one stacked program build for the whole
@@ -376,15 +346,14 @@ def run_practical_study(
         [heuristic.name for heuristic in heuristics for _ in sizes],
         local_tree=config.local_tree,
     )
-    curves: list[tuple[str, list, int | None]] = [
+    curves: list[tuple[str, list]] = [
         (
             heuristic.name,
             programs[heuristic_index * len(sizes) : (heuristic_index + 1) * len(sizes)],
-            heuristic_index,
         )
         for heuristic_index, heuristic in enumerate(heuristics)
     ]
-    if baseline is not None:
+    if config.include_binomial_baseline:
         curves.append(
             (
                 BINOMIAL_BASELINE_NAME,
@@ -393,32 +362,38 @@ def run_practical_study(
                     sizes,
                     root_rank=grid.coordinator_rank(config.root_cluster),
                 ),
-                None,
             )
         )
-    all_tasks: list[ExecutionTask] = []
-    slots: list[tuple[int, int, int | None]] = []
-    for size_index, message_size in enumerate(sizes):
-        for replica in range(replicas):
-            for label, programs, heuristic_index in curves:
-                all_tasks.append(
-                    ExecutionTask(
-                        programs[size_index],
-                        noise_seed=_replica_seed(
-                            config.seed, label, message_size, replica, replicas
-                        ),
-                    )
-                )
-                slots.append((replica, size_index, heuristic_index))
-
-    executions = _measure(
-        grid, all_tasks, network_config, workers, engine, executor, pool, hosts
+    # Task order is (size, replica, curve), the baseline curve last.
+    all_tasks = [
+        ExecutionTask(
+            curve[size_index],
+            noise_seed=_replica_seed(
+                config.seed, label, message_size, replica, replicas
+            ),
+        )
+        for size_index, message_size in enumerate(sizes)
+        for replica in range(replicas)
+        for label, curve in curves
+    ]
+    makespans = execute_makespans(
+        grid,
+        all_tasks,
+        config=network_config,
+        workers=workers,
+        engine=engine,
+        executor=executor,
+        pool=pool,
+        hosts=hosts,
+    ).reshape(len(sizes), replicas, len(curves)).transpose(1, 0, 2)
+    # C-ordered copies, so the replica mean and std reduce the same memory
+    # layout as always.
+    measured = np.ascontiguousarray(makespans[:, :, : len(heuristics)])
+    baseline = (
+        np.ascontiguousarray(makespans[:, :, len(heuristics)])
+        if config.include_binomial_baseline
+        else None
     )
-    for (replica, size_index, heuristic_index), execution in zip(slots, executions):
-        if heuristic_index is None:
-            baseline[replica, size_index] = execution.makespan
-        else:
-            measured[replica, size_index, heuristic_index] = execution.makespan
     return PracticalStudyResult(
         config=config,
         heuristic_names=[h.name for h in heuristics],
@@ -519,14 +494,15 @@ def _run_collective_study(
                     noise_seed=derive_seed(config.seed, collective, name, message_size),
                 )
             )
-    executions = _measure(
+    measured = execute_makespans(
         grid,
         tasks,
-        NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed),
-        workers, engine, executor, pool, hosts,
-    )
-    measured = np.array(
-        [execution.makespan for execution in executions], dtype=float
+        config=NetworkConfig(noise_sigma=config.noise_sigma, seed=config.seed),
+        workers=workers,
+        engine=engine,
+        executor=executor,
+        pool=pool,
+        hosts=hosts,
     ).reshape(len(sizes), len(strategies))
     return CollectiveStudyResult(
         collective=collective,

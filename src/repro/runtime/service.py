@@ -69,7 +69,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
 
 from repro.core.costs import GridCostCache
-from repro.core.registry import available_heuristics, get_heuristic
+from repro.core.registry import (
+    available_heuristics,
+    get_heuristic,
+    normalize_heuristic_key,
+)
 from repro.core.schedule import BroadcastSchedule, ScheduledTransfer, evaluate_order
 from repro.runtime import wire
 from repro.runtime.serving import FrameServer
@@ -169,7 +173,11 @@ def _canonical_matrix(raw: Any, n: int, label: str) -> list[list[float]]:
 
 def topology_key(spec: Any) -> str:
     """The canonical topology hash: sha256 of the canonical JSON spec."""
-    canonical = canonical_topology_spec(spec)
+    return _canonical_key(canonical_topology_spec(spec))
+
+
+def _canonical_key(canonical: Mapping[str, Any]) -> str:
+    """:func:`topology_key` of a spec that is already canonical."""
     encoded = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
@@ -409,18 +417,18 @@ class ScheduleService(FrameServer):
     def _answer(self, message: Mapping[str, Any]) -> tuple[dict[str, Any], bool]:
         """Serve one query: ``(payload, cache_hit)``; raises on bad input."""
         spec = canonical_topology_spec(message.get("topology"))
-        key = topology_key(spec)
+        key = _canonical_key(spec)
         message_size = float(message.get("message_size", -1.0))
         if message_size < 0.0:
             raise ValueError("a query needs a message_size >= 0")
-        heuristic = get_heuristic(str(message.get("heuristic", "")))
-        heuristic_key = str(message.get("heuristic", ""))
+        heuristic_name = str(message.get("heuristic", ""))
+        heuristic = get_heuristic(heuristic_name)
         root = int(message.get("root", 0))
         if self.band_bytes > 0:
             band = float(message_size // self.band_bytes)
         else:
             band = message_size
-        cache_key = (key, band, heuristic_key.lower().replace("-", "_"), root)
+        cache_key = (key, band, normalize_heuristic_key(heuristic_name), root)
         with self._cache_lock:
             entry = self._schedules.lookup(cache_key)
             if entry is not None:

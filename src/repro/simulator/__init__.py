@@ -22,16 +22,19 @@ Building blocks
   network and returns an :class:`~repro.simulator.execution.ExecutionResult`
   (arrival times, makespan, trace).
 * :func:`~repro.simulator.batch.execute_programs` — runs many independent
-  programs in one stacked relaxation pass (message-keyed noise from
-  per-task seeds), bit-identical to the scalar engine and the
-  workhorse behind the measured sweeps of the practical study.
+  (or warm-chained) programs in one stacked relaxation pass (message-keyed
+  noise from per-task seeds), bit-identical to the scalar engine, and
+  returns one :class:`~repro.simulator.execution.ExecutionResult` per task.
+* :func:`~repro.simulator.batch.execute_makespans` — the same run read for
+  makespans only: one float array, no result objects.  It is what the
+  measured sweeps of the practical, collective and chained studies call.
 """
 
 from repro.simulator.engine import SimulationEngine
 from repro.simulator.network import NetworkConfig, SimulatedNetwork
 from repro.simulator.program import CommunicationProgram, SendInstruction
 from repro.simulator.execution import ExecutionResult, MessageRecord, execute_program
-from repro.simulator.batch import ExecutionTask, execute_programs
+from repro.simulator.batch import ExecutionTask, execute_makespans, execute_programs
 
 __all__ = [
     "SimulationEngine",
@@ -44,4 +47,5 @@ __all__ = [
     "execute_program",
     "ExecutionTask",
     "execute_programs",
+    "execute_makespans",
 ]

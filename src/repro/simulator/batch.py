@@ -36,6 +36,14 @@ stacked relaxation pass instead:
   chained tasks run one stacked pass per chain position, carrying the NIC
   row forward.
 
+One stacked run leaves its per-rank and per-message arrays behind, and one
+of two readers turns them into the answer: :func:`execute_programs` builds
+an :class:`~repro.simulator.execution.ExecutionResult` per task (per-rank
+activation and completion times, optional traces), while
+:func:`execute_makespans` takes each task's makespan with one
+``np.maximum.reduceat`` over the completion row and builds no result
+object — the measured sweeps keep nothing else.
+
 Worker fan-out goes through the runtime layer.  The batch is stacked
 **once in the parent** and each worker runs a chain-respecting task range
 of the stack.  A chunk ships one of two ways, picked from what the platform
@@ -63,7 +71,7 @@ shipping path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -262,20 +270,44 @@ def _relax(
         fell[frontier] = False
 
 
-def _execute_stacked(
+class _StackedRun(NamedTuple):
+    """The arrays one :func:`_run_stacked` pass leaves behind.
+
+    Rank ``r`` of task ``k`` is stacked rank ``rank_off[k] + r`` and its
+    message ``i`` stacked message ``msg_off[k] + i``; every per-rank and
+    per-message array is indexed in those stacked terms.
+    """
+
+    rank_off: np.ndarray
+    msg_off: np.ndarray
+    ptr: np.ndarray
+    dest: np.ndarray
+    sender: np.ndarray
+    nic: np.ndarray
+    activation: np.ndarray
+    release: np.ndarray
+    delivery: np.ndarray
+    completion: np.ndarray
+    active: np.ndarray
+    sent: np.ndarray
+    senders: np.ndarray
+
+
+def _run_stacked(
     arrays: dict[str, np.ndarray],
     metas: Sequence[tuple],
     sigma: float,
     overhead: float,
-    collect_traces: bool,
     num_nodes: int,
-) -> list[ExecutionResult]:
+) -> _StackedRun:
     """Execute a :func:`_stack_tasks` stack; the batched engine proper.
 
     Tasks that chain (``reset`` false) run one relaxation pass per chain
     position; every other task runs in the first pass.  Passes share the
     stacked state arrays, since every task owns its own rank and message
-    block.
+    block.  The run hands its arrays to one of two readers:
+    :func:`_read_executions` (one :class:`ExecutionResult` per task) or
+    :func:`_read_makespans` (one float per task).
     """
     count = len(metas)
     num_ranks = [meta[1] for meta in metas]
@@ -360,22 +392,51 @@ def _execute_stacked(
     senders = np.flatnonzero(active & (degree > 0))
     last = ptr[senders + 1] - 1
     completion[senders] = np.maximum(completion[senders], release[last])
+    return _StackedRun(
+        rank_off, msg_off, ptr, dest, sender, nic, activation, release,
+        delivery, completion, active, sent, senders,
+    )
+
+
+def _read_makespans(run: _StackedRun) -> np.ndarray:
+    """Each task's makespan: the maximum of its ranks' completion times.
+
+    A maximum is exact, so each value is bitwise the ``makespan`` of the
+    task's :class:`ExecutionResult`; every program has at least one rank,
+    so no segment is empty.
+    """
+    return np.maximum.reduceat(run.completion, run.rank_off[:-1])
+
+
+def _read_executions(
+    run: _StackedRun,
+    arrays: dict[str, np.ndarray],
+    metas: Sequence[tuple],
+    collect_traces: bool,
+) -> list[ExecutionResult]:
+    """One :class:`ExecutionResult` per task: per-rank times and traces."""
+    activation, sender, dest, delivery = (
+        run.activation, run.sender, run.dest, run.delivery
+    )
     if collect_traces:
-        start = np.empty_like(release)
-        start[1:] = release[:-1]
-        start[ptr[senders]] = np.maximum(activation[senders], nic[senders])
+        senders = run.senders
+        start = np.empty_like(run.release)
+        start[1:] = run.release[:-1]
+        start[run.ptr[senders]] = np.maximum(activation[senders], run.nic[senders])
 
     activation_list: list[float | None] = activation.tolist()
-    for rank in np.flatnonzero(~active).tolist():
+    for rank in np.flatnonzero(~run.active).tolist():
         activation_list[rank] = None
-    completion_list = completion.tolist()
+    completion_list = run.completion.tolist()
+    rank_bounds = run.rank_off.tolist()
+    msg_bounds = run.msg_off.tolist()
     results = []
     for index, (name, _, _, _, _, tags) in enumerate(metas):
         lo, hi = rank_bounds[index], rank_bounds[index + 1]
         trace: list[MessageRecord] = []
         if collect_traces:
             first, end = msg_bounds[index], msg_bounds[index + 1]
-            chosen = np.flatnonzero(sent[first:end]) + first
+            chosen = np.flatnonzero(run.sent[first:end]) + first
             # Delivery order; simultaneous deliveries in CSR message order.
             chosen = chosen[np.lexsort((chosen, delivery[chosen]))]
             trace = [
@@ -409,20 +470,40 @@ def _execute_stacked(
     return results
 
 
+def _execute_stacked(
+    arrays: dict[str, np.ndarray],
+    metas: Sequence[tuple],
+    sigma: float,
+    overhead: float,
+    output: str,
+    num_nodes: int,
+) -> list[ExecutionResult] | np.ndarray:
+    """Run a stack and read it as ``output`` asks.
+
+    ``output`` is ``"traces"`` or ``"results"`` (:class:`ExecutionResult`
+    objects with or without traces, for :func:`execute_programs`), or
+    ``"makespans"`` (one float per task, for :func:`execute_makespans`).
+    """
+    run = _run_stacked(arrays, metas, sigma, overhead, num_nodes)
+    if output == "makespans":
+        return _read_makespans(run)
+    return _read_executions(run, arrays, metas, output == "traces")
+
+
 def _execute_batch(
     grid: Grid,
     tasks: Sequence[ExecutionTask],
     config: NetworkConfig,
-    collect_traces: bool,
-) -> list[ExecutionResult]:
+    output: str,
+) -> list[ExecutionResult] | np.ndarray:
     """Stack every task and run the stack in-process."""
-    arrays, metas = _stack_tasks(grid, tasks, config, collect_traces)
+    arrays, metas = _stack_tasks(grid, tasks, config, output == "traces")
     return _execute_stacked(
         arrays,
         metas,
         config.noise_sigma,
         config.receive_overhead,
-        collect_traces,
+        output,
         grid.num_nodes,
     )
 
@@ -550,35 +631,34 @@ def _slice_stack(
     }
 
 
-def _execute_shipped_chunk(args) -> tuple[int, list[ExecutionResult]]:
+def _execute_shipped_chunk(args) -> tuple[int, list[ExecutionResult] | np.ndarray]:
     """Runtime worker body: run one task range of a shipped stack.
 
     The job carries the shipment handle, the range's window into it
     (``None`` when the shipment holds exactly this range, as a remote
     chunk's frame does) and the range's task metadata — never the grid or
-    the programs themselves.
+    the programs themselves.  It returns the range's results, or one float
+    array of its makespans when ``output`` is ``"makespans"``.
     """
-    start, shipment, window, metas, sigma, overhead, collect_traces, num_nodes = args
+    start, shipment, window, metas, sigma, overhead, output, num_nodes = args
     arrays = shipment.load()
     if window is not None:
         arrays = _slice_stack(arrays, window)
-    results = _execute_stacked(
-        arrays, metas, sigma, overhead, collect_traces, num_nodes
-    )
+    values = _execute_stacked(arrays, metas, sigma, overhead, output, num_nodes)
     # Drop every view into the shipment before unmapping it.
     arrays = None
     shipment.close()
-    return start, results
+    return start, values
 
 
 def _execute_with_runtime_pool(
     grid: Grid,
     tasks: list[ExecutionTask],
     config: NetworkConfig,
-    collect_traces: bool,
+    output: str,
     worker_count: int,
     pool,
-) -> list[ExecutionResult]:
+) -> list[ExecutionResult] | np.ndarray:
     """Process/remote lane: stack once in the parent, ship to ``pool``.
 
     On the process lane, where shared memory works, the whole stack goes
@@ -594,17 +674,17 @@ def _execute_with_runtime_pool(
     from repro.runtime.wire import WireShipment
 
     remote = getattr(pool, "kind", "process") == "remote"
-    arrays, metas = _stack_tasks(grid, tasks, config, collect_traces)
+    arrays, metas = _stack_tasks(grid, tasks, config, output == "traces")
     costs = [program_cost(task.program) for task in tasks]
     # Each stacked relaxation pays a fixed cost per call (its waves of NumPy
     # calls), so the process lane runs one cost-balanced chunk per worker;
     # remote agents keep the finer chunks that stealing and requeueing use.
     bounds = _chunk_bounds(tasks, costs, worker_count, None if remote else 1)
     windows = _task_windows(arrays, metas, bounds)
-    settings = (
-        config.noise_sigma, config.receive_overhead, collect_traces, grid.num_nodes
+    settings = (config.noise_sigma, config.receive_overhead, output, grid.num_nodes)
+    results: list[ExecutionResult | None] | np.ndarray = (
+        np.empty(len(tasks)) if output == "makespans" else [None] * len(tasks)
     )
-    results: list[ExecutionResult | None] = [None] * len(tasks)
     shared = not remote and shared_memory_available()
     shipment = ArrayShipment.pack(arrays) if shared else None
     try:
@@ -627,6 +707,61 @@ def _execute_with_runtime_pool(
         if shipment is not None:
             shipment.unlink()
     return results  # type: ignore[return-value]
+
+
+def _normalize_tasks(
+    tasks: Sequence[ExecutionTask | CommunicationProgram],
+    engine: str,
+    executor: str | None,
+) -> list[ExecutionTask]:
+    """Check ``engine``/``executor`` and wrap bare programs as tasks."""
+    from repro.runtime.chunking import EXECUTORS
+
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    if executor is not None and executor not in EXECUTORS:
+        raise ValueError(
+            f"executor must be one of {EXECUTORS}, got {executor!r}"
+        )
+    normalized = [
+        task if isinstance(task, ExecutionTask) else ExecutionTask(program=task)
+        for task in tasks
+    ]
+    _validate_tasks(normalized)
+    return normalized
+
+
+def _execute_on_lane(
+    grid: Grid,
+    tasks: list[ExecutionTask],
+    config: NetworkConfig,
+    output: str,
+    workers: int | None,
+    executor: str | None,
+    pool,
+    hosts: str | None,
+) -> list[ExecutionResult] | np.ndarray:
+    """The batched engine on the lane :func:`~repro.runtime.pool.choose_lane`
+    picks: inline, or chunked and shipped to a runtime pool."""
+    from repro.runtime.chunking import program_cost
+    from repro.runtime.pool import choose_lane
+    from repro.utils.workers import resolve_workers
+
+    worker_count = resolve_workers(workers)
+    if len(tasks) > 1:  # a single task always runs inline
+        pool, worker_count = choose_lane(
+            executor,
+            workers,
+            worker_count,
+            sum(program_cost(task.program) for task in tasks),
+            pool=pool,
+            hosts=hosts,
+        )
+        if pool is not None:
+            return _execute_with_runtime_pool(
+                grid, tasks, config, output, worker_count, pool
+            )
+    return _execute_batch(grid, tasks, config, output)
 
 
 def execute_programs(
@@ -656,8 +791,11 @@ def execute_programs(
         Shared network behaviour (noise sigma, fallback seed, receive
         overhead); per-task ``noise_seed`` overrides the seed.
     collect_traces:
-        Keep the full message trace of every execution; pass ``False`` for
-        makespan-only sweeps (the practical study does).
+        Keep the full message trace of every execution; pass ``False`` to
+        keep only the per-rank times.  A caller that needs only each
+        task's makespan calls :func:`execute_makespans` instead, which
+        builds no :class:`ExecutionResult` at all (the measured sweeps
+        do).
     workers:
         Optional fan-out over chain-respecting chunks of the task list;
         ``None`` consults the shared ``REPRO_WORKERS`` environment variable,
@@ -692,38 +830,57 @@ def execute_programs(
         the ``REPRO_HOSTS`` environment variable, then to loopback mode
         (agents auto-spawned as local subprocesses).
     """
-    from repro.runtime.chunking import EXECUTORS, program_cost
-    from repro.runtime.pool import choose_lane
-    from repro.utils.workers import resolve_workers
-
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if executor is not None and executor not in EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
+    normalized = _normalize_tasks(tasks, engine, executor)
     config = config if config is not None else NetworkConfig()
-    normalized = [
-        task if isinstance(task, ExecutionTask) else ExecutionTask(program=task)
-        for task in tasks
-    ]
-    _validate_tasks(normalized)
     if not normalized:
         return []
     if engine == "scalar":
         return _execute_scalar(grid, normalized, config, collect_traces)
-    worker_count = resolve_workers(workers)
-    if len(normalized) > 1:  # a single task always runs inline
-        pool, worker_count = choose_lane(
-            executor,
-            workers,
-            worker_count,
-            sum(program_cost(task.program) for task in normalized),
-            pool=pool,
-            hosts=hosts,
+    output = "traces" if collect_traces else "results"
+    return _execute_on_lane(  # type: ignore[return-value]
+        grid, normalized, config, output, workers, executor, pool, hosts
+    )
+
+
+def execute_makespans(
+    grid: Grid,
+    tasks: Sequence[ExecutionTask | CommunicationProgram],
+    *,
+    config: NetworkConfig | None = None,
+    workers: int | None = None,
+    engine: str = "batched",
+    executor: str | None = None,
+    pool=None,
+    hosts: str | None = None,
+) -> np.ndarray:
+    """Each task's makespan, in task order, as one float array.
+
+    The same run as :func:`execute_programs` — same lane choice, chunking,
+    shipping and parameters (less ``collect_traces``) — read for the one
+    number a measured sweep keeps: the batched engine takes each task's
+    maximum completion time straight from the stacked completion array and
+    builds no :class:`ExecutionResult`, and worker chunks send back float
+    arrays.  Element ``k`` is bitwise ``execute_programs(...)[k].makespan``
+    (a maximum is exact); ``engine="scalar"`` is the reference twin that
+    takes exactly that ``.makespan`` of each scalar execution.
+
+    As in :func:`execute_programs`, ``workers=None`` consults the
+    ``REPRO_WORKERS`` environment variable, ``executor=None`` consults
+    ``REPRO_EXECUTOR`` (then ``"auto"``), and ``hosts=None`` consults
+    ``REPRO_HOSTS`` (then loopback agents) when the remote lane is engaged.
+    """
+    normalized = _normalize_tasks(tasks, engine, executor)
+    config = config if config is not None else NetworkConfig()
+    if not normalized:
+        return np.empty(0)
+    if engine == "scalar":
+        return np.array(
+            [
+                result.makespan
+                for result in _execute_scalar(grid, normalized, config, False)
+            ],
+            dtype=float,
         )
-        if pool is not None:
-            return _execute_with_runtime_pool(
-                grid, normalized, config, collect_traces, worker_count, pool
-            )
-    return _execute_batch(grid, normalized, config, collect_traces)
+    return _execute_on_lane(  # type: ignore[return-value]
+        grid, normalized, config, "makespans", workers, executor, pool, hosts
+    )

@@ -12,6 +12,7 @@ from repro.core.registry import (
     available_heuristics,
     get_heuristic,
     instantiate,
+    normalize_heuristic_key,
     register_heuristic,
 )
 
@@ -43,6 +44,10 @@ class TestLookup:
     def test_key_normalisation(self):
         assert get_heuristic("ECEF-LA").name == "ECEF-LA"
         assert get_heuristic("  Flat Tree ").name == "Flat Tree"
+
+    def test_one_normaliser_for_every_spelling(self):
+        spellings = ("ecef_la", "ECEF-LA", "ECEF LA", " ecef_la ")
+        assert {normalize_heuristic_key(key) for key in spellings} == {"ecef_la"}
 
     def test_unknown_key_lists_alternatives(self):
         with pytest.raises(ValueError, match="known keys"):

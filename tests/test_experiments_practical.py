@@ -172,13 +172,13 @@ class TestDefaultGrid:
         import repro.experiments.practical_study as module
 
         seen = []
-        measure = module._measure
+        measure = module.execute_makespans
 
-        def recording(grid, *args):
+        def recording(grid, *args, **kwargs):
             seen.append(grid)
-            return measure(grid, *args)
+            return measure(grid, *args, **kwargs)
 
-        monkeypatch.setattr(module, "_measure", recording)
+        monkeypatch.setattr(module, "execute_makespans", recording)
         config = PracticalStudyConfig(message_sizes=(0, 65_536, 1_048_576))
         first = run_practical_study(config)
         second = run_practical_study(config)

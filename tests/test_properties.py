@@ -1746,6 +1746,7 @@ class TestLineupKernel:
 
 from repro.mpi.alltoall import direct_alltoall_program, grid_aware_alltoall_program
 from repro.mpi.scatter import flat_scatter_program, grid_aware_scatter_program
+from repro.simulator.batch import execute_makespans
 
 PROGRAM_KINDS = (
     "grid_aware",
@@ -1951,3 +1952,21 @@ class TestStackedRelaxationEquivalence:
         assert carried == {
             rank: network.nic_free_at(rank) for rank in range(grid.num_nodes)
         }
+
+    @given(batch=simulator_batches(), engine=st.sampled_from(["batched", "scalar"]))
+    @settings(max_examples=120, deadline=None)
+    def test_makespan_reader_equals_the_results_bitwise(self, batch, engine):
+        """The per-task makespan reader of a stacked run against the
+        ``makespan`` of the results the same run builds, bit for bit."""
+        grid, tasks, config, _ = batch
+        makespans = execute_makespans(
+            grid, tasks, config=config, workers=0, engine=engine
+        )
+        reference = execute_programs(
+            grid, tasks, config=config, collect_traces=False, workers=0,
+            engine=engine,
+        )
+        assert makespans.dtype == np.float64 and makespans.shape == (len(tasks),)
+        assert makespans.tobytes() == np.array(
+            [result.makespan for result in reference], dtype=np.float64
+        ).tobytes()

@@ -81,7 +81,13 @@ from repro.runtime.transport import (
     sweep_shipments,
 )
 from repro.runtime.serving import FrameServer
-from repro.simulator.batch import ExecutionTask, _chunk_bounds, execute_programs
+from repro.simulator.batch import (
+    ExecutionTask,
+    _chunk_bounds,
+    execute_makespans,
+    execute_programs,
+)
+from repro.simulator.execution import ExecutionResult
 from repro.simulator.network import NetworkConfig
 from repro.utils.rng import derive_seed
 from repro.utils.workers import resolve_workers
@@ -1814,6 +1820,82 @@ class TestRemoteLane:
             assert pool.degraded_jobs == 0  # the survivor did the work
         finally:
             pool.close()
+
+
+class TestMakespanReader:
+    """``execute_makespans`` on every lane, and the measured sweeps'
+    hand-off, which reads makespans without building results."""
+
+    @pytest.fixture(scope="class")
+    def tasks(self, grid5000):
+        """Broadcasts, scatters and all-to-alls with two warm chains, enough
+        tasks that every worker of every lane gets a chunk."""
+        alltoall = grid_aware_alltoall_program(grid5000, 256)
+        scatter = flat_scatter_program(grid5000, 4_096, root_rank=0)
+        bcast = binomial_bcast_program(grid5000, 65_536, root_rank=0)
+        tasks = []
+        for index in range(4):
+            tasks.append(
+                ExecutionTask(
+                    (bcast, scatter)[index % 2], noise_seed=derive_seed(43, index)
+                )
+            )
+            tasks.append(ExecutionTask(alltoall, reset_network=index % 2 == 0))
+        return tasks
+
+    @pytest.mark.parametrize("lane", ["shm", "by-value", "remote"])
+    def test_every_lane_returns_the_results_makespans(
+        self, grid5000, tasks, lane, request, monkeypatch
+    ):
+        if lane == "shm" and not shared_memory_available():
+            pytest.skip("no shared memory on this platform")
+        if lane == "by-value":
+            monkeypatch.setattr(transport_module, "_shm_probe_result", False)
+        options = (
+            dict(pool=request.getfixturevalue("remote_pool"))
+            if lane == "remote"
+            else dict(executor="process")
+        )
+        config = NetworkConfig(noise_sigma=0.08, seed=43)
+        reference = execute_programs(grid5000, tasks, config=config, workers=0)
+        makespans = execute_makespans(
+            grid5000, tasks, config=config, workers=2, **options
+        )
+        assert isinstance(makespans, np.ndarray)
+        assert makespans.tobytes() == np.array(_makespans(reference)).tobytes()
+
+    def test_measured_sweeps_build_no_execution_result(
+        self, heterogeneous_grid, monkeypatch
+    ):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a measured sweep built an ExecutionResult")
+
+        config = PracticalStudyConfig(
+            message_sizes=(0, 65_536), noise_sigma=0.05, heuristics=("ecef", "fef")
+        )
+        options = dict(grid=heterogeneous_grid, workers=0)
+
+        def sweeps():
+            return (
+                run_practical_study(config, replicas=2, **options),
+                run_scatter_study(config, **options),
+                run_alltoall_study(config, **options),
+                run_chained_study(config, **options),
+            )
+
+        expected = sweeps()
+        monkeypatch.setattr(ExecutionResult, "__init__", refuse)
+        measured = sweeps()
+        for name in ("measured_replicas", "baseline_replicas"):
+            assert np.array_equal(getattr(measured[0], name), getattr(expected[0], name))
+        assert np.array_equal(measured[1].measured, expected[1].measured)
+        assert np.array_equal(measured[2].measured, expected[2].measured)
+        assert np.array_equal(measured[3].warm, expected[3].warm)
+        assert np.array_equal(measured[3].fresh, expected[3].fresh)
+        # The spy is live: the results path still trips it.
+        program = binomial_bcast_program(heterogeneous_grid, 1_024, root_rank=0)
+        with pytest.raises(AssertionError, match="ExecutionResult"):
+            execute_programs(heterogeneous_grid, [program], workers=0)
 
 
 class TestElasticRemoteLane:

@@ -226,6 +226,22 @@ class TestServiceQueries:
                 assert stats["topologies"] == 1
             assert server.stats() == stats
 
+    def test_every_registry_spelling_shares_one_cache_entry(self):
+        """The cache keys heuristics exactly as the registry resolves them:
+        spaces and surrounding whitespace included, not only case and
+        dashes."""
+        with running_service() as (_, address):
+            with ScheduleClient(address) as client:
+                replies = [
+                    client.query({"kind": "grid5000"}, MB, spelling)
+                    for spelling in ("ecef_la", "ECEF LA", " ecef_la ")
+                ]
+                assert [reply.cached for reply in replies] == [False, True, True]
+                assert all(reply.payload == replies[0].payload for reply in replies)
+                stats = client.stats()
+                assert (stats["hits"], stats["misses"]) == (2, 1)
+                assert stats["entries"] == 1
+
     def test_query_errors_keep_the_connection_alive(self):
         with running_service() as (_, address):
             with ScheduleClient(address) as client:
