@@ -48,10 +48,15 @@ perf wins of past PRs cannot silently rot:
   practical sweep (``BENCH_runtime.json``, remote_loopback section — wire
   framing and socket hops must never halve the lane's throughput; across
   real machines the lane then adds capacity no local pool has),
+* remote executor lane       >= 1.2x the inline pass on the Monte-Carlo
+  study at 10/30/50 clusters x 200 iterations, two warmed loopback agents
+  (``BENCH_runtime.json``, remote_vs_inline section — the workload where
+  fan-out wins, so what a dispatch change must not lose; results verified
+  bit-identical first),
 * skewed remote fleet         >= 0.6x its fast agent alone (one agent at
-  1/8 speed; ``BENCH_runtime.json``, remote_skewed section —
-  throughput-proportional routing plus work stealing must keep the slow
-  agent from setting the pace),
+  1/8 speed; ``BENCH_runtime.json``, remote_skewed section — pull
+  dispatch from the one shared queue must keep the slow agent from
+  setting the pace),
 * chaos-hardened remote lane  >= 0.9x the bare lane on a healthy fleet
   (``BENCH_runtime.json``, remote_chaos section — heartbeats, frame
   deadlines, reconnect probation and degradation machinery must stay
@@ -154,6 +159,11 @@ FLOORS: tuple[tuple[str, tuple[str, ...], float], ...] = (
         "BENCH_runtime.json",
         ("remote_loopback", "plain", "speedup_remote_vs_process"),
         0.5,
+    ),
+    (
+        "BENCH_runtime.json",
+        ("remote_vs_inline", "speedup_remote_vs_inline"),
+        1.2,
     ),
     (
         "BENCH_runtime.json",

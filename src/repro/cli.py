@@ -457,15 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "only if it was queried more often than the one it would evict "
         "(default: 1024)",
     )
-    service_serve.add_argument(
-        "--band-bytes",
-        type=int,
-        default=0,
-        help="message-size band width of the schedule-cache key: nearby "
-        "sizes share a cached decision order, re-timed exactly per query "
-        "(default: 0 = key by exact size; hits replay stored payloads "
-        "verbatim, trivially bit-identical)",
-    )
     service_query = service_sub.add_parser(
         "query",
         help="ask a running schedule daemon for one schedule and print it "
@@ -732,7 +723,6 @@ def _cmd_service(args: argparse.Namespace) -> int:
             max_clients=args.max_clients,
             queue=args.queue,
             cache_size=args.cache_size,
-            band_bytes=args.band_bytes,
         )
         return 0
     from repro.runtime.service import ScheduleClient

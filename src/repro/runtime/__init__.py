@@ -19,16 +19,18 @@ the subsystem that removes them, shared by every study driver and the CLI:
   stacked program arrays through :mod:`multiprocessing.shared_memory`
   (where it is unavailable, each chunk carries its own by-value slice);
 * :mod:`repro.runtime.chunking` — cost-aware chunk sizing
-  (:func:`~repro.runtime.chunking.partition_by_cost`,
-  :class:`~repro.runtime.chunking.CostModel`) and the cost priors the lane
-  decision prices batches with;
+  (:func:`~repro.runtime.chunking.partition_by_cost`) and the cost priors
+  the lane decision prices batches with
+  (:class:`~repro.runtime.chunking.CostModel` refines them per remote agent,
+  for frame deadlines);
 * :mod:`repro.runtime.wire` / :mod:`repro.runtime.remote` — the
   **distributed lane** (``executor="remote"``):
   :class:`~repro.runtime.remote.RemoteStudyPool` serves the same
   submit/collect contract over a length-prefixed socket protocol to
   standalone worker agents (``repro-bcast worker serve``), each fronting
   its own local process pool; agents are named by ``hosts=`` /
-  ``REPRO_HOSTS`` or auto-spawned as loopback subprocesses;
+  ``REPRO_HOSTS`` or auto-spawned as loopback subprocesses, and each pulls
+  chunks from one coordinator-side queue whenever it has a free slot;
 * :mod:`repro.runtime.serving` / :mod:`repro.runtime.service` — the
   **serving surface**: :class:`~repro.runtime.serving.FrameServer` (the
   accept-loop/admission/drain skeleton shared by the agent and the
@@ -54,12 +56,9 @@ from repro.runtime.chunking import (
     EXECUTORS,
     CostModel,
     aggregate_unit_costs,
-    load_cost_model,
     partition_by_cost,
     program_cost,
     resolve_executor,
-    save_cost_model,
-    save_cost_models,
 )
 from repro.runtime.remote import (
     AgentServer,
@@ -90,12 +89,9 @@ __all__ = [
     "EXECUTORS",
     "CostModel",
     "aggregate_unit_costs",
-    "load_cost_model",
     "partition_by_cost",
     "program_cost",
     "resolve_executor",
-    "save_cost_model",
-    "save_cost_models",
     "AgentServer",
     "RemoteStudyPool",
     "parse_hosts",

@@ -13,8 +13,8 @@ sizes chunks from **per-task cost** instead:
   cell count — as the equivalent prior);
 * on the remote lane, *observed wall-time* feeds back through a
   :class:`CostModel` per agent link: every result frame reports its
-  worker-side wall time, and the coordinator routes later chunks against
-  each agent's measured units-per-second, not the prior.
+  worker-side wall time, and each agent's frame deadlines are priced from
+  its measured units-per-second, not the prior.
 
 The same cost estimates drive **executor selection**
 (:func:`repro.runtime.pool.choose_lane`): ``executor="auto"`` runs small
@@ -27,17 +27,9 @@ bit-identical (asserted by ``tests/test_runtime.py``).
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import tempfile
-from pathlib import Path
-from typing import Any, Mapping, Sequence
-
-try:  # POSIX writer lock for the shared on-disk cost cache
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
+from typing import Any, Sequence
 
 #: Valid ``executor=`` values accepted by the runtime entry points and every
 #: study driver: ``"auto"`` (cost-based choice between inline and process),
@@ -59,8 +51,8 @@ EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 AUTO_INLINE_MAX_UNITS = 4096
 
 #: Prior throughput assumed before any wall-time has been observed: roughly
-#: the batched measurement engine's per-message rate.  Only used to route
-#: and time out remote chunks; never affects results.
+#: the batched measurement engine's per-message rate.  Only used to time
+#: out remote chunks; never affects results.
 DEFAULT_UNITS_PER_SECOND = 200_000.0
 
 #: Chunks-per-worker target of the fan-out paths: enough chunks that a
@@ -68,15 +60,6 @@ DEFAULT_UNITS_PER_SECOND = 200_000.0
 #: negligible.  The batched simulator's process lane cuts one chunk per
 #: worker instead: its stacked relaxation pays a fixed cost per call.
 CHUNKS_PER_WORKER = 4
-
-#: Environment variable naming an opt-in on-disk cost cache (a JSON file).
-#: When set, remote agent links restore previously observed
-#: units-per-second on start-up and record their own on close — so the
-#: *first* chunk of a study is routed against measured throughput instead of
-#: the :data:`DEFAULT_UNITS_PER_SECOND` prior.  Purely a performance device:
-#: like everything in this module it can never change results, so a stale,
-#: missing or unwritable cache file is always safe.
-COST_CACHE_ENV_VAR = "REPRO_COST_CACHE"
 
 
 def resolve_executor(executor: str | None) -> str:
@@ -127,9 +110,9 @@ class CostModel:
 
     Starts from the :data:`DEFAULT_UNITS_PER_SECOND` prior and refines it
     with every ``observe(units, seconds)`` call — each remote agent link
-    feeds its model the wall time every result frame reports, so routing
-    decisions later in the same study rest on measured throughput.  Purely
-    a performance device: the model never influences *what* is computed.
+    feeds its model the wall time every result frame reports, so the
+    link's later frame deadlines rest on measured throughput.  Purely a
+    performance device: the model never influences *what* is computed.
     """
 
     __slots__ = ("_units", "_seconds")
@@ -159,124 +142,6 @@ class CostModel:
     def seconds_for(self, units: float) -> float:
         """Estimated wall time of ``units`` of work at the current rate."""
         return units / self.units_per_second
-
-    def snapshot(self) -> dict[str, float]:
-        """The model's accumulated observations, as a JSON-friendly dict."""
-        return {"units": self._units, "seconds": self._seconds}
-
-    def restore(self, snapshot: dict) -> "CostModel":
-        """Adopt a :meth:`snapshot` (replacing any current observations).
-
-        Malformed snapshots are rejected with :class:`ValueError`; callers
-        reading from untrusted storage (the on-disk cache) catch and fall
-        back to the prior.
-        """
-        units = float(snapshot["units"])
-        seconds = float(snapshot["seconds"])
-        if units < 0.0 or seconds < 0.0:
-            raise ValueError(f"negative cost-model snapshot {snapshot!r}")
-        self._units = units
-        self._seconds = seconds
-        return self
-
-
-def _cost_cache_path() -> Path | None:
-    raw = os.environ.get(COST_CACHE_ENV_VAR, "").strip()
-    return Path(raw) if raw else None
-
-
-def load_cost_model(key: str) -> CostModel:
-    """A :class:`CostModel` preloaded from the on-disk cache, if enabled.
-
-    Looks ``key`` up in the ``REPRO_COST_CACHE`` JSON file.  Any failure —
-    variable unset, file missing, unreadable, entry malformed — falls back
-    to a fresh model with the default prior.  Never raises.
-    """
-    model = CostModel()
-    path = _cost_cache_path()
-    if path is None:
-        return model
-    try:
-        return model.restore(json.loads(path.read_text())[key])
-    except Exception:  # noqa: BLE001 - a cache miss is always fine
-        return model
-
-
-def save_cost_model(key: str, model: CostModel) -> None:
-    """Record ``model``'s observations under ``key`` in the on-disk cache.
-
-    Shorthand for :func:`save_cost_models` with a single record; see there
-    for the concurrency contract.  Never raises.
-    """
-    save_cost_models({key: model})
-
-
-def save_cost_models(records: Mapping[str, CostModel]) -> None:
-    """Merge several models' observations into the on-disk cache at once.
-
-    A no-op when ``REPRO_COST_CACHE`` is unset or no record observed
-    anything.  Writers sharing one cache — concurrent studies, coordinators,
-    the schedule daemon — are safe against each other twice over:
-
-    * the replacement is atomic (temp file in the same directory +
-      ``os.replace``), so a concurrent *reader* can only ever see a
-      complete document, never a torn write;
-    * the read-merge-write cycle runs under an exclusive ``flock`` on a
-      ``<cache>.lock`` sidecar, so a concurrent *writer* cannot interleave
-      its own cycle inside ours and revert keys it never touched (the
-      lost-update race the old single-key rewrite had).  Where ``fcntl``
-      is unavailable the merge still happens against a fresh read, which
-      shrinks the race window without eliminating it.
-
-    Only the keys in ``records`` are updated; every other key in the
-    document is preserved.  All failures are swallowed — the cache is an
-    accelerator, never a dependency.
-    """
-    path = _cost_cache_path()
-    if path is None:
-        return
-    payload = {
-        key: model.snapshot() for key, model in records.items() if model.observed
-    }
-    if not payload:
-        return
-    try:
-        _merge_into_cost_cache(path, payload)
-    except Exception:  # noqa: BLE001 - performance device, never fails a study
-        pass
-
-
-def _merge_into_cost_cache(
-    path: Path, payload: dict[str, dict[str, float]]
-) -> None:
-    """Locked read-merge-replace of ``payload`` into the cache document."""
-    lock_handle = open(path.with_name(path.name + ".lock"), "a")
-    try:
-        if fcntl is not None:
-            fcntl.flock(lock_handle.fileno(), fcntl.LOCK_EX)
-        try:
-            document = json.loads(path.read_text())
-            if not isinstance(document, dict):
-                document = {}
-        except Exception:  # noqa: BLE001 - first write or corrupt cache
-            document = {}
-        document.update(payload)
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(document, stream)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-    finally:
-        # Closing the handle releases the flock with it.
-        lock_handle.close()
 
 
 def aggregate_unit_costs(

@@ -118,8 +118,8 @@ class StudyPool:
         collected, so the workers drain them concurrently.  ``units`` is the
         job's estimated cost in the shared cost-unit scale — local lanes
         ignore it (their workers are identical by construction); the remote
-        lane uses it for throughput-proportional routing, so drivers pass
-        it on every lane and stay lane-agnostic.  ``callback`` /
+        lane prices frame deadlines with it, so drivers pass it on every
+        lane and stay lane-agnostic.  ``callback`` /
         ``error_callback`` pass straight through to
         :meth:`~multiprocessing.pool.Pool.apply_async` — the remote lane's
         degradation path drains chunks here and still needs completion

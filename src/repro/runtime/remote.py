@@ -19,22 +19,17 @@ mode**: it spawns :data:`LOOPBACK_AGENTS` agents as local subprocesses of
 this machine, so tests, benchmarks and a first try need no second box.
 Membership is **elastic**: agents may join a running pool mid-study through
 :meth:`RemoteStudyPool.add_host` or a :meth:`RemoteStudyPool.rescan_hosts`
-of ``REPRO_HOSTS``, and immediately receive work stolen from the backlogs
-of the incumbents.
+of ``REPRO_HOSTS``, and start pulling queued work at once.
 
 **Dispatch.**  The source paper's lesson — heterogeneous speeds must drive
-the schedule — applies to the runtime itself.  Every link keeps a per-agent
-:class:`~repro.runtime.chunking.CostModel` (seeded from the
-``REPRO_COST_CACHE`` snapshot, refined from the worker-side wall time every
-result frame reports), and each job is routed to the agent with the lowest
-*estimated completion time* — backlog units over estimated throughput —
-rather than the lowest job count.
-Only up to :data:`PREFETCH_PER_WORKER` frames per worker are actually on
-the wire per agent; the rest wait in coordinator-side queues where they can
-still be **stolen**: an agent that drains early takes queued (never
-in-flight) jobs from the most backlogged peer, so one slow box degrades the
-sweep by its share of throughput instead of stalling it.  Chunks themselves
-are cut by the callers through the shared cost-balanced partitioner
+the schedule — applies to the runtime itself, and the lane follows it by
+**pulling** instead of predicting.  Submitted jobs wait in one
+coordinator-side FIFO; each agent link keeps up to :data:`PREFETCH_PER_WORKER`
+frames per worker on the wire and takes the next job off the queue whenever
+one of its frames settles.  An agent twice as fast frees its slots twice as
+often and so absorbs twice the work, split by *observed* completions with no
+throughput estimate to get wrong.  Chunks themselves are cut by the callers
+through the shared cost-balanced partitioner
 (:func:`repro.runtime.chunking.partition_by_cost`), and a warm chain is
 never split: it executes whole on one agent, exactly as it executes whole
 on one local worker.
@@ -46,25 +41,27 @@ the job path — so when an agent's connection drops *or* its host freezes
 while the socket stays open, the coordinator marks it dead (after
 :data:`HEARTBEAT_MISS_FACTOR` silent intervals).  A result that arrives
 twice for one job — an agent raced its own loss, or executed a frame that
-had also been stolen or re-routed — is counted and discarded (first
-delivery wins; both carry bitwise the same numbers).
+had also been re-dispatched — is counted and discarded (first delivery
+wins; both carry bitwise the same numbers).
 
-Every recovery trigger re-routes through one path — each frame moves to
-the lowest-ETA alive agent other than the one that failed it — and applies
-its own policy only to frames no other agent can take.  An **agent loss**
+Every recovery trigger re-routes through one path: a frame taken off a
+failing agent goes back to the head of the queue, marked to avoid that
+agent while another alive agent can take it, and each trigger applies its
+own policy only to frames no other agent can take.  An **agent loss**
 marks the link dead but keeps it: its address is re-probed with
 exponential backoff and jitter, and a probe that answers revives *the same
 link* (cost model, counters and owned loopback process intact), which
-steals queued work at once.  An expired **frame deadline**
+starts pulling at once.  An expired **frame deadline**
 (``frame_timeout=`` / ``REPRO_FRAME_TIMEOUT``, off by default: the floor
 plus :data:`FRAME_DEADLINE_FACTOR` times the agent's own cost estimate)
 re-routes the frame, or re-arms on the only alive agent.  A
 :data:`~repro.runtime.wire.OP_BUSY` reject backs the agent off
-exponentially and re-routes the frame, or requeues it there.  Whatever no
-alive agent can take — or what was rejected too often — drains through the
-persistent local process lane, bit-identically because every task carries
-its own derived seed: a dead fleet degrades instead of failing.
-``docs/distributed.md`` maps every fault to its detector and recovery.
+exponentially and re-routes the frame, or requeues it for after the
+backoff.  Whatever no alive agent can take — or what was rejected too
+often — drains through the persistent local process lane, bit-identically
+because every task carries its own derived seed: a dead fleet degrades
+instead of failing.  ``docs/distributed.md`` maps every fault to its
+detector and recovery.
 
 All of these paths are exercised continuously by the deterministic fault
 harness in :mod:`repro.runtime.faults` (``faults=`` / ``REPRO_FAULT_PLAN``):
@@ -101,8 +98,8 @@ import multiprocessing
 import multiprocessing.pool
 
 from repro.runtime import wire
-from repro.runtime.chunking import load_cost_model, save_cost_models
-from repro.runtime.serving import FrameServer
+from repro.runtime.chunking import CostModel
+from repro.runtime.serving import FrameServer, serve_foreground
 from repro.runtime.faults import (
     FAULT_CRASH,
     SEND_CORRUPT,
@@ -124,7 +121,7 @@ DEFAULT_AGENT_PORT = 7029
 
 #: Number of agents a loopback pool spawns (each fronting an equal share of
 #: the requested workers).  Two agents is the smallest topology that
-#: exercises cross-agent routing, requeueing and join order.
+#: exercises cross-agent dispatch, requeueing and join order.
 LOOPBACK_AGENTS = 2
 
 #: Seconds to wait for an agent connection / hello / loopback announce.
@@ -146,8 +143,8 @@ CONNECT_RETRY_BASE = 0.1
 CONNECT_RETRY_CAP = 2.0
 
 #: Frames kept on the wire per agent worker: enough that an agent never
-#: starves between results, few enough that the coordinator's queues —
-#: where jobs are still stealable — hold the rest.
+#: starves between results, few enough that the rest wait in the shared
+#: queue, where whichever agent frees a slot first takes them.
 PREFETCH_PER_WORKER = 2
 
 #: Default seconds between coordinator pings (override: ``REPRO_HEARTBEAT``;
@@ -552,33 +549,6 @@ def serve_agent(
     the coordinator would have to detect and re-dispatch.  SIGKILL remains
     uncatchable; that path is what heartbeats and requeueing are for.
     """
-    import signal
-
-    host, _, port_text = bind.rpartition(":")
-    if not host or not port_text:
-        raise ValueError(f"--bind must be HOST:PORT, got {bind!r}")
-    server = AgentServer(
-        host,
-        int(port_text),
-        workers,
-        slowdown=slowdown,
-        max_coordinators=max_coordinators,
-        queue=queue,
-    )
-    # begin_drain is async-signal-safe (an Event set plus a socket shutdown
-    # and close, no locks) and kicks serve_forever out of accept; the drain
-    # itself runs below, in the normal flow, so atexit hooks — notably the
-    # shared-memory shipment sweep — still run on the way out.
-    try:
-        signal.signal(signal.SIGTERM, lambda *_: server.begin_drain())
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    bound_host, bound_port = server.bind()
-    print(
-        f"repro-agent listening on {bound_host}:{bound_port} "
-        f"(workers={workers}, wire v{wire.WIRE_VERSION})",
-        flush=True,
-    )
     if exit_with_parent:
         parent = os.getppid()
 
@@ -589,12 +559,20 @@ def serve_agent(
                     os._exit(0)
 
         threading.Thread(target=_watchdog, daemon=True).start()
-    try:
-        server.serve_forever()
-    finally:
-        if server.draining:
-            server.drain(drain_timeout)
-        server.close()
+    serve_foreground(
+        bind,
+        lambda host, port: AgentServer(
+            host,
+            port,
+            workers,
+            slowdown=slowdown,
+            max_coordinators=max_coordinators,
+            queue=queue,
+        ),
+        "repro-agent",
+        f"workers={workers}, wire v{wire.WIRE_VERSION}",
+        drain_timeout=drain_timeout,
+    )
 
 
 # -- loopback spawning ----------------------------------------------------------------
@@ -749,7 +727,7 @@ class RemoteAsyncResult:
 class _Job:
     """One submitted chunk: its frame is kept until the result lands, so a
     lost agent's outstanding work can be re-sent verbatim elsewhere, and its
-    estimated cost in units prices it for routing and model feedback.  The
+    estimated cost in units prices its deadline and the model feedback.  The
     original callable and arguments ride along too, so the job can execute
     through the local process lane when the whole fleet degrades."""
 
@@ -762,6 +740,7 @@ class _Job:
         "args",
         "deadline",
         "rejects",
+        "avoid",
     )
 
     def __init__(
@@ -785,18 +764,20 @@ class _Job:
         #: ``BUSY`` rejects this job has absorbed, across agents — the
         #: escalation counter for degrading to the local lane.
         self.rejects = 0
+        #: The agent this job was last taken off; while queued, that agent
+        #: leaves it to any other alive agent.
+        self.avoid: _AgentLink | None = None
 
 
 class _AgentLink:
     """Coordinator-side connection to one agent, for the life of the pool.
 
-    Besides the socket, the link owns the agent's share of the dispatch
-    state: ``inflight`` (frames on the wire, keyed by job id), ``queued``
-    (jobs routed here but not yet sent — the stealable backlog) and a
-    per-agent :class:`~repro.runtime.chunking.CostModel` observed from the
-    wall times the agent reports.  A lost agent's link is kept on
-    probation and revived by re-dialling it, never replaced, so all of
-    that survives a reconnect.
+    Besides the socket, the link owns ``inflight`` (its frames on the wire,
+    keyed by job id) and a per-agent
+    :class:`~repro.runtime.chunking.CostModel` observed from the wall times
+    the agent reports, which prices its frame deadlines.  A lost agent's
+    link is kept on probation and revived by re-dialling it, never
+    replaced, so both survive a reconnect.
     """
 
     def __init__(
@@ -814,15 +795,13 @@ class _AgentLink:
         self.workers = 0
         self.alive = False
         self.inflight: dict[int, _Job] = {}  # guarded-by: pool._lock
-        self.queued: deque[_Job] = deque()  # guarded-by: pool._lock
         #: Jobs this link delivered results for (observability and tests).
         self.completed = 0  # guarded-by: pool._lock
         #: Monotonic time of the last frame received from this agent; the
         #: heartbeat loop declares the agent dead when it goes stale.
         self.last_heard = 0.0
-        #: Observed per-worker throughput of this agent, seeded from the
-        #: agent's own cost-cache record.
-        self.cost_model = load_cost_model(f"agent/{host}:{port}")
+        #: Observed per-worker throughput of this agent.
+        self.cost_model = CostModel()
         #: Monotonic time before which pumping skips this agent after an
         #: admission reject, and the consecutive reject count driving the
         #: exponential backoff.
@@ -852,20 +831,10 @@ class _AgentLink:
         """Max frames on the wire."""
         return max(1, self.workers) * PREFETCH_PER_WORKER
 
-    @property
-    def throughput(self) -> float:
-        """Estimated units per second across this agent's workers."""
-        return max(1, self.workers) * self.cost_model.units_per_second
-
-    def backlog_units(self) -> float:  # holds: pool._lock
-        """Estimated units outstanding on this link (queued + in-flight)."""
-        return sum(job.units for job in self.inflight.values()) + sum(
-            job.units for job in self.queued
-        )
-
-    def eta(self, extra_units: float = 0.0) -> float:  # holds: pool._lock
-        """Estimated seconds to drain the backlog plus ``extra_units``."""
-        return (self.backlog_units() + extra_units) / self.throughput
+    def backoff(self, base: float, cap: float, step: int) -> float:
+        """A jittered exponential pause: ``min(cap, base * 2**step)`` times
+        a factor in ``[0.5, 1.5)`` drawn from this link's own generator."""
+        return min(cap, base * 2**step) * (0.5 + self.jitter.random())
 
     def connect(self, timeout: float) -> None:
         plan = self.pool.faults
@@ -921,10 +890,7 @@ class _AgentLink:
                 sock.settimeout(None)
                 break
             attempt += 1
-            delay = min(
-                CONNECT_RETRY_CAP, CONNECT_RETRY_BASE * 2 ** (attempt - 1)
-            )
-            delay *= 0.5 + self.jitter.random()
+            delay = self.backoff(CONNECT_RETRY_BASE, CONNECT_RETRY_CAP, attempt - 1)
             if not self.pool.alive:
                 raise RuntimeError("RemoteStudyPool is closed")
             if time.monotonic() + delay >= deadline:
@@ -1046,10 +1012,10 @@ class RemoteStudyPool:
 
     The pool is used through the same two members as every other lane:
     :meth:`submit` and :meth:`close` — which is what
-    lets every study driver run remotely unchanged.  Balancing, stealing,
-    heartbeats, membership changes and every recovery path never affect
-    study results — every task carries its own derived seed — only where
-    and when chunks run.
+    lets every study driver run remotely unchanged.  Dispatch, heartbeats,
+    membership changes and every recovery path never affect study
+    results — every task carries its own derived seed — only where and
+    when chunks run.
     """
 
     kind = "remote"
@@ -1082,14 +1048,15 @@ class RemoteStudyPool:
         )
         self._lock = threading.RLock()
         self._jobs: dict[int, _Job] = {}  # guarded-by: _lock
+        #: Jobs waiting for a free agent slot, in submission order
+        #: (re-routed jobs go back to the head).
+        self._queue: deque[_Job] = deque()  # guarded-by: _lock
         self._job_ids = itertools.count(1)
         self._closed = False  # guarded-by: _lock
         #: Results that arrived for already-settled jobs (an agent racing
-        #: its own loss, or a stolen frame's first execution); discarded,
-        #: counted for observability and tests.
+        #: its own loss, or a re-dispatched frame's first execution);
+        #: discarded, counted for observability and tests.
         self.duplicates_ignored = 0  # guarded-by: _lock
-        #: Queued jobs re-routed to an agent that drained early.
-        self.steals = 0  # guarded-by: _lock
         #: Lost agents revived by the probation prober.
         self.reconnects = 0  # guarded-by: _lock
         #: Frames bounced by agent admission control (``BUSY`` rejects).
@@ -1153,13 +1120,13 @@ class RemoteStudyPool:
         callback: Callable[[Any], object] | None = None,
         error_callback: Callable[[BaseException], object] | None = None,
     ) -> RemoteAsyncResult:
-        """Frame ``fn(args)`` and route it to the best agent.
+        """Frame ``fn(args)`` and queue it for the next free agent slot.
 
         ``units`` is the job's estimated cost in the shared cost-unit scale
         (messages / stacked-matrix cells — see
-        :mod:`repro.runtime.chunking`); it prices the job for routing and
-        for the delivering agent's model feedback.  ``None`` prices every
-        job equally.  Like all balancing state it can never change results.
+        :mod:`repro.runtime.chunking`); it prices the job's frame deadline
+        and the delivering agent's model feedback.  ``None`` prices every
+        job equally.  Like all dispatch state it can never change results.
 
         ``callback`` / ``error_callback`` mirror
         :meth:`multiprocessing.pool.Pool.apply_async` (and the local
@@ -1185,22 +1152,20 @@ class RemoteStudyPool:
         )
         with self._lock:
             self._jobs[job_id] = job
-            agent = self._route(job)
-            if agent is not None:
-                agent.queued.append(job)
-        if agent is None:
-            self._degrade([job])
+            fleet = any(link.alive for link in self._agents)
+            if fleet:
+                self._queue.append(job)
+        if fleet:
+            self._pump_all()
         else:
-            self._pump(agent)
+            self._degrade([job])
         return handle
 
     def close(self) -> None:
         """Disconnect every agent, stop loopback subprocesses (idempotent).
 
         Jobs still pending fail with a descriptive error rather than
-        hanging their waiters forever.  Named agents' observed cost models
-        are persisted to the cost cache (when enabled) so the next study
-        routes its *first* chunks against measured throughput.
+        hanging their waiters forever.
         """
         self._monitor_stop.set()
         with self._lock:
@@ -1209,22 +1174,12 @@ class RemoteStudyPool:
             self._closed = True
             orphaned = list(self._jobs.values())
             self._jobs.clear()
+            self._queue.clear()
             agents = list(self._agents)
         for job in orphaned:
             job.handle._settle(
                 None, RuntimeError("RemoteStudyPool closed with jobs pending")
             )
-        # Loopback agents get fresh OS-assigned ports every run, so a
-        # per-agent record would never be read back — only named agents
-        # persist their models.  One batched save merges the whole fleet's
-        # records under a single writer lock instead of N racing rewrites.
-        save_cost_models(
-            {
-                f"agent/{link.name}": link.cost_model
-                for link in agents
-                if link.process is None
-            }
-        )
         for link in agents:
             link.close()
 
@@ -1237,7 +1192,7 @@ class RemoteStudyPool:
     # -- elastic membership -------------------------------------------------------
 
     def add_host(self, host: str, port: int | None = None) -> _AgentLink:
-        """Connect one more agent mid-study; it immediately steals work.
+        """Connect one more agent mid-study; it starts pulling queued work.
 
         ``host`` may be a bare hostname (``port`` applying, default
         :data:`DEFAULT_AGENT_PORT`) or a ``"host:port"`` string.  Adding an
@@ -1286,24 +1241,9 @@ class RemoteStudyPool:
 
     # -- internals ----------------------------------------------------------------
 
-    def _route(
-        self, job: _Job, avoid: _AgentLink | None = None
-    ) -> _AgentLink | None:  # holds: _lock
-        """The alive agent other than ``avoid`` this job should wait on
-        (``None``: there is none; call holding the lock).
-
-        The lowest estimated completion time wins — current backlog plus
-        this job, over estimated throughput — so a fast agent absorbs
-        proportionally more work.
-        """
-        alive = [link for link in self._agents if link.alive and link is not avoid]
-        if not alive:
-            return None
-        return min(alive, key=lambda link: link.eta(job.units))
-
     def _dial(self, link: _AgentLink, timeout: float) -> None:
         """Connect a new or dead ``link`` and put it to work: it joins the
-        roster (or leaves probation) and immediately steals queued work."""
+        roster (or leaves probation) and pulls queued work at once."""
         link.connect(timeout)
         with self._lock:
             closed = self._closed
@@ -1312,7 +1252,7 @@ class RemoteStudyPool:
         if closed:
             link.close(graceful=False)
             raise RuntimeError("RemoteStudyPool is closed")
-        self._replenish(link)
+        self._pump(link)
 
     def _reroute(
         self,
@@ -1320,93 +1260,75 @@ class RemoteStudyPool:
         jobs: list[_Job],
         keep: Callable[[_Job], None] | None = None,
     ) -> int:
-        """Move jobs taken off ``source`` to the best other alive agent;
-        return how many moved.
+        """Put jobs taken off ``source`` back at the head of the queue for
+        another agent; return how many went there.
 
         The one re-route path of every recovery trigger: agent loss, frame
-        deadline, ``BUSY``.  A job no other agent can take goes to the
-        trigger's ``keep`` policy (run holding the lock) while ``source``
-        is alive, and to the local lane once no agent is.
+        deadline, ``BUSY``.  While another agent is alive the jobs wait for
+        it (``source`` skips them).  Otherwise they go to the trigger's
+        ``keep`` policy (run holding the lock) while ``source`` is alive,
+        and to the local lane once no agent is.
         """
-        moved = 0
-        targets: list[_AgentLink] = []
+        moved: list[_Job] = []
         degraded: list[_Job] = []
         with self._lock:
+            peers = any(
+                link.alive and link is not source for link in self._agents
+            )
             for job in jobs:
                 if job.job_id not in self._jobs:
                     continue  # settled meanwhile
-                target = self._route(job, avoid=source)
-                if target is not None:
-                    job.deadline = None
-                    target.queued.append(job)
-                    moved += 1
-                    if target not in targets:
-                        targets.append(target)
+                job.deadline = None
+                job.avoid = source
+                if peers:
+                    moved.append(job)
                 elif keep is not None and source.alive:
                     keep(job)
                 else:
                     degraded.append(job)
+            self._queue.extendleft(reversed(moved))
         self._degrade(degraded)
-        for target in targets:
-            self._pump(target)
-        return moved
+        if moved:
+            self._pump_all()
+        return len(moved)
 
-    def _pump(self, agent: _AgentLink) -> None:
-        """Move sendable jobs from ``agent``'s queue onto the wire."""
+    def _pump(self, link: _AgentLink) -> None:
+        """Move jobs from the queue onto ``link`` until it has
+        :attr:`~_AgentLink.capacity` frames in flight."""
         batch: list[_Job] = []
         with self._lock:
-            if not agent.alive:
-                return
-            if agent.busy_until > time.monotonic():
+            if not link.alive or link.busy_until > time.monotonic():
                 return  # backing off a BUSY; the monitor re-pumps later
-            capacity = agent.capacity
-            while agent.queued and len(agent.inflight) < capacity:
-                job = agent.queued.popleft()
-                if job.job_id not in self._jobs:
-                    continue  # settled while queued (a stolen twin won)
+            peers = any(
+                other.alive and other is not link for other in self._agents
+            )
+            skipped: list[_Job] = []
+            while self._queue and len(link.inflight) < link.capacity:
+                job = self._queue.popleft()
+                if job.avoid is link and peers:
+                    skipped.append(job)
+                    continue
+                job.avoid = None
                 if self._frame_timeout > 0:
                     job.deadline = time.monotonic() + self._deadline_seconds(
-                        agent, job
+                        link, job
                     )
-                agent.inflight[job.job_id] = job
+                link.inflight[job.job_id] = job
                 batch.append(job)
+            self._queue.extendleft(reversed(skipped))
         for job in batch:
             try:
-                agent.send(job.frame)
+                link.send(job.frame)
             except OSError:
-                self._agent_lost(agent)
+                self._agent_lost(link)
                 return
 
-    def _replenish(self, agent: _AgentLink) -> None:
-        """Refill a draining agent: its own queue first, then stealing.
-
-        Steals take the *most recently routed* job (queue tail) from the
-        peer with the largest estimated backlog, and only while that peer
-        is worse off than the thief — so work moves strictly from slower
-        to faster agents.  In-flight frames are never stolen, and a job is
-        a whole chain-atomic chunk, so stealing can never split a chain.
-        """
+    def _pump_all(self) -> None:
+        """Let every alive agent pull from the queue."""
         with self._lock:
-            if not agent.alive:
-                return
-            capacity = agent.capacity
-            while len(agent.inflight) + len(agent.queued) < capacity:
-                victims = [
-                    link
-                    for link in self._agents
-                    if link.alive and link is not agent and link.queued
-                ]
-                if not victims:
-                    break
-                victim = max(victims, key=lambda link: link.eta())
-                if victim.eta() <= agent.eta():
-                    break
-                job = victim.queued.pop()
-                if job.job_id not in self._jobs:
-                    continue
-                agent.queued.append(job)
-                self.steals += 1
-        self._pump(agent)
+            links = [link for link in self._agents if link.alive]
+        for link in links:
+            self._pump(link)
 
     def _monitor_loop(self) -> None:
         """All periodic maintenance, on one thread: heartbeats, frame
@@ -1429,14 +1351,12 @@ class RemoteStudyPool:
             if self._frame_timeout > 0:
                 self._expire_overdue(now)
             self._launch_probes(now)
-            # Re-pump every backlog: a no-op unless an agent's BUSY
-            # backoff has run out with jobs still queued behind it.
+            # Re-pump while jobs wait: a no-op unless an agent's BUSY
+            # backoff has run out with jobs still queued.
             with self._lock:
-                backlogged = [
-                    link for link in self._agents if link.alive and link.queued
-                ]
-            for link in backlogged:
-                self._pump(link)
+                waiting = bool(self._queue)
+            if waiting:
+                self._pump_all()
 
     def _heartbeat_round(self, sequence: Iterator[int], now: float) -> None:
         """Ping every alive agent; declare the silent ones dead."""
@@ -1468,9 +1388,9 @@ class RemoteStudyPool:
     def _expire_overdue(self, now: float) -> None:
         """Re-route in-flight frames whose deadline has passed.
 
-        The original agent may still answer later; that late result is
-        discarded through the stolen-twin duplicate path (both executions
-        carry bitwise the same numbers).  A frame with nowhere to go stays
+        The original agent may still answer later; the later of the two
+        results is discarded as a duplicate (both executions carry bitwise
+        the same numbers).  A frame with nowhere to go stays
         in flight with its deadline re-armed, uncounted.
         """
         overdue: list[tuple[_AgentLink, list[_Job]]] = []
@@ -1523,9 +1443,8 @@ class RemoteStudyPool:
             with self._lock:
                 link.probing = False
                 link.probe_attempt += 1
-                delay = min(RECONNECT_CAP, RECONNECT_BASE * 2**link.probe_attempt)
-                link.next_probe = time.monotonic() + delay * (
-                    0.5 + link.jitter.random()
+                link.next_probe = time.monotonic() + link.backoff(
+                    RECONNECT_BASE, RECONNECT_CAP, link.probe_attempt
                 )
             return
         with self._lock:
@@ -1543,8 +1462,13 @@ class RemoteStudyPool:
             if job is None:
                 self.duplicates_ignored += 1
                 return
-            for link in self._agents:
-                link.inflight.pop(job_id, None)
+            if agent.inflight.pop(job_id, None) is None:
+                # A late result for a re-dispatched frame: its twin is in
+                # flight elsewhere or still waiting in the queue.
+                for link in self._agents:
+                    link.inflight.pop(job_id, None)
+                if job in self._queue:
+                    self._queue.remove(job)
             agent.completed += 1
             agent.busy_streak = 0
             elapsed = message.get("elapsed")
@@ -1564,13 +1488,13 @@ class RemoteStudyPool:
                 agent.process.kill()
             self._agent_lost(agent)
             return
-        self._replenish(agent)
+        self._pump(agent)
 
     def _job_rejected(self, agent: _AgentLink, job_id: int) -> None:
         """Handle a per-job ``BUSY``: back the agent off, re-route the frame.
 
-        The frame goes to the best *other* agent when one exists (otherwise
-        it re-queues here, re-sent once the backoff expires); after
+        The frame goes back to the queue for another agent when one is
+        alive (otherwise for this one, once its backoff expires); after
         :data:`BUSY_FALLBACK_REJECTS` bounces per alive agent the job stops
         retrying and degrades to the local lane instead — a fleet that is
         busy forever is a fleet that is gone.
@@ -1581,14 +1505,9 @@ class RemoteStudyPool:
                 return  # already re-routed or settled elsewhere
             self.busy_rejects += 1
             job.rejects += 1
-            job.deadline = None
             agent.busy_streak += 1
-            backoff = min(
-                BUSY_BACKOFF_CAP,
-                BUSY_BACKOFF_BASE * 2 ** (agent.busy_streak - 1),
-            )
-            agent.busy_until = time.monotonic() + backoff * (
-                0.5 + agent.jitter.random()
+            agent.busy_until = time.monotonic() + agent.backoff(
+                BUSY_BACKOFF_BASE, BUSY_BACKOFF_CAP, agent.busy_streak - 1
             )
             alive = sum(1 for link in self._agents if link.alive)
             give_up = job.rejects >= BUSY_FALLBACK_REJECTS * max(1, alive)
@@ -1597,7 +1516,7 @@ class RemoteStudyPool:
             return
 
         def _requeue(stranded: _Job) -> None:  # holds: _lock
-            agent.queued.append(stranded)
+            self._queue.appendleft(stranded)
 
         self._reroute(agent, [job], keep=_requeue)
 
@@ -1637,6 +1556,8 @@ class RemoteStudyPool:
     ) -> None:
         """Mark ``agent`` dead, re-route its jobs, put its link on probation.
 
+        When no agent is left alive the queued jobs drain locally too.
+
         ``sock`` names the connection the caller saw fail; a loss reported
         for a connection the link has since replaced is stale and ignored.
         """
@@ -1645,13 +1566,15 @@ class RemoteStudyPool:
                 return
             agent.alive = False
             sock = agent.sock
-            orphaned = list(agent.inflight.values()) + list(agent.queued)
+            orphaned = list(agent.inflight.values())
             agent.inflight.clear()
-            agent.queued.clear()
+            if not any(link.alive for link in self._agents):
+                orphaned += self._queue
+                self._queue.clear()
             closed = self._closed
             agent.probe_attempt = 0
-            agent.next_probe = time.monotonic() + RECONNECT_BASE * (
-                0.5 + agent.jitter.random()
+            agent.next_probe = time.monotonic() + agent.backoff(
+                RECONNECT_BASE, RECONNECT_CAP, 0
             )
         _hang_up(sock)
         if not closed:

@@ -27,20 +27,14 @@ service against the inline path.
   by grid identity through a weak reference), so even a *new* (size,
   heuristic) query on a known topology skips the dense-matrix rebuild;
 * an **LRU schedule cache with frequency admission** keyed by
-  ``(topology hash, size band, heuristic, root)`` holding complete response
-  payloads.  Eviction takes the least recently used entry, but a full
+  ``(topology hash, message size, heuristic, root)`` holding complete
+  response payloads.  Eviction takes the least recently used entry, but a full
   cache admits a computed miss only if its key was queried more often
   (in a decaying count) than that entry's, so one-off queries cannot evict
   hot schedules (:class:`_ScheduleCache`).
 
-With the default ``band_bytes=0`` the size band *is* the exact message
-size, so a cache hit replays a stored payload verbatim — trivially
-bit-identical.  With ``band_bytes > 0`` queries within one band share a
-cached *decision order* which is re-timed at the exact query size via
-:func:`~repro.core.schedule.evaluate_order`; the timings are exact, and
-the order reuse is exact for constant-gap topologies (the Monte-Carlo
-random grids) while being a banded approximation for size-dependent gap
-functions (Grid'5000) — which is why banding is opt-in.
+The key holds the exact message size, so a cache hit replays a stored
+payload verbatim — trivially bit-identical.
 
 **Wire format.**  After the hello frame (``{"hello": <wire version>,
 "service": "schedule", "heuristics": [...]}``), each request frame is a
@@ -52,9 +46,9 @@ dict; replies echo the ``query`` correlation id:
   errors) or ``{"query": id, "op": "busy"}`` when draining / over the
   ``queue`` bound;
 * ``{"op": "stats"}`` → ``{"op": "stats", "served": ..., "hits": ...,
-  "misses": ..., "rejected": ..., "retimed": ..., "entries": ...,
-  "topologies": ...}``, where ``rejected`` counts the misses whose payload
-  the cache did not admit;
+  "misses": ..., "rejected": ..., "entries": ..., "topologies": ...}``,
+  where ``rejected`` counts the misses whose payload the cache did not
+  admit;
 * ``PING`` / ``SHUTDOWN`` control frames as everywhere on this wire.
 """
 
@@ -74,9 +68,9 @@ from repro.core.registry import (
     get_heuristic,
     normalize_heuristic_key,
 )
-from repro.core.schedule import BroadcastSchedule, ScheduledTransfer, evaluate_order
+from repro.core.schedule import BroadcastSchedule, ScheduledTransfer
 from repro.runtime import wire
-from repro.runtime.serving import FrameServer
+from repro.runtime.serving import FrameServer, serve_foreground
 from repro.topology.cluster import Cluster
 from repro.topology.generators import RandomGridGenerator
 from repro.topology.grid import Grid, InterClusterLink
@@ -327,12 +321,6 @@ class ScheduleService(FrameServer):
         Bound on cached schedules (and on cached topologies), evicted LRU;
         a full schedule cache admits by query frequency (default
         :data:`DEFAULT_CACHE_SIZE`).
-    band_bytes:
-        Width of the message-size band in the schedule-cache key.  ``0`` —
-        the default — keys by exact size, which keeps cache hits trivially
-        bit-identical; a positive width lets nearby sizes share a cached
-        decision order, re-timed exactly per query (see module docstring
-        for when that reuse is exact).
     """
 
     thread_name = "repro-service-conn"
@@ -346,15 +334,11 @@ class ScheduleService(FrameServer):
         max_clients: int = DEFAULT_MAX_CLIENTS,
         queue: int = 0,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        band_bytes: int = 0,
     ) -> None:
         if cache_size < 1:
             raise ValueError(f"--cache-size must be >= 1, got {cache_size}")
-        if band_bytes < 0:
-            raise ValueError(f"--band-bytes must be >= 0 (0: exact), got {band_bytes}")
         super().__init__(host, port, max_clients=max_clients, queue=queue)
         self.cache_size = int(cache_size)
-        self.band_bytes = int(band_bytes)
         #: Cache state; scheduling itself runs outside this lock so slow
         #: queries never serialise the whole daemon.
         self._cache_lock = threading.Lock()
@@ -363,7 +347,6 @@ class ScheduleService(FrameServer):
         self.hits = 0  # guarded-by: _cache_lock
         self.misses = 0  # guarded-by: _cache_lock
         self.rejected = 0  # guarded-by: _cache_lock
-        self.retimed = 0  # guarded-by: _cache_lock
         self.served = 0  # guarded-by: _cache_lock
         #: GridCostCache.for_grid is unsynchronised (its callers are
         #: single-threaded loops); serialise matrix builds across the
@@ -424,11 +407,7 @@ class ScheduleService(FrameServer):
         heuristic_name = str(message.get("heuristic", ""))
         heuristic = get_heuristic(heuristic_name)
         root = int(message.get("root", 0))
-        if self.band_bytes > 0:
-            band = float(message_size // self.band_bytes)
-        else:
-            band = message_size
-        cache_key = (key, band, normalize_heuristic_key(heuristic_name), root)
+        cache_key = (key, message_size, normalize_heuristic_key(heuristic_name), root)
         with self._cache_lock:
             entry = self._schedules.lookup(cache_key)
             if entry is not None:
@@ -438,22 +417,7 @@ class ScheduleService(FrameServer):
                 self.misses += 1
                 self.served += 1
         if entry is not None:
-            if entry["message_size"] == message_size:
-                return entry, True
-            # A banded hit at a different exact size: replay the cached
-            # decision order, re-timed at the query's size.
-            grid = self._grid_for(key, spec)
-            schedule = evaluate_order(
-                grid,
-                message_size,
-                root,
-                [tuple(pair) for pair in entry["order"]],
-                heuristic_name=str(entry["heuristic"]),
-                costs=self._costs_for(grid, message_size),
-            )
-            with self._cache_lock:
-                self.retimed += 1
-            return _schedule_payload(schedule), True
+            return entry, True
         grid = self._grid_for(key, spec)
         schedule = heuristic.schedule(
             grid, message_size, root=root, costs=self._costs_for(grid, message_size)
@@ -501,7 +465,6 @@ class ScheduleService(FrameServer):
                 "hits": self.hits,
                 "misses": self.misses,
                 "rejected": self.rejected,
-                "retimed": self.retimed,
                 "entries": len(self._schedules.entries),
                 "topologies": len(self._grids),
             }
@@ -680,7 +643,6 @@ def serve_service(
     max_clients: int = DEFAULT_MAX_CLIENTS,
     queue: int = 0,
     cache_size: int = DEFAULT_CACHE_SIZE,
-    band_bytes: int = 0,
     drain_timeout: float = 30.0,
 ) -> None:
     """Run one schedule daemon in the foreground (``service serve`` body).
@@ -691,35 +653,16 @@ def serve_service(
     finish and flush, everything new bounces ``BUSY``, and the daemon
     exits 0.
     """
-    import signal
-
-    host, _, port_text = bind.rpartition(":")
-    if not host or not port_text:
-        raise ValueError(f"--bind must be HOST:PORT, got {bind!r}")
-    server = ScheduleService(
-        host,
-        int(port_text),
-        max_clients=max_clients,
-        queue=queue,
-        cache_size=cache_size,
-        band_bytes=band_bytes,
+    serve_foreground(
+        bind,
+        lambda host, port: ScheduleService(
+            host,
+            port,
+            max_clients=max_clients,
+            queue=queue,
+            cache_size=cache_size,
+        ),
+        "repro-schedule-service",
+        f"heuristics={len(available_heuristics())}, wire v{wire.WIRE_VERSION}",
+        drain_timeout=drain_timeout,
     )
-    # begin_drain is async-signal-safe (an Event set plus a socket shutdown
-    # and close, no locks) and kicks serve_forever out of accept; the drain
-    # itself runs below, in the normal flow.
-    try:
-        signal.signal(signal.SIGTERM, lambda *_: server.begin_drain())
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    bound_host, bound_port = server.bind()
-    print(
-        f"repro-schedule-service listening on {bound_host}:{bound_port} "
-        f"(heuristics={len(available_heuristics())}, wire v{wire.WIRE_VERSION})",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    finally:
-        if server.draining:
-            server.drain(drain_timeout)
-        server.close()

@@ -27,7 +27,8 @@ verbatim: :meth:`FrameServer.begin_drain` is async-signal-safe (an Event
 set plus a listener close, no locks, callable from a SIGTERM handler),
 after which new connections and new frames bounce ``BUSY`` while admitted
 frames finish and flush; :meth:`FrameServer.drain` then waits for the last
-pending frame.
+pending frame.  :func:`serve_foreground` is the one foreground body of
+both ``serve`` CLIs: bind, announce, serve, and drain on SIGTERM.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Any, Callable
 
 from repro.runtime import wire
 
-__all__ = ["FrameServer"]
+__all__ = ["FrameServer", "serve_foreground"]
 
 #: Longest time :meth:`FrameServer.serve_forever` stays inside one accept
 #: call before returning to Python (where pending signal handlers run).
@@ -333,3 +334,44 @@ class FrameServer:
             except OSError:
                 pass
         self._on_close()
+
+
+def serve_foreground(
+    bind: str,
+    make_server: Callable[[str, int], FrameServer],
+    name: str,
+    details: str,
+    *,
+    drain_timeout: float,
+) -> None:
+    """Run one server in the foreground until it is closed or drained.
+
+    ``bind`` is ``HOST:PORT``; ``make_server(host, port)`` builds the
+    server.  Once bound, the server announces ``<name> listening on
+    host:port (<details>)`` on stdout, which is how spawners read an
+    OS-assigned port back.  SIGTERM starts the graceful drain: admitted
+    frames finish and flush (for up to ``drain_timeout`` seconds),
+    everything new bounces ``BUSY``, and the call returns.
+    """
+    import signal
+
+    host, _, port_text = bind.rpartition(":")
+    if not host or not port_text:
+        raise ValueError(f"--bind must be HOST:PORT, got {bind!r}")
+    server = make_server(host, int(port_text))
+    # begin_drain is async-signal-safe (an Event set plus a socket shutdown
+    # and close, no locks) and kicks serve_forever out of accept; the drain
+    # itself runs below, in the normal flow, so atexit hooks — notably the
+    # shared-memory shipment sweep — still run on the way out.
+    try:
+        signal.signal(signal.SIGTERM, lambda *_: server.begin_drain())
+    except (ValueError, OSError):  # pragma: no cover - non-main thread
+        pass
+    bound_host, bound_port = server.bind()
+    print(f"{name} listening on {bound_host}:{bound_port} ({details})", flush=True)
+    try:
+        server.serve_forever()
+    finally:
+        if server.draining:
+            server.drain(drain_timeout)
+        server.close()

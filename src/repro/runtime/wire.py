@@ -56,8 +56,8 @@ the protocol carries two lightweight message families:
   is detected even while its socket stays open;
 * **timing reports** — every result frame carries the job's worker-side
   wall time under ``"elapsed"``, which is what feeds the coordinator's
-  per-agent :class:`~repro.runtime.chunking.CostModel` and makes routing
-  throughput-proportional;
+  per-agent :class:`~repro.runtime.chunking.CostModel` that prices frame
+  deadlines;
 * **admission rejects** — an agent at its connection or queue limit answers
   with an :data:`OP_BUSY` frame instead of silently queueing: a busy
   *hello* (``{"op": "busy", "reason": ...}``) bounces a whole connection,

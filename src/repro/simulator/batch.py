@@ -678,7 +678,8 @@ def _execute_with_runtime_pool(
     costs = [program_cost(task.program) for task in tasks]
     # Each stacked relaxation pays a fixed cost per call (its waves of NumPy
     # calls), so the process lane runs one cost-balanced chunk per worker;
-    # remote agents keep the finer chunks that stealing and requeueing use.
+    # remote agents keep the finer chunks that pull dispatch and requeueing
+    # balance.
     bounds = _chunk_bounds(tasks, costs, worker_count, None if remote else 1)
     windows = _task_windows(arrays, metas, bounds)
     settings = (config.noise_sigma, config.receive_overhead, output, grid.num_nodes)

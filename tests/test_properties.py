@@ -604,10 +604,11 @@ fault_plans = st.builds(
 
 class TestChaosRecoveryProperties:
     """Whatever a seeded fault schedule does to the fleet — kills, hangs,
-    drops, corruption, steals, reconnects, full-fleet degradation — every
-    job settles exactly once with the right value, and every delivered
+    drops, corruption, re-dispatch, reconnects, full-fleet degradation —
+    every job settles exactly once with the right value, every delivered
     frame is accounted for exactly once (first delivery, or the discarded
-    duplicate of a re-dispatched frame)."""
+    duplicate of a re-dispatched frame), and a settled job is left neither
+    in the queue nor in flight."""
 
     @staticmethod
     def _fleet(plan):
@@ -644,6 +645,8 @@ class TestChaosRecoveryProperties:
             with pool._lock:
                 completed = sum(link.completed for link in pool._agents)
                 assert completed + pool.degraded_jobs == 12
+                assert not pool._queue
+                assert not any(link.inflight for link in pool._agents)
         finally:
             pool.close()
             for server in servers:

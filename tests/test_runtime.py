@@ -40,12 +40,9 @@ from repro.runtime import wire
 from repro.runtime.chunking import (
     AUTO_INLINE_MAX_UNITS,
     CostModel,
-    load_cost_model,
     partition_by_cost,
     program_cost,
     resolve_executor,
-    save_cost_model,
-    save_cost_models,
 )
 from repro.runtime.faults import (
     FAULT_CRASH,
@@ -1316,135 +1313,6 @@ class TestHostsResolution:
         assert len(created) == 4
 
 
-class TestCostModelPersistence:
-    def test_snapshot_restore_round_trip(self):
-        model = CostModel()
-        model.observe(1_000.0, 2.0)
-        clone = CostModel().restore(model.snapshot())
-        assert clone.observed
-        assert clone.units_per_second == model.units_per_second
-        with pytest.raises(ValueError, match="negative"):
-            CostModel().restore({"units": -1.0, "seconds": 2.0})
-
-    def test_save_and_load_through_env_cache(self, tmp_path, monkeypatch):
-        cache = tmp_path / "costs.json"
-        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
-        model = CostModel()
-        model.observe(5_000.0, 2.5)
-        save_cost_model("pipeline", model)
-        restored = load_cost_model("pipeline")
-        assert restored.observed
-        assert restored.units_per_second == model.units_per_second
-        # Keys are independent documents in one file.
-        other = CostModel()
-        other.observe(100.0, 1.0)
-        save_cost_model("other", other)
-        assert load_cost_model("pipeline").units_per_second == 2_000.0
-        assert load_cost_model("other").units_per_second == 100.0
-
-    def test_cache_disabled_or_corrupt_falls_back_to_prior(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_COST_CACHE", raising=False)
-        assert not load_cost_model("pipeline").observed
-        model = CostModel()
-        model.observe(10.0, 1.0)
-        save_cost_model("pipeline", model)  # no-op without the env var
-        cache = tmp_path / "costs.json"
-        cache.write_text("{not json")
-        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
-        assert not load_cost_model("pipeline").observed
-        # An unobserved model is never persisted (it would store the prior).
-        save_cost_model("pipeline", CostModel())
-        assert cache.read_text() == "{not json"
-
-    def test_save_merges_instead_of_clobbering_unknown_keys(
-        self, tmp_path, monkeypatch
-    ):
-        """A save only touches its own keys; foreign records survive."""
-        cache = tmp_path / "costs.json"
-        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
-        cache.write_text(json.dumps({"foreign": {"units": 7.0, "seconds": 1.0}}))
-        model = CostModel()
-        model.observe(300.0, 2.0)
-        other = CostModel()
-        other.observe(40.0, 4.0)
-        save_cost_models({"mine/a": model, "mine/b": other, "mine/idle": CostModel()})
-        document = json.loads(cache.read_text())
-        # The batch landed (minus the unobserved model), the foreign key
-        # written by some other study/daemon is untouched.
-        assert set(document) == {"foreign", "mine/a", "mine/b"}
-        assert load_cost_model("foreign").units_per_second == 7.0
-        assert load_cost_model("mine/a").units_per_second == 150.0
-
-    def test_concurrent_thread_writers_lose_no_records(
-        self, tmp_path, monkeypatch
-    ):
-        """N threads interleaving read-merge-write cycles drop nothing.
-
-        This is the lost-update race the sidecar ``flock`` closes: before
-        it, two writers could both read the same document and the slower
-        ``os.replace`` reverted the faster writer's keys.
-        """
-        cache = tmp_path / "costs.json"
-        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
-        rounds = 25
-
-        def writer(name: int) -> None:
-            model = CostModel()
-            model.observe(1_000.0 * (name + 1), 1.0)
-            for index in range(rounds):
-                save_cost_model(f"writer/{name}/{index}", model)
-
-        threads = [
-            threading.Thread(target=writer, args=(name,)) for name in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        document = json.loads(cache.read_text())
-        expected = {
-            f"writer/{name}/{index}"
-            for name in range(4)
-            for index in range(rounds)
-        }
-        assert set(document) == expected
-        for name in range(4):
-            assert (
-                load_cost_model(f"writer/{name}/0").units_per_second
-                == 1_000.0 * (name + 1)
-            )
-
-    def test_concurrent_process_writers_lose_no_records(
-        self, tmp_path, monkeypatch
-    ):
-        """Two separate interpreters race the one cache file safely."""
-        import subprocess
-        import sys
-
-        cache = tmp_path / "costs.json"
-        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
-        script = (
-            "import sys\n"
-            "from repro.runtime.chunking import CostModel, save_cost_model\n"
-            "name = sys.argv[1]\n"
-            "model = CostModel()\n"
-            "model.observe(500.0, 1.0)\n"
-            "for index in range(20):\n"
-            "    save_cost_model(f'proc/{name}/{index}', model)\n"
-        )
-        workers = [
-            subprocess.Popen([sys.executable, "-c", script, str(name)])
-            for name in range(2)
-        ]
-        for worker in workers:
-            assert worker.wait(timeout=60) == 0
-        document = json.loads(cache.read_text())
-        expected = {f"proc/{name}/{index}" for name in range(2) for index in range(20)}
-        assert set(document) == expected
-
-
 @needs_shm
 class TestShipmentCleanup:
     def test_close_and_unlink_are_idempotent(self):
@@ -1899,8 +1767,8 @@ class TestMakespanReader:
 
 
 class TestElasticRemoteLane:
-    """Cost balancing, stealing, heartbeats and membership — none of which
-    may ever change results."""
+    """Pull dispatch, heartbeats and membership — none of which may ever
+    change results."""
 
     COLLECTIVE = dict(message_sizes=(2_048, 16_384), noise_sigma=0.05)
 
@@ -1909,9 +1777,9 @@ class TestElasticRemoteLane:
         process.terminate()
         process.wait(timeout=15)
 
-    def test_work_stealing_drains_a_skewed_fleet(self):
-        """A 30x-slower agent's queued frames migrate to the fast agent;
-        results stay correct and the fleet weights reflect the skew."""
+    def test_pull_dispatch_favours_the_fast_agent_of_a_skewed_fleet(self):
+        """Next to a 30x-slower agent, the fast agent frees its slots more
+        often and so pulls more of the queue; results stay correct."""
         fast_proc, fast_addr = _spawn_loopback_agent(1)
         slow_proc, slow_addr = _spawn_loopback_agent(1, slowdown=30.0)
         pool = RemoteStudyPool(hosts=(fast_addr, slow_addr))
@@ -1927,15 +1795,14 @@ class TestElasticRemoteLane:
             fast, slow = by_address[fast_addr], by_address[slow_addr]
             assert fast.completed + slow.completed == 16
             assert fast.completed > slow.completed
-            assert pool.steals > 0
         finally:
             pool.close()
             self._terminate(fast_proc)
             self._terminate(slow_proc)
 
-    def test_mid_study_join_steals_queued_work(self, heterogeneous_grid):
+    def test_mid_study_joiner_pulls_queued_work(self, heterogeneous_grid):
         """An agent joined via add_host while jobs are queued immediately
-        receives stolen work — and two drivers stay bit-identical on the
+        pulls some of them — and two drivers stay bit-identical on the
         grown fleet."""
         slow_proc, slow_addr = _spawn_loopback_agent(1, slowdown=30.0)
         fast_proc = None
@@ -1953,7 +1820,6 @@ class TestElasticRemoteLane:
                 range(16)
             )
             assert joined.completed > 0
-            assert pool.steals > 0
             config = PracticalStudyConfig(**self.COLLECTIVE)
             inline = run_scatter_study(config, grid=heterogeneous_grid)
             grown = run_scatter_study(
@@ -2356,12 +2222,9 @@ class TestChaosRemoteLane:
             pool.close()
         assert random.getstate() == state
 
-    def test_reconnect_revives_the_same_link(self, tmp_path, monkeypatch):
+    def test_reconnect_revives_the_same_link(self):
         """A re-admitted agent comes back on its own link: one link per
-        address, the loopback process still owned by it, and so no
-        loopback record written to the cost cache on close."""
-        cache = tmp_path / "costs.json"
-        monkeypatch.setenv("REPRO_COST_CACHE", str(cache))
+        address, with the loopback process still owned by it."""
         plan = FaultPlan(
             seed=13,
             agents={"#1": {"hang_after_results": 1, "hang_seconds": 0.5}},
@@ -2390,14 +2253,13 @@ class TestChaosRemoteLane:
             ]
         finally:
             pool.close()
-        records = json.loads(cache.read_text()) if cache.exists() else {}
-        assert [key for key in records if key.startswith("agent/")] == []
 
     def test_reroute_moves_to_a_peer_else_applies_the_trigger_policy(self):
         """Deadline expiry, BUSY and agent loss share one re-route path.
         With a peer alive the frame moves there (a deadline expiry is
         counted); on the only alive agent an expired deadline re-arms,
-        uncounted, and a BUSY frame requeues on that agent."""
+        uncounted, and a BUSY frame waits in the queue until that agent's
+        backoff runs out."""
         servers = [AgentServer(workers=1), AgentServer(workers=1)]
         addresses = [server.bind() for server in servers]
         for server in servers:
@@ -2445,7 +2307,7 @@ class TestChaosRemoteLane:
                 assert pool.deadline_expired == 1  # re-armed, not counted
             pool._job_rejected(second, job_id)
             with pool._lock:
-                assert job_id in second.inflight or job in second.queued
+                assert job_id in second.inflight or job in pool._queue
                 assert pool.busy_rejects == 2
                 assert pool.degraded_jobs == 0
         finally:

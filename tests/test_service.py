@@ -221,7 +221,6 @@ class TestServiceQueries:
                 assert stats["hits"] == 2
                 assert stats["misses"] == 2
                 assert stats["rejected"] == 0
-                assert stats["retimed"] == 0
                 assert stats["entries"] == 2
                 assert stats["topologies"] == 1
             assert server.stats() == stats
@@ -424,26 +423,6 @@ class TestServiceCaching:
                 client.query(spec, MB, "ecef")
                 assert server._grids[key] is grid
                 assert server.stats()["topologies"] == 1
-
-    def test_band_retiming_is_exact_on_constant_gap_topologies(self):
-        """With band_bytes set, a second size in the band replays the cached
-        decision order re-timed at the exact query size — which on constant
-        gap topologies (the Monte-Carlo grids) is bit-identical to inline."""
-        spec = {"kind": "random", "clusters": 9, "seed": 13}
-        with running_service(band_bytes=MB) as (server, address):
-            with ScheduleClient(address) as client:
-                first = client.query(spec, MB, "ecef_la")
-                assert not first.cached
-                assert_bit_identical(first, spec, MB, "ecef_la")
-                # Same band (1 MiB wide), different exact size.
-                second = client.query(spec, MB + 4_096, "ecef_la")
-                assert second.cached
-                assert_bit_identical(second, spec, MB + 4_096, "ecef_la")
-                stats = client.stats()
-                assert stats["retimed"] == 1 and stats["hits"] == 1
-                # The band representative stays cached at its own exact size.
-                replay = client.query(spec, MB, "ecef_la")
-                assert replay.cached and replay.payload == first.payload
 
 
 class TestServiceConcurrency:
