@@ -19,6 +19,8 @@ import signal
 import socket
 import threading
 import time
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,8 +66,10 @@ from repro.runtime.pool import (
 )
 from repro.runtime.remote import (
     DEFAULT_AGENT_PORT,
+    PREFETCH_PER_WORKER,
     AgentServer,
     RemoteStudyPool,
+    _AgentLink,
     _diagnostic_sleep,
     _localise,
     _spawn_loopback_agent,
@@ -77,7 +81,7 @@ from repro.runtime.transport import (
     shared_memory_available,
     sweep_shipments,
 )
-from repro.runtime.serving import FrameServer
+from repro.runtime.serving import FrameServer, serve_foreground
 from repro.simulator.batch import (
     ExecutionTask,
     _chunk_bounds,
@@ -1546,6 +1550,68 @@ class TestFrameServerDrain:
             serving.join(timeout=5)
 
 
+class TestServeForeground:
+    """The one foreground body behind ``worker serve`` and ``service
+    serve``."""
+
+    def test_announces_the_bound_address_and_returns_after_a_drain(
+        self, capsys
+    ):
+        built: list[AgentServer] = []
+
+        def make_server(host, port):
+            built.append(AgentServer(host=host, port=port, workers=1))
+            return built[-1]
+
+        serving = threading.Thread(
+            target=serve_foreground,
+            args=("127.0.0.1:0", make_server, "test-server", "workers=1"),
+            kwargs={"drain_timeout": 5.0},
+            daemon=True,
+        )
+        serving.start()
+        announced = ""
+        deadline = time.monotonic() + 10
+        while "\n" not in announced and time.monotonic() < deadline:
+            announced += capsys.readouterr().out
+            time.sleep(0.01)
+        try:
+            (server,) = built
+            host, port = server.address
+            assert announced == (
+                f"test-server listening on {host}:{port} (workers=1)\n"
+            )
+            # The announced address serves: a pool connects and runs a job.
+            pool = RemoteStudyPool(hosts=((host, port),), heartbeat=0.0)
+            try:
+                assert pool.submit(derive_seed, 3).get(timeout=60) == (
+                    derive_seed(3)
+                )
+            finally:
+                pool.close()
+            server.begin_drain()
+            serving.join(timeout=10)
+            assert not serving.is_alive()
+            assert server.draining
+        finally:
+            for server in built:
+                server.close()
+            serving.join(timeout=5)
+
+    @pytest.mark.parametrize("bind", ["7301", ":7301", "127.0.0.1:"])
+    def test_rejects_a_bind_without_host_and_port(self, bind):
+        built = []
+        with pytest.raises(ValueError, match="HOST:PORT"):
+            serve_foreground(
+                bind,
+                lambda host, port: built.append((host, port)),
+                "test-server",
+                "",
+                drain_timeout=1.0,
+            )
+        assert built == []
+
+
 @pytest.fixture(scope="module")
 def remote_pool():
     """A dedicated loopback remote pool: two agents, one worker each.
@@ -1764,6 +1830,157 @@ class TestMakespanReader:
         program = binomial_bcast_program(heterogeneous_grid, 1_024, root_rank=0)
         with pytest.raises(AssertionError, match="ExecutionResult"):
             execute_programs(heterogeneous_grid, [program], workers=0)
+
+
+@contextmanager
+def _silent_fleet(agents):
+    """A pool over ``agents`` in-thread one-worker agents whose every frame
+    is dropped on send: each job stays exactly where dispatch put it, so
+    the tests below read the queue and the links' ``inflight`` directly and
+    deliver results by hand.  No heartbeats and no frame deadlines."""
+    servers = [AgentServer(workers=1) for _ in range(agents)]
+    addresses = [server.bind() for server in servers]
+    for server in servers:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+    plan = FaultPlan(agents={"*": {"drop_rate": 1.0}})
+    pool = RemoteStudyPool(hosts=addresses, faults=plan, heartbeat=0.0)
+    try:
+        yield pool
+    finally:
+        pool.close()
+        for server in servers:
+            server.close()
+
+
+class TestPullDispatch:
+    """One coordinator-side FIFO; each agent link pulls from it while it
+    has fewer than ``capacity`` frames in flight."""
+
+    CAPACITY = PREFETCH_PER_WORKER  # one-worker agents
+
+    @staticmethod
+    def _result(job_id):
+        return {"job": job_id, "result": derive_seed(job_id)}
+
+    def test_links_fill_to_capacity_in_submission_order(self):
+        cap = self.CAPACITY
+        with _silent_fleet(2) as pool:
+            handles = [pool.submit(derive_seed, i) for i in range(2 * cap + 3)]
+            first, second = pool._agents
+            with pool._lock:
+                assert first.capacity == second.capacity == cap
+                assert list(first.inflight) == list(range(1, cap + 1))
+                assert list(second.inflight) == list(
+                    range(cap + 1, 2 * cap + 1)
+                )
+                assert [job.job_id for job in pool._queue] == list(
+                    range(2 * cap + 1, 2 * cap + 4)
+                )
+                assert sorted(pool._jobs) == [h.job_id for h in handles]
+
+    def test_each_delivered_result_pulls_the_next_queued_job(self):
+        cap = self.CAPACITY
+        with _silent_fleet(2) as pool:
+            handles = [pool.submit(derive_seed, i) for i in range(2 * cap + 3)]
+            first, _ = pool._agents
+            pool._deliver(first, self._result(1))
+            assert handles[0].get(timeout=5) == derive_seed(1)
+            with pool._lock:
+                assert first.completed == 1
+                assert list(first.inflight) == [*range(2, cap + 1), 2 * cap + 1]
+                assert [job.job_id for job in pool._queue] == [
+                    2 * cap + 2,
+                    2 * cap + 3,
+                ]
+            pool._deliver(first, self._result(1))
+            with pool._lock:
+                assert pool.duplicates_ignored == 1
+                assert first.completed == 1
+
+    def test_a_requeued_job_skips_the_agent_it_came_off(self):
+        """A job taken off an agent waits at the queue head for another
+        alive agent; later jobs pass it on the way to the agent it left."""
+        cap = self.CAPACITY
+        with _silent_fleet(2) as pool:
+            for i in range(2 * cap):
+                pool.submit(derive_seed, i)
+            first, second = pool._agents
+            with pool._lock:
+                job = first.inflight.pop(1)
+            assert pool._reroute(first, [job]) == 1
+            with pool._lock:
+                assert list(pool._queue) == [job] and job.avoid is first
+                assert 1 not in first.inflight
+            later = pool.submit(derive_seed, 2 * cap).job_id
+            with pool._lock:
+                assert later in first.inflight
+                assert list(pool._queue) == [job]
+            pool._deliver(second, self._result(cap + 1))
+            with pool._lock:
+                assert 1 in second.inflight and job.avoid is None
+                assert not pool._queue
+
+    def test_a_late_result_takes_its_queued_twin_out_of_the_queue(self):
+        cap = self.CAPACITY
+        with _silent_fleet(2) as pool:
+            handles = [pool.submit(derive_seed, i) for i in range(2 * cap)]
+            first, second = pool._agents
+            with pool._lock:
+                job = first.inflight.pop(1)
+            pool._reroute(first, [job])
+            pool._deliver(first, self._result(1))
+            assert handles[0].get(timeout=5) == derive_seed(1)
+            with pool._lock:
+                assert not pool._queue
+                assert all(1 not in link.inflight for link in pool._agents)
+                assert pool.duplicates_ignored == 0
+            # A free slot on the other agent finds nothing left to pull.
+            pool._deliver(second, self._result(cap + 1))
+            with pool._lock:
+                assert 1 not in second.inflight
+                assert pool.duplicates_ignored == 0
+
+    def test_a_busy_backoff_holds_the_link_until_it_runs_out(self):
+        """On the only agent a BUSY job goes back to the queue head; pumping
+        skips the link while it backs off, and the monitor re-pumps the
+        head first once the backoff has run out."""
+        cap = self.CAPACITY
+        with _silent_fleet(1) as pool:
+            for i in range(cap + 1):
+                pool.submit(derive_seed, i)
+            (link,) = pool._agents
+            pool._job_rejected(link, 1)
+            with pool._lock:
+                assert pool.busy_rejects == 1
+                assert [job.job_id for job in pool._queue] == [1, cap + 1]
+                assert link.busy_until > time.monotonic()
+                link.busy_until = time.monotonic() + 600
+            pool._pump(link)
+            with pool._lock:
+                assert 1 not in link.inflight
+                link.busy_until = 0.0
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                with pool._lock:
+                    if 1 in link.inflight:
+                        break
+                time.sleep(0.02)
+            with pool._lock:
+                assert 1 in link.inflight
+                assert [job.job_id for job in pool._queue] == [cap + 1]
+                assert pool.degraded_jobs == 0
+
+    def test_backoff_doubles_up_to_its_cap_with_bounded_jitter(self):
+        def draws(seed):
+            link = SimpleNamespace(jitter=random.Random(seed))
+            return [_AgentLink.backoff(link, 0.1, 1.0, step) for step in range(7)]
+
+        values = draws(7)
+        for step, value in enumerate(values):
+            nominal = min(1.0, 0.1 * 2**step)
+            assert 0.5 * nominal <= value < 1.5 * nominal
+        assert draws(7) == values
+        assert draws(8) != values
 
 
 class TestElasticRemoteLane:
