@@ -39,6 +39,7 @@ serious should use the Python API.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -78,8 +79,8 @@ def _add_executor_option(sub_parser: argparse.ArgumentParser) -> None:
         "--hosts",
         default=None,
         help="comma-separated worker-agent addresses host:port for "
-        "--executor remote (default: REPRO_HOSTS, then agents auto-spawned "
-        "as loopback subprocesses)",
+        "--executor remote; exported as REPRO_HOSTS for this run (default: "
+        "REPRO_HOSTS, then agents auto-spawned as loopback subprocesses)",
     )
     sub_parser.add_argument(
         "--connect-timeout",
@@ -549,12 +550,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = SimulationStudyConfig(
         cluster_counts=counts, iterations=args.iterations, seed=args.seed
     )
-    result = run_simulation_study(
-        config,
-        workers=args.workers,
-        executor=args.executor,
-        hosts=args.hosts,
-    )
+    result = run_simulation_study(config, workers=args.workers, executor=args.executor)
     series = {
         name: result.series(name) for name in result.heuristic_names
     }
@@ -577,10 +573,7 @@ def _cmd_practical(args: argparse.Namespace) -> int:
     config = PracticalStudyConfig(message_sizes=sizes, noise_sigma=args.noise)
     if args.collective == "scatter":
         result = run_scatter_study(
-            config,
-            workers=args.workers,
-            executor=args.executor,
-            hosts=args.hosts,
+            config, workers=args.workers, executor=args.executor
         )
         print(
             render_table(
@@ -590,10 +583,7 @@ def _cmd_practical(args: argparse.Namespace) -> int:
         return 0
     if args.collective == "alltoall":
         result = run_alltoall_study(
-            config,
-            workers=args.workers,
-            executor=args.executor,
-            hosts=args.hosts,
+            config, workers=args.workers, executor=args.executor
         )
         print(
             render_table(
@@ -606,7 +596,6 @@ def _cmd_practical(args: argparse.Namespace) -> int:
         workers=args.workers,
         executor=args.executor,
         replicas=args.replicas,
-        hosts=args.hosts,
     )
     print(render_table(result.as_table(which="predicted"), title="Predicted completion time (s)"))
     print()
@@ -635,7 +624,6 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         repeat=args.repeat,
         workers=args.workers,
         executor=args.executor,
-        hosts=args.hosts,
     )
     title = (
         "Warm-chained pipeline vs barrier baseline (s): "
@@ -673,12 +661,7 @@ def _cmd_gossip(args: argparse.Namespace) -> int:
         message_size=float(args.message_size),
         seed=args.seed,
     )
-    result = run_gossip_study(
-        config,
-        workers=args.workers,
-        executor=args.executor,
-        hosts=args.hosts,
-    )
+    result = run_gossip_study(config, workers=args.workers, executor=args.executor)
     tables = (
         ("Rounds to delivery", result.metric("rounds_to_delivery")),
         ("Delivery fraction", result.delivery_fractions()),
@@ -749,11 +732,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point (also installed as the ``repro-bcast`` script)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "connect_timeout", None) is not None:
-        # The knob reaches the remote lane as the env fallback rather than
-        # threading one more parameter through every study signature.
-        import os
+    # The remote-lane flags reach the lane as their env fallbacks rather
+    # than as parameters threaded through every study signature.
+    if getattr(args, "hosts", None) is not None:
+        from repro.runtime.remote import HOSTS_ENV_VAR
 
+        os.environ[HOSTS_ENV_VAR] = args.hosts
+    if getattr(args, "connect_timeout", None) is not None:
         from repro.runtime.remote import CONNECT_TIMEOUT_ENV_VAR
 
         os.environ[CONNECT_TIMEOUT_ENV_VAR] = str(args.connect_timeout)

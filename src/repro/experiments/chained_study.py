@@ -160,7 +160,6 @@ def run_chained_study(
     workers: int | None = None,
     engine: str = "batched",
     executor: str | None = None,
-    hosts: str | None = None,
     pool=None,
 ) -> ChainedStudyResult:
     """Measure a pipeline of collectives warm-chained versus barrier-separated.
@@ -188,11 +187,8 @@ def run_chained_study(
         via ``REPRO_EXECUTOR``); see
         :func:`~repro.simulator.batch.execute_programs`.  Chains stay
         atomic on every lane — a warm pipeline never spans two workers or
-        two agents.  Bit-identical either way.
-    hosts:
-        Remote-lane agent addresses (``"host:port,host:port"``); only
-        consulted when the remote lane is engaged.  ``None`` falls back to
-        ``REPRO_HOSTS``, then to auto-spawned loopback agents.
+        two agents.  The remote lane's agents come from ``REPRO_HOSTS``,
+        loopback agents otherwise.  Bit-identical either way.
     pool:
         An explicit runtime pool of any lane; defaults to the process-wide
         persistent pool of the chosen lane (a passed pool decides the lane,
@@ -256,7 +252,6 @@ def run_chained_study(
         engine=engine,
         executor=executor,
         pool=pool,
-        hosts=hosts,
     ).reshape(len(sizes), 2 * num_stages)
     return ChainedStudyResult(
         config=config,

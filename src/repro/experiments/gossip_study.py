@@ -216,7 +216,6 @@ def run_gossip_study(
     workers: int | None = None,
     executor: str | None = None,
     pool=None,
-    hosts: str | None = None,
 ) -> GossipStudyResult:
     """Run the tree-vs-gossip study described by ``config``.
 
@@ -235,7 +234,8 @@ def run_gossip_study(
         ``0``/``1`` run in-process.
     executor:
         Fan-out lane: ``"process"``, ``"remote"`` (cells framed over
-        sockets to the worker agents named by ``hosts`` / ``REPRO_HOSTS``),
+        sockets to the worker agents named by ``REPRO_HOSTS``, loopback
+        agents otherwise),
         or ``"auto"`` — inline when the study's total estimated cost
         (node-rounds, via :func:`repro.runtime.chunking.gossip_cost`) is
         too small to amortise process shipping, processes otherwise.
@@ -246,10 +246,6 @@ def run_gossip_study(
         :class:`~repro.runtime.remote.RemoteStudyPool`; defaults to the
         process-wide persistent pool of the chosen lane (a passed pool
         decides the lane, overriding ``executor``).
-    hosts:
-        Remote-lane agent addresses (``"host:port,host:port"``); only
-        consulted when the remote lane is engaged.  ``None`` falls back to
-        ``REPRO_HOSTS``, then to auto-spawned loopback agents.
     """
     metrics = np.empty(
         (len(config.protocols), len(config.node_counts), len(METRIC_NAMES)),
@@ -266,9 +262,7 @@ def run_gossip_study(
     ]
 
     worker_count = resolve_workers(workers)
-    pool, _ = choose_lane(
-        executor, workers, worker_count, sum(cell_units), pool=pool, hosts=hosts
-    )
+    pool, _ = choose_lane(executor, workers, worker_count, sum(cell_units), pool=pool)
     if pool is not None and len(tasks) > 1:
         handles = [
             pool.submit(_gossip_cell_task, task, units=units)

@@ -94,7 +94,6 @@ def run_hit_rate_study(
     workers: int | None = None,
     executor: str | None = None,
     pool=None,
-    hosts: str | None = None,
 ) -> HitRateResult:
     """Run a Monte-Carlo study and derive the Figure 4 hit-rate analysis.
 
@@ -102,15 +101,11 @@ def run_hit_rate_study(
     per-grid cost caches; ``workers`` optionally fans the iterations out over
     the persistent runtime pool (``None`` consults ``REPRO_WORKERS``),
     ``executor`` picks the execution lane (``None`` consults
-    ``REPRO_EXECUTOR``; the remote lane reads its host list from ``hosts`` /
+    ``REPRO_EXECUTOR``; the remote lane reads its host list from
     ``REPRO_HOSTS``).
     """
     study = run_simulation_study(
-        config,
-        workers=workers,
-        executor=executor,
-        pool=pool,
-        hosts=hosts,
+        config, workers=workers, executor=executor, pool=pool
     )
     return hit_rate_from_study(study)
 

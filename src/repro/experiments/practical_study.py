@@ -275,7 +275,6 @@ def run_practical_study(
     executor: str | None = None,
     replicas: int = 1,
     pool=None,
-    hosts: str | None = None,
 ) -> PracticalStudyResult:
     """Run the Figure 5 / Figure 6 experiment.
 
@@ -297,8 +296,8 @@ def run_practical_study(
         and benchmarks.
     executor:
         Fan-out lane: ``"process"``, ``"remote"`` (stacked batches framed
-        over sockets to the worker agents named by ``hosts`` /
-        ``REPRO_HOSTS``, loopback agents otherwise), or ``"auto"`` (inline
+        over sockets to the worker agents named by ``REPRO_HOSTS``,
+        loopback agents otherwise), or ``"auto"`` (inline
         for sweeps too small to amortise shipping, processes otherwise;
         auto never picks remote).  ``None`` consults ``REPRO_EXECUTOR``,
         then defaults to ``"auto"``.  Every lane is bit-identical.
@@ -313,10 +312,6 @@ def run_practical_study(
         :class:`~repro.runtime.remote.RemoteStudyPool`; defaults to the
         process-wide persistent pool of the chosen lane (a passed pool
         decides the lane, overriding ``executor``).
-    hosts:
-        Remote-lane agent addresses (``"host:port,host:port"``); only
-        consulted when the remote lane is engaged.  ``None`` falls back to
-        ``REPRO_HOSTS``, then to auto-spawned loopback agents.
     """
     config = config if config is not None else PracticalStudyConfig()
     grid = grid if grid is not None else _default_grid()
@@ -384,7 +379,6 @@ def run_practical_study(
         engine=engine,
         executor=executor,
         pool=pool,
-        hosts=hosts,
     ).reshape(len(sizes), replicas, len(curves)).transpose(1, 0, 2)
     # C-ordered copies, so the replica mean and std reduce the same memory
     # layout as always.
@@ -471,7 +465,6 @@ def _run_collective_study(
     workers: int | None,
     engine: str,
     executor: str | None,
-    hosts: str | None,
     pool,
 ) -> CollectiveStudyResult:
     """Shared driver: one ExecutionTask per (strategy, chunk size).
@@ -502,7 +495,6 @@ def _run_collective_study(
         engine=engine,
         executor=executor,
         pool=pool,
-        hosts=hosts,
     ).reshape(len(sizes), len(strategies))
     return CollectiveStudyResult(
         collective=collective,
@@ -520,7 +512,6 @@ def run_scatter_study(
     workers: int | None = None,
     engine: str = "batched",
     executor: str | None = None,
-    hosts: str | None = None,
     pool=None,
 ) -> CollectiveStudyResult:
     """Measure the flat scatter against the grid-aware hierarchical scatters.
@@ -532,8 +523,8 @@ def run_scatter_study(
 
     ``workers`` defaults from ``REPRO_WORKERS``; ``executor``
     (``"process"``/``"remote"``/``"auto"``, default from
-    ``REPRO_EXECUTOR``) picks the fan-out lane; ``hosts`` (default from
-    ``REPRO_HOSTS``) and ``pool`` behave as in
+    ``REPRO_EXECUTOR``) picks the fan-out lane (the remote lane's agents
+    come from ``REPRO_HOSTS``); ``pool`` behaves as in
     :func:`~repro.simulator.batch.execute_programs`.  Results are
     bit-identical for every combination.
     """
@@ -562,7 +553,7 @@ def run_scatter_study(
             (f"Grid-aware [{heuristic.name}]", aware_builder(heuristic))
         )
     return _run_collective_study(
-        "scatter", strategies, config, grid, workers, engine, executor, hosts, pool
+        "scatter", strategies, config, grid, workers, engine, executor, pool
     )
 
 
@@ -573,7 +564,6 @@ def run_alltoall_study(
     workers: int | None = None,
     engine: str = "batched",
     executor: str | None = None,
-    hosts: str | None = None,
     pool=None,
 ) -> CollectiveStudyResult:
     """Measure the direct all-to-all against the grid-aware aggregated one.
@@ -587,8 +577,8 @@ def run_alltoall_study(
 
     ``workers`` defaults from ``REPRO_WORKERS``; ``executor``
     (``"process"``/``"remote"``/``"auto"``, default from
-    ``REPRO_EXECUTOR``) picks the fan-out lane; ``hosts`` (default from
-    ``REPRO_HOSTS``) and ``pool`` behave as in
+    ``REPRO_EXECUTOR``) picks the fan-out lane (the remote lane's agents
+    come from ``REPRO_HOSTS``); ``pool`` behaves as in
     :func:`~repro.simulator.batch.execute_programs`.  Results are
     bit-identical for every combination.
     """
@@ -602,5 +592,5 @@ def run_alltoall_study(
         ),
     ]
     return _run_collective_study(
-        "alltoall", strategies, config, grid, workers, engine, executor, hosts, pool
+        "alltoall", strategies, config, grid, workers, engine, executor, pool
     )

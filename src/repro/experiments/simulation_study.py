@@ -205,7 +205,6 @@ def run_simulation_study(
     workers: int | None = None,
     executor: str | None = None,
     pool=None,
-    hosts: str | None = None,
 ) -> SimulationStudyResult:
     """Run the Monte-Carlo study described by ``config``.
 
@@ -223,8 +222,8 @@ def run_simulation_study(
         variable; ``0``/``1`` run in-process.
     executor:
         Fan-out lane: ``"process"``, ``"remote"`` (chunks framed over
-        sockets to the worker agents named by ``hosts`` / ``REPRO_HOSTS``,
-        loopback agents otherwise), or ``"auto"`` — inline when the study's
+        sockets to the worker agents named by ``REPRO_HOSTS``, loopback
+        agents otherwise), or ``"auto"`` — inline when the study's
         total estimated cost (``iterations * clusters**2`` stacked-matrix
         cells) is too small to amortise process shipping, processes
         otherwise (auto never picks remote).  ``None`` consults
@@ -236,10 +235,6 @@ def run_simulation_study(
         :class:`~repro.runtime.remote.RemoteStudyPool`; defaults to the
         process-wide persistent pool of the chosen lane (a passed pool
         decides the lane, overriding ``executor``).
-    hosts:
-        Remote-lane agent addresses (``"host:port,host:port"``); only
-        consulted when the remote lane is engaged.  ``None`` falls back to
-        ``REPRO_HOSTS``, then to auto-spawned loopback agents.
     """
     heuristic_keys = tuple(config.heuristics)
     heuristics = instantiate(heuristic_keys)
@@ -258,7 +253,6 @@ def run_simulation_study(
         worker_count,
         config.iterations * sum(clusters * clusters for clusters in counts),
         pool=pool,
-        hosts=hosts,
     )
     tasks = []
     task_units = []

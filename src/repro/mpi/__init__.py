@@ -23,7 +23,6 @@ from repro.mpi.bcast import (
     binomial_bcast_program,
     binomial_bcast_programs,
     grid_aware_bcast_program,
-    grid_aware_bcast_programs,
     grid_aware_pair_programs,
     predict_bcast_makespan,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "binomial_bcast_program",
     "binomial_bcast_programs",
     "grid_aware_bcast_program",
-    "grid_aware_bcast_programs",
     "grid_aware_pair_programs",
     "predict_bcast_makespan",
     "flat_scatter_program",

@@ -9,9 +9,9 @@ stack (the single-program functions are their one-program case):
   :class:`~repro.simulator.program.CommunicationProgram` objects: each
   coordinator performs its scheduled wide-area sends in order and then
   broadcasts locally along a tree (binomial by default), which is exactly
-  the MagPIe execution structure the paper modified.
-  :func:`grid_aware_bcast_programs` is its adapter for
-  :class:`~repro.core.schedule.BroadcastSchedule` objects.
+  the MagPIe execution structure the paper modified.  It is the one
+  grid-aware builder: :func:`grid_aware_bcast_program` feeds it one
+  :class:`~repro.core.schedule.BroadcastSchedule`'s order, root and name.
 * :func:`binomial_bcast_programs` builds the topology-oblivious binomial tree
   over **all** ranks, i.e. the "Default LAM" / "pure MPI_Bcast" baseline the
   paper compares against in Figure 6.
@@ -102,8 +102,7 @@ def _pair_programs(
     local_tree: str,
     local_first: bool,
 ) -> list[CommunicationProgram]:
-    """One stacked build of :func:`grid_aware_pair_programs`; ``pairs`` may
-    also come flat, as ``(programs * (n - 1), 2)``."""
+    """One stacked build of :func:`grid_aware_pair_programs`."""
     for size in sizes:
         check_non_negative(size, "message_size")
     count = len(sizes)
@@ -211,73 +210,13 @@ def grid_aware_pair_programs(
             f"got {len(pairs)} pair orders, {len(sizes)} message sizes, "
             f"{len(roots)} roots and {len(names)} names"
         )
-
-    def build(pairs, sizes, roots, names):
-        return _pair_programs(
-            grid, pairs, sizes, roots, names, local_tree, local_first
-        )
-
-    return _stacked(build, pairs, sizes, roots, names)
-
-
-def grid_aware_bcast_programs(
-    grid: Grid,
-    schedules: Sequence[BroadcastSchedule],
-    sizes: Sequence[float],
-    *,
-    local_tree: str = "binomial",
-    local_first: bool = False,
-) -> list[CommunicationProgram]:
-    """Build the node-level programs implementing scheduled hierarchical bcasts.
-
-    Program ``k`` carries ``sizes[k]`` bytes along ``schedules[k]``: the
-    schedules' decision orders, roots and heuristic names go through one
-    :func:`grid_aware_pair_programs` stack (the options are its own).  Each
-    program is equal to :func:`grid_aware_bcast_program` of its own schedule
-    and size, and a malformed schedule raises the error that call would.
-
-    Raises
-    ------
-    ValueError
-        If the counts of schedules and sizes differ, a schedule was computed
-        for a grid of another size, or a schedule or size is malformed.
-    """
-    schedules = list(schedules)
-    sizes = list(sizes)
-    if len(schedules) != len(sizes):
-        raise ValueError(
-            f"got {len(schedules)} schedules but {len(sizes)} message sizes"
-        )
-    expected = grid.num_clusters - 1
-
-    def build(schedules, sizes):
-        for schedule in schedules:
-            if schedule.num_clusters != grid.num_clusters:
-                raise ValueError(
-                    f"schedule covers {schedule.num_clusters} clusters but the "
-                    f"grid has {grid.num_clusters}"
-                )
-            if len(schedule.transfers) != expected:
-                raise ValueError(
-                    f"a broadcast over {grid.num_clusters} clusters needs "
-                    f"{expected} transfers, got {len(schedule.transfers)}"
-                )
-        pairs = [
-            (transfer.sender, transfer.receiver)
-            for schedule in schedules
-            for transfer in schedule.transfers
-        ]
-        return _pair_programs(
-            grid,
-            pairs,
-            sizes,
-            [schedule.root for schedule in schedules],
-            [schedule.heuristic_name for schedule in schedules],
-            local_tree,
-            local_first,
-        )
-
-    return _stacked(build, schedules, sizes)
+    return _stacked(
+        lambda *columns: _pair_programs(grid, *columns, local_tree, local_first),
+        pairs,
+        sizes,
+        roots,
+        names,
+    )
 
 
 def grid_aware_bcast_program(
@@ -288,15 +227,39 @@ def grid_aware_bcast_program(
     local_tree: str = "binomial",
     local_first: bool = False,
 ) -> CommunicationProgram:
-    """The one-program case of :func:`grid_aware_bcast_programs`.
+    """The node-level program implementing one scheduled broadcast.
 
-    Each coordinator performs its scheduled wide-area sends in order and then
-    broadcasts locally along ``local_tree`` (binomial by default); the
-    result is a validated broadcast program rooted at the root cluster's
-    coordinator.
+    The one-program case of :func:`grid_aware_pair_programs`, fed from the
+    schedule's decision order, root and heuristic name (the options are its
+    own).  Each coordinator performs its scheduled wide-area sends in order
+    and then broadcasts locally along ``local_tree`` (binomial by default);
+    the result is a validated broadcast program rooted at the root
+    cluster's coordinator.
+
+    Raises
+    ------
+    ValueError
+        If the schedule was computed for a grid of another size, or the
+        schedule or size is malformed.
     """
-    (program,) = grid_aware_bcast_programs(
-        grid, [schedule], [message_size], local_tree=local_tree,
+    if schedule.num_clusters != grid.num_clusters:
+        raise ValueError(
+            f"schedule covers {schedule.num_clusters} clusters but the "
+            f"grid has {grid.num_clusters}"
+        )
+    expected = grid.num_clusters - 1
+    if len(schedule.transfers) != expected:
+        raise ValueError(
+            f"a broadcast over {grid.num_clusters} clusters needs "
+            f"{expected} transfers, got {len(schedule.transfers)}"
+        )
+    (program,) = grid_aware_pair_programs(
+        grid,
+        [schedule.order],
+        [message_size],
+        [schedule.root],
+        [schedule.heuristic_name],
+        local_tree=local_tree,
         local_first=local_first,
     )
     return program
@@ -312,7 +275,7 @@ def binomial_bcast_programs(
 
     One binomial tree serves every size: the programs differ only in their
     message sizes and are built and validated as one stack (see
-    :func:`grid_aware_bcast_programs`).  Program ``k`` equals
+    :func:`grid_aware_pair_programs`).  Program ``k`` equals
     :func:`binomial_bcast_program` at ``sizes[k]``.
     """
     num_ranks = grid.num_nodes

@@ -207,7 +207,6 @@ def choose_lane(
     units: float,
     *,
     pool: Any = None,
-    hosts: str | Iterable[tuple[str, int]] | None = None,
 ) -> tuple[Any, int]:
     """Decide where one fan-out runs: ``(pool, worker_count)``.
 
@@ -220,7 +219,8 @@ def choose_lane(
     * an explicit ``pool=`` decides the lane; with no ``workers=`` it is a
       request for fan-out, so a worker count of ``0`` lifts to the pool's;
     * ``executor`` (argument, then ``REPRO_EXECUTOR``) resolving to
-      ``"remote"`` engages the persistent remote pool, and — because remote
+      ``"remote"`` engages the persistent remote pool (agents named by
+      ``REPRO_HOSTS``, else loopback), and — because remote
       capacity lives on the agents — a worker count below 2 lifts to the
       agents' advertised total; an *explicit* ``workers=0``/``1`` still
       runs inline;
@@ -242,7 +242,7 @@ def choose_lane(
         if workers is None and worker_count == 0:
             worker_count = pool.workers
     elif lane == "remote" and (workers is None or worker_count > 1):
-        pool = get_pool(max(worker_count, 2), kind="remote", hosts=hosts)
+        pool = get_pool(max(worker_count, 2), kind="remote")
         if worker_count < 2:
             worker_count = pool.workers
     elif worker_count > 1 and (lane == "process" or units > AUTO_INLINE_MAX_UNITS):

@@ -13,10 +13,11 @@ invariant the inline and process lanes already carry, extended across
 machines.
 
 **Topology.**  One coordinator (the study process), N agents.  Agents are
-named by ``hosts=`` / ``--hosts a:port,b:port`` / the ``REPRO_HOSTS``
-environment variable; when none are named the pool runs in **loopback
-mode**: it spawns :data:`LOOPBACK_AGENTS` agents as local subprocesses of
-this machine, so tests, benchmarks and a first try need no second box.
+named by the pool's ``hosts=`` argument, the ``REPRO_HOSTS`` environment
+variable, or the CLI's ``--hosts a:port,b:port`` (which sets it); when none
+are named the pool runs in **loopback mode**: it spawns
+:data:`LOOPBACK_AGENTS` agents as local subprocesses of this machine, so
+tests, benchmarks and a first try need no second box.
 Membership is **elastic**: agents may join a running pool mid-study through
 :meth:`RemoteStudyPool.add_host` or a :meth:`RemoteStudyPool.rescan_hosts`
 of ``REPRO_HOSTS``, and start pulling queued work at once.

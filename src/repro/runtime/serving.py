@@ -125,9 +125,6 @@ class FrameServer:
         """The degraded frame sent when a reply cannot be serialised."""
         return {"error": RuntimeError(f"server could not serialise the reply: {exc}")}
 
-    def _on_connection(self) -> None:
-        """Hook run once per admitted connection, after the hello."""
-
     def _on_close(self) -> None:
         """Hook run by :meth:`close` after the sockets are torn down."""
 
@@ -239,7 +236,6 @@ class FrameServer:
                 pass
 
         wire.send_message(conn, self._hello_message())
-        self._on_connection()
         while not self._stopped.is_set():
             try:
                 message = wire.recv_message(conn)

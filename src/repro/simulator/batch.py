@@ -93,11 +93,9 @@ class ExecutionTask:
     Attributes
     ----------
     program:
-        The communication program.
-    initially_active:
-        Extra ranks activated at time zero, merged with the program's own
-        ``initially_active`` declaration (kept for callers that overlay a
-        pattern on a plain program).
+        The communication program; its
+        :meth:`~repro.simulator.program.CommunicationProgram.start_ranks`
+        are the ranks active at time zero.
     noise_seed:
         Seed of this program's private noise stream.  ``None`` falls back to
         the network config's seed.  Spawning one child seed per task (see
@@ -113,7 +111,6 @@ class ExecutionTask:
     """
 
     program: CommunicationProgram
-    initially_active: tuple[int, ...] = ()
     noise_seed: int | None = None
     reset_network: bool = True
 
@@ -186,15 +183,11 @@ def _stack_tasks(
                 f"program spans {program.num_ranks} ranks but the network "
                 f"only has {grid.num_nodes}"
             )
-        roots = program.start_ranks(task.initially_active)
-        for rank in roots:
-            if not 0 <= rank < program.num_ranks:
-                raise ValueError(f"initially active rank {rank} out of range")
         metas.append(
             (
                 program.name,
                 program.num_ranks,
-                tuple(roots),
+                tuple(program.start_ranks()),
                 task.noise_seed if task.noise_seed is not None else config.seed,
                 task.reset_network,
                 program.tags if collect_traces else (),
@@ -536,10 +529,7 @@ def _execute_scalar(
                 ),
             )
         result = execute_program(
-            network,
-            task.program,
-            initially_active=task.initially_active,
-            reset_network=task.reset_network,
+            network, task.program, reset_network=task.reset_network
         )
         if not collect_traces:
             result.trace = []
@@ -740,7 +730,6 @@ def _execute_on_lane(
     workers: int | None,
     executor: str | None,
     pool,
-    hosts: str | None,
 ) -> list[ExecutionResult] | np.ndarray:
     """The batched engine on the lane :func:`~repro.runtime.pool.choose_lane`
     picks: inline, or chunked and shipped to a runtime pool."""
@@ -756,7 +745,6 @@ def _execute_on_lane(
             worker_count,
             sum(program_cost(task.program) for task in tasks),
             pool=pool,
-            hosts=hosts,
         )
         if pool is not None:
             return _execute_with_runtime_pool(
@@ -775,7 +763,6 @@ def execute_programs(
     engine: str = "batched",
     executor: str | None = None,
     pool=None,
-    hosts: str | None = None,
 ) -> list[ExecutionResult]:
     """Execute many independent (or chained) programs, results in order.
 
@@ -805,13 +792,14 @@ def execute_programs(
     engine:
         ``"batched"`` (default) or ``"scalar"`` — the scalar reference loop
         used by the equivalence suite and as the benchmark baseline.  The
-        scalar engine always runs in-process: ``workers``, ``executor``,
-        ``pool`` and ``hosts`` do not apply to it.
+        scalar engine always runs in-process: ``workers``, ``executor``
+        and ``pool`` do not apply to it.
     executor:
         Which fan-out lane to use: ``"process"``
         (:class:`~repro.runtime.pool.StudyPool`), ``"remote"``
         (:class:`~repro.runtime.remote.RemoteStudyPool` — chunks shipped
-        over sockets to worker agents, see ``hosts``), or ``"auto"`` —
+        over sockets to the worker agents named by ``REPRO_HOSTS``, else to
+        loopback agents), or ``"auto"`` —
         inline when the batch's total estimated cost is too small to
         amortise shipping, processes otherwise (never remote).  ``None``
         consults the ``REPRO_EXECUTOR`` environment variable, then defaults
@@ -825,11 +813,6 @@ def execute_programs(
         :class:`~repro.runtime.remote.RemoteStudyPool` to submit to
         (defaults to the process-wide persistent pool of the chosen lane).
         A passed pool decides the lane, overriding ``executor``.
-    hosts:
-        Remote-lane agent addresses (``"host:port,host:port"``); only
-        consulted when the remote lane is engaged.  ``None`` falls back to
-        the ``REPRO_HOSTS`` environment variable, then to loopback mode
-        (agents auto-spawned as local subprocesses).
     """
     normalized = _normalize_tasks(tasks, engine, executor)
     config = config if config is not None else NetworkConfig()
@@ -839,7 +822,7 @@ def execute_programs(
         return _execute_scalar(grid, normalized, config, collect_traces)
     output = "traces" if collect_traces else "results"
     return _execute_on_lane(  # type: ignore[return-value]
-        grid, normalized, config, output, workers, executor, pool, hosts
+        grid, normalized, config, output, workers, executor, pool
     )
 
 
@@ -852,7 +835,6 @@ def execute_makespans(
     engine: str = "batched",
     executor: str | None = None,
     pool=None,
-    hosts: str | None = None,
 ) -> np.ndarray:
     """Each task's makespan, in task order, as one float array.
 
@@ -867,8 +849,8 @@ def execute_makespans(
 
     As in :func:`execute_programs`, ``workers=None`` consults the
     ``REPRO_WORKERS`` environment variable, ``executor=None`` consults
-    ``REPRO_EXECUTOR`` (then ``"auto"``), and ``hosts=None`` consults
-    ``REPRO_HOSTS`` (then loopback agents) when the remote lane is engaged.
+    ``REPRO_EXECUTOR`` (then ``"auto"``), and the remote lane reads its
+    agents from ``REPRO_HOSTS`` (then loopback agents).
     """
     normalized = _normalize_tasks(tasks, engine, executor)
     config = config if config is not None else NetworkConfig()
@@ -883,5 +865,5 @@ def execute_makespans(
             dtype=float,
         )
     return _execute_on_lane(  # type: ignore[return-value]
-        grid, normalized, config, "makespans", workers, executor, pool, hosts
+        grid, normalized, config, "makespans", workers, executor, pool
     )

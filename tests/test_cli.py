@@ -244,7 +244,10 @@ class TestConnectTimeoutKnob:
     def test_cli_flag_exports_the_env_var(self, monkeypatch, capsys):
         from repro.runtime.remote import CONNECT_TIMEOUT_ENV_VAR
 
-        monkeypatch.delenv(CONNECT_TIMEOUT_ENV_VAR, raising=False)
+        # setenv first records the prior state, so the export is undone
+        # even when the variable was unset (a bare delenv would not be).
+        monkeypatch.setenv(CONNECT_TIMEOUT_ENV_VAR, "")
+        monkeypatch.delenv(CONNECT_TIMEOUT_ENV_VAR)
         assert (
             main(
                 [
@@ -261,6 +264,31 @@ class TestConnectTimeoutKnob:
         )
         capsys.readouterr()
         assert os.environ.get(CONNECT_TIMEOUT_ENV_VAR) == "3.5"
+
+    def test_cli_hosts_flag_exports_the_env_var(self, monkeypatch, capsys):
+        """``--hosts`` names the remote lane's agents the way ``REPRO_HOSTS``
+        does: by setting it."""
+        from repro.runtime.remote import HOSTS_ENV_VAR
+
+        monkeypatch.setenv(HOSTS_ENV_VAR, "")  # restored afterwards, as above
+        monkeypatch.delenv(HOSTS_ENV_VAR)
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        assert (
+            main(
+                [
+                    "practical",
+                    "--points",
+                    "2",
+                    "--max-size",
+                    "65536",
+                    "--hosts",
+                    "127.0.0.1:7301,127.0.0.1:7302",
+                ]
+            )
+            == 0
+        )
+        capsys.readouterr()
+        assert os.environ.get(HOSTS_ENV_VAR) == "127.0.0.1:7301,127.0.0.1:7302"
 
     def test_worker_serve_admission_flags_document_defaults(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -300,7 +300,6 @@ class TestBatchedScheduling:
         from repro.core.costs import GridCostCache
         from repro.core.ecef import ECEFLookahead
         from repro.core.lookahead import average_informed_lookahead
-        from repro.mpi.bcast import grid_aware_bcast_programs
         from repro.topology.generators import RandomGridGenerator
         from repro.utils.rng import RandomStream
 
@@ -341,16 +340,17 @@ class TestBatchedScheduling:
 
         monkeypatch.setattr(module, "grid_aware_pair_programs", spy)
         run_practical_study(config, grid=grid, workers=0)
-        expected = [
-            program
-            for heuristic in heuristics
-            for program in grid_aware_bcast_programs(
+        expected = []
+        for heuristic in heuristics:
+            schedules = [heuristic.schedule(grid, size, root=root) for size in sizes]
+            expected += stack(
                 grid,
-                [heuristic.schedule(grid, size, root=root) for size in sizes],
+                [schedule.order for schedule in schedules],
                 sizes,
+                [schedule.root for schedule in schedules],
+                [schedule.heuristic_name for schedule in schedules],
                 local_tree=config.local_tree,
             )
-        ]
         (programs,) = built
         assert [_fields(p) for p in programs] == [_fields(p) for p in expected]
 

@@ -13,12 +13,24 @@ from repro.mpi.bcast import (
     binomial_bcast_program,
     binomial_bcast_programs,
     grid_aware_bcast_program,
-    grid_aware_bcast_programs,
     grid_aware_pair_programs,
     predict_bcast_makespan,
 )
 from repro.simulator.execution import execute_program
 from repro.simulator.network import SimulatedNetwork
+
+
+def _schedule_stack(grid, schedules, sizes, **options):
+    """One :func:`grid_aware_pair_programs` stack fed from each schedule's
+    decision order, root and heuristic name."""
+    return grid_aware_pair_programs(
+        grid,
+        [schedule.order for schedule in schedules],
+        sizes,
+        [schedule.root for schedule in schedules],
+        [schedule.heuristic_name for schedule in schedules],
+        **options,
+    )
 
 
 class TestGridAwareBcastProgram:
@@ -123,11 +135,11 @@ class TestStackedBcastPrograms:
     def test_one_stack_per_heuristic_sweep(self, grid5000):
         sizes = [0, 65_536, 4_194_304]
         schedules = [ECEF().schedule(grid5000, size) for size in sizes]
-        programs = grid_aware_bcast_programs(grid5000, schedules, sizes)
+        programs = _schedule_stack(grid5000, schedules, sizes)
         assert [program.size[0] for program in programs] == sizes
         for program, schedule, size in zip(programs, schedules, sizes):
             assert program == grid_aware_bcast_program(grid5000, schedule, size)
-        assert grid_aware_bcast_programs(grid5000, [], []) == []
+        assert grid_aware_pair_programs(grid5000, [], [], [], []) == []
 
     def test_binomial_stack_shares_one_tree(self, heterogeneous_grid):
         programs = binomial_bcast_programs(heterogeneous_grid, [0, 1_000], root_rank=5)
@@ -139,10 +151,12 @@ class TestStackedBcastPrograms:
         with pytest.raises(ValueError, match="root_rank"):
             binomial_bcast_programs(heterogeneous_grid, [0, 1_000], root_rank=999)
 
-    def test_schedules_and_sizes_must_pair_up(self, heterogeneous_grid):
+    def test_orders_and_sizes_must_pair_up(self, heterogeneous_grid):
         schedule = ECEF().schedule(heterogeneous_grid, 1_000)
-        with pytest.raises(ValueError, match="1 schedules but 2 message sizes"):
-            grid_aware_bcast_programs(heterogeneous_grid, [schedule], [1_000, 2_000])
+        with pytest.raises(
+            ValueError, match="1 pair orders, 2 message sizes, 1 roots and 1 names"
+        ):
+            _schedule_stack(heterogeneous_grid, [schedule], [1_000, 2_000])
 
     def test_pair_programs_are_the_schedule_builds(self, heterogeneous_grid):
         sizes = [0, 1_000, 65_536]
@@ -151,9 +165,12 @@ class TestStackedBcastPrograms:
         programs = grid_aware_pair_programs(
             heterogeneous_grid, pairs, sizes, [1] * 3, ["ECEF"] * 3, local_tree="flat"
         )
-        assert programs == grid_aware_bcast_programs(
-            heterogeneous_grid, schedules, sizes, local_tree="flat"
-        )
+        assert programs == [
+            grid_aware_bcast_program(
+                heterogeneous_grid, schedule, size, local_tree="flat"
+            )
+            for schedule, size in zip(schedules, sizes)
+        ]
 
     def test_pairs_must_name_clusters_of_the_grid(self, heterogeneous_grid):
         """A negative cluster index would silently pick the last cluster's
@@ -187,7 +204,5 @@ class TestStackedBcastPrograms:
             grid_aware_bcast_program(heterogeneous_grid, broken, 1_000)
         assert "receive more than once" in str(single.value)
         with pytest.raises(ValueError) as stacked:
-            grid_aware_bcast_programs(
-                heterogeneous_grid, [broken, schedule], [1_000, -1]
-            )
+            _schedule_stack(heterogeneous_grid, [broken, schedule], [1_000, -1])
         assert str(stacked.value) == str(single.value)

@@ -1127,7 +1127,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.mpi.bcast import binomial_bcast_programs, grid_aware_bcast_programs
+from repro.mpi.bcast import binomial_bcast_programs, grid_aware_pair_programs
 from repro.topology.generators import RandomGridGenerator
 from repro.topology.grid5000 import build_grid5000_topology
 from repro.utils.rng import RandomStream
@@ -1173,6 +1173,19 @@ def stacked_bcast_inputs(draw):
         sizes,
         draw(st.sampled_from(sorted(TREE_BUILDERS))),
         draw(st.booleans()),
+    )
+
+
+def _schedule_stack(grid, schedules, sizes, **options):
+    """One :func:`grid_aware_pair_programs` stack fed from each schedule's
+    decision order, root and heuristic name."""
+    return grid_aware_pair_programs(
+        grid,
+        [schedule.order for schedule in schedules],
+        sizes,
+        [schedule.root for schedule in schedules],
+        [schedule.heuristic_name for schedule in schedules],
+        **options,
     )
 
 
@@ -1238,7 +1251,7 @@ class TestStackedBuilders:
     @settings(max_examples=60, deadline=None)
     def test_grid_aware_stack_equals_per_program_builds(self, inputs):
         grid, schedules, sizes, local_tree, local_first = inputs
-        stacked = grid_aware_bcast_programs(
+        stacked = _schedule_stack(
             grid, schedules, sizes, local_tree=local_tree, local_first=local_first
         )
         assert len(stacked) == len(schedules)
@@ -1286,7 +1299,7 @@ class TestStackedBuilders:
         with pytest.raises(ValueError) as single:
             grid_aware_bcast_program(grid, schedules[bad], sizes[bad], **options)
         with pytest.raises(ValueError) as stacked:
-            grid_aware_bcast_programs(grid, schedules, sizes, **options)
+            _schedule_stack(grid, schedules, sizes, **options)
         assert str(stacked.value) == str(single.value)
 
 
@@ -1849,26 +1862,42 @@ def simulator_programs(draw, grid: Grid) -> CommunicationProgram:
     )
 
 
+def _with_start_ranks(program: CommunicationProgram, extra) -> CommunicationProgram:
+    """``program`` rebuilt with ``extra`` ranks added to its
+    ``initially_active`` declaration."""
+    return CommunicationProgram.from_arrays(
+        program.num_ranks,
+        program.root,
+        program.senders(),
+        program.dest,
+        program.size,
+        program.tag_code,
+        program.tags,
+        name=program.name,
+        initially_active=(*program.initially_active, *extra),
+    )
+
+
 @st.composite
 def simulator_batches(draw):
-    """Several tasks on one grid: overlays, warm chains, noise and traces."""
+    """Several tasks on one grid: extra start ranks, warm chains, noise and
+    traces."""
     grid = draw(simulator_grids())
     tasks = []
     for index in range(draw(st.integers(min_value=1, max_value=4))):
         program = draw(simulator_programs(grid))
+        program = _with_start_ranks(
+            program,
+            draw(
+                st.lists(
+                    st.integers(0, program.num_ranks - 1), max_size=2, unique=True
+                )
+            ),
+        )
         chained = index > 0 and draw(st.booleans())
         tasks.append(
             ExecutionTask(
                 program,
-                initially_active=tuple(
-                    draw(
-                        st.lists(
-                            st.integers(0, program.num_ranks - 1),
-                            max_size=2,
-                            unique=True,
-                        )
-                    )
-                ),
                 noise_seed=None
                 if chained
                 else draw(st.one_of(st.none(), st.integers(0, 2**31 - 1))),
@@ -1945,12 +1974,7 @@ class TestStackedRelaxationEquivalence:
             ),
         )
         for task in tasks[head:]:
-            execute_program(
-                network,
-                task.program,
-                initially_active=task.initially_active,
-                reset_network=task.reset_network,
-            )
+            execute_program(network, task.program, reset_network=task.reset_network)
         carried = {record.source: record.start_time for record in stacked[-1].trace}
         assert carried == {
             rank: network.nic_free_at(rank) for rank in range(grid.num_nodes)

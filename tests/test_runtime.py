@@ -859,6 +859,14 @@ class TestChooseLane:
         monkeypatch.setenv("REPRO_EXECUTOR", "remote")
         pool, workers = choose_lane(None, None, 0, 10)
         assert pool.kind == "remote" and workers == 2
+        # The remote lane's agents come from REPRO_HOSTS alone: the lane
+        # decision takes no host list of its own.
+        assert pool.hosts_spec is None
+        monkeypatch.setenv("REPRO_HOSTS", "a:7100,b:7101")
+        pool, _ = choose_lane("remote", None, 0, 10)
+        assert pool.hosts_spec == (("a", 7100), ("b", 7101))
+        with pytest.raises(TypeError, match="hosts"):
+            choose_lane("remote", None, 0, 10, hosts="a:7100")
         # A bad executor fails whatever decides the lane.
         monkeypatch.setenv("REPRO_EXECUTOR", "hamster-wheel")
         with pytest.raises(ValueError, match="executor"):

@@ -222,12 +222,14 @@ class TestBatchOptions:
         with pytest.raises(ValueError, match="only has"):
             execute_programs(heterogeneous_grid, [program])
 
-    def test_rejects_out_of_range_initially_active(self, heterogeneous_grid):
-        program = CommunicationProgram(num_ranks=4, root=0)
-        with pytest.raises(ValueError, match="out of range"):
-            execute_programs(
-                heterogeneous_grid,
-                [ExecutionTask(program, initially_active=(99,))],
+    def test_rejects_out_of_range_initially_active(self):
+        """Start ranks are checked where the program is built: the stacked
+        executor reads them unchecked."""
+        with pytest.raises(ValueError, match="initially active rank 99 out of range"):
+            CommunicationProgram(num_ranks=4, root=0, initially_active=(99,))
+        with pytest.raises(ValueError, match="initially active rank 99 out of range"):
+            CommunicationProgram.from_arrays(
+                4, 0, [0], [1], 1.0, 0, ("m",), initially_active=(99,)
             )
 
     def test_empty_task_list(self, heterogeneous_grid):
